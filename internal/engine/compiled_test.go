@@ -75,6 +75,28 @@ func TestNoCompileForNonProbingSolvers(t *testing.T) {
 	}
 }
 
+// Outcome.CompileNS is the table resolution the engine itself did: timed on
+// a memo miss, zero on a memo hit, when the caller brought the tables, and
+// for a solver that reads none — the serving tier's compile stage is this
+// number.
+func TestOutcomeCompileNS(t *testing.T) {
+	e := New(Config{Workers: 1})
+	in := instance.Mixed(5, 40, 32)
+	if out := e.ScheduleWith(in, Options{}, 0); out.Err != nil || out.FromMemo || out.CompileNS <= 0 {
+		t.Fatalf("memo miss: err=%v from_memo=%v compile_ns=%d, want a timed compilation", out.Err, out.FromMemo, out.CompileNS)
+	}
+	if out := e.ScheduleWith(in, Options{}, 0); out.Err != nil || !out.FromMemo || out.CompileNS != 0 {
+		t.Fatalf("memo hit: err=%v from_memo=%v compile_ns=%d, want 0", out.Err, out.FromMemo, out.CompileNS)
+	}
+	o := Options{Eps: 0.07} // memo miss again
+	if out := e.ScheduleCompiled(in, e.CompiledFor(in), o, 0, Fingerprint(in, o)); out.Err != nil || out.FromMemo || out.CompileNS != 0 {
+		t.Fatalf("caller-supplied tables: err=%v from_memo=%v compile_ns=%d, want 0", out.Err, out.FromMemo, out.CompileNS)
+	}
+	if out := e.ScheduleWith(in, Options{Solver: "seq-lpt"}, 0); out.Err != nil || out.CompileNS != 0 {
+		t.Fatalf("table-blind solver: err=%v compile_ns=%d, want 0", out.Err, out.CompileNS)
+	}
+}
+
 // With the memo disabled the compiled cache is disabled too: every solve
 // compiles fresh (counted as misses) and no entries are retained.
 func TestCompiledCacheDisabledWithMemo(t *testing.T) {

@@ -123,6 +123,11 @@ type Outcome struct {
 	Err error
 	// FromMemo reports that the solution came from the memo.
 	FromMemo bool
+	// CompileNS is the wall-clock time the engine spent resolving compiled
+	// λ-breakpoint tables for this job (a compiled-cache probe, plus
+	// instance.Compile on a miss). 0 on a memo hit, when the caller supplied
+	// the tables, and for solvers that never read them.
+	CompileNS int64
 }
 
 // Stats is a snapshot of the engine's counters.
@@ -187,9 +192,9 @@ func (e *Engine) Stats() Stats {
 // from the compiled cache when one is configured (counting hits and
 // misses; a miss compiles and caches). The returned tables may come from a
 // renamed copy of the same workload — they are name-independent. The
-// scheduling service calls this once at admission and hands the result to
-// ScheduleCompiled so every shard-mate of the request shares one
-// compilation.
+// engine calls this itself after a memo miss; callers that want the tables
+// ahead of the solve (residual derivation, benchmarks) call it directly and
+// hand the result to ScheduleCompiled or ScheduleWarm.
 func (e *Engine) CompiledFor(in *instance.Instance) *instance.Compiled {
 	if in == nil {
 		return nil
@@ -230,20 +235,15 @@ func (e *Engine) ScheduleWith(in *instance.Instance, o Options, timeout time.Dur
 	return e.runWith(0, in, o, timeout, nil, nil, nil)
 }
 
-// ScheduleWithHash is ScheduleWith for callers that already computed
-// Fingerprint(in, o): the scheduling service routes shards by that hash,
+// ScheduleCompiled is ScheduleWith for callers that already computed
+// Fingerprint(in, o) — the scheduling service routes shards by that hash,
 // and the memo probe reuses it instead of re-hashing every profile. The
-// hash MUST equal Fingerprint(in, o) — a stale one would alias memo
-// entries.
-func (e *Engine) ScheduleWithHash(in *instance.Instance, o Options, timeout time.Duration, hash uint64) Outcome {
-	return e.runWith(0, in, o, timeout, &hash, nil, nil)
-}
-
-// ScheduleCompiled is ScheduleWithHash for callers that additionally hold
-// the instance's compiled λ-breakpoint tables (typically from CompiledFor):
-// the solve consumes them directly instead of probing the compiled cache.
-// c must describe the same workload as in (same machine size and time
-// tables; names may differ) — CompiledFor guarantees that.
+// hash MUST equal Fingerprint(in, o): a stale one would alias memo entries.
+// A non-nil c additionally supplies the instance's compiled λ-breakpoint
+// tables (typically from CompiledFor, and describing the same workload as
+// in — same machine size and time tables; names may differ); nil resolves
+// them from the compiled cache after a memo miss, so a memo hit never pays
+// for tables it does not read.
 func (e *Engine) ScheduleCompiled(in *instance.Instance, c *instance.Compiled, o Options, timeout time.Duration, hash uint64) Outcome {
 	return e.runWith(0, in, o, timeout, &hash, c, nil)
 }
@@ -380,7 +380,9 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 	// needs no tables at all). Legacy solves skip them by definition, and
 	// so do solvers without a dual search — nothing would read them.
 	if ci == nil && !opts.Legacy && WantsCompiled(opts) {
+		t := time.Now()
 		ci = e.CompiledFor(in)
+		out.CompileNS = time.Since(t).Nanoseconds()
 	}
 
 	var sc *core.Scratch

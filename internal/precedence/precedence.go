@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"malsched/internal/fphash"
 	"malsched/internal/instance"
 )
 
@@ -146,16 +147,16 @@ func NewGraph(in *instance.Instance, succ [][]int) (*Graph, error) {
 	}
 	g := &Graph{in: in, succ: copyEdges(succ), topo: order}
 	g.preds = make([]int, n)
-	h := fnv64(fnvOffset)
-	h.uint64(uint64(len(g.succ)))
+	h := fphash.New()
+	h.Word(uint64(len(g.succ)))
 	for _, ss := range g.succ {
-		h.uint64(uint64(len(ss)))
+		h.Word(uint64(len(ss)))
 		for _, j := range ss {
 			g.preds[j]++
-			h.uint64(uint64(j))
+			h.Word(uint64(j))
 		}
 	}
-	g.edgeHash = uint64(h)
+	g.edgeHash = h.Sum()
 
 	// Candidate deadlines: every distinct profile time, sorted. Duplicate
 	// times are collapsed once here instead of inflating every binary

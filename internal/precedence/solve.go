@@ -22,21 +22,6 @@ import (
 	"malsched/internal/schedule"
 )
 
-// FNV-1a, matching the engine fingerprint's constants so the edge hash
-// folds the same way everywhere a DAG shape keys a cache.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-type fnv64 uint64
-
-func (h *fnv64) uint64(v uint64) {
-	for i := 0; i < 8; i++ {
-		*h = (*h ^ fnv64(byte(v>>(8*i)))) * fnvPrime
-	}
-}
-
 // Options tunes one DAG solve. The zero value runs the compiled hot path
 // with privately compiled tables and a private scratch — bit-identical to
 // Legacy, just differently paid for.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"malsched/internal/instance"
 	"malsched/internal/obs"
 	"malsched/internal/server"
+	"malsched/internal/wire"
 )
 
 // A /metricsz scrape after routed traffic must expose the router's metric
@@ -213,6 +215,57 @@ func TestRouterSlowLogging(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("log line missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// A client that gives up while its request is queued still finishes on the
+// router's books: one msroute_requests_total sample and one request-log line,
+// both with status 499.
+func TestClientGoneWhileQueuedIsCounted(t *testing.T) {
+	var mu sync.Mutex
+	var lines bytes.Buffer
+	s0 := server.New(server.Config{Shards: 1})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	rt, err := New(Config{
+		Backends: []Backend{{Name: "only", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			once.Do(func() { close(entered) })
+			<-release
+			s0.Handler().ServeHTTP(w, r)
+		})}},
+		Workers:     1,
+		Logger:      slog.New(slog.NewTextHandler(lockedWriter{&mu, &lines}, nil)),
+		LogRequests: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	in := instance.Mixed(3, 6, 4)
+	first := make(chan int, 1)
+	go func() { first <- postBinary(t, rt.Handler(), in, nil).Code }()
+	<-entered // the only worker is now stuck inside the backend
+
+	// The second request can only queue, and its client is already gone.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(wire.AppendScheduleRequest(nil, in, nil, nil)))
+	req.Header.Set("Content-Type", wire.ContentType)
+	rt.Handler().ServeHTTP(httptest.NewRecorder(), req.WithContext(ctx))
+
+	if got := rt.requestCounter("schedule", "binary", statusClientClosedRequest).Value(); got != 1 {
+		t.Fatalf("msroute_requests_total{status=499} = %d, want 1", got)
+	}
+	mu.Lock()
+	text := lines.String()
+	mu.Unlock()
+	if !strings.Contains(text, "status=499") {
+		t.Fatalf("no request-log line for the abandoned request:\n%s", text)
+	}
+	close(release)
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("the request ahead of it: HTTP %d", code)
 	}
 }
 

@@ -57,6 +57,9 @@ const (
 	// stealRetry is how long an idle worker waits between steal scans
 	// once its own queues and every other queue are empty.
 	stealRetry = time.Millisecond
+	// statusClientClosedRequest (nginx's 499) marks a request whose client
+	// gave up while it was queued; it is only ever counted and logged.
+	statusClientClosedRequest = 499
 )
 
 // Backend is one scheduler shard. Name must be stable across router
@@ -395,7 +398,8 @@ func (r *Router) routeKey(path, contentType string, body []byte) (uint64, bool, 
 
 func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string) {
 	start := time.Now()
-	binary := contentTypeOf(req) == wire.ContentType
+	ct := contentTypeOf(req)
+	binary := ct == wire.ContentType
 	codec, endpoint := "json", path[len("/v1/"):]
 	if binary {
 		codec = "binary"
@@ -417,14 +421,13 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 			&wire.ErrorInfo{Code: wire.CodeDraining, Message: "router is draining; retry against another replica"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	body, err := readBody(w, req, r.cfg.MaxBodyBytes)
 	if err != nil {
 		finish(http.StatusBadRequest, jobResult{servedBy: -1})
 		r.writeError(w, http.StatusBadRequest, binary,
 			&wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", err)})
 		return
 	}
-	ct := contentTypeOf(req)
 	key, pinned, errInfo := r.routeKey(path, ct, body)
 	if errInfo != nil {
 		finish(http.StatusBadRequest, jobResult{servedBy: -1})
@@ -484,8 +487,26 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 		_, _ = w.Write(res.body)
 	case <-req.Context().Done():
 		// The client gave up; the worker that picks the job up will see
-		// the dead context and drop it cheaply.
+		// the dead context and drop it cheaply. Nobody reads a response, but
+		// the request still counts: 499, the conventional "client closed
+		// request" status, keeps it on the books and in the request log.
+		finish(statusClientClosedRequest, jobResult{servedBy: -1})
 	}
+}
+
+// readBody reads the whole request body under the size cap. A declared
+// Content-Length pre-sizes one buffer (with bytes.MinRead of slack, so the
+// read that finds EOF does not grow it) in place of io.ReadAll's growth
+// series; the buffer is not pooled because the body's lifetime crosses the
+// hand-off to a forwarding worker.
+func readBody(w http.ResponseWriter, req *http.Request, maxBytes int64) ([]byte, error) {
+	rd := http.MaxBytesReader(w, req.Body, maxBytes)
+	if cl := req.ContentLength; cl > 0 && cl <= maxBytes {
+		buf := bytes.NewBuffer(make([]byte, 0, cl+bytes.MinRead))
+		_, err := buf.ReadFrom(rd)
+		return buf.Bytes(), err
+	}
+	return io.ReadAll(rd)
 }
 
 // worker forwards jobs for shard i: its own pinned and stealable queues

@@ -117,6 +117,55 @@ func TestRouteKeyMatchesEngineFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintSpread checks the two reductions the fleet applies to
+// fingerprints, over 12 288 distinct workloads (the size of the benchmark's
+// cold pool, chosen so every engine shard sees more keys than its caches
+// hold): the routing key picks a backend by ring position, the memo key
+// picks an engine shard by % 4. No two workloads may collide, every share
+// must sit within 10 % of its expectation — the backend's arc of the ring,
+// a quarter of the shards — and so must every (backend, shard) cell, which
+// is what keeps the emptiest engine shard above its cache size.
+func TestFingerprintSpread(t *testing.T) {
+	const pool, shards = 12288, 4
+	rg, err := newRing([]string{"shard-0", "shard-1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arc [2]float64 // share of the circle each backend owns
+	for i, p := range rg.points {
+		prev := rg.points[(i+len(rg.points)-1)%len(rg.points)].hash
+		arc[p.backend] += float64(p.hash-prev) / (1 << 64) // wraps correctly in uint64
+	}
+	seen := make(map[uint64]int64, pool)
+	var cell [2][shards]int
+	for seed := int64(1); seed <= pool; seed++ {
+		in := instance.Mixed(seed, 24, 16)
+		key := engine.WorkloadFingerprint(in)
+		if other, dup := seen[key]; dup {
+			t.Fatalf("workloads %d and %d collide on %#x", other, seed, key)
+		}
+		seen[key] = seed
+		cell[rg.route(key)][engine.Fingerprint(in, engine.Options{})%shards]++
+	}
+	within := func(what string, got int, want float64) {
+		t.Helper()
+		if f := float64(got); f < 0.9*want || f > 1.1*want {
+			t.Errorf("%s: %d of %d workloads, want %.0f ± 10%%", what, got, pool, want)
+		}
+	}
+	for b := range cell {
+		total := 0
+		for sh, n := range cell[b] {
+			total += n
+			within(fmt.Sprintf("backend %d shard %d", b, sh), n, pool*arc[b]/shards)
+		}
+		within(fmt.Sprintf("backend %d", b), total, pool*arc[b])
+	}
+	for sh := 0; sh < shards; sh++ {
+		within(fmt.Sprintf("hash %% %d == %d", shards, sh), cell[0][sh]+cell[1][sh], pool/shards)
+	}
+}
+
 // TestRouteKeyMatchesDAGFingerprint extends the pin to wire/v2: a
 // graph-carrying request's RouteKey must equal
 // engine.WorkloadFingerprintDAG over the decoded (instance, graph) pair,

@@ -6,10 +6,13 @@
 package schedule
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"malsched/internal/instance"
 	"malsched/internal/task"
@@ -52,8 +55,13 @@ func (p Placement) Contiguous() bool {
 	}
 	s := append([]int(nil), p.ProcSet...)
 	sort.Ints(s)
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1]+1 {
+	return consecutive(s)
+}
+
+// consecutive reports whether a sorted index list has no gap or repeat.
+func consecutive(sorted []int) bool {
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] != sorted[i-1]+1 {
 			return false
 		}
 	}
@@ -112,27 +120,66 @@ var (
 	ErrRepeatProcessor = errors.New("schedule: placement uses a processor twice")
 )
 
+// interval is one placement's occupancy of one processor.
+type interval struct {
+	proc       int
+	start, end float64
+	task       int
+}
+
+// validateScratch is Validate's working memory, pooled so the check that
+// runs on every service response and inside every solver allocates nothing
+// in steady state.
+type validateScratch struct {
+	seen []bool // per task: already placed
+	// last[j] is 1 + the index of the last placement that used processor j,
+	// so a repeat within one placement shows without a per-placement set.
+	last  []int
+	procs []int      // sorted copy of one ProcSet, for the contiguity check
+	ivs   []interval // every (placement, processor) pair
+}
+
+var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
+
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// contiguous is Placement.Contiguous for an explicit processor set, sorting
+// in the scratch instead of a fresh copy.
+func (sc *validateScratch) contiguous(procSet []int) bool {
+	sc.procs = append(sc.procs[:0], procSet...)
+	slices.Sort(sc.procs)
+	return consecutive(sc.procs)
+}
+
 // Validate checks the schedule against the instance. requireContiguous
 // additionally enforces the paper's contiguity convention. A nil return
 // certifies: every task placed exactly once, widths within profiles,
 // processors within the machine and pairwise disjoint in time (up to the
 // module tolerance).
 func Validate(in *instance.Instance, s *Schedule, requireContiguous bool) error {
-	seen := make([]bool, in.N())
-	type iv struct {
-		start, end float64
-		task       int
-	}
-	perProc := make([][]iv, in.M)
-	for _, p := range s.Placements {
+	sc := validatePool.Get().(*validateScratch)
+	defer validatePool.Put(sc)
+	sc.seen = zeroed(sc.seen, in.N())
+	sc.last = zeroed(sc.last, in.M)
+	sc.ivs = sc.ivs[:0]
+	for idx := range s.Placements {
+		p := &s.Placements[idx]
 		if p.Task < 0 || p.Task >= in.N() {
 			return fmt.Errorf("schedule: placement references task %d of %d", p.Task, in.N())
 		}
 		name := in.Tasks[p.Task].Name
-		if seen[p.Task] {
+		if sc.seen[p.Task] {
 			return fmt.Errorf("%w: %s", ErrDuplicateTask, name)
 		}
-		seen[p.Task] = true
+		sc.seen[p.Task] = true
 		if p.Width < 1 || p.Width > in.Tasks[p.Task].MaxProcs() {
 			return fmt.Errorf("%w: %s on %d procs (profile max %d)", ErrBadWidth, name, p.Width, in.Tasks[p.Task].MaxProcs())
 		}
@@ -142,36 +189,45 @@ func Validate(in *instance.Instance, s *Schedule, requireContiguous bool) error 
 		if p.ProcSet != nil && len(p.ProcSet) != p.Width {
 			return fmt.Errorf("%w: %s has %d procs listed for width %d", ErrWidthMismatch, name, len(p.ProcSet), p.Width)
 		}
-		if requireContiguous && !p.Contiguous() {
+		if requireContiguous && p.ProcSet != nil && !sc.contiguous(p.ProcSet) {
 			return fmt.Errorf("%w: %s", ErrNotContiguous, name)
 		}
-		procs := p.Processors()
-		used := make(map[int]bool, len(procs))
-		for _, j := range procs {
+		end := p.End(in)
+		for k := 0; k < p.Width; k++ {
+			j := p.First + k
+			if p.ProcSet != nil {
+				j = p.ProcSet[k]
+			}
 			if j < 0 || j >= in.M {
 				return fmt.Errorf("%w: %s on processor %d of %d", ErrBadProcessor, name, j, in.M)
 			}
-			if used[j] {
+			if sc.last[j] == idx+1 {
 				return fmt.Errorf("%w: %s on processor %d", ErrRepeatProcessor, name, j)
 			}
-			used[j] = true
-			perProc[j] = append(perProc[j], iv{p.Start, p.End(in), p.Task})
+			sc.last[j] = idx + 1
+			sc.ivs = append(sc.ivs, interval{proc: j, start: p.Start, end: end, task: p.Task})
 		}
 	}
-	for i, ok := range seen {
+	for i, ok := range sc.seen {
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrMissingTask, in.Tasks[i].Name)
 		}
 	}
-	for j, ivs := range perProc {
-		sort.Slice(ivs, func(a, b int) bool { return ivs[a].start < ivs[b].start })
-		for k := 1; k < len(ivs); k++ {
-			// Allow touching intervals up to the module tolerance.
-			if !task.Leq(ivs[k-1].end, ivs[k].start) {
-				return fmt.Errorf("%w: %s and %s on processor %d ([%g,%g] vs [%g,%g])",
-					ErrOverlap, in.Tasks[ivs[k-1].task].Name, in.Tasks[ivs[k].task].Name, j,
-					ivs[k-1].start, ivs[k-1].end, ivs[k].start, ivs[k].end)
-			}
+	// One sort by (processor, start) lines every processor's intervals up
+	// in time order; neighbours on the same processor must then not overlap.
+	slices.SortFunc(sc.ivs, func(a, b interval) int {
+		if a.proc != b.proc {
+			return cmp.Compare(a.proc, b.proc)
+		}
+		return cmp.Compare(a.start, b.start)
+	})
+	for k := 1; k < len(sc.ivs); k++ {
+		a, b := &sc.ivs[k-1], &sc.ivs[k]
+		// Allow touching intervals up to the module tolerance.
+		if a.proc == b.proc && !task.Leq(a.end, b.start) {
+			return fmt.Errorf("%w: %s and %s on processor %d ([%g,%g] vs [%g,%g])",
+				ErrOverlap, in.Tasks[a.task].Name, in.Tasks[b.task].Name, a.proc,
+				a.start, a.end, b.start, b.end)
 		}
 	}
 	return nil

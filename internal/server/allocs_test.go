@@ -1,0 +1,86 @@
+//go:build !race
+
+// Allocation budgets per layer of the memo-hit path. The race detector
+// instruments allocations, so the file is excluded under -race.
+
+package server
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"malsched/internal/engine"
+	"malsched/internal/instance"
+	"malsched/internal/verify"
+	"malsched/internal/wire"
+)
+
+func TestAllocBudgets(t *testing.T) {
+	const n, m = 24, 16 // the benchmark's serve-hot shape
+	in := instance.Mixed(9, n, m)
+	frame := wire.AppendScheduleRequest(nil, in, nil, nil)
+	sol, err := engine.Solve(in, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := verify.Certified{Plan: sol.Plan, Makespan: sol.Makespan, LowerBound: sol.LowerBound}
+
+	s := New(Config{Shards: 1, Workers: 1})
+	serve := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frame))
+		req.Header.Set("Content-Type", wire.ContentType)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := serve(); code != http.StatusOK { // fills the memo
+		t.Fatalf("HTTP %d", code)
+	}
+
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"wire.RouteKey", 0, func() {
+			if _, _, err := wire.RouteKey(frame); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"verify.Plan", 0, func() {
+			if err := verify.Plan(in, cert, false); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"verify.Plan contiguous", 0, func() {
+			if err := verify.Plan(in, cert, true); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// One name per task, plus the slab, the task slices, the instance.
+		{"wire.DecodeScheduleRequest", n + 8, func() {
+			if _, _, _, err := wire.DecodeScheduleRequest(frame); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A whole binary memo hit through the shard's handler, test
+		// request and recorder included.
+		{"memo-hit ServeHTTP", 70, func() {
+			if code := serve(); code != http.StatusOK {
+				t.Fatalf("HTTP %d", code)
+			}
+		}},
+	} {
+		c.run() // warm pools and caches
+		if got := testing.AllocsPerRun(200, c.run); got > c.budget {
+			t.Errorf("%s: %.1f allocs per run, budget %.0f", c.name, got, c.budget)
+		} else {
+			t.Logf("%s: %.1f allocs per run (budget %.0f)", c.name, got, c.budget)
+		}
+	}
+	if st := s.Stats().Shards[0]; st.MemoMisses != 1 || st.CompileMisses != 1 {
+		t.Fatalf("the timed requests were not memo hits: %+v", st)
+	}
+}

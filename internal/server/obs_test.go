@@ -228,6 +228,49 @@ func TestScheduleTrace(t *testing.T) {
 	}
 }
 
+// The compile stage belongs to memo misses: a miss resolves the compiled
+// tables inside the engine and reports the time back, a memo hit probes no
+// compiled cache and observes exactly 0 — in the trace and in the
+// stage=compile histogram alike.
+func TestCompileStageOnlyOnMemoMiss(t *testing.T) {
+	s := New(Config{Shards: 1, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := ScheduleRequest{Instance: mustRaw(t, instance.Mixed(11, 48, 32)), Options: &RequestOptions{Trace: true}}
+	schedule := func() ScheduleResponse {
+		t.Helper()
+		var resp ScheduleResponse
+		if status, body := post(t, ts, "/v1/schedule", req); status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, body)
+		} else if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	compile := s.stagesFor("mrt", "json", 0).compile
+
+	miss := schedule()
+	if miss.FromMemo || miss.Trace.CompileNS <= 0 {
+		t.Fatalf("compile miss: from_memo=%v compile_ns=%d, want a timed compilation", miss.FromMemo, miss.Trace.CompileNS)
+	}
+	if compile.Count() != 1 || compile.SumUS() <= 0 || compile.SumUS() != miss.Trace.CompileNS/1e3 {
+		t.Fatalf("stage=compile after the miss: count %d sum %dµs, want 1 and %dµs", compile.Count(), compile.SumUS(), miss.Trace.CompileNS/1e3)
+	}
+	sum := compile.SumUS()
+
+	hit := schedule()
+	if !hit.FromMemo || hit.Trace.CompileNS != 0 {
+		t.Fatalf("memo hit: from_memo=%v compile_ns=%d, want a hit with no compile stage", hit.FromMemo, hit.Trace.CompileNS)
+	}
+	if compile.Count() != 2 || compile.SumUS() != sum {
+		t.Fatalf("stage=compile after the hit: count %d sum %dµs, want 2 and an unchanged %dµs", compile.Count(), compile.SumUS(), sum)
+	}
+	if st := s.Stats().Shards[0]; st.CompileMisses != 1 || st.CompileHits != 0 {
+		t.Fatalf("a memo hit probed the compiled cache: %+v", st)
+	}
+}
+
 // Every scheduling response carries a request ID; a client-supplied
 // X-Malsched-Request is echoed verbatim, an absent one is minted.
 func TestRequestIDEcho(t *testing.T) {

@@ -75,9 +75,9 @@ type ShardStats struct {
 	MemoMisses  uint64 `json:"memo_misses"`
 	MemoEntries int    `json:"memo_entries"`
 	// CompileHits/CompileMisses count the shard's compiled-instance cache
-	// probes (the server compiles once at admission through it, so batch
-	// items of a repeated shape share one compilation); CompiledEntries is
-	// the resident table count.
+	// probes. The engine probes it after a memo miss only, so batch items
+	// of a repeated shape share one compilation and memo hits move neither
+	// counter; CompiledEntries is the resident table count.
 	CompileHits     uint64 `json:"compile_hits"`
 	CompileMisses   uint64 `json:"compile_misses"`
 	CompiledEntries int    `json:"compiled_entries"`

@@ -367,13 +367,13 @@ func lineageHash(lineage string) uint64 {
 // engine, which reuses it for the memo probe. A request with a lineage
 // key routes by the key's hash instead: consecutive residuals of one
 // replanning client have different fingerprints, and the carried warm
-// state they need lives on exactly one shard. The instance is compiled
-// once at admission through the shard's compiled-instance cache
-// (instances arriving here passed the JSON codec's full validation), so
-// /v1/batch items of a repeated shape — and memo-miss re-solves under
-// different options — share one set of λ-breakpoint tables per shard.
-// The shard's solve slots bound concurrency to Config.Workers across all
-// requests, compilation included.
+// state they need lives on exactly one shard. The engine probes its memo
+// first and resolves the compiled λ-breakpoint tables only after a miss,
+// through the shard's compiled-instance cache — /v1/batch items of a
+// repeated shape and memo-miss re-solves under different options share
+// one set of tables per shard, and a memo hit pays for none. The shard's
+// solve slots bound concurrency to Config.Workers across all requests,
+// compilation included.
 func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx) (*ScheduleResponse, *ErrorInfo, int) {
 	hash := engine.Fingerprint(in, o)
 	warm := lineage != "" && engine.WantsCompiled(o)
@@ -391,20 +391,17 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	s.slots[shard] <- struct{}{}
 	st.queue = time.Since(t).Nanoseconds()
 	eng := s.shards[shard]
-	var ci *instance.Compiled
-	if engine.WantsCompiled(o) {
-		t = time.Now()
-		ci = eng.CompiledFor(in)
-		st.compile = time.Since(t).Nanoseconds()
-	}
 	var out engine.Outcome
 	t = time.Now()
 	if warm {
-		out = eng.ScheduleWarm(in, ci, o, timeout, eng.WarmFor(lh))
+		out = eng.ScheduleWarm(in, nil, o, timeout, eng.WarmFor(lh))
 	} else {
-		out = eng.ScheduleCompiled(in, ci, o, timeout, hash)
+		out = eng.ScheduleCompiled(in, nil, o, timeout, hash)
 	}
-	st.solve = time.Since(t).Nanoseconds()
+	// The engine reports the table resolution it did inside the call (0 on
+	// a memo hit); the rest of the call is the solve stage.
+	st.compile = out.CompileNS
+	st.solve = time.Since(t).Nanoseconds() - st.compile
 	<-s.slots[shard]
 	set := s.stagesFor(rc.solver, rc.codec, shard)
 	rc.set = set

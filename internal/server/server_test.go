@@ -416,9 +416,10 @@ func TestStatsz(t *testing.T) {
 	}
 }
 
-// The compiled-instance cache behind /statsz's compile_hits/compile_misses:
-// repeats of one workload — even under different options, which miss the
-// memo — compile once per shard and hit the cache afterwards.
+// The compiled-instance cache behind /statsz's compile_hits/compile_misses
+// is probed only after a memo miss: repeats of one workload under different
+// options — which miss the memo — compile once per shard and hit the cache
+// afterwards, and a memo hit touches neither counter.
 func TestStatszCompileCounters(t *testing.T) {
 	s := New(Config{Shards: 1, Workers: 1, QueueDepth: 5})
 	ts := httptest.NewServer(s.Handler())
@@ -426,10 +427,10 @@ func TestStatszCompileCounters(t *testing.T) {
 
 	raw := mustRaw(t, instance.Mixed(77, 8, 4))
 	for _, opts := range []*RequestOptions{
-		nil,              // compile miss, memo miss
-		nil,              // compile hit, memo hit
-		{Eps: 0.05},      // compile hit, memo miss (options differ)
-		{Parallelism: 2}, // compile hit, memo hit (parallelism excluded)
+		nil,              // memo miss, compile miss
+		nil,              // memo hit, no compiled-cache probe
+		{Eps: 0.05},      // memo miss (options differ), compile hit
+		{Parallelism: 2}, // memo hit (parallelism excluded), no probe
 	} {
 		if status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw, Options: opts}); status != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", status, body)
@@ -444,7 +445,7 @@ func TestStatszCompileCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := st.Shards[0]
-	if sh.CompileMisses != 1 || sh.CompileHits != 3 || sh.CompiledEntries != 1 {
+	if sh.CompileMisses != 1 || sh.CompileHits != 1 || sh.CompiledEntries != 1 {
 		t.Fatalf("compile counters off: %+v", sh)
 	}
 	if sh.MemoHits != 2 || sh.MemoMisses != 2 {

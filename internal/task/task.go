@@ -58,6 +58,17 @@ func New(name string, times []float64) (Task, error) {
 	return Task{Name: name, times: cp}, nil
 }
 
+// NewOwned is New without the defensive copy: the task takes ownership of
+// times, which the caller must not modify afterwards. Validation is New's.
+// Decoders that fill a table nobody else references use it — hand it a
+// capacity-capped slice when the table is carved out of a shared slab.
+func NewOwned(name string, times []float64) (Task, error) {
+	if err := checkTimes(name, times); err != nil {
+		return Task{}, err
+	}
+	return Task{Name: name, times: times}, nil
+}
+
 // checkTimes validates a time table in place: non-empty, positive and
 // finite, time non-increasing and work non-decreasing (the monotone
 // hypothesis). New and Check share it.
@@ -133,9 +144,17 @@ func (t Task) MaxProcs() int { return len(t.times) }
 // count is a scheduler bug, not an input error.
 func (t Task) Time(p int) float64 {
 	if p < 1 || p > len(t.times) {
-		panic(fmt.Sprintf("task %q: Time(%d) with profile of %d processors", t.Name, p, len(t.times)))
+		t.outOfProfile(p)
 	}
 	return t.times[p-1]
+}
+
+// outOfProfile is Time's panic, kept out of line so Time itself inlines
+// into the loops that walk whole profiles.
+//
+//go:noinline
+func (t Task) outOfProfile(p int) {
+	panic(fmt.Sprintf("task %q: Time(%d) with profile of %d processors", t.Name, p, len(t.times)))
 }
 
 // Work returns w(p) = p·t(p), the computational area on p processors.

@@ -1,0 +1,52 @@
+package wire
+
+import (
+	"testing"
+
+	"malsched/internal/engine"
+	"malsched/internal/instance"
+	"malsched/internal/precedence"
+)
+
+// FuzzRouteKeyMatchesDecode fuzzes the two parsers of untrusted request
+// bytes. Invariants: neither wire.RouteKey (the router's zero-allocation
+// peek) nor DecodeScheduleRequest (the shard's full decode) panics on any
+// input; and whenever the decode succeeds the peek succeeds too, its key
+// equals engine.WorkloadFingerprintDAG over the decoded (instance, graph)
+// and its lineage is the decoded options' — so the router and the shard can
+// never disagree about where a request they both accept belongs.
+func FuzzRouteKeyMatchesDecode(f *testing.F) {
+	mixed := instance.Mixed(5, 6, 4)
+	wide := &instance.Instance{Name: "wide", M: 2, Tasks: instance.Mixed(3, 5, 8).Tasks} // profiles truncate to m on decode
+	v1 := AppendScheduleRequest(nil, mixed, nil, nil)
+	v2 := AppendScheduleRequest(nil, mixed, precedence.ChainEdges(mixed.N()), &RequestOptions{Solver: "dag", Eps: 0.01})
+	f.Add(v1)
+	f.Add(v2)
+	f.Add(AppendScheduleRequest(nil, wide, nil, &RequestOptions{Lineage: "chain-7", Portfolio: []string{"mrt", "lpt"}, Compact: true}))
+	f.Add(AppendScheduleRequest(nil, mixed, [][]int{}, nil)) // present but empty graph section
+	f.Add(v2[:60])                                           // cut inside a time table
+	f.Add(v1[:headerLen])
+	f.Add(append(append([]byte(nil), v2...), 0)) // trailing byte
+	f.Add([]byte("not a frame"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		key, lineage, keyErr := RouteKey(data)
+		in, graph, opts, err := DecodeScheduleRequest(data)
+		if err != nil {
+			return // rejected by the shard: the router's verdict is moot
+		}
+		if keyErr != nil {
+			t.Fatalf("decode accepts what RouteKey rejects: %v", keyErr)
+		}
+		if want := engine.WorkloadFingerprintDAG(in, graph); key != want {
+			t.Fatalf("RouteKey %#x != WorkloadFingerprintDAG %#x", key, want)
+		}
+		want := ""
+		if opts != nil {
+			want = opts.Lineage
+		}
+		if lineage != want {
+			t.Fatalf("RouteKey lineage %q, decoded %q", lineage, want)
+		}
+	})
+}

@@ -40,6 +40,7 @@ import (
 	"math"
 	"sync"
 
+	"malsched/internal/fphash"
 	"malsched/internal/instance"
 	"malsched/internal/task"
 )
@@ -204,9 +205,9 @@ type ScheduleResponse struct {
 // docs/OBSERVABILITY.md.
 type TraceInfo struct {
 	// QueueNS is the wait for the shard's solve slot, CompileNS the
-	// compiled-table resolution (0 on a compiled-cache hit or for solvers
-	// that never probe), SolveNS the engine solve, VerifyNS the response
-	// verification.
+	// compiled-table resolution after a memo miss (0 on a memo hit and for
+	// solvers that never probe), SolveNS the rest of the engine solve,
+	// VerifyNS the response verification.
 	QueueNS   int64 `json:"queue_ns"`
 	CompileNS int64 `json:"compile_ns"`
 	SolveNS   int64 `json:"solve_ns"`
@@ -519,6 +520,11 @@ func (r *reader) str() string {
 	return s
 }
 
+// skipStr steps over a string without materialising it.
+func (r *reader) skipStr() {
+	r.off += r.count(1)
+}
+
 func (r *reader) f64() float64 {
 	if r.err != nil {
 		return 0
@@ -567,10 +573,10 @@ func (r *reader) header(kind byte) {
 }
 
 // DecodeScheduleRequest decodes and validates a binary /v1/schedule
-// request. The instance is built through the same task.New / instance.New
-// constructors as the JSON codec, so both codecs admit exactly the same
-// workloads and reject invalid ones (non-monotone profiles included) with
-// the same typed errors. The returned graph is the request's successor
+// request. The instance is built through the same task / instance
+// validation as the JSON codec (task.NewOwned is task.New minus the copy),
+// so both codecs admit exactly the same workloads and reject invalid ones
+// (non-monotone profiles included) with the same typed errors. The graph is the request's successor
 // lists — nil for version 1 and for a version ≥ 2 request without one,
 // mirroring the JSON codec's absent "graph" key. Like the JSON path the
 // lists are shape only: semantic validation (edge bounds against the task
@@ -583,17 +589,23 @@ func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOp
 	m := r.uvarint()
 	nTasks := r.count(2) // a task is at least a name prefix + a count
 	tasks := make([]task.Task, 0, nTasks)
+	// Every time table lives in one slab: a float64 takes 8 wire bytes, so
+	// len(data)/8 bounds what all the tables together can hold, and each
+	// task owns a capacity-capped window of it.
+	slab := make([]float64, 0, len(data)/8)
 	for i := 0; i < nTasks && r.err == nil; i++ {
 		tName := r.str()
 		nTimes := r.count(8)
-		times := make([]float64, nTimes)
-		for p := range times {
-			times[p] = r.f64()
-		}
 		if r.err != nil {
 			break
 		}
-		t, err := task.New(tName, times)
+		lo := len(slab)
+		slab = slab[:lo+nTimes]
+		times := slab[lo:len(slab):len(slab)]
+		for p := range times {
+			times[p] = r.f64()
+		}
+		t, err := task.NewOwned(tName, times)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("instance: task %d: %w", i, err)
 		}
@@ -686,11 +698,12 @@ func DecodeScheduleResponse(data []byte) (*ScheduleResponse, error) {
 
 // RouteKey extracts the routing tier's consistent-hash key from a binary
 // /v1/schedule request without building the instance: the workload-only
-// fingerprint (64-bit FNV-1a over machine size, task count and every
+// fingerprint (internal/fphash over machine size, task count and every
 // task's truncated time table, with a version ≥ 2 request's precedence
-// graph folded in — the same value engine.WorkloadFingerprintDAG computes
-// from the decoded request, pinned by an equivalence test in
-// internal/router, so a DAG never routes as its independent projection)
+// graph folded in — the same words through the same kernel as
+// engine.WorkloadFingerprintDAG folds from the decoded request, pinned by
+// an equivalence test in internal/router and the differential fuzz target,
+// so a DAG never routes as its independent projection)
 // plus the lineage key, which overrides fingerprint routing when set.
 // Zero allocations: the router peeks, it never decodes.
 //
@@ -702,31 +715,27 @@ func DecodeScheduleResponse(data []byte) (*ScheduleResponse, error) {
 func RouteKey(data []byte) (key uint64, lineage string, err error) {
 	r := &reader{b: data}
 	r.header(KindScheduleRequest)
-	_ = r.str() // instance name: fingerprints are name-independent
+	r.skipStr() // instance name: fingerprints are name-independent
 	m := r.uvarint()
 	nTasks := r.count(2)
-	h := fnvHash(fnvOffset)
-	h.uint64(m)
-	h.uint64(uint64(nTasks))
+	h := fphash.New()
+	h.Word(m)
+	h.Word(uint64(nTasks))
 	for i := 0; i < nTasks && r.err == nil; i++ {
-		_ = r.str()
+		r.skipStr()
 		nTimes := r.count(8)
 		maxProcs := nTimes
 		if m > 0 && uint64(maxProcs) > m {
 			maxProcs = int(m)
 		}
-		h.uint64(uint64(maxProcs))
-		for p := 0; p < nTimes && r.err == nil; p++ {
-			// The wire already stores Float64bits little-endian, which is
-			// exactly what the fingerprint hashes.
-			if r.off+8 > len(r.b) {
-				r.fail(ErrTruncated)
-				break
-			}
-			if p < maxProcs {
-				h.uint64(binary.LittleEndian.Uint64(r.b[r.off:]))
-			}
-			r.off += 8
+		h.Word(uint64(maxProcs))
+		// count(8) has checked that the whole table is present. The wire
+		// already stores Float64bits little-endian, which is exactly what
+		// the fingerprint hashes.
+		table := r.b[r.off : r.off+8*nTimes]
+		r.off += 8 * nTimes
+		for p := 0; p < maxProcs; p++ {
+			h.Word(binary.LittleEndian.Uint64(table[8*p:]))
 		}
 	}
 	if r.ver >= 2 && r.u8() != 0 {
@@ -734,21 +743,21 @@ func RouteKey(data []byte) (key uint64, lineage string, err error) {
 		// hashes a present graph: the "edges" marker, the list count, then
 		// each list's length and indices.
 		nLists := r.count(1)
-		h.str("edges")
-		h.uint64(uint64(nLists))
+		h.String("edges")
+		h.Word(uint64(nLists))
 		for i := 0; i < nLists && r.err == nil; i++ {
 			nEdges := r.count(1)
-			h.uint64(uint64(nEdges))
+			h.Word(uint64(nEdges))
 			for j := 0; j < nEdges && r.err == nil; j++ {
-				h.uint64(r.uvarint())
+				h.Word(r.uvarint())
 			}
 		}
 	}
 	if r.u8() != 0 {
-		_ = r.str() // solver
+		r.skipStr() // solver
 		nPort := r.count(1)
 		for i := 0; i < nPort && r.err == nil; i++ {
-			_ = r.str()
+			r.skipStr()
 		}
 		_ = r.f64()    // eps
 		_ = r.u8()     // flags
@@ -759,33 +768,7 @@ func RouteKey(data []byte) (key uint64, lineage string, err error) {
 	if err := r.done(); err != nil {
 		return 0, "", err
 	}
-	return uint64(h), lineage, nil
-}
-
-// fnvHash mirrors the engine's fingerprint FNV-1a scheme (uint64s hashed
-// byte-wise little-endian); RouteKey depends on the two staying identical.
-type fnvHash uint64
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func (h *fnvHash) hashByte(b byte) {
-	*h = (*h ^ fnvHash(b)) * fnvPrime
-}
-
-func (h *fnvHash) uint64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.hashByte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fnvHash) str(s string) {
-	h.uint64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.hashByte(s[i])
-	}
+	return h.Sum(), lineage, nil
 }
 
 // DecodeError decodes a binary error body.
