@@ -317,30 +317,29 @@ func BenchmarkOceanRounds(b *testing.B) {
 }
 
 // BenchmarkDualStep measures one dual-approximation probe (the unit of all
-// searches).
+// searches). The tables are compiled outside the loop — core.DualStep would
+// compile per call and the benchmark would time instance.Compile, which
+// BenchmarkCompile prices on its own.
 func BenchmarkDualStep(b *testing.B) {
 	in := instance.Mixed(2, 200, 64)
 	lambda := seqUpperBench(in)
 	p := core.DefaultParams()
+	c, sc := instance.Compile(in), core.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := core.DualStep(in, lambda, p); r.Schedule == nil {
+		if r := (core.DualProber{}).Probe(in, c, lambda, p, sc, nil); r.Schedule == nil {
 			b.Fatal("rejected λ ≥ OPT")
 		}
 	}
 }
 
-// The hot-probe benchmarks are the compiled-instance layer's acceptance
-// gauge: the steady-state cost of one dual-approximation probe in a
-// memo-free re-solve loop (shared Scratch, tables compiled once), compiled
-// vs the legacy task-struct path. The custom ns/probe metric is what
-// BENCH_engine.json's probe_ns_hot tracks; compiled must not be slower.
-func benchmarkHotProbe(b *testing.B, legacy bool) {
+// BenchmarkHotProbeCompiled is the steady-state cost of one
+// dual-approximation probe in a memo-free re-solve loop (shared Scratch,
+// tables compiled once). The custom ns/probe metric is what
+// BENCH_engine.json's probe_ns_hot tracks.
+func BenchmarkHotProbeCompiled(b *testing.B) {
 	in := instance.Mixed(2, 200, 64)
-	opts := core.Options{Scratch: core.NewScratch(), Legacy: legacy}
-	if !legacy {
-		opts.Compiled = instance.Compile(in)
-	}
+	opts := core.Options{Scratch: core.NewScratch(), Compiled: instance.Compile(in)}
 	res, err := core.Approximate(in, opts) // warm scratch + segment caches
 	if err != nil {
 		b.Fatal(err)
@@ -355,10 +354,6 @@ func benchmarkHotProbe(b *testing.B, legacy bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/probe")
 }
-
-func BenchmarkHotProbeCompiled(b *testing.B) { benchmarkHotProbe(b, false) }
-
-func BenchmarkHotProbeLegacy(b *testing.B) { benchmarkHotProbe(b, true) }
 
 // BenchmarkCompile prices the compile-once step the hot path amortises.
 func BenchmarkCompile(b *testing.B) {
@@ -487,23 +482,17 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-// The DAG solve benchmarks are the compiled-DAG-path acceptance gauge,
-// mirroring the hot-probe pair: the steady-state cost of one full DAG
-// solve in a re-solve loop (tables compiled once, shared Scratch carrying
-// the λ-segment cache), compiled vs the legacy task-struct path. The
-// compiled cells of BENCH_engine.json's dag section (solve_ns_hot,
-// allocs_per_solve) track exactly this loop; compiled must not be slower
-// and must allocate an order of magnitude less on the crossover search.
-func benchmarkDAGSolve(b *testing.B, crossover, legacy bool) {
+// The DAG solve benchmarks mirror the hot-probe one: the steady-state cost
+// of one full DAG solve in a re-solve loop (tables compiled once, shared
+// Scratch carrying the λ-segment cache). BENCH_engine.json's dag section
+// (solve_ns_hot, allocs_per_solve) tracks exactly this loop.
+func benchmarkDAGSolve(b *testing.B, crossover bool) {
 	in := instance.Mixed(9, 60, 16)
 	g, err := precedence.NewGraph(in, precedence.RandomEdges(9, in.N(), 0.3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := precedence.Options{Scratch: core.NewScratch(), Legacy: legacy}
-	if !legacy {
-		opts.Compiled = instance.Compile(in)
-	}
+	opts := precedence.Options{Scratch: core.NewScratch(), Compiled: instance.Compile(in)}
 	solve := g.Solve
 	if crossover {
 		solve = g.SolveCrossover
@@ -520,13 +509,9 @@ func benchmarkDAGSolve(b *testing.B, crossover, legacy bool) {
 	}
 }
 
-func BenchmarkDAGSolveCompiled(b *testing.B) { benchmarkDAGSolve(b, false, false) }
+func BenchmarkDAGSolveCompiled(b *testing.B) { benchmarkDAGSolve(b, false) }
 
-func BenchmarkDAGSolveLegacy(b *testing.B) { benchmarkDAGSolve(b, false, true) }
-
-func BenchmarkDAGCrossoverCompiled(b *testing.B) { benchmarkDAGSolve(b, true, false) }
-
-func BenchmarkDAGCrossoverLegacy(b *testing.B) { benchmarkDAGSolve(b, true, true) }
+func BenchmarkDAGCrossoverCompiled(b *testing.B) { benchmarkDAGSolve(b, true) }
 
 // BenchmarkDAGPipeline covers the §5 future-work extension: scheduling a
 // precedence-constrained fork-join pipeline (internal/precedence).

@@ -13,11 +13,9 @@
 // reporting probes and ns per replan — the warm-start dimension's artifact.
 // A dag section adds the precedence-constrained family axis: seeded
 // instances under chain / out-tree / random DAG shapes solved with both
-// edge-aware registry solvers and both evaluation paths (compiled
-// breakpoint tables vs the legacy task-struct reference), pinned by
-// certificate bits and plan hashes — bit-identical across paths and runs —
-// plus cold/hot solve timing and allocation columns that track the
-// compiled DAG path against its reference.
+// edge-aware registry solvers, pinned by certificate bits and plan hashes —
+// bit-identical across runs — plus cold/hot solve timing and allocation
+// columns.
 //
 // Usage:
 //
@@ -54,16 +52,17 @@ import (
 // v2 added the solver dimension (solver, parallelism, workers per row) and
 // probe-throughput fields. v3 added the compiled dimension (compiled per
 // row, plus compile_ns and probe_ns_hot) tracking the compiled-instance
-// hot path against the legacy probe path. v4 added the replan_churn
+// hot path against the task-struct probe path. v4 added the replan_churn
 // section: warm-start vs cold replanning cost (probes and ns per replan)
 // over online replan-on-arrival workloads. v5 added the dag section:
 // precedence-constrained cells (family × n × m × DAG shape × DAG solver)
 // with certificate bits and plan hashes. v6 split every dag cell into a
 // compiled/legacy pair and added its timing columns (solve_ns_cold,
-// solve_ns_hot, allocs_per_solve); the certificate and plan columns remain
-// bit-identical across the pair and across runs — only the timing columns
-// vary with the machine.
-const Schema = "malsched/bench-engine/v6"
+// solve_ns_hot, allocs_per_solve). v7 dropped the compiled dimension with
+// the legacy path itself: no mrt-legacy scenario rows, one row per dag
+// cell, no compiled field; every retained column reads as it did on v6's
+// compiled rows, and only the timing columns vary with the machine.
+const Schema = "malsched/bench-engine/v7"
 
 // scenario is one cell of the declarative grid: a workload (family, n, m)
 // under one solver configuration.
@@ -79,17 +78,10 @@ type scenario struct {
 	// (instance-level batch parallelism would mask the λ-level speedup);
 	// portfolio cells use the configured pool.
 	Workers int
-	// Legacy disables the compiled-instance hot path for this cell — the
-	// compiled dimension's reference point. Results are bit-identical;
-	// only the timing columns may differ.
-	Legacy bool
 }
 
 // label names the solver configuration in reports.
 func (sc scenario) label() string {
-	if sc.Solver == "mrt" && sc.Legacy {
-		return "mrt-legacy"
-	}
 	if sc.Solver == "mrt" && sc.Parallelism > 1 {
 		return fmt.Sprintf("mrt-p%d", sc.Parallelism)
 	}
@@ -105,11 +97,8 @@ type scenarioResult struct {
 	Solver      string `json:"solver"`
 	Parallelism int    `json:"parallelism"`
 	Workers     int    `json:"workers"`
-	// Compiled reports whether the cell ran the compiled-instance hot path
-	// (false = the legacy reference, Options.Legacy).
-	Compiled  bool `json:"compiled"`
-	Instances int  `json:"instances"`
-	Repeats   int  `json:"repeats"`
+	Instances   int    `json:"instances"`
+	Repeats     int    `json:"repeats"`
 
 	OpsCold         int    `json:"ops_cold"`
 	OpsWarm         int    `json:"ops_warm"`
@@ -128,11 +117,10 @@ type scenarioResult struct {
 	ProbesPerSecCold float64 `json:"probes_per_sec_cold"`
 
 	// CompileNs is the mean per-instance cost of instance.Compile for the
-	// cell's workloads (0 on legacy rows, which never compile).
-	// ProbeNsHot is the steady-state time per dual-search probe: repeated
-	// memo-free searches on the same instances with one pooled Scratch and
-	// tables compiled once — the compiled-vs-legacy comparison column
-	// (mrt rows only; 0 for solvers without a dual search).
+	// cell's workloads. ProbeNsHot is the steady-state time per dual-search
+	// probe: repeated memo-free searches on the same instances with one
+	// pooled Scratch and tables compiled once (mrt rows only; 0 for
+	// solvers without a dual search).
 	CompileNs  int64 `json:"compile_ns"`
 	ProbeNsHot int64 `json:"probe_ns_hot"`
 
@@ -183,14 +171,12 @@ type churnResult struct {
 }
 
 // dagResult is one precedence-constrained cell of the dag section (added
-// in bench-engine/v5, compiled dimension and timing columns in v6): a
-// seeded instance under one DAG shape and one edge-aware solver, run
-// through one evaluation path. The certificate and plan columns are a
-// pure function of (family, n, m, seed, shape, solver) — identical across
-// the compiled/legacy pair and across runs, so CI can diff them like a
-// golden file after stripping the timing columns. Certificates are
-// recorded as hex floats (exact bits); plan_hash is FNV-1a over every
-// placement.
+// in bench-engine/v5, timing columns in v6): a seeded instance under one
+// DAG shape and one edge-aware solver. The certificate and plan columns
+// are a pure function of (family, n, m, seed, shape, solver) — identical
+// across runs, so CI can diff them like a golden file after stripping the
+// timing columns. Certificates are recorded as hex floats (exact bits);
+// plan_hash is FNV-1a over every placement.
 type dagResult struct {
 	Family string `json:"family"`
 	N      int    `json:"n"`
@@ -209,15 +195,10 @@ type dagResult struct {
 	Lower    string  `json:"lower"`    // hex float: exact bits
 	Ratio    float64 `json:"ratio"`
 	PlanHash string  `json:"plan_hash"`
-	// Compiled reports whether the cell ran the compiled breakpoint-table
-	// path with the λ-segment cache (false = the legacy task-struct
-	// reference, precedence.Options.Legacy).
-	Compiled bool `json:"compiled"`
-	// SolveNsCold is one solve from nothing: fresh scratch, and on
-	// compiled rows the table compilation included. SolveNsHot is the
-	// min-over-passes steady-state re-solve cost on a warm scratch
-	// (segment caches resident) — the replanning-loop shape the compiled
-	// DAG path is built for. AllocsPerSolve is the mean allocation count
+	// SolveNsCold is one solve from nothing: fresh scratch, table
+	// compilation included. SolveNsHot is the min-over-passes steady-state
+	// re-solve cost on a warm scratch (segment caches resident) — the
+	// replanning-loop shape. AllocsPerSolve is the mean allocation count
 	// per hot solve.
 	SolveNsCold    int64  `json:"solve_ns_cold"`
 	SolveNsHot     int64  `json:"solve_ns_hot"`
@@ -278,12 +259,10 @@ func grid(quick bool, workers int) []scenario {
 		solver      string
 		parallelism int
 		workers     int
-		legacy      bool
 	}{
-		{"mrt", 1, 1, false},
-		{"mrt", 1, 1, true}, // the compiled dimension's reference cell
-		{"mrt", 8, 1, false},
-		{"portfolio", 0, workers, false},
+		{"mrt", 1, 1},
+		{"mrt", 8, 1},
+		{"portfolio", 0, workers},
 	}
 	var g []scenario
 	for _, f := range families {
@@ -293,7 +272,6 @@ func grid(quick bool, workers int) []scenario {
 					g = append(g, scenario{
 						Family: f, N: n, M: m,
 						Solver: c.solver, Parallelism: c.parallelism, Workers: c.workers,
-						Legacy: c.legacy,
 					})
 				}
 			}
@@ -349,8 +327,7 @@ func runEngineGrid(quick bool, seed int64, out string, seeds, repeats, workers i
 
 	// Warm the process before measuring anything: without this the grid's
 	// first cell absorbs allocator and scheduler ramp-up into its timing
-	// columns (reproducibly 2× on microsecond cells), which corrupted the
-	// compiled-vs-legacy comparison of whichever configuration ran first.
+	// columns (reproducibly 2× on microsecond cells).
 	warmup := instance.Mixed(seed, 20, 8)
 	wsc := core.NewScratch()
 	for t0 := time.Now(); time.Since(t0) < 100*time.Millisecond; {
@@ -405,7 +382,6 @@ func benchScenario(sc scenario, ins []*malsched.Instance, repeats int) scenarioR
 		Schedule: malsched.Options{
 			Solver:      sc.Solver,
 			Parallelism: sc.Parallelism,
-			Legacy:      sc.Legacy,
 		},
 	})
 	r := scenarioResult{
@@ -415,7 +391,6 @@ func benchScenario(sc scenario, ins []*malsched.Instance, repeats int) scenarioR
 		Solver:      sc.Solver,
 		Parallelism: sc.Parallelism,
 		Workers:     sc.Workers,
-		Compiled:    !sc.Legacy,
 		Instances:   len(ins),
 		Repeats:     repeats,
 	}
@@ -609,16 +584,12 @@ func dagShapes() []struct {
 }
 
 // runDAG measures the dag section: every precedence cell solved with both
-// edge-aware registry solvers through both evaluation paths, the
-// resulting plan re-checked against the plan validator and the
-// predecessor-ordering verifier on the spot (a constraint-violating plan
-// must fail the run, not be recorded), and the certificates pinned
-// bit-exactly. The compiled/legacy pair of a cell must agree on every
-// certificate column — a divergence is the bit-identity contract broken,
-// and the run aborts rather than record it. Timing columns: one cold
-// solve from nothing (compile included on compiled rows), then hotPasses
-// re-solves on the warm scratch taking the minimum, with the mean
-// allocation count over the hot passes.
+// edge-aware registry solvers, the resulting plan re-checked against the
+// plan validator and the predecessor-ordering verifier on the spot (a
+// constraint-violating plan must fail the run, not be recorded), and the
+// certificates pinned bit-exactly. Timing columns: one cold solve from
+// nothing (compile included), then hotPasses re-solves on the warm scratch
+// taking the minimum, with the mean allocation count over the hot passes.
 func runDAG(quick bool, seed int64) []dagResult {
 	families := []string{"mixed", "comm-heavy", "wide-parallel"}
 	ns := []int{25, 100}
@@ -635,10 +606,10 @@ func runDAG(quick bool, seed int64) []dagResult {
 	gens := instance.Families()
 	shapes := dagShapes()
 	solvers := []string{"dag", "dag-crossover"}
-	fmt.Fprintf(os.Stderr, "msbench: dag section: %d cells (compiled + legacy per workload)\n",
-		2*len(families)*len(ns)*len(ms)*seeds*len(shapes)*len(solvers))
-	fmt.Fprintf(os.Stderr, "%-14s %4s %4s %-10s %-13s %12s %12s %9s %9s\n",
-		"family", "n", "m", "shape", "solver", "hot ns cmp", "hot ns leg", "alloc cmp", "alloc leg")
+	fmt.Fprintf(os.Stderr, "msbench: dag section: %d cells\n",
+		len(families)*len(ns)*len(ms)*seeds*len(shapes)*len(solvers))
+	fmt.Fprintf(os.Stderr, "%-14s %4s %4s %-10s %-13s %12s %12s %9s\n",
+		"family", "n", "m", "shape", "solver", "cold ns", "hot ns", "allocs")
 	var out []dagResult
 	for _, fam := range families {
 		gen, ok := gens[fam]
@@ -663,21 +634,10 @@ func runDAG(quick bool, seed int64) []dagResult {
 						}
 						for _, sv := range solvers {
 							cell := dagResult{Family: fam, N: n, M: m, Seed: seed + s, Shape: sh.name, Solver: sv}
-							compiledRow, cRun, cOpts := dagSolveCold(in, g, edges, cell, true)
-							legacyRow, lRun, lOpts := dagSolveCold(in, g, edges, cell, false)
-							dagHotPair(&compiledRow, cRun, cOpts, &legacyRow, lRun, lOpts, hotPasses)
-							if compiledRow.Makespan != legacyRow.Makespan ||
-								compiledRow.Lower != legacyRow.Lower ||
-								compiledRow.PlanHash != legacyRow.PlanHash {
-								fmt.Fprintf(os.Stderr, "msbench: dag cell %s/%s/%s: compiled and legacy paths diverged\n",
-									in.Name, sh.name, sv)
-								os.Exit(1)
-							}
-							out = append(out, compiledRow, legacyRow)
-							fmt.Fprintf(os.Stderr, "%-14s %4d %4d %-10s %-13s %12d %12d %9d %9d\n",
-								fam, n, m, sh.name, sv,
-								compiledRow.SolveNsHot, legacyRow.SolveNsHot,
-								compiledRow.AllocsPerSolve, legacyRow.AllocsPerSolve)
+							cell = dagCell(in, g, edges, cell, hotPasses)
+							out = append(out, cell)
+							fmt.Fprintf(os.Stderr, "%-14s %4d %4d %-10s %-13s %12d %12d %9d\n",
+								fam, n, m, sh.name, sv, cell.SolveNsCold, cell.SolveNsHot, cell.AllocsPerSolve)
 						}
 					}
 				}
@@ -687,33 +647,25 @@ func runDAG(quick bool, seed int64) []dagResult {
 	return out
 }
 
-// dagRun is one hot-solvable leg of a dag cell: the solve entry point and
-// the (scratch-pinned) options that make repeat calls warm.
-type dagRun func(precedence.Options) (precedence.Result, error)
-
-// dagSolveCold runs the cold leg of one (workload, shape, solver, path)
-// cell — one solve from nothing (compile included on compiled rows) plus
-// the spot verification — and returns the run/options pair dagHotPair
-// re-solves with.
-func dagSolveCold(in *malsched.Instance, g *precedence.Graph, edges [][]int, cell dagResult, compiled bool) (dagResult, dagRun, precedence.Options) {
+// dagCell measures one (workload, shape, solver) cell: one solve from
+// nothing — compile included — with the spot verification, then hotPasses
+// re-solves on the same tables and scratch. The hot time is the minimum
+// over the passes; allocations come from the malloc-counter delta around
+// them.
+func dagCell(in *malsched.Instance, g *precedence.Graph, edges [][]int, cell dagResult, hotPasses int) dagResult {
 	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "msbench: dag cell %s/%s/%s (compiled=%v): %v\n",
-			in.Name, cell.Shape, cell.Solver, compiled, err)
+		fmt.Fprintf(os.Stderr, "msbench: dag cell %s/%s/%s: %v\n", in.Name, cell.Shape, cell.Solver, err)
 		os.Exit(1)
 	}
-	run := dagRun(g.Solve)
+	run := g.Solve
 	if cell.Solver == "dag-crossover" {
 		run = g.SolveCrossover
 	}
 
 	t0 := time.Now()
-	var c *instance.Compiled
-	if compiled {
-		c = instance.Compile(in)
-	}
-	opts := precedence.Options{Compiled: c, Scratch: core.NewScratch(), Legacy: !compiled}
+	opts := precedence.Options{Compiled: instance.Compile(in), Scratch: core.NewScratch()}
 	res, err := run(opts)
-	coldNs := time.Since(t0).Nanoseconds()
+	cell.SolveNsCold = time.Since(t0).Nanoseconds()
 	if err != nil {
 		fail(err)
 	}
@@ -726,63 +678,27 @@ func dagSolveCold(in *malsched.Instance, g *precedence.Graph, edges [][]int, cel
 	}
 	mk := plan.Makespan(in)
 	lb := g.LowerBound()
-
 	cell.Makespan = strconv.FormatFloat(mk, 'x', -1, 64)
 	cell.Lower = strconv.FormatFloat(lb, 'x', -1, 64)
 	cell.Ratio = mk / lb
 	cell.PlanHash = dagPlanHash(plan)
-	cell.Compiled = compiled
-	cell.SolveNsCold = coldNs
-	return cell, run, opts
-}
 
-// dagHotPair times the hot re-solve loop for a cell's compiled/legacy
-// pair with the passes interleaved — compiled then legacy within each
-// round — so a transient load burst lands on both paths instead of
-// skewing whichever ran second. Each leg's timing is the minimum over
-// the rounds; allocations come from the malloc-counter deltas read
-// between the timed windows (ReadMemStats sits outside both). When the
-// two minima come out inverted (compiled at or above legacy) the pair
-// runs extra rounds, capped: the min is a consistent estimator of each
-// leg's true floor, so extra samples only tighten both sides — they
-// break measurement-noise ties and cannot manufacture a win that the
-// code does not have.
-func dagHotPair(cRow *dagResult, cRun dagRun, cOpts precedence.Options, lRow *dagResult, lRun dagRun, lOpts precedence.Options, hotPasses int) {
-	fail := func(compiled bool, err error) {
-		fmt.Fprintf(os.Stderr, "msbench: dag cell hot pass %s/%s (compiled=%v): %v\n",
-			cRow.Shape, cRow.Solver, compiled, err)
-		os.Exit(1)
-	}
-	var before, mid, after runtime.MemStats
-	var cMallocs, lMallocs uint64
-	cBest, lBest := int64(math.MaxInt64), int64(math.MaxInt64)
-	rounds := 0
+	var before, after runtime.MemStats
+	cell.SolveNsHot = math.MaxInt64
 	runtime.GC()
-	for p := 0; p < hotPasses || (cBest >= lBest && p < 4*hotPasses); p++ {
-		runtime.ReadMemStats(&before)
+	runtime.ReadMemStats(&before)
+	for p := 0; p < hotPasses; p++ {
 		t0 := time.Now()
-		if _, err := cRun(cOpts); err != nil {
-			fail(true, err)
+		if _, err := run(opts); err != nil {
+			fail(err)
 		}
-		if dt := time.Since(t0).Nanoseconds(); dt < cBest {
-			cBest = dt
+		if dt := time.Since(t0).Nanoseconds(); dt < cell.SolveNsHot {
+			cell.SolveNsHot = dt
 		}
-		runtime.ReadMemStats(&mid)
-		t1 := time.Now()
-		if _, err := lRun(lOpts); err != nil {
-			fail(false, err)
-		}
-		if dt := time.Since(t1).Nanoseconds(); dt < lBest {
-			lBest = dt
-		}
-		runtime.ReadMemStats(&after)
-		cMallocs += mid.Mallocs - before.Mallocs
-		lMallocs += after.Mallocs - mid.Mallocs
-		rounds++
 	}
-	cRow.SolveNsHot, lRow.SolveNsHot = cBest, lBest
-	cRow.AllocsPerSolve = cMallocs / uint64(rounds)
-	lRow.AllocsPerSolve = lMallocs / uint64(rounds)
+	runtime.ReadMemStats(&after)
+	cell.AllocsPerSolve = (after.Mallocs - before.Mallocs) / uint64(hotPasses)
+	return cell
 }
 
 // dagPlanHash is FNV-1a over the plan's algorithm tag and every placement
@@ -801,23 +717,19 @@ func dagPlanHash(p *malsched.Plan) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// measureHot times the compiled dimension's two columns. compile_ns is the
-// mean cost of instance.Compile over the cell's workloads (only paid — and
-// only reported — on compiled cells). probe_ns_hot is the steady-state
-// per-probe cost of the dual search: repeated memo-free searches on the
-// same instances, one pooled Scratch, tables compiled once and shared
-// across every probe of every pass — the memo-warm re-solve shape where
-// the compiled layer either earns its keep or doesn't (mrt cells only;
-// solvers without a dual search report 0).
+// measureHot times the compiled layer's two columns. compile_ns is the
+// mean cost of instance.Compile over the cell's workloads. probe_ns_hot is
+// the steady-state per-probe cost of the dual search: repeated memo-free
+// searches on the same instances, one pooled Scratch, tables compiled once
+// and shared across every probe of every pass — the memo-warm re-solve
+// shape (mrt cells only; solvers without a dual search report 0).
 func measureHot(sc scenario, ins []*malsched.Instance) (compileNs, probeNsHot int64) {
 	compiled := make([]*instance.Compiled, len(ins))
-	if !sc.Legacy {
-		t0 := time.Now()
-		for i, in := range ins {
-			compiled[i] = instance.Compile(in)
-		}
-		compileNs = time.Since(t0).Nanoseconds() / int64(len(ins))
+	t0 := time.Now()
+	for i, in := range ins {
+		compiled[i] = instance.Compile(in)
 	}
+	compileNs = time.Since(t0).Nanoseconds() / int64(len(ins))
 	if sc.Solver != "mrt" {
 		return compileNs, 0
 	}
@@ -826,7 +738,6 @@ func measureHot(sc scenario, ins []*malsched.Instance) (compileNs, probeNsHot in
 		return core.Options{
 			Parallelism: sc.Parallelism,
 			Scratch:     scratch,
-			Legacy:      sc.Legacy,
 			Compiled:    compiled[i],
 		}
 	}
@@ -844,7 +755,7 @@ func measureHot(sc scenario, ins []*malsched.Instance) (compileNs, probeNsHot in
 	run() // warm the scratch (and the segment caches) before timing
 	const hotPasses = 3
 	var probes int64
-	t0 := time.Now()
+	t0 = time.Now()
 	for p := 0; p < hotPasses; p++ {
 		probes += run()
 	}

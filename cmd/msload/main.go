@@ -102,7 +102,7 @@ func main() {
 		}
 	}
 
-	opts := &server.RequestOptions{
+	opts := &wire.RequestOptions{
 		Solver:      *solverName,
 		Eps:         *eps,
 		Compact:     *compact,
@@ -194,7 +194,7 @@ type replay struct {
 type loader struct {
 	client  *http.Client
 	base    string
-	opts    *server.RequestOptions
+	opts    *wire.RequestOptions
 	local   *malsched.Options
 	binary  bool
 	verbose bool
@@ -247,7 +247,7 @@ func (l *loader) postRaw(path, contentType string, buf []byte) (int, []byte) {
 }
 
 func (l *loader) replaySingle(r *replay) {
-	status, body := l.post("/v1/schedule", server.ScheduleRequest{Instance: r.raw, Graph: r.graph, Options: l.opts})
+	status, body := l.post("/v1/schedule", wire.ScheduleRequest{Instance: r.raw, Graph: r.graph, Options: l.opts})
 	l.compare(r, status, body)
 	if l.binary {
 		l.replayBinary(r, status, body)
@@ -272,7 +272,7 @@ func (l *loader) replayBinary(r *replay, jsonStatus int, jsonBody []byte) {
 			l.mismatch(r, "undecodable binary error: %v", err)
 			return
 		}
-		var jb server.ErrorBody
+		var jb wire.ErrorBody
 		_ = json.Unmarshal(jsonBody, &jb)
 		if eb.Error.Code != jb.Error.Code {
 			l.mismatch(r, "binary error code %q != json %q", eb.Error.Code, jb.Error.Code)
@@ -284,7 +284,7 @@ func (l *loader) replayBinary(r *replay, jsonStatus int, jsonBody []byte) {
 		l.mismatch(r, "undecodable binary response: %v", err)
 		return
 	}
-	var js server.ScheduleResponse
+	var js wire.ScheduleResponse
 	if err := json.Unmarshal(jsonBody, &js); err != nil {
 		l.mismatch(r, "undecodable json response: %v", err)
 		return
@@ -308,14 +308,14 @@ func (l *loader) replayBatch(rs []replay) {
 	for i := range rs {
 		raws[i] = rs[i].raw
 	}
-	status, body := l.post("/v1/batch", server.BatchRequest{Instances: raws, Options: l.opts})
+	status, body := l.post("/v1/batch", wire.BatchRequest{Instances: raws, Options: l.opts})
 	if status != http.StatusOK {
 		for i := range rs {
 			l.mismatch(&rs[i], "batch request failed: HTTP %d: %s", status, body)
 		}
 		return
 	}
-	var resp server.BatchResponse
+	var resp wire.BatchResponse
 	if err := json.Unmarshal(body, &resp); err != nil || len(resp.Results) != len(rs) {
 		for i := range rs {
 			l.mismatch(&rs[i], "undecodable batch response (%d results, err %v)", len(resp.Results), err)
@@ -335,12 +335,12 @@ func (l *loader) replayBatch(rs []replay) {
 // compare checks a /v1/schedule response against the in-process pipeline.
 func (l *loader) compare(r *replay, status int, body []byte) {
 	if status != http.StatusOK {
-		var eb server.ErrorBody
+		var eb wire.ErrorBody
 		_ = json.Unmarshal(body, &eb)
 		l.compareError(r, eb.Error.Code)
 		return
 	}
-	var resp server.ScheduleResponse
+	var resp wire.ScheduleResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		l.mismatch(r, "undecodable response: %v", err)
 		return
@@ -370,7 +370,7 @@ func (l *loader) compareError(r *replay, code string) {
 	}
 }
 
-func (l *loader) compareResult(r *replay, got *server.ScheduleResponse) {
+func (l *loader) compareResult(r *replay, got *wire.ScheduleResponse) {
 	want, err := malsched.Schedule(r.in, l.localOpts(r))
 	if err != nil {
 		l.mismatch(r, "server succeeded but in-process Schedule fails: %v", err)
@@ -396,9 +396,9 @@ func (l *loader) compareResult(r *replay, got *server.ScheduleResponse) {
 		l.mismatch(r, "plan algorithm %q != %q", got.Plan.Algorithm, want.Plan.Algorithm)
 		return
 	}
-	wantPl := make([]server.PlacementJSON, len(want.Plan.Placements))
+	wantPl := make([]wire.PlacementJSON, len(want.Plan.Placements))
 	for i, p := range want.Plan.Placements {
-		wantPl[i] = server.PlacementJSON{Task: p.Task, Start: p.Start, Width: p.Width, First: p.First, ProcSet: p.ProcSet}
+		wantPl[i] = wire.PlacementJSON{Task: p.Task, Start: p.Start, Width: p.Width, First: p.First, ProcSet: p.ProcSet}
 	}
 	if !reflect.DeepEqual(got.Plan.Placements, wantPl) {
 		l.mismatch(r, "placements differ")

@@ -116,7 +116,7 @@ func ExampleSchedule_baseline() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	twy, err := malsched.Schedule(in, &malsched.Options{Baseline: "twy-ffdh"})
+	twy, err := malsched.Schedule(in, &malsched.Options{Solver: "twy-ffdh"})
 	if err != nil {
 		log.Fatal(err)
 	}

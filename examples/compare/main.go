@@ -31,7 +31,7 @@ func main() {
 	best := res
 
 	for _, name := range []string{"twy-list", "twy-ffdh", "twy-nfdh", "twy-bld", "seq-lpt", "full-parallel"} {
-		r, err := malsched.Schedule(in, &malsched.Options{Baseline: name})
+		r, err := malsched.Schedule(in, &malsched.Options{Solver: name})
 		if err != nil {
 			log.Fatal(err)
 		}

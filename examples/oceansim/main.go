@@ -35,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		base, err := malsched.Schedule(in, &malsched.Options{Baseline: "seq-lpt"})
+		base, err := malsched.Schedule(in, &malsched.Options{Solver: "seq-lpt"})
 		if err != nil {
 			log.Fatal(err)
 		}

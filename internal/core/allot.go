@@ -17,57 +17,20 @@ type Allotment struct {
 	Slowest int
 }
 
-// CanonicalAllotment computes γ_i(λ) for every task. It runs on a pooled
-// Scratch (the returned Gamma is detached, so callers own it), which keeps
-// casual callers — the analysis harness, tests, tools — off the allocator
-// for everything but the result itself.
+// CanonicalAllotment computes γ_i(λ) for every task (compiling the
+// instance on entry); the returned Gamma is owned by the caller.
 func CanonicalAllotment(in *instance.Instance, lambda float64) Allotment {
-	sc := getScratch()
-	a := canonicalAllotment(in, lambda, sc)
-	if a.Gamma != nil {
-		a.Gamma = append([]int(nil), a.Gamma...)
-	}
-	putScratch(sc)
-	return a
-}
-
-// canonicalAllotment is CanonicalAllotment on scratch memory: the returned
-// Allotment's Gamma aliases sc and is valid until the next probe on sc.
-func canonicalAllotment(in *instance.Instance, lambda float64, sc *Scratch) Allotment {
-	a := Allotment{Lambda: lambda, Gamma: intsBuf(&sc.gamma, in.N()), OK: true, Slowest: -1}
-	for i, t := range in.Tasks {
-		g, ok := t.Canonical(lambda)
-		if !ok {
-			return Allotment{Lambda: lambda, OK: false, Slowest: i}
-		}
-		a.Gamma[i] = g
-	}
-	return a
-}
-
-// Work returns Σ_i w_i(γ_i), the total canonical work. By Property 2 this
-// exceeding m·λ certifies that no schedule of length ≤ λ exists.
-func (a Allotment) Work(in *instance.Instance) float64 {
-	var s float64
-	for i, t := range in.Tasks {
-		s += t.Work(a.Gamma[i])
-	}
-	return s
+	var e segEntry
+	e.fillGamma(instance.Compile(in), lambda)
+	return e.allotment(lambda)
 }
 
 // ByDecreasingTime returns the task indices sorted by non-increasing
-// canonical execution time t_i(γ_i) (stable). Runs on a pooled Scratch; the
-// returned order is detached and owned by the caller.
+// canonical execution time t_i(γ_i) (stable); the order is owned by the
+// caller.
 func (a Allotment) ByDecreasingTime(in *instance.Instance) []int {
-	sc := getScratch()
-	order := append([]int(nil), a.byDecreasingTime(in, sc)...)
-	putScratch(sc)
-	return order
-}
-
-// byDecreasingTime is ByDecreasingTime into sc's order buffer.
-func (a Allotment) byDecreasingTime(in *instance.Instance, sc *Scratch) []int {
-	return sortByDecreasingTime(legacyView(in), a, &sc.order)
+	var order []int
+	return sortByDecreasingTime(instance.Compile(in), a, &order)
 }
 
 // PrefixArea computes W, the canonical prefix area of Definition 1: with
@@ -75,15 +38,8 @@ func (a Allotment) byDecreasingTime(in *instance.Instance, sc *Scratch) []int {
 // minimal prefix whose canonical processor counts reach m — equivalently,
 // the area the first m processors compute when the canonical allotment runs
 // on an unbounded machine. The branch threshold compares W against θ·m·λ.
-// Runs on a pooled Scratch (the result is a scalar; nothing to detach).
 func (a Allotment) PrefixArea(in *instance.Instance) float64 {
-	sc := getScratch()
-	w := a.prefixArea(in, sc)
-	putScratch(sc)
-	return w
-}
-
-// prefixArea is PrefixArea on scratch memory.
-func (a Allotment) prefixArea(in *instance.Instance, sc *Scratch) float64 {
-	return prefixAreaFrom(legacyView(in), a, a.byDecreasingTime(in, sc))
+	c := instance.Compile(in)
+	var order []int
+	return prefixAreaFrom(c, a, sortByDecreasingTime(c, a, &order))
 }

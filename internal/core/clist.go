@@ -23,21 +23,21 @@ import (
 // allotment exists (and nil otherwise); the guarantee check lives in
 // DualStep.
 func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *schedule.Schedule {
-	sc := getScratch()
-	defer putScratch(sc)
-	a := canonicalAllotment(in, lambda, sc)
-	if !a.OK {
-		return nil
-	}
-	return canonicalListFromAllotment(legacyView(in), a, a.byDecreasingTime(in, sc), reallocate, sc)
+	return oneShot(in, func(c *instance.Compiled, sc *Scratch) *schedule.Schedule {
+		e := sc.seg.filled(c, lambda)
+		a := e.allotment(lambda)
+		if !a.OK {
+			return nil
+		}
+		return canonicalListFromAllotment(c, a, e.sortedOrder(c, a), reallocate, sc)
+	})
 }
 
 // canonicalListFromAllotment builds the list schedule from an existing
-// allotment and its by-decreasing-time order (computed once per probe and
-// shared by both reallocation variants; on the compiled path it comes from
-// the segment cache). order is read, never modified.
-func canonicalListFromAllotment(v view, a Allotment, order []int, reallocate bool, sc *Scratch) *schedule.Schedule {
-	m := v.in.M
+// allotment and its by-decreasing-time order (the segment cache's, shared
+// by both reallocation variants). order is read, never modified.
+func canonicalListFromAllotment(c *instance.Compiled, a Allotment, order []int, reallocate bool, sc *Scratch) *schedule.Schedule {
+	m := c.M()
 	s := &schedule.Schedule{Algorithm: "canonical-list"}
 	if reallocate {
 		s.Algorithm = "canonical-list+realloc"
@@ -75,7 +75,7 @@ func canonicalListFromAllotment(v view, a Allotment, order []int, reallocate boo
 		s.Placements = append(s.Placements, schedule.Placement{
 			Task: i, Start: start, Width: w, First: x,
 		})
-		end := start + v.time(i, w)
+		end := start + c.Time(i, w)
 		for k := x; k < x+w; k++ {
 			front[k] = end
 		}

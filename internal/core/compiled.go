@@ -6,48 +6,6 @@ import (
 	"malsched/internal/instance"
 )
 
-// view resolves per-task profile lookups for the probe path: from the
-// compiled struct-of-arrays tables when the search carries an
-// instance.Compiled, from the task structs otherwise (the legacy path, kept
-// as the benchmark reference and for the exported one-shot helpers). Both
-// resolve to the exact same float values — the compiled matrices are
-// flattened copies and the breakpoint thresholds are float-exact against
-// task.Leq — so every construction built on a view is bit-identical across
-// the two paths; the equivalence and golden tests enforce it.
-type view struct {
-	in *instance.Instance
-	c  *instance.Compiled // nil on the legacy path
-}
-
-func legacyView(in *instance.Instance) view { return view{in: in} }
-
-// time returns t_i(p).
-func (v view) time(i, p int) float64 {
-	if v.c != nil {
-		return v.c.Time(i, p)
-	}
-	return v.in.Tasks[i].Time(p)
-}
-
-// seqTime returns t_i(1).
-func (v view) seqTime(i int) float64 {
-	if v.c != nil {
-		return v.c.SeqTime(i)
-	}
-	return v.in.Tasks[i].SeqTime()
-}
-
-// canonical returns γ_i(λ) = min{p : t_i(p) ≤ λ}. The compiled form binary
-// searches the precomputed λ-threshold row (plain float compares); the
-// legacy form evaluates task.Leq at every step. Bit-identical by threshold
-// exactness.
-func (v view) canonical(i int, lambda float64) (int, bool) {
-	if v.c != nil {
-		return v.c.Gamma(i, lambda)
-	}
-	return v.in.Tasks[i].Canonical(lambda)
-}
-
 // segCacheCap bounds the per-Scratch segment cache across all compiled
 // instances it has seen. A search probes a few dozen distinct segments;
 // repeated searches replay the same set, so the steady state is all-hit
@@ -107,10 +65,20 @@ func (st *segState) entry(c *instance.Compiled, seg int) *segEntry {
 	return e
 }
 
+// filled returns the cache entry of λ's segment with the canonical
+// allotment and its total work resolved — the first thing every
+// construction and the warm synthesis need of a deadline.
+func (st *segState) filled(c *instance.Compiled, lambda float64) *segEntry {
+	e := st.entry(c, c.Segment(lambda))
+	if !e.haveGamma {
+		e.fillGamma(c, lambda)
+	}
+	return e
+}
+
 // fillGamma computes the canonical allotment vector and total canonical
-// work for a deadline in the entry's segment, mirroring canonicalAllotment
-// and Allotment.Work exactly (bail at the first task that cannot meet the
-// deadline; sum works in task order).
+// work for a deadline in the entry's segment: bail at the first task that
+// cannot meet the deadline (Slowest names it), sum the works in task order.
 func (e *segEntry) fillGamma(c *instance.Compiled, lambda float64) {
 	e.haveGamma = true
 	n := c.N()
@@ -143,30 +111,38 @@ func (e *segEntry) allotment(lambda float64) Allotment {
 	return Allotment{Lambda: lambda, Gamma: e.gamma, OK: true, Slowest: -1}
 }
 
+// sortedOrder returns the by-decreasing-time order of the entry's
+// allotment a, sorting on the segment's first surviving probe only.
+func (e *segEntry) sortedOrder(c *instance.Compiled, a Allotment) []int {
+	if !e.haveOrder {
+		e.order = sortByDecreasingTime(c, a, &e.order)
+		e.haveOrder = true
+	}
+	return e.order
+}
+
 // sortByDecreasingTime fills *buf with the task indices sorted by
-// non-increasing canonical execution time t_i(γ_i) (stable) — the one
-// implementation behind the legacy byDecreasingTime and the compiled
-// segment cache, so both paths produce the identical permutation.
-func sortByDecreasingTime(v view, a Allotment, buf *[]int) []int {
+// non-increasing canonical execution time t_i(γ_i) (stable).
+func sortByDecreasingTime(c *instance.Compiled, a Allotment, buf *[]int) []int {
 	order := intsBuf(buf, len(a.Gamma))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(x, y int) bool {
-		return v.time(order[x], a.Gamma[order[x]]) > v.time(order[y], a.Gamma[order[y]])
+		return c.Time(order[x], a.Gamma[order[x]]) > c.Time(order[y], a.Gamma[order[y]])
 	})
 	return order
 }
 
 // prefixAreaFrom computes the Definition-1 prefix area W from an already
 // sorted order; see Allotment.PrefixArea for the contract.
-func prefixAreaFrom(v view, a Allotment, order []int) float64 {
+func prefixAreaFrom(c *instance.Compiled, a Allotment, order []int) float64 {
 	var w float64
 	cum := 0
-	m := v.in.M
+	m := c.M()
 	for _, i := range order {
 		g := a.Gamma[i]
-		t := v.time(i, g)
+		t := c.Time(i, g)
 		if cum+g < m {
 			w += float64(g) * t
 			cum += g

@@ -52,7 +52,7 @@ func TestCanonicalAllotment(t *testing.T) {
 	if !a.OK || a.Gamma[0] != 3 || a.Gamma[1] != 1 {
 		t.Fatalf("allotment = %+v", a)
 	}
-	if w := a.Work(in); math.Abs(w-5) > 1e-9 { // 3·(4/3) + 1
+	if w := in.Tasks[0].Work(a.Gamma[0]) + in.Tasks[1].Work(a.Gamma[1]); math.Abs(w-5) > 1e-9 { // 3·(4/3) + 1
 		t.Fatalf("Work = %v, want 5", w)
 	}
 	bad := CanonicalAllotment(in, 0.5)

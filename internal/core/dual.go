@@ -76,26 +76,24 @@ type StepResult struct {
 // All applicable constructions are built and the best valid one is kept —
 // the guarantee is per-branch, so taking the minimum only helps.
 //
-// This exported one-shot runs the legacy (uncompiled) path on a pooled
-// Scratch; searches use the compiled breakpoint tables through Approximate.
+// This exported one-shot compiles the instance on entry and probes on a
+// pooled Scratch; searches compile once and go through Approximate.
 func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
-	sc := getScratch()
-	r := dualStep(in, nil, lambda, p, sc, nil)
-	putScratch(sc)
-	return r
+	return oneShot(in, func(c *instance.Compiled, sc *Scratch) StepResult {
+		return dualStep(c, lambda, p, sc, nil)
+	})
 }
 
 // dualStep is DualStep on scratch memory: all per-probe working buffers come
 // from sc, and only the returned schedule (a fresh allocation) survives the
-// next probe on the same sc. With a non-nil c the probe resolves the
-// canonical allotment, its work, the by-decreasing-time order and the
-// prefix area through the compiled breakpoint tables and sc's λ-segment
-// cache — bit-identical to the legacy computation, but free when the
-// segment repeats. A non-nil interrupt is polled between the probe's
-// constructions (each is the O(n log n)-or-worse unit of work), so a
+// next probe on the same sc. The probe resolves the canonical allotment, its
+// work, the by-decreasing-time order and the prefix area through the
+// compiled breakpoint tables and sc's λ-segment cache, so they are free
+// when the segment repeats. A non-nil interrupt is polled between the
+// probe's constructions (each is the O(n log n)-or-worse unit of work), so a
 // timeout lands within one construction even when the whole search is a
 // single probe; a fired interrupt yields StepResult{Interrupted: true}.
-func dualStep(in *instance.Instance, c *instance.Compiled, lambda float64, p Params, sc *Scratch, interrupt <-chan struct{}) StepResult {
+func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, interrupt <-chan struct{}) StepResult {
 	stop := func() bool {
 		select {
 		case <-interrupt: // nil channel: never ready
@@ -104,52 +102,26 @@ func dualStep(in *instance.Instance, c *instance.Compiled, lambda float64, p Par
 			return false
 		}
 	}
-	v := view{in: in, c: c}
+	in := c.Instance()
 	m := in.M
 
 	// Canonical allotment and total canonical work, then (only for guesses
 	// surviving the Property-2 test) the by-decreasing-time order and the
-	// prefix area. On the compiled path all four live in the λ-segment
-	// cache; the legacy path recomputes them per probe.
-	var a Allotment
-	var work float64
-	var order []int
-	var w float64
-	if c != nil {
-		e := sc.seg.entry(c, c.Segment(lambda))
-		if !e.haveGamma {
-			e.fillGamma(c, lambda)
-		}
-		a = e.allotment(lambda)
-		if !a.OK {
-			return StepResult{Reject: RejectTooSlow, Certified: true}
-		}
-		work = e.work
-		if !task.Leq(work, float64(m)*lambda) {
-			return StepResult{Reject: RejectArea, Certified: true}
-		}
-		if !e.haveOrder {
-			e.order = sortByDecreasingTime(v, a, &e.order)
-			e.haveOrder = true
-		}
-		order = e.order
-		if !e.haveArea {
-			e.area = prefixAreaFrom(v, a, order)
-			e.haveArea = true
-		}
-		w = e.area
-	} else {
-		a = canonicalAllotment(in, lambda, sc)
-		if !a.OK {
-			return StepResult{Reject: RejectTooSlow, Certified: true}
-		}
-		work = a.Work(in)
-		if !task.Leq(work, float64(m)*lambda) {
-			return StepResult{Reject: RejectArea, Certified: true}
-		}
-		order = a.byDecreasingTime(in, sc)
-		w = prefixAreaFrom(v, a, order)
+	// prefix area — all four live in the λ-segment cache.
+	e := sc.seg.filled(c, lambda)
+	a := e.allotment(lambda)
+	if !a.OK {
+		return StepResult{Reject: RejectTooSlow, Certified: true}
 	}
+	if !task.Leq(e.work, float64(m)*lambda) {
+		return StepResult{Reject: RejectArea, Certified: true}
+	}
+	order := e.sortedOrder(c, a)
+	if !e.haveArea {
+		e.area = prefixAreaFrom(c, a, order)
+		e.haveArea = true
+	}
+	w := e.area
 	knapsackBranch := !task.Leq(w, p.theta()*float64(m)*lambda) && m > p.SmallM
 
 	var best *schedule.Schedule
@@ -166,21 +138,21 @@ func dualStep(in *instance.Instance, c *instance.Compiled, lambda float64, p Par
 	if stop() {
 		return StepResult{Interrupted: true}
 	}
-	consider(malleableList(v, lambda, sc))
+	consider(malleableList(c, lambda, sc))
 	if stop() {
 		return StepResult{Interrupted: true}
 	}
-	consider(canonicalListFromAllotment(v, a, order, true, sc))
+	consider(canonicalListFromAllotment(c, a, order, true, sc))
 	if stop() {
 		return StepResult{Interrupted: true}
 	}
-	consider(canonicalListFromAllotment(v, a, order, false, sc))
+	consider(canonicalListFromAllotment(c, a, order, false, sc))
 	shelf := TwoShelfResult{}
 	if m > p.SmallM {
 		if stop() {
 			return StepResult{Interrupted: true}
 		}
-		shelf = twoShelfFromAllotment(v, a, p, sc)
+		shelf = twoShelfFromAllotment(c, a, p, sc)
 		consider(shelf.Schedule)
 	}
 

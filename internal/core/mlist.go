@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"malsched/internal/instance"
 	"malsched/internal/rigid"
 	"malsched/internal/schedule"
@@ -21,54 +19,28 @@ import (
 // certifies (through Properties 1 and 2) that no schedule of length ≤ λ
 // exists.
 func MalleableList(in *instance.Instance, lambda float64) *schedule.Schedule {
-	sc := getScratch()
-	s := malleableList(legacyView(in), lambda, sc)
-	putScratch(sc)
-	return s
+	return oneShot(in, func(c *instance.Compiled, sc *Scratch) *schedule.Schedule {
+		return malleableList(c, lambda, sc)
+	})
 }
 
-// malleableList is MalleableList on scratch memory, legacy or compiled per
-// the view. The compiled path resolves the relaxed-deadline allotment
-// through the mseg segment cache and reuses the precompiled sequential
-// order instead of re-sorting per probe.
-func malleableList(v view, lambda float64, sc *Scratch) *schedule.Schedule {
-	in := v.in
+// malleableList is MalleableList on scratch memory: the relaxed-deadline
+// allotment comes from the mseg segment cache, and the precompiled
+// sequential order (parallel tasks first: every parallel task has
+// t(1) > deadline ≥ any sequential task's t(1), so one global sort by
+// non-increasing t(1) realises the paper's ordering) replaces a per-probe
+// sort.
+func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) *schedule.Schedule {
+	in := c.Instance()
 	m := in.M
-	rhoM := RhoList(m)
-	deadline := rhoM * lambda
+	deadline := RhoList(m) * lambda
 
-	var alloc []int
-	var order []int
-	if v.c != nil {
-		e := sc.mseg.entry(v.c, v.c.Segment(deadline))
-		if !e.haveGamma {
-			e.fillGamma(v.c, deadline)
-		}
-		if !e.ok {
-			return nil // not even the relaxed deadline is reachable
-		}
-		alloc = e.gamma
-		order = v.c.SeqOrder()
-	} else {
-		alloc = intsBuf(&sc.alloc, in.N())
-		for i, t := range in.Tasks {
-			g, ok := t.Canonical(deadline)
-			if !ok {
-				return nil // not even the relaxed deadline is reachable
-			}
-			alloc[i] = g
-		}
-		// Parallel tasks first, by non-increasing sequential time (every
-		// parallel task has t(1) > deadline ≥ any sequential task's t(1),
-		// so one global sort realises the paper's ordering).
-		order = intsBuf(&sc.morder, in.N())
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return in.Tasks[order[a]].SeqTime() > in.Tasks[order[b]].SeqTime()
-		})
+	e := sc.mseg.filled(c, deadline)
+	if !e.ok {
+		return nil // not even the relaxed deadline is reachable
 	}
+	alloc := e.gamma
+	order := c.SeqOrder()
 
 	s := &schedule.Schedule{Algorithm: "malleable-list"}
 	x := 0
@@ -99,7 +71,7 @@ func malleableList(v view, lambda float64, sc *Scratch) *schedule.Schedule {
 	}
 	durations := floatsBuf(&sc.durations, len(seq))
 	for k, i := range seq {
-		durations[k] = v.seqTime(i)
+		durations[k] = c.SeqTime(i)
 	}
 	// seq is already in non-increasing t(1) order; LPT in index order.
 	proc, start := rigid.LPT(m, durations, release, nil)

@@ -11,14 +11,13 @@ import "malsched/internal/instance"
 // A Prober must be deterministic in (in, c, lambda, p) and safe for
 // concurrent calls with distinct Scratch values: the speculative driver
 // invokes it from up to Parallelism goroutines, one pooled Scratch per
-// worker. The compiled tables c are immutable and shared by all of them
-// (nil on the legacy path).
+// worker. The compiled tables c are immutable and shared by all of them.
 type Prober interface {
 	// Probe evaluates the guess λ on the instance: either a schedule of
 	// makespan ≤ ρλ or a rejection (see StepResult). c carries the
-	// instance's compiled λ-breakpoint tables (nil = legacy path); working
-	// memory comes from sc; a non-nil interrupt aborts mid-probe with
-	// StepResult{Interrupted: true}.
+	// instance's compiled λ-breakpoint tables (Approximate never passes
+	// nil); working memory comes from sc; a non-nil interrupt aborts
+	// mid-probe with StepResult{Interrupted: true}.
 	Probe(in *instance.Instance, c *instance.Compiled, lambda float64, p Params, sc *Scratch, interrupt <-chan struct{}) StepResult
 }
 
@@ -26,7 +25,13 @@ type Prober interface {
 // (DualStep on scratch memory).
 type DualProber struct{}
 
-// Probe implements Prober with dualStep.
+// Probe implements Prober with dualStep. A direct caller without tables
+// passes nil: the probe then compiles in itself and drops the private
+// tables from sc's segment caches before returning.
 func (DualProber) Probe(in *instance.Instance, c *instance.Compiled, lambda float64, p Params, sc *Scratch, interrupt <-chan struct{}) StepResult {
-	return dualStep(in, c, lambda, p, sc, interrupt)
+	if c == nil {
+		c = instance.Compile(in)
+		defer sc.DropCompiled(c)
+	}
+	return dualStep(c, lambda, p, sc, interrupt)
 }

@@ -15,26 +15,22 @@ import (
 // tables). A Scratch carries them across probes — and across instances —
 // so the hot path stops re-allocating them.
 //
-// On the compiled path the Scratch additionally carries the two
-// λ-segment caches (seg for the probe deadline, mseg for §3.1's relaxed
-// deadline): the canonical allotment vector, its total work, the
-// by-decreasing-time order and the prefix area are constant on each segment
-// of the compiled breakpoint axis, so a probe landing in a previously
-// cached segment reuses them wholesale.
+// The Scratch additionally carries the two λ-segment caches (seg for the
+// probe deadline, mseg for §3.1's relaxed deadline): the canonical
+// allotment vector, its total work, the by-decreasing-time order and the
+// prefix area are constant on each segment of the compiled breakpoint
+// axis, so a probe landing in a previously cached segment reuses them
+// wholesale.
 //
 // A Scratch is not safe for concurrent use: pool one per worker (the
 // engine's worker pool does exactly that). All constructions produce
 // results that do not alias the Scratch, so retaining a returned schedule
-// while reusing the Scratch is safe; the Allotment returned by the
-// scratch-threaded canonical-allotment step aliases it and is only valid
-// until the next probe.
+// while reusing the Scratch is safe; an Allotment materialised from a
+// segment-cache entry aliases it and is only valid until the cache is
+// cleared.
 //
 // The zero value is ready to use.
 type Scratch struct {
-	gamma     []int          // canonical allotment γ_i(λ) (legacy path)
-	order     []int          // by-decreasing-time sort order (legacy path)
-	alloc     []int          // malleable-list allotments (legacy path)
-	morder    []int          // malleable-list sequential order (legacy path)
 	seq       []int          // malleable-list sequential tail
 	release   []float64      // malleable-list per-processor release times
 	durations []float64      // malleable-list LPT durations
@@ -71,16 +67,29 @@ func (sc *Scratch) Aux() AuxCache { return sc.aux }
 // Scratch it must only be touched by one worker at a time.
 func (sc *Scratch) SetAux(a AuxCache) { sc.aux = a }
 
-// scratchPool backs the exported one-shot helpers (CanonicalAllotment,
-// ByDecreasingTime, PrefixArea, MalleableList, CanonicalList, TwoShelf,
-// DualStep): instead of growing a fresh Scratch per call they borrow a
-// pooled one and detach only the result, so casual callers stop thrashing
-// the allocator. Results returned by those helpers never alias the pool.
+// scratchPool backs the exported one-shot constructions (MalleableList,
+// CanonicalList, TwoShelf, DualStep): instead of growing a fresh Scratch per
+// call they borrow a pooled one, so casual callers stop thrashing the
+// allocator. Results returned by those helpers never alias the pool.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 func putScratch(sc *Scratch) { scratchPool.Put(sc) }
+
+// oneShot runs f on privately compiled tables and a pooled Scratch, and
+// drops those tables from the Scratch's segment caches before it returns to
+// the pool: nobody can ever look them up again, so leaving them would only
+// pin dead tables until the cache's wholesale clear.
+func oneShot[T any](in *instance.Instance, f func(*instance.Compiled, *Scratch) T) T {
+	c := instance.Compile(in)
+	sc := getScratch()
+	defer func() {
+		sc.DropCompiled(c)
+		putScratch(sc)
+	}()
+	return f(c, sc)
+}
 
 // intsBuf returns *buf resized to n without zeroing (callers overwrite every
 // element).

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -46,17 +48,15 @@ func TestDualStepResultsDoNotAliasScratch(t *testing.T) {
 	in1 := instance.Mixed(1, 30, 16)
 	in2 := instance.Mixed(2, 40, 16)
 	lambda1 := instance.Mixed(1, 30, 16).MinTotalWork() // any accepted guess
-	r1 := dualStep(in1, instance.Compile(in1), lambda1, DefaultParams(), sc, nil)
+	r1 := dualStep(instance.Compile(in1), lambda1, DefaultParams(), sc, nil)
 	if r1.Schedule == nil {
 		t.Fatalf("probe at λ=total work rejected: %v", r1.Reject)
 	}
 	snapshot := append([]float64(nil), flattenStarts(r1)...)
-	// Hammer the scratch with probes on a different instance, compiled and
-	// legacy alike (both paths share the Scratch's buffers).
+	// Hammer the scratch with probes on a different instance.
 	c2 := instance.Compile(in2)
 	for _, l := range []float64{1, 2, 4, 8, 16, 32} {
-		dualStep(in2, c2, l, DefaultParams(), sc, nil)
-		dualStep(in2, nil, l, DefaultParams(), sc, nil)
+		dualStep(c2, l, DefaultParams(), sc, nil)
 	}
 	if !reflect.DeepEqual(snapshot, flattenStarts(r1)) {
 		t.Fatal("earlier schedule mutated by later probes on the same Scratch")
@@ -71,45 +71,118 @@ func flattenStarts(r StepResult) []float64 {
 	return out
 }
 
-// The scratch-threaded internals must agree with their exported
-// allocate-per-call twins on every construction.
+// Each exported one-shot compiles on entry and borrows a pooled Scratch;
+// it must equal the scratch-threaded compiled call it wraps, run here on
+// caller-compiled tables and one long-lived Scratch.
 func TestScratchVariantsMatchExported(t *testing.T) {
 	sc := NewScratch()
 	p := DefaultParams()
 	for seed := int64(0); seed < 5; seed++ {
 		in := instance.Mixed(seed, 30, 16)
+		c := instance.Compile(in)
 		for _, lambda := range []float64{0.5, 1, 2, 5, 20} {
 			a1 := CanonicalAllotment(in, lambda)
-			a2 := canonicalAllotment(in, lambda, sc)
+			e := sc.seg.filled(c, lambda)
+			a2 := e.allotment(lambda)
 			if a1.OK != a2.OK || a1.Slowest != a2.Slowest || (a1.OK && !reflect.DeepEqual(a1.Gamma, a2.Gamma)) {
-				t.Fatalf("canonicalAllotment differs at λ=%v", lambda)
+				t.Fatalf("CanonicalAllotment differs at λ=%v", lambda)
+			}
+			want := dualStep(c, lambda, p, sc, nil)
+			if got := DualStep(in, lambda, p); !sameStep(got, want) {
+				t.Fatalf("DualStep differs at λ=%v: %+v vs %+v", lambda, got, want)
+			}
+			if got := (DualProber{}).Probe(in, nil, lambda, p, sc, nil); !sameStep(got, want) {
+				t.Fatalf("DualProber.Probe without tables differs at λ=%v: %+v vs %+v", lambda, got, want)
 			}
 			if !a1.OK {
 				continue
 			}
-			if w1, w2 := a1.PrefixArea(in), a1.prefixArea(in, sc); w1 != w2 {
-				t.Fatalf("prefixArea %v != %v", w2, w1)
+			order := e.sortedOrder(c, a2)
+			if !reflect.DeepEqual(a1.ByDecreasingTime(in), order) {
+				t.Fatalf("ByDecreasingTime differs at λ=%v", lambda)
+			}
+			if w1, w2 := a1.PrefixArea(in), prefixAreaFrom(c, a2, order); w1 != w2 {
+				t.Fatalf("PrefixArea %v != %v", w1, w2)
 			}
 			s1 := MalleableList(in, lambda)
-			s2 := malleableList(legacyView(in), lambda, sc)
+			s2 := malleableList(c, lambda, sc)
 			if !sameSchedule(s1, s2) {
-				t.Fatalf("malleableList differs at λ=%v", lambda)
+				t.Fatalf("MalleableList differs at λ=%v", lambda)
 			}
-			order := a2.byDecreasingTime(in, sc)
 			for _, realloc := range []bool{false, true} {
 				c1 := CanonicalList(in, lambda, realloc)
-				c2 := canonicalListFromAllotment(legacyView(in), a2, order, realloc, sc)
+				c2 := canonicalListFromAllotment(c, a2, order, realloc, sc)
 				if !sameSchedule(c1, c2) {
-					t.Fatalf("canonicalList(realloc=%v) differs at λ=%v", realloc, lambda)
+					t.Fatalf("CanonicalList(realloc=%v) differs at λ=%v", realloc, lambda)
 				}
 			}
 			t1 := TwoShelf(in, lambda, p)
-			t2 := twoShelfFromAllotment(legacyView(in), a2, p, sc)
+			t2 := twoShelfFromAllotment(c, a2, p, sc)
 			if t1.Method != t2.Method || t1.Exact != t2.Exact || !sameSchedule(t1.Schedule, t2.Schedule) {
-				t.Fatalf("twoShelf differs at λ=%v: %q/%v vs %q/%v", lambda, t2.Method, t2.Exact, t1.Method, t1.Exact)
+				t.Fatalf("TwoShelf differs at λ=%v: %q/%v vs %q/%v", lambda, t2.Method, t2.Exact, t1.Method, t1.Exact)
+			}
+			p1, err1 := NewPartition(in, a1, p.mu())
+			p2, err2 := newPartition(c, a2, p.mu(), sc)
+			if err1 != nil || err2 != nil ||
+				fmt.Sprint(p1.T1, p1.T2, p1.TS, p1.D, p1.Q1, p1.Q2, p1.LS) != fmt.Sprint(p2.T1, p2.T2, p2.TS, p2.D, p2.Q1, p2.Q2, p2.LS) {
+				t.Fatalf("NewPartition differs at λ=%v (%v, %v)", lambda, err1, err2)
 			}
 		}
 	}
+}
+
+// Tables a call compiled for itself can never be looked up again, so they
+// must not outlive the call in a borrowed Scratch: the exported one-shots
+// hand their pooled Scratch back without them, and Approximate without
+// Options.Compiled leaves the caller's Scratch as it found it. (Left in,
+// each pooled Scratch would pin up to segCacheCap dead tables until the
+// wholesale clear.)
+func TestPrivateTablesLeaveScratch(t *testing.T) {
+	empty := func(ctx string, sc *Scratch) {
+		t.Helper()
+		if sc.seg.total != 0 || len(sc.seg.caches) != 0 || sc.mseg.total != 0 || len(sc.mseg.caches) != 0 {
+			t.Fatalf("%s: scratch retains segment entries of private tables (seg %d in %d tables, mseg %d in %d)",
+				ctx, sc.seg.total, len(sc.seg.caches), sc.mseg.total, len(sc.mseg.caches))
+		}
+	}
+	p := DefaultParams()
+	for i := int64(0); i < 300; i++ {
+		in := instance.Mixed(i, 12, 8)
+		lambda := in.MinTotalWork() / float64(in.M) * 2
+		DualStep(in, lambda, p)
+		CanonicalList(in, lambda, true)
+		// Single goroutine, so the pool hands the same Scratch back (a
+		// GC or the race detector may swap in a new one, trivially clean).
+		sc := getScratch()
+		empty("one-shots", sc)
+		putScratch(sc)
+	}
+
+	in := instance.Mixed(7, 25, 16)
+	sc := NewScratch()
+	for _, par := range []int{1, 4} {
+		if _, err := Approximate(in, Options{Scratch: sc, Parallelism: par}); err != nil {
+			t.Fatal(err)
+		}
+		empty("Approximate", sc)
+		(DualProber{}).Probe(in, nil, in.MinTotalWork(), p, sc, nil)
+		empty("DualProber.Probe(nil tables)", sc)
+	}
+	// Caller-supplied tables are the caller's to drop: they stay hot.
+	c := instance.Compile(in)
+	if _, err := Approximate(in, Options{Scratch: sc, Compiled: c}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.seg.caches[c]) == 0 {
+		t.Fatal("caller-supplied tables were evicted from the caller's scratch")
+	}
+}
+
+// sameStep compares two probe outcomes on every field, floats by bits.
+func sameStep(a, b StepResult) bool {
+	return a.Reject == b.Reject && a.Certified == b.Certified && a.Branch == b.Branch &&
+		math.Float64bits(a.PrefixArea) == math.Float64bits(b.PrefixArea) &&
+		sameSchedule(a.Schedule, b.Schedule)
 }
 
 func sameSchedule(a, b *schedule.Schedule) bool {

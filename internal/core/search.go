@@ -38,18 +38,13 @@ type Options struct {
 	// λ-breakpoint tables (instance.Compile) and must describe exactly the
 	// instance being solved (same machine size and time tables; names may
 	// differ — the tables are name-independent). When nil, Approximate
-	// compiles the instance itself before the first probe. Either way every
+	// compiles the instance itself before the first probe and drops the
+	// private tables from Scratch again on return. Either way every
 	// probe of the search — sequential or speculative — shares the same
 	// immutable tables; callers solving repeated shapes (the engine's
 	// compiled cache, the scheduling service) pass their cached value so
 	// compilation happens once per workload, not once per search.
 	Compiled *instance.Compiled
-	// Legacy disables the compiled-instance hot path and probes through
-	// the original task-struct lookups instead. Results are bit-identical
-	// on both paths (enforced by the equivalence and golden tests); the
-	// option exists as the benchmark reference for the compiled layer and
-	// wins over Compiled when both are set.
-	Legacy bool
 	// Prober, when non-nil, replaces the paper's dual step (DualProber) as
 	// the evaluator of deadline guesses. Tests instrument it; the
 	// speculative driver calls it concurrently with distinct Scratch
@@ -159,11 +154,16 @@ var ErrOverflow = errors.New("core: trivial lower bound overflows float64")
 // instrumented-prober tests assert the resulting probe counts.
 type search struct {
 	in        *instance.Instance
-	c         *instance.Compiled // nil on the legacy path
+	c         *instance.Compiled
 	p         Params
 	eps       float64
 	prober    Prober
 	interrupt <-chan struct{}
+
+	// privateTables marks c as compiled by this search itself: no later
+	// call can look the tables up, so every Scratch the search touched
+	// drops them on the way out.
+	privateTables bool
 
 	res    Result
 	best   *schedule.Schedule
@@ -172,7 +172,7 @@ type search struct {
 	// warm is the seed of a warm-mode search (nil on cold solves), hist
 	// the consumed-outcome history recorded for the next solve of the
 	// lineage, and synthOK whether outcomes may be synthesized from the
-	// segment tables (warm mode, compiled path, default prober).
+	// segment tables (warm mode, default prober).
 	warm    *WarmStart
 	hist    []WarmProbe
 	synthOK bool
@@ -216,14 +216,16 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 		sc = NewScratch()
 	}
 	c := opts.Compiled
-	if opts.Legacy {
-		c = nil
-	} else if c == nil {
+	private := c == nil
+	if private {
 		// Compile once per search: every probe — tens of them, all on this
 		// one instance — then resolves canonical allotments by threshold
 		// compares and reuses the segment caches. Callers with a compiled
-		// cache pass Options.Compiled and skip even this.
+		// cache pass Options.Compiled and skip even this. Nobody else can
+		// ever look these tables up, so they leave the Scratch with the
+		// call instead of pinning cache entries until the wholesale clear.
 		c = instance.Compile(in)
+		defer sc.DropCompiled(c)
 	}
 
 	s := &search{
@@ -235,13 +237,15 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 		interrupt: opts.Interrupt,
 		warm:      opts.WarmStart,
 		trace:     opts.Trace,
+
+		privateTables: private,
 	}
 	if s.warm != nil {
 		// Synthesis replays dualStep's certified pre-construction exits,
-		// so it needs the compiled tables and the real dual step behind
-		// the probes; an instrumented prober's outcomes must keep
-		// deciding the search alone.
-		s.synthOK = c != nil && opts.Prober == nil
+		// so it needs the real dual step behind the probes; an
+		// instrumented prober's outcomes must keep deciding the search
+		// alone.
+		s.synthOK = opts.Prober == nil
 		s.hist = make([]WarmProbe, 0, 2*maxDoubling)
 	}
 	s.res.LowerBound = lowerbound.Trivial(in)
@@ -306,13 +310,9 @@ func (s *search) merge(lambda float64, r StepResult, synth bool) {
 		s.hist = append(s.hist, WarmProbe{Lambda: lambda, Accepted: r.Schedule != nil})
 	}
 	if s.trace != nil {
-		seg := -1
-		if s.c != nil {
-			seg = s.c.Segment(lambda)
-		}
 		s.trace.Probes = append(s.trace.Probes, ProbeTrace{
 			Lambda:      lambda,
-			Segment:     seg,
+			Segment:     s.c.Segment(lambda),
 			Accepted:    r.Schedule != nil,
 			Reject:      r.Reject,
 			Certified:   r.Certified,

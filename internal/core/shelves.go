@@ -33,14 +33,13 @@ type Partition struct {
 func NewPartition(in *instance.Instance, a Allotment, mu float64) (*Partition, error) {
 	// A private Scratch, not a pooled one: the returned Partition aliases
 	// its scratch and must stay valid for the caller indefinitely.
-	return newPartition(legacyView(in), a, mu, NewScratch())
+	return newPartition(instance.Compile(in), a, mu, NewScratch())
 }
 
 // newPartition computes the partition into sc's reused Partition value; the
-// result is valid until the next probe on sc. The compiled path resolves
-// t_i(γ_i) from the flattened matrix and d_i = γ_i(μλ) from the breakpoint
-// tables.
-func newPartition(v view, a Allotment, mu float64, sc *Scratch) (*Partition, error) {
+// result is valid until the next probe on sc. t_i(γ_i) comes from the
+// flattened time matrix and d_i = γ_i(μλ) from the breakpoint tables.
+func newPartition(c *instance.Compiled, a Allotment, mu float64, sc *Scratch) (*Partition, error) {
 	lambda := a.Lambda
 	p := &sc.part
 	p.T1, p.T2, p.TS = p.T1[:0], p.T2[:0], p.TS[:0]
@@ -51,15 +50,15 @@ func newPartition(v view, a Allotment, mu float64, sc *Scratch) (*Partition, err
 	}
 	p.Q1, p.Q2, p.LS = 0, 0, 0
 	sizes := sc.sizes[:0]
-	n := v.in.N()
+	n := c.N()
 	for i := 0; i < n; i++ {
 		g := a.Gamma[i]
-		ct := v.time(i, g)
+		ct := c.Time(i, g)
 		switch {
 		case ct > mu*lambda:
 			p.T1 = append(p.T1, i)
 			p.Q1 += g
-			if d, ok := v.canonical(i, mu*lambda); ok {
+			if d, ok := c.Gamma(i, mu*lambda); ok {
 				p.D[i] = d
 			}
 		case ct > lambda/2 || g > 1:
@@ -72,7 +71,7 @@ func newPartition(v view, a Allotment, mu float64, sc *Scratch) (*Partition, err
 			sizes = append(sizes, ct)
 		}
 	}
-	p.Q1 -= v.in.M
+	p.Q1 -= c.M()
 	sc.sizes = sizes // keep the grown backing array for the next probe
 	pk, err := packing.FirstFit(sizes, mu*lambda)
 	if err != nil {
@@ -107,22 +106,22 @@ type TwoShelfResult struct {
 // μ-schedule or a trivial solution exists, so a nil result with Exact
 // certifies OPT > λ.
 func TwoShelf(in *instance.Instance, lambda float64, p Params) TwoShelfResult {
-	sc := getScratch()
-	defer putScratch(sc)
-	a := canonicalAllotment(in, lambda, sc)
-	if !a.OK {
-		return TwoShelfResult{Exact: true}
-	}
-	return twoShelfFromAllotment(legacyView(in), a, p, sc)
+	return oneShot(in, func(c *instance.Compiled, sc *Scratch) TwoShelfResult {
+		a := sc.seg.filled(c, lambda).allotment(lambda)
+		if !a.OK {
+			return TwoShelfResult{Exact: true}
+		}
+		return twoShelfFromAllotment(c, a, p, sc)
+	})
 }
 
-func twoShelfFromAllotment(v view, a Allotment, prm Params, sc *Scratch) TwoShelfResult {
+func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Scratch) TwoShelfResult {
 	mu := prm.mu()
-	part, err := newPartition(v, a, mu, sc)
+	part, err := newPartition(c, a, mu, sc)
 	if err != nil {
 		return TwoShelfResult{}
 	}
-	in := v.in
+	in := c.Instance()
 	m := in.M
 	capacity := m - part.Q2 - part.LS
 
@@ -133,7 +132,7 @@ func twoShelfFromAllotment(v view, a Allotment, prm Params, sc *Scratch) TwoShel
 	if capacity < 0 {
 		// The second shelf overflows before any T1 task moves; no
 		// μ-schedule exists (T2 and TS placements are forced).
-		if r := trivialSolution(v, a, part, sc); r.Schedule != nil {
+		if r := trivialSolution(c, a, part, sc); r.Schedule != nil {
 			return r
 		}
 		return TwoShelfResult{Exact: true}
@@ -141,7 +140,7 @@ func twoShelfFromAllotment(v view, a Allotment, prm Params, sc *Scratch) TwoShel
 
 	// §4.5 trivial solutions: one big task moves and everything else fits
 	// in the first shelf.
-	if r := trivialSolution(v, a, part, sc); r.Schedule != nil {
+	if r := trivialSolution(c, a, part, sc); r.Schedule != nil {
 		return r
 	}
 
@@ -195,12 +194,12 @@ func twoShelfFromAllotment(v view, a Allotment, prm Params, sc *Scratch) TwoShel
 // all other tasks fit into the first shelf at canonical allotments (with TS
 // First-Fit packed under deadline λ) while τ alone runs in the second shelf
 // on d_τ ≤ m processors.
-func trivialSolution(v view, a Allotment, part *Partition, sc *Scratch) TwoShelfResult {
-	in := v.in
+func trivialSolution(c *instance.Compiled, a Allotment, part *Partition, sc *Scratch) TwoShelfResult {
+	in := c.Instance()
 	lambda := a.Lambda
 	sizes := sc.tsizes[:0]
 	for _, i := range part.TS {
-		sizes = append(sizes, v.time(i, a.Gamma[i]))
+		sizes = append(sizes, c.Time(i, a.Gamma[i]))
 	}
 	sc.tsizes = sizes
 	qS1 := 0

@@ -12,6 +12,26 @@ import (
 // same buffers instead of growing fresh DP tables per search.
 var specScratch = sync.Pool{New: func() any { return NewScratch() }}
 
+// specScratches returns the k probe buffers of a speculative search — the
+// caller's plus k−1 pooled ones — and the function handing the pooled ones
+// back. Tables the search compiled privately are dropped from them first,
+// for the reason Approximate drops them from the caller's Scratch.
+func (s *search) specScratches(k int, sc *Scratch) ([]*Scratch, func()) {
+	scratches := make([]*Scratch, k)
+	scratches[0] = sc
+	for i := 1; i < k; i++ {
+		scratches[i] = specScratch.Get().(*Scratch)
+	}
+	return scratches, func() {
+		for _, w := range scratches[1:] {
+			if s.privateTables {
+				w.DropCompiled(s.c)
+			}
+			specScratch.Put(w)
+		}
+	}
+}
+
 // specNode is one node of the bisection decision tree: probing lam splits
 // the current interval, and the child consumed next depends on the outcome
 // (accept → left half, reject → right half). Children are materialised lazily
@@ -39,16 +59,8 @@ func (s *search) runSpeculative(k int, sc *Scratch) error {
 	if k > maxDoubling {
 		k = maxDoubling
 	}
-	scratches := make([]*Scratch, k)
-	scratches[0] = sc
-	for i := 1; i < k; i++ {
-		scratches[i] = specScratch.Get().(*Scratch)
-	}
-	defer func() {
-		for i := 1; i < k; i++ {
-			specScratch.Put(scratches[i])
-		}
-	}()
+	scratches, release := s.specScratches(k, sc)
+	defer release()
 
 	// probe evaluates up to k guesses concurrently; results[i] belongs to
 	// lambdas[i]. Every execution counts toward Probes, consumed or not.

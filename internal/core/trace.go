@@ -9,8 +9,8 @@ package core
 // Tracing is strictly off the result path: Options.Trace changes no probe,
 // no comparison and no returned field, only what is recorded on the side
 // (the golden and differential suites run with tracing enabled to enforce
-// it). A trace therefore costs one slice append plus, on the compiled
-// path, one segment lookup per consumed probe.
+// it). A trace therefore costs one slice append plus one segment lookup
+// per consumed probe.
 type SolveTrace struct {
 	// Probes are the consumed outcomes in sequential search order.
 	Probes []ProbeTrace
@@ -24,7 +24,7 @@ type ProbeTrace struct {
 	// Lambda is the deadline guess.
 	Lambda float64
 	// Segment is the λ-breakpoint segment index of Lambda in the compiled
-	// tables; −1 on the legacy (uncompiled) path.
+	// tables (never negative).
 	Segment int
 	// Accepted reports whether the dual step produced a schedule.
 	Accepted bool

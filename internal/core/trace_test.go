@@ -70,7 +70,7 @@ func TestTraceConsumptionOrder(t *testing.T) {
 			}
 		}
 		if p.Segment < 0 {
-			t.Fatalf("compiled-path probe missing segment: %+v", p)
+			t.Fatalf("probe missing its λ-segment: %+v", p)
 		}
 		_ = last
 	}
@@ -112,19 +112,5 @@ func TestTraceWarm(t *testing.T) {
 	}
 	if !sawSynth {
 		t.Fatal("warm trace marked no synthesized outcomes")
-	}
-}
-
-// TestTraceLegacySegment asserts the legacy path records segment −1.
-func TestTraceLegacySegment(t *testing.T) {
-	in := instance.Families()["mixed"](1, 12, 8)
-	tr := &SolveTrace{}
-	if _, err := Approximate(in, Options{Legacy: true, Trace: tr}); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range tr.Probes {
-		if p.Segment != -1 {
-			t.Fatalf("legacy probe carries segment %d", p.Segment)
-		}
 	}
 }

@@ -55,11 +55,7 @@ func (s *search) updateWarm() {
 	}
 	s.warm.AcceptedLambda = s.res.AcceptedLambda
 	s.warm.Floor = s.lo
-	if s.c != nil {
-		s.warm.Segment = s.c.Segment(s.res.AcceptedLambda)
-	} else {
-		s.warm.Segment = 0
-	}
+	s.warm.Segment = s.c.Segment(s.res.AcceptedLambda)
 	s.warm.History = s.hist
 }
 
@@ -72,16 +68,13 @@ func (s *search) updateWarm() {
 // prober would have returned and the search path is unchanged. Guesses that
 // survive both tests need the constructions and are probed for real.
 //
-// Synthesis requires the compiled path and the default prober (an
-// instrumented prober's outcomes must keep deciding the search alone).
+// Synthesis requires the default prober (an instrumented prober's outcomes
+// must keep deciding the search alone).
 func (s *search) synthesize(lambda float64, sc *Scratch) (StepResult, bool) {
 	if !s.synthOK {
 		return StepResult{}, false
 	}
-	e := sc.seg.entry(s.c, s.c.Segment(lambda))
-	if !e.haveGamma {
-		e.fillGamma(s.c, lambda)
-	}
+	e := sc.seg.filled(s.c, lambda)
 	if !e.ok {
 		return StepResult{Reject: RejectTooSlow, Certified: true}, true
 	}
@@ -141,16 +134,8 @@ func (s *search) runSpeculativeWarm(k int, sc *Scratch) error {
 	if k > maxDoubling {
 		k = maxDoubling
 	}
-	scratches := make([]*Scratch, k)
-	scratches[0] = sc
-	for i := 1; i < k; i++ {
-		scratches[i] = specScratch.Get().(*Scratch)
-	}
-	defer func() {
-		for i := 1; i < k; i++ {
-			specScratch.Put(scratches[i])
-		}
-	}()
+	scratches, release := s.specScratches(k, sc)
+	defer release()
 
 	probe := func(lambdas []float64) []StepResult {
 		s.res.Probes += len(lambdas)

@@ -152,30 +152,6 @@ func TestWarmGarbageSeedsHarmless(t *testing.T) {
 	}
 }
 
-// Warm mode on the legacy (uncompiled) path must degrade to the cold search
-// gracefully — no synthesis is possible without segment tables, but the
-// result and the in-place seed update still hold.
-func TestWarmLegacyPath(t *testing.T) {
-	gen := instance.Families()["comm-heavy"]
-	in := gen(5, 16, 8)
-	cold, err := Approximate(in, Options{Legacy: true})
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	ws := &WarmStart{}
-	warm, err := Approximate(in, Options{Legacy: true, WarmStart: ws})
-	if err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	assertWarmColdIdentical(t, "legacy", warm, cold)
-	if warm.Synthesized != 0 {
-		t.Errorf("legacy path synthesized %d probes without segment tables", warm.Synthesized)
-	}
-	if warm.Probes != cold.Probes {
-		t.Errorf("legacy warm probes %d, cold %d", warm.Probes, cold.Probes)
-	}
-}
-
 // An instrumented prober must keep deciding the search alone: warm mode
 // with a custom Prober disables synthesis, so the prober sees every guess
 // exactly as in a cold run.

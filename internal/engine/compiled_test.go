@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"testing"
 
 	"malsched/internal/instance"
@@ -110,40 +109,5 @@ func TestCompiledCacheDisabledWithMemo(t *testing.T) {
 	st := e.Stats()
 	if st.CompileMisses != 3 || st.CompileHits != 0 || st.CompiledEntries != 0 {
 		t.Fatalf("disabled cache: %+v", st)
-	}
-}
-
-// Options.Legacy must be output-invisible (the engine skips the compiled
-// cache, the search probes task structs) and must share memo entries with
-// the compiled path — the two are interchangeable by construction.
-func TestLegacyOptionBitIdentical(t *testing.T) {
-	for name, gen := range instance.Families() {
-		in := gen(9, 18, 12)
-		compiled, err := Solve(in, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		legacy, err := Solve(in, Options{Legacy: true})
-		if err != nil {
-			t.Fatalf("%s: legacy: %v", name, err)
-		}
-		if compiled.Makespan != legacy.Makespan || compiled.LowerBound != legacy.LowerBound ||
-			compiled.Branch != legacy.Branch || compiled.Probes != legacy.Probes ||
-			!reflect.DeepEqual(compiled.Plan.Placements, legacy.Plan.Placements) {
-			t.Fatalf("%s: legacy diverged from compiled", name)
-		}
-		if Fingerprint(in, Options{}) != Fingerprint(in, Options{Legacy: true}) {
-			t.Fatalf("%s: Legacy leaked into the fingerprint", name)
-		}
-	}
-
-	// Through the engine, a legacy solve neither compiles nor caches.
-	e := New(Config{Workers: 1})
-	in := instance.Mixed(2, 15, 8)
-	if out := e.ScheduleWith(in, Options{Legacy: true}, 0); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if st := e.Stats(); st.CompileMisses != 0 || st.CompileHits != 0 || st.CompiledEntries != 0 {
-		t.Fatalf("legacy solve touched the compiled cache: %+v", st)
 	}
 }

@@ -147,7 +147,7 @@ type Stats struct {
 	MemoEntries int
 	// CompileHits/CompileMisses count compiled-instance cache probes (a
 	// miss is one instance.Compile). With the cache disabled (negative
-	// MemoCapacity) every non-legacy solve compiles fresh and counts as a
+	// MemoCapacity) every table-consuming solve compiles fresh and counts as a
 	// miss, CompileHits stays 0 and CompiledEntries stays 0; otherwise
 	// CompiledEntries is the current resident count.
 	CompileHits     uint64
@@ -377,9 +377,9 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 
 	// Resolve the compiled λ-breakpoint tables after admission (a poisoned
 	// instance never reaches Compile) and after the memo probe (a hit
-	// needs no tables at all). Legacy solves skip them by definition, and
-	// so do solvers without a dual search — nothing would read them.
-	if ci == nil && !opts.Legacy && WantsCompiled(opts) {
+	// needs no tables at all). Solvers without a dual search skip them —
+	// nothing would read them.
+	if ci == nil && WantsCompiled(opts) {
 		t := time.Now()
 		ci = e.CompiledFor(in)
 		out.CompileNS = time.Since(t).Nanoseconds()

@@ -84,7 +84,7 @@ func TestBatchMatchesSequentialBitIdentical(t *testing.T) {
 // Baseline options must flow through the batch path too.
 func TestBatchWithBaselineOptions(t *testing.T) {
 	ins := testFleet(t, 3)
-	e := New(Config{Workers: 4, Options: Options{Baseline: "seq-lpt"}})
+	e := New(Config{Workers: 4, Options: Options{Solver: "seq-lpt"}})
 	for _, o := range e.ScheduleBatch(ins) {
 		if o.Err != nil {
 			t.Fatal(o.Err)
@@ -143,8 +143,8 @@ func TestFingerprintSemantics(t *testing.T) {
 	if fingerprint(a, Options{}) == fingerprint(a, Options{Eps: 0.1}) {
 		t.Fatal("fingerprint ignores Eps")
 	}
-	if fingerprint(a, Options{}) == fingerprint(a, Options{Baseline: "seq-lpt"}) {
-		t.Fatal("fingerprint ignores Baseline")
+	if fingerprint(a, Options{}) == fingerprint(a, Options{Solver: "seq-lpt"}) {
+		t.Fatal("fingerprint ignores Solver")
 	}
 	c := instance.Mixed(4, 20, 8) // same shape, different profiles
 	if fingerprint(a, Options{}) == fingerprint(c, Options{}) {
@@ -339,7 +339,7 @@ func TestScheduleStream(t *testing.T) {
 
 func TestSolveUnknownBaseline(t *testing.T) {
 	in := instance.Mixed(1, 8, 4)
-	if _, err := Solve(in, Options{Baseline: "nope"}); err == nil {
+	if _, err := Solve(in, Options{Solver: "nope"}); err == nil {
 		t.Fatal("want error for unknown baseline")
 	}
 }
@@ -425,14 +425,11 @@ func TestBatchWithPortfolioAndParallelism(t *testing.T) {
 	}
 }
 
-// The memo key resolves the solver identity: the deprecated Baseline alias
-// shares entries with the explicit Solver spelling, and Parallelism — which
-// cannot change results — is excluded.
+// The memo key resolves the solver identity: the default shares entries
+// with the explicit "mrt" spelling, and Parallelism — which cannot change
+// results — is excluded.
 func TestFingerprintSolverResolution(t *testing.T) {
 	a := testFleet(t, 1)[0]
-	if fingerprint(a, Options{Solver: "seq-lpt"}) != fingerprint(a, Options{Baseline: "seq-lpt"}) {
-		t.Fatal("Solver and Baseline alias hash differently")
-	}
 	if fingerprint(a, Options{}) != fingerprint(a, Options{Solver: "mrt"}) {
 		t.Fatal("default and explicit mrt hash differently")
 	}

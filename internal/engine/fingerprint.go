@@ -109,13 +109,12 @@ func fingerprint(in *instance.Instance, o Options) memoKey {
 	} else {
 		h.Word(0)
 	}
-	// The solver identity is hashed in resolved form, so the deprecated
-	// Baseline alias and an explicit Solver of the same name share memo
-	// entries. Parallelism, Legacy and Trace are deliberately excluded:
-	// the speculative search is bit-identical to the sequential one, the
-	// compiled hot path to the legacy one, and tracing is pure observation
-	// (enforced by the golden, determinism, equivalence and trace tests),
-	// so their results are interchangeable.
+	// The solver identity is hashed in resolved form, so an empty Solver
+	// and an explicit "mrt" share memo entries. Parallelism and Trace are
+	// deliberately excluded: the speculative search is bit-identical to the
+	// sequential one and tracing is pure observation (enforced by the
+	// golden, determinism and trace tests), so their results are
+	// interchangeable.
 	if len(o.Portfolio) > 0 {
 		h.String("portfolio")
 		h.Word(uint64(len(o.Portfolio)))

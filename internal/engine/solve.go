@@ -38,19 +38,9 @@ type Options struct {
 	// Parallelism is the speculative width of the dual search; results
 	// are identical at every value (see core.Options.Parallelism).
 	Parallelism int
-	// Legacy disables the compiled-instance hot path: the dual search
-	// probes through the original task-struct lookups and the engine skips
-	// its compiled cache. Results are bit-identical either way (enforced
-	// by the equivalence and golden tests), so Legacy — like Parallelism —
-	// is excluded from the memo fingerprint; it exists as the benchmark
-	// reference for the compiled layer.
-	Legacy bool
-	// Baseline is a deprecated alias for Solver, kept for callers of the
-	// pre-registry API.
-	Baseline string
 	// Trace captures the dual search's consumed probe trajectory into
 	// Solution.Trace. Pure observation: results are bit-identical traced or
-	// not, so Trace — like Parallelism and Legacy — is excluded from the
+	// not, so Trace — like Parallelism — is excluded from the
 	// memo fingerprint; a memo hit returns no trace (there was no search).
 	// Only solvers with a dual search record probes ("mrt"); others return
 	// an empty trace.
@@ -65,14 +55,10 @@ type Options struct {
 }
 
 // solverName resolves the registry name the options select (portfolio
-// excluded): Solver wins over the deprecated Baseline alias; empty means
-// the paper's algorithm.
+// excluded); empty means the paper's algorithm.
 func (o Options) solverName() string {
 	if o.Solver != "" {
 		return o.Solver
-	}
-	if o.Baseline != "" {
-		return o.Baseline
 	}
 	return solver.PaperSolverName
 }
@@ -212,7 +198,6 @@ func solve(in *instance.Instance, o Options, sc *core.Scratch, interrupt <-chan 
 		Eps:         o.Eps,
 		Compact:     o.Compact,
 		Parallelism: o.Parallelism,
-		Legacy:      o.Legacy,
 		Compiled:    ci,
 		Scratch:     sc,
 		Interrupt:   interrupt,

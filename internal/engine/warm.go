@@ -84,8 +84,8 @@ func (e *Engine) WarmFor(lineage uint64) *WarmState {
 // The memo is shared with the cold paths: a hit returns the memoised
 // solution without touching the lineage state (warm and cold solutions
 // are interchangeable by the bit-identity invariant — only their probe
-// accounting differs, exactly as with Parallelism and Legacy, which the
-// memo fingerprint already ignores).
+// accounting differs, exactly as with Parallelism, which the memo
+// fingerprint already ignores).
 func (e *Engine) ScheduleWarm(in *instance.Instance, c *instance.Compiled, o Options, timeout time.Duration, ws *WarmState) Outcome {
 	if ws == nil {
 		return e.runWith(0, in, o, timeout, nil, c, nil)

@@ -152,9 +152,16 @@ func TestCompiledPiecewiseConstantAllotment(t *testing.T) {
 }
 
 // The flattened matrices and the precompiled sequential order must mirror
-// the task structs exactly.
+// the task structs exactly. SeqOrder is held to the sort the malleable
+// list used to run per probe on the task structs — stable, by
+// non-increasing t(1) — on an instance full of t(1) ties too, where only
+// stability decides the order.
 func TestCompiledTablesMatchTasks(t *testing.T) {
-	for _, in := range compiledTestInstances() {
+	tied := make([]task.Task, 12)
+	for i := range tied {
+		tied[i] = task.Linear("tied", float64(1+i%3), 4)
+	}
+	for _, in := range append(compiledTestInstances(), MustNew("seq-ties", 4, tied)) {
 		c := Compile(in)
 		for i, tk := range in.Tasks {
 			if c.MaxProcs(i) != tk.MaxProcs() {
@@ -177,7 +184,7 @@ func TestCompiledTablesMatchTasks(t *testing.T) {
 			return in.Tasks[want[a]].SeqTime() > in.Tasks[want[b]].SeqTime()
 		})
 		if !reflect.DeepEqual(c.SeqOrder(), want) {
-			t.Fatalf("%s: SeqOrder %v != legacy stable sort %v", in.Name, c.SeqOrder(), want)
+			t.Fatalf("%s: SeqOrder %v != stable sort by non-increasing SeqTime %v", in.Name, c.SeqOrder(), want)
 		}
 	}
 }

@@ -5,11 +5,10 @@
 // (instance.Compiled, the PR-4 machinery) and caches the derived tables
 // per λ-segment, so repeat probes — the bisection endgame, the portfolio,
 // and every solve of a replanning lineage that shares a Scratch — pay
-// zero re-derivation. The legacy task-struct path is kept as the
-// benchmark reference; both paths are bit-identical by the same argument
-// as the independent-task pipeline (the compiled tables are flattened
-// copies and the λ-thresholds are float-exact against task.Leq), which
-// the equivalence and golden suites enforce.
+// zero re-derivation. The tables answer exactly what the task structs
+// would (flattened copies of times and works, λ-thresholds float-exact
+// against task.Leq); the test-only refEval and the golden suite hold the
+// path to that.
 package precedence
 
 import (
@@ -22,14 +21,14 @@ import (
 	"malsched/internal/schedule"
 )
 
-// Options tunes one DAG solve. The zero value runs the compiled hot path
-// with privately compiled tables and a private scratch — bit-identical to
-// Legacy, just differently paid for.
+// Options tunes one DAG solve. The zero value solves on privately
+// compiled tables and a private scratch.
 type Options struct {
 	// Compiled supplies the instance's precompiled λ-breakpoint tables
 	// (instance.Compile) and must describe exactly the graph's instance
 	// (same machine size and time tables; names may differ). nil compiles
-	// once per solve unless Legacy is set. The tables are immutable, so
+	// once per solve and drops the private tables from Scratch again on
+	// return. The tables are immutable, so
 	// solves on many graphs over the same instance share one value — the
 	// engine's per-fingerprint compiled cache does exactly that.
 	Compiled *instance.Compiled
@@ -50,14 +49,7 @@ type Options struct {
 	// mispredict, so a stale or garbage seed wastes probes, never
 	// correctness; the result is bit-identical to a cold solve. On
 	// success the seed is updated in place for the lineage's next solve.
-	// Ignored on the legacy path.
 	Warm *core.WarmStart
-	// Legacy disables the compiled tables and the λ-segment cache: every
-	// candidate evaluation re-derives the allotment from the task structs
-	// like the pre-compiled implementation. Results are bit-identical
-	// either way; the option is the benchmark reference for the compiled
-	// path.
-	Legacy bool
 }
 
 // Result is the outcome of one DAG solve.
@@ -73,8 +65,8 @@ type Result struct {
 	// responses and the differential oracle compare it bit-for-bit.
 	Probes int
 	// CacheHits counts the subset of Probes resolved wholly from the
-	// λ-segment cache (zero derivation cost); always 0 on the legacy
-	// path. Unlike Probes it depends on cross-solve scratch state, so
+	// λ-segment cache (zero derivation cost). Unlike Probes it depends on
+	// cross-solve scratch state, so
 	// consumers treat it the way Synthesized is treated everywhere
 	// else: a cost annotation, never part of the solution's identity.
 	CacheHits int
@@ -197,41 +189,43 @@ func floatsBuf(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// evalCtx runs candidate evaluations for one solve: through the compiled
-// tables and the λ-segment cache on the hot path, through fresh
-// task-struct derivations on the legacy path. Both produce bit-identical
-// floats — the compiled times and works are flattened copies, Gamma's
-// thresholds are float-exact against task.Leq, the area accumulates in
-// task order on both paths, and the critical path walks the same
-// topological order — so every search decision downstream is identical.
+// evalCtx runs candidate evaluations for one solve, through the compiled
+// tables and the λ-segment cache.
 type evalCtx struct {
 	g      *Graph
-	c      *instance.Compiled // nil on the legacy path
+	c      *instance.Compiled
 	sc     *Scratch
 	probes int
 	hits   int
+
+	// private marks c as compiled by this solve itself; release then
+	// drops it from the scratch, since no later solve can look it up.
+	private bool
 }
 
 func (g *Graph) evalContext(o Options) *evalCtx {
-	c := o.Compiled
-	if o.Legacy {
-		c = nil
-	} else if c == nil {
-		c = instance.Compile(g.in)
+	e := &evalCtx{g: g, c: o.Compiled, sc: auxScratch(o.Scratch)}
+	if e.c == nil {
+		e.c = instance.Compile(g.in)
+		e.private = true
 	}
-	return &evalCtx{g: g, c: c, sc: auxScratch(o.Scratch)}
+	return e
+}
+
+// release ends the solve: privately compiled tables leave the (possibly
+// pooled or lineage-pinned) scratch with it instead of pinning cache
+// entries until the wholesale clear. Caller-supplied tables stay hot.
+func (e *evalCtx) release() {
+	if e.private {
+		e.sc.DropCompiled(e.c)
+	}
 }
 
 // eval derives (γ(λ), times, Σw/m, CP) for a candidate deadline; ok is
-// false when some task cannot meet it. On the compiled path the returned
-// entry is owned by the segment cache — valid until the cache's wholesale
-// clear, so callers keeping an allotment across later evaluations must
-// copy it. The legacy path allocates fresh per call (the reference
-// behaviour the allocation benchmarks compare against).
+// false when some task cannot meet it. The returned entry is owned by the
+// segment cache — valid until the cache's wholesale clear, so callers
+// keeping an allotment across later evaluations must copy it.
 func (e *evalCtx) eval(lambda float64) *segEval {
-	if e.c == nil {
-		return e.evalLegacy(lambda)
-	}
 	e.probes++
 	key := segKey{c: e.c, edges: e.g.edgeHash, seg: e.c.Segment(lambda)}
 	if ent, ok := e.sc.seg[key]; ok {
@@ -257,37 +251,6 @@ func (e *evalCtx) eval(lambda float64) *segEval {
 	}
 	e.sc.put(key, ent)
 	return ent
-}
-
-func (e *evalCtx) evalLegacy(lambda float64) *segEval {
-	e.probes++
-	in := e.g.in
-	n := in.N()
-	ent := &segEval{alloc: make([]int, n), times: make([]float64, n), ok: true}
-	var raw float64
-	for i, t := range in.Tasks {
-		gm, ok := t.Canonical(lambda)
-		if !ok {
-			ent.ok = false
-			break
-		}
-		ent.alloc[i] = gm
-		ent.times[i] = t.Time(gm)
-		raw += t.Work(gm)
-	}
-	if ent.ok {
-		ent.area = raw / float64(in.M)
-		ent.cp = e.g.criticalPathInto(ent.times, make([]float64, n))
-	}
-	return ent
-}
-
-// timeOf is t_i(p) through whichever lookup path the solve runs.
-func (e *evalCtx) timeOf(i, p int) float64 {
-	if e.c != nil {
-		return e.c.Time(i, p)
-	}
-	return e.g.in.Tasks[i].Time(p)
 }
 
 // searchSeeded returns the smallest k in [0, n] with pred(k) true, like
@@ -317,7 +280,7 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 	g := e.g
 	cands := g.cands
 	seedFrom, seedCross := -1, -1
-	if warm != nil && e.c != nil {
+	if warm != nil {
 		if warm.Floor > 0 {
 			seedFrom = sort.SearchFloat64s(cands, warm.Floor)
 		}
@@ -344,7 +307,7 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 			bestL = math.Max(ent.area, ent.cp)
 		}
 	}
-	if warm != nil && e.c != nil && alloc != nil {
+	if warm != nil && alloc != nil {
 		if from < len(cands) {
 			warm.Floor = cands[from]
 		}
@@ -360,12 +323,10 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 }
 
 // SelectAllotment minimises L(γ(λ')) = max(Σ w(γ)/m, CP(γ(λ'))) over the
-// canonical-allotment family (see selectAllotment). The one-shot helper
-// runs the legacy lookup path — no table compilation — and is
-// bit-identical to the compiled solves.
+// canonical-allotment family (see selectAllotment), on privately compiled
+// tables and a private scratch.
 func (g *Graph) SelectAllotment() ([]int, float64) {
-	e := &evalCtx{g: g, sc: &Scratch{}}
-	return e.selectAllotment(nil)
+	return g.evalContext(Options{}).selectAllotment(nil)
 }
 
 // SolveCrossover runs the plain two-phase algorithm with no candidate
@@ -375,6 +336,7 @@ func (g *Graph) SelectAllotment() ([]int, float64) {
 // heuristic against.
 func (g *Graph) SolveCrossover(o Options) (Result, error) {
 	e := g.evalContext(o)
+	defer e.release()
 	alloc, _ := e.selectAllotment(o.Warm)
 	r := Result{Probes: e.probes, CacheHits: e.hits}
 	if alloc == nil {
@@ -409,6 +371,7 @@ func (g *Graph) ScheduleCrossover() (*schedule.Schedule, error) {
 // matching rigid.List.
 func (g *Graph) Solve(o Options) (Result, error) {
 	e := g.evalContext(o)
+	defer e.release()
 	in := g.in
 	n := in.N()
 	var best *schedule.Schedule
@@ -614,7 +577,7 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 	n := in.N()
 	times := floatsBuf(&sc.times, n)
 	for i := range times {
-		times[i] = e.timeOf(i, alloc[i])
+		times[i] = e.c.Time(i, alloc[i])
 	}
 	tail := floatsBuf(&sc.evtail, n)
 	g.criticalPathInto(times, tail)

@@ -45,10 +45,34 @@ func evalsEqual(a, b *segEval) bool {
 		math.Float64bits(a.cp) == math.Float64bits(b.cp)
 }
 
+// refEval is the reference the compiled evaluation answers to — the sole
+// surviving task-struct evaluator: it derives (γ(λ), times, Σw/m, CP)
+// straight from the task profiles, the way the pre-compiled implementation
+// did, with no tables, no thresholds and no cache.
+func refEval(g *Graph, lambda float64) *segEval {
+	in := g.in
+	n := in.N()
+	ent := &segEval{alloc: make([]int, n), times: make([]float64, n), ok: true}
+	var raw float64
+	for i, t := range in.Tasks {
+		gm, ok := t.Canonical(lambda)
+		if !ok {
+			ent.ok = false
+			return ent
+		}
+		ent.alloc[i] = gm
+		ent.times[i] = t.Time(gm)
+		raw += t.Work(gm)
+	}
+	ent.area = raw / float64(in.M)
+	ent.cp = g.criticalPathInto(ent.times, make([]float64, n))
+	return ent
+}
+
 // TestCompiledEvalMatchesLegacy is the property the whole compiled DAG
 // path rests on: at every candidate deadline of every graph, the
-// segment-cached compiled evaluation equals the fresh task-struct
-// evaluation bit for bit — allotment, times, area and critical path. A
+// segment-cached compiled evaluation equals the task-struct reference
+// (refEval) bit for bit — allotment, times, area and critical path. A
 // second compiled pass must resolve entirely from the segment cache and
 // still agree.
 func TestCompiledEvalMatchesLegacy(t *testing.T) {
@@ -57,18 +81,16 @@ func TestCompiledEvalMatchesLegacy(t *testing.T) {
 			in := gen(seed, 12, 6)
 			for gi, g := range testGraphs(t, in, seed) {
 				hot := &evalCtx{g: g, c: instance.Compile(in), sc: &Scratch{}}
-				ref := &evalCtx{g: g, sc: &Scratch{}} // legacy: c == nil
 				for _, lambda := range g.cands {
-					want := ref.evalLegacy(lambda)
+					want := refEval(g, lambda)
 					if got := hot.eval(lambda); !evalsEqual(got, want) {
-						t.Fatalf("%s/%d graph %d λ=%v: compiled %+v != legacy %+v",
+						t.Fatalf("%s/%d graph %d λ=%v: compiled %+v != reference %+v",
 							name, seed, gi, lambda, got, want)
 					}
 				}
 				probes, hits := hot.probes, hot.hits
 				for _, lambda := range g.cands {
-					want := ref.evalLegacy(lambda)
-					if got := hot.eval(lambda); !evalsEqual(got, want) {
+					if got := hot.eval(lambda); !evalsEqual(got, refEval(g, lambda)) {
 						t.Fatalf("%s/%d graph %d λ=%v: cached eval drifted", name, seed, gi, lambda)
 					}
 				}
@@ -97,12 +119,10 @@ func TestSegmentCacheIsolatesGraphs(t *testing.T) {
 	hotChain := &evalCtx{g: chain, c: c, sc: sc}
 	hotTree := &evalCtx{g: tree, c: c, sc: sc}
 	for _, lambda := range chain.cands {
-		want := (&evalCtx{g: chain, sc: &Scratch{}}).evalLegacy(lambda)
-		if got := hotChain.eval(lambda); !evalsEqual(got, want) {
+		if got := hotChain.eval(lambda); !evalsEqual(got, refEval(chain, lambda)) {
 			t.Fatalf("chain λ=%v diverged", lambda)
 		}
-		want = (&evalCtx{g: tree, sc: &Scratch{}}).evalLegacy(lambda)
-		if got := hotTree.eval(lambda); !evalsEqual(got, want) {
+		if got := hotTree.eval(lambda); !evalsEqual(got, refEval(tree, lambda)) {
 			t.Fatalf("tree λ=%v poisoned by chain's cache entry", lambda)
 		}
 	}
@@ -113,18 +133,46 @@ func TestSegmentCacheIsolatesGraphs(t *testing.T) {
 	}
 }
 
-// TestSolveCompiledMatchesLegacy: the full heuristic and the plain
-// crossover solve must produce identical schedules and probe-visible
-// results across the legacy path, a cold compiled solve, and a hot
-// compiled re-solve on the same scratch (which must actually hit the
-// cache).
+// TestPrivateTablesLeaveScratch: a solve that compiled its own tables
+// must not leave their segment entries in a borrowed scratch — nothing can
+// look them up again — while caller-supplied tables stay hot.
+func TestPrivateTablesLeaveScratch(t *testing.T) {
+	in := instance.Mixed(3, 14, 7)
+	cs := core.NewScratch()
+	for _, g := range testGraphs(t, in, 3) {
+		for _, run := range []func(Options) (Result, error){g.Solve, g.SolveCrossover} {
+			if _, err := run(Options{Scratch: cs}); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(auxScratch(cs).seg); n != 0 {
+				t.Fatalf("%d segment entries of private tables left in the scratch", n)
+			}
+		}
+	}
+	c := instance.Compile(in)
+	if _, err := testGraphs(t, in, 3)[0].Solve(Options{Compiled: c, Scratch: cs}); err != nil {
+		t.Fatal(err)
+	}
+	if len(auxScratch(cs).seg) == 0 {
+		t.Fatal("caller-supplied tables were evicted from the caller's scratch")
+	}
+}
+
+// TestSolveCompiledMatchesLegacy: the segment cache must be invisible in
+// the full heuristic and the plain crossover solve alike. On one scratch
+// shared by an instance's graphs, a cold solve, a hot re-solve (which must
+// actually hit the cache) and a self-compiled solve all return what a
+// solve on a fresh private scratch returns, schedule and probe count.
 func TestSolveCompiledMatchesLegacy(t *testing.T) {
 	for name, gen := range instance.Families() {
 		for seed := int64(1); seed <= 3; seed++ {
 			in := gen(seed, 14, 7)
+			c := instance.Compile(in)
+			// Shared by the instance's three graphs and both solvers, and
+			// small enough to stay under the cache's wholesale clear, which
+			// would void the all-hits assertion below.
+			cs := core.NewScratch()
 			for gi, g := range testGraphs(t, in, seed) {
-				c := instance.Compile(in)
-				cs := core.NewScratch()
 				for _, solve := range []struct {
 					tag string
 					run func(Options) (Result, error)
@@ -132,10 +180,10 @@ func TestSolveCompiledMatchesLegacy(t *testing.T) {
 					{"solve", g.Solve},
 					{"crossover", g.SolveCrossover},
 				} {
-					ref, refErr := solve.run(Options{Legacy: true})
+					ref, refErr := solve.run(Options{Compiled: c}) // fresh private scratch
 					cold, coldErr := solve.run(Options{Compiled: c, Scratch: cs})
 					hot, hotErr := solve.run(Options{Compiled: c, Scratch: cs})
-					auto, autoErr := solve.run(Options{}) // self-compiled, private scratch
+					auto, autoErr := solve.run(Options{Scratch: cs}) // self-compiled
 					if (refErr == nil) != (coldErr == nil) || (refErr == nil) != (hotErr == nil) ||
 						(refErr == nil) != (autoErr == nil) {
 						t.Fatalf("%s/%d graph %d %s: error disagreement %v/%v/%v/%v",
@@ -144,17 +192,15 @@ func TestSolveCompiledMatchesLegacy(t *testing.T) {
 					if refErr != nil {
 						continue
 					}
+					// Probes is a property of the search alone: identical
+					// cold or hot, cached or not.
 					for tag, got := range map[string]*Result{"cold": &cold, "hot": &hot, "auto": &auto} {
 						if !reflect.DeepEqual(got.Schedule, ref.Schedule) {
-							t.Fatalf("%s/%d graph %d %s: %s schedule != legacy\n got %+v\nwant %+v",
+							t.Fatalf("%s/%d graph %d %s: %s schedule != fresh-scratch\n got %+v\nwant %+v",
 								name, seed, gi, solve.tag, tag, got.Schedule, ref.Schedule)
 						}
-					}
-					// Probes is a property of the search alone: identical on
-					// every path, cold or hot, cached or not.
-					for tag, got := range map[string]*Result{"cold": &cold, "hot": &hot, "auto": &auto} {
 						if got.Probes != ref.Probes {
-							t.Fatalf("%s/%d graph %d %s: %s probes %d != legacy %d",
+							t.Fatalf("%s/%d graph %d %s: %s probes %d != fresh-scratch %d",
 								name, seed, gi, solve.tag, tag, got.Probes, ref.Probes)
 						}
 					}

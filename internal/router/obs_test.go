@@ -27,7 +27,7 @@ func TestRouterMetricsz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := postJSON(t, r.Handler(), "/v1/schedule", server.ScheduleRequest{Instance: raw})
+	rec := postJSON(t, r.Handler(), "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("schedule via router: status %d", rec.Code)
 	}
@@ -75,7 +75,7 @@ func TestRouterStatszSchemaDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := postJSON(t, r.Handler(), "/v1/schedule", server.ScheduleRequest{Instance: raw}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, r.Handler(), "/v1/schedule", wire.ScheduleRequest{Instance: raw}); rec.Code != http.StatusOK {
 		t.Fatalf("schedule: status %d", rec.Code)
 	}
 
@@ -152,7 +152,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := postJSON(t, r.Handler(), "/v1/schedule", server.ScheduleRequest{Instance: raw})
+	rec := postJSON(t, r.Handler(), "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("schedule via router: status %d", rec.Code)
 	}
@@ -172,7 +172,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	// A client-supplied ID is honoured end to end, too.
-	buf, err := json.Marshal(server.ScheduleRequest{Instance: raw})
+	buf, err := json.Marshal(wire.ScheduleRequest{Instance: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRouterSlowLogging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := postJSON(t, r.Handler(), "/v1/schedule", server.ScheduleRequest{Instance: raw}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, r.Handler(), "/v1/schedule", wire.ScheduleRequest{Instance: raw}); rec.Code != http.StatusOK {
 		t.Fatalf("schedule: status %d", rec.Code)
 	}
 	mu.Lock()

@@ -371,8 +371,8 @@ func TestBinaryDAGThroughRouter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cyclic graph error not binary-typed: %v", err)
 	}
-	if eb.Error.Code != server.CodeBadGraph {
-		t.Fatalf("cyclic graph code %q, want %q", eb.Error.Code, server.CodeBadGraph)
+	if eb.Error.Code != wire.CodeBadGraph {
+		t.Fatalf("cyclic graph code %q, want %q", eb.Error.Code, wire.CodeBadGraph)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"malsched/internal/instance"
+	"malsched/internal/wire"
 )
 
 // blockingServer builds a server whose admitted requests park on a gate
@@ -59,7 +60,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, _ := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw})
+			status, _ := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 			results <- status
 		}()
 		awaitTick(t, b.entered, "request to be admitted")
@@ -67,9 +68,9 @@ func TestAdmissionQueueFull(t *testing.T) {
 
 	// Third request: queue full, typed rejection. Both endpoints shed.
 	for _, path := range []string{"/v1/schedule", "/v1/batch"} {
-		var body any = ScheduleRequest{Instance: raw}
+		var body any = wire.ScheduleRequest{Instance: raw}
 		if path == "/v1/batch" {
-			body = BatchRequest{Instances: []json.RawMessage{raw}}
+			body = wire.BatchRequest{Instances: []json.RawMessage{raw}}
 		}
 		buf, err := json.Marshal(body)
 		if err != nil {
@@ -85,9 +86,9 @@ func TestAdmissionQueueFull(t *testing.T) {
 		if ra := resp.Header.Get("Retry-After"); ra == "" {
 			t.Fatalf("%s: 429 without Retry-After", path)
 		}
-		var eb ErrorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Code != CodeQueueFull {
-			t.Fatalf("%s: error %+v (decode err %v), want %s", path, eb.Error, err, CodeQueueFull)
+		var eb wire.ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Code != wire.CodeQueueFull {
+			t.Fatalf("%s: error %+v (decode err %v), want %s", path, eb.Error, err, wire.CodeQueueFull)
 		}
 		resp.Body.Close()
 	}
@@ -107,7 +108,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 		}
 	}
 	b.Server.admitted = nil
-	if status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw}); status != http.StatusOK {
+	if status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); status != http.StatusOK {
 		t.Fatalf("queue did not recover: HTTP %d: %s", status, body)
 	}
 	if st := b.Stats(); st.Queue.InFlight != 0 {
@@ -131,7 +132,7 @@ func TestDrain(t *testing.T) {
 	// Park one request in flight, then start draining.
 	inFlight := make(chan int, 1)
 	go func() {
-		status, _ := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw})
+		status, _ := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 		inFlight <- status
 	}()
 	awaitTick(t, b.entered, "in-flight request")
@@ -148,12 +149,12 @@ func TestDrain(t *testing.T) {
 
 	// New work is refused with the typed draining error on both endpoints.
 	for _, path := range []string{"/v1/schedule", "/v1/batch"} {
-		var reqBody any = ScheduleRequest{Instance: raw}
+		var reqBody any = wire.ScheduleRequest{Instance: raw}
 		if path == "/v1/batch" {
-			reqBody = BatchRequest{Instances: []json.RawMessage{raw}}
+			reqBody = wire.BatchRequest{Instances: []json.RawMessage{raw}}
 		}
 		status, body := post(t, ts, path, reqBody)
-		if status != http.StatusServiceUnavailable || errCode(t, body) != CodeDraining {
+		if status != http.StatusServiceUnavailable || errCode(t, body) != wire.CodeDraining {
 			t.Fatalf("%s while draining: HTTP %d %s", path, status, body)
 		}
 	}

@@ -33,7 +33,7 @@ func benchSchedule(b *testing.B, binary bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		body, err = json.Marshal(ScheduleRequest{Instance: raw})
+		body, err = json.Marshal(wire.ScheduleRequest{Instance: raw})
 		if err != nil {
 			b.Fatal(err)
 		}

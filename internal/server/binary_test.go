@@ -14,7 +14,7 @@ import (
 )
 
 // postBinary sends a binary-encoded /v1/schedule request.
-func postBinary(t *testing.T, ts *httptest.Server, in *instance.Instance, opts *RequestOptions) (int, []byte, string) {
+func postBinary(t *testing.T, ts *httptest.Server, in *instance.Instance, opts *wire.RequestOptions) (int, []byte, string) {
 	t.Helper()
 	buf := wire.AppendScheduleRequest(nil, in, nil, opts)
 	resp, err := http.Post(ts.URL+"/v1/schedule", wire.ContentType, bytes.NewReader(buf))
@@ -54,11 +54,11 @@ func TestBinaryScheduleBitIdenticalToJSON(t *testing.T) {
 			}
 
 			raw := mustRaw(t, in)
-			status, jbody := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw})
+			status, jbody := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 			if status != http.StatusOK {
 				t.Fatalf("%s/%d: JSON HTTP %d: %s", name, seed, status, jbody)
 			}
-			var js ScheduleResponse
+			var js wire.ScheduleResponse
 			if err := json.Unmarshal(jbody, &js); err != nil {
 				t.Fatal(err)
 			}
@@ -112,15 +112,15 @@ func TestBinaryDAGSchedule(t *testing.T) {
 				t.Fatalf("%s/%d: solved by %q, want dag", name, seed, bin.Solver)
 			}
 
-			status, jbody := post(t, ts, "/v1/schedule", ScheduleRequest{
+			status, jbody := post(t, ts, "/v1/schedule", wire.ScheduleRequest{
 				Instance: mustRaw(t, in), Graph: graph,
-				Options: &RequestOptions{Solver: "dag"},
+				Options: &wire.RequestOptions{Solver: "dag"},
 			})
 			graphs++
 			if status != http.StatusOK {
 				t.Fatalf("%s/%d: JSON DAG HTTP %d: %s", name, seed, status, jbody)
 			}
-			var js ScheduleResponse
+			var js wire.ScheduleResponse
 			if err := json.Unmarshal(jbody, &js); err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestBinaryDAGSchedule(t *testing.T) {
 		t.Fatalf("cyclic graph: HTTP %d, want 400", resp.StatusCode)
 	}
 	eb, err := wire.DecodeError(body)
-	if err != nil || eb.Error.Code != CodeBadGraph {
+	if err != nil || eb.Error.Code != wire.CodeBadGraph {
 		t.Fatalf("cyclic graph error: %+v, %v", eb, err)
 	}
 
@@ -180,18 +180,18 @@ func TestBinaryErrorsAreBinary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("error body is not binary: %v (%q)", err, body)
 	}
-	if eb.Error.Code != CodeBadRequest {
-		t.Fatalf("code %q, want %q", eb.Error.Code, CodeBadRequest)
+	if eb.Error.Code != wire.CodeBadRequest {
+		t.Fatalf("code %q, want %q", eb.Error.Code, wire.CodeBadRequest)
 	}
 
 	// Unknown solver → bad options class, still binary.
 	in := instance.Mixed(1, 5, 4)
-	status, body2, ct := postBinary(t, ts, in, &RequestOptions{Solver: "no-such-solver"})
+	status, body2, ct := postBinary(t, ts, in, &wire.RequestOptions{Solver: "no-such-solver"})
 	if status != http.StatusBadRequest || ct != wire.ContentType {
 		t.Fatalf("unknown solver: HTTP %d, Content-Type %q", status, ct)
 	}
 	eb2, err := wire.DecodeError(body2)
-	if err != nil || eb2.Error.Code != CodeUnknownSolver {
+	if err != nil || eb2.Error.Code != wire.CodeUnknownSolver {
 		t.Fatalf("unknown solver error: %+v, %v", eb2, err)
 	}
 }
@@ -225,7 +225,7 @@ func TestBinaryQueueFullIsBinary(t *testing.T) {
 		t.Fatalf("shed request: HTTP %d, Content-Type %q", status, ct)
 	}
 	eb, err := wire.DecodeError(body)
-	if err != nil || eb.Error.Code != CodeQueueFull {
+	if err != nil || eb.Error.Code != wire.CodeQueueFull {
 		t.Fatalf("shed error: %+v, %v", eb, err)
 	}
 }
@@ -256,7 +256,7 @@ func TestNegotiationIsByContentTypeOnly(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("binary body under JSON Content-Type: HTTP %d", resp.StatusCode)
 	}
-	if errCode(t, body) != CodeBadRequest {
+	if errCode(t, body) != wire.CodeBadRequest {
 		t.Fatalf("want JSON bad_request, got %s", body)
 	}
 }

@@ -11,11 +11,12 @@ import (
 	"malsched/internal/schedule"
 	"malsched/internal/solver"
 	"malsched/internal/verify"
+	"malsched/internal/wire"
 )
 
 // planOfJSON reconstructs an in-process schedule from its wire form so the
 // client-side tests can re-run the verifier on exactly what came over HTTP.
-func planOfJSON(pj PlanJSON) *schedule.Schedule {
+func planOfJSON(pj wire.PlanJSON) *schedule.Schedule {
 	p := &schedule.Schedule{Algorithm: pj.Algorithm}
 	for _, pl := range pj.Placements {
 		p.Placements = append(p.Placements, schedule.Placement{
@@ -37,13 +38,13 @@ func TestScheduleDAGRequest(t *testing.T) {
 	in := instance.Mixed(7, 5, 4)
 	raw := mustRaw(t, in)
 	graph := precedence.ChainEdges(in.N())
-	req := ScheduleRequest{Instance: raw, Graph: graph, Options: &RequestOptions{Solver: solver.DAGSolverName}}
+	req := wire.ScheduleRequest{Instance: raw, Graph: graph, Options: &wire.RequestOptions{Solver: solver.DAGSolverName}}
 
 	status, body := post(t, ts, "/v1/schedule", req)
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
-	var resp ScheduleResponse
+	var resp wire.ScheduleResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +62,19 @@ func TestScheduleDAGRequest(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("repeat: HTTP %d: %s", status, body)
 	}
-	var again ScheduleResponse
+	var again wire.ScheduleResponse
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatal(err)
 	}
 	if !again.FromMemo {
 		t.Fatal("repeated DAG request did not hit the memo")
 	}
-	proj := ScheduleRequest{Instance: raw, Options: &RequestOptions{Solver: solver.DAGSolverName}}
+	proj := wire.ScheduleRequest{Instance: raw, Options: &wire.RequestOptions{Solver: solver.DAGSolverName}}
 	status, body = post(t, ts, "/v1/schedule", proj)
 	if status != http.StatusOK {
 		t.Fatalf("projection: HTTP %d: %s", status, body)
 	}
-	var pres ScheduleResponse
+	var pres wire.ScheduleResponse
 	if err := json.Unmarshal(body, &pres); err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +105,14 @@ func TestScheduleHostileGraphs(t *testing.T) {
 		{"shape-long", [][]int{nil, nil, nil, nil, nil}},
 	}
 	for _, tc := range cases {
-		req := ScheduleRequest{Instance: raw, Graph: tc.graph, Options: &RequestOptions{Solver: solver.DAGSolverName}}
+		req := wire.ScheduleRequest{Instance: raw, Graph: tc.graph, Options: &wire.RequestOptions{Solver: solver.DAGSolverName}}
 		status, body := post(t, ts, "/v1/schedule", req)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400 (%s)", tc.name, status, body)
 			continue
 		}
-		if code := errCode(t, body); code != CodeBadGraph {
-			t.Errorf("%s: error code %q, want %q", tc.name, code, CodeBadGraph)
+		if code := errCode(t, body); code != wire.CodeBadGraph {
+			t.Errorf("%s: error code %q, want %q", tc.name, code, wire.CodeBadGraph)
 		}
 	}
 	for i, sh := range s.Stats().Shards {
@@ -131,17 +132,17 @@ func TestScheduleGraphNeedsEdgeAwareSolver(t *testing.T) {
 	in := instance.Mixed(5, 3, 4)
 	raw := mustRaw(t, in)
 	graph := precedence.ChainEdges(in.N())
-	for _, opts := range []*RequestOptions{
+	for _, opts := range []*wire.RequestOptions{
 		{Solver: solver.PaperSolverName},
 		nil, // server default solver is edge-blind
 		{Portfolio: []string{"mrt", "twy-ffdh"}},
 	} {
-		status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw, Graph: graph, Options: opts})
+		status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw, Graph: graph, Options: opts})
 		if status != http.StatusBadRequest {
 			t.Fatalf("opts %+v: HTTP %d, want 400 (%s)", opts, status, body)
 		}
-		if code := errCode(t, body); code != CodeBadOptions {
-			t.Fatalf("opts %+v: error code %q, want %q", opts, code, CodeBadOptions)
+		if code := errCode(t, body); code != wire.CodeBadOptions {
+			t.Fatalf("opts %+v: error code %q, want %q", opts, code, wire.CodeBadOptions)
 		}
 	}
 }
@@ -155,12 +156,12 @@ func TestScheduleEmptyGraphIsValid(t *testing.T) {
 
 	in := instance.Mixed(11, 4, 4)
 	graph := make([][]int, in.N())
-	req := ScheduleRequest{Instance: mustRaw(t, in), Graph: graph, Options: &RequestOptions{Solver: solver.DAGCrossoverSolverName}}
+	req := wire.ScheduleRequest{Instance: mustRaw(t, in), Graph: graph, Options: &wire.RequestOptions{Solver: solver.DAGCrossoverSolverName}}
 	status, body := post(t, ts, "/v1/schedule", req)
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
-	var resp ScheduleResponse
+	var resp wire.ScheduleResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}

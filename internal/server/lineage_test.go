@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"malsched/internal/instance"
+	"malsched/internal/wire"
 )
 
 // lineageChain encodes a parent instance and a sequence of residual
@@ -46,15 +47,15 @@ func TestLineageRequestsWarmAndIdentical(t *testing.T) {
 	defer ts.Close()
 
 	chain := lineageChain(t, 6)
-	opts := &RequestOptions{Lineage: "client-7/queue-a"}
+	opts := &wire.RequestOptions{Lineage: "client-7/queue-a"}
 	shard := -1
 	var warmSynth int
 	for i, raw := range chain {
-		status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw, Options: opts})
+		status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw, Options: opts})
 		if status != http.StatusOK {
 			t.Fatalf("step %d: status %d: %s", i, status, body)
 		}
-		var warm ScheduleResponse
+		var warm wire.ScheduleResponse
 		if err := json.Unmarshal(body, &warm); err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +66,11 @@ func TestLineageRequestsWarmAndIdentical(t *testing.T) {
 		}
 		warmSynth += warm.Synthesized
 
-		status, body = post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw})
+		status, body = post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 		if status != http.StatusOK {
 			t.Fatalf("step %d cold: status %d: %s", i, status, body)
 		}
-		var cold ScheduleResponse
+		var cold wire.ScheduleResponse
 		if err := json.Unmarshal(body, &cold); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestLineageRegistryResidency(t *testing.T) {
 	chain := lineageChain(t, 8)
 	for _, raw := range chain {
 		status, body := post(t, ts, "/v1/schedule",
-			ScheduleRequest{Instance: raw, Options: &RequestOptions{Lineage: "lin-1"}})
+			wire.ScheduleRequest{Instance: raw, Options: &wire.RequestOptions{Lineage: "lin-1"}})
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, body)
 		}
@@ -149,11 +150,11 @@ func TestLineageTooLong(t *testing.T) {
 	defer ts.Close()
 
 	in := instance.Mixed(1, 6, 4)
-	status, body := post(t, ts, "/v1/schedule", ScheduleRequest{
+	status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{
 		Instance: mustRaw(t, in),
-		Options:  &RequestOptions{Lineage: strings.Repeat("x", MaxLineageBytes+1)},
+		Options:  &wire.RequestOptions{Lineage: strings.Repeat("x", MaxLineageBytes+1)},
 	})
-	if status != http.StatusBadRequest || errCode(t, body) != CodeBadOptions {
-		t.Fatalf("want 400 %s, got %d %s", CodeBadOptions, status, body)
+	if status != http.StatusBadRequest || errCode(t, body) != wire.CodeBadOptions {
+		t.Fatalf("want 400 %s, got %d %s", wire.CodeBadOptions, status, body)
 	}
 }

@@ -212,9 +212,6 @@ func solverLabel(o engine.Options) string {
 	if o.Solver != "" {
 		return o.Solver
 	}
-	if o.Baseline != "" {
-		return o.Baseline
-	}
 	return solver.PaperSolverName
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"malsched/internal/instance"
 	"malsched/internal/obs"
+	"malsched/internal/wire"
 )
 
 // A /metricsz scrape after traffic must expose the documented metric
@@ -25,7 +26,7 @@ func TestMetricszExposition(t *testing.T) {
 	defer ts.Close()
 
 	in := instance.Mixed(1, 10, 8)
-	status, _ := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: mustRaw(t, in)})
+	status, _ := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: mustRaw(t, in)})
 	if status != http.StatusOK {
 		t.Fatalf("schedule: status %d", status)
 	}
@@ -87,7 +88,7 @@ func TestStatszSchemaDrift(t *testing.T) {
 	defer ts.Close()
 
 	in := instance.Mixed(1, 8, 8)
-	if status, _ := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: mustRaw(t, in)}); status != http.StatusOK {
+	if status, _ := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: mustRaw(t, in)}); status != http.StatusOK {
 		t.Fatalf("schedule: status %d", status)
 	}
 
@@ -156,8 +157,8 @@ func TestScheduleTrace(t *testing.T) {
 	in := instance.Mixed(7, 12, 8)
 	raw := mustRaw(t, in)
 
-	var plain, traced ScheduleResponse
-	if status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw}); status != http.StatusOK {
+	var plain, traced wire.ScheduleResponse
+	if status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); status != http.StatusOK {
 		t.Fatalf("untraced: status %d", status)
 	} else if err := json.Unmarshal(body, &plain); err != nil {
 		t.Fatal(err)
@@ -170,8 +171,8 @@ func TestScheduleTrace(t *testing.T) {
 	s2 := New(Config{Shards: 1, Workers: 1})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	status, body := post(t, ts2, "/v1/schedule", ScheduleRequest{
-		Instance: raw, Options: &RequestOptions{Trace: true},
+	status, body := post(t, ts2, "/v1/schedule", wire.ScheduleRequest{
+		Instance: raw, Options: &wire.RequestOptions{Trace: true},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("traced: status %d", status)
@@ -209,9 +210,9 @@ func TestScheduleTrace(t *testing.T) {
 	}
 
 	// Memo hit: phases present, probes absent.
-	var hit ScheduleResponse
-	if status, body := post(t, ts2, "/v1/schedule", ScheduleRequest{
-		Instance: raw, Options: &RequestOptions{Trace: true},
+	var hit wire.ScheduleResponse
+	if status, body := post(t, ts2, "/v1/schedule", wire.ScheduleRequest{
+		Instance: raw, Options: &wire.RequestOptions{Trace: true},
 	}); status != http.StatusOK {
 		t.Fatalf("memo-hit: status %d", status)
 	} else if err := json.Unmarshal(body, &hit); err != nil {
@@ -237,10 +238,10 @@ func TestCompileStageOnlyOnMemoMiss(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := ScheduleRequest{Instance: mustRaw(t, instance.Mixed(11, 48, 32)), Options: &RequestOptions{Trace: true}}
-	schedule := func() ScheduleResponse {
+	req := wire.ScheduleRequest{Instance: mustRaw(t, instance.Mixed(11, 48, 32)), Options: &wire.RequestOptions{Trace: true}}
+	schedule := func() wire.ScheduleResponse {
 		t.Helper()
-		var resp ScheduleResponse
+		var resp wire.ScheduleResponse
 		if status, body := post(t, ts, "/v1/schedule", req); status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, body)
 		} else if err := json.Unmarshal(body, &resp); err != nil {
@@ -279,7 +280,7 @@ func TestRequestIDEcho(t *testing.T) {
 	defer ts.Close()
 
 	in := instance.Mixed(3, 8, 8)
-	buf, err := json.Marshal(ScheduleRequest{Instance: mustRaw(t, in)})
+	buf, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(t, in)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestRequestLogging(t *testing.T) {
 	defer ts.Close()
 
 	in := instance.Mixed(5, 8, 8)
-	buf, err := json.Marshal(ScheduleRequest{Instance: mustRaw(t, in), Options: &RequestOptions{Trace: true}})
+	buf, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(t, in), Options: &wire.RequestOptions{Trace: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

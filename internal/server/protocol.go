@@ -12,44 +12,14 @@ import (
 
 // The request/response/error shapes of the msserve API live in
 // internal/wire, shared between the JSON codec, the binary codec and the
-// routing tier (internal/router); the aliases below keep this package the
-// one import servers of the API need. The instance payload of the JSON
-// codec uses the module's one JSON instance codec (instance.ReadJSON /
-// WriteJSON), so msgen output pastes directly into a request; the binary
-// codec encodes the same instance inline through the same validating
-// constructors.
+// routing tier (internal/router); this file keeps only what is the
+// server's own: the /statsz and /healthz bodies and the instance and
+// outcome mappings. The instance payload of the JSON codec uses the
+// module's one JSON instance codec (instance.ReadJSON / WriteJSON), so
+// msgen output pastes directly into a request; the binary codec encodes
+// the same instance inline through the same validating constructors.
 //
 // The full schema is documented in docs/SERVICE.md.
-type (
-	RequestOptions   = wire.RequestOptions
-	ScheduleRequest  = wire.ScheduleRequest
-	BatchRequest     = wire.BatchRequest
-	PlacementJSON    = wire.PlacementJSON
-	PlanJSON         = wire.PlanJSON
-	ScheduleResponse = wire.ScheduleResponse
-	ErrorInfo        = wire.ErrorInfo
-	ErrorBody        = wire.ErrorBody
-	BatchItem        = wire.BatchItem
-	BatchResponse    = wire.BatchResponse
-)
-
-// Error codes, re-exported from the wire package. The admission codes
-// (queue_full, draining) map to 429/503, validation codes to 400, solve
-// failures to 422/504, and verification failures — a schedule the server
-// refuses to vouch for — to 500.
-const (
-	CodeBadRequest    = wire.CodeBadRequest
-	CodeBadInstance   = wire.CodeBadInstance
-	CodeUnknownSolver = wire.CodeUnknownSolver
-	CodeBadOptions    = wire.CodeBadOptions
-	CodeBadGraph      = wire.CodeBadGraph
-	CodeQueueFull     = wire.CodeQueueFull
-	CodeDraining      = wire.CodeDraining
-	CodeTimeout       = wire.CodeTimeout
-	CodeUnschedulable = wire.CodeUnschedulable
-	CodeVerifyFailed  = wire.CodeVerifyFailed
-	CodeInternal      = wire.CodeInternal
-)
 
 // QueueStats snapshots the admission queue for /statsz.
 type QueueStats struct {
@@ -132,8 +102,8 @@ func EncodeInstance(in *instance.Instance) (json.RawMessage, error) {
 
 // ResponseOf maps an engine outcome onto the wire type; shard is the
 // serving shard index.
-func ResponseOf(in *instance.Instance, out engine.Outcome, shard int) *ScheduleResponse {
-	return &ScheduleResponse{
+func ResponseOf(in *instance.Instance, out engine.Outcome, shard int) *wire.ScheduleResponse {
+	return &wire.ScheduleResponse{
 		Name:        in.Name,
 		Makespan:    out.Makespan,
 		LowerBound:  out.LowerBound,
@@ -147,10 +117,10 @@ func ResponseOf(in *instance.Instance, out engine.Outcome, shard int) *ScheduleR
 	}
 }
 
-func planJSON(p *schedule.Schedule) PlanJSON {
-	out := PlanJSON{Algorithm: p.Algorithm, Placements: make([]PlacementJSON, len(p.Placements))}
+func planJSON(p *schedule.Schedule) wire.PlanJSON {
+	out := wire.PlanJSON{Algorithm: p.Algorithm, Placements: make([]wire.PlacementJSON, len(p.Placements))}
 	for i, pl := range p.Placements {
-		out.Placements[i] = PlacementJSON{
+		out.Placements[i] = wire.PlacementJSON{
 			Task: pl.Task, Start: pl.Start, Width: pl.Width, First: pl.First, ProcSet: pl.ProcSet,
 		}
 	}

@@ -249,9 +249,9 @@ func (s *Server) Stats() StatsResponse {
 
 // admit takes an admission token, or reports why it cannot. One token is
 // held per scheduling request (single or batch) for its whole lifetime.
-func (s *Server) admit() (release func(), errInfo *ErrorInfo, status int) {
+func (s *Server) admit() (release func(), errInfo *wire.ErrorInfo, status int) {
 	if s.draining.Load() {
-		return nil, &ErrorInfo{Code: CodeDraining, Message: "server is draining; retry against another replica"}, http.StatusServiceUnavailable
+		return nil, &wire.ErrorInfo{Code: wire.CodeDraining, Message: "server is draining; retry against another replica"}, http.StatusServiceUnavailable
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -262,8 +262,8 @@ func (s *Server) admit() (release func(), errInfo *ErrorInfo, status int) {
 		return func() { <-s.sem }, nil, 0
 	default:
 		s.rejected.Add(1)
-		return nil, &ErrorInfo{
-			Code:    CodeQueueFull,
+		return nil, &wire.ErrorInfo{
+			Code:    wire.CodeQueueFull,
 			Message: fmt.Sprintf("admission queue full (%d in flight); retry after backoff", s.cfg.QueueDepth),
 		}, http.StatusTooManyRequests
 	}
@@ -274,7 +274,7 @@ func (s *Server) admit() (release func(), errInfo *ErrorInfo, status int) {
 func (s *Server) admitOrReject(w http.ResponseWriter) (release func(), ok bool) {
 	release, errInfo, status := s.admit()
 	if errInfo != nil {
-		if errInfo.Code == CodeQueueFull {
+		if errInfo.Code == wire.CodeQueueFull {
 			w.Header().Set("Retry-After", "1")
 		}
 		writeError(w, status, errInfo)
@@ -286,7 +286,7 @@ func (s *Server) admitOrReject(w http.ResponseWriter) (release func(), ok bool) 
 // resolveOptions validates the per-request options against the registry and
 // the server's caps, returning the engine options and the effective
 // timeout.
-func (s *Server) resolveOptions(ro *RequestOptions) (engine.Options, time.Duration, *ErrorInfo) {
+func (s *Server) resolveOptions(ro *wire.RequestOptions) (engine.Options, time.Duration, *wire.ErrorInfo) {
 	var o engine.Options
 	timeout := s.cfg.DefaultTimeout
 	if timeout > s.cfg.MaxTimeout {
@@ -300,21 +300,21 @@ func (s *Server) resolveOptions(ro *RequestOptions) (engine.Options, time.Durati
 	if len(ro.Portfolio) > 0 {
 		for _, name := range ro.Portfolio {
 			if name == solver.PortfolioName {
-				return o, 0, &ErrorInfo{Code: CodeBadOptions, Message: "portfolio members must be leaf solvers, not \"portfolio\""}
+				return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: "portfolio members must be leaf solvers, not \"portfolio\""}
 			}
 			if _, ok := solver.Lookup(name); !ok {
-				return o, 0, &ErrorInfo{Code: CodeUnknownSolver, Message: solver.ErrUnknown(name).Error()}
+				return o, 0, &wire.ErrorInfo{Code: wire.CodeUnknownSolver, Message: solver.ErrUnknown(name).Error()}
 			}
 		}
 		o.Portfolio = append([]string(nil), ro.Portfolio...)
 	} else if ro.Solver != "" {
 		if _, ok := solver.Lookup(ro.Solver); !ok {
-			return o, 0, &ErrorInfo{Code: CodeUnknownSolver, Message: solver.ErrUnknown(ro.Solver).Error()}
+			return o, 0, &wire.ErrorInfo{Code: wire.CodeUnknownSolver, Message: solver.ErrUnknown(ro.Solver).Error()}
 		}
 		o.Solver = ro.Solver
 	}
 	if ro.Eps < 0 || ro.Eps != ro.Eps || ro.Eps > 1 {
-		return o, 0, &ErrorInfo{Code: CodeBadOptions, Message: fmt.Sprintf("eps must be in [0, 1], got %v", ro.Eps)}
+		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("eps must be in [0, 1], got %v", ro.Eps)}
 	}
 	o.Eps = ro.Eps
 	o.Compact = ro.Compact
@@ -324,11 +324,11 @@ func (s *Server) resolveOptions(ro *RequestOptions) (engine.Options, time.Durati
 	// (frozen layout; see wire.RequestOptions.Trace).
 	o.Trace = ro.Trace
 	if ro.Parallelism < 0 || ro.Parallelism > s.cfg.MaxParallelism {
-		return o, 0, &ErrorInfo{Code: CodeBadOptions, Message: fmt.Sprintf("parallelism must be in [0, %d], got %d", s.cfg.MaxParallelism, ro.Parallelism)}
+		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("parallelism must be in [0, %d], got %d", s.cfg.MaxParallelism, ro.Parallelism)}
 	}
 	o.Parallelism = ro.Parallelism
 	if ro.TimeoutMS < 0 {
-		return o, 0, &ErrorInfo{Code: CodeBadOptions, Message: fmt.Sprintf("timeout_ms must be ≥ 0, got %d", ro.TimeoutMS)}
+		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("timeout_ms must be ≥ 0, got %d", ro.TimeoutMS)}
 	}
 	if ro.TimeoutMS > 0 {
 		timeout = time.Duration(ro.TimeoutMS) * time.Millisecond
@@ -337,13 +337,13 @@ func (s *Server) resolveOptions(ro *RequestOptions) (engine.Options, time.Durati
 		timeout = s.cfg.MaxTimeout
 	}
 	if len(ro.Lineage) > MaxLineageBytes {
-		return o, 0, &ErrorInfo{Code: CodeBadOptions, Message: fmt.Sprintf("lineage key exceeds %d bytes", MaxLineageBytes)}
+		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("lineage key exceeds %d bytes", MaxLineageBytes)}
 	}
 	return o, timeout, nil
 }
 
 // lineageOf extracts the validated lineage key of a request's options.
-func lineageOf(ro *RequestOptions) string {
+func lineageOf(ro *wire.RequestOptions) string {
 	if ro == nil {
 		return ""
 	}
@@ -374,7 +374,7 @@ func lineageHash(lineage string) uint64 {
 // one set of tables per shard, and a memo hit pays for none. The shard's
 // solve slots bound concurrency to Config.Workers across all requests,
 // compilation included.
-func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx) (*ScheduleResponse, *ErrorInfo, int) {
+func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx) (*wire.ScheduleResponse, *wire.ErrorInfo, int) {
 	hash := engine.Fingerprint(in, o)
 	warm := lineage != "" && engine.WantsCompiled(o)
 	var shard int
@@ -420,8 +420,8 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 		st.verify = time.Since(t).Nanoseconds()
 		set.observe(st)
 		rc.st = st
-		return nil, &ErrorInfo{
-			Code:    CodeVerifyFailed,
+		return nil, &wire.ErrorInfo{
+			Code:    wire.CodeVerifyFailed,
 			Message: fmt.Sprintf("refusing to serve an unverified schedule for %q: %v", in.Name, err),
 		}, http.StatusInternalServerError
 	}
@@ -434,8 +434,8 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 			st.verify = time.Since(t).Nanoseconds()
 			set.observe(st)
 			rc.st = st
-			return nil, &ErrorInfo{
-				Code:    CodeVerifyFailed,
+			return nil, &wire.ErrorInfo{
+				Code:    wire.CodeVerifyFailed,
 				Message: fmt.Sprintf("refusing to serve a precedence-violating schedule for %q: %v", in.Name, err),
 			}, http.StatusInternalServerError
 		}
@@ -452,16 +452,16 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 }
 
 // errInfoOf maps engine/solver errors onto typed wire errors.
-func errInfoOf(err error) *ErrorInfo {
+func errInfoOf(err error) *wire.ErrorInfo {
 	switch {
 	case errors.Is(err, engine.ErrTimeout):
-		return &ErrorInfo{Code: CodeTimeout, Message: err.Error()}
+		return &wire.ErrorInfo{Code: wire.CodeTimeout, Message: err.Error()}
 	case errors.Is(err, solver.ErrEdgesUnsupported):
-		return &ErrorInfo{Code: CodeBadOptions, Message: err.Error()}
+		return &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: err.Error()}
 	case errors.Is(err, engine.ErrBadInstance), errors.Is(err, engine.ErrNilInstance):
-		return &ErrorInfo{Code: CodeBadInstance, Message: err.Error()}
+		return &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
 	default:
-		return &ErrorInfo{Code: CodeUnschedulable, Message: err.Error()}
+		return &wire.ErrorInfo{Code: wire.CodeUnschedulable, Message: err.Error()}
 	}
 }
 
@@ -490,7 +490,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rc *reqC
 	}
 	defer release()
 
-	var req ScheduleRequest
+	var req wire.ScheduleRequest
 	if errInfo := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); errInfo != nil {
 		writeError(w, http.StatusBadRequest, errInfo)
 		return
@@ -502,7 +502,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rc *reqC
 	}
 	in, err := DecodeInstance(req.Instance)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, &ErrorInfo{Code: CodeBadInstance, Message: err.Error()})
+		writeError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
 		return
 	}
 	if req.Graph != nil {
@@ -514,7 +514,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rc *reqC
 		// ErrEdgesUnsupported in errInfoOf.
 		s.graphReqs.Add(1)
 		if err := precedence.ValidateEdges(in.N(), req.Graph); err != nil {
-			writeError(w, http.StatusBadRequest, &ErrorInfo{Code: CodeBadGraph, Message: err.Error()})
+			writeError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadGraph, Message: err.Error()})
 			return
 		}
 		o.Edges = req.Graph
@@ -553,7 +553,7 @@ func (s *Server) handleScheduleBinary(w http.ResponseWriter, r *http.Request, rc
 	s.binaryReqs.Add(1)
 	release, errInfo, status := s.admit()
 	if errInfo != nil {
-		if errInfo.Code == CodeQueueFull {
+		if errInfo.Code == wire.CodeQueueFull {
 			w.Header().Set("Retry-After", "1")
 		}
 		writeBinaryError(w, status, errInfo)
@@ -569,11 +569,11 @@ func (s *Server) handleScheduleBinary(w http.ResponseWriter, r *http.Request, rc
 	in, graph, ro, err := wire.DecodeScheduleRequest(body)
 	wire.PutBuffer(body)
 	if err != nil {
-		code := CodeBadInstance
+		code := wire.CodeBadInstance
 		if isFramingErr(err) {
-			code = CodeBadRequest
+			code = wire.CodeBadRequest
 		}
-		writeBinaryError(w, http.StatusBadRequest, &ErrorInfo{Code: code, Message: err.Error()})
+		writeBinaryError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: code, Message: err.Error()})
 		return
 	}
 	o, timeout, errInfo := s.resolveOptions(ro)
@@ -586,7 +586,7 @@ func (s *Server) handleScheduleBinary(w http.ResponseWriter, r *http.Request, rc
 		// before any shard is touched.
 		s.graphReqs.Add(1)
 		if err := precedence.ValidateEdges(in.N(), graph); err != nil {
-			writeBinaryError(w, http.StatusBadRequest, &ErrorInfo{Code: CodeBadGraph, Message: err.Error()})
+			writeBinaryError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadGraph, Message: err.Error()})
 			return
 		}
 		o.Edges = graph
@@ -617,7 +617,7 @@ func isFramingErr(err error) bool {
 
 // readBody reads the full request body under the size cap into a pooled
 // buffer; the caller returns it with wire.PutBuffer.
-func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *ErrorInfo) {
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *wire.ErrorInfo) {
 	body := http.MaxBytesReader(w, r.Body, maxBytes)
 	buf := wire.GetBuffer()
 	for {
@@ -631,7 +631,7 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *
 		}
 		if err != nil {
 			wire.PutBuffer(buf)
-			return nil, &ErrorInfo{Code: CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", err)}
+			return nil, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", err)}
 		}
 	}
 }
@@ -643,18 +643,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 	}
 	defer release()
 
-	var req BatchRequest
+	var req wire.BatchRequest
 	if errInfo := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); errInfo != nil {
 		writeError(w, http.StatusBadRequest, errInfo)
 		return
 	}
 	if len(req.Instances) == 0 {
-		writeError(w, http.StatusBadRequest, &ErrorInfo{Code: CodeBadRequest, Message: "batch has no instances"})
+		writeError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "batch has no instances"})
 		return
 	}
 	if len(req.Instances) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, &ErrorInfo{
-			Code:    CodeBadRequest,
+		writeError(w, http.StatusBadRequest, &wire.ErrorInfo{
+			Code:    wire.CodeBadRequest,
 			Message: fmt.Sprintf("batch of %d exceeds the %d-instance cap", len(req.Instances), s.cfg.MaxBatch),
 		})
 		return
@@ -674,7 +674,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 	// shard engines; the goroutine count here only bounds this request's
 	// submission concurrency — actual solves are bounded by the per-shard
 	// solve slots (Config.Workers each) shared with every other request.
-	resp := BatchResponse{Results: make([]BatchItem, len(req.Instances))}
+	resp := wire.BatchResponse{Results: make([]wire.BatchItem, len(req.Instances))}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(req.Instances) {
 		workers = len(req.Instances)
@@ -698,10 +698,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout time.Duration, lineage, codec string) BatchItem {
+func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout time.Duration, lineage, codec string) wire.BatchItem {
 	in, err := DecodeInstance(raw)
 	if err != nil {
-		return BatchItem{Index: i, Error: &ErrorInfo{Code: CodeBadInstance, Message: err.Error()}}
+		return wire.BatchItem{Index: i, Error: &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}}
 	}
 	// Each item gets its own observability context: items solve concurrently,
 	// so they must not share the request-level reqCtx, and each observes its
@@ -709,9 +709,9 @@ func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout
 	irc := &reqCtx{endpoint: "batch", codec: codec, shard: -1}
 	res, errInfo, _ := s.solveVerified(in, o, timeout, lineage, irc)
 	if errInfo != nil {
-		return BatchItem{Index: i, Error: errInfo}
+		return wire.BatchItem{Index: i, Error: errInfo}
 	}
-	return BatchItem{Index: i, Result: res}
+	return wire.BatchItem{Index: i, Result: res}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -728,14 +728,14 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody decodes a JSON request body under the size cap, rejecting
 // trailing garbage.
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *ErrorInfo {
+func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *wire.ErrorInfo {
 	body := http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(body)
 	if err := dec.Decode(dst); err != nil {
-		return &ErrorInfo{Code: CodeBadRequest, Message: fmt.Sprintf("decoding request body: %v", err)}
+		return &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("decoding request body: %v", err)}
 	}
 	if dec.More() {
-		return &ErrorInfo{Code: CodeBadRequest, Message: "trailing data after request body"}
+		return &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "trailing data after request body"}
 	}
 	return nil
 }
@@ -768,14 +768,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func writeError(w http.ResponseWriter, status int, info *ErrorInfo) {
-	writeJSON(w, status, ErrorBody{Error: *info})
+func writeError(w http.ResponseWriter, status int, info *wire.ErrorInfo) {
+	writeJSON(w, status, wire.ErrorBody{Error: *info})
 }
 
 // writeBinaryError is writeError for binary-negotiated requests: same
 // typed codes, binary framing.
-func writeBinaryError(w http.ResponseWriter, status int, info *ErrorInfo) {
-	buf := wire.AppendError(wire.GetBuffer(), &ErrorBody{Error: *info})
+func writeBinaryError(w http.ResponseWriter, status int, info *wire.ErrorInfo) {
+	buf := wire.AppendError(wire.GetBuffer(), &wire.ErrorBody{Error: *info})
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)

@@ -12,6 +12,7 @@ import (
 
 	"malsched/internal/engine"
 	"malsched/internal/instance"
+	"malsched/internal/wire"
 )
 
 // post sends a JSON body to the test server and returns status + decoded
@@ -59,7 +60,7 @@ func mustRaw(t *testing.T, in *instance.Instance) json.RawMessage {
 
 func errCode(t *testing.T, body []byte) string {
 	t.Helper()
-	var eb ErrorBody
+	var eb wire.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("response is not a typed error: %v (%s)", err, body)
 	}
@@ -76,11 +77,11 @@ func TestScheduleMatchesInProcess(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		in := instance.Mixed(seed, 9+int(seed), 8)
 		raw := mustRaw(t, in)
-		status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw})
+		status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 		if status != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", status, body)
 		}
-		var resp ScheduleResponse
+		var resp wire.ScheduleResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -115,8 +116,8 @@ func TestMemoServesRenamedWorkload(t *testing.T) {
 	in := instance.Mixed(11, 12, 8)
 	renamed := instance.MustNew("different-name", in.M, in.Tasks)
 
-	var first ScheduleResponse
-	status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: mustRaw(t, in)})
+	var first wire.ScheduleResponse
+	status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: mustRaw(t, in)})
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
@@ -127,8 +128,8 @@ func TestMemoServesRenamedWorkload(t *testing.T) {
 		t.Fatal("first request served from memo")
 	}
 
-	var second ScheduleResponse
-	status, body = post(t, ts, "/v1/schedule", ScheduleRequest{Instance: mustRaw(t, renamed)})
+	var second wire.ScheduleResponse
+	status, body = post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: mustRaw(t, renamed)})
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
@@ -160,28 +161,28 @@ func TestScheduleRequestValidation(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"unknown solver", ScheduleRequest{Instance: good, Options: &RequestOptions{Solver: "nope"}},
-			http.StatusBadRequest, CodeUnknownSolver},
-		{"unknown portfolio member", ScheduleRequest{Instance: good, Options: &RequestOptions{Portfolio: []string{"mrt", "nope"}}},
-			http.StatusBadRequest, CodeUnknownSolver},
-		{"recursive portfolio", ScheduleRequest{Instance: good, Options: &RequestOptions{Portfolio: []string{"portfolio"}}},
-			http.StatusBadRequest, CodeBadOptions},
-		{"negative parallelism", ScheduleRequest{Instance: good, Options: &RequestOptions{Parallelism: -1}},
-			http.StatusBadRequest, CodeBadOptions},
-		{"parallelism over cap", ScheduleRequest{Instance: good, Options: &RequestOptions{Parallelism: 9}},
-			http.StatusBadRequest, CodeBadOptions},
-		{"negative timeout", ScheduleRequest{Instance: good, Options: &RequestOptions{TimeoutMS: -5}},
-			http.StatusBadRequest, CodeBadOptions},
-		{"eps out of range", ScheduleRequest{Instance: good, Options: &RequestOptions{Eps: 2}},
-			http.StatusBadRequest, CodeBadOptions},
-		{"zero-processor instance", ScheduleRequest{Instance: json.RawMessage(`{"name":"x","m":0,"tasks":[{"name":"a","times":[1]}]}`)},
-			http.StatusBadRequest, CodeBadInstance},
-		{"non-monotone instance", ScheduleRequest{Instance: json.RawMessage(`{"name":"x","m":2,"tasks":[{"name":"a","times":[1,2]}]}`)},
-			http.StatusBadRequest, CodeBadInstance},
-		{"missing instance", ScheduleRequest{},
-			http.StatusBadRequest, CodeBadInstance},
+		{"unknown solver", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Solver: "nope"}},
+			http.StatusBadRequest, wire.CodeUnknownSolver},
+		{"unknown portfolio member", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Portfolio: []string{"mrt", "nope"}}},
+			http.StatusBadRequest, wire.CodeUnknownSolver},
+		{"recursive portfolio", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Portfolio: []string{"portfolio"}}},
+			http.StatusBadRequest, wire.CodeBadOptions},
+		{"negative parallelism", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Parallelism: -1}},
+			http.StatusBadRequest, wire.CodeBadOptions},
+		{"parallelism over cap", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Parallelism: 9}},
+			http.StatusBadRequest, wire.CodeBadOptions},
+		{"negative timeout", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{TimeoutMS: -5}},
+			http.StatusBadRequest, wire.CodeBadOptions},
+		{"eps out of range", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Eps: 2}},
+			http.StatusBadRequest, wire.CodeBadOptions},
+		{"zero-processor instance", wire.ScheduleRequest{Instance: json.RawMessage(`{"name":"x","m":0,"tasks":[{"name":"a","times":[1]}]}`)},
+			http.StatusBadRequest, wire.CodeBadInstance},
+		{"non-monotone instance", wire.ScheduleRequest{Instance: json.RawMessage(`{"name":"x","m":2,"tasks":[{"name":"a","times":[1,2]}]}`)},
+			http.StatusBadRequest, wire.CodeBadInstance},
+		{"missing instance", wire.ScheduleRequest{},
+			http.StatusBadRequest, wire.CodeBadInstance},
 		{"malformed body", json.RawMessage(`{"instance": 7`),
-			http.StatusBadRequest, CodeBadRequest},
+			http.StatusBadRequest, wire.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		var status int
@@ -227,7 +228,7 @@ func TestCorruptedPlanYields500(t *testing.T) {
 	raw := mustRaw(t, instance.Mixed(21, 8, 6))
 
 	// Sanity: uncorrupted requests pass.
-	if status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw}); status != http.StatusOK {
+	if status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
 
@@ -245,26 +246,26 @@ func TestCorruptedPlanYields500(t *testing.T) {
 		// A fresh name defeats nothing — the memo is keyed name-free — so
 		// memo hits flow through the same verification. Both cold and
 		// memoised paths must 500.
-		status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw})
+		status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw})
 		if status != http.StatusInternalServerError {
 			t.Fatalf("%s: HTTP %d, want 500 (%s)", c.name, status, body)
 		}
-		if code := errCode(t, body); code != CodeVerifyFailed {
-			t.Fatalf("%s: code %q, want %q", c.name, code, CodeVerifyFailed)
+		if code := errCode(t, body); code != wire.CodeVerifyFailed {
+			t.Fatalf("%s: code %q, want %q", c.name, code, wire.CodeVerifyFailed)
 		}
 		failures++
 
 		// The batch path runs the same gate per item.
-		status, body = post(t, ts, "/v1/batch", BatchRequest{Instances: []json.RawMessage{raw}})
+		status, body = post(t, ts, "/v1/batch", wire.BatchRequest{Instances: []json.RawMessage{raw}})
 		if status != http.StatusOK {
 			t.Fatalf("%s: batch HTTP %d (%s)", c.name, status, body)
 		}
-		var br BatchResponse
+		var br wire.BatchResponse
 		if err := json.Unmarshal(body, &br); err != nil {
 			t.Fatal(err)
 		}
-		if br.Results[0].Error == nil || br.Results[0].Error.Code != CodeVerifyFailed {
-			t.Fatalf("%s: batch item error %+v, want %s", c.name, br.Results[0].Error, CodeVerifyFailed)
+		if br.Results[0].Error == nil || br.Results[0].Error.Code != wire.CodeVerifyFailed {
+			t.Fatalf("%s: batch item error %+v, want %s", c.name, br.Results[0].Error, wire.CodeVerifyFailed)
 		}
 		failures++
 	}
@@ -275,7 +276,7 @@ func TestCorruptedPlanYields500(t *testing.T) {
 		t.Fatalf("VerifyFailures = %d, want %d", st.VerifyFailures, failures)
 	}
 	// And the service recovers once the fault is gone.
-	if status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw}); status != http.StatusOK {
+	if status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); status != http.StatusOK {
 		t.Fatalf("post-corruption request failed: HTTP %d: %s", status, body)
 	}
 }
@@ -296,11 +297,11 @@ func TestBatchIsolatesPoisonedItem(t *testing.T) {
 		json.RawMessage(`{"name":"poison-nonmono","m":2,"tasks":[{"name":"a","times":[1,5]}]}`),
 		json.RawMessage(`"not an instance object"`),
 	}
-	status, body := post(t, ts, "/v1/batch", BatchRequest{Instances: items})
+	status, body := post(t, ts, "/v1/batch", wire.BatchRequest{Instances: items})
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
-	var br BatchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestBatchIsolatesPoisonedItem(t *testing.T) {
 		if br.Results[i].Error == nil {
 			t.Fatalf("poisoned item %d succeeded: %+v", i, br.Results[i].Result)
 		}
-		if br.Results[i].Error.Code != CodeBadInstance && br.Results[i].Error.Code != CodeBadRequest {
+		if br.Results[i].Error.Code != wire.CodeBadInstance && br.Results[i].Error.Code != wire.CodeBadRequest {
 			t.Fatalf("poisoned item %d: code %q", i, br.Results[i].Error.Code)
 		}
 	}
@@ -337,19 +338,19 @@ func TestBatchRequestValidation(t *testing.T) {
 	defer ts.Close()
 	good := mustRaw(t, instance.Mixed(1, 5, 4))
 
-	status, body := post(t, ts, "/v1/batch", BatchRequest{})
-	if status != http.StatusBadRequest || errCode(t, body) != CodeBadRequest {
+	status, body := post(t, ts, "/v1/batch", wire.BatchRequest{})
+	if status != http.StatusBadRequest || errCode(t, body) != wire.CodeBadRequest {
 		t.Fatalf("empty batch: HTTP %d %s", status, body)
 	}
-	status, body = post(t, ts, "/v1/batch", BatchRequest{Instances: []json.RawMessage{good, good, good, good}})
-	if status != http.StatusBadRequest || errCode(t, body) != CodeBadRequest {
+	status, body = post(t, ts, "/v1/batch", wire.BatchRequest{Instances: []json.RawMessage{good, good, good, good}})
+	if status != http.StatusBadRequest || errCode(t, body) != wire.CodeBadRequest {
 		t.Fatalf("oversized batch: HTTP %d %s", status, body)
 	}
-	status, body = post(t, ts, "/v1/batch", BatchRequest{
+	status, body = post(t, ts, "/v1/batch", wire.BatchRequest{
 		Instances: []json.RawMessage{good},
-		Options:   &RequestOptions{Solver: "nope"},
+		Options:   &wire.RequestOptions{Solver: "nope"},
 	})
-	if status != http.StatusBadRequest || errCode(t, body) != CodeUnknownSolver {
+	if status != http.StatusBadRequest || errCode(t, body) != wire.CodeUnknownSolver {
 		t.Fatalf("unknown batch solver: HTTP %d %s", status, body)
 	}
 }
@@ -362,11 +363,11 @@ func TestPerRequestSolverSelection(t *testing.T) {
 	raw := mustRaw(t, instance.Mixed(41, 6, 4))
 
 	for _, name := range []string{"seq-lpt", "twy-ffdh"} {
-		status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw, Options: &RequestOptions{Solver: name}})
+		status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw, Options: &wire.RequestOptions{Solver: name}})
 		if status != http.StatusOK {
 			t.Fatalf("%s: HTTP %d: %s", name, status, body)
 		}
-		var resp ScheduleResponse
+		var resp wire.ScheduleResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +385,7 @@ func TestStatsz(t *testing.T) {
 
 	for seed := int64(0); seed < 4; seed++ {
 		raw := mustRaw(t, instance.Mixed(50+seed, 6, 4))
-		if status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw}); status != http.StatusOK {
+		if status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); status != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", status, body)
 		}
 	}
@@ -426,13 +427,13 @@ func TestStatszCompileCounters(t *testing.T) {
 	defer ts.Close()
 
 	raw := mustRaw(t, instance.Mixed(77, 8, 4))
-	for _, opts := range []*RequestOptions{
+	for _, opts := range []*wire.RequestOptions{
 		nil,              // memo miss, compile miss
 		nil,              // memo hit, no compiled-cache probe
 		{Eps: 0.05},      // memo miss (options differ), compile hit
 		{Parallelism: 2}, // memo hit (parallelism excluded), no probe
 	} {
-		if status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw, Options: opts}); status != http.StatusOK {
+		if status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw, Options: opts}); status != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", status, body)
 		}
 	}
@@ -462,11 +463,11 @@ func TestNonContiguousPlanOnTheWire(t *testing.T) {
 	in := instance.RandomMonotone(61, 4, 4) // tiny: exact applies
 	raw := mustRaw(t, in)
 
-	status, body := post(t, ts, "/v1/schedule", ScheduleRequest{Instance: raw, Options: &RequestOptions{Solver: "exact"}})
+	status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw, Options: &wire.RequestOptions{Solver: "exact"}})
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
-	var resp ScheduleResponse
+	var resp wire.ScheduleResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +500,7 @@ func TestUnknownPath(t *testing.T) {
 // an empty one.
 func TestMaxTimeoutCapsDefault(t *testing.T) {
 	s := New(Config{Shards: 1, Workers: 1, DefaultTimeout: 120 * time.Second, MaxTimeout: 60 * time.Second})
-	for _, ro := range []*RequestOptions{nil, {}} {
+	for _, ro := range []*wire.RequestOptions{nil, {}} {
 		_, timeout, errInfo := s.resolveOptions(ro)
 		if errInfo != nil {
 			t.Fatalf("options %+v rejected: %+v", ro, errInfo)
@@ -509,7 +510,7 @@ func TestMaxTimeoutCapsDefault(t *testing.T) {
 		}
 	}
 	// And an explicit per-request timeout is capped too.
-	_, timeout, errInfo := s.resolveOptions(&RequestOptions{TimeoutMS: 600_000})
+	_, timeout, errInfo := s.resolveOptions(&wire.RequestOptions{TimeoutMS: 600_000})
 	if errInfo != nil || timeout != 60*time.Second {
 		t.Fatalf("explicit 600s request: timeout %v err %+v, want the 60s cap", timeout, errInfo)
 	}

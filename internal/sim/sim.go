@@ -79,8 +79,7 @@ type Config struct {
 	// warm lineage (engine.ScheduleWarm) through the run's successive
 	// replans. Schedules are bit-identical either way — warm mode changes
 	// only Metrics.Probes and Metrics.Synthesized — so the flag exists as
-	// the benchmark reference for the warm path, exactly like
-	// engine.Options.Legacy for the compiled one.
+	// the benchmark reference for the warm path.
 	ColdReplan bool
 	// Engine, when non-nil, is the shared planning engine (memo and
 	// compiled caches persist across runs — repeated epochs of a recurring

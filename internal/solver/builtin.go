@@ -40,7 +40,6 @@ func (paperSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 		Compact:     o.Compact,
 		Parallelism: o.Parallelism,
 		Compiled:    o.Compiled,
-		Legacy:      o.Legacy,
 		Scratch:     o.Scratch,
 		Interrupt:   o.Interrupt,
 		WarmStart:   o.WarmStart,

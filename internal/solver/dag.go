@@ -55,7 +55,6 @@ func (d dagSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 		Compiled: o.Compiled,
 		Scratch:  o.Scratch,
 		Warm:     o.WarmStart,
-		Legacy:   o.Legacy,
 	}
 	var r precedence.Result
 	if d.refine {

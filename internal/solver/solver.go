@@ -35,11 +35,6 @@ type Options struct {
 	// (core.Options.Parallelism); results are identical at every value.
 	// Solvers without an internal search ignore it.
 	Parallelism int
-	// Legacy disables the compiled-instance hot path of the dual search
-	// (core.Options.Legacy); results are bit-identical either way. It is
-	// the benchmark reference for the compiled layer; solvers without a
-	// dual search ignore it.
-	Legacy bool
 
 	// Compiled carries the instance's precompiled λ-breakpoint tables
 	// (instance.Compile) when the caller — the engine's compiled cache,

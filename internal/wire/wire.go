@@ -223,7 +223,7 @@ type TraceInfo struct {
 // TraceProbe is one consumed probe of the dual search.
 type TraceProbe struct {
 	// Lambda is the deadline guess, Segment its λ-breakpoint segment index
-	// in the compiled tables (−1 on the legacy path).
+	// in the compiled tables (never negative).
 	Lambda  float64 `json:"lambda"`
 	Segment int     `json:"segment"`
 	// Accepted reports whether the dual step produced a schedule; Reason

@@ -131,16 +131,6 @@ type Options struct {
 	// sequential search — parallelism only trades spare cores for search
 	// latency. Ignored by solvers without a dual search.
 	Parallelism int
-	// Legacy disables the compiled-instance hot path: deadline probes
-	// resolve canonical allotments from the task structs instead of the
-	// precompiled λ-breakpoint tables, and the engine skips its compiled
-	// cache. Every output is bit-identical either way; the option exists
-	// as the benchmark reference for the compiled layer (cmd/msbench's
-	// compiled dimension) and is ignored by solvers without a dual search.
-	Legacy bool
-	// Baseline is a deprecated alias for Solver, kept for pre-registry
-	// callers; Solver wins when both are set.
-	Baseline string
 	// Trace captures the dual search's consumed probe trajectory into
 	// Result.Trace — λ, breakpoint segment, accept/reject with reason,
 	// certification and warm-synthesis flags, in the exact consumption
@@ -238,8 +228,6 @@ func engineOptions(o Options) engine.Options {
 		Solver:      o.Solver,
 		Portfolio:   o.Portfolio,
 		Parallelism: o.Parallelism,
-		Legacy:      o.Legacy,
-		Baseline:    o.Baseline,
 		Trace:       o.Trace,
 		Edges:       o.Edges,
 	}
@@ -253,7 +241,7 @@ func Solvers() []string { return solver.Names() }
 // SolverFunc is a custom scheduling algorithm for RegisterSolver: it must
 // return a complete plan (validated non-contiguously by the registry) and a
 // certified lower bound for the instance. Eps, Compact and Parallelism are
-// passed through in opts; Solver/Portfolio/Baseline are empty.
+// passed through in opts; Solver/Portfolio are empty.
 type SolverFunc func(in *Instance, opts Options) (Result, error)
 
 // RegisterSolver makes a custom solver available to Schedule, Engine and

@@ -7,7 +7,6 @@ import (
 
 	"malsched"
 	"malsched/internal/instance"
-	"malsched/internal/solver"
 )
 
 // The DAG solvers are pinned bit-exactly the same way the independent-task
@@ -106,53 +105,5 @@ func TestGoldenDAGSchedule(t *testing.T) {
 			t.Errorf("golden DAG mismatch for %s/%s:\n got  %+v\n want %+v",
 				got[i].Instance, got[i].Variant, got[i], want[i])
 		}
-	}
-}
-
-// TestGoldenDAGLegacyBitIdentical re-runs every pinned grid cell through
-// the legacy (uncompiled, cache-free) evaluation path and checks it
-// against the same snapshot: the compiled hot path that produced the
-// golden bits and the task-struct reference must pin identical plans,
-// certificates and float bits across all entries.
-func TestGoldenDAGLegacyBitIdentical(t *testing.T) {
-	raw, err := os.ReadFile(goldenDAGPath)
-	if err != nil {
-		t.Fatalf("reading golden DAG snapshot (regenerate with -update): %v", err)
-	}
-	var want []goldenEntry
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	idx := 0
-	for _, c := range dagGoldenGrid(t) {
-		for _, name := range []string{"dag", "dag-crossover"} {
-			sv, ok := solver.Lookup(name)
-			if !ok {
-				t.Fatalf("solver %q not registered", name)
-			}
-			sol, err := sv.Solve(c.in, solver.Options{Edges: c.edges, Legacy: true})
-			if err != nil {
-				t.Fatalf("legacy %s %s/%s: %v", c.in.Name, c.shape, name, err)
-			}
-			if idx >= len(want) {
-				t.Fatalf("grid outgrew the snapshot at entry %d", idx)
-			}
-			got := goldenEntry{
-				Instance: c.in.Name,
-				Variant:  c.shape + "/" + name,
-				Makespan: hexFloat(sol.Makespan),
-				Lower:    hexFloat(sol.LowerBound),
-				Branch:   sol.Branch,
-				PlanHash: hashPlan(sol.Plan),
-			}
-			if got != want[idx] {
-				t.Errorf("legacy path diverges from golden for %s/%s:\n got  %+v\n want %+v",
-					got.Instance, got.Variant, got, want[idx])
-			}
-			idx++
-		}
-	}
-	if idx != len(want) {
-		t.Fatalf("legacy leg covered %d entries, snapshot has %d", idx, len(want))
 	}
 }

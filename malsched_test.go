@@ -125,7 +125,7 @@ func TestScheduleBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"twy-list", "twy-ffdh", "twy-nfdh", "twy-bld", "seq-lpt", "full-parallel"} {
-		res, err := Schedule(in, &Options{Baseline: name})
+		res, err := Schedule(in, &Options{Solver: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -136,7 +136,7 @@ func TestScheduleBaselines(t *testing.T) {
 			t.Fatalf("%s beat the certified lower bound", name)
 		}
 	}
-	if _, err := Schedule(in, &Options{Baseline: "nope"}); err == nil {
+	if _, err := Schedule(in, &Options{Solver: "nope"}); err == nil {
 		t.Fatal("want error for unknown baseline")
 	}
 }
@@ -211,7 +211,7 @@ func TestEngineFacadeMatchesSchedule(t *testing.T) {
 }
 
 func TestEngineFacadeStreamAndBaseline(t *testing.T) {
-	eng := NewEngine(EngineOptions{Workers: 2, Schedule: Options{Baseline: "seq-lpt"}})
+	eng := NewEngine(EngineOptions{Workers: 2, Schedule: Options{Solver: "seq-lpt"}})
 	jobs := make(chan *Instance, 4)
 	for seed := int64(0); seed < 4; seed++ {
 		jobs <- instance.Mixed(seed, 10, 8)
@@ -247,8 +247,8 @@ func TestScheduleAllFamilies(t *testing.T) {
 	}
 }
 
-// The solver registry through the facade: named solvers, the deprecated
-// Baseline alias, the portfolio, and the reported winner.
+// The solver registry through the facade: named solvers, the portfolio,
+// and the reported winner.
 func TestScheduleSolverRegistry(t *testing.T) {
 	in := demoInstance(t)
 
@@ -264,17 +264,12 @@ func TestScheduleSolverRegistry(t *testing.T) {
 		t.Fatalf("Solver = %q, want mrt", mrt.Solver)
 	}
 
-	// Solver and the deprecated Baseline alias select the same pipeline.
 	viaSolver, err := Schedule(in, &Options{Solver: "seq-lpt"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaBaseline, err := Schedule(in, &Options{Baseline: "seq-lpt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSolver.Makespan != viaBaseline.Makespan || viaSolver.Solver != "seq-lpt" || viaBaseline.Solver != "seq-lpt" {
-		t.Fatalf("alias mismatch: %+v vs %+v", viaSolver, viaBaseline)
+	if viaSolver.Solver != "seq-lpt" {
+		t.Fatalf("Solver = %q, want seq-lpt", viaSolver.Solver)
 	}
 
 	// A portfolio never loses to any member and reports the winner.
