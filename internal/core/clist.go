@@ -29,23 +29,42 @@ func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *sche
 		if !a.OK {
 			return nil
 		}
-		return canonicalListFromAllotment(c, a, e.sortedOrder(c, a), reallocate, sc)
+		d, _ := canonicalListFromAllotment(c, a, e.sortedOrder(c, a), reallocate, sc)
+		return d.schedule()
 	})
 }
 
-// canonicalListFromAllotment builds the list schedule from an existing
-// allotment and its by-decreasing-time order (the segment cache's, shared
-// by both reallocation variants). order is read, never modified.
-func canonicalListFromAllotment(c *instance.Compiled, a Allotment, order []int, reallocate bool, sc *Scratch) *schedule.Schedule {
+// canonicalListFromAllotment builds the list schedule, as a draft in
+// scratch memory, from an existing allotment and its by-decreasing-time
+// order (the segment cache's, shared by both reallocation variants). order
+// is read, never modified.
+//
+// fired reports that the reallocation squeezed a task. The reallocate flag
+// is read only at the first task that cannot start at time 0, and when the
+// squeeze condition fails there the code falls through to the ordinary
+// placement — so a pass that did not fire placed every task exactly as the
+// reallocate=false pass does, and the dual step runs that second pass only
+// after a fired one (TestUnfiredReallocationIsThePlainList pins it).
+func canonicalListFromAllotment(c *instance.Compiled, a Allotment, order []int, reallocate bool, sc *Scratch) (d draft, fired bool) {
 	m := c.M()
-	s := &schedule.Schedule{Algorithm: "canonical-list"}
+	d = draft{algorithm: "canonical-list"}
+	buf := &sc.clist[0]
 	if reallocate {
-		s.Algorithm = "canonical-list+realloc"
+		d.algorithm = "canonical-list+realloc"
+		buf = &sc.clist[1]
 	}
+	d.placements = placementsBuf(buf, len(order))
 
 	front := floatsBuf(&sc.front, m)
 	limit := m       // active machine width (shrinks after a reallocation)
 	checked := false // the reallocation rule applies only at the first level-2 event
+	// While every task so far started at 0 and ended later (times are
+	// positive — task.checkTimes), the zero-frontier processors are exactly
+	// the suffix [filled, limit), so the leftmost-at-zero window of a task
+	// that still fits is x = filled and needs no search. The fast path is
+	// left for good at the first task that does not fit, or whose end is
+	// not > 0 (an instance hand-rolled around validation).
+	level1, filled := true, 0
 	for _, i := range order {
 		w := a.Gamma[i]
 		if w > limit {
@@ -54,7 +73,14 @@ func canonicalListFromAllotment(c *instance.Compiled, a Allotment, order []int, 
 			// (more processors never hurt, fewer are impossible here).
 			w = limit
 		}
-		x, start := sc.win.Best(front[:limit], w)
+		var x int
+		var start float64
+		if level1 && filled+w <= limit {
+			x = filled
+		} else {
+			level1 = false
+			x, start = sc.win.Best(front[:limit], w)
+		}
 		if reallocate && !checked && start > 0 {
 			checked = true
 			// Count idle first-level processors (frontier still 0); by the
@@ -65,20 +91,23 @@ func canonicalListFromAllotment(c *instance.Compiled, a Allotment, order []int, 
 			}
 			half := (a.Gamma[i] + 1) / 2
 			if half <= idle && half >= 1 && limit-half >= 1 {
-				s.Placements = append(s.Placements, schedule.Placement{
-					Task: i, Start: 0, Width: half, First: limit - half,
-				})
+				d.place(c, i, 0, half, limit-half)
 				limit -= half
+				fired = true
 				continue
 			}
 		}
-		s.Placements = append(s.Placements, schedule.Placement{
-			Task: i, Start: start, Width: w, First: x,
-		})
-		end := start + c.Time(i, w)
+		end := d.place(c, i, start, w, x)
 		for k := x; k < x+w; k++ {
 			front[k] = end
 		}
+		if level1 {
+			if end > 0 {
+				filled += w
+			} else {
+				level1 = false
+			}
+		}
 	}
-	return s
+	return d, fired
 }

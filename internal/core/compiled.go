@@ -1,9 +1,10 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"malsched/internal/instance"
+	"malsched/internal/task"
 )
 
 // segCacheCap bounds the per-Scratch segment cache across all compiled
@@ -12,7 +13,7 @@ import (
 // well under the cap even when a worker alternates between several
 // workloads. On overflow the cache is cleared wholesale — simple, bounds
 // memory (and how long evicted Compiled tables stay referenced), and the
-// next search refills its share.
+// next search refills its share from the recycled entries.
 const segCacheCap = 512
 
 // segState caches, per (compiled instance, λ-segment), the tables a probe
@@ -24,9 +25,21 @@ const segCacheCap = 512
 // landing in any previously-probed segment — the bisection endgame, and
 // every probe of a memo-warm re-search on a shared Scratch — pays zero
 // recompute and zero allocation.
+//
+// Cold traffic visits every segment once, so evicted entries (with their
+// gamma/order arrays) and emptied inner maps are recycled, not abandoned.
+// That is sound only because a probe holds at most one live entry per
+// segState — dualStep the seg one, malleableList the mseg one, each
+// fetched once — and both recycle points run before an entry is handed
+// out: drop between probes (DropCompiled), the wholesale clear at the top
+// of entry. An entry handed out is therefore never one somebody still
+// reads.
 type segState struct {
 	caches map[*instance.Compiled]map[int]*segEntry
 	total  int
+
+	freeEntries []*segEntry
+	freeMaps    []map[int]*segEntry
 }
 
 // segEntry holds one segment's cached tables.
@@ -47,22 +60,52 @@ type segEntry struct {
 // entry returns the cache entry for (c, seg), creating it on first use and
 // clearing the whole cache when the entry cap is hit.
 func (st *segState) entry(c *instance.Compiled, seg int) *segEntry {
-	if st.caches == nil || st.total > segCacheCap {
+	if st.caches == nil {
 		st.caches = make(map[*instance.Compiled]map[int]*segEntry)
-		st.total = 0
+	}
+	if st.total > segCacheCap {
+		for old := range st.caches {
+			st.drop(old)
+		}
 	}
 	m := st.caches[c]
 	if m == nil {
-		m = make(map[int]*segEntry)
+		if k := len(st.freeMaps); k > 0 {
+			m, st.freeMaps = st.freeMaps[k-1], st.freeMaps[:k-1]
+		} else {
+			m = make(map[int]*segEntry)
+		}
 		st.caches[c] = m
 	}
 	e := m[seg]
 	if e == nil {
-		e = &segEntry{}
+		if k := len(st.freeEntries); k > 0 {
+			e, st.freeEntries = st.freeEntries[k-1], st.freeEntries[:k-1]
+		} else {
+			e = &segEntry{}
+		}
 		m[seg] = e
 		st.total++
 	}
 	return e
+}
+
+// drop evicts c's entries into the free lists: the have* flags are reset
+// (every other field is rewritten by the fill that sets its flag), the
+// gamma/order arrays and the emptied inner map are kept for reuse.
+func (st *segState) drop(c *instance.Compiled) {
+	m, ok := st.caches[c]
+	if !ok {
+		return
+	}
+	for _, e := range m {
+		e.haveGamma, e.haveOrder, e.haveArea = false, false, false
+		st.freeEntries = append(st.freeEntries, e)
+	}
+	st.total -= len(m)
+	clear(m)
+	st.freeMaps = append(st.freeMaps, m)
+	delete(st.caches, c)
 }
 
 // filled returns the cache entry of λ's segment with the canonical
@@ -102,8 +145,8 @@ func (e *segEntry) fillGamma(c *instance.Compiled, lambda float64) {
 }
 
 // allotment materialises the cached vector as an Allotment for this
-// deadline. Gamma aliases the cache entry and is valid until the cache is
-// cleared (entry cap hit).
+// deadline. Gamma aliases the cache entry and is valid until the entry is
+// recycled (DropCompiled of its tables, or the entry cap hit).
 func (e *segEntry) allotment(lambda float64) Allotment {
 	if !e.ok {
 		return Allotment{Lambda: lambda, OK: false, Slowest: e.slowest}
@@ -128,8 +171,8 @@ func sortByDecreasingTime(c *instance.Compiled, a Allotment, buf *[]int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return c.Time(order[x], a.Gamma[order[x]]) > c.Time(order[y], a.Gamma[order[y]])
+	slices.SortStableFunc(order, func(x, y int) int {
+		return task.Descending(c.Time(x, a.Gamma[x]), c.Time(y, a.Gamma[y]))
 	})
 	return order
 }

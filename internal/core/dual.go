@@ -50,6 +50,10 @@ type StepResult struct {
 	// Schedule is the constructed schedule when accepted (makespan ≤ ρλ),
 	// nil otherwise.
 	Schedule *schedule.Schedule
+	// Makespan is Schedule's makespan, accumulated while it was built (0
+	// when rejected). The search ranks accepted probes by it, so a Prober
+	// that builds its own schedules must fill it in.
+	Makespan float64
 	// Reject explains a nil Schedule.
 	Reject RejectReason
 	// Certified reports that the rejection proves OPT > λ.
@@ -84,15 +88,19 @@ func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
 	})
 }
 
-// dualStep is DualStep on scratch memory: all per-probe working buffers come
-// from sc, and only the returned schedule (a fresh allocation) survives the
-// next probe on the same sc. The probe resolves the canonical allotment, its
-// work, the by-decreasing-time order and the prefix area through the
-// compiled breakpoint tables and sc's λ-segment cache, so they are free
-// when the segment repeats. A non-nil interrupt is polled between the
-// probe's constructions (each is the O(n log n)-or-worse unit of work), so a
-// timeout lands within one construction even when the whole search is a
-// single probe; a fired interrupt yields StepResult{Interrupted: true}.
+// dualStep is DualStep on scratch memory: all per-probe working buffers —
+// the constructions' placements included — come from sc, and only the
+// returned schedule survives the next probe on the same sc: the
+// constructions hand back drafts, their makespans are compared, and the one
+// winner is copied out if it is accepted. A rejected probe allocates
+// nothing, an accepted one a Schedule and its placements. The probe
+// resolves the canonical allotment, its work, the by-decreasing-time order
+// and the prefix area through the compiled breakpoint tables and sc's
+// λ-segment cache, so they are free when the segment repeats. A non-nil
+// interrupt is polled between the probe's constructions (each is the
+// O(n log n)-or-worse unit of work), so a timeout lands within one
+// construction even when the whole search is a single probe; a fired
+// interrupt yields StepResult{Interrupted: true}.
 func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, interrupt <-chan struct{}) StepResult {
 	stop := func() bool {
 		select {
@@ -102,8 +110,7 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 			return false
 		}
 	}
-	in := c.Instance()
-	m := in.M
+	m := c.M()
 
 	// Canonical allotment and total canonical work, then (only for guesses
 	// surviving the Property-2 test) the by-decreasing-time order and the
@@ -124,14 +131,10 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	w := e.area
 	knapsackBranch := !task.Leq(w, p.theta()*float64(m)*lambda) && m > p.SmallM
 
-	var best *schedule.Schedule
-	var bestMk float64
-	consider := func(s *schedule.Schedule) {
-		if s == nil {
-			return
-		}
-		if mk := s.Makespan(in); best == nil || mk < bestMk {
-			best, bestMk = s, mk
+	var best draft
+	consider := func(d draft) {
+		if d.built() && (!best.built() || d.makespan < best.makespan) {
+			best = d
 		}
 	}
 
@@ -142,24 +145,33 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	if stop() {
 		return StepResult{Interrupted: true}
 	}
-	consider(canonicalListFromAllotment(c, a, order, true, sc))
-	if stop() {
-		return StepResult{Interrupted: true}
+	// The plain canonical list runs only when the reallocation fired: a
+	// pass that did not fire is the plain list placement for placement, and
+	// ties keep the earlier draft, so the second pass could change nothing
+	// (the winner is still reported as "canonical-list+realloc", as the tie
+	// rule always reported it).
+	d, fired := canonicalListFromAllotment(c, a, order, true, sc)
+	consider(d)
+	if fired {
+		if stop() {
+			return StepResult{Interrupted: true}
+		}
+		d, _ = canonicalListFromAllotment(c, a, order, false, sc)
+		consider(d)
 	}
-	consider(canonicalListFromAllotment(c, a, order, false, sc))
-	shelf := TwoShelfResult{}
+	var shelf shelfDraft
 	if m > p.SmallM {
 		if stop() {
 			return StepResult{Interrupted: true}
 		}
 		shelf = twoShelfFromAllotment(c, a, p, sc)
-		consider(shelf.Schedule)
+		consider(shelf.draft)
 	}
 
-	if best != nil && task.Leq(bestMk, p.Rho*lambda) {
-		return StepResult{Schedule: best, Branch: best.Algorithm, PrefixArea: w}
+	if best.built() && task.Leq(best.makespan, p.Rho*lambda) {
+		return StepResult{Schedule: best.schedule(), Makespan: best.makespan, Branch: best.algorithm, PrefixArea: w}
 	}
-	if knapsackBranch && shelf.Schedule == nil && shelf.Exact {
+	if knapsackBranch && !shelf.built() && shelf.exact {
 		return StepResult{Reject: RejectKnapsack, Certified: true, PrefixArea: w}
 	}
 	return StepResult{Reject: RejectUnproven, PrefixArea: w}

@@ -20,70 +20,64 @@ import (
 // exists.
 func MalleableList(in *instance.Instance, lambda float64) *schedule.Schedule {
 	return oneShot(in, func(c *instance.Compiled, sc *Scratch) *schedule.Schedule {
-		return malleableList(c, lambda, sc)
+		return malleableList(c, lambda, sc).schedule()
 	})
 }
 
-// malleableList is MalleableList on scratch memory: the relaxed-deadline
-// allotment comes from the mseg segment cache, and the precompiled
-// sequential order (parallel tasks first: every parallel task has
-// t(1) > deadline ≥ any sequential task's t(1), so one global sort by
+// malleableList is MalleableList as a draft in scratch memory: the
+// relaxed-deadline allotment comes from the mseg segment cache, and the
+// precompiled sequential order (parallel tasks first: every parallel task
+// has t(1) > deadline ≥ any sequential task's t(1), so one global sort by
 // non-increasing t(1) realises the paper's ordering) replaces a per-probe
 // sort.
-func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) *schedule.Schedule {
-	in := c.Instance()
-	m := in.M
+func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) draft {
+	m := c.M()
 	deadline := RhoList(m) * lambda
 
 	e := sc.mseg.filled(c, deadline)
 	if !e.ok {
-		return nil // not even the relaxed deadline is reachable
+		return draft{} // not even the relaxed deadline is reachable
 	}
 	alloc := e.gamma
-	order := c.SeqOrder()
 
-	s := &schedule.Schedule{Algorithm: "malleable-list"}
+	// Parallel tasks side by side from time 0; the processors under one
+	// are released at its end.
+	d := draft{algorithm: "malleable-list", placements: placementsBuf(&sc.mlist, c.N())}
+	release := floatsBuf(&sc.release, m)
 	x := 0
 	seq := sc.seq[:0]
-	for _, i := range order {
-		if alloc[i] >= 2 {
-			if x+alloc[i] > m {
-				return nil // Property 1+2 violated: OPT > λ
-			}
-			s.Placements = append(s.Placements, schedule.Placement{
-				Task: i, Start: 0, Width: alloc[i], First: x,
-			})
-			x += alloc[i]
-		} else {
+	for _, i := range c.SeqOrder() {
+		w := alloc[i]
+		if w < 2 {
 			seq = append(seq, i)
+			continue
 		}
-	}
-
-	sc.seq = seq // keep the grown backing array for the next probe
-
-	// Release times: processors under a parallel task free at its end.
-	release := floatsBuf(&sc.release, m)
-	for _, p := range s.Placements {
-		end := p.End(in)
-		for k := p.First; k < p.First+p.Width; k++ {
+		if x+w > m {
+			return draft{} // Property 1+2 violated: OPT > λ
+		}
+		end := d.place(c, i, 0, w, x)
+		for k := x; k < x+w; k++ {
 			release[k] = end
 		}
+		x += w
 	}
+	sc.seq = seq // keep the grown backing array for the next probe
+
 	durations := floatsBuf(&sc.durations, len(seq))
 	for k, i := range seq {
 		durations[k] = c.SeqTime(i)
 	}
 	// seq is already in non-increasing t(1) order; LPT in index order.
-	proc, start := rigid.LPT(m, durations, release, nil)
+	proc, start := intsBuf(&sc.lptProc, len(seq)), floatsBuf(&sc.lptStart, len(seq))
+	rigid.LPTInto(release, durations, nil, proc, start)
 	for k, i := range seq {
-		s.Placements = append(s.Placements, schedule.Placement{
-			Task: i, Start: start[k], Width: 1, First: proc[k],
-		})
+		d.place(c, i, start[k], 1, proc[k])
 	}
 
-	// Defensive check of Theorem 1's promise; callers treat nil as "reject".
-	if !task.Leq(s.Makespan(in), deadline) {
-		return nil
+	// Defensive check of Theorem 1's promise; callers treat an unbuilt
+	// draft as "reject".
+	if !task.Leq(d.makespan, deadline) {
+		return draft{}
 	}
-	return s
+	return d
 }

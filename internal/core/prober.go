@@ -14,7 +14,8 @@ import "malsched/internal/instance"
 // worker. The compiled tables c are immutable and shared by all of them.
 type Prober interface {
 	// Probe evaluates the guess λ on the instance: either a schedule of
-	// makespan ≤ ρλ or a rejection (see StepResult). c carries the
+	// makespan ≤ ρλ, with that makespan in StepResult.Makespan (the search
+	// ranks accepted probes by it), or a rejection. c carries the
 	// instance's compiled λ-breakpoint tables (Approximate never passes
 	// nil); working memory comes from sc; a non-nil interrupt aborts
 	// mid-probe with StepResult{Interrupted: true}.

@@ -5,7 +5,9 @@ import (
 
 	"malsched/internal/instance"
 	"malsched/internal/knapsack"
+	"malsched/internal/packing"
 	"malsched/internal/rigid"
+	"malsched/internal/schedule"
 )
 
 // Scratch is the reusable working memory of the dual-approximation hot
@@ -22,28 +24,93 @@ import (
 // axis, so a probe landing in a previously cached segment reuses them
 // wholesale.
 //
+// The constructions also build their schedules here: each writes its
+// placements into a Scratch-owned buffer (every construction places each
+// task exactly once, so a buffer of capacity n never grows) and reports the
+// makespan it accumulated on the way, as a draft. A probe builds up to four
+// drafts and keeps at most one, so only the winner is copied out —
+// draft.schedule is the single place a construction's output becomes a
+// caller-owned Schedule, in dualStep and in the exported one-shots alike.
+//
 // A Scratch is not safe for concurrent use: pool one per worker (the
-// engine's worker pool does exactly that). All constructions produce
-// results that do not alias the Scratch, so retaining a returned schedule
-// while reusing the Scratch is safe; an Allotment materialised from a
-// segment-cache entry aliases it and is only valid until the cache is
-// cleared.
+// engine's worker pool does exactly that). Results handed to callers never
+// alias the Scratch (that one copy), so retaining a returned schedule while
+// reusing the Scratch is safe — the speculative drivers hold a probe's
+// result long after its pooled Scratch has moved on. An Allotment
+// materialised from a segment-cache entry aliases it and is only valid
+// until the entry is recycled (DropCompiled, or the cache's wholesale
+// clear).
 //
 // The zero value is ready to use.
 type Scratch struct {
-	seq       []int          // malleable-list sequential tail
-	release   []float64      // malleable-list per-processor release times
-	durations []float64      // malleable-list LPT durations
-	front     []float64      // canonical-list frontier
-	sizes     []float64      // partition TS sizes
-	tsizes    []float64      // trivial-solution TS sizes
-	kcols     knapsack.Cols  // knapsack columns (d_i, γ_i, task id), delta-synced across probes
-	win       rigid.Windower // canonical-list window search deque
+	seq       []int                   // malleable-list sequential tail
+	release   []float64               // malleable-list per-processor release times, advanced in place by the LPT
+	durations []float64               // malleable-list LPT durations
+	lptProc   []int                   // malleable-list LPT processor per sequential task
+	lptStart  []float64               // malleable-list LPT start per sequential task
+	front     []float64               // canonical-list frontier
+	sizes     []float64               // partition TS sizes
+	tsizes    []float64               // trivial-solution TS sizes
+	tpack     packing.Result          // trivial-solution First-Fit of TS under deadline λ
+	moved     []int                   // two-shelf: the knapsack's selection as task ids
+	inMoved   []bool                  // two-shelf: membership of moved, by task id
+	mlist     []schedule.Placement    // malleable-list draft
+	clist     [2][]schedule.Placement // canonical-list drafts: [0] plain, [1] with the reallocation
+	shelf     []schedule.Placement    // two-shelf / trivial-solution draft
+	kcols     knapsack.Cols           // knapsack columns (d_i, γ_i, task id), delta-synced across probes
+	win       rigid.Windower          // canonical-list window search deque
 	part      Partition
 	ks        knapsack.Solver
 	seg       segState // λ-segment cache of the probe deadline
 	mseg      segState // λ-segment cache of §3.1's relaxed deadline
 	aux       AuxCache // opaque per-worker cache of other solver families
+}
+
+// draft is a construction's output while it still lives in the Scratch:
+// placements aliases one of the Scratch's placement buffers and is
+// overwritten by the next probe, makespan is the latest completion time
+// accumulated by place (bit-equal to Schedule.Makespan of the copy: the
+// compiled time matrix holds the tasks' own values). The zero draft means
+// the construction produced no schedule.
+type draft struct {
+	algorithm  string
+	placements []schedule.Placement
+	makespan   float64
+}
+
+// built reports whether the construction produced a schedule.
+func (d draft) built() bool { return d.algorithm != "" }
+
+// place appends one placement and folds its completion time, which it
+// returns, into the makespan.
+func (d *draft) place(c *instance.Compiled, task int, start float64, width, first int) (end float64) {
+	d.placements = append(d.placements, schedule.Placement{Task: task, Start: start, Width: width, First: first})
+	end = start + c.Time(task, width)
+	if end > d.makespan {
+		d.makespan = end
+	}
+	return end
+}
+
+// schedule copies the draft out of the Scratch into a caller-owned
+// Schedule (nil for an unbuilt draft). It is the only place the
+// constructions allocate a result.
+func (d draft) schedule() *schedule.Schedule {
+	if !d.built() {
+		return nil
+	}
+	return &schedule.Schedule{
+		Algorithm:  d.algorithm,
+		Placements: append([]schedule.Placement(nil), d.placements...),
+	}
+}
+
+// placementsBuf returns *buf emptied, with room for n placements.
+func placementsBuf(buf *[]schedule.Placement, n int) []schedule.Placement {
+	if cap(*buf) < n {
+		*buf = make([]schedule.Placement, 0, n)
+	}
+	return (*buf)[:0]
 }
 
 // NewScratch returns an empty Scratch; buffers grow on demand.
@@ -70,7 +137,8 @@ func (sc *Scratch) SetAux(a AuxCache) { sc.aux = a }
 // scratchPool backs the exported one-shot constructions (MalleableList,
 // CanonicalList, TwoShelf, DualStep): instead of growing a fresh Scratch per
 // call they borrow a pooled one, so casual callers stop thrashing the
-// allocator. Results returned by those helpers never alias the pool.
+// allocator. Results returned by those helpers never alias the pool: each
+// copies its draft out (draft.schedule) before the Scratch goes back.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }

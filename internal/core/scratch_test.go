@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"malsched/internal/instance"
+	"malsched/internal/lowerbound"
 	"malsched/internal/schedule"
 )
 
@@ -41,34 +42,106 @@ func TestApproximateScratchBitIdentical(t *testing.T) {
 	}
 }
 
-// A schedule returned by a probe must not alias the Scratch: later probes on
-// the same Scratch must leave earlier schedules untouched.
+// A schedule returned by a probe must not alias the Scratch: the
+// constructions build in Scratch-owned placement buffers, and the one copy
+// in dualStep is all that separates a held result from the next probe. The
+// hammer uses same-shape instances, so the buffers are reused at identical
+// offsets and an aliased result could not survive it; the second half
+// repeats it through Approximate, whose speculative workers (Parallelism 4)
+// probe on pooled Scratches that move on while the search still holds their
+// results.
 func TestDualStepResultsDoNotAliasScratch(t *testing.T) {
+	const n, m = 30, 16
+	p := DefaultParams()
+	hammer := func(sc *Scratch) {
+		for seed := int64(100); seed < 104; seed++ {
+			in := instance.Mixed(seed, n, m)
+			c := instance.Compile(in)
+			lb := lowerbound.Trivial(in)
+			for _, f := range []float64{0.9, 1, 1.1, 1.3, 2, 4} {
+				dualStep(c, lb*f, p, sc, nil)
+			}
+		}
+	}
+	clone := func(s *schedule.Schedule) []schedule.Placement {
+		return append([]schedule.Placement(nil), s.Placements...)
+	}
+
 	sc := NewScratch()
-	in1 := instance.Mixed(1, 30, 16)
-	in2 := instance.Mixed(2, 40, 16)
-	lambda1 := instance.Mixed(1, 30, 16).MinTotalWork() // any accepted guess
-	r1 := dualStep(instance.Compile(in1), lambda1, DefaultParams(), sc, nil)
-	if r1.Schedule == nil {
-		t.Fatalf("probe at λ=total work rejected: %v", r1.Reject)
+	in := instance.Mixed(1, n, m)
+	r := dualStep(instance.Compile(in), in.MinTotalWork(), p, sc, nil) // any accepted guess
+	if r.Schedule == nil {
+		t.Fatalf("probe at λ=total work rejected: %v", r.Reject)
 	}
-	snapshot := append([]float64(nil), flattenStarts(r1)...)
-	// Hammer the scratch with probes on a different instance.
-	c2 := instance.Compile(in2)
-	for _, l := range []float64{1, 2, 4, 8, 16, 32} {
-		dualStep(c2, l, DefaultParams(), sc, nil)
-	}
-	if !reflect.DeepEqual(snapshot, flattenStarts(r1)) {
+	snapshot := clone(r.Schedule)
+	hammer(sc)
+	if !reflect.DeepEqual(snapshot, r.Schedule.Placements) {
 		t.Fatal("earlier schedule mutated by later probes on the same Scratch")
+	}
+
+	for _, par := range []int{1, 4} {
+		res, err := Approximate(in, Options{Scratch: sc, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot := clone(res.Schedule)
+		hammer(sc)
+		for seed := int64(200); seed < 204; seed++ { // and the pooled speculative Scratches
+			if _, err := Approximate(instance.Mixed(seed, n, m), Options{Scratch: sc, Parallelism: par}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(snapshot, res.Schedule.Placements) {
+			t.Fatalf("parallelism %d: returned schedule mutated by later searches", par)
+		}
+		if err := schedule.Validate(in, res.Schedule, true); err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
 	}
 }
 
-func flattenStarts(r StepResult) []float64 {
-	out := make([]float64, 0, 2*len(r.Schedule.Placements))
-	for _, p := range r.Schedule.Placements {
-		out = append(out, p.Start, float64(p.Width))
+// The segment caches recycle evicted entries and inner maps. One Scratch
+// solving many distinct instances — past two wholesale clears, with
+// DropCompiled interleaved — must answer each exactly as a fresh Scratch
+// does: a recycled segEntry whose haveGamma/haveOrder/haveArea survived
+// would serve another instance's tables here.
+func TestRecycledSegmentEntriesStartClean(t *testing.T) {
+	// A search lands in about four distinct segments, so the 512-entry cap
+	// is hit every ~150 solves.
+	const solves = 400
+	sc := NewScratch()
+	clears, prevTotal := 0, 0
+	for i := int64(0); i < solves; i++ {
+		n, m := 20+int(i%3)*5, 8+int(i%2)*8 // shapes vary, so recycled arrays change length too
+		in := instance.Mixed(1000+i, n, m)
+		c := instance.Compile(in)
+		got, err := Approximate(in, Options{Scratch: sc, Compiled: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Approximate(in, Options{Compiled: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Makespan != want.Makespan || got.LowerBound != want.LowerBound || got.AcceptedLambda != want.AcceptedLambda ||
+			got.Probes != want.Probes || got.Branch != want.Branch || !sameSchedule(got.Schedule, want.Schedule) {
+			t.Fatalf("instance %d: recycled scratch answers %+v, fresh scratch %+v", i, got, want)
+		}
+		if sc.seg.total < prevTotal {
+			clears++
+		}
+		prevTotal = sc.seg.total
+		if i%8 == 7 {
+			sc.DropCompiled(c)
+			prevTotal = sc.seg.total
+		}
 	}
-	return out
+	if clears < 2 {
+		t.Fatalf("only %d wholesale clears in %d solves; the test no longer reaches the recycling path", clears, solves)
+	}
+	if len(sc.seg.freeEntries) == 0 && len(sc.mseg.freeEntries) == 0 {
+		t.Fatal("nothing was recycled")
+	}
 }
 
 // Each exported one-shot compiles on entry and borrows a pooled Scratch;
@@ -105,21 +178,21 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 				t.Fatalf("PrefixArea %v != %v", w1, w2)
 			}
 			s1 := MalleableList(in, lambda)
-			s2 := malleableList(c, lambda, sc)
+			s2 := malleableList(c, lambda, sc).schedule()
 			if !sameSchedule(s1, s2) {
 				t.Fatalf("MalleableList differs at λ=%v", lambda)
 			}
 			for _, realloc := range []bool{false, true} {
 				c1 := CanonicalList(in, lambda, realloc)
-				c2 := canonicalListFromAllotment(c, a2, order, realloc, sc)
-				if !sameSchedule(c1, c2) {
+				d2, _ := canonicalListFromAllotment(c, a2, order, realloc, sc)
+				if !sameSchedule(c1, d2.schedule()) {
 					t.Fatalf("CanonicalList(realloc=%v) differs at λ=%v", realloc, lambda)
 				}
 			}
 			t1 := TwoShelf(in, lambda, p)
 			t2 := twoShelfFromAllotment(c, a2, p, sc)
-			if t1.Method != t2.Method || t1.Exact != t2.Exact || !sameSchedule(t1.Schedule, t2.Schedule) {
-				t.Fatalf("TwoShelf differs at λ=%v: %q/%v vs %q/%v", lambda, t2.Method, t2.Exact, t1.Method, t1.Exact)
+			if t1.Method != t2.method || t1.Exact != t2.exact || !sameSchedule(t1.Schedule, t2.schedule()) {
+				t.Fatalf("TwoShelf differs at λ=%v: %q/%v vs %q/%v", lambda, t2.method, t2.exact, t1.Method, t1.Exact)
 			}
 			p1, err1 := NewPartition(in, a1, p.mu())
 			p2, err2 := newPartition(c, a2, p.mu(), sc)

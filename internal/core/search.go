@@ -280,7 +280,8 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 	s.updateWarm()
 
 	if opts.Compact {
-		s.consider(schedule.Compact(in, s.best))
+		compacted := schedule.Compact(in, s.best)
+		s.consider(compacted, compacted.Makespan(in))
 	}
 	s.res.Schedule = s.best
 	s.res.Makespan = s.bestMk
@@ -288,14 +289,11 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 	return s.res, nil
 }
 
-// consider keeps the schedule if it strictly beats the incumbent; ties keep
-// the earlier one, so consumption order decides and must match the
-// sequential probe order.
-func (s *search) consider(sch *schedule.Schedule) {
-	if sch == nil {
-		return
-	}
-	if mk := sch.Makespan(s.in); s.best == nil || mk < s.bestMk {
+// consider keeps the schedule (of makespan mk) if it strictly beats the
+// incumbent; ties keep the earlier one, so consumption order decides and
+// must match the sequential probe order.
+func (s *search) consider(sch *schedule.Schedule, mk float64) {
+	if s.best == nil || mk < s.bestMk {
 		s.best, s.bestMk = sch, mk
 	}
 }
@@ -320,7 +318,7 @@ func (s *search) merge(lambda float64, r StepResult, synth bool) {
 		})
 	}
 	if r.Schedule != nil {
-		s.consider(r.Schedule)
+		s.consider(r.Schedule, r.Makespan)
 	} else if r.Certified {
 		if lambda > s.res.LowerBound {
 			s.res.LowerBound = lambda

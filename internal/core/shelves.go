@@ -73,12 +73,10 @@ func newPartition(c *instance.Compiled, a Allotment, mu float64, sc *Scratch) (*
 	}
 	p.Q1 -= c.M()
 	sc.sizes = sizes // keep the grown backing array for the next probe
-	pk, err := packing.FirstFit(sizes, mu*lambda)
-	if err != nil {
+	if err := p.SPack.FirstFit(sizes, mu*lambda); err != nil {
 		return nil, err // unreachable: sizes ≤ λ/2 ≤ μλ for μ ≥ 1/2
 	}
-	p.SPack = pk
-	p.LS = pk.NumBins()
+	p.LS = p.SPack.NumBins()
 	return p, nil
 }
 
@@ -111,36 +109,43 @@ func TwoShelf(in *instance.Instance, lambda float64, p Params) TwoShelfResult {
 		if !a.OK {
 			return TwoShelfResult{Exact: true}
 		}
-		return twoShelfFromAllotment(c, a, p, sc)
+		r := twoShelfFromAllotment(c, a, p, sc)
+		return TwoShelfResult{Schedule: r.schedule(), Method: r.method, Exact: r.exact}
 	})
 }
 
-func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Scratch) TwoShelfResult {
+// shelfDraft is a TwoShelfResult whose schedule still lives in the Scratch.
+type shelfDraft struct {
+	draft
+	method string
+	exact  bool
+}
+
+func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Scratch) shelfDraft {
 	mu := prm.mu()
 	part, err := newPartition(c, a, mu, sc)
 	if err != nil {
-		return TwoShelfResult{}
+		return shelfDraft{}
 	}
-	in := c.Instance()
-	m := in.M
+	m := c.M()
 	capacity := m - part.Q2 - part.LS
 
 	// Trivial feasibility: nothing needs to move.
 	if part.Q1 <= 0 && capacity >= 0 {
-		return buildTwoShelf(in, a, part, nil, "empty")
+		return buildTwoShelf(c, a, part, nil, "empty", sc)
 	}
 	if capacity < 0 {
 		// The second shelf overflows before any T1 task moves; no
 		// μ-schedule exists (T2 and TS placements are forced).
-		if r := trivialSolution(c, a, part, sc); r.Schedule != nil {
+		if r := trivialSolution(c, a, part, sc); r.built() {
 			return r
 		}
-		return TwoShelfResult{Exact: true}
+		return shelfDraft{exact: true}
 	}
 
 	// §4.5 trivial solutions: one big task moves and everything else fits
 	// in the first shelf.
-	if r := trivialSolution(c, a, part, sc); r.Schedule != nil {
+	if r := trivialSolution(c, a, part, sc); r.built() {
 		return r
 	}
 
@@ -163,6 +168,8 @@ func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Sc
 	cols.Truncate(cur)
 	wcol, pcol, backing := cols.Weights(), cols.Profits(), cols.Tags()
 	useDP := len(wcol)*(capacity+1) <= prm.MaxDPCells
+	// sel lives in the Solver until its next call; a reached target Q1 > 0
+	// makes it non-empty, so an empty method means no selection.
 	var sel []int
 	var method string
 	exact := false
@@ -180,95 +187,80 @@ func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Sc
 			sel, method = s2, "knapsack-dual"
 		}
 	}
-	if sel == nil {
-		return TwoShelfResult{Exact: exact}
+	if method == "" {
+		return shelfDraft{exact: exact}
 	}
-	moved := make([]int, len(sel))
+	moved := intsBuf(&sc.moved, len(sel))
 	for k, s := range sel {
 		moved[k] = backing[s]
 	}
-	return buildTwoShelf(in, a, part, moved, method)
+	return buildTwoShelf(c, a, part, moved, method, sc)
 }
 
 // trivialSolution looks for the §4.5 escape: a single task τ ∈ T1 such that
 // all other tasks fit into the first shelf at canonical allotments (with TS
 // First-Fit packed under deadline λ) while τ alone runs in the second shelf
 // on d_τ ≤ m processors.
-func trivialSolution(c *instance.Compiled, a Allotment, part *Partition, sc *Scratch) TwoShelfResult {
-	in := c.Instance()
+func trivialSolution(c *instance.Compiled, a Allotment, part *Partition, sc *Scratch) shelfDraft {
+	m := c.M()
 	lambda := a.Lambda
 	sizes := sc.tsizes[:0]
 	for _, i := range part.TS {
 		sizes = append(sizes, c.Time(i, a.Gamma[i]))
 	}
 	sc.tsizes = sizes
-	qS1 := 0
-	var sPack packing.Result
-	if len(sizes) > 0 {
-		pk, err := packing.FirstFit(sizes, lambda)
-		if err != nil {
-			return TwoShelfResult{}
-		}
-		sPack = pk
-		qS1 = pk.NumBins()
+	sPack := &sc.tpack
+	if err := sPack.FirstFit(sizes, lambda); err != nil {
+		return shelfDraft{}
 	}
-	need := part.Q1 + part.Q2 + qS1
+	need := part.Q1 + part.Q2 + sPack.NumBins()
+candidates:
 	for _, i := range part.T1 {
 		d, ok := part.D[i]
-		if !ok || d > in.M {
+		if !ok || d > m || a.Gamma[i] < need {
 			continue
 		}
-		if a.Gamma[i] >= need {
-			s := &schedule.Schedule{Algorithm: "two-shelf"}
-			x := 0
-			place := func(t int, width int, start float64) bool {
-				if x+width > in.M {
-					return false
+		// Every candidate builds from an emptied buffer: one that fails
+		// half-way must leave nothing behind for the next.
+		r := shelfDraft{method: "trivial", draft: draft{algorithm: "two-shelf", placements: placementsBuf(&sc.shelf, c.N())}}
+		x := 0
+		for _, band := range [2][]int{part.T1, part.T2} {
+			for _, j := range band {
+				if j == i {
+					continue
 				}
-				s.Placements = append(s.Placements, schedule.Placement{Task: t, Start: start, Width: width, First: x})
-				x += width
-				return true
-			}
-			ok := true
-			for _, j := range part.T1 {
-				if j != i && !place(j, a.Gamma[j], 0) {
-					ok = false
+				g := a.Gamma[j]
+				if x+g > m {
+					continue candidates
 				}
+				r.place(c, j, 0, g, x)
+				x += g
 			}
-			for _, j := range part.T2 {
-				if !place(j, a.Gamma[j], 0) {
-					ok = false
-				}
-			}
-			base := x
-			for k, j := range part.TS {
-				bin := base + sPack.Bin[k]
-				if bin >= in.M {
-					ok = false
-					break
-				}
-				s.Placements = append(s.Placements, schedule.Placement{
-					Task: j, Start: sPack.Offset[k], Width: 1, First: bin,
-				})
-			}
-			if !ok {
-				continue
-			}
-			// τ alone in the second shelf, leftmost.
-			s.Placements = append(s.Placements, schedule.Placement{
-				Task: i, Start: lambda, Width: d, First: 0,
-			})
-			return TwoShelfResult{Schedule: s, Method: "trivial"}
 		}
+		for k, j := range part.TS {
+			bin := x + sPack.Bin[k]
+			if bin >= m {
+				continue candidates
+			}
+			r.place(c, j, sPack.Offset[k], 1, bin)
+		}
+		// τ alone in the second shelf, leftmost.
+		r.place(c, i, lambda, d, 0)
+		return r
 	}
-	return TwoShelfResult{}
+	return shelfDraft{}
 }
 
 // buildTwoShelf materialises the μ-schedule once the moved subset is known.
-func buildTwoShelf(in *instance.Instance, a Allotment, part *Partition, moved []int, method string) TwoShelfResult {
+func buildTwoShelf(c *instance.Compiled, a Allotment, part *Partition, moved []int, method string, sc *Scratch) shelfDraft {
+	m := c.M()
 	lambda := a.Lambda
-	s := &schedule.Schedule{Algorithm: "two-shelf"}
-	inMoved := make(map[int]bool, len(moved))
+	r := shelfDraft{method: method, exact: true, draft: draft{algorithm: "two-shelf", placements: placementsBuf(&sc.shelf, c.N())}}
+	if cap(sc.inMoved) < c.N() {
+		sc.inMoved = make([]bool, c.N())
+	}
+	inMoved := sc.inMoved[:c.N()]
+	clear(inMoved)
 	for _, i := range moved {
 		inMoved[i] = true
 	}
@@ -279,12 +271,10 @@ func buildTwoShelf(in *instance.Instance, a Allotment, part *Partition, moved []
 		if inMoved[i] {
 			continue
 		}
-		if x+a.Gamma[i] > in.M {
-			return TwoShelfResult{} // defensive; Σ_{T1∖S} γ ≤ m by selection
+		if x+a.Gamma[i] > m {
+			return shelfDraft{} // defensive; Σ_{T1∖S} γ ≤ m by selection
 		}
-		s.Placements = append(s.Placements, schedule.Placement{
-			Task: i, Start: 0, Width: a.Gamma[i], First: x,
-		})
+		r.place(c, i, 0, a.Gamma[i], x)
 		x += a.Gamma[i]
 	}
 
@@ -292,32 +282,25 @@ func buildTwoShelf(in *instance.Instance, a Allotment, part *Partition, moved []
 	x = 0
 	for _, i := range moved {
 		d := part.D[i]
-		if x+d > in.M {
-			return TwoShelfResult{}
+		if x+d > m {
+			return shelfDraft{}
 		}
-		s.Placements = append(s.Placements, schedule.Placement{
-			Task: i, Start: lambda, Width: d, First: x,
-		})
+		r.place(c, i, lambda, d, x)
 		x += d
 	}
 	for _, i := range part.T2 {
-		if x+a.Gamma[i] > in.M {
-			return TwoShelfResult{}
+		if x+a.Gamma[i] > m {
+			return shelfDraft{}
 		}
-		s.Placements = append(s.Placements, schedule.Placement{
-			Task: i, Start: lambda, Width: a.Gamma[i], First: x,
-		})
+		r.place(c, i, lambda, a.Gamma[i], x)
 		x += a.Gamma[i]
 	}
-	base := x
 	for k, i := range part.TS {
-		bin := base + part.SPack.Bin[k]
-		if bin >= in.M {
-			return TwoShelfResult{}
+		bin := x + part.SPack.Bin[k]
+		if bin >= m {
+			return shelfDraft{}
 		}
-		s.Placements = append(s.Placements, schedule.Placement{
-			Task: i, Start: lambda + part.SPack.Offset[k], Width: 1, First: bin,
-		})
+		r.place(c, i, lambda+part.SPack.Offset[k], 1, bin)
 	}
-	return TwoShelfResult{Schedule: s, Method: method, Exact: true}
+	return r
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"malsched/internal/instance"
@@ -163,5 +164,49 @@ func TestTwoShelfEmptySelection(t *testing.T) {
 	r := TwoShelf(in, 1, DefaultParams())
 	if r.Schedule == nil || r.Method != "empty" {
 		t.Fatalf("want empty method, got %+v", r)
+	}
+}
+
+// trivialSolution tries the T1 tasks in turn on one shared placement buffer.
+// With an honest partition a candidate with γ ≥ need always fits (need is
+// exactly the first-shelf overflow), so the half-built-then-abandoned case
+// takes a partition whose Q1 understates the overflow by one: the first
+// qualifying τ then fails at the T2 task, after two placements are already
+// written, and the second τ must start from an empty buffer.
+func TestTrivialSolutionResetsPerCandidate(t *testing.T) {
+	const m = 10
+	in := instance.MustNew("reset", m, []task.Task{
+		task.Linear("tau-narrow", 3, m), // γ(1)=3, d=5
+		task.Linear("tau-wide", 6, m),   // γ(1)=6, d=9
+		task.Linear("big", 4, m),        // γ(1)=4
+		task.Sequential("mid", 0.6, m),  // T2, γ=1
+	})
+	c := instance.Compile(in)
+	sc := NewScratch()
+	a := sc.seg.filled(c, 1).allotment(1)
+	part, err := newPartition(c, a, Mu, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trivialSolution(c, a, part, sc); got.method != "trivial" || got.placements[len(got.placements)-1].Task != 1 {
+		t.Fatalf("honest partition: want the trivial solution around tau-wide, got %+v", got)
+	}
+	part.Q1-- // tau-narrow now qualifies first, and cannot be placed around
+	got := trivialSolution(c, a, part, sc)
+	want := []schedule.Placement{
+		{Task: 0, Start: 0, Width: 3, First: 0},
+		{Task: 2, Start: 0, Width: 4, First: 3},
+		{Task: 3, Start: 0, Width: 1, First: 7},
+		{Task: 1, Start: 1, Width: 9, First: 0},
+	}
+	if !reflect.DeepEqual(got.placements, want) {
+		t.Fatalf("second candidate built on the first one's leftovers:\n got %+v\nwant %+v", got.placements, want)
+	}
+	s := got.schedule()
+	if err := schedule.Validate(in, s, true); err != nil {
+		t.Fatal(err)
+	}
+	if mk := s.Makespan(in); mk != got.makespan {
+		t.Fatalf("draft makespan %v, schedule makespan %v", got.makespan, mk)
 	}
 }

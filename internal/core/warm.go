@@ -306,10 +306,3 @@ func (sc *Scratch) DropCompiled(c *instance.Compiled) {
 		sc.aux.DropCompiled(c)
 	}
 }
-
-func (st *segState) drop(c *instance.Compiled) {
-	if m, ok := st.caches[c]; ok {
-		st.total -= len(m)
-		delete(st.caches, c)
-	}
-}

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"malsched/internal/task"
@@ -116,8 +117,8 @@ func (c *Compiled) finishTables() {
 	for i := range c.seqOrder {
 		c.seqOrder[i] = i
 	}
-	sort.SliceStable(c.seqOrder, func(a, b int) bool {
-		return c.seqTimeOrZero(c.seqOrder[a]) > c.seqTimeOrZero(c.seqOrder[b])
+	slices.SortStableFunc(c.seqOrder, func(a, b int) int {
+		return task.Descending(c.seqTimeOrZero(a), c.seqTimeOrZero(b))
 	})
 }
 

@@ -14,6 +14,10 @@ package knapsack
 // reused column buffers, so both forms run the exact same DP and return
 // identical results.
 //
+// A returned selection lives in a Solver-owned buffer, like the tables
+// beside it: it is valid until the Solver's next call, and callers that
+// keep it longer copy it.
+//
 // The zero value is ready to use. A Solver is not safe for concurrent use;
 // pool one per worker (the engine does). The package-level functions remain
 // allocation-per-call conveniences delegating to a fresh Solver, so both
@@ -27,6 +31,7 @@ type Solver struct {
 	wscaled []int      // MinWeightApprox scaled weights
 	wsplit  []int      // Item-adapter weight column
 	psplit  []int      // Item-adapter profit column
+	sel     []int      // the last call's selection
 }
 
 // NewSolver returns an empty Solver; buffers grow on demand.
@@ -73,6 +78,18 @@ func (s *Solver) bitRows(n, words int) [][]uint64 {
 		s.take[i] = s.flat[i*words : (i+1)*words]
 	}
 	return s.take
+}
+
+// selected records the backtracked selection (descending, built on s.sel's
+// capacity) as the reused buffer and returns it ascending; an empty
+// selection stays nil.
+func (s *Solver) selected(sel []int) []int {
+	s.sel = sel
+	if len(sel) == 0 {
+		return nil
+	}
+	reverse(sel)
+	return sel
 }
 
 // split copies items into the Solver's reused weight/profit columns.
@@ -123,14 +140,14 @@ func (s *Solver) MaxProfitCols(weights, profits []int, capacity int) (sel []int,
 	}
 	profit = dp[capacity]
 	c := capacity
+	sel = s.sel[:0]
 	for i := n - 1; i >= 0; i-- {
 		if take[i][c/64]&(1<<(c%64)) != 0 {
 			sel = append(sel, i)
 			c -= weights[i]
 		}
 	}
-	reverse(sel)
-	return sel, profit
+	return s.selected(sel), profit
 }
 
 // MinWeight solves problem (KS') exactly on reused buffers; see the
@@ -176,6 +193,7 @@ func (s *Solver) MinWeightCols(weights, profits []int, target int) (sel []int, w
 		return nil, 0, false
 	}
 	q := target
+	sel = s.sel[:0]
 	for i := n - 1; i >= 0; i-- {
 		if q > 0 && take[i][q/64]&(1<<(q%64)) != 0 {
 			sel = append(sel, i)
@@ -185,9 +203,7 @@ func (s *Solver) MinWeightCols(weights, profits []int, target int) (sel []int, w
 			}
 		}
 	}
-	reverse(sel)
-	weight = int(dp[target])
-	return sel, weight, true
+	return s.selected(sel), int(dp[target]), true
 }
 
 // MaxProfitFPTAS is the (KS) approximation scheme on reused buffers; see the
@@ -252,13 +268,14 @@ func (s *Solver) MaxProfitFPTASCols(weights, profits []int, capacity int, eps fl
 		}
 	}
 	q := best
+	sel = s.sel[:0]
 	for i := n - 1; i >= 0; i-- {
 		if take[i][q/64]&(1<<(q%64)) != 0 {
 			sel = append(sel, i)
 			q -= scaled[i]
 		}
 	}
-	reverse(sel)
+	sel = s.selected(sel)
 	for _, i := range sel {
 		profit += profits[i]
 	}

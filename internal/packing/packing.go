@@ -38,10 +38,28 @@ var ErrOversized = errors.New("packing: item larger than capacity")
 // fits. Comparisons use the module tolerance so an item may exactly fill a
 // bin.
 func FirstFit(sizes []float64, capacity float64) (Result, error) {
-	r := Result{Bin: make([]int, len(sizes)), Offset: make([]float64, len(sizes))}
+	var r Result
+	if err := r.FirstFit(sizes, capacity); err != nil {
+		return Result{}, err
+	}
+	return r, nil
+}
+
+// FirstFit is the in-place form of the package-level FirstFit: it
+// overwrites r with the packing, reusing the capacity of r's slices, so a
+// caller packing same-sized inputs over and over (core's Scratch, twice per
+// probe) allocates nothing. On error r's contents are unspecified.
+func (r *Result) FirstFit(sizes []float64, capacity float64) error {
+	if cap(r.Bin) < len(sizes) {
+		r.Bin = make([]int, len(sizes))
+	}
+	if cap(r.Offset) < len(sizes) {
+		r.Offset = make([]float64, len(sizes))
+	}
+	r.Bin, r.Offset, r.Loads = r.Bin[:len(sizes)], r.Offset[:len(sizes)], r.Loads[:0]
 	for i, s := range sizes {
 		if !task.Leq(s, capacity) {
-			return Result{}, fmt.Errorf("%w: item %d size %g, capacity %g", ErrOversized, i, s, capacity)
+			return fmt.Errorf("%w: item %d size %g, capacity %g", ErrOversized, i, s, capacity)
 		}
 		placed := false
 		for b, load := range r.Loads {
@@ -59,7 +77,7 @@ func FirstFit(sizes []float64, capacity float64) (Result, error) {
 			r.Loads = append(r.Loads, s)
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // FirstFitDecreasing sorts the items by non-increasing size before running

@@ -225,9 +225,6 @@ func (wd *Windower) Best(front []float64, w int) (x int, start float64) {
 // processor that frees earliest, lowest index among ties. It returns the
 // processor and start time per job. release may be nil for all-zero.
 func LPT(m int, durations []float64, release []float64, order []int) (proc []int, start []float64) {
-	if order == nil {
-		order = identity(len(durations))
-	}
 	load := make([]float64, m)
 	if release != nil {
 		if len(release) != m {
@@ -237,9 +234,26 @@ func LPT(m int, durations []float64, release []float64, order []int) (proc []int
 	}
 	proc = make([]int, len(durations))
 	start = make([]float64, len(durations))
-	for _, i := range order {
+	LPTInto(load, durations, order, proc, start)
+	return proc, start
+}
+
+// LPTInto is LPT on caller-owned memory: load holds one entry per
+// processor, initialised to its release time, and is advanced in place to
+// the final per-processor loads; proc and start (one entry per job) receive
+// the result. order may be nil for input order. It allocates nothing.
+func LPTInto(load, durations []float64, order []int, proc []int, start []float64) {
+	n := len(durations)
+	if order != nil {
+		n = len(order)
+	}
+	for k := 0; k < n; k++ {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
 		best := 0
-		for j := 1; j < m; j++ {
+		for j := 1; j < len(load); j++ {
 			if load[j] < load[best] {
 				best = j
 			}
@@ -248,5 +262,4 @@ func LPT(m int, durations []float64, release []float64, order []int) (proc []int
 		start[i] = load[best]
 		load[best] += durations[i]
 	}
-	return proc, start
 }

@@ -84,3 +84,37 @@ func TestAllocBudgets(t *testing.T) {
 		t.Fatalf("the timed requests were not memo hits: %+v", st)
 	}
 }
+
+// A whole binary memo miss through the shard's handler: decode, compile,
+// the λ-search, verify, encode — every run a fresh 24×16 instance, test
+// request and recorder included. The search's share is what
+// core.TestApproximateAllocBudget bounds (the accepted probes' copies); the
+// rest is the instance and its compiled tables.
+func TestAllocBudgetMemoMiss(t *testing.T) {
+	const n, m, runs, budget = 24, 16, 200, 110
+	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
+	for i := range frames {
+		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
+	}
+	s := New(Config{Shards: 1, Workers: 1})
+	next := 0
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frames[next]))
+		next++
+		req.Header.Set("Content-Type", wire.ContentType)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("HTTP %d", rec.Code)
+		}
+	}
+	serve() // warm pools and the worker's Scratch
+	if got := testing.AllocsPerRun(runs, serve); got > budget {
+		t.Errorf("memo-miss ServeHTTP: %.1f allocs per run, budget %d", got, budget)
+	} else {
+		t.Logf("memo-miss ServeHTTP: %.1f allocs per run (budget %d)", got, budget)
+	}
+	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != runs+2 {
+		t.Fatalf("the timed requests were not all memo misses: %+v", st)
+	}
+}

@@ -28,6 +28,20 @@ func Leq(x, y float64) bool {
 // Geq reports whether x ≥ y up to the module-wide relative tolerance.
 func Geq(x, y float64) bool { return Leq(y, x) }
 
+// Descending is the slices.SortStableFunc comparator of a non-increasing
+// order of times: negative when x > y, positive when x < y, zero otherwise.
+// Exact compares, no tolerance; a NaN ties with everything, as under the
+// less-function x > y.
+func Descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case x < y:
+		return 1
+	}
+	return 0
+}
+
 // Task is an immutable malleable task. The zero value is invalid; use New
 // or one of the profile constructors in profiles.go.
 type Task struct {
