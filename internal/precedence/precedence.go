@@ -66,6 +66,25 @@ var (
 // (codec, server, engine) — none of them need to build a Graph to reject
 // hostile input with a typed error.
 func ValidateEdges(n int, succ [][]int) error {
+	if err := checkEndpoints(n, succ); err != nil {
+		return err
+	}
+	buf := make([]int, 2*n)
+	indeg, order := buf[:n], buf[n:]
+	for _, ss := range succ {
+		for _, j := range ss {
+			indeg[j]++
+		}
+	}
+	if !kahn(succ, indeg, order) {
+		return ErrCycle
+	}
+	return nil
+}
+
+// checkEndpoints is the shape half of edge admission: exactly n successor
+// lists, every endpoint in [0, n).
+func checkEndpoints(n int, succ [][]int) error {
 	if len(succ) != n {
 		return fmt.Errorf("%w: %d lists for %d tasks", ErrShape, len(succ), n)
 	}
@@ -76,50 +95,51 @@ func ValidateEdges(n int, succ [][]int) error {
 			}
 		}
 	}
-	if _, err := topoOrder(n, succ); err != nil {
-		return err
-	}
 	return nil
 }
 
-// topoOrder returns a topological order of the n-node graph, or ErrCycle.
-// Kahn's algorithm; endpoints must already be bounds-checked.
-func topoOrder(n int, succ [][]int) ([]int, error) {
-	indeg := make([]int, n)
-	for _, ss := range succ {
-		for _, j := range ss {
-			indeg[j]++
+// kahn writes a topological order of the graph into order and reports
+// whether one exists (false: the graph is cyclic). indeg holds every node's
+// predecessor count on entry and is consumed; endpoints must already be
+// bounds-checked. Kahn's order is its own queue — nodes are appended when
+// their last predecessor is emitted and read back through a head index —
+// so the two caller-supplied n-slices are all the memory the sort needs.
+// Deterministic: sources enter in index order, successors in list order.
+func kahn(succ [][]int, indeg, order []int) bool {
+	tail := 0
+	for i, d := range indeg {
+		if d == 0 {
+			order[tail] = i
+			tail++
 		}
 	}
-	var queue, order []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, j := range succ[i] {
+	for head := 0; head < tail; head++ {
+		for _, j := range succ[order[head]] {
 			if indeg[j]--; indeg[j] == 0 {
-				queue = append(queue, j)
+				order[tail] = j
+				tail++
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, ErrCycle
-	}
-	return order, nil
+	return tail == len(order)
 }
 
 // copyEdges deep-copies a successor list so later caller mutation cannot
-// break a validated Graph (or leak out through Edges).
+// break a validated Graph (or leak out through Edges). All lists share one
+// backing array, each capped at its own length so an append through one
+// cannot reach its neighbour.
 func copyEdges(succ [][]int) [][]int {
+	total := 0
+	for _, ss := range succ {
+		total += len(ss)
+	}
 	out := make([][]int, len(succ))
+	backing := make([]int, 0, total)
 	for i, ss := range succ {
 		if len(ss) > 0 {
-			out[i] = append([]int(nil), ss...)
+			off := len(backing)
+			backing = append(backing, ss...)
+			out[i] = backing[off:len(backing):len(backing)]
 		}
 	}
 	return out
@@ -131,22 +151,14 @@ func copyEdges(succ [][]int) [][]int {
 // deadline arrays and the edge hash.
 func NewGraph(in *instance.Instance, succ [][]int) (*Graph, error) {
 	n := in.N()
-	if len(succ) != n {
-		return nil, fmt.Errorf("%w: %d lists for %d tasks", ErrShape, len(succ), n)
-	}
-	for i, ss := range succ {
-		for _, j := range ss {
-			if j < 0 || j >= n {
-				return nil, fmt.Errorf("%w: %d -> %d", ErrEdge, i, j)
-			}
-		}
-	}
-	order, err := topoOrder(n, succ)
-	if err != nil {
+	if err := checkEndpoints(n, succ); err != nil {
 		return nil, err
 	}
-	g := &Graph{in: in, succ: copyEdges(succ), topo: order}
-	g.preds = make([]int, n)
+	// One block for the three per-node int arrays: the predecessor counts
+	// the solves read, the copy of them Kahn's algorithm consumes, and the
+	// order it emits.
+	buf := make([]int, 3*n)
+	g := &Graph{in: in, succ: copyEdges(succ), preds: buf[:n:n], topo: buf[2*n:]}
 	h := fphash.New()
 	h.Word(uint64(len(g.succ)))
 	for _, ss := range g.succ {
@@ -157,15 +169,27 @@ func NewGraph(in *instance.Instance, succ [][]int) (*Graph, error) {
 		}
 	}
 	g.edgeHash = h.Sum()
+	indeg := buf[n : 2*n]
+	copy(indeg, g.preds)
+	if !kahn(g.succ, indeg, g.topo) {
+		return nil, ErrCycle
+	}
 
 	// Candidate deadlines: every distinct profile time, sorted. Duplicate
 	// times are collapsed once here instead of inflating every binary
 	// search and λ-subsample downstream; the searches' answers depend only
 	// on the distinct values, so dedup never changes the selected
-	// crossover deadline.
-	var cands []float64
+	// crossover deadline. Read through Task.Time into one exactly-sized
+	// slice — Task.Times would copy every profile first.
+	total := 0
 	for _, t := range in.Tasks {
-		cands = append(cands, t.Times()...)
+		total += t.MaxProcs()
+	}
+	cands := make([]float64, 0, total)
+	for _, t := range in.Tasks {
+		for p := 1; p <= t.MaxProcs(); p++ {
+			cands = append(cands, t.Time(p))
+		}
 	}
 	sort.Float64s(cands)
 	g.cands = dedupSorted(cands)
@@ -298,10 +322,13 @@ func (g *Graph) criticalPathInto(times, tail []float64) float64 {
 // full-machine allotments): any schedule performs at least the minimal
 // work, and no chain can beat its fastest execution.
 func (g *Graph) LowerBound() float64 {
-	fast := make([]float64, g.in.N())
+	// One buffer is both the times and the tails of the critical-path walk:
+	// it reads times[i] once, just before it writes tail[i], and otherwise
+	// only reads successors' tails, which are final by then.
+	buf := make([]float64, g.in.N())
 	for i, t := range g.in.Tasks {
-		fast[i] = t.MinTime()
+		buf[i] = t.MinTime()
 	}
-	cp, _ := g.CriticalPath(fast)
+	cp := g.criticalPathInto(buf, buf)
 	return math.Max(g.in.MinTotalWork()/float64(g.in.M), cp)
 }

@@ -14,6 +14,7 @@ package precedence
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"malsched/internal/core"
@@ -98,6 +99,7 @@ type segKey struct {
 // task.Leq — so any λ landing in a cached segment reuses them wholesale.
 type segEval struct {
 	ok    bool
+	seg   int // the λ-segment the entry answers for
 	alloc []int
 	times []float64
 	area  float64
@@ -109,28 +111,29 @@ type segEval struct {
 // list-scheduling inner loops. Not safe for concurrent use — it rides a
 // per-worker core.Scratch via the aux slot (see Options.Scratch).
 type Scratch struct {
-	seg map[segKey]*segEval
+	seg     map[segKey]*segEval
+	freeSeg []*segEval // evicted entries, slices and all, awaiting reuse
 
-	times    []float64
-	tail     []float64
-	evtail   []float64
-	preds    []int
-	ready    []int
-	free     []int
-	mergeBuf []int
-	winner   []int
-	full     []int
-	climb    []int
-	running  []runEv
+	times   []float64
+	tail    []float64
+	evtail  []float64
+	start   []float64
+	gamma   []int
+	preds   []int
+	ready   []int
+	free    []int
+	spare   []int
+	winner  []int
+	cand    []int
+	best    []int
+	tried   []int
+	running []runEv
+	ends    []runEnd
 
 	// plan and planProcs back the scratch schedule listSchedule builds
-	// into: candidate schedules are materialised here and only cloned
-	// when a caller keeps one, so the portfolio and the hill-climb pay
-	// no allocation for the candidates they discard.
+	// into; the one schedule a solve returns is cloned out of them.
 	plan      schedule.Schedule
 	planProcs []int
-
-	readySort readySorter
 }
 
 // DropCompiled forgets every cached evaluation derived from c. It is the
@@ -138,20 +141,40 @@ type Scratch struct {
 // drops the retired tables through core.Scratch.DropCompiled, which
 // forwards here.
 func (sc *Scratch) DropCompiled(c *instance.Compiled) {
-	for k := range sc.seg {
+	for k, ent := range sc.seg {
 		if k.c == c {
 			delete(sc.seg, k)
+			sc.freeSeg = append(sc.freeSeg, ent)
 		}
 	}
 }
 
-// put stores a segment evaluation, clearing the cache wholesale at the
-// cap (callers copy anything they keep across later evaluations).
-func (sc *Scratch) put(k segKey, e *segEval) {
-	if sc.seg == nil || len(sc.seg) >= dagSegCap {
+// put makes room for a segment evaluation under k and returns the entry
+// to fill in: a recycled one, tables and all, when there is one. At the cap
+// the cache is emptied wholesale; entries evicted here and by DropCompiled
+// go to the free list and are handed out again, so an entry returned by
+// eval is valid only until the next eval on the same Scratch: callers copy
+// what they keep. (No caller holds one across an eval: selectAllotment
+// copies its winner, portfolio scores a candidate before it asks for the
+// next.)
+func (sc *Scratch) put(k segKey) *segEval {
+	if sc.seg == nil {
 		sc.seg = make(map[segKey]*segEval)
 	}
-	sc.seg[k] = e
+	if len(sc.seg) >= dagSegCap {
+		for _, old := range sc.seg {
+			sc.freeSeg = append(sc.freeSeg, old)
+		}
+		clear(sc.seg)
+	}
+	var ent *segEval
+	if n := len(sc.freeSeg); n > 0 {
+		ent, sc.freeSeg = sc.freeSeg[n-1], sc.freeSeg[:n-1]
+	} else {
+		ent = &segEval{}
+	}
+	sc.seg[k] = ent
+	return ent
 }
 
 // auxScratch resolves the precedence working memory attached to a core
@@ -203,8 +226,8 @@ type evalCtx struct {
 	private bool
 }
 
-func (g *Graph) evalContext(o Options) *evalCtx {
-	e := &evalCtx{g: g, c: o.Compiled, sc: auxScratch(o.Scratch)}
+func (g *Graph) evalContext(o Options) evalCtx {
+	e := evalCtx{g: g, c: o.Compiled, sc: auxScratch(o.Scratch)}
 	if e.c == nil {
 		e.c = instance.Compile(g.in)
 		e.private = true
@@ -223,33 +246,40 @@ func (e *evalCtx) release() {
 
 // eval derives (γ(λ), times, Σw/m, CP) for a candidate deadline; ok is
 // false when some task cannot meet it. The returned entry is owned by the
-// segment cache — valid until the cache's wholesale clear, so callers
-// keeping an allotment across later evaluations must copy it.
+// segment cache (see Scratch.put for how long it lives). The allotment is
+// staged in a Scratch buffer, so an infeasible deadline — half the probes
+// of the feasibility search — caches a verdict and allocates no table.
 func (e *evalCtx) eval(lambda float64) *segEval {
 	e.probes++
+	sc := e.sc
 	key := segKey{c: e.c, edges: e.g.edgeHash, seg: e.c.Segment(lambda)}
-	if ent, ok := e.sc.seg[key]; ok {
+	if ent, ok := sc.seg[key]; ok {
 		e.hits++
 		return ent
 	}
 	n := e.g.in.N()
-	ent := &segEval{alloc: make([]int, n), times: make([]float64, n), ok: true}
+	ent := sc.put(key)
+	ent.ok, ent.seg = true, key.seg
+	gamma := intsBuf(&sc.gamma, n)
 	var raw float64
-	for i := 0; i < n; i++ {
+	for i := range gamma {
 		gm, ok := e.c.Gamma(i, lambda)
 		if !ok {
 			ent.ok = false
 			break
 		}
-		ent.alloc[i] = gm
-		ent.times[i] = e.c.Time(i, gm)
+		gamma[i] = gm
 		raw += e.c.Work(i, gm)
 	}
 	if ent.ok {
+		copy(intsBuf(&ent.alloc, n), gamma)
+		times := floatsBuf(&ent.times, n)
+		for i, gm := range gamma {
+			times[i] = e.c.Time(i, gm)
+		}
 		ent.area = raw / float64(e.g.in.M)
-		ent.cp = e.g.criticalPathInto(ent.times, floatsBuf(&e.sc.tail, n))
+		ent.cp = e.g.criticalPathInto(times, floatsBuf(&sc.tail, n))
 	}
-	e.sc.put(key, ent)
 	return ent
 }
 
@@ -303,7 +333,8 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 			continue
 		}
 		if ent := e.eval(rest[k]); ent.ok && math.Max(ent.area, ent.cp) < bestL {
-			alloc = append(intsBuf(&e.sc.winner, 0), ent.alloc...)
+			alloc = intsBuf(&e.sc.winner, len(ent.alloc))
+			copy(alloc, ent.alloc)
 			bestL = math.Max(ent.area, ent.cp)
 		}
 	}
@@ -326,7 +357,8 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 // canonical-allotment family (see selectAllotment), on privately compiled
 // tables and a private scratch.
 func (g *Graph) SelectAllotment() ([]int, float64) {
-	return g.evalContext(Options{}).selectAllotment(nil)
+	e := g.evalContext(Options{})
+	return e.selectAllotment(nil)
 }
 
 // SolveCrossover runs the plain two-phase algorithm with no candidate
@@ -363,46 +395,69 @@ func (g *Graph) ScheduleCrossover() (*schedule.Schedule, error) {
 // canonical family (the L-minimiser of the crossover search, the
 // full-machine allotment, and a logarithmic sample of the deduped λ
 // grid) are each list-scheduled greedily in longest-tail order, the best
-// schedule wins, and a per-task width hill-climb refines it. Trying the
+// one wins, and a per-task width hill-climb refines it. Trying the
 // whole family matters: chain-dominated graphs want wide allotments
 // (critical path rules) while wide graphs want narrow ones (area rules),
-// and no single L measure captures both. The result is a valid
-// non-contiguous schedule; the validator runs with contiguity off,
-// matching rigid.List.
+// and no single L measure captures both. A candidate or a climb move is
+// only ever asked for its makespan (score); the solve tracks the best
+// allotment and builds placements and processor sets once, for the
+// winner. The result is a valid non-contiguous schedule; the validator
+// runs with contiguity off, matching rigid.List.
 func (g *Graph) Solve(o Options) (Result, error) {
 	e := g.evalContext(o)
 	defer e.release()
-	in := g.in
+	best, mk := e.portfolio(o.Warm)
+	// Only the portfolio evaluates deadlines: the counts are final here.
+	r := Result{Probes: e.probes, CacheHits: e.hits}
+	if best == nil {
+		return r, errors.New("precedence: no feasible allotment")
+	}
+	e.climb(best, mk, e.score)
+	s, err := e.listSchedule(best)
+	if err != nil {
+		return r, err
+	}
+	r.Schedule = cloneSchedule(s)
+	return r, nil
+}
+
+// portfolio scores the candidate allotments — a logarithmic sample of the
+// deduped λ grid, the crossover search's L-minimiser, the full-machine
+// allotment and the level-proportional one — and returns the best
+// (Scratch-owned) with its makespan; the first of equals wins. nil when no
+// candidate can be scheduled.
+func (e *evalCtx) portfolio(warm *core.WarmStart) ([]int, float64) {
+	g, in, sc := e.g, e.g.in, e.sc
 	n := in.N()
-	var best *schedule.Schedule
+	best := intsBuf(&sc.best, n)
 	bestMk := math.Inf(1)
 	try := func(alloc []int) {
-		if alloc == nil {
-			return
+		if mk, ok := e.score(alloc, bestMk); ok {
+			copy(best, alloc)
+			bestMk = mk
 		}
-		s, err := e.listSchedule(alloc)
-		if err != nil {
-			return
-		}
-		if mk := s.Makespan(in); mk < bestMk {
-			best, bestMk = cloneSchedule(s), mk
+	}
+	// Two grid samples inside one λ-segment are the same cached entry, and
+	// a repeated allotment can only tie the incumbent: score it once.
+	tried := sc.tried[:0]
+	trySeg := func(ent *segEval) {
+		if ent.ok && !slices.Contains(tried, ent.seg) {
+			tried = append(tried, ent.seg)
+			try(ent.alloc)
 		}
 	}
 	// Subsample ~16 deadlines spread over the (deduplicated) grid.
 	grid := g.grid
 	step := len(grid)/16 + 1
 	for k := 0; k < len(grid); k += step {
-		if ent := e.eval(grid[k]); ent.ok {
-			try(ent.alloc)
-		}
+		trySeg(e.eval(grid[k]))
 	}
-	if ent := e.eval(grid[len(grid)-1]); ent.ok {
-		try(ent.alloc)
-	}
-	if alloc, _ := e.selectAllotment(o.Warm); alloc != nil {
+	trySeg(e.eval(grid[len(grid)-1]))
+	sc.tried = tried[:0]
+	if alloc, _ := e.selectAllotment(warm); alloc != nil {
 		try(alloc)
 	}
-	full := intsBuf(&e.sc.full, n)
+	full := intsBuf(&sc.cand, n)
 	for i, t := range in.Tasks {
 		full[i] = t.MaxProcs()
 	}
@@ -412,45 +467,62 @@ func (g *Graph) Solve(o Options) (Result, error) {
 	// the fork-join overlap that uniform-deadline allotments cannot
 	// express (all siblings must narrow simultaneously for overlap to
 	// pay, so coordinate-wise refinement alone cannot reach it).
-	try(g.levelProportional())
-	if best == nil {
-		return Result{Probes: e.probes, CacheHits: e.hits},
-			errors.New("precedence: no feasible allotment")
+	try(e.levelProportional())
+	if math.IsInf(bestMk, 1) {
+		return nil, bestMk
 	}
+	return best, bestMk
+}
 
-	// Local refinement: canonical allotments give every stage the same
-	// deadline, but a DAG wants stage-dependent widths (wide while alone
-	// on the machine, narrow under contention). Hill-climb per-task widths
-	// from the best candidate, keeping any simulated improvement.
-	alloc := intsBuf(&e.sc.climb, n)
-	for i := range alloc {
-		alloc[i] = 0
-	}
-	for _, p := range best.Placements {
-		alloc[p.Task] = p.Width
-	}
-	for round := 0; round < 3; round++ {
-		improved := false
-		for i := 0; i < n; i++ {
-			cur := alloc[i]
-			for _, w := range []int{1, cur / 2, cur * 2, in.Tasks[i].MaxProcs()} {
-				if w < 1 || w > in.Tasks[i].MaxProcs() || w == cur {
-					continue
-				}
-				alloc[i] = w
-				if s, err := e.listSchedule(alloc); err == nil && s.Makespan(in) < bestMk-1e-12 {
-					best, bestMk = cloneSchedule(s), s.Makespan(in)
-					cur = w
-					improved = true
-				}
-				alloc[i] = cur
+// climb is the local refinement: canonical allotments give every stage the
+// same deadline, but a DAG wants stage-dependent widths (wide while alone
+// on the machine, narrow under contention). It hill-climbs per-task widths
+// of alloc in place from makespan mk, keeping any move score says beats
+// the incumbent by more than 1e-12, over at most three passes of the tasks.
+//
+// It never asks score a question whose answer it holds. A move is an
+// allotment held against an incumbent, and the incumbent only improves: a
+// width rejected earlier in the same visit ({1, cur/2, …} repeats 1 for
+// cur ∈ {2, 3} and MaxProcs for 2·cur = MaxProcs) stays rejected, and so do
+// the rejections of the last accepting visit when its task comes round
+// again with no accept in between (held). And once n consecutive visits
+// pass without an accept, every task has been tried against exactly the
+// current allotment and incumbent, so every remaining visit of the three
+// passes would repeat a rejection: the climb stops there. score is a
+// parameter so tests can count and cross-check the questions asked.
+func (e *evalCtx) climb(alloc []int, mk float64, score func([]int, float64) (float64, bool)) {
+	n := len(alloc)
+	var held [4]int // the last accepting visit's rejections, of task heldFor
+	nh, heldFor := 0, -1
+	quiet := 0 // consecutive visits without an accept
+	for visit := 0; visit < 3*n && quiet < n; visit++ {
+		i := visit % n
+		cur, maxP := alloc[i], e.c.MaxProcs(i)
+		var rejected [4]int
+		nr := 0
+		known := held[:nh]
+		if i != heldFor {
+			known = nil
+		}
+		quiet++
+		for _, w := range [4]int{1, cur / 2, cur * 2, maxP} {
+			if w < 1 || w > maxP || w == cur ||
+				slices.Contains(rejected[:nr], w) || slices.Contains(known, w) {
+				continue
 			}
+			alloc[i] = w
+			if got, ok := score(alloc, mk-1e-12); ok {
+				mk, cur, quiet = got, w, 0
+			} else {
+				rejected[nr] = w
+				nr++
+			}
+			alloc[i] = cur
 		}
-		if !improved {
-			break
+		if quiet == 0 {
+			held, nh, heldFor = rejected, nr, i
 		}
 	}
-	return Result{Schedule: best, Probes: e.probes, CacheHits: e.hits}, nil
 }
 
 // Schedule is Solve with default options.
@@ -461,10 +533,13 @@ func (g *Graph) Schedule() (*schedule.Schedule, error) {
 
 // levelProportional builds the fork-join candidate: depth-layer the DAG,
 // then split the machine within each layer proportionally to sequential
-// work.
-func (g *Graph) levelProportional() []int {
-	in := g.in
-	depth := make([]int, in.N())
+// work. The depths and per-depth works borrow the simulation's preds and
+// times buffers, which are dead between two scores.
+func (e *evalCtx) levelProportional() []int {
+	g, in, sc := e.g, e.g.in, e.sc
+	n := in.N()
+	depth := intsBuf(&sc.preds, n)
+	clear(depth)
 	for _, i := range g.topo {
 		for _, j := range g.succ[i] {
 			if depth[i]+1 > depth[j] {
@@ -472,11 +547,12 @@ func (g *Graph) levelProportional() []int {
 			}
 		}
 	}
-	layerWork := map[int]float64{}
+	layerWork := floatsBuf(&sc.times, n) // depths are below n
+	clear(layerWork)
 	for i, t := range in.Tasks {
 		layerWork[depth[i]] += t.SeqTime()
 	}
-	alloc := make([]int, in.N())
+	alloc := intsBuf(&sc.cand, n)
 	for i, t := range in.Tasks {
 		p := int(float64(in.M) * t.SeqTime() / layerWork[depth[i]])
 		if p < 1 {
@@ -490,30 +566,171 @@ func (g *Graph) levelProportional() []int {
 	return alloc
 }
 
-// runEv is one running task of the list-scheduling event simulation.
+// runEv is one running task of the materialising simulation; runEnd is
+// the same for the count-only one, which has no processor set to carry.
 type runEv struct {
 	t     float64
 	task  int
 	procs []int
 }
 
-// readySorter orders ready tasks by longest tail first, index-ordered
-// within ties (a total order, so start decisions are deterministic). It
-// lives in the Scratch so sort.Sort never allocates.
-type readySorter struct {
-	ids  []int
-	tail []float64
+type runEnd struct {
+	t    float64
+	task int
 }
 
-func (s *readySorter) Len() int { return len(s.ids) }
-func (s *readySorter) Less(a, b int) bool {
-	x, y := s.ids[a], s.ids[b]
-	if s.tail[x] != s.tail[y] {
-		return s.tail[x] > s.tail[y]
+// readyInsert puts task j into the ready list, which is kept in the order
+// start decisions are made in: longest tail first, index-ordered within
+// ties — a total order, so the list is the same whatever order tasks were
+// released in. Tasks leave the list from anywhere (whoever fits starts) but
+// the survivors keep their relative order, so inserting the newly released
+// ones is all the sorting an event needs.
+func readyInsert(ready []int, tail []float64, j int) []int {
+	k := len(ready)
+	ready = append(ready, j)
+	for ; k > 0; k-- {
+		p := ready[k-1]
+		if tail[p] > tail[j] || (tail[p] == tail[j] && p < j) {
+			break
+		}
+		ready[k] = p
 	}
-	return x < y
+	ready[k] = j
+	return ready
 }
-func (s *readySorter) Swap(a, b int) { s.ids[a], s.ids[b] = s.ids[b], s.ids[a] }
+
+// simReady sets up the precedence side of an event simulation on the
+// Scratch: the live predecessor counts, and the source tasks in ready
+// order under the given tails.
+func (e *evalCtx) simReady(tail []float64) (preds, ready []int) {
+	n := len(tail)
+	preds = intsBuf(&e.sc.preds, n)
+	copy(preds, e.g.preds)
+	ready = intsBuf(&e.sc.ready, n)[:0]
+	for i, d := range preds {
+		if d == 0 {
+			ready = readyInsert(ready, tail, i)
+		}
+	}
+	return preds, ready
+}
+
+// pruneGuard is the relative slack reaches leaves between a lower bound
+// and the cutoff it is held against.
+const pruneGuard = 1e-9
+
+// reaches reports whether lb, a lower bound on a simulated makespan mk
+// that was summed in another order than the simulation sums, proves
+// mk ≥ cutoff. It is the one place an inexact bound is compared.
+//
+// Soundness. Write u = 2⁻⁵³. Every term is non-negative, so k rounded
+// additions keep a sum within a factor (1 ± u)^k of its exact value.
+//
+//   - now + tail[i], and the critical path, its now = 0 case. tail adds
+//     the times of the longest chain from i right to left. The simulation
+//     adds the same times left to right, fl(fl(now+t₀)+t₁)…: a successor
+//     never starts before its predecessor's float end, and rounded addition
+//     is monotone, so mk is at least that sum. Two orders of at most n+1
+//     additions over one exact value: lb ≤ mk·(1+u)^(2n+2).
+//   - Σw/m. At most m processors are ever busy, so m·mk ≥ Σ w·(end − start);
+//     a float end is at least (start + t)(1 − u), so end − start ≥ t − u·mk
+//     and the exact Σ w·t/m is at most mk·(1 + n·u). The float sum is n+1
+//     more roundings from it.
+//
+// Either way lb·(1 − 1e-9) ≤ mk for any n below 10⁶ — the guard sits six
+// orders of magnitude above n·u — so lb·(1 − pruneGuard) ≥ cutoff implies
+// mk ≥ cutoff: a prune only withholds a makespan the caller's strict
+// `mk < cutoff` would have turned down, and never changes which allotment
+// wins. A guard of 0 would let the last-bit disagreement between the two
+// summation orders prune a makespan one ulp below the cutoff
+// (TestPruneNeverChangesTheWinner has the chain).
+func reaches(lb, cutoff float64) bool { return lb*(1-pruneGuard) >= cutoff }
+
+// score answers the only question a candidate or a climb move is asked:
+// the makespan of alloc's greedy list schedule (see listSchedule), and
+// whether it is below cutoff. It returns (makespan, true) exactly when the
+// schedule exists and its makespan < cutoff — bit-equal to listSchedule's
+// Schedule.Makespan, since both take max(start + time) over the same
+// floats — and (0, false) otherwise, as early as a lower bound allows:
+// Σw/m and the critical path before the first event, then at every start
+// the task's own end (exact) and start + tail (through reaches).
+//
+// A start decision compares a width with how many processors are idle,
+// never with which, and a completion frees a count; so the simulation
+// carries an int where listSchedule carries the free list, and builds no
+// placement. start[i] records the decisions for the tests that hold the
+// two simulations to each other.
+func (e *evalCtx) score(alloc []int, cutoff float64) (float64, bool) {
+	g, sc := e.g, e.sc
+	n := g.in.N()
+	times := floatsBuf(&sc.times, n)
+	var work float64
+	for i := range times {
+		times[i] = e.c.Time(i, alloc[i])
+		work += e.c.Work(i, alloc[i])
+	}
+	if reaches(work/float64(g.in.M), cutoff) {
+		return 0, false
+	}
+	tail := floatsBuf(&sc.evtail, n)
+	if reaches(g.criticalPathInto(times, tail), cutoff) {
+		return 0, false
+	}
+	preds, ready := e.simReady(tail)
+	start := floatsBuf(&sc.start, n)
+	if cap(sc.ends) < n {
+		sc.ends = make([]runEnd, 0, n)
+	}
+	running := sc.ends[:0]
+
+	free, remaining := g.in.M, n
+	now, mk := 0.0, 0.0
+	for remaining > 0 {
+		kept := ready[:0]
+		for _, i := range ready {
+			if alloc[i] > free {
+				kept = append(kept, i)
+				continue
+			}
+			end := now + times[i]
+			if end >= cutoff || reaches(now+tail[i], cutoff) {
+				return 0, false
+			}
+			free -= alloc[i]
+			start[i] = now
+			if end > mk {
+				mk = end
+			}
+			running = append(running, runEnd{t: end, task: i})
+		}
+		ready = kept
+		if len(running) == 0 {
+			return 0, false // deadlock: see listSchedule
+		}
+		now = running[0].t
+		for _, ev := range running[1:] {
+			if ev.t < now {
+				now = ev.t
+			}
+		}
+		still := running[:0]
+		for _, ev := range running {
+			if ev.t > now {
+				still = append(still, ev)
+				continue
+			}
+			free += alloc[ev.task]
+			remaining--
+			for _, j := range g.succ[ev.task] {
+				if preds[j]--; preds[j] == 0 {
+					ready = readyInsert(ready, tail, j)
+				}
+			}
+		}
+		running = still
+	}
+	return mk, true
+}
 
 // mergeFree returns the ascending union of the free list a and a
 // completed task's processor set b (both ascending, always disjoint),
@@ -569,9 +786,13 @@ func cloneSchedule(s *schedule.Schedule) *schedule.Schedule {
 // listSchedule greedily list-schedules the rigid DAG induced by the
 // allotment, longest tail first: a task is ready when all predecessors
 // are done; among ready tasks, longest tail first; start when enough
-// processors are free. All state lives on the Scratch, including the
-// returned schedule — it is valid only until the next listSchedule call
-// on the same scratch, and callers keeping it must cloneSchedule it.
+// processors are free. It is the materialising twin of score — the same
+// event simulation, carrying the ascending list of idle processors and
+// building placements with their processor sets — and runs once per
+// solve, on the allotment that won. All state lives on the Scratch,
+// including the returned schedule — it is valid only until the next
+// listSchedule call on the same scratch, and callers keeping it must
+// cloneSchedule it.
 func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 	g, sc, in := e.g, e.sc, e.g.in
 	n := in.N()
@@ -581,22 +802,15 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 	}
 	tail := floatsBuf(&sc.evtail, n)
 	g.criticalPathInto(times, tail)
+	preds, ready := e.simReady(tail)
 
-	preds := intsBuf(&sc.preds, n)
-	copy(preds, g.preds)
-	ready := intsBuf(&sc.ready, n)[:0]
-	for i := 0; i < n; i++ {
-		if preds[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
 	// free is the ascending list of idle processors; spare is the second
 	// backing buffer the release merge alternates with.
 	free := intsBuf(&sc.free, in.M)
 	for i := range free {
 		free[i] = i
 	}
-	spare := intsBuf(&sc.mergeBuf, in.M)
+	spare := intsBuf(&sc.spare, in.M)
 	totalW := 0
 	for _, w := range alloc {
 		totalW += w
@@ -617,8 +831,6 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 	s.Placements = s.Placements[:0]
 	for remaining > 0 {
 		// Start ready tasks in tail order while processors suffice.
-		sc.readySort.ids, sc.readySort.tail = ready, tail
-		sort.Sort(&sc.readySort)
 		kept := ready[:0]
 		for _, i := range ready {
 			w := alloc[i]
@@ -636,9 +848,6 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 			running = append(running, runEv{t: now + times[i], task: i, procs: procs})
 		}
 		ready = kept
-		if remaining == 0 {
-			break
-		}
 		if len(running) == 0 {
 			// Reachable only when some width exceeds the machine (a task
 			// whose MaxProcs tops m): nothing runs, nothing fits.
@@ -647,10 +856,8 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 		// Advance to the earliest completion(s). The sweep consumes the
 		// whole tie set at the minimum, merges released processors back
 		// into the ascending free list and decrements successor counts —
-		// all order-insensitive, and the ready list is re-sorted under
-		// its total order at the top of the loop — so a linear min scan
-		// and a sorted merge replace the old completion-time and free-list
-		// sorts without moving a single start decision.
+		// all order-insensitive, since readyInsert keeps the ready list
+		// under its total order whatever order tasks are released in.
 		next := running[0].t
 		for _, ev := range running[1:] {
 			if ev.t < next {
@@ -665,7 +872,7 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 				remaining--
 				for _, j := range g.succ[ev.task] {
 					if preds[j]--; preds[j] == 0 {
-						ready = append(ready, j)
+						ready = readyInsert(ready, tail, j)
 					}
 				}
 			} else {

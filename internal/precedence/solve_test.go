@@ -1,34 +1,27 @@
 package precedence
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"malsched/internal/core"
 	"malsched/internal/instance"
+	"malsched/internal/schedule"
+	"malsched/internal/task"
 )
 
-// testGraphs builds the three DAG shapes over an instance.
+// testGraphs builds the three classic DAG shapes over an instance: chain,
+// binary out-tree, dense random.
 func testGraphs(t *testing.T, in *instance.Instance, seed int64) []*Graph {
 	t.Helper()
-	outTree, err := OutTreeEdges(in.N(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gs []*Graph
-	for _, edges := range [][][]int{
-		ChainEdges(in.N()),
-		outTree,
-		RandomEdges(seed, in.N(), 0.3),
-	} {
-		g, err := NewGraph(in, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs = append(gs, g)
-	}
-	return gs
+	gs := climbShapes(t, in, seed)
+	return []*Graph{gs["chain"], gs["out-tree"], gs["random-0.3"]}
 }
 
 // evalsEqual compares two candidate evaluations bit for bit.
@@ -69,13 +62,13 @@ func refEval(g *Graph, lambda float64) *segEval {
 	return ent
 }
 
-// TestCompiledEvalMatchesLegacy is the property the whole compiled DAG
+// TestCompiledEvalMatchesReference is the property the whole compiled DAG
 // path rests on: at every candidate deadline of every graph, the
 // segment-cached compiled evaluation equals the task-struct reference
 // (refEval) bit for bit — allotment, times, area and critical path. A
 // second compiled pass must resolve entirely from the segment cache and
 // still agree.
-func TestCompiledEvalMatchesLegacy(t *testing.T) {
+func TestCompiledEvalMatchesReference(t *testing.T) {
 	for name, gen := range instance.Families() {
 		for seed := int64(1); seed <= 4; seed++ {
 			in := gen(seed, 12, 6)
@@ -133,6 +126,50 @@ func TestSegmentCacheIsolatesGraphs(t *testing.T) {
 	}
 }
 
+// TestSegmentCacheRecyclesEntries: evicted entries — by DropCompiled and by
+// the wholesale clear at the cap — are handed out again instead of being
+// abandoned, a recycled entry answers for its new segment exactly like a
+// fresh one, and an infeasible deadline caches its verdict without tables.
+func TestSegmentCacheRecyclesEntries(t *testing.T) {
+	sc := &Scratch{}
+	fresh := 0
+	for seed := int64(1); fresh <= 3*dagSegCap; seed++ {
+		in := instance.Mixed(seed, 12, 6)
+		g := testGraphs(t, in, seed)[1]
+		e := &evalCtx{g: g, c: instance.Compile(in), sc: sc}
+		for _, lambda := range g.cands {
+			if got := e.eval(lambda); !evalsEqual(got, refEval(g, lambda)) {
+				t.Fatalf("seed %d λ=%v: entry (recycled or not) != reference", seed, lambda)
+			}
+			if len(sc.seg) > dagSegCap {
+				t.Fatalf("cache holds %d entries, cap %d", len(sc.seg), dagSegCap)
+			}
+		}
+		fresh += e.probes - e.hits
+		if seed%2 == 0 {
+			held, free := len(sc.seg), len(sc.freeSeg)
+			sc.DropCompiled(e.c)
+			if dropped := held - len(sc.seg); dropped == 0 || len(sc.freeSeg) != free+dropped {
+				t.Fatalf("seed %d: DropCompiled evicted %d entries, free list grew by %d",
+					seed, dropped, len(sc.freeSeg)-free)
+			}
+		}
+	}
+	// Everything ever allocated is either cached or awaiting reuse, and a
+	// new entry is only made when none awaits: the population is bounded by
+	// the cap however many segments went through.
+	if total := len(sc.seg) + len(sc.freeSeg); total > dagSegCap {
+		t.Fatalf("%d entries alive after %d fresh evaluations, cap %d", total, fresh, dagSegCap)
+	}
+
+	in := instance.Mixed(1, 12, 6)
+	g := testGraphs(t, in, 1)[0]
+	e := &evalCtx{g: g, c: instance.Compile(in), sc: &Scratch{}}
+	if ent := e.eval(g.cands[0] / 2); ent.ok || ent.alloc != nil || ent.times != nil {
+		t.Fatalf("infeasible deadline: ok=%v, tables %v/%v", ent.ok, ent.alloc, ent.times)
+	}
+}
+
 // TestPrivateTablesLeaveScratch: a solve that compiled its own tables
 // must not leave their segment entries in a borrowed scratch — nothing can
 // look them up again — while caller-supplied tables stay hot.
@@ -158,12 +195,12 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 	}
 }
 
-// TestSolveCompiledMatchesLegacy: the segment cache must be invisible in
+// TestSolveCompiledMatchesReference: the segment cache must be invisible in
 // the full heuristic and the plain crossover solve alike. On one scratch
 // shared by an instance's graphs, a cold solve, a hot re-solve (which must
 // actually hit the cache) and a self-compiled solve all return what a
 // solve on a fresh private scratch returns, schedule and probe count.
-func TestSolveCompiledMatchesLegacy(t *testing.T) {
+func TestSolveCompiledMatchesReference(t *testing.T) {
 	for name, gen := range instance.Families() {
 		for seed := int64(1); seed <= 3; seed++ {
 			in := gen(seed, 14, 7)
@@ -265,4 +302,346 @@ func TestWarmMatchesCold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refSolve is the reference Solve answers to: the heuristic as it stood
+// before candidates were scored on processor counts. Every candidate and
+// every climb move is materialised by listSchedule and read back through
+// Schedule.Makespan, each improvement is cloned, the climb runs its three
+// fixed rounds (stopping only after a round without an accept) — no prune,
+// no dedup, no settled stop.
+func refSolve(g *Graph, o Options) (Result, error) {
+	e := g.evalContext(o)
+	defer e.release()
+	in := g.in
+	n := in.N()
+	var best *schedule.Schedule
+	bestMk := math.Inf(1)
+	try := func(alloc []int) {
+		s, err := e.listSchedule(alloc)
+		if err != nil {
+			return
+		}
+		if mk := s.Makespan(in); mk < bestMk {
+			best, bestMk = cloneSchedule(s), mk
+		}
+	}
+	grid := g.grid
+	step := len(grid)/16 + 1
+	for k := 0; k < len(grid); k += step {
+		if ent := e.eval(grid[k]); ent.ok {
+			try(ent.alloc)
+		}
+	}
+	if ent := e.eval(grid[len(grid)-1]); ent.ok {
+		try(ent.alloc)
+	}
+	if alloc, _ := e.selectAllotment(o.Warm); alloc != nil {
+		try(alloc)
+	}
+	full := make([]int, n)
+	for i, t := range in.Tasks {
+		full[i] = t.MaxProcs()
+	}
+	try(full)
+	try(e.levelProportional())
+	if best == nil {
+		return Result{Probes: e.probes, CacheHits: e.hits},
+			errors.New("precedence: no feasible allotment")
+	}
+	alloc := make([]int, n)
+	for _, p := range best.Placements {
+		alloc[p.Task] = p.Width
+	}
+	for round := 0; round < 3; round++ {
+		improved := false
+		for i := 0; i < n; i++ {
+			cur := alloc[i]
+			for _, w := range []int{1, cur / 2, cur * 2, in.Tasks[i].MaxProcs()} {
+				if w < 1 || w > in.Tasks[i].MaxProcs() || w == cur {
+					continue
+				}
+				alloc[i] = w
+				if s, err := e.listSchedule(alloc); err == nil && s.Makespan(in) < bestMk-1e-12 {
+					best, bestMk = cloneSchedule(s), s.Makespan(in)
+					cur = w
+					improved = true
+				}
+				alloc[i] = cur
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return Result{Schedule: best, Probes: e.probes, CacheHits: e.hits}, nil
+}
+
+// schedulesBitEqual compares two schedules placement by placement, start
+// times by bits.
+func schedulesBitEqual(a, b *schedule.Schedule) bool {
+	if a.Algorithm != b.Algorithm || len(a.Placements) != len(b.Placements) {
+		return false
+	}
+	for k, p := range a.Placements {
+		q := b.Placements[k]
+		if p.Task != q.Task || p.Width != q.Width || p.First != q.First ||
+			math.Float64bits(p.Start) != math.Float64bits(q.Start) ||
+			!reflect.DeepEqual(p.ProcSet, q.ProcSet) {
+			return false
+		}
+	}
+	return true
+}
+
+// climbSizes are the n×m cells the climb tests sweep: the golden size, the
+// serving bench's, a long narrow one and a wide machine.
+var climbSizes = [][2]int{{14, 7}, {16, 8}, {30, 8}, {40, 64}}
+
+// climbShapes builds the DAG shapes of the climb tests over one instance:
+// chain, binary out-tree, dense and sparse random, and no edges at all.
+func climbShapes(t *testing.T, in *instance.Instance, seed int64) map[string]*Graph {
+	t.Helper()
+	n := in.N()
+	outTree, err := OutTreeEdges(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := map[string]*Graph{}
+	for name, edges := range map[string][][]int{
+		"chain":       ChainEdges(n),
+		"out-tree":    outTree,
+		"random-0.3":  RandomEdges(seed, n, 0.3),
+		"random-0.05": RandomEdges(seed, n, 0.05),
+		"empty":       make([][]int, n),
+	} {
+		g, err := NewGraph(in, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[name] = g
+	}
+	return gs
+}
+
+// forEachClimbCell runs f on every (family, seed, size, shape) cell of the
+// climb tests.
+func forEachClimbCell(t *testing.T, f func(cell string, g *Graph, c *instance.Compiled)) {
+	t.Helper()
+	for fam, gen := range instance.Families() {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, sz := range climbSizes {
+				in := gen(seed, sz[0], sz[1])
+				c := instance.Compile(in)
+				for shape, g := range climbShapes(t, in, seed) {
+					f(fmt.Sprintf("%s/%d %dx%d %s", fam, seed, sz[0], sz[1], shape), g, c)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveMatchesReferenceClimb: scoring on counts, pruning, the settled
+// stop and the single materialisation are invisible — Solve returns the
+// reference's schedule bit for bit, with its probe and cache-hit counts.
+func TestSolveMatchesReferenceClimb(t *testing.T) {
+	forEachClimbCell(t, func(cell string, g *Graph, c *instance.Compiled) {
+		want, wantErr := refSolve(g, Options{Compiled: c, Scratch: core.NewScratch()})
+		got, gotErr := g.Solve(Options{Compiled: c, Scratch: core.NewScratch()})
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s: error %v, reference %v", cell, gotErr, wantErr)
+		}
+		if got.Probes != want.Probes || got.CacheHits != want.CacheHits {
+			t.Fatalf("%s: probes/hits %d/%d, reference %d/%d",
+				cell, got.Probes, got.CacheHits, want.Probes, want.CacheHits)
+		}
+		if wantErr == nil && !schedulesBitEqual(got.Schedule, want.Schedule) {
+			t.Fatalf("%s: schedule differs from the reference climb\n got %+v\nwant %+v",
+				cell, got.Schedule, want.Schedule)
+		}
+	})
+}
+
+// TestReadyInsertIsTheSortedOrder: inserting tasks one by one, in any
+// order, yields the list sorted by (tail desc, index asc) — what the event
+// loop used to re-establish with a sort at every event.
+func TestReadyInsertIsTheSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(24)
+		tail := make([]float64, n)
+		for i := range tail {
+			tail[i] = float64(rng.Intn(5)) // few values: plenty of ties
+		}
+		var ready []int
+		for _, j := range rng.Perm(n) {
+			ready = readyInsert(ready, tail, j)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool {
+			x, y := want[a], want[b]
+			if tail[x] != tail[y] {
+				return tail[x] > tail[y]
+			}
+			return x < y
+		})
+		if !reflect.DeepEqual(ready, want) {
+			t.Fatalf("tails %v: inserted order %v, sorted order %v", tail, ready, want)
+		}
+	}
+}
+
+// TestScoreIsTheListScheduleMakespan: for every allotment the portfolio's
+// winner and the climb put to score, the un-pruned score is the makespan of
+// the schedule listSchedule materialises for it, by bits, and every
+// placement starts when the count-only simulation started that task.
+func TestScoreIsTheListScheduleMakespan(t *testing.T) {
+	forEachClimbCell(t, func(cell string, g *Graph, c *instance.Compiled) {
+		e := g.evalContext(Options{Compiled: c})
+		check := func(alloc []int, cutoff float64) (float64, bool) {
+			s, err := e.listSchedule(alloc)
+			got, ok := e.score(alloc, math.Inf(1))
+			if (err == nil) != ok {
+				t.Fatalf("%s alloc %v: listSchedule error %v, score ok %v", cell, alloc, err, ok)
+			}
+			if err == nil {
+				if want := s.Makespan(g.in); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s alloc %v: score %v, list schedule makespan %v", cell, alloc, got, want)
+				}
+				for _, p := range s.Placements {
+					if math.Float64bits(p.Start) != math.Float64bits(e.sc.start[p.Task]) {
+						t.Fatalf("%s alloc %v: task %d placed at %v, scored at %v",
+							cell, alloc, p.Task, p.Start, e.sc.start[p.Task])
+					}
+				}
+			}
+			return e.score(alloc, cutoff)
+		}
+		best, mk := e.portfolio(nil)
+		if best == nil {
+			t.Fatalf("%s: no candidate", cell)
+		}
+		check(best, math.Inf(1))
+		e.climb(best, mk, check)
+	})
+}
+
+// ulpBelow and ulpAbove are the neighbouring floats of x.
+func ulpBelow(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+func ulpAbove(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+
+// TestPruneNeverChangesTheWinner: score(alloc, cutoff) says yes exactly
+// when the un-pruned makespan passes the caller's strict `< cutoff`, and
+// then reports that makespan — for cutoffs at the true makespan, one ulp
+// either side of it, and well away from it. So whatever a prune withholds,
+// the comparison would have turned down.
+func TestPruneNeverChangesTheWinner(t *testing.T) {
+	holds := func(cell string, e *evalCtx, alloc []int) {
+		t.Helper()
+		mk, ok := e.score(alloc, math.Inf(1))
+		if !ok {
+			return
+		}
+		for _, cutoff := range []float64{
+			mk, ulpBelow(mk), ulpAbove(mk),
+			mk * (1 - 1e-9), mk * (1 + 1e-9), mk / 2, mk * 2,
+			mk - 1e-12, mk + 1e-12,
+		} {
+			got, yes := e.score(alloc, cutoff)
+			if yes != (mk < cutoff) {
+				t.Fatalf("%s alloc %v: makespan %v against cutoff %v answered %v",
+					cell, alloc, mk, cutoff, yes)
+			}
+			if yes && math.Float64bits(got) != math.Float64bits(mk) {
+				t.Fatalf("%s alloc %v: cutoff %v moved the makespan %v → %v", cell, alloc, cutoff, mk, got)
+			}
+		}
+	}
+	forEachClimbCell(t, func(cell string, g *Graph, c *instance.Compiled) {
+		e := g.evalContext(Options{Compiled: c})
+		n := g.in.N()
+		full := make([]int, n)
+		ones := make([]int, n)
+		mixed := make([]int, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := range full {
+			full[i] = c.MaxProcs(i)
+			ones[i] = 1
+			mixed[i] = 1 + rng.Intn(c.MaxProcs(i))
+		}
+		holds(cell, &e, full)
+		holds(cell, &e, ones)
+		holds(cell, &e, mixed)
+		holds(cell, &e, append([]int(nil), e.levelProportional()...))
+		if best, _ := e.portfolio(nil); best != nil {
+			holds(cell, &e, append([]int(nil), best...))
+		}
+	})
+
+	// The case the guard in reaches exists for. A chain's tail is summed
+	// right to left, the simulation adds left to right, and for these times
+	// the two disagree in the last bit with the tail on the high side:
+	// (0.3+0.2)+0.1 = 0.6 but 0.3+(0.2+0.1) = 0.6000000000000001. Held
+	// against a cutoff one ulp above the true makespan, the critical-path
+	// bound equals the cutoff: a guard of 0 would prune a makespan the
+	// strict comparison accepts.
+	for _, times := range [][]float64{{0.3, 0.2, 0.1}, {0.1, 0.2, 0.3}} {
+		tasks := make([]task.Task, len(times))
+		for i, x := range times {
+			tasks[i] = task.MustNew(fmt.Sprintf("t%d", i), []float64{x})
+		}
+		in := instance.MustNew("last-bit", 1, tasks)
+		g, err := Chain(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := g.evalContext(Options{})
+		alloc := []int{1, 1, 1}
+		mk, _ := e.score(alloc, math.Inf(1))
+		cp, _ := g.CriticalPath(times)
+		if math.Float64bits(cp) == math.Float64bits(mk) {
+			t.Fatalf("times %v: tail sum %v and simulated sum %v agree — the case tests nothing", times, cp, mk)
+		}
+		if times[0] > times[2] {
+			if cutoff := ulpAbove(mk); !(cp >= cutoff) {
+				t.Fatalf("times %v: critical path %v below cutoff %v — an unguarded prune would not fire", times, cp, cutoff)
+			}
+		}
+		holds(fmt.Sprint("last-bit ", times), &e, alloc)
+	}
+}
+
+// TestClimbStopsWhenSettled: the climb never puts the same question twice
+// — no (allotment, incumbent) pair reaches score a second time, which is
+// what the same-visit dedup, the held rejections and the settled stop buy
+// — and on a chain, where the full-machine winner leaves only moves that
+// lengthen the critical path, no simulation runs to the end.
+func TestClimbStopsWhenSettled(t *testing.T) {
+	forEachClimbCell(t, func(cell string, g *Graph, c *instance.Compiled) {
+		e := g.evalContext(Options{Compiled: c})
+		best, mk := e.portfolio(nil)
+		if best == nil {
+			t.Fatalf("%s: no candidate", cell)
+		}
+		asked := map[string]bool{}
+		full := 0
+		e.climb(best, mk, func(alloc []int, cutoff float64) (float64, bool) {
+			q := fmt.Sprint(alloc, math.Float64bits(cutoff))
+			if asked[q] {
+				t.Fatalf("%s: allotment %v scored twice against cutoff %v", cell, alloc, cutoff)
+			}
+			asked[q] = true
+			got, ok := e.score(alloc, cutoff)
+			if ok {
+				full++
+			}
+			return got, ok
+		})
+		if strings.HasSuffix(cell, " chain") && full != 0 {
+			t.Fatalf("%s: %d climb moves on a chain simulated to the end", cell, full)
+		}
+	})
 }

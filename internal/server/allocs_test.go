@@ -13,6 +13,7 @@ import (
 
 	"malsched/internal/engine"
 	"malsched/internal/instance"
+	"malsched/internal/precedence"
 	"malsched/internal/verify"
 	"malsched/internal/wire"
 )
@@ -113,6 +114,50 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 		t.Errorf("memo-miss ServeHTTP: %.1f allocs per run, budget %d", got, budget)
 	} else {
 		t.Logf("memo-miss ServeHTTP: %.1f allocs per run (budget %d)", got, budget)
+	}
+	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != runs+2 {
+		t.Fatalf("the timed requests were not all memo misses: %+v", st)
+	}
+}
+
+// A whole binary DAG memo miss through the shard's handler: a wire/v2 graph
+// frame, solver "dag" — decode, five edge validations (handler, engine,
+// NewGraph, verify.Precedence in the solver and again in the handler),
+// compile, the precedence solve, both verifies, encode — every run a fresh
+// 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
+// share is what precedence.TestSolveAllocBudget bounds (9). Reads 124; the
+// parent of the change that scored candidates on processor counts and
+// recycled the segment cache's entries read 318.
+func TestAllocBudgetDAGMiss(t *testing.T) {
+	const n, m, runs, budget = 16, 8, 200, 135
+	outTree, err := precedence.OutTreeEdges(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
+	for i := range frames {
+		seed := int64(1000 + i)
+		graph := [][][]int{precedence.ChainEdges(n), outTree, precedence.RandomEdges(seed, n, 0.3)}[i%3]
+		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(seed, n, m), graph,
+			&wire.RequestOptions{Solver: "dag"})
+	}
+	s := New(Config{Shards: 1, Workers: 1})
+	next := 0
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frames[next]))
+		next++
+		req.Header.Set("Content-Type", wire.ContentType)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("HTTP %d", rec.Code)
+		}
+	}
+	serve() // warm pools and the worker's Scratch
+	if got := testing.AllocsPerRun(runs, serve); got > budget {
+		t.Errorf("DAG memo-miss ServeHTTP: %.1f allocs per run, budget %d", got, budget)
+	} else {
+		t.Logf("DAG memo-miss ServeHTTP: %.1f allocs per run (budget %d)", got, budget)
 	}
 	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != runs+2 {
 		t.Fatalf("the timed requests were not all memo misses: %+v", st)
