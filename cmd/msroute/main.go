@@ -88,7 +88,7 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated msserve base URLs (or NAME=URL; the name seeds ring positions)")
 	vnodes := flag.Int("vnodes", 0, "ring points per backend (0 = default)")
 	queue := flag.Int("queue", router.DefaultQueueDepth, "pending requests per shard before shedding with 429")
-	workers := flag.Int("workers", router.DefaultWorkers, "forwarding workers per shard")
+	workers := flag.Int("workers", router.DefaultWorkers, "concurrent forwards per shard (forwarding slots)")
 	noSteal := flag.Bool("no-steal", false, "disable work-stealing (requests always wait for their home shard)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long in-flight requests get after SIGTERM")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on /debug/pprof/ (off by default)")

@@ -36,17 +36,39 @@ var (
 // truncated to m processors (allotments beyond m are meaningless on an
 // m-processor machine and truncation preserves monotony).
 func New(name string, m int, tasks []task.Task) (*Instance, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("%w: m=%d (instance %q)", ErrNoProcs, m, name)
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("%w (instance %q)", ErrNoTasks, name)
+	if err := checkShape(name, m, len(tasks)); err != nil {
+		return nil, err
 	}
 	ts := make([]task.Task, len(tasks))
 	for i, tk := range tasks {
 		ts[i] = tk.Truncate(m)
 	}
 	return &Instance{Name: name, M: m, Tasks: ts}, nil
+}
+
+// NewOwned is New without the copies: the instance takes ownership of
+// tasks, truncating wide profiles in place (task.TruncateOwned), so the
+// caller must not use the slice afterwards. Validation is New's. Decoders
+// that built the slice themselves use it.
+func NewOwned(name string, m int, tasks []task.Task) (*Instance, error) {
+	if err := checkShape(name, m, len(tasks)); err != nil {
+		return nil, err
+	}
+	for i, tk := range tasks {
+		tasks[i] = tk.TruncateOwned(m)
+	}
+	return &Instance{Name: name, M: m, Tasks: tasks}, nil
+}
+
+// checkShape is the validation New and NewOwned share.
+func checkShape(name string, m, n int) error {
+	if m < 1 {
+		return fmt.Errorf("%w: m=%d (instance %q)", ErrNoProcs, m, name)
+	}
+	if n == 0 {
+		return fmt.Errorf("%w (instance %q)", ErrNoTasks, name)
+	}
+	return nil
 }
 
 // ErrNilInstance reports a nil *Instance handed to Check.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,6 +24,35 @@ func TestNewValidates(t *testing.T) {
 	}
 	if in.Tasks[0].MaxProcs() != 2 {
 		t.Fatalf("profile should be truncated to m=2, got %d", in.Tasks[0].MaxProcs())
+	}
+}
+
+// NewOwned is New minus the copies: same errors, an equal instance, and the
+// caller's slice — truncated in place — as its task list.
+func TestNewOwnedMatchesNew(t *testing.T) {
+	if _, err := NewOwned("x", 0, []task.Task{task.Sequential("a", 1, 1)}); !errors.Is(err, ErrNoProcs) {
+		t.Fatalf("m=0: %v, want ErrNoProcs", err)
+	}
+	if _, err := NewOwned("x", 2, nil); !errors.Is(err, ErrNoTasks) {
+		t.Fatalf("no tasks: %v, want ErrNoTasks", err)
+	}
+	tasks := func() []task.Task {
+		return []task.Task{task.Linear("wide", 4, 8), task.Sequential("narrow", 3, 1)}
+	}
+	want, err := New("ok", 2, tasks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := tasks()
+	got, err := NewOwned("ok", 2, owned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewOwned %+v, New %+v", got, want)
+	}
+	if &got.Tasks[0] != &owned[0] || owned[0].MaxProcs() != 2 {
+		t.Fatal("NewOwned did not take the caller's slice over, truncated in place")
 	}
 }
 

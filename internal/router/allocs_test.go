@@ -1,0 +1,132 @@
+//go:build !race
+
+// Allocation budgets of the routed hop. The race detector instruments
+// allocations, so the file is excluded under -race.
+
+package router
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"testing"
+
+	"malsched/internal/instance"
+	"malsched/internal/server"
+	"malsched/internal/wire"
+)
+
+// reusedCall is a caller that pays for its request and recorder once, so
+// AllocsPerRun counts the router and the shard and nothing of the client.
+type reusedCall struct {
+	req  *http.Request
+	body bytes.Reader
+	rec  reusedRecorder
+}
+
+type reusedRecorder struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (r *reusedRecorder) Header() http.Header         { return r.header }
+func (r *reusedRecorder) WriteHeader(s int)           { r.status = s }
+func (r *reusedRecorder) Write(p []byte) (int, error) { r.n += len(p); return len(p), nil }
+
+func newReusedCall(t *testing.T) *reusedCall {
+	t.Helper()
+	c := &reusedCall{rec: reusedRecorder{header: make(http.Header)}}
+	req, err := http.NewRequest(http.MethodPost, "/v1/schedule", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", wire.ContentType)
+	req.Body = io.NopCloser(&c.body)
+	c.req = req
+	return c
+}
+
+func (c *reusedCall) do(h http.Handler, frame []byte) int {
+	c.body.Reset(frame)
+	c.req.ContentLength = int64(len(frame))
+	clear(c.rec.header)
+	c.rec.status, c.rec.n = http.StatusOK, 0
+	h.ServeHTTP(&c.rec, c.req)
+	return c.rec.status
+}
+
+// A binary memo hit through the router and an in-process shard on the
+// direct transport, the benchmark's serve-hot shape. The budget is the
+// shard's own for the same hit through the same entry (12: "memo-hit Serve"
+// in server.TestAllocBudgets, which reads 9) plus 10 for the hop, which
+// reads 8: the minted request ID 2, five response header values 5, the body
+// cap's reader 1; route key, dispatch and both buffers are free. Reads 17;
+// the parent of the change that introduced the byte-level seam read 67 on
+// this measurement (a request, URL, header map and recorder per hop, a job
+// and its channel, an unpooled body, a string per task name).
+func TestAllocBudgetRoutedHit(t *testing.T) {
+	const n, m, budget = 24, 16, 12 + 10
+	frame := wire.AppendScheduleRequest(nil, instance.Mixed(9, n, m), nil, nil)
+	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c := newReusedCall(t)
+	serve := func() {
+		if code := c.do(rt.Handler(), frame); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+	}
+	serve() // fills the memo
+	serve() // warms the pools
+	if got := testing.AllocsPerRun(200, serve); got > budget {
+		t.Errorf("routed memo hit: %.1f allocs per run, budget %d", got, budget)
+	} else {
+		t.Logf("routed memo hit: %.1f allocs per run (budget %d)", got, budget)
+	}
+	if st := shard.Stats().Shards[0]; st.MemoMisses != 1 {
+		t.Fatalf("the timed requests were not memo hits: %+v", st)
+	}
+	if got := rt.queuedCnt.Value(); got != 0 {
+		t.Fatalf("%d requests of a single caller were queued", got)
+	}
+}
+
+// The routed mrt memo miss: every run a fresh 24×16 instance through the
+// same hop — the hop's 8 on top of the shard's decode, compile, λ-search,
+// verify and encode (what server.TestAllocBudgetMemoMiss bounds, there with
+// a test request and recorder on top). Reads 55; the parent read 105.
+func TestAllocBudgetRoutedMiss(t *testing.T) {
+	const n, m, runs, budget = 24, 16, 200, 60
+	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
+	for i := range frames {
+		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
+	}
+	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c := newReusedCall(t)
+	next := 0
+	serve := func() {
+		code := c.do(rt.Handler(), frames[next])
+		next++
+		if code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+	}
+	serve() // warm pools and the worker's Scratch
+	if got := testing.AllocsPerRun(runs, serve); got > budget {
+		t.Errorf("routed memo miss: %.1f allocs per run, budget %d", got, budget)
+	} else {
+		t.Logf("routed memo miss: %.1f allocs per run (budget %d)", got, budget)
+	}
+	if st := shard.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != runs+2 {
+		t.Fatalf("the timed requests were not all memo misses: %+v", st)
+	}
+}

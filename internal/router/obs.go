@@ -12,14 +12,16 @@ import (
 const StatszSchema = "statsz/v1"
 
 // Metric family names served on GET /metricsz. The router is a proxy, so
-// its stage histograms cover queue (enqueue → worker pickup) and forward
-// (the backend call); solve-side stages live on the shards' own /metricsz.
-// The full catalogue is documented in docs/OBSERVABILITY.md.
+// its stage histograms cover queue (enqueue → drainer pickup; 0 for a
+// request forwarded inline, which never queued) and forward (the backend
+// call); solve-side stages live on the shards' own /metricsz. The full
+// catalogue is documented in docs/OBSERVABILITY.md.
 const (
 	metricRequests     = "msroute_requests_total"
 	metricStageLatency = "msroute_stage_latency_us"
 	metricRouted       = "msroute_routed_total"
 	metricRejected     = "msroute_rejected_total"
+	metricDispatch     = "msroute_dispatch_total"
 	metricSteals       = "msroute_steals_total"
 	metricPinned       = "msroute_lineage_pinned_total"
 	metricQueueLen     = "msroute_queue_len"
@@ -47,7 +49,7 @@ func (r *Router) stagesFor(backend string) *stageSet {
 	if set != nil {
 		return set
 	}
-	const help = "Routing-tier stage latency by backend: queue is enqueue to worker pickup, forward the backend call."
+	const help = "Routing-tier stage latency by backend: queue is enqueue to drainer pickup (0 when forwarded inline), forward the backend call."
 	set = &stageSet{
 		queue:   r.metrics.Histogram(metricStageLatency, help, "stage", "queue", "backend", backend),
 		forward: r.metrics.Histogram(metricStageLatency, help, "stage", "forward", "backend", backend),
@@ -89,7 +91,10 @@ func (r *Router) requestCounter(endpoint, codec string, status int) *obs.Counter
 // atomic counters and per-backend queue gauges.
 func (r *Router) registerMetrics() {
 	m := r.metrics
-	m.CounterFunc(metricRouted, "Requests admitted to a shard queue.",
+	const dispatchHelp = "Routed requests by dispatch mode: inline on the caller's goroutine, or queued for a drainer."
+	r.inlineCnt = m.Counter(metricDispatch, dispatchHelp, "mode", "inline")
+	r.queuedCnt = m.Counter(metricDispatch, dispatchHelp, "mode", "queued")
+	m.CounterFunc(metricRouted, "Requests admitted to a shard, inline or queued.",
 		func() float64 { return float64(r.routed.Load()) })
 	m.CounterFunc(metricRejected, "Requests shed because their home queue was full.",
 		func() float64 { return float64(r.rejected.Load()) })
@@ -137,7 +142,7 @@ func (r *Router) finishRequest(reqID, endpoint, codec string, status int, res jo
 		"slow", slow,
 	}
 	if slow {
-		attrs = append(attrs, "queue_ns", res.queueNS, "forward_ns", res.forwardNS)
+		attrs = append(attrs, "inline", res.inline, "queue_ns", res.queueNS, "forward_ns", res.forwardNS)
 		r.cfg.Logger.Warn("slow request", attrs...)
 		return
 	}

@@ -44,6 +44,7 @@ func TestRouterMetricsz(t *testing.T) {
 		"msroute_stage_latency_us",
 		"msroute_routed_total",
 		"msroute_rejected_total",
+		"msroute_dispatch_total",
 		"msroute_steals_total",
 		"msroute_lineage_pinned_total",
 		"msroute_queue_len",
@@ -58,6 +59,12 @@ func TestRouterMetricsz(t *testing.T) {
 	}
 	if !strings.Contains(text, `msroute_routed_total 1`) {
 		t.Errorf("routed counter not exposed:\n%s", text)
+	}
+	// A lone request finds its home shard free: forwarded inline, never queued.
+	for _, want := range []string{`msroute_dispatch_total{mode="inline"} 1`, `msroute_dispatch_total{mode="queued"} 0`} {
+		if !strings.Contains(text, want) {
+			t.Errorf("dispatch counter: no %q in:\n%s", want, text)
+		}
 	}
 	for _, stage := range []string{"queue", "forward"} {
 		if !strings.Contains(text, `msroute_stage_latency_us_count{stage="`+stage+`"`) {
@@ -211,7 +218,7 @@ func TestRouterSlowLogging(t *testing.T) {
 	mu.Lock()
 	text := lines.String()
 	mu.Unlock()
-	for _, want := range []string{"slow request", "slow=true", "queue_ns=", "forward_ns=", "backend=shard-0"} {
+	for _, want := range []string{"slow request", "slow=true", "inline=true", "queue_ns=0", "forward_ns=", "backend=shard-0"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("log line missing %q:\n%s", want, text)
 		}

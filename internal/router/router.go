@@ -26,8 +26,18 @@
 // The router speaks both codecs transparently: binary requests are peeked
 // with wire.RouteKey (zero-allocation fingerprint straight off the wire),
 // JSON requests are decoded just enough to fingerprint them. Responses
-// pass through byte-for-byte; X-Msroute-Backend and X-Msroute-Stolen
-// report the serving shard for observability and tests.
+// pass through byte-for-byte, a shedding shard's Retry-After included;
+// X-Msroute-Backend and X-Msroute-Stolen report the serving shard for
+// observability and tests.
+//
+// Dispatch: every shard has Config.Workers forwarding slots. A request
+// whose home shard has a free slot and nothing queued ahead of it is
+// forwarded on the caller's goroutine; only otherwise does it enter the
+// shard's bounded queue, where the shard's drainers — and, for stealable
+// requests, idle peers' — pick it up as slots free. A drainer takes a slot
+// before it takes a job, so a job leaves its queue only when it can start.
+// The hop itself goes through the byte-level transport seam (transport.go):
+// a method call into an in-process shard, an HTTP round trip to a remote one.
 package router
 
 import (
@@ -35,7 +45,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -54,9 +63,6 @@ const (
 	DefaultQueueDepth   = 128
 	DefaultWorkers      = 4
 	DefaultMaxBodyBytes = 8 << 20
-	// stealRetry is how long an idle worker waits between steal scans
-	// once its own queues and every other queue are empty.
-	stealRetry = time.Millisecond
 	// statusClientClosedRequest (nginx's 499) marks a request whose client
 	// gave up while it was queued; it is only ever counted and logged.
 	statusClientClosedRequest = 499
@@ -75,7 +81,7 @@ type Backend struct {
 
 // Config tunes a Router. The zero value routes with defaultVNodes vnodes
 // per backend, DefaultQueueDepth pending requests per shard, DefaultWorkers
-// forwarders per shard, and work-stealing on.
+// concurrent forwards per shard, and work-stealing on.
 type Config struct {
 	// Backends are the scheduler shards; at least one is required.
 	Backends []Backend
@@ -86,9 +92,12 @@ type Config struct {
 	// QueueDepth bounds pending requests per shard; a request whose home
 	// queue is full is shed with 429 + Retry-After (≤ 0 means default).
 	QueueDepth int
-	// Workers is the number of forwarding workers per shard (≤ 0 means
-	// default). Each worker serves its own shard's queues first and
-	// steals from other shards' stealable queues when idle.
+	// Workers bounds concurrent forwards per shard (≤ 0 means default): a
+	// shard has this many forwarding slots. A request takes one on its
+	// caller's goroutine when one is free and nothing is queued ahead of it;
+	// queued requests are forwarded by the shard's drainers (as many as
+	// slots), which serve their own shard's queues first and steal from
+	// other shards' stealable queues with a slot to spare.
 	Workers int
 	// DisableSteal turns work-stealing off: every request waits for its
 	// home shard no matter how uneven the load.
@@ -118,8 +127,8 @@ type Stats struct {
 	// Schema versions the payload ("statsz/v1"); additive changes only
 	// within a version. The drift-guard tests pin the documented key set.
 	Schema string `json:"schema"`
-	// Routed counts requests admitted to a queue; Rejected those shed
-	// because their home queue was full.
+	// Routed counts requests admitted to a shard (forwarded at once or
+	// queued); Rejected those shed because their home queue was full.
 	Routed   uint64 `json:"routed"`
 	Rejected uint64 `json:"rejected"`
 	// LocalServed counts requests served by their home shard, Steals those
@@ -156,21 +165,25 @@ type BackendStats struct {
 	Errors uint64 `json:"errors"`
 }
 
-// job is one routed request waiting for a forwarding worker.
-type job struct {
+// call is one routed request: what a transport needs to forward it.
+type call struct {
 	ctx         context.Context
 	home        int
-	pinned      bool
 	path        string
 	contentType string
 	body        []byte
 	// reqID is the request ID minted at dispatch (or supplied by the
-	// client); the forwarder propagates it to the shard.
+	// client); the transport propagates it to the shard.
 	reqID string
-	// enqueued timestamps queue entry; the worker's pickup delta is the
+}
+
+// job is a call waiting in a shard's queue for a forwarding slot.
+type job struct {
+	call
+	// enqueued timestamps queue entry; the drainer's pickup delta is the
 	// queue-stage latency.
 	enqueued time.Time
-	// done receives exactly one result; buffered so a worker never blocks
+	// done receives exactly one result; buffered so a drainer never blocks
 	// on a client that gave up.
 	done chan jobResult
 }
@@ -178,9 +191,13 @@ type job struct {
 type jobResult struct {
 	status      int
 	contentType string
-	body        []byte
-	servedBy    int
-	stolen      bool
+	// body is the response in a wire pooled buffer the receiver puts back.
+	body       []byte
+	retryAfter string
+	servedBy   int
+	stolen     bool
+	// inline reports a request forwarded on its caller's goroutine.
+	inline bool
 	// queueNS and forwardNS are the job's stage timings, echoed back for
 	// the request log.
 	queueNS, forwardNS int64
@@ -188,13 +205,21 @@ type jobResult struct {
 }
 
 type backendState struct {
-	name    string
-	handler http.Handler
-	url     string
-	// pinned holds lineage-keyed jobs (only this shard's workers drain
-	// it); local holds stealable jobs (any idle worker may).
+	name string
+	tr   transport
+	// slots bounds concurrent forwards to this shard (Config.Workers): a
+	// token per forward in flight, inline or drained.
+	slots chan struct{}
+	// pinned holds lineage-keyed jobs (only this shard's drainers take
+	// them); local holds stealable jobs (any shard's drainer with a slot
+	// may).
 	pinned chan *job
 	local  chan *job
+	// wake rouses this shard's idle drainers: a token per enqueue they
+	// should look at, dropped when Config.Workers are already pending —
+	// every drainer is then due to wake and each drains until it finds
+	// nothing.
+	wake chan struct{}
 
 	routed       atomic.Uint64
 	served       atomic.Uint64
@@ -203,23 +228,33 @@ type backendState struct {
 	errors       atomic.Uint64
 }
 
+// signal rouses one idle drainer of b, if one is not already due.
+func (b *backendState) signal() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
 // Router is the routing tier. Build with New, mount Handler, Close on
 // shutdown. Safe for concurrent use.
 type Router struct {
 	cfg      Config
 	ring     *ring
 	backends []*backendState
-	client   *http.Client
 	mux      *http.ServeMux
 	stop     chan struct{}
 
 	// metrics is the /metricsz registry. stageSets and reqCounters cache
 	// its instruments so the dispatch and forwarding hot paths resolve them
-	// with one allocation-free map read under obsMu.
+	// with one allocation-free map read under obsMu; the two dispatch-mode
+	// counters are resolved once at New.
 	metrics     *obs.Registry
 	obsMu       sync.RWMutex
 	stageSets   map[string]*stageSet
 	reqCounters map[reqKey]*obs.Counter
+	inlineCnt   *obs.Counter
+	queuedCnt   *obs.Counter
 
 	draining   atomic.Bool
 	routed     atomic.Uint64
@@ -228,7 +263,7 @@ type Router struct {
 	binaryReqs atomic.Uint64
 }
 
-// New builds and starts a Router (its forwarding workers run until Close).
+// New builds and starts a Router (its drainers run until Close).
 func New(cfg Config) (*Router, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -253,7 +288,6 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:     cfg,
 		ring:    ring,
-		client:  cfg.Client,
 		mux:     http.NewServeMux(),
 		stop:    make(chan struct{}),
 		metrics: obs.NewRegistry(),
@@ -261,23 +295,25 @@ func New(cfg Config) (*Router, error) {
 		stageSets:   make(map[string]*stageSet),
 		reqCounters: make(map[reqKey]*obs.Counter),
 	}
-	if r.client == nil {
-		r.client = &http.Client{}
+	client := cfg.Client
+	if client == nil {
+		client = &http.Client{}
 	}
 	r.backends = make([]*backendState, len(cfg.Backends))
 	for i, b := range cfg.Backends {
 		r.backends[i] = &backendState{
-			name:    b.Name,
-			handler: b.Handler,
-			url:     b.URL,
-			pinned:  make(chan *job, cfg.QueueDepth),
-			local:   make(chan *job, cfg.QueueDepth),
+			name:   b.Name,
+			tr:     newTransport(b, client),
+			slots:  make(chan struct{}, cfg.Workers),
+			pinned: make(chan *job, cfg.QueueDepth),
+			local:  make(chan *job, cfg.QueueDepth),
+			wake:   make(chan struct{}, cfg.Workers),
 		}
 	}
 	r.registerMetrics()
 	for i := range r.backends {
 		for w := 0; w < cfg.Workers; w++ {
-			go r.worker(i)
+			go r.drainer(i)
 		}
 	}
 	r.mux.HandleFunc("POST /v1/schedule", func(w http.ResponseWriter, req *http.Request) {
@@ -299,9 +335,9 @@ func (r *Router) Handler() http.Handler { return r.mux }
 // draining error; queued requests finish. Idempotent.
 func (r *Router) StartDrain() { r.draining.Store(true) }
 
-// Close stops the forwarding workers. Pending jobs are completed by the
-// worker that already holds them; queued-but-unclaimed jobs are failed
-// with a draining error so no client waits forever.
+// Close stops the drainers. A forward in flight runs to completion;
+// queued-but-unclaimed jobs are failed with a draining error so no client
+// waits forever.
 func (r *Router) Close() {
 	r.draining.Store(true)
 	close(r.stop)
@@ -412,239 +448,270 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 		reqID = obs.NewRequestID()
 	}
 	w.Header().Set(obs.RequestIDHeader, reqID)
-	finish := func(status int, res jobResult) {
-		r.finishRequest(reqID, endpoint, codec, status, res, time.Since(start))
+	// refuse answers a request that never reached a shard.
+	refuse := func(status int, info *wire.ErrorInfo) {
+		r.finishRequest(reqID, endpoint, codec, status, jobResult{servedBy: -1}, time.Since(start))
+		r.writeError(w, status, binary, info)
 	}
 	if r.draining.Load() {
-		finish(http.StatusServiceUnavailable, jobResult{servedBy: -1})
-		r.writeError(w, http.StatusServiceUnavailable, binary,
+		refuse(http.StatusServiceUnavailable,
 			&wire.ErrorInfo{Code: wire.CodeDraining, Message: "router is draining; retry against another replica"})
 		return
 	}
 	body, err := readBody(w, req, r.cfg.MaxBodyBytes)
 	if err != nil {
-		finish(http.StatusBadRequest, jobResult{servedBy: -1})
-		r.writeError(w, http.StatusBadRequest, binary,
+		wire.PutBuffer(body)
+		refuse(http.StatusBadRequest,
 			&wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", err)})
 		return
 	}
 	key, pinned, errInfo := r.routeKey(path, ct, body)
 	if errInfo != nil {
-		finish(http.StatusBadRequest, jobResult{servedBy: -1})
-		r.writeError(w, http.StatusBadRequest, binary, errInfo)
+		wire.PutBuffer(body)
+		refuse(http.StatusBadRequest, errInfo)
 		return
 	}
 	home := r.ring.route(key)
 	b := r.backends[home]
-	j := &job{
-		ctx:         req.Context(),
-		home:        home,
-		pinned:      pinned,
-		path:        path,
-		contentType: ct,
-		body:        body,
-		reqID:       reqID,
-		enqueued:    time.Now(),
-		done:        make(chan jobResult, 1),
-	}
-	q := b.local
-	if pinned {
-		q = b.pinned
-	}
-	select {
-	case q <- j:
-		r.routed.Add(1)
-		b.routed.Add(1)
+	c := call{ctx: req.Context(), home: home, path: path, contentType: ct, body: body, reqID: reqID}
+
+	var res jobResult
+	if b.tryInline(pinned) {
+		// The home shard has a slot and nobody is waiting for it: forward on
+		// this goroutine. The request is on the same books as a queued one,
+		// with a queue wait of zero.
+		r.admitted(b, pinned)
+		r.inlineCnt.Inc()
+		res = r.forward(home, &c, 0, wire.GetBuffer())
+		res.inline = true
+		r.release(home)
+	} else {
+		j := &job{call: c, enqueued: time.Now(), done: make(chan jobResult, 1)}
+		q := b.local
 		if pinned {
-			r.pinnedCnt.Add(1)
+			q = b.pinned
 		}
-	default:
-		r.rejected.Add(1)
-		finish(http.StatusTooManyRequests, jobResult{servedBy: -1})
-		w.Header().Set("Retry-After", "1")
-		r.writeError(w, http.StatusTooManyRequests, binary, &wire.ErrorInfo{
-			Code:    wire.CodeQueueFull,
-			Message: fmt.Sprintf("shard %s queue full (%d pending); retry after backoff", b.name, r.cfg.QueueDepth),
-		})
-		return
-	}
-	select {
-	case res := <-j.done:
-		if res.err != nil {
-			finish(res.status, res)
-			r.writeError(w, res.status, binary,
-				&wire.ErrorInfo{Code: wire.CodeInternal, Message: res.err.Error()})
+		select {
+		case q <- j:
+			r.admitted(b, pinned)
+			r.queuedCnt.Inc()
+			r.wakeFor(home, pinned)
+		default:
+			r.rejected.Add(1)
+			wire.PutBuffer(body)
+			w.Header().Set("Retry-After", "1")
+			refuse(http.StatusTooManyRequests, &wire.ErrorInfo{
+				Code:    wire.CodeQueueFull,
+				Message: fmt.Sprintf("shard %s queue full (%d pending); retry after backoff", b.name, r.cfg.QueueDepth),
+			})
 			return
 		}
-		finish(res.status, res)
-		w.Header().Set("X-Msroute-Backend", r.backends[res.servedBy].name)
-		w.Header().Set("X-Msroute-Stolen", strconv.FormatBool(res.stolen))
-		if res.contentType != "" {
-			w.Header().Set("Content-Type", res.contentType)
+		select {
+		case res = <-j.done:
+		case <-req.Context().Done():
+			// The client gave up; the drainer that picks the job up will see
+			// the dead context and drop it cheaply. Nobody reads a response,
+			// but the request still counts: 499, the conventional "client
+			// closed request" status, keeps it on the books and in the request
+			// log. The body stays out of the pool — the drainer may yet read it.
+			r.finishRequest(reqID, endpoint, codec, statusClientClosedRequest, jobResult{servedBy: -1}, time.Since(start))
+			return
 		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
+	}
+	r.finishRequest(reqID, endpoint, codec, res.status, res, time.Since(start))
+	if res.err != nil {
+		r.writeError(w, res.status, binary, &wire.ErrorInfo{Code: wire.CodeInternal, Message: res.err.Error()})
+	} else {
+		h := w.Header()
+		h.Set("X-Msroute-Backend", r.backends[res.servedBy].name)
+		h.Set("X-Msroute-Stolen", strconv.FormatBool(res.stolen))
+		if res.contentType != "" {
+			h.Set("Content-Type", res.contentType)
+		}
+		if res.retryAfter != "" {
+			h.Set("Retry-After", res.retryAfter)
+		}
+		h.Set("Content-Length", strconv.Itoa(len(res.body)))
 		w.WriteHeader(res.status)
 		_, _ = w.Write(res.body)
-	case <-req.Context().Done():
-		// The client gave up; the worker that picks the job up will see
-		// the dead context and drop it cheaply. Nobody reads a response, but
-		// the request still counts: 499, the conventional "client closed
-		// request" status, keeps it on the books and in the request log.
-		finish(statusClientClosedRequest, jobResult{servedBy: -1})
 	}
+	wire.PutBuffer(res.body)
+	wire.PutBuffer(body)
 }
 
-// readBody reads the whole request body under the size cap. A declared
-// Content-Length pre-sizes one buffer (with bytes.MinRead of slack, so the
-// read that finds EOF does not grow it) in place of io.ReadAll's growth
-// series; the buffer is not pooled because the body's lifetime crosses the
-// hand-off to a forwarding worker.
+// readBody reads the whole request body under the size cap into a wire
+// pooled buffer, pre-sized from a declared Content-Length. The buffer comes
+// back on error too; the caller puts it back once the response is written.
 func readBody(w http.ResponseWriter, req *http.Request, maxBytes int64) ([]byte, error) {
-	rd := http.MaxBytesReader(w, req.Body, maxBytes)
-	if cl := req.ContentLength; cl > 0 && cl <= maxBytes {
-		buf := bytes.NewBuffer(make([]byte, 0, cl+bytes.MinRead))
-		_, err := buf.ReadFrom(rd)
-		return buf.Bytes(), err
-	}
-	return io.ReadAll(rd)
+	return wire.ReadAll(wire.GetBuffer(), http.MaxBytesReader(w, req.Body, maxBytes), min(req.ContentLength, maxBytes))
 }
 
-// worker forwards jobs for shard i: its own pinned and stealable queues
-// first, then — when idle and stealing is on — other shards' stealable
-// queues. The pinned queue is deliberately invisible to thieves.
-func (r *Router) worker(i int) {
+// admitted books a request onto its home shard.
+func (r *Router) admitted(b *backendState, pinned bool) {
+	r.routed.Add(1)
+	b.routed.Add(1)
+	if pinned {
+		r.pinnedCnt.Add(1)
+	}
+}
+
+// tryInline takes one of b's forwarding slots for a request arriving now,
+// if one is free and nothing is queued ahead of the request: its pinned
+// queue for a lineage request — lineage order holds — and both queues
+// otherwise, so stealable requests stay first-in, first-out.
+func (b *backendState) tryInline(pinned bool) bool {
+	if len(b.pinned) > 0 || (!pinned && len(b.local) > 0) {
+		return false
+	}
+	select {
+	case b.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// release hands back a slot of shard i taken by tryInline. No drainer saw
+// the slot free up, so if a peer has stealable backlog one is roused to
+// look. (The shard's own backlog needs no signal — whoever enqueued it
+// roused a drainer, which is blocked on this very slot — and gets a
+// harmless one.)
+func (r *Router) release(i int) {
 	b := r.backends[i]
-	var timer *time.Timer
-	for {
-		// Fast path: own work, no timer armed.
-		select {
-		case j := <-b.pinned:
-			r.serve(i, j)
-			continue
-		case j := <-b.local:
-			r.serve(i, j)
-			continue
-		case <-r.stop:
+	<-b.slots
+	if r.pending(i) {
+		b.signal()
+	}
+}
+
+// pending reports whether a job that shard i may serve is queued: in its
+// own queues or, with stealing on, in a peer's stealable queue.
+func (r *Router) pending(i int) bool {
+	b := r.backends[i]
+	if len(b.pinned) > 0 || len(b.local) > 0 {
+		return true
+	}
+	if r.cfg.DisableSteal {
+		return false
+	}
+	for _, v := range r.backends {
+		if v != b && len(v.local) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// wakeFor rouses drainers for a job just queued on shard home: its own
+// shard's always — one of them blocks on the next slot to free — and, for a
+// stealable job, the first peer with a slot to spare, which can start it
+// now.
+func (r *Router) wakeFor(home int, pinned bool) {
+	r.backends[home].signal()
+	if pinned || r.cfg.DisableSteal {
+		return
+	}
+	n := len(r.backends)
+	for d := 1; d < n; d++ {
+		if v := r.backends[(home+d)%n]; len(v.slots) < cap(v.slots) {
+			v.signal()
 			return
-		default:
-		}
-		if !r.cfg.DisableSteal && r.trySteal(i) {
-			continue
-		}
-		// Idle: block on own queues, waking periodically to re-scan for
-		// stealable backlog elsewhere.
-		if timer == nil {
-			timer = time.NewTimer(stealRetry)
-		} else {
-			timer.Reset(stealRetry)
-		}
-		select {
-		case j := <-b.pinned:
-			r.serve(i, j)
-		case j := <-b.local:
-			r.serve(i, j)
-		case <-timer.C:
-			continue
-		case <-r.stop:
-			timer.Stop()
-			return
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
 		}
 	}
 }
 
-// trySteal claims one queued stealable job from another shard.
-func (r *Router) trySteal(i int) bool {
+// drainer forwards queued jobs for shard i. It sleeps until an enqueue (or
+// an inline request leaving a stealable backlog behind) signals the shard,
+// then serves while anything is pending: a slot first, then a job — own
+// pinned queue, own stealable queue, then, with stealing on, other shards'
+// stealable queues. The pinned queue is deliberately invisible to thieves.
+// The slot goes back before the result goes out, so a caller that sends its
+// next request the moment it has this answer finds the slot free.
+func (r *Router) drainer(i int) {
+	b := r.backends[i]
+	for {
+		select {
+		case <-b.wake:
+		case <-r.stop:
+			return
+		}
+		for r.pending(i) {
+			select {
+			case b.slots <- struct{}{}:
+			case <-r.stop:
+				return
+			}
+			j := r.take(i)
+			if j == nil { // a peer got there first
+				<-b.slots
+				break
+			}
+			res := r.forward(i, &j.call, time.Since(j.enqueued).Nanoseconds(), wire.GetBuffer())
+			<-b.slots
+			j.done <- res
+		}
+	}
+}
+
+// take claims the next queued job shard i may serve, without blocking.
+func (r *Router) take(i int) *job {
+	b := r.backends[i]
+	select {
+	case j := <-b.pinned:
+		return j
+	default:
+	}
+	select {
+	case j := <-b.local:
+		return j
+	default:
+	}
+	if r.cfg.DisableSteal {
+		return nil
+	}
 	n := len(r.backends)
 	for d := 1; d < n; d++ {
 		v := r.backends[(i+d)%n]
 		select {
 		case j := <-v.local:
 			v.stolenAway.Add(1)
-			r.serve(i, j)
-			return true
+			return j
 		default:
 		}
 	}
-	return false
+	return nil
 }
 
-// serve forwards one job to backend i and completes it.
-func (r *Router) serve(i int, j *job) {
+// forward sends one call to shard i — whose slot the caller holds — and
+// reports the outcome. The response is appended to dst and travels in the
+// result; on failure dst goes back to the pool here.
+func (r *Router) forward(i int, c *call, queueNS int64, dst []byte) jobResult {
 	b := r.backends[i]
-	stolen := i != j.home
-	queueNS := time.Since(j.enqueued).Nanoseconds()
-	if err := j.ctx.Err(); err != nil {
+	res := jobResult{servedBy: i, stolen: i != c.home, queueNS: queueNS}
+	if err := c.ctx.Err(); err != nil {
 		// Client already gone — don't burn a backend solve on it.
-		j.done <- jobResult{status: http.StatusServiceUnavailable, servedBy: i, stolen: stolen, queueNS: queueNS, err: err}
-		return
+		wire.PutBuffer(dst)
+		res.status, res.err = http.StatusServiceUnavailable, err
+		return res
 	}
 	b.served.Add(1)
-	if stolen {
+	if res.stolen {
 		b.stolenServed.Add(1)
 	}
 	t := time.Now()
-	status, ct, body, err := r.forward(b, j)
-	forwardNS := time.Since(t).Nanoseconds()
+	status, ct, out, retryAfter, err := b.tr.Serve(c.ctx, c.path, c.contentType, c.body, c.reqID, dst)
+	res.forwardNS = time.Since(t).Nanoseconds()
 	set := r.stagesFor(b.name)
 	set.queue.Observe(queueNS / 1e3)
-	set.forward.Observe(forwardNS / 1e3)
+	set.forward.Observe(res.forwardNS / 1e3)
 	if err != nil {
 		b.errors.Add(1)
-		j.done <- jobResult{status: http.StatusBadGateway, servedBy: i, stolen: stolen, queueNS: queueNS, forwardNS: forwardNS, err: err}
-		return
+		wire.PutBuffer(out)
+		res.status, res.err = http.StatusBadGateway, err
+		return res
 	}
-	j.done <- jobResult{status: status, contentType: ct, body: body, servedBy: i, stolen: stolen, queueNS: queueNS, forwardNS: forwardNS}
-}
-
-// forward performs the actual backend call: in-process handler when
-// configured, HTTP client otherwise.
-func (r *Router) forward(b *backendState, j *job) (int, string, []byte, error) {
-	if b.handler != nil {
-		req, err := http.NewRequestWithContext(j.ctx, http.MethodPost, j.path, bytes.NewReader(j.body))
-		if err != nil {
-			return 0, "", nil, err
-		}
-		req.Header.Set("Content-Type", j.contentType)
-		req.Header.Set(obs.RequestIDHeader, j.reqID)
-		rec := &responseRecorder{header: make(http.Header), status: http.StatusOK}
-		b.handler.ServeHTTP(rec, req)
-		return rec.status, rec.header.Get("Content-Type"), rec.body.Bytes(), nil
-	}
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodPost, b.url+j.path, bytes.NewReader(j.body))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	req.Header.Set("Content-Type", j.contentType)
-	req.Header.Set(obs.RequestIDHeader, j.reqID)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), body, nil
-}
-
-// responseRecorder captures an in-process backend's response.
-type responseRecorder struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (r *responseRecorder) Header() http.Header { return r.header }
-func (r *responseRecorder) WriteHeader(s int)   { r.status = s }
-func (r *responseRecorder) Write(p []byte) (int, error) {
-	return r.body.Write(p)
+	res.status, res.contentType, res.body, res.retryAfter = status, ct, out, retryAfter
+	return res
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -39,6 +40,7 @@ func TestAllocBudgets(t *testing.T) {
 	if code := serve(); code != http.StatusOK { // fills the memo
 		t.Fatalf("HTTP %d", code)
 	}
+	var dst []byte // the seam's response buffer, reused like a pooled one
 
 	for _, c := range []struct {
 		name   string
@@ -60,17 +62,29 @@ func TestAllocBudgets(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// One name per task, plus the slab, the task slices, the instance.
-		{"wire.DecodeScheduleRequest", n + 8, func() {
+		// The names' one string, the task slice, the slab, the instance:
+		// constant in n. Reads 4; 29 (one string per name, the task slice
+		// twice) before the names shared a string.
+		{"wire.DecodeScheduleRequest", 6, func() {
 			if _, _, _, err := wire.DecodeScheduleRequest(frame); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		// A whole binary memo hit through the shard's handler, test
-		// request and recorder included.
-		{"memo-hit ServeHTTP", 70, func() {
+		// request and recorder included. Reads 37 (65 with per-name strings
+		// and a status-capturing writer around the handler).
+		{"memo-hit ServeHTTP", 42, func() {
 			if code := serve(); code != http.StatusOK {
 				t.Fatalf("HTTP %d", code)
+			}
+		}},
+		// The same hit through the byte-level entry the routing tier calls:
+		// the shard's own share, nothing of HTTP. Reads 10: decode 4, the
+		// memo's copy of the solution 2, the outcome, the response 3.
+		{"memo-hit Serve", 12, func() {
+			status, _, out, _, _ := s.Serve(context.Background(), "/v1/schedule", wire.ContentType, frame, "alloc-test", dst[:0])
+			if dst = out; status != http.StatusOK {
+				t.Fatalf("status %d", status)
 			}
 		}},
 	} {
@@ -92,8 +106,8 @@ func TestAllocBudgets(t *testing.T) {
 // core.TestApproximateAllocBudget bounds (the accepted probes' copies); the
 // rest is the instance and its compiled tables.
 func TestAllocBudgetMemoMiss(t *testing.T) {
-	const n, m, runs, budget = 24, 16, 200, 110
-	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
+	const n, m, runs, budget = 24, 16, 200, 80 // reads 74 (102 before the decode shared one string)
+	frames := make([][]byte, runs+2)           // AllocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
 	}
@@ -125,11 +139,11 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // NewGraph, verify.Precedence in the solver and again in the handler),
 // compile, the precedence solve, both verifies, encode — every run a fresh
 // 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
-// share is what precedence.TestSolveAllocBudget bounds (9). Reads 124; the
-// parent of the change that scored candidates on processor counts and
-// recycled the segment cache's entries read 318.
+// share is what precedence.TestSolveAllocBudget bounds (9). Reads 104: 318
+// before candidates were scored on processor counts and the segment
+// cache's entries recycled, 124 before the decode shared one string.
 func TestAllocBudgetDAGMiss(t *testing.T) {
-	const n, m, runs, budget = 16, 8, 200, 135
+	const n, m, runs, budget = 16, 8, 200, 112
 	outTree, err := precedence.OutTreeEdges(n, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http"
 	"strconv"
 	"time"
 
@@ -29,17 +28,14 @@ const (
 	metricEngine       = "malsched_engine_events_total"
 )
 
-// reqCtx is the per-request observability context threaded from the
-// instrumented mux entry through solve and encode: the request ID, the
-// codec label, stage timings and — when the request asked for it — the
-// solve trace under construction. The status-capturing writer lives
-// inline so the envelope costs one allocation, not two.
+// reqCtx is the per-request observability context threaded from serve
+// through solve and encode: the request ID, the codec label, stage timings
+// and — when the request asked for it — the solve trace under construction.
 type reqCtx struct {
 	id       string
 	endpoint string // "schedule" or "batch"
 	codec    string // "json" or "binary"
 	start    time.Time
-	sw       statusWriter
 
 	// solver and shard label the stage histograms; a batch leaves them
 	// unset (each item observes its own stages under a per-item context).
@@ -75,33 +71,6 @@ type stageKey struct {
 type reqKey struct {
 	endpoint, codec string
 	status          int
-}
-
-// statusWriter captures the response status for request counters and logs.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// instrument wraps a scheduling handler with the per-request observability
-// envelope: request-ID mint/propagate/echo, status capture, request
-// counters, and the structured request log with its slow-request flag.
-func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request, *reqCtx)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rc := &reqCtx{id: r.Header.Get(obs.RequestIDHeader), endpoint: endpoint, codec: "json", start: time.Now(), shard: -1}
-		rc.sw = statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if rc.id == "" {
-			rc.id = obs.NewRequestID()
-		}
-		w.Header().Set(obs.RequestIDHeader, rc.id)
-		h(&rc.sw, r, rc)
-		s.finishRequest(rc, rc.sw.status, time.Since(rc.start))
-	}
 }
 
 // finishRequest records the request counter and emits the structured

@@ -12,6 +12,11 @@
 //	GET  /healthz      200 while serving, 503 once draining
 //	GET  /statsz       queue + per-shard engine counters
 //
+// The two scheduling endpoints are one byte-in/byte-out request path
+// (Server.serve) with two entries: the HTTP handlers above, and Serve, the
+// byte-level call an in-process routing tier uses in place of a request
+// and a recorder per hop.
+//
 // Admission control is a fixed-capacity token queue: a request that cannot
 // take a token immediately is rejected with 429 and a Retry-After header
 // rather than queued unboundedly — under overload the service sheds load
@@ -26,6 +31,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -190,16 +196,21 @@ func New(cfg Config) *Server {
 		s.slots[i] = make(chan struct{}, cfg.Workers)
 	}
 	s.registerMetrics()
-	s.mux.HandleFunc("POST /v1/schedule", s.instrument("schedule", s.handleSchedule))
-	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
+	s.mux.HandleFunc("POST "+pathSchedule, s.handleHTTP(endpointSchedule))
+	s.mux.HandleFunc("POST "+pathBatch, s.handleHTTP(endpointBatch))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.Handle("GET /metricsz", s.metrics.Handler())
 	return s
 }
 
-// Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the service's HTTP handler. The value also carries the
+// byte-level entry Serve, which is how an in-process routing tier reaches
+// the scheduling endpoints without building an HTTP request per hop.
+func (s *Server) Handler() http.Handler { return s }
+
+// ServeHTTP serves the endpoints listed in the package comment.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // StartDrain switches the server into drain mode: /healthz answers 503, new
 // scheduling requests are refused with a typed "draining" error, in-flight
@@ -248,10 +259,11 @@ func (s *Server) Stats() StatsResponse {
 }
 
 // admit takes an admission token, or reports why it cannot. One token is
-// held per scheduling request (single or batch) for its whole lifetime.
-func (s *Server) admit() (release func(), errInfo *wire.ErrorInfo, status int) {
+// held per scheduling request (single or batch) for its whole lifetime and
+// handed back with release.
+func (s *Server) admit() (errInfo *wire.ErrorInfo, status int) {
 	if s.draining.Load() {
-		return nil, &wire.ErrorInfo{Code: wire.CodeDraining, Message: "server is draining; retry against another replica"}, http.StatusServiceUnavailable
+		return &wire.ErrorInfo{Code: wire.CodeDraining, Message: "server is draining; retry against another replica"}, http.StatusServiceUnavailable
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -259,29 +271,17 @@ func (s *Server) admit() (release func(), errInfo *wire.ErrorInfo, status int) {
 		if s.admitted != nil {
 			s.admitted()
 		}
-		return func() { <-s.sem }, nil, 0
+		return nil, 0
 	default:
 		s.rejected.Add(1)
-		return nil, &wire.ErrorInfo{
+		return &wire.ErrorInfo{
 			Code:    wire.CodeQueueFull,
 			Message: fmt.Sprintf("admission queue full (%d in flight); retry after backoff", s.cfg.QueueDepth),
 		}, http.StatusTooManyRequests
 	}
 }
 
-// admitOrReject is admit with the rejection already written (Retry-After
-// included for shed requests); both scheduling handlers open with it.
-func (s *Server) admitOrReject(w http.ResponseWriter) (release func(), ok bool) {
-	release, errInfo, status := s.admit()
-	if errInfo != nil {
-		if errInfo.Code == wire.CodeQueueFull {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, status, errInfo)
-		return nil, false
-	}
-	return release, true
-}
+func (s *Server) release() { <-s.sem }
 
 // resolveOptions validates the per-request options against the registry and
 // the server's caps, returning the engine options and the effective
@@ -478,34 +478,162 @@ func statusOf(err error) int {
 	}
 }
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rc *reqCtx) {
-	if isBinary(r) {
-		rc.codec = "binary"
-		s.handleScheduleBinary(w, r, rc)
-		return
-	}
-	release, ok := s.admitOrReject(w)
-	if !ok {
-		return
-	}
-	defer release()
+// The scheduling endpoints, as the mux and the byte-level entry name them.
+const (
+	pathSchedule     = "/v1/schedule"
+	pathBatch        = "/v1/batch"
+	endpointSchedule = "schedule"
+	endpointBatch    = "batch"
 
+	jsonContentType = "application/json"
+	// retryAfterShed is the Retry-After of a request shed by admission.
+	retryAfterShed = "1"
+)
+
+// Serve is the byte-level entry of the scheduling endpoints: one request
+// body in, one response body out, no http.Request and no ResponseWriter.
+// It is the same request path as POST path over HTTP — the HTTP handler is
+// read body → this path → write — so status, content type, body bytes and
+// Retry-After are identical either way, as are the counters and the request
+// log. The response is appended to dst, which the caller owns (pass a
+// wire.GetBuffer and put back what comes out); body is only read and never
+// retained past the return. An empty reqID is minted here. retryAfter is
+// the Retry-After header value of a shed request, empty otherwise. The
+// context is unused — a solve is bounded by its timeout, not by its caller —
+// and err is always nil: both exist for the routing tier's transports that
+// do cross a network.
+func (s *Server) Serve(_ context.Context, path, contentType string, body []byte, reqID string, dst []byte) (status int, respType string, out []byte, retryAfter string, err error) {
+	var endpoint string
+	switch path {
+	case pathSchedule:
+		endpoint = endpointSchedule
+	case pathBatch:
+		endpoint = endpointBatch
+	default: // what the mux answers
+		return http.StatusNotFound, "text/plain; charset=utf-8", append(dst, "404 page not found\n"...), "", nil
+	}
+	status, respType, out, retryAfter = s.serve(endpoint, contentType, body, nil, reqID, dst)
+	return status, respType, out, retryAfter, nil
+}
+
+// handleHTTP is a scheduling endpoint over HTTP: read the body (one byte
+// past the cap at most, so the request path can tell an oversized body from
+// a full one), run the request path, write what it returned.
+func (s *Server) handleHTTP(endpoint string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get(obs.RequestIDHeader)
+		if id == "" {
+			id = obs.NewRequestID()
+		}
+		w.Header().Set(obs.RequestIDHeader, id)
+		limit := s.cfg.MaxBodyBytes + 1
+		body, readErr := wire.ReadAll(wire.GetBuffer(), io.LimitReader(r.Body, limit), min(r.ContentLength, limit))
+		status, respType, out, retryAfter := s.serve(endpoint, r.Header.Get("Content-Type"), body, readErr, id, wire.GetBuffer())
+		writeResponse(w, status, respType, out, retryAfter)
+		wire.PutBuffer(body)
+		wire.PutBuffer(out)
+	}
+}
+
+// serve is the one implementation of a scheduling request, shared by the
+// HTTP handler and Serve: the observability envelope (request ID, request
+// counter, request log) around admit → size cap → decode → resolveOptions →
+// ValidateEdges → solveVerified → encode. The codec is negotiated by
+// contentType; a binary request gets a binary response on every path,
+// errors and admission rejections included. bodyErr is the HTTP handler's
+// failed body read, reported as a 400 in its place in that order.
+func (s *Server) serve(endpoint, contentType string, body []byte, bodyErr error, reqID string, dst []byte) (status int, respType string, out []byte, retryAfter string) {
+	rc := reqCtx{id: reqID, endpoint: endpoint, codec: "json", start: time.Now(), shard: -1}
+	if rc.id == "" {
+		rc.id = obs.NewRequestID()
+	}
+	// The batch path is JSON-only; the binary codec covers /v1/schedule.
+	binary := endpoint == endpointSchedule && isBinary(contentType)
+	respType = jsonContentType
+	if binary {
+		rc.codec, respType = "binary", wire.ContentType
+		s.binaryReqs.Add(1)
+	}
+	out, status, errInfo := s.admitAndRun(&rc, binary, body, bodyErr, dst)
+	if errInfo != nil {
+		if errInfo.Code == wire.CodeQueueFull {
+			retryAfter = retryAfterShed
+		}
+		out = appendError(dst, binary, errInfo)
+	}
+	s.finishRequest(&rc, status, time.Since(rc.start))
+	return status, respType, out, retryAfter
+}
+
+// admitAndRun holds the admission token across one request's decode, solve
+// and encode. It returns the encoded success body, or a typed error with
+// its HTTP status for serve to encode.
+func (s *Server) admitAndRun(rc *reqCtx, binary bool, body []byte, bodyErr error, dst []byte) ([]byte, int, *wire.ErrorInfo) {
+	if errInfo, status := s.admit(); errInfo != nil {
+		return nil, status, errInfo
+	}
+	defer s.release()
+	switch {
+	case bodyErr != nil:
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", bodyErr)}
+	case int64(len(body)) > s.cfg.MaxBodyBytes:
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{
+			Code:    wire.CodeBadRequest,
+			Message: fmt.Sprintf("request body exceeds the %d-byte cap", s.cfg.MaxBodyBytes),
+		}
+	case rc.endpoint == endpointBatch:
+		return s.batch(rc, body, dst)
+	case binary:
+		return s.scheduleBinary(rc, body, dst)
+	default:
+		return s.scheduleJSON(rc, body, dst)
+	}
+}
+
+// scheduleJSON is /v1/schedule over the JSON codec.
+func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	var req wire.ScheduleRequest
-	if errInfo := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); errInfo != nil {
-		writeError(w, http.StatusBadRequest, errInfo)
-		return
+	if errInfo := decodeJSON(body, &req); errInfo != nil {
+		return nil, http.StatusBadRequest, errInfo
 	}
 	o, timeout, errInfo := s.resolveOptions(req.Options)
 	if errInfo != nil {
-		writeError(w, http.StatusBadRequest, errInfo)
-		return
+		return nil, http.StatusBadRequest, errInfo
 	}
 	in, err := DecodeInstance(req.Instance)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
-		return
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
 	}
-	if req.Graph != nil {
+	return s.solveAndEncode(rc, in, req.Graph, o, timeout, lineageOf(req.Options), false, dst)
+}
+
+// scheduleBinary is /v1/schedule over the binary codec: the same
+// validation, solve and verify pipeline as the JSON path — solveAndEncode
+// is shared, so every binary response carries a plan that passed
+// verify.Plan — with the request decoded and the response encoded through
+// internal/wire, no reflection and no per-request encoder state. A wire/v2
+// request carries the precedence graph; v1 requests decode unchanged and
+// carry none.
+func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
+	in, graph, ro, err := wire.DecodeScheduleRequest(body)
+	if err != nil {
+		code := wire.CodeBadInstance
+		if isFramingErr(err) {
+			code = wire.CodeBadRequest
+		}
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: code, Message: err.Error()}
+	}
+	o, timeout, errInfo := s.resolveOptions(ro)
+	if errInfo != nil {
+		return nil, http.StatusBadRequest, errInfo
+	}
+	return s.solveAndEncode(rc, in, graph, o, timeout, lineageOf(ro), true, dst)
+}
+
+// solveAndEncode is the codec-independent tail of /v1/schedule: the graph
+// gate, the verified solve, and the response appended to dst.
+func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int, o engine.Options, timeout time.Duration, lineage string, binary bool, dst []byte) ([]byte, int, *wire.ErrorInfo) {
+	if graph != nil {
 		// The graph is validated here — before any shard is touched — so a
 		// hostile graph (cycle, self-edge, out-of-range endpoint, wrong
 		// shape) gets its own typed 400 rather than surfacing as a generic
@@ -513,97 +641,33 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request, rc *reqC
 		// edge-blind solver is an options error, mapped from the engine's
 		// ErrEdgesUnsupported in errInfoOf.
 		s.graphReqs.Add(1)
-		if err := precedence.ValidateEdges(in.N(), req.Graph); err != nil {
-			writeError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadGraph, Message: err.Error()})
-			return
-		}
-		o.Edges = req.Graph
-	}
-	resp, errInfo, status := s.solveVerified(in, o, timeout, lineageOf(req.Options), rc)
-	if errInfo != nil {
-		writeError(w, status, errInfo)
-		return
-	}
-	t := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	rc.set.encode.Observe(time.Since(t).Microseconds())
-}
-
-// isBinary reports whether the request negotiated the binary codec via its
-// Content-Type (parameters ignored). Binary requests get binary responses
-// on every path, errors and admission rejections included.
-func isBinary(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == wire.ContentType
-}
-
-// handleScheduleBinary is /v1/schedule over the binary codec: the same
-// admission, validation, solve and verify pipeline as the JSON path —
-// solveVerified is shared, so every binary response carries a plan that
-// passed verify.Plan — with the request decoded and the response encoded
-// through internal/wire over pooled buffers, no reflection and no
-// per-request encoder state. A wire/v2 request carries the precedence
-// graph, validated through the same precedence.ValidateEdges gate as the
-// JSON path (CodeBadGraph on failure); v1 requests decode unchanged and
-// carry no graph.
-func (s *Server) handleScheduleBinary(w http.ResponseWriter, r *http.Request, rc *reqCtx) {
-	s.binaryReqs.Add(1)
-	release, errInfo, status := s.admit()
-	if errInfo != nil {
-		if errInfo.Code == wire.CodeQueueFull {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeBinaryError(w, status, errInfo)
-		return
-	}
-	defer release()
-
-	body, errInfo := readBody(w, r, s.cfg.MaxBodyBytes)
-	if errInfo != nil {
-		writeBinaryError(w, http.StatusBadRequest, errInfo)
-		return
-	}
-	in, graph, ro, err := wire.DecodeScheduleRequest(body)
-	wire.PutBuffer(body)
-	if err != nil {
-		code := wire.CodeBadInstance
-		if isFramingErr(err) {
-			code = wire.CodeBadRequest
-		}
-		writeBinaryError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: code, Message: err.Error()})
-		return
-	}
-	o, timeout, errInfo := s.resolveOptions(ro)
-	if errInfo != nil {
-		writeBinaryError(w, http.StatusBadRequest, errInfo)
-		return
-	}
-	if graph != nil {
-		// Same gate as the JSON path: a hostile graph is a typed 400
-		// before any shard is touched.
-		s.graphReqs.Add(1)
 		if err := precedence.ValidateEdges(in.N(), graph); err != nil {
-			writeBinaryError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadGraph, Message: err.Error()})
-			return
+			return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadGraph, Message: err.Error()}
 		}
 		o.Edges = graph
 	}
-	resp, errInfo, status := s.solveVerified(in, o, timeout, lineageOf(ro), rc)
+	resp, errInfo, status := s.solveVerified(in, o, timeout, lineage, rc)
 	if errInfo != nil {
-		writeBinaryError(w, status, errInfo)
-		return
+		return nil, status, errInfo
 	}
 	t := time.Now()
-	buf := wire.AppendScheduleResponse(wire.GetBuffer(), resp)
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
-	wire.PutBuffer(buf)
+	var out []byte
+	if binary {
+		out = wire.AppendScheduleResponse(dst, resp)
+	} else if out, errInfo = appendJSON(dst, resp); errInfo != nil {
+		return nil, http.StatusInternalServerError, errInfo
+	}
 	rc.set.encode.Observe(time.Since(t).Microseconds())
+	return out, http.StatusOK, nil
+}
+
+// isBinary reports whether a Content-Type negotiates the binary codec
+// (parameters ignored).
+func isBinary(contentType string) bool {
+	if i := strings.IndexByte(contentType, ';'); i >= 0 {
+		contentType = contentType[:i]
+	}
+	return strings.TrimSpace(contentType) == wire.ContentType
 }
 
 // isFramingErr separates malformed binary framing (bad_request, like
@@ -615,54 +679,24 @@ func isFramingErr(err error) bool {
 		errors.Is(err, wire.ErrBadKind)
 }
 
-// readBody reads the full request body under the size cap into a pooled
-// buffer; the caller returns it with wire.PutBuffer.
-func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *wire.ErrorInfo) {
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	buf := wire.GetBuffer()
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			wire.PutBuffer(buf)
-			return nil, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", err)}
-		}
-	}
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx) {
-	release, ok := s.admitOrReject(w)
-	if !ok {
-		return
-	}
-	defer release()
-
+// batch is /v1/batch (JSON only).
+func (s *Server) batch(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	var req wire.BatchRequest
-	if errInfo := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); errInfo != nil {
-		writeError(w, http.StatusBadRequest, errInfo)
-		return
+	if errInfo := decodeJSON(body, &req); errInfo != nil {
+		return nil, http.StatusBadRequest, errInfo
 	}
 	if len(req.Instances) == 0 {
-		writeError(w, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "batch has no instances"})
-		return
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "batch has no instances"}
 	}
 	if len(req.Instances) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, &wire.ErrorInfo{
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{
 			Code:    wire.CodeBadRequest,
 			Message: fmt.Sprintf("batch of %d exceeds the %d-instance cap", len(req.Instances), s.cfg.MaxBatch),
-		})
-		return
+		}
 	}
 	o, timeout, errInfo := s.resolveOptions(req.Options)
 	if errInfo != nil {
-		writeError(w, http.StatusBadRequest, errInfo)
-		return
+		return nil, http.StatusBadRequest, errInfo
 	}
 	// A batch-level lineage applies to every item; same-lineage items
 	// serialise on the shard's carried state by design (a lineage's
@@ -675,6 +709,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 	// submission concurrency — actual solves are bounded by the per-shard
 	// solve slots (Config.Workers each) shared with every other request.
 	resp := wire.BatchResponse{Results: make([]wire.BatchItem, len(req.Instances))}
+	codec := rc.codec // the workers capture the label, not rc, which stays on serve's stack
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(req.Instances) {
 		workers = len(req.Instances)
@@ -690,12 +725,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 				if i >= len(req.Instances) {
 					return
 				}
-				resp.Results[i] = s.batchItem(i, req.Instances[i], o, timeout, lineage, rc.codec)
+				resp.Results[i] = s.batchItem(i, req.Instances[i], o, timeout, lineage, codec)
 			}
 		}()
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, resp)
+	out, errInfo := appendJSON(dst, resp)
+	if errInfo != nil {
+		return nil, http.StatusInternalServerError, errInfo
+	}
+	return out, http.StatusOK, nil
 }
 
 func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout time.Duration, lineage, codec string) wire.BatchItem {
@@ -726,11 +765,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// decodeBody decodes a JSON request body under the size cap, rejecting
-// trailing garbage.
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *wire.ErrorInfo {
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(body)
+// decodeJSON decodes a JSON request body, rejecting trailing garbage.
+func decodeJSON(body []byte, dst any) *wire.ErrorInfo {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(dst); err != nil {
 		return &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("decoding request body: %v", err)}
 	}
@@ -740,45 +777,56 @@ func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any)
 	return nil
 }
 
-// jsonBufPool recycles response-body buffers across requests: the JSON
-// path used to allocate a fresh encoder buffer per response, which at
-// fleet RPS was the dominant per-request garbage. Encoding into a pooled
-// buffer also yields an exact Content-Length. Buffers that grew past
-// maxPooledJSON are dropped so one giant batch response doesn't pin
-// memory for the process lifetime.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// appendWriter is the io.Writer json.Encoder needs over an append target.
+type appendWriter struct{ b []byte }
 
-const maxPooledJSON = 1 << 20
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+// appendJSON appends v's JSON encoding (newline-terminated, as
+// json.Encoder writes it) to dst.
+func appendJSON(dst []byte, v any) ([]byte, *wire.ErrorInfo) {
+	w := appendWriter{b: dst}
+	if err := json.NewEncoder(&w).Encode(v); err != nil {
 		// Wire types marshal without error by construction; this path
 		// exists for the type system, not for traffic.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil, &wire.ErrorInfo{Code: wire.CodeInternal, Message: fmt.Sprintf("encoding response: %v", err)}
+	}
+	return w.b, nil
+}
+
+// appendError appends a typed error body in the request's codec: same
+// codes either way, binary framing for binary-negotiated requests.
+func appendError(dst []byte, binary bool, info *wire.ErrorInfo) []byte {
+	body := wire.ErrorBody{Error: *info}
+	if binary {
+		return wire.AppendError(dst, &body)
+	}
+	out, _ := appendJSON(dst, body) // an ErrorBody is two strings: it cannot fail to marshal
+	return out
+}
+
+// writeResponse writes one response with an exact Content-Length.
+func writeResponse(w http.ResponseWriter, status int, contentType string, body []byte, retryAfter string) {
+	h := w.Header()
+	if retryAfter != "" {
+		h.Set("Retry-After", retryAfter)
+	}
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// writeJSON serves the admin endpoints' JSON bodies from a pooled buffer.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	out, errInfo := appendJSON(wire.GetBuffer(), v)
+	if errInfo != nil {
+		http.Error(w, errInfo.Message, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledJSON {
-		jsonBufPool.Put(buf)
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, info *wire.ErrorInfo) {
-	writeJSON(w, status, wire.ErrorBody{Error: *info})
-}
-
-// writeBinaryError is writeError for binary-negotiated requests: same
-// typed codes, binary framing.
-func writeBinaryError(w http.ResponseWriter, status int, info *wire.ErrorInfo) {
-	buf := wire.AppendError(wire.GetBuffer(), &wire.ErrorBody{Error: *info})
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf)
-	wire.PutBuffer(buf)
+	writeResponse(w, status, jsonContentType, out, "")
+	wire.PutBuffer(out)
 }

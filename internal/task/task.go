@@ -224,6 +224,21 @@ func (t Task) Truncate(m int) Task {
 	return Task{Name: t.Name, times: cp}
 }
 
+// TruncateOwned is Truncate without the copy: the result views the first m
+// entries of t's own table (capacity capped, so nothing can append into the
+// rest). Tasks are immutable, so the sharing is safe; the cost is that the
+// whole table stays reachable. Decoders that built the table themselves and
+// drop t use it.
+func (t Task) TruncateOwned(m int) Task {
+	if m < 1 {
+		panic(fmt.Sprintf("task %q: TruncateOwned(%d)", t.Name, m))
+	}
+	if m >= len(t.times) {
+		return t
+	}
+	return Task{Name: t.Name, times: t.times[:m:m]}
+}
+
 // String implements fmt.Stringer with a compact profile summary.
 func (t Task) String() string {
 	return fmt.Sprintf("%s{t(1)=%.4g t(%d)=%.4g}", t.Name, t.SeqTime(), t.MaxProcs(), t.MinTime())

@@ -37,7 +37,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"malsched/internal/fphash"
@@ -283,11 +286,16 @@ const (
 
 // bufPool recycles encode/decode scratch across requests. Buffers are
 // handed out at zero length with whatever capacity they grew to; oversized
-// ones are dropped rather than pinned forever.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
+// ones are dropped rather than pinned forever. A sync.Pool holds pointers,
+// so a buffer travels in a *[]byte box; boxPool recycles the emptied boxes,
+// which makes a GetBuffer/PutBuffer pair allocation-free once warm.
+var (
+	bufPool = sync.Pool{New: func() any {
+		b := make([]byte, 0, 4096)
+		return &b
+	}}
+	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // maxPooledBuf drops buffers that grew past this from the pool so one
 // giant response doesn't pin memory for the process lifetime.
@@ -297,16 +305,46 @@ const maxPooledBuf = 1 << 20
 // it freely and hand it back with PutBuffer when the bytes have been
 // written out.
 func GetBuffer() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	box := bufPool.Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
-// PutBuffer recycles a buffer obtained from GetBuffer.
+// PutBuffer recycles a buffer obtained from GetBuffer (or grown from one).
 func PutBuffer(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b[:0]
+	bufPool.Put(box)
+}
+
+// ReadAll appends r to b until EOF and returns the grown buffer, also on
+// error. A positive sizeHint (a declared Content-Length, which the caller
+// caps at the most it is prepared to read) pre-sizes b once — with a byte
+// of slack, so the read that finds EOF does not grow it — in place of
+// append's growth series. It is io.ReadAll over a caller-owned, typically
+// pooled, buffer.
+func ReadAll(b []byte, r io.Reader, sizeHint int64) ([]byte, error) {
+	if sizeHint > 0 {
+		b = slices.Grow(b, int(sizeHint)+1)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // appendHeader opens a message at an explicit version.
@@ -510,15 +548,16 @@ func (r *reader) count(elemSize int) int {
 	return int(v)
 }
 
-func (r *reader) str() string {
+// view reads a length-prefixed string as a window of the payload, without
+// materialising it.
+func (r *reader) view() []byte {
 	n := r.count(1)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
+	v := r.b[r.off : r.off+n]
 	r.off += n
-	return s
+	return v
 }
+
+func (r *reader) str() string { return string(r.view()) }
 
 // skipStr steps over a string without materialising it.
 func (r *reader) skipStr() {
@@ -574,27 +613,38 @@ func (r *reader) header(kind byte) {
 
 // DecodeScheduleRequest decodes and validates a binary /v1/schedule
 // request. The instance is built through the same task / instance
-// validation as the JSON codec (task.NewOwned is task.New minus the copy),
-// so both codecs admit exactly the same workloads and reject invalid ones
-// (non-monotone profiles included) with the same typed errors. The graph is the request's successor
-// lists — nil for version 1 and for a version ≥ 2 request without one,
-// mirroring the JSON codec's absent "graph" key. Like the JSON path the
-// lists are shape only: semantic validation (edge bounds against the task
-// count, acyclicity) stays with the caller (precedence.ValidateEdges),
+// validation as the JSON codec (task.NewOwned and instance.NewOwned are
+// task.New and instance.New minus the copies), so both codecs admit exactly
+// the same workloads and reject invalid ones (non-monotone profiles
+// included) with the same typed errors. It never retains data: names are
+// copied into one string, times into one slab. The graph is the request's
+// successor lists — nil for version 1 and for a version ≥ 2 request without
+// one, mirroring the JSON codec's absent "graph" key. Like the JSON path
+// the lists are shape only: semantic validation (edge bounds against the
+// task count, acyclicity) stays with the caller (precedence.ValidateEdges),
 // so both codecs reject a bad graph with the same typed error.
 func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOptions, error) {
 	r := &reader{b: data}
 	r.header(KindScheduleRequest)
-	name := r.str()
+	nameView := r.view()
 	m := r.uvarint()
 	nTasks := r.count(2) // a task is at least a name prefix + a count
+	// Every name — the instance's and the tasks' — is a window of one
+	// string: a first walk over the task block sizes it, so the builder
+	// below allocates once and never regrows.
+	var names strings.Builder
+	names.Grow(len(nameView) + r.taskNameBytes(nTasks))
+	names.Write(nameView)
+	name := names.String()
 	tasks := make([]task.Task, 0, nTasks)
 	// Every time table lives in one slab: a float64 takes 8 wire bytes, so
 	// len(data)/8 bounds what all the tables together can hold, and each
 	// task owns a capacity-capped window of it.
 	slab := make([]float64, 0, len(data)/8)
 	for i := 0; i < nTasks && r.err == nil; i++ {
-		tName := r.str()
+		nameLo := names.Len()
+		names.Write(r.view())
+		tName := names.String()[nameLo:]
 		nTimes := r.count(8)
 		if r.err != nil {
 			break
@@ -650,11 +700,25 @@ func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOp
 	if err := r.done(); err != nil {
 		return nil, nil, nil, err
 	}
-	in, err := instance.New(name, int(m), tasks)
+	in, err := instance.NewOwned(name, int(m), tasks)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return in, graph, opts, nil
+}
+
+// taskNameBytes walks nTasks task records from the reader's position on a
+// copy of the reader — the position and the sticky error of r do not move
+// — and returns the total length of their names; on a malformed block, of
+// those before the first error, which the decoding walk then reports.
+func (r *reader) taskNameBytes(nTasks int) int {
+	w := *r
+	total := 0
+	for i := 0; i < nTasks && w.err == nil; i++ {
+		total += len(w.view())
+		w.off += 8 * w.count(8)
+	}
+	return total
 }
 
 // DecodeScheduleResponse decodes a binary success response. Empty
