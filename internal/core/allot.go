@@ -21,7 +21,8 @@ type Allotment struct {
 // instance on entry); the returned Gamma is owned by the caller.
 func CanonicalAllotment(in *instance.Instance, lambda float64) Allotment {
 	var e segEntry
-	e.fillGamma(instance.Compile(in), lambda)
+	_, e.slowest = stageGamma(instance.Compile(in), lambda, &e.gamma)
+	e.ok = e.slowest < 0
 	return e.allotment(lambda)
 }
 

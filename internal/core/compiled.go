@@ -2,13 +2,14 @@ package core
 
 import (
 	"slices"
+	"sort"
 
 	"malsched/internal/instance"
 	"malsched/internal/task"
 )
 
 // segCacheCap bounds the per-Scratch segment cache across all compiled
-// instances it has seen. A search probes a few dozen distinct segments;
+// instances it has seen. A search probes a handful of distinct allotments;
 // repeated searches replay the same set, so the steady state is all-hit
 // well under the cap even when a worker alternates between several
 // workloads. On overflow the cache is cleared wholesale — simple, bounds
@@ -16,39 +17,57 @@ import (
 // next search refills its share from the recycled entries.
 const segCacheCap = 512
 
-// segState caches, per (compiled instance, λ-segment), the tables a probe
-// derives that are constant on the segment: the canonical allotment
-// vector (with its existence verdict and total canonical work) and, filled
-// lazily because rejected probes never need them, the by-decreasing-time
-// order and the prefix area. The compiled breakpoint axis guarantees every
-// deadline in one segment derives the exact same tables, so a probe
-// landing in any previously-probed segment — the bisection endgame, and
-// every probe of a memo-warm re-search on a shared Scratch — pays zero
-// recompute and zero allocation.
+// segState caches, per compiled instance, the tables a probe derives from
+// the canonical allotment γ(λ): the vector itself with its total canonical
+// work and, filled lazily because rejected probes never need them, the
+// by-decreasing-time order and the prefix area. All of it is a function of
+// the compiled tables and γ alone.
 //
-// Cold traffic visits every segment once, so evicted entries (with their
-// gamma/order arrays) and emptied inner maps are recycled, not abandoned.
+// The key is the allotment, named by Σ_i γ_i. Every γ_i is non-increasing
+// in λ (instance.Compiled.Gamma), so the vectors met along the λ-axis are
+// totally ordered componentwise and two of them with equal sums are equal:
+// no hash, no collision, no assumption about the threshold rows. The
+// entries of one instance are kept in ascending deadline order — strictly
+// descending sum — each with the closed range [lo, hi] of deadlines seen to
+// produce it. A deadline inside a range is a hit with no Gamma call at all:
+// it sits between two deadlines with equal γ, and monotonicity sandwiches
+// its own. Otherwise γ is staged once; a sum equal to the neighbour's below
+// or above widens that entry's range, anything else becomes a new entry
+// between them. A deadline some task cannot meet is answered from the
+// uncached verdict entry: the scan that finds the task is the whole cost.
+// So a probe landing on any previously-seen allotment — the bisection
+// endgame, and every probe of a memo-warm re-search on a shared Scratch —
+// pays zero recompute and zero allocation.
+//
+// Cold traffic visits every allotment once, so evicted entries (with their
+// gamma/order arrays) and emptied range lists are recycled, not abandoned.
 // That is sound only because a probe holds at most one live entry per
 // segState — dualStep the seg one, malleableList the mseg one, each
 // fetched once — and both recycle points run before an entry is handed
 // out: drop between probes (DropCompiled), the wholesale clear at the top
-// of entry. An entry handed out is therefore never one somebody still
+// of filled. An entry handed out is therefore never one somebody still
 // reads.
 type segState struct {
-	caches map[*instance.Compiled]map[int]*segEntry
+	caches map[*instance.Compiled][]*segEntry
 	total  int
 
 	freeEntries []*segEntry
-	freeMaps    []map[int]*segEntry
+	freeLists   [][]*segEntry
+
+	stage   []int    // γ of a deadline outside every observed range
+	verdict segEntry // the uncached answer for a deadline some task cannot meet
+	staged  int      // lookups that had to stage γ; tests count Gamma scans with it
 }
 
-// segEntry holds one segment's cached tables.
+// segEntry holds one allotment's cached tables.
 type segEntry struct {
-	haveGamma bool
-	ok        bool // allotment exists (every task meets the deadline)
-	slowest   int
-	gamma     []int
-	work      float64
+	lo, hi float64 // deadlines observed to produce gamma, and so everything between
+	sum    int     // Σ gamma, the key
+
+	ok      bool // allotment exists (every task meets the deadline)
+	slowest int
+	gamma   []int
+	work    float64
 
 	haveOrder bool
 	order     []int
@@ -57,91 +76,102 @@ type segEntry struct {
 	area     float64
 }
 
-// entry returns the cache entry for (c, seg), creating it on first use and
-// clearing the whole cache when the entry cap is hit.
-func (st *segState) entry(c *instance.Compiled, seg int) *segEntry {
-	if st.caches == nil {
-		st.caches = make(map[*instance.Compiled]map[int]*segEntry)
+// segListCap is the capacity a new range list starts with: more distinct
+// allotments than a search and its relaxed-deadline twin visit, so a list
+// is one allocation for its life.
+const segListCap = 16
+
+// drop evicts c's entries into the free lists: the lazy-table flags are
+// reset (every other field is rewritten when the entry is handed out
+// again), the gamma/order arrays and the emptied range list are kept for
+// reuse.
+func (st *segState) drop(c *instance.Compiled) {
+	list, ok := st.caches[c]
+	if !ok {
+		return
 	}
+	for _, e := range list {
+		e.haveOrder, e.haveArea = false, false
+		st.freeEntries = append(st.freeEntries, e)
+	}
+	st.total -= len(list)
+	clear(list)
+	st.freeLists = append(st.freeLists, list[:0])
+	delete(st.caches, c)
+}
+
+// filled returns the cache entry of λ's canonical allotment with the
+// vector and its total work resolved — the first thing every construction
+// and the warm synthesis need of a deadline.
+func (st *segState) filled(c *instance.Compiled, lambda float64) *segEntry {
 	if st.total > segCacheCap {
 		for old := range st.caches {
 			st.drop(old)
 		}
 	}
-	m := st.caches[c]
-	if m == nil {
-		if k := len(st.freeMaps); k > 0 {
-			m, st.freeMaps = st.freeMaps[k-1], st.freeMaps[:k-1]
-		} else {
-			m = make(map[int]*segEntry)
-		}
-		st.caches[c] = m
+	list := st.caches[c]
+	// The first range not wholly below λ is the only one that can hold it.
+	k := sort.Search(len(list), func(j int) bool { return list[j].hi >= lambda })
+	if k < len(list) && list[k].lo <= lambda {
+		return list[k]
 	}
-	e := m[seg]
-	if e == nil {
-		if k := len(st.freeEntries); k > 0 {
-			e, st.freeEntries = st.freeEntries[k-1], st.freeEntries[:k-1]
-		} else {
-			e = &segEntry{}
-		}
-		m[seg] = e
-		st.total++
+
+	st.staged++
+	sum, slowest := stageGamma(c, lambda, &st.stage)
+	if slowest >= 0 {
+		st.verdict.slowest = slowest
+		return &st.verdict
 	}
+	if k > 0 && list[k-1].sum == sum {
+		list[k-1].hi = lambda
+		return list[k-1]
+	}
+	if k < len(list) && list[k].sum == sum {
+		list[k].lo = lambda
+		return list[k]
+	}
+
+	var e *segEntry
+	if f := len(st.freeEntries); f > 0 {
+		e, st.freeEntries = st.freeEntries[f-1], st.freeEntries[:f-1]
+	} else {
+		e = &segEntry{}
+	}
+	e.lo, e.hi, e.sum, e.ok, e.slowest = lambda, lambda, sum, true, -1
+	copy(intsBuf(&e.gamma, len(st.stage)), st.stage)
+	e.work = 0
+	for i, g := range e.gamma { // in task order, as every sum of works is taken
+		e.work += c.Work(i, g)
+	}
+	if list == nil {
+		if st.caches == nil {
+			st.caches = make(map[*instance.Compiled][]*segEntry)
+		}
+		if f := len(st.freeLists); f > 0 {
+			list, st.freeLists = st.freeLists[f-1], st.freeLists[:f-1]
+		} else {
+			list = make([]*segEntry, 0, segListCap)
+		}
+	}
+	st.caches[c] = slices.Insert(list, k, e)
+	st.total++
 	return e
 }
 
-// drop evicts c's entries into the free lists: the have* flags are reset
-// (every other field is rewritten by the fill that sets its flag), the
-// gamma/order arrays and the emptied inner map are kept for reuse.
-func (st *segState) drop(c *instance.Compiled) {
-	m, ok := st.caches[c]
-	if !ok {
-		return
-	}
-	for _, e := range m {
-		e.haveGamma, e.haveOrder, e.haveArea = false, false, false
-		st.freeEntries = append(st.freeEntries, e)
-	}
-	st.total -= len(m)
-	clear(m)
-	st.freeMaps = append(st.freeMaps, m)
-	delete(st.caches, c)
-}
-
-// filled returns the cache entry of λ's segment with the canonical
-// allotment and its total work resolved — the first thing every
-// construction and the warm synthesis need of a deadline.
-func (st *segState) filled(c *instance.Compiled, lambda float64) *segEntry {
-	e := st.entry(c, c.Segment(lambda))
-	if !e.haveGamma {
-		e.fillGamma(c, lambda)
-	}
-	return e
-}
-
-// fillGamma computes the canonical allotment vector and total canonical
-// work for a deadline in the entry's segment: bail at the first task that
-// cannot meet the deadline (Slowest names it), sum the works in task order.
-func (e *segEntry) fillGamma(c *instance.Compiled, lambda float64) {
-	e.haveGamma = true
-	n := c.N()
-	e.gamma = intsBuf(&e.gamma, n)
-	e.ok = true
-	e.slowest = -1
-	for i := 0; i < n; i++ {
+// stageGamma computes the canonical allotment vector of a deadline into
+// *buf and returns Σγ; it bails at the first task that cannot meet the
+// deadline and names it in slowest (−1 when the allotment exists).
+func stageGamma(c *instance.Compiled, lambda float64, buf *[]int) (sum, slowest int) {
+	gamma := intsBuf(buf, c.N())
+	for i := range gamma {
 		g, ok := c.Gamma(i, lambda)
 		if !ok {
-			e.ok = false
-			e.slowest = i
-			return
+			return 0, i
 		}
-		e.gamma[i] = g
+		gamma[i] = g
+		sum += g
 	}
-	var w float64
-	for i := 0; i < n; i++ {
-		w += c.Work(i, e.gamma[i])
-	}
-	e.work = w
+	return sum, -1
 }
 
 // allotment materialises the cached vector as an Allotment for this
@@ -155,13 +185,24 @@ func (e *segEntry) allotment(lambda float64) Allotment {
 }
 
 // sortedOrder returns the by-decreasing-time order of the entry's
-// allotment a, sorting on the segment's first surviving probe only.
+// allotment a, sorting on the allotment's first surviving probe only.
 func (e *segEntry) sortedOrder(c *instance.Compiled, a Allotment) []int {
 	if !e.haveOrder {
 		e.order = sortByDecreasingTime(c, a, &e.order)
 		e.haveOrder = true
 	}
 	return e.order
+}
+
+// prefixArea returns the Definition-1 prefix area of the entry's allotment a
+// in its sorted order, computed on the allotment's first surviving probe
+// only.
+func (e *segEntry) prefixArea(c *instance.Compiled, a Allotment, order []int) float64 {
+	if !e.haveArea {
+		e.area = prefixAreaFrom(c, a, order)
+		e.haveArea = true
+	}
+	return e.area
 }
 
 // sortByDecreasingTime fills *buf with the task indices sorted by

@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"malsched/internal/instance"
@@ -145,5 +148,141 @@ func TestApproximateCompiledDenseProfiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameResult(t, "dense", got, want)
+	}
+}
+
+// rangeDeadlines is a seeded deadline sequence over one compiled instance,
+// built to exercise every arm of the range list: a sweep from the largest
+// breakpoint down past the smallest deadline an allotment exists for (each
+// new entry goes in at the front, the last few lookups meet the uncached
+// verdict), a cluster on the float lattice around one breakpoint (ranges
+// one ulp apart), and repeats over a handful of points inside segments
+// (hits, and ranges widened from both ends).
+func rangeDeadlines(rng *rand.Rand, c *instance.Compiled) []float64 {
+	axis := c.GlobalBreakpoints()
+	var buf []int
+	feasible := sort.Search(len(axis), func(k int) bool {
+		_, slowest := stageGamma(c, axis[k], &buf)
+		return slowest < 0
+	})
+	var seq []float64
+	step := (len(axis)-feasible)/40 + 1
+	for k := len(axis) - 1; k >= max(feasible-3, 0); k -= step {
+		seq = append(seq, axis[k])
+	}
+	b := axis[feasible+rng.Intn(len(axis)-feasible)]
+	cluster := []float64{b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)), b * (1 + 1e-13), b * (1 - 1e-13)}
+	for rep := 0; rep < 3; rep++ {
+		rng.Shuffle(len(cluster), func(i, j int) { cluster[i], cluster[j] = cluster[j], cluster[i] })
+		seq = append(seq, cluster...)
+	}
+	var inside []float64
+	for len(inside) < 6 {
+		k := max(feasible, 1) + rng.Intn(len(axis)-max(feasible, 1))
+		inside = append(inside, axis[k-1]+(axis[k]-axis[k-1])*rng.Float64())
+	}
+	for rep := 0; rep < 20; rep++ {
+		seq = append(seq, inside[rng.Intn(len(inside))])
+	}
+	return seq
+}
+
+// The observed-range list against brute force: whatever went through a
+// segState before — other deadlines of the same instance in any order,
+// other instances interleaved, a drop mid-sequence, wholesale clears that
+// recycle entries and lists — every lookup answers what a lookup on a
+// brand-new segState answers, the lazily filled order and prefix area
+// included, and the list keeps its shape: ranges disjoint and ascending,
+// sums strictly descending. A second pass over deadlines it has seen scans
+// no threshold row except for the deadlines no allotment exists for.
+func TestObservedRangesMatchFreshLookups(t *testing.T) {
+	var st segState
+	lookup := func(c *instance.Compiled, lambda float64) *segEntry {
+		t.Helper()
+		got := st.filled(c, lambda)
+		var fresh segState
+		want := fresh.filled(c, lambda)
+		if got.ok != want.ok || got.slowest != want.slowest {
+			t.Fatalf("λ=%v: verdict (%v, slowest %d), fresh lookup (%v, slowest %d)", lambda, got.ok, got.slowest, want.ok, want.slowest)
+		}
+		if got.ok {
+			a, wa := got.allotment(lambda), want.allotment(lambda)
+			order, worder := got.sortedOrder(c, a), want.sortedOrder(c, wa)
+			if !slices.Equal(a.Gamma, wa.Gamma) || !slices.Equal(order, worder) ||
+				math.Float64bits(got.work) != math.Float64bits(want.work) ||
+				math.Float64bits(got.prefixArea(c, a, order)) != math.Float64bits(want.prefixArea(c, wa, worder)) {
+				t.Fatalf("λ=%v: cached tables differ from a fresh lookup's:\n got %+v\nwant %+v", lambda, *got, *want)
+			}
+		}
+		total := 0
+		for _, list := range st.caches {
+			total += len(list)
+			for j, e := range list {
+				if !(e.lo <= e.hi) || (j > 0 && !(list[j-1].hi < e.lo && list[j-1].sum > e.sum)) {
+					t.Fatalf("λ=%v: range %d [%v, %v] Σγ=%d out of order after [%v, %v] Σγ=%d",
+						lambda, j, e.lo, e.hi, e.sum, list[max(j, 1)-1].lo, list[max(j, 1)-1].hi, list[max(j, 1)-1].sum)
+				}
+			}
+		}
+		if total != st.total {
+			t.Fatalf("λ=%v: %d entries cached, total says %d", lambda, total, st.total)
+		}
+		return got
+	}
+	compiled := func(seed int64) *instance.Compiled {
+		return instance.Compile(instance.Mixed(seed, 20+int(seed%3)*5, 8+int(seed%2)*8))
+	}
+	rng := rand.New(rand.NewSource(17))
+
+	// Three instances interleaved, one of them dropped mid-sequence.
+	trio := []*instance.Compiled{compiled(1), compiled(2), compiled(3)}
+	seqs := [][]float64{rangeDeadlines(rng, trio[0]), rangeDeadlines(rng, trio[1]), rangeDeadlines(rng, trio[2])}
+	for k := 0; k < len(seqs[0]); k++ {
+		for i, c := range trio {
+			lookup(c, seqs[i][k%len(seqs[i])])
+		}
+		if k == len(seqs[0])/2 {
+			st.drop(trio[1])
+		}
+	}
+
+	// Enough distinct instances to cross the entry cap more than twice.
+	clears, prev := 0, st.total
+	for seed := int64(10); seed < 70; seed++ {
+		c := compiled(seed)
+		for _, l := range rangeDeadlines(rng, c) {
+			lookup(c, l)
+			if st.total < prev {
+				clears++
+			}
+			prev = st.total
+		}
+	}
+	if clears < 2 {
+		t.Fatalf("only %d wholesale clears; the test no longer reaches the recycling path", clears)
+	}
+	if len(st.freeEntries) == 0 || len(st.freeLists) == 0 {
+		t.Fatal("nothing was recycled")
+	}
+
+	// A repeat pass: only deadlines without an allotment scan again.
+	for old := range st.caches {
+		st.drop(old)
+	}
+	for pass := 0; pass < 2; pass++ {
+		staged, infeasible := st.staged, 0
+		for i, c := range trio {
+			for _, l := range seqs[i] {
+				if !lookup(c, l).ok {
+					infeasible++
+				}
+			}
+		}
+		if scans := st.staged - staged; pass == 1 && scans != infeasible {
+			t.Fatalf("repeat pass staged γ %d times, %d of them for deadlines without an allotment", scans, infeasible)
+		}
+		if pass == 1 && infeasible == 0 {
+			t.Fatal("no deadline of the sequences is infeasible; the uncached verdict went untested")
+		}
 	}
 }

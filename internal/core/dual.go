@@ -96,7 +96,7 @@ func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
 // nothing, an accepted one a Schedule and its placements. The probe
 // resolves the canonical allotment, its work, the by-decreasing-time order
 // and the prefix area through the compiled breakpoint tables and sc's
-// λ-segment cache, so they are free when the segment repeats. A non-nil
+// λ-segment cache, so they are free when the allotment repeats. A non-nil
 // interrupt is polled between the probe's constructions (each is the
 // O(n log n)-or-worse unit of work), so a timeout lands within one
 // construction even when the whole search is a single probe; a fired
@@ -124,11 +124,7 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 		return StepResult{Reject: RejectArea, Certified: true}
 	}
 	order := e.sortedOrder(c, a)
-	if !e.haveArea {
-		e.area = prefixAreaFrom(c, a, order)
-		e.haveArea = true
-	}
-	w := e.area
+	w := e.prefixArea(c, a, order)
 	knapsackBranch := !task.Leq(w, p.theta()*float64(m)*lambda) && m > p.SmallM
 
 	var best draft

@@ -10,8 +10,8 @@ import (
 
 // FuzzWarmStart throws adversarial warm seeds at the dual search and holds
 // it to the warm-start contract: whatever the seed claims — a stale λ*
-// from a different instance, a breakpoint segment that does not exist, a
-// fabricated or inverted probe history, NaN/Inf/negative floats — the warm
+// from a different instance, a fabricated or inverted probe history,
+// NaN/Inf/negative floats — the warm
 // solve must return a result bit-identical to the cold solve of the same
 // instance at the same width. Garbage seeds may cost probes; they can
 // never change an answer (synthesis only certifies outcomes the compiled
@@ -20,9 +20,9 @@ func FuzzWarmStart(f *testing.F) {
 	// Committed seeds (testdata/fuzz/FuzzWarmStart) cover the named attack
 	// classes; these inline ones keep `go test` meaningful without the
 	// corpus.
-	f.Add(uint8(0), uint8(1), 0.0, 0.0, 0.0, 0, uint64(0))
-	f.Add(uint8(1), uint8(8), 123.456, 1e-9, 7.5, 9999, uint64(0xA5))
-	f.Add(uint8(2), uint8(2), math.Inf(1), math.Inf(-1), math.NaN(), -3, uint64(0xFF))
+	f.Add(uint8(0), uint8(1), 0.0, 0.0, 0.0, uint64(0))
+	f.Add(uint8(1), uint8(8), 123.456, 1e-9, 7.5, uint64(0xA5))
+	f.Add(uint8(2), uint8(2), math.Inf(1), math.Inf(-1), math.NaN(), uint64(0xFF))
 
 	names := make([]string, 0)
 	for name := range instance.Families() {
@@ -39,7 +39,7 @@ func FuzzWarmStart(f *testing.F) {
 		cases[i] = compiledCase{in: in, c: instance.Compile(in)}
 	}
 
-	f.Fuzz(func(t *testing.T, famIdx, par uint8, lam, floor, histLam float64, seg int, histBits uint64) {
+	f.Fuzz(func(t *testing.T, famIdx, par uint8, lam, floor, histLam float64, histBits uint64) {
 		cc := cases[int(famIdx)%len(cases)]
 		parallelism := 1 + int(par%8)
 
@@ -61,7 +61,6 @@ func FuzzWarmStart(f *testing.F) {
 		warmSeed := &WarmStart{
 			AcceptedLambda: lam,
 			Floor:          floor,
-			Segment:        seg,
 			History:        hist,
 		}
 		warm, err := Approximate(cc.in, Options{

@@ -18,11 +18,11 @@ import (
 // so the hot path stops re-allocating them.
 //
 // The Scratch additionally carries the two λ-segment caches (seg for the
-// probe deadline, mseg for §3.1's relaxed deadline): the canonical
-// allotment vector, its total work, the by-decreasing-time order and the
-// prefix area are constant on each segment of the compiled breakpoint
-// axis, so a probe landing in a previously cached segment reuses them
-// wholesale.
+// probe deadline, mseg for §3.1's relaxed deadline): the total canonical
+// work, the by-decreasing-time order and the prefix area are functions of
+// the canonical allotment vector alone, which is constant on each segment
+// of the λ-axis between two breakpoints, so a probe whose deadline yields
+// a previously seen allotment reuses them wholesale.
 //
 // The constructions also build their schedules here: each writes its
 // placements into a Scratch-owned buffer (every construction places each

@@ -103,7 +103,7 @@ func TestDualStepResultsDoNotAliasScratch(t *testing.T) {
 // The segment caches recycle evicted entries and inner maps. One Scratch
 // solving many distinct instances — past two wholesale clears, with
 // DropCompiled interleaved — must answer each exactly as a fresh Scratch
-// does: a recycled segEntry whose haveGamma/haveOrder/haveArea survived
+// does: a recycled segEntry whose range, sum or haveOrder/haveArea survived
 // would serve another instance's tables here.
 func TestRecycledSegmentEntriesStartClean(t *testing.T) {
 	// A search lands in about four distinct segments, so the 512-entry cap

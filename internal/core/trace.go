@@ -10,7 +10,9 @@ package core
 // no comparison and no returned field, only what is recorded on the side
 // (the golden and differential suites run with tracing enabled to enforce
 // it). A trace therefore costs one slice append plus one segment lookup
-// per consumed probe.
+// per consumed probe — and, once per compiled instance, the sort that
+// builds the breakpoint axis those lookups index (an untraced search never
+// touches it).
 type SolveTrace struct {
 	// Probes are the consumed outcomes in sequential search order.
 	Probes []ProbeTrace

@@ -30,19 +30,14 @@ type WarmProbe struct {
 // warm-vs-cold equivalence and FuzzWarmStart suites enforce bit-identity.
 //
 // On success Approximate updates the WarmStart in place with this search's
-// own outcome (λ*, floor, segment, history), so a caller replanning in a
-// loop threads one WarmStart value through consecutive solves.
+// own outcome (λ*, floor, history), so a caller replanning in a loop threads
+// one WarmStart value through consecutive solves.
 type WarmStart struct {
 	// AcceptedLambda is the prior run's smallest accepted guess (its λ*);
 	// 0 means unknown.
 	AcceptedLambda float64
 	// Floor is the prior run's largest rejected guess.
 	Floor float64
-	// Segment is the breakpoint-segment index of AcceptedLambda in the
-	// prior run's compiled tables. It is provenance for lineage debugging
-	// and the fuzz surface for "wrong segment" seeds; the search never
-	// trusts it for correctness.
-	Segment int
 	// History is the prior run's consumed probe outcomes in consumption
 	// order.
 	History []WarmProbe
@@ -55,7 +50,6 @@ func (s *search) updateWarm() {
 	}
 	s.warm.AcceptedLambda = s.res.AcceptedLambda
 	s.warm.Floor = s.lo
-	s.warm.Segment = s.c.Segment(s.res.AcceptedLambda)
 	s.warm.History = s.hist
 }
 

@@ -130,8 +130,7 @@ func TestWarmGarbageSeedsHarmless(t *testing.T) {
 		"zero":          {},
 		"nan":           {AcceptedLambda: math.NaN(), Floor: math.NaN()},
 		"inf":           {AcceptedLambda: math.Inf(1), Floor: math.Inf(-1)},
-		"negative":      {AcceptedLambda: -5, Floor: -10, Segment: -3},
-		"huge-segment":  {AcceptedLambda: cold.AcceptedLambda, Segment: 1 << 30},
+		"negative":      {AcceptedLambda: -5, Floor: -10},
 		"stale-lambda":  {AcceptedLambda: cold.AcceptedLambda * 1e6, Floor: cold.AcceptedLambda * 1e5},
 		"tiny-lambda":   {AcceptedLambda: cold.AcceptedLambda * 1e-9},
 		"fake-history":  {History: []WarmProbe{{math.NaN(), true}, {math.Inf(1), false}, {0, true}}},

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"malsched/internal/task"
 )
@@ -27,99 +28,125 @@ import (
 // task.Canonical returns — the threshold is exact by construction (found on
 // the float lattice against the very predicate task.Leq evaluates), not an
 // algebraic approximation. The per-task threshold rows double as the
-// breakpoint lists: between two consecutive thresholds the canonical
-// allotment index is constant, and the merged, deduplicated Global array
-// over all tasks partitions the λ-axis into segments on which the whole
-// allotment vector — and therefore the by-decreasing-time order, the total
-// canonical work and the prefix area — is constant. core's Scratch caches
-// those derived tables per segment and reuses them wholesale when
-// consecutive probes land in the same segment (the bisection endgame always
-// does).
+// breakpoint lists: between two consecutive thresholds of a row the
+// canonical allotment index is constant. Every γ_i(λ) is non-increasing in
+// λ (see Gamma), so the allotment vectors met along the λ-axis are totally
+// ordered and Σ_i γ_i(λ) names the vector exactly
+// (TestAllotmentSumIdentifiesAllotment). core's Scratch and the DAG solver
+// key their caches of derived tables — the by-decreasing-time order, the
+// total canonical work, the prefix area — on that sum, so Compile builds
+// what a probe reads and nothing else.
 //
-// A Compiled is immutable after Compile and safe for concurrent use by any
-// number of searches; the engine caches one per workload fingerprint and
-// the scheduling service compiles at admission so batch shards share it.
+// The merged, sorted, deduplicated union of all thresholds — the axis
+// Segment indexes and GlobalBreakpoints returns — is an observability view:
+// solve traces echo a probe's position on it. It is built from the
+// threshold table on first use, which a search that is not traced never
+// makes.
+//
+// A Compiled is immutable after Compile (the lazy axis is published under a
+// sync.Once) and safe for concurrent use by any number of searches. The
+// engine caches one per workload fingerprint and compiles on a memo miss
+// only; the shards of one batch share it. It must not be copied.
 type Compiled struct {
 	in *Instance
 	// off[i] is the first column of task i; off[n] is the total column
 	// count. Task i's profile occupies columns off[i]..off[i+1]-1, column
 	// off[i]+p-1 holding processor count p.
 	off []int
+	// seqOrder is the task order of non-increasing sequential time t(1)
+	// (stable), precomputed because §3.1's malleable list construction
+	// needs exactly this order at every λ. It shares one slab with off.
+	seqOrder []int
 	// times and works are the flattened profile matrices: t_i(p) and
 	// p·t_i(p) in the layout above.
 	times []float64
 	works []float64
 	// thr is the λ-breakpoint table: thr[off[i]+p-1] is the exact smallest
 	// λ ≥ 0 with task.Leq(t_i(p), λ) (+Inf when no λ satisfies it, e.g. a
-	// NaN time on an instance built around validation).
+	// NaN time on an instance built around validation). times, works and
+	// thr share one slab.
 	thr []float64
-	// global is the merged, sorted, deduplicated union of all thresholds:
-	// the segment boundaries of the piecewise-constant canonical allotment.
-	global []float64
-	// seqOrder is the task order of non-increasing sequential time t(1)
-	// (stable), precomputed because §3.1's malleable list construction
-	// needs exactly this order at every λ.
-	seqOrder []int
+
+	// axis is the merged breakpoint axis, built on first use under axisOnce.
+	axisOnce sync.Once
+	axis     []float64
 }
 
 // Compile builds the compiled view of an instance. It never panics, even on
 // malformed instances built around validation (empty profiles compile to
-// empty rows and report no canonical allotment): the scheduling service
-// compiles at admission, before the engine's instance.Check runs.
+// empty rows and report no canonical allotment): callers may compile before
+// instance.Check has run.
 func Compile(in *Instance) *Compiled {
 	if in == nil {
 		return nil
 	}
+	c := newTables(in)
+	for i, t := range in.Tasks {
+		c.fillRow(i, t)
+	}
+	c.sortSeqOrder()
+	return c
+}
+
+// newTables lays out the tables of in's tasks, rows unfilled: the Compiled
+// itself, one int slab (off | seqOrder) and one float slab (times | works |
+// thr) — three allocations whatever the instance.
+func newTables(in *Instance) *Compiled {
 	n := len(in.Tasks)
-	c := &Compiled{in: in, off: make([]int, n+1)}
+	ints := make([]int, 2*n+1)
+	c := &Compiled{in: in, off: ints[: n+1 : n+1], seqOrder: ints[n+1:]}
 	total := 0
 	for i, t := range in.Tasks {
 		c.off[i] = total
 		total += t.MaxProcs()
 	}
 	c.off[n] = total
-	c.times = make([]float64, total)
-	c.works = make([]float64, total)
-	c.thr = make([]float64, total)
-	for i, t := range in.Tasks {
-		base := c.off[i]
-		for p := 1; p <= t.MaxProcs(); p++ {
-			tv := t.Time(p)
-			c.times[base+p-1] = tv
-			c.works[base+p-1] = float64(p) * tv
-			c.thr[base+p-1] = leqThreshold(tv)
-		}
-	}
-
-	c.finishTables()
+	floats := make([]float64, 3*total)
+	c.times = floats[:total:total]
+	c.works = floats[total : 2*total : 2*total]
+	c.thr = floats[2*total:]
 	return c
 }
 
-// finishTables derives the merged global breakpoint axis and the sequential
-// order from the already-filled per-task tables — the shared tail of
-// Compile and ResidualCompiled, so both produce the segment axis through
-// the identical code.
-func (c *Compiled) finishTables() {
-	n := len(c.off) - 1
-	total := c.off[n]
-	c.global = make([]float64, total)
-	copy(c.global, c.thr)
-	sort.Float64s(c.global)
-	dedup := c.global[:0]
-	for _, b := range c.global {
-		if len(dedup) == 0 || b != dedup[len(dedup)-1] {
-			dedup = append(dedup, b)
+// fillRow writes task i's times, works and thresholds. A run of equal
+// consecutive times (a plateau of the profile) shares one threshold: the
+// lattice walk is a function of the time value alone.
+func (c *Compiled) fillRow(i int, t task.Task) {
+	base := c.off[i]
+	var prev, b float64
+	for p := 1; p <= t.MaxProcs(); p++ {
+		tv := t.Time(p)
+		if p == 1 || tv != prev {
+			prev, b = tv, leqThreshold(tv)
 		}
+		c.times[base+p-1] = tv
+		c.works[base+p-1] = float64(p) * tv
+		c.thr[base+p-1] = b
 	}
-	c.global = dedup
+}
 
-	c.seqOrder = make([]int, n)
+// sortSeqOrder derives the sequential order from the filled time rows.
+func (c *Compiled) sortSeqOrder() {
 	for i := range c.seqOrder {
 		c.seqOrder[i] = i
 	}
 	slices.SortStableFunc(c.seqOrder, func(a, b int) int {
 		return task.Descending(c.seqTimeOrZero(a), c.seqTimeOrZero(b))
 	})
+}
+
+// globalAxis returns the merged breakpoint axis — the sorted, deduplicated
+// union of all thresholds — building it on first use. The once publishes
+// the slice to every goroutine, so a Compiled shared by concurrent searches
+// stays immutable as far as any of them can observe.
+func (c *Compiled) globalAxis() []float64 {
+	c.axisOnce.Do(func() {
+		axis := make([]float64, len(c.thr))
+		copy(axis, c.thr)
+		sort.Float64s(axis)
+		c.axis = slices.Compact(axis)
+	})
+	return c.axis
 }
 
 // seqTimeOrZero is t_i(1), or 0 for a (malformed) empty profile.
@@ -157,7 +184,10 @@ func (c *Compiled) SeqTime(i int) float64 { return c.times[c.off[i]] }
 // Gamma returns the canonical processor count γ_i(λ) = min{p : t_i(p) ≤ λ}
 // and whether it exists, bit-identically to task.Canonical for every
 // λ ≥ 0 — the threshold table makes the two predicates pointwise equal, and
-// both sides resolve them with the same binary search.
+// both sides resolve them with the same binary search. γ_i is non-increasing
+// in λ whatever the row holds, sorted or not: a larger λ only turns
+// predicate answers true, so its search follows the smaller one's path
+// until the first differing answer and goes left there.
 func (c *Compiled) Gamma(i int, lambda float64) (int, bool) {
 	lo, hi := c.off[i], c.off[i+1]
 	if lo == hi || !(lambda >= c.thr[hi-1]) {
@@ -168,14 +198,14 @@ func (c *Compiled) Gamma(i int, lambda float64) (int, bool) {
 	return p + 1, true
 }
 
-// Segment locates λ on the breakpoint axis: the number of global
-// breakpoints ≤ λ. Two deadlines with the same segment index have
-// identical canonical allotments γ_i for every task (the predicate λ ≥ b
-// agrees on every breakpoint b), hence identical sort orders, canonical
-// work and prefix area — which is what lets a probe reuse the previous
-// probe's derived tables whenever the segment repeats.
+// Segment locates λ on the merged breakpoint axis: the number of
+// breakpoints ≤ λ. Two deadlines with the same segment index have identical
+// canonical allotments γ_i for every task (the predicate λ ≥ b agrees on
+// every breakpoint b). Solve traces echo the index; no solver reads it, so
+// only a traced solve builds the axis.
 func (c *Compiled) Segment(lambda float64) int {
-	return sort.Search(len(c.global), func(j int) bool { return c.global[j] > lambda })
+	axis := c.globalAxis()
+	return sort.Search(len(axis), func(j int) bool { return axis[j] > lambda })
 }
 
 // Breakpoints returns task i's λ-threshold row: entry p-1 is the exact
@@ -184,9 +214,10 @@ func (c *Compiled) Segment(lambda float64) int {
 // The returned slice aliases the compiled table; callers must not modify it.
 func (c *Compiled) Breakpoints(i int) []float64 { return c.thr[c.off[i]:c.off[i+1]] }
 
-// GlobalBreakpoints returns the merged breakpoint array (sorted, distinct).
-// The returned slice aliases the compiled table; callers must not modify it.
-func (c *Compiled) GlobalBreakpoints() []float64 { return c.global }
+// GlobalBreakpoints returns the merged breakpoint array (sorted, distinct),
+// building it on first use like Segment. The returned slice aliases the
+// compiled table; callers must not modify it.
+func (c *Compiled) GlobalBreakpoints() []float64 { return c.globalAxis() }
 
 // SeqOrder returns the precompiled stable order of non-increasing
 // sequential time. The returned slice aliases the compiled table; callers

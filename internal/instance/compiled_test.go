@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"malsched/internal/task"
@@ -190,7 +191,7 @@ func TestCompiledTablesMatchTasks(t *testing.T) {
 }
 
 // Compile must be safe on malformed instances built around validation —
-// the service compiles at admission, before instance.Check runs.
+// callers may compile before instance.Check has run.
 func TestCompileDefensive(t *testing.T) {
 	if Compile(nil) != nil {
 		t.Fatal("Compile(nil) != nil")
@@ -206,6 +207,56 @@ func TestCompileDefensive(t *testing.T) {
 		for i := 0; i < c.N(); i++ {
 			if g, ok := c.Gamma(i, 1); ok {
 				t.Fatalf("%s: empty profile reported γ=%d", in.Name, g)
+			}
+		}
+	}
+}
+
+// Compile leaves the merged breakpoint axis unbuilt; whoever asks first
+// builds it, once, and concurrent first callers — half through Segment,
+// half through GlobalBreakpoints — all read the axis a test-side sort and
+// dedup of the per-task rows yields. Run under -race in CI.
+func TestAxisIsLazyAndRaceFree(t *testing.T) {
+	for _, in := range compiledTestInstances() {
+		c := Compile(in)
+		if AxisBuilt(c) {
+			t.Fatalf("%s: Compile built the breakpoint axis", in.Name)
+		}
+		want := ReferenceAxis(c)
+		probes := append([]float64{0, math.Inf(1)}, want...)
+
+		const callers = 8
+		axes := make([][]float64, callers)
+		segs := make([][]int, callers)
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if g%2 == 0 {
+					axes[g] = c.GlobalBreakpoints()
+				}
+				for _, l := range probes {
+					segs[g] = append(segs[g], c.Segment(l))
+				}
+				axes[g] = c.GlobalBreakpoints()
+			}()
+		}
+		wg.Wait()
+
+		for g := 0; g < callers; g++ {
+			if len(axes[g]) != len(want) {
+				t.Fatalf("%s: caller %d read %d breakpoints, reference %d", in.Name, g, len(axes[g]), len(want))
+			}
+			for k, b := range want {
+				if math.Float64bits(axes[g][k]) != math.Float64bits(b) {
+					t.Fatalf("%s: caller %d breakpoint %d = %v, reference %v", in.Name, g, k, axes[g][k], b)
+				}
+			}
+			for k, l := range probes {
+				if ref := ReferenceSegment(want, l); segs[g][k] != ref {
+					t.Fatalf("%s: caller %d Segment(%v) = %d, reference %d", in.Name, g, l, segs[g][k], ref)
+				}
 			}
 		}
 	}

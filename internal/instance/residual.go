@@ -44,33 +44,37 @@ func Residual(c *Compiled, name string, m int, ids []int, remaining []float64) (
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("%w (instance %q)", ErrNoTasks, name)
 	}
-	src := c.Instance()
-	tasks := make([]task.Task, len(ids))
+	total := 0
 	for k, id := range ids {
 		if id < 0 || id >= c.N() {
 			return nil, fmt.Errorf("%w: %d of %d (instance %q)", ErrBadTaskID, id, c.N(), name)
 		}
-		r := remaining[k]
-		if !(r > 0) || r > 1 {
+		if r := remaining[k]; !(r > 0) || r > 1 {
 			return nil, fmt.Errorf("%w: task %d has %v (instance %q)", ErrBadRemaining, id, r, name)
 		}
-		mp := c.MaxProcs(id)
-		if mp > m {
-			mp = m
-		}
-		times := make([]float64, mp)
+		total += min(c.MaxProcs(id), m)
+	}
+	// One slab holds every scaled row: nobody else references the residual,
+	// so its rows and its task slice are handed over, not copied.
+	slab := make([]float64, total)
+	src := c.Instance()
+	tasks := make([]task.Task, len(ids))
+	for k, id := range ids {
+		mp := min(c.MaxProcs(id), m)
+		times := slab[:mp:mp]
+		slab = slab[mp:]
 		for p := 1; p <= mp; p++ {
-			times[p-1] = r * c.Time(id, p)
+			times[p-1] = remaining[k] * c.Time(id, p)
 		}
 		// Scaling preserves monotony up to rounding; a profile sitting
 		// exactly on the tolerance boundary deserves an error, not a panic.
-		t, err := task.New(src.Tasks[id].Name, times)
+		t, err := task.NewOwned(src.Tasks[id].Name, times)
 		if err != nil {
 			return nil, fmt.Errorf("instance: residual %q: %w", name, err)
 		}
 		tasks[k] = t
 	}
-	return New(name, m, tasks)
+	return NewOwned(name, m, tasks)
 }
 
 // ResidualCompiled builds the residual instance and its compiled
@@ -78,46 +82,29 @@ func Residual(c *Compiled, name string, m int, ids []int, remaining []float64) (
 // wherever the profile is unchanged: a task with remaining fraction 1 has
 // bitwise-equal times (1.0·t is exact), works and λ-thresholds, so its rows
 // are copied from the parent tables instead of re-deriving each threshold
-// with leqThreshold's lattice walk — the dominant cost of compilation. Only
-// re-scaled tasks (and truncated profile tails on a smaller machine) are
-// recomputed. The merged segment axis and sequential order are then derived
-// by the same code Compile uses, so the result is field-for-field identical
-// to Compile(Residual(...)) — the residual_test equivalence suite asserts
-// it bit by bit. This is the compilation half of the warm replanning path:
-// per replan the cost is proportional to the churn, not the queue.
+// with leqThreshold's lattice walk — a fifth of a cold Compile while the
+// breakpoint axis was still built there (its sort was half), two fifths of
+// what remains. Only re-scaled tasks are recomputed, by the same fillRow
+// Compile uses, so the result is field-for-field identical to
+// Compile(Residual(...)) — the residual_test equivalence suite asserts it
+// bit by bit. This is the compilation half of the warm replanning path: per
+// replan the threshold cost is proportional to the churn, not the queue.
 func ResidualCompiled(c *Compiled, name string, m int, ids []int, remaining []float64) (*Instance, *Compiled, error) {
 	in, err := Residual(c, name, m, ids, remaining)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := len(in.Tasks)
-	rc := &Compiled{in: in, off: make([]int, n+1)}
-	total := 0
-	for k, t := range in.Tasks {
-		rc.off[k] = total
-		total += t.MaxProcs()
-	}
-	rc.off[n] = total
-	rc.times = make([]float64, total)
-	rc.works = make([]float64, total)
-	rc.thr = make([]float64, total)
+	rc := newTables(in)
 	for k, id := range ids {
-		base := rc.off[k]
-		mp := in.Tasks[k].MaxProcs()
-		if remaining[k] == 1 {
-			pbase := c.off[id]
-			copy(rc.times[base:base+mp], c.times[pbase:pbase+mp])
-			copy(rc.works[base:base+mp], c.works[pbase:pbase+mp])
-			copy(rc.thr[base:base+mp], c.thr[pbase:pbase+mp])
+		if remaining[k] != 1 {
+			rc.fillRow(k, in.Tasks[k])
 			continue
 		}
-		for p := 1; p <= mp; p++ {
-			tv := in.Tasks[k].Time(p)
-			rc.times[base+p-1] = tv
-			rc.works[base+p-1] = float64(p) * tv
-			rc.thr[base+p-1] = leqThreshold(tv)
-		}
+		base, pbase, mp := rc.off[k], c.off[id], in.Tasks[k].MaxProcs()
+		copy(rc.times[base:base+mp], c.times[pbase:pbase+mp])
+		copy(rc.works[base:base+mp], c.works[pbase:pbase+mp])
+		copy(rc.thr[base:base+mp], c.thr[pbase:pbase+mp])
 	}
-	rc.finishTables()
+	rc.sortSeqOrder()
 	return in, rc, nil
 }

@@ -107,7 +107,7 @@ func compiledEqual(t *testing.T, ctx string, got, want *Compiled) {
 		"times":  {got.times, want.times},
 		"works":  {got.works, want.works},
 		"thr":    {got.thr, want.thr},
-		"global": {got.global, want.global},
+		"global": {got.GlobalBreakpoints(), want.GlobalBreakpoints()},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("%s: %s length %d vs %d", ctx, name, len(pair[0]), len(pair[1]))

@@ -3,7 +3,7 @@
 // many deadlines; this file resolves those evaluations by threshold binary
 // search over the instance's compiled λ-breakpoint tables
 // (instance.Compiled, the PR-4 machinery) and caches the derived tables
-// per λ-segment, so repeat probes — the bisection endgame, the portfolio,
+// per canonical allotment — per λ-segment — so repeat probes — the bisection endgame, the portfolio,
 // and every solve of a replanning lineage that shares a Scratch — pay
 // zero re-derivation. The tables answer exactly what the task structs
 // would (flattened copies of times and works, λ-thresholds float-exact
@@ -44,11 +44,10 @@ type Options struct {
 	Scratch *core.Scratch
 	// Warm seeds the crossover search from a previous solve of the same
 	// lineage: the prior feasibility floor and crossover deadline
-	// (core.WarmStart.Floor / .AcceptedLambda, with .Segment as
-	// provenance). Advisory only — each seeded boundary is verified by
-	// real evaluations and falls back to the full binary search on
-	// mispredict, so a stale or garbage seed wastes probes, never
-	// correctness; the result is bit-identical to a cold solve. On
+	// (core.WarmStart.Floor / .AcceptedLambda). Advisory only — each seeded
+	// boundary is verified by real evaluations and falls back to the full
+	// binary search on mispredict, so a stale or garbage seed wastes probes,
+	// never correctness; the result is bit-identical to a cold solve. On
 	// success the seed is updated in place for the lineage's next solve.
 	Warm *core.WarmStart
 }
@@ -80,26 +79,29 @@ type Result struct {
 const dagSegCap = 512
 
 // segKey identifies one cached candidate evaluation: the compiled tables
-// it derives from, the DAG shape over them, and the λ-segment of the
-// compiled global breakpoint axis. The edge hash keeps two graphs over
-// the same instance — which share one *instance.Compiled in the engine's
-// workload-keyed compiled cache — from aliasing each other's critical
-// paths; the residual 64-bit collision risk is accepted as it is for the
-// engine memo (a per-process cache, not a correctness oracle).
+// it derives from, the DAG shape over them, and the canonical allotment,
+// named by Σ_i γ_i — γ is componentwise non-increasing in λ, so along the
+// λ-axis equal sums mean equal vectors (see core's segState) — or −1 for
+// the bare verdict that some task cannot meet the deadline. The edge hash
+// keeps two graphs over the same instance — which share one
+// *instance.Compiled in the engine's workload-keyed compiled cache — from
+// aliasing each other's critical paths; the residual 64-bit collision risk
+// is accepted as it is for the engine memo (a per-process cache, not a
+// correctness oracle).
 type segKey struct {
 	c     *instance.Compiled
 	edges uint64
 	seg   int
 }
 
-// segEval is one segment's cached candidate tables: the canonical
+// segEval is one allotment's cached candidate tables: the canonical
 // allotment γ(λ), its execution times, the normalised area Σw(γ)/m and
-// the critical path CP(γ). Every deadline inside one segment derives the
-// exact same tables — the compiled thresholds are float-exact against
-// task.Leq — so any λ landing in a cached segment reuses them wholesale.
+// the critical path CP(γ). All four are functions of the compiled tables,
+// the graph and γ alone, so any λ with a cached allotment reuses them
+// wholesale.
 type segEval struct {
 	ok    bool
-	seg   int // the λ-segment the entry answers for
+	seg   int // the key's Σγ: two entries with equal seg hold one allotment
 	alloc []int
 	times []float64
 	area  float64
@@ -247,35 +249,38 @@ func (e *evalCtx) release() {
 // eval derives (γ(λ), times, Σw/m, CP) for a candidate deadline; ok is
 // false when some task cannot meet it. The returned entry is owned by the
 // segment cache (see Scratch.put for how long it lives). The allotment is
-// staged in a Scratch buffer, so an infeasible deadline — half the probes
-// of the feasibility search — caches a verdict and allocates no table.
+// staged in a Scratch buffer first — its sum is the cache key — so a hit
+// costs the n threshold searches and nothing else, and an infeasible
+// deadline — half the probes of the feasibility search — shares one cached
+// verdict and allocates no table.
 func (e *evalCtx) eval(lambda float64) *segEval {
 	e.probes++
 	sc := e.sc
-	key := segKey{c: e.c, edges: e.g.edgeHash, seg: e.c.Segment(lambda)}
+	n := e.g.in.N()
+	gamma := intsBuf(&sc.gamma, n)
+	key := segKey{c: e.c, edges: e.g.edgeHash}
+	for i := range gamma {
+		gm, ok := e.c.Gamma(i, lambda)
+		if !ok {
+			key.seg = -1
+			break
+		}
+		gamma[i] = gm
+		key.seg += gm
+	}
 	if ent, ok := sc.seg[key]; ok {
 		e.hits++
 		return ent
 	}
-	n := e.g.in.N()
 	ent := sc.put(key)
-	ent.ok, ent.seg = true, key.seg
-	gamma := intsBuf(&sc.gamma, n)
-	var raw float64
-	for i := range gamma {
-		gm, ok := e.c.Gamma(i, lambda)
-		if !ok {
-			ent.ok = false
-			break
-		}
-		gamma[i] = gm
-		raw += e.c.Work(i, gm)
-	}
+	ent.ok, ent.seg = key.seg >= 0, key.seg
 	if ent.ok {
 		copy(intsBuf(&ent.alloc, n), gamma)
 		times := floatsBuf(&ent.times, n)
+		var raw float64
 		for i, gm := range gamma {
 			times[i] = e.c.Time(i, gm)
+			raw += e.c.Work(i, gm)
 		}
 		ent.area = raw / float64(e.g.in.M)
 		ent.cp = e.g.criticalPathInto(times, floatsBuf(&sc.tail, n))
@@ -344,7 +349,6 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 		}
 		if cross < len(rest) {
 			warm.AcceptedLambda = rest[cross]
-			warm.Segment = e.c.Segment(rest[cross])
 		}
 		// The probe history belongs to the dual search; a DAG lineage
 		// carries only the two boundary deadlines.

@@ -106,8 +106,11 @@ func TestAllocBudgets(t *testing.T) {
 // core.TestApproximateAllocBudget bounds (the accepted probes' copies); the
 // rest is the instance and its compiled tables.
 func TestAllocBudgetMemoMiss(t *testing.T) {
-	const n, m, runs, budget = 24, 16, 200, 80 // reads 74 (102 before the decode shared one string)
-	frames := make([][]byte, runs+2)           // AllocsPerRun adds a warm-up call to ours
+	// Reads 68: 74 before Compile stopped building the breakpoint axis (three
+	// allocations for seven) and a new instance's segment ranges became one
+	// list instead of a map; 102 before the decode shared one string.
+	const n, m, runs, budget = 24, 16, 200, 74
+	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
 	}
@@ -139,11 +142,12 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // NewGraph, verify.Precedence in the solver and again in the handler),
 // compile, the precedence solve, both verifies, encode — every run a fresh
 // 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
-// share is what precedence.TestSolveAllocBudget bounds (9). Reads 104: 318
+// share is what precedence.TestSolveAllocBudget bounds (9). Reads 100: 318
 // before candidates were scored on processor counts and the segment
-// cache's entries recycled, 124 before the decode shared one string.
+// cache's entries recycled, 124 before the decode shared one string, 104
+// before Compile stopped building the breakpoint axis.
 func TestAllocBudgetDAGMiss(t *testing.T) {
-	const n, m, runs, budget = 16, 8, 200, 112
+	const n, m, runs, budget = 16, 8, 200, 108
 	outTree, err := precedence.OutTreeEdges(n, 2)
 	if err != nil {
 		t.Fatal(err)
