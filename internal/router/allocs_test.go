@@ -7,6 +7,7 @@ package router
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
@@ -34,14 +35,14 @@ func (r *reusedRecorder) Header() http.Header         { return r.header }
 func (r *reusedRecorder) WriteHeader(s int)           { r.status = s }
 func (r *reusedRecorder) Write(p []byte) (int, error) { r.n += len(p); return len(p), nil }
 
-func newReusedCall(t *testing.T) *reusedCall {
+func newReusedCall(t *testing.T, contentType string) *reusedCall {
 	t.Helper()
 	c := &reusedCall{rec: reusedRecorder{header: make(http.Header)}}
 	req, err := http.NewRequest(http.MethodPost, "/v1/schedule", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", wire.ContentType)
+	req.Header.Set("Content-Type", contentType)
 	req.Body = io.NopCloser(&c.body)
 	c.req = req
 	return c
@@ -74,7 +75,7 @@ func TestAllocBudgetRoutedHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	c := newReusedCall(t)
+	c := newReusedCall(t, wire.ContentType)
 	serve := func() {
 		if code := c.do(rt.Handler(), frame); code != http.StatusOK {
 			t.Fatalf("HTTP %d", code)
@@ -95,6 +96,49 @@ func TestAllocBudgetRoutedHit(t *testing.T) {
 	}
 }
 
+// The same memo hit over the JSON codec, the benchmark's hot-JSON class: the
+// body is scanned once at the router for its key and once at the shard for
+// its instance, 4 allocations each (one string for the names, the task
+// slice, one slab for the time tables, the instance), and the response is
+// encoding/json's. Reads 23; 433 when encoding/json decoded the body at both
+// tiers (a value per token, a string per name, a slice per time table).
+func TestAllocBudgetRoutedJSONHit(t *testing.T) {
+	const n, m, budget = 24, 16, 30
+	raw, err := server.EncodeInstance(instance.Mixed(9, n, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(wire.ScheduleRequest{Instance: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c := newReusedCall(t, "application/json")
+	serve := func() {
+		if code := c.do(rt.Handler(), body); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+	}
+	serve() // fills the memo
+	serve() // warms the pools
+	if got := testing.AllocsPerRun(200, serve); got > budget {
+		t.Errorf("routed JSON memo hit: %.1f allocs per run, budget %d", got, budget)
+	} else {
+		t.Logf("routed JSON memo hit: %.1f allocs per run (budget %d)", got, budget)
+	}
+	if st := shard.Stats().Shards[0]; st.MemoMisses != 1 {
+		t.Fatalf("the timed requests were not memo hits: %+v", st)
+	}
+	if got := rt.jsonDecode[wire.PathFallback].Value(); got != 0 {
+		t.Fatalf("%d bodies fell back to encoding/json", got)
+	}
+}
+
 // The routed mrt memo miss: every run a fresh 24×16 instance through the
 // same hop — the hop's 8 on top of the shard's decode, compile, λ-search,
 // verify and encode (what server.TestAllocBudgetMemoMiss bounds, there with
@@ -112,7 +156,7 @@ func TestAllocBudgetRoutedMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	c := newReusedCall(t)
+	c := newReusedCall(t, wire.ContentType)
 	next := 0
 	serve := func() {
 		code := c.do(rt.Handler(), frames[next])

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"malsched/internal/obs"
+	"malsched/internal/wire"
 )
 
 // StatszSchema versions the router's /statsz payload; additive changes
@@ -26,6 +27,7 @@ const (
 	metricPinned       = "msroute_lineage_pinned_total"
 	metricQueueLen     = "msroute_queue_len"
 	metricErrors       = "msroute_backend_errors_total"
+	metricJSONDecode   = "msroute_json_decode_total"
 )
 
 // stageSet caches the two stage histograms of one backend label so the
@@ -94,6 +96,10 @@ func (r *Router) registerMetrics() {
 	const dispatchHelp = "Routed requests by dispatch mode: inline on the caller's goroutine, or queued for a drainer."
 	r.inlineCnt = m.Counter(metricDispatch, dispatchHelp, "mode", "inline")
 	r.queuedCnt = m.Counter(metricDispatch, dispatchHelp, "mode", "queued")
+	const jsonHelp = "JSON requests keyed, by decode path: the request scanner, or encoding/json for a body outside its subset."
+	for p := range r.jsonDecode {
+		r.jsonDecode[p] = m.Counter(metricJSONDecode, jsonHelp, "path", wire.DecodePath(p).String())
+	}
 	m.CounterFunc(metricRouted, "Requests admitted to a shard, inline or queued.",
 		func() float64 { return float64(r.routed.Load()) })
 	m.CounterFunc(metricRejected, "Requests shed because their home queue was full.",

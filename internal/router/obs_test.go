@@ -49,6 +49,7 @@ func TestRouterMetricsz(t *testing.T) {
 		"msroute_lineage_pinned_total",
 		"msroute_queue_len",
 		"msroute_backend_errors_total",
+		"msroute_json_decode_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" ") {
 			t.Errorf("missing family %s in exposition", family)
@@ -64,6 +65,12 @@ func TestRouterMetricsz(t *testing.T) {
 	for _, want := range []string{`msroute_dispatch_total{mode="inline"} 1`, `msroute_dispatch_total{mode="queued"} 0`} {
 		if !strings.Contains(text, want) {
 			t.Errorf("dispatch counter: no %q in:\n%s", want, text)
+		}
+	}
+	// The generated body is in the request scanner's subset.
+	for _, want := range []string{`msroute_json_decode_total{path="scan"} 1`, `msroute_json_decode_total{path="fallback"} 0`} {
+		if !strings.Contains(text, want) {
+			t.Errorf("JSON decode counter: no %q in:\n%s", want, text)
 		}
 	}
 	for _, stage := range []string{"queue", "forward"} {

@@ -25,7 +25,7 @@
 //
 // The router speaks both codecs transparently: binary requests are peeked
 // with wire.RouteKey (zero-allocation fingerprint straight off the wire),
-// JSON requests are decoded just enough to fingerprint them. Responses
+// JSON requests go through the shards' own decoder (wire). Responses
 // pass through byte-for-byte, a shedding shard's Retry-After included;
 // X-Msroute-Backend and X-Msroute-Stolen report the serving shard for
 // observability and tests.
@@ -41,7 +41,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -53,7 +52,6 @@ import (
 	"time"
 
 	"malsched/internal/engine"
-	"malsched/internal/instance"
 	"malsched/internal/obs"
 	"malsched/internal/wire"
 )
@@ -247,14 +245,15 @@ type Router struct {
 
 	// metrics is the /metricsz registry. stageSets and reqCounters cache
 	// its instruments so the dispatch and forwarding hot paths resolve them
-	// with one allocation-free map read under obsMu; the two dispatch-mode
-	// counters are resolved once at New.
+	// with one allocation-free map read under obsMu; the dispatch-mode and
+	// JSON decode-path counters are resolved once at New.
 	metrics     *obs.Registry
 	obsMu       sync.RWMutex
 	stageSets   map[string]*stageSet
 	reqCounters map[reqKey]*obs.Counter
 	inlineCnt   *obs.Counter
 	queuedCnt   *obs.Counter
+	jsonDecode  [wire.NumDecodePaths]*obs.Counter
 
 	draining   atomic.Bool
 	routed     atomic.Uint64
@@ -389,7 +388,8 @@ func (r *Router) Stats() Stats {
 // routeKey computes (key, pinned) for a request body: the lineage hash
 // when a lineage key is present (pinned), the workload fingerprint
 // otherwise. Batch requests route by their first instance — a batch is
-// one admission unit on the shard side too.
+// one admission unit on the shard side too. JSON bodies decode through the
+// shards' own decoder, so the tiers accept and refuse the same bodies.
 func (r *Router) routeKey(path, contentType string, body []byte) (uint64, bool, *wire.ErrorInfo) {
 	if contentType == wire.ContentType {
 		r.binaryReqs.Add(1)
@@ -402,34 +402,27 @@ func (r *Router) routeKey(path, contentType string, body []byte) (uint64, bool, 
 		}
 		return key, false, nil
 	}
-	var opts *wire.RequestOptions
-	var rawInstance json.RawMessage
-	var graph [][]int
+	decode, undecodable := wire.DecodeJSONScheduleRequest, "undecodable request"
 	if path == "/v1/batch" {
-		var req wire.BatchRequest
-		if err := json.Unmarshal(body, &req); err != nil || len(req.Instances) == 0 {
-			return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "undecodable batch request"}
-		}
-		opts, rawInstance = req.Options, req.Instances[0]
-	} else {
-		var req wire.ScheduleRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "undecodable request"}
-		}
-		opts, rawInstance, graph = req.Options, req.Instance, req.Graph
+		decode, undecodable = wire.DecodeJSONBatchHead, "undecodable batch request"
 	}
-	if opts != nil && opts.Lineage != "" {
-		return hashString(opts.Lineage), true, nil
-	}
-	in, err := instance.ReadJSON(bytes.NewReader(rawInstance))
-	if err != nil {
-		return 0, false, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
+	req, decodePath, err := decode(body)
+	r.jsonDecode[decodePath].Inc()
+	switch {
+	case err == wire.ErrTrailingData:
+		return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
+	case err != nil:
+		return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: undecodable}
+	case req.Options != nil && req.Options.Lineage != "":
+		return hashString(req.Options.Lineage), true, nil
+	case req.InstanceErr != nil:
+		return 0, false, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: req.InstanceErr.Error()}
 	}
 	// The graph is folded into the key (nil folds nothing), so a DAG
 	// request never routes to — and never shares warm state with — the
 	// shard of its independent projection; wire.RouteKey folds the same
 	// stream for binary requests.
-	return engine.WorkloadFingerprintDAG(in, graph), false, nil
+	return engine.WorkloadFingerprintDAG(req.Instance, req.Graph), false, nil
 }
 
 func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string) {

@@ -70,11 +70,28 @@ func mustRaw(t *testing.T, in *instance.Instance) json.RawMessage {
 	return raw
 }
 
+// jsonRouteKey is the router's key for the JSON body of a workload.
+func jsonRouteKey(t *testing.T, rt *Router, in *instance.Instance, graph [][]int, opts *wire.RequestOptions) (key uint64, pinned bool) {
+	t.Helper()
+	body, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(t, in), Graph: graph, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, pinned, errInfo := rt.routeKey("/v1/schedule", "application/json", body)
+	if errInfo != nil {
+		t.Fatalf("JSON route key: %+v", errInfo)
+	}
+	return key, pinned
+}
+
 // TestRouteKeyMatchesEngineFingerprint pins wire.RouteKey's off-the-wire
 // hash walk to engine.WorkloadFingerprint over the decoded instance —
 // including the profile-truncation case — so binary routing and the
-// shards' cache keys can never silently drift apart.
+// shards' cache keys can never silently drift apart. The JSON body of the
+// same workload must key the same, or the two codecs' copies of one
+// workload would warm two shards.
 func TestRouteKeyMatchesEngineFingerprint(t *testing.T) {
+	rt, _ := newTier(t, 1, Config{})
 	for name, gen := range instance.Families() {
 		for seed := int64(1); seed <= 10; seed++ {
 			in := gen(seed, 9, 7)
@@ -93,6 +110,9 @@ func TestRouteKeyMatchesEngineFingerprint(t *testing.T) {
 			}
 			if want := engine.WorkloadFingerprint(dec); key != want {
 				t.Fatalf("%s/%d: RouteKey %x != WorkloadFingerprint %x", name, seed, key, want)
+			}
+			if jsonKey, pinned := jsonRouteKey(t, rt, in, nil, nil); jsonKey != key || pinned {
+				t.Fatalf("%s/%d: JSON key %x (pinned %v) != binary key %x", name, seed, jsonKey, pinned, key)
 			}
 		}
 	}
@@ -114,6 +134,15 @@ func TestRouteKeyMatchesEngineFingerprint(t *testing.T) {
 	}
 	if want := engine.WorkloadFingerprint(dec); key != want {
 		t.Fatalf("truncated RouteKey %x != WorkloadFingerprint %x", key, want)
+	}
+	if jsonKey, pinned := jsonRouteKey(t, rt, wide, nil, nil); jsonKey != key || pinned {
+		t.Fatalf("truncated JSON key %x (pinned %v) != binary key %x", jsonKey, pinned, key)
+	}
+	if jsonKey, pinned := jsonRouteKey(t, rt, wide, nil, &wire.RequestOptions{Lineage: "chain"}); jsonKey != hashString("chain") || !pinned {
+		t.Fatalf("JSON lineage key %x (pinned %v), want the lineage hash, pinned", jsonKey, pinned)
+	}
+	if scan, fallback := rt.jsonDecode[wire.PathScan].Value(), rt.jsonDecode[wire.PathFallback].Value(); scan == 0 || fallback != 0 {
+		t.Fatalf("generated bodies: %d scanned, %d fell back to encoding/json", scan, fallback)
 	}
 }
 
@@ -171,8 +200,10 @@ func TestFingerprintSpread(t *testing.T) {
 // engine.WorkloadFingerprintDAG over the decoded (instance, graph) pair,
 // and must differ from the graphless fingerprint of the same instance —
 // otherwise a DAG would route (and memo-hit) as its independent-task
-// projection.
+// projection. The JSON body of the same request keys the same on either
+// decode path.
 func TestRouteKeyMatchesDAGFingerprint(t *testing.T) {
+	rt, _ := newTier(t, 1, Config{})
 	for name, gen := range instance.Families() {
 		for seed := int64(1); seed <= 5; seed++ {
 			in := gen(seed, 8, 6)
@@ -199,6 +230,18 @@ func TestRouteKeyMatchesDAGFingerprint(t *testing.T) {
 				}
 				if indep := engine.WorkloadFingerprint(dec); key == indep {
 					t.Fatalf("%s/%d: graph request routed as its independent projection", name, seed)
+				}
+				// JSON: as the constructors build the graph (a nil list
+				// marshals as null, which is encoding/json's to decode) and
+				// with every list present, which the scanner takes.
+				present := make([][]int, len(graph))
+				for i, list := range graph {
+					present[i] = append([]int{}, list...)
+				}
+				for _, g := range [][][]int{graph, present} {
+					if jsonKey, _ := jsonRouteKey(t, rt, in, g, &wire.RequestOptions{Solver: "dag"}); jsonKey != key {
+						t.Fatalf("%s/%d: JSON key %x != binary key %x", name, seed, jsonKey, key)
+					}
 				}
 			}
 		}

@@ -26,6 +26,7 @@ const (
 	metricAdmission    = "malsched_admission_total"
 	metricVerifyFail   = "malsched_verify_failures_total"
 	metricEngine       = "malsched_engine_events_total"
+	metricJSONDecode   = "malsched_json_decode_total"
 )
 
 // reqCtx is the per-request observability context threaded from serve
@@ -198,6 +199,10 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.rejected.Load()) }, "outcome", "rejected")
 	m.CounterFunc(metricVerifyFail, "Responses withheld because verification rejected the plan.",
 		func() float64 { return float64(s.verifyFail.Load()) })
+	const jsonHelp = "JSON requests and batch items decoded, by path: the request scanner, or encoding/json for a body outside its subset."
+	for p := range s.jsonDecode {
+		s.jsonDecode[p] = m.Counter(metricJSONDecode, jsonHelp, "path", wire.DecodePath(p).String())
+	}
 	for i := range s.shards {
 		eng := s.shards[i]
 		sh := strconv.Itoa(i)

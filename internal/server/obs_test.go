@@ -44,6 +44,7 @@ func TestMetricszExposition(t *testing.T) {
 		"malsched_admission_total",
 		"malsched_verify_failures_total",
 		"malsched_engine_events_total",
+		"malsched_json_decode_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" ") {
 			t.Errorf("missing family %s in exposition", family)
@@ -51,6 +52,12 @@ func TestMetricszExposition(t *testing.T) {
 	}
 	if !strings.Contains(text, `malsched_requests_total{endpoint="schedule",codec="json",status="200"} 1`) {
 		t.Errorf("request counter not incremented:\n%s", text)
+	}
+	// The generated body is in the request scanner's subset.
+	for _, want := range []string{`malsched_json_decode_total{path="scan"} 1`, `malsched_json_decode_total{path="fallback"} 0`} {
+		if !strings.Contains(text, want) {
+			t.Errorf("JSON decode counter: no %q in:\n%s", want, text)
+		}
 	}
 	for _, stage := range []string{"queue", "compile", "solve", "verify", "encode"} {
 		marker := `malsched_stage_latency_us_count{stage="` + stage + `"`

@@ -14,10 +14,10 @@ import (
 // internal/wire, shared between the JSON codec, the binary codec and the
 // routing tier (internal/router); this file keeps only what is the
 // server's own: the /statsz and /healthz bodies and the instance and
-// outcome mappings. The instance payload of the JSON codec uses the
-// module's one JSON instance codec (instance.ReadJSON / WriteJSON), so
-// msgen output pastes directly into a request; the binary codec encodes
-// the same instance inline through the same validating constructors.
+// outcome mappings. The instance payload of the JSON codec is the module's
+// one JSON instance schema (instance.WriteJSON's), so msgen output pastes
+// directly into a request; the binary codec encodes the same instance
+// inline through the same validating constructors.
 //
 // The full schema is documented in docs/SERVICE.md.
 
@@ -85,10 +85,11 @@ type HealthResponse struct {
 	Status string `json:"status"`
 }
 
-// DecodeInstance decodes one wire instance through the module's canonical
-// codec, fully validated (monotone profiles included).
+// DecodeInstance decodes one wire instance as the service decodes it
+// (wire.DecodeJSONInstance), fully validated (monotone profiles included).
 func DecodeInstance(raw json.RawMessage) (*instance.Instance, error) {
-	return instance.ReadJSON(bytes.NewReader(raw))
+	in, _, err := wire.DecodeJSONInstance(raw)
+	return in, err
 }
 
 // EncodeInstance encodes an instance for a request body.

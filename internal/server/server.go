@@ -30,7 +30,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -131,11 +130,13 @@ type Server struct {
 
 	// metrics is the /metricsz registry. stageSets and reqCounters cache
 	// its instruments under comparable struct keys so the per-request hot
-	// path resolves them with one allocation-free map read under obsMu.
+	// path resolves them with one allocation-free map read under obsMu; the
+	// two JSON decode-path counters are resolved once at New.
 	metrics     *obs.Registry
 	obsMu       sync.RWMutex
 	stageSets   map[stageKey]*stageSet
 	reqCounters map[reqKey]*obs.Counter
+	jsonDecode  [wire.NumDecodePaths]*obs.Counter
 
 	draining   atomic.Bool
 	accepted   atomic.Uint64
@@ -590,21 +591,24 @@ func (s *Server) admitAndRun(rc *reqCtx, binary bool, body []byte, bodyErr error
 	}
 }
 
-// scheduleJSON is /v1/schedule over the JSON codec.
+// scheduleJSON is /v1/schedule over the JSON codec. Errors keep the order
+// they have always had: an undecodable body, then the options, then the
+// instance (which is why the decode holds its instance verdict), then the
+// graph in solveAndEncode.
 func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
-	var req wire.ScheduleRequest
-	if errInfo := decodeJSON(body, &req); errInfo != nil {
-		return nil, http.StatusBadRequest, errInfo
+	req, path, err := wire.DecodeJSONScheduleRequest(body)
+	s.jsonDecode[path].Inc()
+	if err != nil {
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
 	o, timeout, errInfo := s.resolveOptions(req.Options)
 	if errInfo != nil {
 		return nil, http.StatusBadRequest, errInfo
 	}
-	in, err := DecodeInstance(req.Instance)
-	if err != nil {
-		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
+	if req.InstanceErr != nil {
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: req.InstanceErr.Error()}
 	}
-	return s.solveAndEncode(rc, in, req.Graph, o, timeout, lineageOf(req.Options), false, dst)
+	return s.solveAndEncode(rc, req.Instance, req.Graph, o, timeout, lineageOf(req.Options), false, dst)
 }
 
 // scheduleBinary is /v1/schedule over the binary codec: the same
@@ -682,8 +686,8 @@ func isFramingErr(err error) bool {
 // batch is /v1/batch (JSON only).
 func (s *Server) batch(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	var req wire.BatchRequest
-	if errInfo := decodeJSON(body, &req); errInfo != nil {
-		return nil, http.StatusBadRequest, errInfo
+	if err := wire.UnmarshalBody(body, &req); err != nil {
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
 	if len(req.Instances) == 0 {
 		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "batch has no instances"}
@@ -738,7 +742,8 @@ func (s *Server) batch(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorIn
 }
 
 func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout time.Duration, lineage, codec string) wire.BatchItem {
-	in, err := DecodeInstance(raw)
+	in, path, err := wire.DecodeJSONInstance(raw)
+	s.jsonDecode[path].Inc()
 	if err != nil {
 		return wire.BatchItem{Index: i, Error: &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}}
 	}
@@ -763,18 +768,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// decodeJSON decodes a JSON request body, rejecting trailing garbage.
-func decodeJSON(body []byte, dst any) *wire.ErrorInfo {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(dst); err != nil {
-		return &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("decoding request body: %v", err)}
-	}
-	if dec.More() {
-		return &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: "trailing data after request body"}
-	}
-	return nil
 }
 
 // appendWriter is the io.Writer json.Encoder needs over an append target.

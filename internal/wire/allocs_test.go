@@ -6,7 +6,11 @@
 
 package wire
 
-import "testing"
+import (
+	"testing"
+
+	"malsched/internal/instance"
+)
 
 // A GetBuffer/PutBuffer pair recycles the buffer and the box it travels in:
 // nothing is allocated once both pools are warm. Before the boxes were
@@ -20,5 +24,32 @@ func TestAllocBudgetBufferPool(t *testing.T) {
 	pair() // warm both pools
 	if got := testing.AllocsPerRun(1000, pair); got > 0 {
 		t.Errorf("GetBuffer/PutBuffer pair: %.1f allocs per run, budget 0", got)
+	}
+}
+
+// Scanning the benchmark's 24×16 JSON body (8.1 KB) allocates what the
+// decoded instance keeps and nothing else: one string for every name, the
+// task slice, one slab for the time tables — sized by the counting walk, so
+// 3 KB for 384 floats rather than a bound from the body length — and the
+// instance. Reads 4 allocations and 4.3 KB; encoding/json's decode of the
+// same body reads 214 and 85 KB.
+func TestAllocBudgetJSONScan(t *testing.T) {
+	const budget, byteBudget = 6, 16 << 10
+	body := []byte(jsonBody(t, instance.Mixed(9, 24, 16), nil, nil))
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, ok := scanScheduleRequest(body); !ok {
+				b.Fatal("not scanned")
+			}
+		}
+	})
+	if got := res.AllocsPerOp(); got > budget {
+		t.Errorf("JSON scan: %d allocs per op, budget %d", got, budget)
+	}
+	if got := res.AllocedBytesPerOp(); got > byteBudget {
+		t.Errorf("JSON scan: %d B per op, budget %d", got, byteBudget)
+	} else {
+		t.Logf("JSON scan: %d allocs, %d B per op (budgets %d, %d)", res.AllocsPerOp(), got, budget, byteBudget)
 	}
 }
