@@ -22,10 +22,14 @@
 //	msbench [-out BENCH_engine.json] [-quick] [-seed 1] [-seeds 4]
 //	        [-repeats 3] [-workers 0]
 //	msbench -tables [-quick] [-seed 1]
+//	msbench -compare a.json b.json
 //
 // -tables switches to the legacy experiment suite that prints the
 // EXPERIMENTS.md markdown tables (deterministic in the seed). -quick
 // shrinks either grid for a fast smoke run. -workers 0 means GOMAXPROCS.
+// -compare reads two artifacts, matches their rows on cell coordinates and
+// exits non-zero when a deterministic column differs or a cell is missing
+// on one side; measured columns are summed per side and reported.
 package main
 
 import (
@@ -232,8 +236,25 @@ func main() {
 	seeds := flag.Int("seeds", 4, "engine mode: instances (seeds) per scenario")
 	repeats := flag.Int("repeats", 3, "engine mode: timed passes per scenario (first is cold, rest warm)")
 	workers := flag.Int("workers", 0, "engine mode: worker-pool size (0 = GOMAXPROCS)")
+	compare := flag.Bool("compare", false, "compare two artifacts cell by cell: -compare a.json b.json; exits non-zero on any deterministic difference")
 	flag.Parse()
 
+	if *compare {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "msbench: -compare takes two artifact files")
+			os.Exit(2)
+		}
+		diffs, err := compareArtifacts(os.Stdout, flag.Arg(0), flag.Arg(1))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
+			os.Exit(1)
+		}
+		if diffs > 0 {
+			fmt.Fprintf(os.Stderr, "msbench: %d deterministic differences\n", diffs)
+			os.Exit(1)
+		}
+		return
+	}
 	if *tables {
 		runTables(*quick, *seed)
 		return

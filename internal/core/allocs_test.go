@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"malsched/internal/instance"
@@ -15,8 +16,9 @@ import (
 
 // A probe pays for what it keeps: a rejected guess allocates nothing,
 // whether it exits at the Property-2 test or builds every construction
-// first; an accepted one allocates the Schedule it returns and that
-// schedule's placements.
+// first; an accepted one, through the Prober seam, allocates the Schedule
+// its caller then owns and that schedule's placements (dualStep itself
+// allocates nothing either way: its winner stays in the Scratch).
 func TestProbeAllocBudgets(t *testing.T) {
 	const n, m = 24, 16 // the benchmark's serve-cold shape
 	p := DefaultParams()
@@ -47,7 +49,7 @@ func TestProbeAllocBudgets(t *testing.T) {
 		c := instance.Compile(tc.in)
 		sc := NewScratch()
 		run := func() {
-			if r := dualStep(c, tc.lambda, p, sc, nil); r.Reject != tc.reject {
+			if r := (DualProber{}).Probe(tc.in, c, tc.lambda, p, sc, nil); r.Reject != tc.reject {
 				t.Fatalf("%s: probe ended %q, want %q", tc.name, r.Reject, tc.reject)
 			}
 		}
@@ -60,32 +62,73 @@ func TestProbeAllocBudgets(t *testing.T) {
 	}
 }
 
-// A whole search on a warmed Scratch with caller-supplied tables: what is
-// left is the accepted probes' copies (the search cannot know which it will
-// keep before it consumed them) and a constant for the search itself.
+// A whole search on a warmed Scratch with caller-supplied tables allocates
+// a constant, whatever it accepted on the way: the search state, and the
+// one Schedule it returns with that schedule's placements. The probes hand
+// their winners back inside the Scratch, the incumbent is kept there, and
+// the copy-out happens once, after the last probe — the search no longer
+// has to know which accepted probe it will keep before it consumed them.
+// Reads 3.
 func TestApproximateAllocBudget(t *testing.T) {
+	const budget = 4
 	in := instance.Mixed(9, 24, 16)
 	c := instance.Compile(in)
 	sc := NewScratch()
-	var tr SolveTrace
-	if _, err := Approximate(in, Options{Compiled: c, Scratch: sc, Trace: &tr}); err != nil {
-		t.Fatal(err)
+	acc, all := acceptedGuesses(t, in, c)
+	accepted, probes := len(acc), len(all)
+	if accepted < 2 {
+		t.Fatalf("%d accepted probes of %d: the budget would not show a per-probe copy", accepted, probes)
 	}
-	accepted := 0
-	for _, pr := range tr.Probes {
-		if pr.Accepted {
-			accepted++
-		}
-	}
-	budget := float64(2*accepted + 4)
-	got := testing.AllocsPerRun(100, func() {
+	got := testing.AllocsPerRun(100, func() { // its warm-up run grows the Scratch
 		if _, err := Approximate(in, Options{Compiled: c, Scratch: sc}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got > budget {
-		t.Errorf("Approximate: %.1f allocs per search, budget %.0f (%d accepted probes of %d)", got, budget, accepted, len(tr.Probes))
+		t.Errorf("Approximate: %.1f allocs per search, budget %d (%d accepted probes of %d)", got, budget, accepted, probes)
 	} else {
-		t.Logf("Approximate: %.1f allocs per search (budget %.0f, %d accepted probes of %d)", got, budget, accepted, len(tr.Probes))
+		t.Logf("Approximate: %.1f allocs per search (budget %d, %d accepted probes of %d)", got, budget, accepted, probes)
+	}
+}
+
+// A search that fails has allocated no schedule: consuming an accepted
+// probe — dualStep's winner, merged into the Scratch-held incumbent — is
+// free, so everything up to an interrupt or ErrNoSchedule is, and what an
+// interrupted search does allocate is its state and its error.
+func TestFailedSearchAllocatesNoSchedule(t *testing.T) {
+	in := instance.Mixed(9, 24, 16)
+	c := instance.Compile(in)
+	sc := NewScratch()
+	lb := lowerbound.Trivial(in)
+	s := &search{in: in, c: c, p: DefaultParams(), borrow: sc}
+	consume := func() {
+		for _, f := range []float64{4, 2, 1.5, 1.25} { // decreasing, as accepted guesses come
+			r := dualStep(c, lb*f, s.p, sc, nil)
+			if r.Schedule == nil {
+				t.Fatalf("λ=%v·LB rejected: %v", f, r.Reject)
+			}
+			s.merge(lb*f, r, false)
+		}
+	}
+	consume() // grow the Scratch, fill the segments
+	if got := testing.AllocsPerRun(100, consume); got != 0 {
+		t.Errorf("consuming four accepted probes: %.1f allocs, want 0", got)
+	}
+	if s.best != &sc.best {
+		t.Fatal("the incumbent of a default sequential search is not the Scratch's")
+	}
+
+	closed := make(chan struct{})
+	close(closed)
+	got := testing.AllocsPerRun(100, func() {
+		if res, err := Approximate(in, Options{Compiled: c, Scratch: sc, Interrupt: closed}); !errors.Is(err, ErrInterrupted) || res.Schedule != nil {
+			t.Fatalf("interrupted search returned %+v, %v", res, err)
+		}
+	})
+	// The search state, and fmt.Errorf's wrapped error with its message.
+	if got > 5 {
+		t.Errorf("interrupted Approximate: %.1f allocs, budget 5", got)
+	} else {
+		t.Logf("interrupted Approximate: %.1f allocs (budget 5)", got)
 	}
 }

@@ -21,7 +21,7 @@ type Allotment struct {
 // instance on entry); the returned Gamma is owned by the caller.
 func CanonicalAllotment(in *instance.Instance, lambda float64) Allotment {
 	var e segEntry
-	_, e.slowest = stageGamma(instance.Compile(in), lambda, &e.gamma)
+	_, e.slowest = stageGamma(instance.Compile(in), lambda, &e.gamma, nil, nil)
 	e.ok = e.slowest < 0
 	return e.allotment(lambda)
 }

@@ -34,6 +34,32 @@ func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *sche
 	})
 }
 
+// canonicalPair makes sc.clist the canonical-list pair of the seg entry e
+// (allotment a, order order). The pair reads nothing else of λ, so the
+// entry that built what sc.clist holds builds nothing. The plain list runs
+// only when the reallocation fired: a pass that did not fire is the plain
+// list placement for placement, and ties keep the earlier draft (the
+// winner is still reported as "canonical-list+realloc", as the tie rule
+// always reported it). stop is polled between the passes; when it fires
+// the pair stays untagged and canonicalPair reports false.
+func (sc *Scratch) canonicalPair(c *instance.Compiled, e *segEntry, a Allotment, order []int, stop func() bool) bool {
+	if sc.clistOf == e && e.listed {
+		return true
+	}
+	sc.clistBuilds++
+	var fired bool
+	sc.clist[1], fired = canonicalListFromAllotment(c, a, order, true, sc)
+	sc.clist[0].algorithm = "" // unbuilt, buffer kept
+	if fired {
+		if stop() {
+			return false
+		}
+		sc.clist[0], _ = canonicalListFromAllotment(c, a, order, false, sc)
+	}
+	sc.clistOf, e.listed = e, true // only now: the pair is whole
+	return true
+}
+
 // canonicalListFromAllotment builds the list schedule, as a draft in
 // scratch memory, from an existing allotment and its by-decreasing-time
 // order (the segment cache's, shared by both reallocation variants). order
@@ -45,13 +71,16 @@ func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *sche
 // placement — so a pass that did not fire placed every task exactly as the
 // reallocate=false pass does, and the dual step runs that second pass only
 // after a fired one (TestUnfiredReallocationIsThePlainList pins it).
+// Writing sc.clist's buffer ends whatever pair was kept there: the tag is
+// cleared on entry and only canonicalPair sets it.
 func canonicalListFromAllotment(c *instance.Compiled, a Allotment, order []int, reallocate bool, sc *Scratch) (d draft, fired bool) {
+	sc.clistOf = nil
 	m := c.M()
 	d = draft{algorithm: "canonical-list"}
-	buf := &sc.clist[0]
+	buf := &sc.clist[0].placements
 	if reallocate {
 		d.algorithm = "canonical-list+realloc"
-		buf = &sc.clist[1]
+		buf = &sc.clist[1].placements
 	}
 	d.placements = placementsBuf(buf, len(order))
 

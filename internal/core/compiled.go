@@ -46,7 +46,10 @@ const segCacheCap = 512
 // fetched once — and both recycle points run before an entry is handed
 // out: drop between probes (DropCompiled), the wholesale clear at the top
 // of filled. An entry handed out is therefore never one somebody still
-// reads.
+// reads. The Scratch's list-draft tags (clistOf, mlistOf) outlive a probe
+// and compare entry pointers; a recycled entry is the same pointer under
+// another allotment, so a tag counts only while the entry's listed flag
+// stands, and drop — which both recycle points go through — resets it.
 type segState struct {
 	caches map[*instance.Compiled][]*segEntry
 	total  int
@@ -74,6 +77,8 @@ type segEntry struct {
 
 	haveArea bool
 	area     float64
+
+	listed bool // the Scratch's list drafts were built from this allotment (see Scratch.clistOf)
 }
 
 // segListCap is the capacity a new range list starts with: more distinct
@@ -91,7 +96,7 @@ func (st *segState) drop(c *instance.Compiled) {
 		return
 	}
 	for _, e := range list {
-		e.haveOrder, e.haveArea = false, false
+		e.haveOrder, e.haveArea, e.listed = false, false, false
 		st.freeEntries = append(st.freeEntries, e)
 	}
 	st.total -= len(list)
@@ -117,7 +122,11 @@ func (st *segState) filled(c *instance.Compiled, lambda float64) *segEntry {
 	}
 
 	st.staged++
-	sum, slowest := stageGamma(c, lambda, &st.stage)
+	var below, above []int
+	if k > 0 && k < len(list) {
+		below, above = list[k-1].gamma, list[k].gamma
+	}
+	sum, slowest := stageGamma(c, lambda, &st.stage, below, above)
 	if slowest >= 0 {
 		st.verdict.slowest = slowest
 		return &st.verdict
@@ -160,16 +169,20 @@ func (st *segState) filled(c *instance.Compiled, lambda float64) *segEntry {
 
 // stageGamma computes the canonical allotment vector of a deadline into
 // *buf and returns Σγ; it bails at the first task that cannot meet the
-// deadline and names it in slowest (−1 when the allotment exists).
-func stageGamma(c *instance.Compiled, lambda float64, buf *[]int) (sum, slowest int) {
+// deadline and names it in slowest (−1 when the allotment exists). below
+// and above, when non-nil, are the vectors of a smaller and a larger
+// deadline: γ_i is non-increasing in λ, so only tasks they differ on scan.
+func stageGamma(c *instance.Compiled, lambda float64, buf *[]int, below, above []int) (sum, slowest int) {
 	gamma := intsBuf(buf, c.N())
 	for i := range gamma {
-		g, ok := c.Gamma(i, lambda)
-		if !ok {
+		if below != nil && below[i] == above[i] {
+			gamma[i] = below[i]
+		} else if g, ok := c.Gamma(i, lambda); ok {
+			gamma[i] = g
+		} else {
 			return 0, i
 		}
-		gamma[i] = g
-		sum += g
+		sum += gamma[i]
 	}
 	return sum, -1
 }

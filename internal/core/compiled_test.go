@@ -151,6 +151,16 @@ func TestApproximateCompiledDenseProfiles(t *testing.T) {
 	}
 }
 
+// firstFeasible returns the index of the smallest breakpoint of axis every
+// task can meet.
+func firstFeasible(c *instance.Compiled, axis []float64) int {
+	var buf []int
+	return sort.Search(len(axis), func(k int) bool {
+		_, slowest := stageGamma(c, axis[k], &buf, nil, nil)
+		return slowest < 0
+	})
+}
+
 // rangeDeadlines is a seeded deadline sequence over one compiled instance,
 // built to exercise every arm of the range list: a sweep from the largest
 // breakpoint down past the smallest deadline an allotment exists for (each
@@ -160,11 +170,7 @@ func TestApproximateCompiledDenseProfiles(t *testing.T) {
 // (hits, and ranges widened from both ends).
 func rangeDeadlines(rng *rand.Rand, c *instance.Compiled) []float64 {
 	axis := c.GlobalBreakpoints()
-	var buf []int
-	feasible := sort.Search(len(axis), func(k int) bool {
-		_, slowest := stageGamma(c, axis[k], &buf)
-		return slowest < 0
-	})
+	feasible := firstFeasible(c, axis)
 	var seq []float64
 	step := (len(axis)-feasible)/40 + 1
 	for k := len(axis) - 1; k >= max(feasible-3, 0); k -= step {

@@ -48,7 +48,7 @@ func (r RejectReason) String() string {
 // StepResult is the outcome of one dual-approximation step.
 type StepResult struct {
 	// Schedule is the constructed schedule when accepted (makespan ≤ ρλ),
-	// nil otherwise.
+	// nil otherwise. A StepResult that crossed the Prober seam owns it.
 	Schedule *schedule.Schedule
 	// Makespan is Schedule's makespan, accumulated while it was built (0
 	// when rejected). The search ranks accepted probes by it, so a Prober
@@ -84,19 +84,23 @@ type StepResult struct {
 // pooled Scratch; searches compile once and go through Approximate.
 func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
 	return oneShot(in, func(c *instance.Compiled, sc *Scratch) StepResult {
-		return dualStep(c, lambda, p, sc, nil)
+		r := dualStep(c, lambda, p, sc, nil)
+		r.Schedule = owned(r.Schedule)
+		return r
 	})
 }
 
 // dualStep is DualStep on scratch memory: all per-probe working buffers —
-// the constructions' placements included — come from sc, and only the
-// returned schedule survives the next probe on the same sc: the
-// constructions hand back drafts, their makespans are compared, and the one
-// winner is copied out if it is accepted. A rejected probe allocates
-// nothing, an accepted one a Schedule and its placements. The probe
-// resolves the canonical allotment, its work, the by-decreasing-time order
-// and the prefix area through the compiled breakpoint tables and sc's
-// λ-segment cache, so they are free when the allotment repeats. A non-nil
+// the constructions' placements included — come from sc, and nothing
+// survives the next probe on the same sc: the drafts' makespans are
+// compared and an accepted winner is returned un-copied, as sc.won aliasing
+// its draft's buffer. The probe allocates nothing; whoever keeps the
+// schedule copies it (owned: DualStep, DualProber.Probe; or the default
+// sequential search, into the Scratch's incumbent). The canonical
+// allotment, its work, the by-decreasing-time order and the prefix area
+// come from sc's λ-segment cache and the two list constructions from the
+// drafts sc kept of the allotment that last built them, so all of it is
+// free when the allotment repeats; only the two-shelf reads λ itself. A non-nil
 // interrupt is polled between the probe's constructions (each is the
 // O(n log n)-or-worse unit of work), so a timeout lands within one
 // construction even when the whole search is a single probe; a fired
@@ -141,20 +145,11 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	if stop() {
 		return StepResult{Interrupted: true}
 	}
-	// The plain canonical list runs only when the reallocation fired: a
-	// pass that did not fire is the plain list placement for placement, and
-	// ties keep the earlier draft, so the second pass could change nothing
-	// (the winner is still reported as "canonical-list+realloc", as the tie
-	// rule always reported it).
-	d, fired := canonicalListFromAllotment(c, a, order, true, sc)
-	consider(d)
-	if fired {
-		if stop() {
-			return StepResult{Interrupted: true}
-		}
-		d, _ = canonicalListFromAllotment(c, a, order, false, sc)
-		consider(d)
+	if !sc.canonicalPair(c, e, a, order, stop) {
+		return StepResult{Interrupted: true}
 	}
+	consider(sc.clist[1])
+	consider(sc.clist[0])
 	var shelf shelfDraft
 	if m > p.SmallM {
 		if stop() {
@@ -165,7 +160,8 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	}
 
 	if best.built() && task.Leq(best.makespan, p.Rho*lambda) {
-		return StepResult{Schedule: best.schedule(), Makespan: best.makespan, Branch: best.algorithm, PrefixArea: w}
+		sc.won = schedule.Schedule{Algorithm: best.algorithm, Placements: best.placements}
+		return StepResult{Schedule: &sc.won, Makespan: best.makespan, Branch: best.algorithm, PrefixArea: w}
 	}
 	if knapsackBranch && !shelf.built() && shelf.exact {
 		return StepResult{Reject: RejectKnapsack, Certified: true, PrefixArea: w}

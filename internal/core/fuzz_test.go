@@ -6,7 +6,19 @@ import (
 	"testing"
 
 	"malsched/internal/instance"
+	"malsched/internal/lowerbound"
 )
+
+// familyNames lists the generator families in a fixed order, so a fuzzed
+// index names the same family in every run.
+func familyNames() []string {
+	names := make([]string, 0)
+	for name := range instance.Families() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // FuzzWarmStart throws adversarial warm seeds at the dual search and holds
 // it to the warm-start contract: whatever the seed claims — a stale λ*
@@ -24,11 +36,7 @@ func FuzzWarmStart(f *testing.F) {
 	f.Add(uint8(1), uint8(8), 123.456, 1e-9, 7.5, uint64(0xA5))
 	f.Add(uint8(2), uint8(2), math.Inf(1), math.Inf(-1), math.NaN(), uint64(0xFF))
 
-	names := make([]string, 0)
-	for name := range instance.Families() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := familyNames()
 	type compiledCase struct {
 		in *instance.Instance
 		c  *instance.Compiled
@@ -86,5 +94,62 @@ func FuzzWarmStart(f *testing.F) {
 			t.Fatalf("re-warmed solve failed: %v", err)
 		}
 		assertWarmColdIdentical(t, "fuzz-rewarm", again, cold)
+	})
+}
+
+// FuzzProbeSequenceMatchesFresh drives one Scratch through an arbitrary
+// probe sequence over two instances and holds every outcome to the
+// fresh-scratch one. The bytes are a family, a seed, then one operation
+// each: the top bit picks the instance, the rest a guess between 0.5× and
+// 3.1× its trivial bound — so allotments repeat, alternate and straddle the
+// reject/accept boundary in any order — or, at 0x7f, a DropCompiled of that
+// instance's tables, which recycles whatever entries the Scratch's
+// list-draft tags point at. The drafts a Scratch keeps between probes must
+// never show.
+func FuzzProbeSequenceMatchesFresh(f *testing.F) {
+	// Committed seeds (testdata/fuzz/FuzzProbeSequenceMatchesFresh) name
+	// the hazards; these inline ones keep `go test` meaningful without the
+	// corpus.
+	f.Add([]byte{0, 1, 60, 60, 50, 60, 40, 40})
+	f.Add([]byte{3, 9, 70, 0x7f, 198, 70, 0xff, 70, 198})
+
+	names := familyNames()
+	p := DefaultParams()
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		if len(data) > 66 {
+			data = data[:66]
+		}
+		gen := instance.Families()[names[int(data[0])%len(names)]]
+		seed := int64(data[1])
+		n, m := 24, 16
+		if seed%2 == 1 {
+			n, m = 12, 4
+		}
+		var ins [2]*instance.Instance
+		var cs [2]*instance.Compiled
+		var lbs [2]float64
+		for k := range ins {
+			ins[k] = gen(seed+int64(k), n, m)
+			cs[k] = instance.Compile(ins[k])
+			lbs[k] = lowerbound.Trivial(ins[k])
+		}
+		sc := NewScratch()
+		for step, b := range data[2:] {
+			k, low := int(b>>7), b&0x7f
+			if low == 0x7f {
+				sc.DropCompiled(cs[k])
+				continue
+			}
+			lambda := lbs[k] * (0.5 + float64(low)/48)
+			got := DualProber{}.Probe(ins[k], cs[k], lambda, p, sc, nil)
+			want := freshProber{}.Probe(ins[k], cs[k], lambda, p, nil, nil)
+			if !sameStep(got, want) {
+				t.Fatalf("step %d, instance %d, λ=%v: shared scratch %+v, fresh scratch %+v", step, k, lambda, got, want)
+			}
+		}
 	})
 }

@@ -26,23 +26,39 @@ func MalleableList(in *instance.Instance, lambda float64) *schedule.Schedule {
 
 // malleableList is MalleableList as a draft in scratch memory: the
 // relaxed-deadline allotment comes from the mseg segment cache, and the
-// precompiled sequential order (parallel tasks first: every parallel task
-// has t(1) > deadline ≥ any sequential task's t(1), so one global sort by
-// non-increasing t(1) realises the paper's ordering) replaces a per-probe
-// sort.
+// list it determines from sc.mlist when that entry built it — only
+// Theorem 1's check reads the deadline itself.
 func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) draft {
-	m := c.M()
-	deadline := RhoList(m) * lambda
+	deadline := RhoList(c.M()) * lambda
 
 	e := sc.mseg.filled(c, deadline)
 	if !e.ok {
 		return draft{} // not even the relaxed deadline is reachable
 	}
-	alloc := e.gamma
+	if sc.mlistOf != e || !e.listed {
+		sc.mlist = buildMalleableList(c, e.gamma, sc)
+		sc.mlistOf, e.listed = e, true
+	}
+	// Defensive check of Theorem 1's promise; callers treat an unbuilt
+	// draft as "reject".
+	if !sc.mlist.built() || !task.Leq(sc.mlist.makespan, deadline) {
+		return draft{}
+	}
+	return sc.mlist
+}
+
+// buildMalleableList list-schedules alloc into sc.mlist's buffer in the
+// precompiled sequential order (parallel tasks first: every parallel task
+// has t(1) > deadline ≥ any sequential task's t(1), so one global sort by
+// non-increasing t(1) realises the paper's ordering). The draft is unbuilt,
+// whatever the deadline, when the parallel tasks overflow the machine.
+func buildMalleableList(c *instance.Compiled, alloc []int, sc *Scratch) draft {
+	sc.mlistBuilds++
+	m := c.M()
 
 	// Parallel tasks side by side from time 0; the processors under one
 	// are released at its end.
-	d := draft{algorithm: "malleable-list", placements: placementsBuf(&sc.mlist, c.N())}
+	d := draft{algorithm: "malleable-list", placements: placementsBuf(&sc.mlist.placements, c.N())}
 	release := floatsBuf(&sc.release, m)
 	x := 0
 	seq := sc.seq[:0]
@@ -53,7 +69,8 @@ func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) draft {
 			continue
 		}
 		if x+w > m {
-			return draft{} // Property 1+2 violated: OPT > λ
+			d.algorithm = "" // Property 1+2 violated: OPT > λ
+			break
 		}
 		end := d.place(c, i, 0, w, x)
 		for k := x; k < x+w; k++ {
@@ -61,7 +78,10 @@ func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) draft {
 		}
 		x += w
 	}
-	sc.seq = seq // keep the grown backing array for the next probe
+	sc.seq = seq // keep the grown backing array for the next probe, on every path
+	if !d.built() {
+		return d
+	}
 
 	durations := floatsBuf(&sc.durations, len(seq))
 	for k, i := range seq {
@@ -72,12 +92,6 @@ func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) draft {
 	rigid.LPTInto(release, durations, nil, proc, start)
 	for k, i := range seq {
 		d.place(c, i, start[k], 1, proc[k])
-	}
-
-	// Defensive check of Theorem 1's promise; callers treat an unbuilt
-	// draft as "reject".
-	if !task.Leq(d.makespan, deadline) {
-		return draft{}
 	}
 	return d
 }

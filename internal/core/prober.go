@@ -15,7 +15,8 @@ import "malsched/internal/instance"
 type Prober interface {
 	// Probe evaluates the guess λ on the instance: either a schedule of
 	// makespan ≤ ρλ, with that makespan in StepResult.Makespan (the search
-	// ranks accepted probes by it), or a rejection. c carries the
+	// ranks accepted probes by it), or a rejection. The schedule must not
+	// alias sc: the search keeps it past later probes on the same Scratch. c carries the
 	// instance's compiled λ-breakpoint tables (Approximate never passes
 	// nil); working memory comes from sc; a non-nil interrupt aborts
 	// mid-probe with StepResult{Interrupted: true}.
@@ -26,13 +27,16 @@ type Prober interface {
 // (DualStep on scratch memory).
 type DualProber struct{}
 
-// Probe implements Prober with dualStep. A direct caller without tables
-// passes nil: the probe then compiles in itself and drops the private
-// tables from sc's segment caches before returning.
+// Probe implements Prober with dualStep, copying an accepted schedule out
+// of sc: the result is the caller's. A direct caller without tables passes
+// nil: the probe then compiles in itself and drops the private tables from
+// sc's segment caches before returning.
 func (DualProber) Probe(in *instance.Instance, c *instance.Compiled, lambda float64, p Params, sc *Scratch, interrupt <-chan struct{}) StepResult {
 	if c == nil {
 		c = instance.Compile(in)
 		defer sc.DropCompiled(c)
 	}
-	return dualStep(c, lambda, p, sc, interrupt)
+	r := dualStep(c, lambda, p, sc, interrupt)
+	r.Schedule = owned(r.Schedule)
+	return r
 }

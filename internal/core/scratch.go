@@ -27,10 +27,16 @@ import (
 // The constructions also build their schedules here: each writes its
 // placements into a Scratch-owned buffer (every construction places each
 // task exactly once, so a buffer of capacity n never grows) and reports the
-// makespan it accumulated on the way, as a draft. A probe builds up to four
-// drafts and keeps at most one, so only the winner is copied out —
-// draft.schedule is the single place a construction's output becomes a
-// caller-owned Schedule, in dualStep and in the exported one-shots alike.
+// makespan it accumulated on the way, as a draft. The two list
+// constructions read the allotment alone, so their drafts stay where they
+// were built (clist, mlist), tagged with the segment-cache entry that built
+// them: a probe landing on the tagged entry builds only the two-shelf
+// draft, which reads λ itself. One hot buffer per construction, not one per
+// entry: an entry recycled hundreds of searches later is cold memory.
+// dualStep hands its winner back inside the Scratch (won); owned is the
+// single place it becomes a caller-owned Schedule — once per probe for a
+// Prober's caller, once per search for the default sequential driver,
+// which keeps its incumbent in best.
 //
 // A Scratch is not safe for concurrent use: pool one per worker (the
 // engine's worker pool does exactly that). Results handed to callers never
@@ -43,27 +49,33 @@ import (
 //
 // The zero value is ready to use.
 type Scratch struct {
-	seq       []int                   // malleable-list sequential tail
-	release   []float64               // malleable-list per-processor release times, advanced in place by the LPT
-	durations []float64               // malleable-list LPT durations
-	lptProc   []int                   // malleable-list LPT processor per sequential task
-	lptStart  []float64               // malleable-list LPT start per sequential task
-	front     []float64               // canonical-list frontier
-	sizes     []float64               // partition TS sizes
-	tsizes    []float64               // trivial-solution TS sizes
-	tpack     packing.Result          // trivial-solution First-Fit of TS under deadline λ
-	moved     []int                   // two-shelf: the knapsack's selection as task ids
-	inMoved   []bool                  // two-shelf: membership of moved, by task id
-	mlist     []schedule.Placement    // malleable-list draft
-	clist     [2][]schedule.Placement // canonical-list drafts: [0] plain, [1] with the reallocation
-	shelf     []schedule.Placement    // two-shelf / trivial-solution draft
-	kcols     knapsack.Cols           // knapsack columns (d_i, γ_i, task id), delta-synced across probes
-	win       rigid.Windower          // canonical-list window search deque
+	seq       []int                // malleable-list sequential tail
+	release   []float64            // malleable-list per-processor release times, advanced in place by the LPT
+	durations []float64            // malleable-list LPT durations
+	lptProc   []int                // malleable-list LPT processor per sequential task
+	lptStart  []float64            // malleable-list LPT start per sequential task
+	front     []float64            // canonical-list frontier
+	sizes     []float64            // partition TS sizes
+	tsizes    []float64            // trivial-solution TS sizes
+	tpack     packing.Result       // trivial-solution First-Fit of TS under deadline λ
+	moved     []int                // two-shelf: the knapsack's selection as task ids
+	inMoved   []bool               // two-shelf: membership of moved, by task id
+	mlist     draft                // malleable-list draft of mlistOf's allotment, before the deadline check
+	clist     [2]draft             // canonical-list drafts of clistOf's allotment: [0] plain (unbuilt unless [1] fired), [1] with the reallocation
+	mlistOf   *segEntry            // the mseg entry that built mlist, clistOf the seg entry that built the
+	clistOf   *segEntry            // clist pair; each trusted only while the entry's listed flag stands
+	shelf     []schedule.Placement // two-shelf / trivial-solution draft
+	won       schedule.Schedule    // the last accepted probe's winner, aliasing that draft's buffer
+	best      schedule.Schedule    // incumbent of a default sequential search, copied from won
+	kcols     knapsack.Cols        // knapsack columns (d_i, γ_i, task id), delta-synced across probes
+	win       rigid.Windower       // canonical-list window search deque
 	part      Partition
 	ks        knapsack.Solver
 	seg       segState // λ-segment cache of the probe deadline
 	mseg      segState // λ-segment cache of §3.1's relaxed deadline
 	aux       AuxCache // opaque per-worker cache of other solver families
+
+	clistBuilds, mlistBuilds int // canonical pairs and malleable lists built; tests count reuse with them
 }
 
 // draft is a construction's output while it still lives in the Scratch:
@@ -93,15 +105,23 @@ func (d *draft) place(c *instance.Compiled, task int, start float64, width, firs
 }
 
 // schedule copies the draft out of the Scratch into a caller-owned
-// Schedule (nil for an unbuilt draft). It is the only place the
-// constructions allocate a result.
+// Schedule (nil for an unbuilt draft).
 func (d draft) schedule() *schedule.Schedule {
 	if !d.built() {
 		return nil
 	}
+	return owned(&schedule.Schedule{Algorithm: d.algorithm, Placements: d.placements})
+}
+
+// owned copies a schedule out of the Scratch into one the caller owns (nil
+// stays nil): the only place the constructions and the search allocate.
+func owned(s *schedule.Schedule) *schedule.Schedule {
+	if s == nil {
+		return nil
+	}
 	return &schedule.Schedule{
-		Algorithm:  d.algorithm,
-		Placements: append([]schedule.Placement(nil), d.placements...),
+		Algorithm:  s.Algorithm,
+		Placements: append([]schedule.Placement(nil), s.Placements...),
 	}
 }
 

@@ -43,8 +43,9 @@ func TestApproximateScratchBitIdentical(t *testing.T) {
 }
 
 // A schedule returned by a probe must not alias the Scratch: the
-// constructions build in Scratch-owned placement buffers, and the one copy
-// in dualStep is all that separates a held result from the next probe. The
+// constructions build in Scratch-owned placement buffers, dualStep hands
+// its winner back inside them, and the one copy in DualProber.Probe is all
+// that separates a held result from the next probe. The
 // hammer uses same-shape instances, so the buffers are reused at identical
 // offsets and an aliased result could not survive it; the second half
 // repeats it through Approximate, whose speculative workers (Parallelism 4)
@@ -69,7 +70,7 @@ func TestDualStepResultsDoNotAliasScratch(t *testing.T) {
 
 	sc := NewScratch()
 	in := instance.Mixed(1, n, m)
-	r := dualStep(instance.Compile(in), in.MinTotalWork(), p, sc, nil) // any accepted guess
+	r := DualProber{}.Probe(in, instance.Compile(in), in.MinTotalWork(), p, sc, nil) // any accepted guess
 	if r.Schedule == nil {
 		t.Fatalf("probe at λ=total work rejected: %v", r.Reject)
 	}
@@ -161,6 +162,7 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 				t.Fatalf("CanonicalAllotment differs at λ=%v", lambda)
 			}
 			want := dualStep(c, lambda, p, sc, nil)
+			want.Schedule = owned(want.Schedule) // the later probes on sc reuse its buffers
 			if got := DualStep(in, lambda, p); !sameStep(got, want) {
 				t.Fatalf("DualStep differs at λ=%v: %+v vs %+v", lambda, got, want)
 			}
@@ -255,6 +257,7 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 func sameStep(a, b StepResult) bool {
 	return a.Reject == b.Reject && a.Certified == b.Certified && a.Branch == b.Branch &&
 		math.Float64bits(a.PrefixArea) == math.Float64bits(b.PrefixArea) &&
+		math.Float64bits(a.Makespan) == math.Float64bits(b.Makespan) &&
 		sameSchedule(a.Schedule, b.Schedule)
 }
 

@@ -169,6 +169,13 @@ type search struct {
 	best   *schedule.Schedule
 	bestMk float64
 
+	// borrow is the Scratch of a default sequential search: its probes are
+	// dualStep's, un-copied, so the incumbent is kept in that Scratch too
+	// and the one Schedule returned is allocated after the last probe. Nil
+	// for a Prober (its results are owned) and for the speculative drivers
+	// (a result outlives its worker's pooled Scratch).
+	borrow *Scratch
+
 	// warm is the seed of a warm-mode search (nil on cold solves), hist
 	// the consumed-outcome history recorded for the next solve of the
 	// lineage, and synthOK whether outcomes may be synthesized from the
@@ -268,6 +275,9 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 	case opts.Parallelism >= 2:
 		err = s.runSpeculative(opts.Parallelism, sc)
 	default:
+		if opts.Prober == nil {
+			s.borrow = sc
+		}
 		err = s.runSequential(sc)
 	}
 	if s.trace != nil {
@@ -279,6 +289,9 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 	s.res.Speculated = s.res.Probes - (s.consumed - s.res.Synthesized)
 	s.updateWarm()
 
+	if s.borrow != nil {
+		s.best, s.borrow = owned(s.best), nil // the one copy-out; Compact's candidate is owned already
+	}
 	if opts.Compact {
 		compacted := schedule.Compact(in, s.best)
 		s.consider(compacted, compacted.Makespan(in))
@@ -291,9 +304,14 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 
 // consider keeps the schedule (of makespan mk) if it strictly beats the
 // incumbent; ties keep the earlier one, so consumption order decides and
-// must match the sequential probe order.
+// must match the sequential probe order. A borrowed winner dies with the
+// next probe, so keeping it is a scratch-to-scratch copy of its placements.
 func (s *search) consider(sch *schedule.Schedule, mk float64) {
 	if s.best == nil || mk < s.bestMk {
+		if sc := s.borrow; sc != nil {
+			sc.best.Algorithm, sc.best.Placements = sch.Algorithm, append(sc.best.Placements[:0], sch.Placements...)
+			sch = &sc.best
+		}
 		s.best, s.bestMk = sch, mk
 	}
 }
@@ -362,7 +380,12 @@ func (s *search) runSequential(sc *Scratch) error {
 			return r
 		}
 		s.res.Probes++
-		r := s.prober.Probe(s.in, s.c, l, s.p, sc, s.interrupt)
+		var r StepResult
+		if s.borrow != nil {
+			r = dualStep(s.c, l, s.p, sc, s.interrupt)
+		} else {
+			r = s.prober.Probe(s.in, s.c, l, s.p, sc, s.interrupt)
+		}
 		if r.Interrupted {
 			return r
 		}

@@ -23,7 +23,7 @@ func (r *recordingProber) Probe(in *instance.Instance, c *instance.Compiled, lam
 	r.mu.Lock()
 	r.lambdas = append(r.lambdas, lambda)
 	r.mu.Unlock()
-	return dualStep(c, lambda, p, sc, interrupt)
+	return DualProber{}.Probe(in, c, lambda, p, sc, interrupt)
 }
 
 func searchTestInstances() []*instance.Instance {

@@ -142,10 +142,11 @@ func TestAllocBudgetRoutedJSONHit(t *testing.T) {
 // The routed mrt memo miss: every run a fresh 24×16 instance through the
 // same hop — the hop's 8 on top of the shard's decode, compile, λ-search,
 // verify and encode (what server.TestAllocBudgetMemoMiss bounds, there with
-// a test request and recorder on top). Reads 49: 55 before Compile stopped
-// building the breakpoint axis, 105 before the byte-level seam.
+// a test request and recorder on top). Reads 39: 49 before the search
+// stopped copying out every accepted probe's schedule, 55 before Compile
+// stopped building the breakpoint axis, 105 before the byte-level seam.
 func TestAllocBudgetRoutedMiss(t *testing.T) {
-	const n, m, runs, budget = 24, 16, 200, 54
+	const n, m, runs, budget = 24, 16, 200, 44
 	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)

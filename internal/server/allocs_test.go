@@ -103,13 +103,15 @@ func TestAllocBudgets(t *testing.T) {
 // A whole binary memo miss through the shard's handler: decode, compile,
 // the λ-search, verify, encode — every run a fresh 24×16 instance, test
 // request and recorder included. The search's share is what
-// core.TestApproximateAllocBudget bounds (the accepted probes' copies); the
-// rest is the instance and its compiled tables.
+// core.TestApproximateAllocBudget bounds (its state and the one schedule it
+// returns); the rest is the instance and its compiled tables.
 func TestAllocBudgetMemoMiss(t *testing.T) {
-	// Reads 68: 74 before Compile stopped building the breakpoint axis (three
-	// allocations for seven) and a new instance's segment ranges became one
-	// list instead of a map; 102 before the decode shared one string.
-	const n, m, runs, budget = 24, 16, 200, 74
+	// Reads 58: 68 before the search stopped copying out every accepted
+	// probe's schedule; 74 before Compile stopped building the breakpoint
+	// axis (three allocations for seven) and a new instance's segment ranges
+	// became one list instead of a map; 102 before the decode shared one
+	// string.
+	const n, m, runs, budget = 24, 16, 200, 62
 	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
