@@ -20,10 +20,9 @@ type Allotment struct {
 // CanonicalAllotment computes γ_i(λ) for every task (compiling the
 // instance on entry); the returned Gamma is owned by the caller.
 func CanonicalAllotment(in *instance.Instance, lambda float64) Allotment {
-	var e segEntry
-	_, e.slowest = stageGamma(instance.Compile(in), lambda, &e.gamma, nil, nil)
-	e.ok = e.slowest < 0
-	return e.allotment(lambda)
+	var st segState
+	e, _ := st.Lookup(instance.Compile(in), 0, lambda)
+	return allotmentOf(e, lambda)
 }
 
 // ByDecreasingTime returns the task indices sorted by non-increasing

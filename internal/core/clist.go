@@ -24,12 +24,12 @@ import (
 // DualStep.
 func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *schedule.Schedule {
 	return oneShot(in, func(c *instance.Compiled, sc *Scratch) *schedule.Schedule {
-		e := sc.seg.filled(c, lambda)
-		a := e.allotment(lambda)
+		e := filled(&sc.seg, c, lambda)
+		a := allotmentOf(e, lambda)
 		if !a.OK {
 			return nil
 		}
-		d, _ := canonicalListFromAllotment(c, a, e.sortedOrder(c, a), reallocate, sc)
+		d, _ := canonicalListFromAllotment(c, a, e.Val.sortedOrder(c, a), reallocate, sc)
 		return d.schedule()
 	})
 }
@@ -43,7 +43,7 @@ func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *sche
 // always reported it). stop is polled between the passes; when it fires
 // the pair stays untagged and canonicalPair reports false.
 func (sc *Scratch) canonicalPair(c *instance.Compiled, e *segEntry, a Allotment, order []int, stop func() bool) bool {
-	if sc.clistOf == e && e.listed {
+	if sc.clistOf == e && e.Val.listed {
 		return true
 	}
 	sc.clistBuilds++
@@ -56,7 +56,7 @@ func (sc *Scratch) canonicalPair(c *instance.Compiled, e *segEntry, a Allotment,
 		}
 		sc.clist[0], _ = canonicalListFromAllotment(c, a, order, false, sc)
 	}
-	sc.clistOf, e.listed = e, true // only now: the pair is whole
+	sc.clistOf, e.Val.listed = e, true // only now: the pair is whole
 	return true
 }
 

@@ -88,12 +88,12 @@ func TestUnfiredReallocationIsThePlainList(t *testing.T) {
 	check := func(ctx string, in *instance.Instance, lambda float64) {
 		t.Helper()
 		c := instance.Compile(in)
-		e := sc.seg.filled(c, lambda)
-		a := e.allotment(lambda)
+		e := filled(&sc.seg, c, lambda)
+		a := allotmentOf(e, lambda)
 		if !a.OK {
 			return
 		}
-		order := e.sortedOrder(c, a)
+		order := e.Val.sortedOrder(c, a)
 		var got [2]*schedule.Schedule // [0] plain, [1] with the reallocation
 		didFire, squeezedTask := false, -1
 		for k, realloc := range []bool{false, true} {

@@ -154,10 +154,10 @@ func TestApproximateCompiledDenseProfiles(t *testing.T) {
 // firstFeasible returns the index of the smallest breakpoint of axis every
 // task can meet.
 func firstFeasible(c *instance.Compiled, axis []float64) int {
-	var buf []int
+	var st segState
 	return sort.Search(len(axis), func(k int) bool {
-		_, slowest := stageGamma(c, axis[k], &buf, nil, nil)
-		return slowest < 0
+		e, _ := st.Lookup(c, 0, axis[k])
+		return e.OK
 	})
 }
 
@@ -195,96 +195,124 @@ func rangeDeadlines(rng *rand.Rand, c *instance.Compiled) []float64 {
 
 // The observed-range list against brute force: whatever went through a
 // segState before — other deadlines of the same instance in any order,
-// other instances interleaved, a drop mid-sequence, wholesale clears that
-// recycle entries and lists — every lookup answers what a lookup on a
-// brand-new segState answers, the lazily filled order and prefix area
-// included, and the list keeps its shape: ranges disjoint and ascending,
-// sums strictly descending. A second pass over deadlines it has seen scans
-// no threshold row except for the deadlines no allotment exists for.
+// other instances interleaved, a second tag on one of them, a drop
+// mid-sequence, wholesale clears that recycle entries and lists — every
+// lookup answers what a lookup on a brand-new segState answers, the lazily
+// filled order and prefix area included, and every list keeps its shape:
+// ranges disjoint and ascending, sums strictly descending. The tags of one
+// instance never share an entry, and a drop evicts both. A second pass over
+// deadlines it has seen scans no threshold row except for the deadlines no
+// allotment exists for.
 func TestObservedRangesMatchFreshLookups(t *testing.T) {
 	var st segState
-	lookup := func(c *instance.Compiled, lambda float64) *segEntry {
+	seen := map[*instance.Compiled]bool{}
+	shape := func(lambda float64) {
 		t.Helper()
-		got := st.filled(c, lambda)
-		var fresh segState
-		want := fresh.filled(c, lambda)
-		if got.ok != want.ok || got.slowest != want.slowest {
-			t.Fatalf("λ=%v: verdict (%v, slowest %d), fresh lookup (%v, slowest %d)", lambda, got.ok, got.slowest, want.ok, want.slowest)
-		}
-		if got.ok {
-			a, wa := got.allotment(lambda), want.allotment(lambda)
-			order, worder := got.sortedOrder(c, a), want.sortedOrder(c, wa)
-			if !slices.Equal(a.Gamma, wa.Gamma) || !slices.Equal(order, worder) ||
-				math.Float64bits(got.work) != math.Float64bits(want.work) ||
-				math.Float64bits(got.prefixArea(c, a, order)) != math.Float64bits(want.prefixArea(c, wa, worder)) {
-				t.Fatalf("λ=%v: cached tables differ from a fresh lookup's:\n got %+v\nwant %+v", lambda, *got, *want)
-			}
-		}
 		total := 0
-		for _, list := range st.caches {
-			total += len(list)
-			for j, e := range list {
-				if !(e.lo <= e.hi) || (j > 0 && !(list[j-1].hi < e.lo && list[j-1].sum > e.sum)) {
-					t.Fatalf("λ=%v: range %d [%v, %v] Σγ=%d out of order after [%v, %v] Σγ=%d",
-						lambda, j, e.lo, e.hi, e.sum, list[max(j, 1)-1].lo, list[max(j, 1)-1].hi, list[max(j, 1)-1].sum)
+		for c := range seen {
+			for tag := uint64(0); tag < 2; tag++ {
+				list := st.Ranges(c, tag)
+				total += len(list)
+				for j, e := range list {
+					if !(e.Lo <= e.Hi) || (j > 0 && !(list[j-1].Hi < e.Lo && list[j-1].Sum > e.Sum)) {
+						t.Fatalf("λ=%v: range %d [%v, %v] Σγ=%d out of order after [%v, %v] Σγ=%d",
+							lambda, j, e.Lo, e.Hi, e.Sum, list[max(j, 1)-1].Lo, list[max(j, 1)-1].Hi, list[max(j, 1)-1].Sum)
+					}
 				}
 			}
 		}
-		if total != st.total {
-			t.Fatalf("λ=%v: %d entries cached, total says %d", lambda, total, st.total)
+		if got := st.Stats().Entries; total != got {
+			t.Fatalf("λ=%v: %d entries cached, the index counts %d", lambda, total, got)
 		}
+	}
+	lookup := func(c *instance.Compiled, lambda float64) *segEntry {
+		t.Helper()
+		seen[c] = true
+		got := filled(&st, c, lambda)
+		var fresh segState
+		want := filled(&fresh, c, lambda)
+		if got.OK != want.OK || got.Slowest != want.Slowest {
+			t.Fatalf("λ=%v: verdict (%v, slowest %d), fresh lookup (%v, slowest %d)", lambda, got.OK, got.Slowest, want.OK, want.Slowest)
+		}
+		if got.OK {
+			a, wa := allotmentOf(got, lambda), allotmentOf(want, lambda)
+			order, worder := got.Val.sortedOrder(c, a), want.Val.sortedOrder(c, wa)
+			if !slices.Equal(a.Gamma, wa.Gamma) || !slices.Equal(order, worder) ||
+				math.Float64bits(got.Work) != math.Float64bits(want.Work) ||
+				math.Float64bits(got.Val.area) != math.Float64bits(want.Val.area) {
+				t.Fatalf("λ=%v: cached tables differ from a fresh lookup's:\n got %+v\nwant %+v", lambda, *got, *want)
+			}
+		}
+		shape(lambda)
 		return got
+	}
+	// tagged looks λ up under tag 1 of c: the same allotment as tag 0's,
+	// never the same entry.
+	tagged := func(c *instance.Compiled, lambda float64) {
+		t.Helper()
+		e, _ := st.Lookup(c, 1, lambda)
+		want := filled(&st, c, lambda)
+		if e.OK != want.OK || (e.OK && (e == want || !slices.Equal(e.Gamma, want.Gamma))) {
+			t.Fatalf("λ=%v: tag 1 entry %p (ok %v), tag 0 entry %p (ok %v)", lambda, e, e.OK, want, want.OK)
+		}
+		shape(lambda)
 	}
 	compiled := func(seed int64) *instance.Compiled {
 		return instance.Compile(instance.Mixed(seed, 20+int(seed%3)*5, 8+int(seed%2)*8))
 	}
 	rng := rand.New(rand.NewSource(17))
 
-	// Three instances interleaved, one of them dropped mid-sequence.
+	// Three instances interleaved, the second under two tags and dropped
+	// mid-sequence.
 	trio := []*instance.Compiled{compiled(1), compiled(2), compiled(3)}
 	seqs := [][]float64{rangeDeadlines(rng, trio[0]), rangeDeadlines(rng, trio[1]), rangeDeadlines(rng, trio[2])}
 	for k := 0; k < len(seqs[0]); k++ {
 		for i, c := range trio {
 			lookup(c, seqs[i][k%len(seqs[i])])
 		}
+		tagged(trio[1], seqs[1][(3*k)%len(seqs[1])])
 		if k == len(seqs[0])/2 {
-			st.drop(trio[1])
+			if len(st.Ranges(trio[1], 0)) == 0 || len(st.Ranges(trio[1], 1)) == 0 {
+				t.Fatal("the dropped instance holds no entries under one of its tags")
+			}
+			st.Drop(trio[1])
+			if len(st.Ranges(trio[1], 0)) != 0 || len(st.Ranges(trio[1], 1)) != 0 {
+				t.Fatal("Drop left entries of the dropped instance under one of its tags")
+			}
 		}
 	}
 
 	// Enough distinct instances to cross the entry cap more than twice.
-	clears, prev := 0, st.total
+	clears, prev := 0, st.Stats().Entries
 	for seed := int64(10); seed < 70; seed++ {
 		c := compiled(seed)
 		for _, l := range rangeDeadlines(rng, c) {
 			lookup(c, l)
-			if st.total < prev {
+			if st.Stats().Entries < prev {
 				clears++
 			}
-			prev = st.total
+			prev = st.Stats().Entries
 		}
 	}
 	if clears < 2 {
 		t.Fatalf("only %d wholesale clears; the test no longer reaches the recycling path", clears)
 	}
-	if len(st.freeEntries) == 0 || len(st.freeLists) == 0 {
+	if stats := st.Stats(); stats.FreeEntries == 0 || stats.FreeLists == 0 {
 		t.Fatal("nothing was recycled")
 	}
 
 	// A repeat pass: only deadlines without an allotment scan again.
-	for old := range st.caches {
-		st.drop(old)
-	}
+	st.Drop(nil)
 	for pass := 0; pass < 2; pass++ {
-		staged, infeasible := st.staged, 0
+		staged, infeasible := st.Stats().Staged, 0
 		for i, c := range trio {
 			for _, l := range seqs[i] {
-				if !lookup(c, l).ok {
+				if !lookup(c, l).OK {
 					infeasible++
 				}
 			}
 		}
-		if scans := st.staged - staged; pass == 1 && scans != infeasible {
+		if scans := st.Stats().Staged - staged; pass == 1 && scans != infeasible {
 			t.Fatalf("repeat pass staged γ %d times, %d of them for deadlines without an allotment", scans, infeasible)
 		}
 		if pass == 1 && infeasible == 0 {

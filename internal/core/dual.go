@@ -119,16 +119,16 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	// Canonical allotment and total canonical work, then (only for guesses
 	// surviving the Property-2 test) the by-decreasing-time order and the
 	// prefix area — all four live in the λ-segment cache.
-	e := sc.seg.filled(c, lambda)
-	a := e.allotment(lambda)
+	e := filled(&sc.seg, c, lambda)
+	a := allotmentOf(e, lambda)
 	if !a.OK {
 		return StepResult{Reject: RejectTooSlow, Certified: true}
 	}
-	if !task.Leq(e.work, float64(m)*lambda) {
+	if !task.Leq(e.Work, float64(m)*lambda) {
 		return StepResult{Reject: RejectArea, Certified: true}
 	}
-	order := e.sortedOrder(c, a)
-	w := e.prefixArea(c, a, order)
+	order := e.Val.sortedOrder(c, a)
+	w := e.Val.area
 	knapsackBranch := !task.Leq(w, p.theta()*float64(m)*lambda) && m > p.SmallM
 
 	var best draft

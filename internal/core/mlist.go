@@ -31,13 +31,13 @@ func MalleableList(in *instance.Instance, lambda float64) *schedule.Schedule {
 func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) draft {
 	deadline := RhoList(c.M()) * lambda
 
-	e := sc.mseg.filled(c, deadline)
-	if !e.ok {
+	e := filled(&sc.mseg, c, deadline)
+	if !e.OK {
 		return draft{} // not even the relaxed deadline is reachable
 	}
-	if sc.mlistOf != e || !e.listed {
-		sc.mlist = buildMalleableList(c, e.gamma, sc)
-		sc.mlistOf, e.listed = e, true
+	if sc.mlistOf != e || !e.Val.listed {
+		sc.mlist = buildMalleableList(c, e.Gamma, sc)
+		sc.mlistOf, e.Val.listed = e, true
 	}
 	// Defensive check of Theorem 1's promise; callers treat an unbuilt
 	// draft as "reject".

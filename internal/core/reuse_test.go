@@ -37,12 +37,12 @@ func (o reuseOracle) lists(ctx string, c *instance.Compiled, lambda float64) {
 	o.t.Helper()
 	fresh := NewScratch()
 	pair := func(sc *Scratch) [2]draft {
-		e := sc.seg.filled(c, lambda)
-		a := e.allotment(lambda)
+		e := filled(&sc.seg, c, lambda)
+		a := allotmentOf(e, lambda)
 		if !a.OK {
 			return [2]draft{}
 		}
-		if !sc.canonicalPair(c, e, a, e.sortedOrder(c, a), func() bool { return false }) {
+		if !sc.canonicalPair(c, e, a, e.Val.sortedOrder(c, a), func() bool { return false }) {
 			o.t.Fatalf("%s λ=%v: canonicalPair stopped by a stop that never fires", ctx, lambda)
 		}
 		return sc.clist
@@ -99,9 +99,9 @@ func firedGuess(t *testing.T) (*instance.Instance, *instance.Compiled, float64) 
 			if dualStep(c, lb*f, DefaultParams(), sc, nil).Schedule == nil {
 				continue
 			}
-			e := sc.seg.filled(c, lb*f)
-			a := e.allotment(lb * f)
-			if _, fired := canonicalListFromAllotment(c, a, e.sortedOrder(c, a), true, sc); fired {
+			e := filled(&sc.seg, c, lb*f)
+			a := allotmentOf(e, lb*f)
+			if _, fired := canonicalListFromAllotment(c, a, e.Val.sortedOrder(c, a), true, sc); fired {
 				return in, c, lb * f
 			}
 		}
@@ -126,9 +126,9 @@ func TestListDraftReuseInvisible(t *testing.T) {
 	{
 		var st segState
 		lamA = accepted[0]
-		sumA := st.filled(c, lamA).sum
+		sumA := filled(&st, c, lamA).Sum
 		for _, l := range accepted[1:] {
-			if st.filled(c, l).sum != sumA {
+			if filled(&st, c, l).Sum != sumA {
 				lamB = l
 			}
 		}
@@ -164,18 +164,18 @@ func TestListDraftReuseInvisible(t *testing.T) {
 		for k := 0; k < 400; k++ {
 			lambda := lb * (0.5 + float64(k)/400)
 			var st segState
-			e := st.filled(c, RhoList(m)*lambda)
-			if !e.ok {
+			e := filled(&st, c, RhoList(m)*lambda)
+			if !e.OK {
 				continue
 			}
-			d := buildMalleableList(c, e.gamma, NewScratch())
+			d := buildMalleableList(c, e.Gamma, NewScratch())
 			if !d.built() {
 				continue
 			}
-			s := bySum[e.sum]
+			s := bySum[e.Sum]
 			if s == nil {
 				s = &sides{}
-				bySum[e.sum] = s
+				bySum[e.Sum] = s
 			}
 			if task.Leq(d.makespan, RhoList(m)*lambda) {
 				s.pass = lambda
@@ -241,24 +241,24 @@ func TestListDraftReuseInvisible(t *testing.T) {
 		axis := dc.GlobalBreakpoints()
 		big, next := axis[len(axis)-1], lowerbound.Trivial(dense)*1.6
 		feasible := firstFeasible(dc, axis)
+		// One entry short of the cap, so the tagged guess fills it.
 		for _, st := range []*segState{&o.sc.seg, &o.sc.mseg} {
-			for old := range st.caches {
-				st.drop(old)
+			st.Drop(nil)
+			for k := feasible; axis[k] < big && st.Stats().Entries < instance.SegmentCap-1; k++ {
+				filled(st, dc, axis[k])
 			}
-			for k := feasible; axis[k] < big && st.total < segCacheCap; k++ {
-				st.filled(dc, axis[k])
-			}
-			if st.total < segCacheCap {
-				t.Fatalf("only %d distinct allotments below the tagged guess; the cap is out of reach", st.total)
+			if n := st.Stats().Entries; n < instance.SegmentCap-1 {
+				t.Fatalf("only %d distinct allotments below the tagged guess; the cap is out of reach", n)
 			}
 		}
 		o.probe("at the cap", dense, dc, big)
 		tagged, mtagged := o.sc.clistOf, o.sc.mlistOf
-		if o.sc.seg.total <= segCacheCap || o.sc.mseg.total <= segCacheCap || tagged == nil || mtagged == nil {
-			t.Fatalf("caches hold %d and %d entries, tags %p %p: the next lookup would not clear", o.sc.seg.total, o.sc.mseg.total, tagged, mtagged)
+		seg, mseg := o.sc.seg.Stats().Entries, o.sc.mseg.Stats().Entries
+		if seg != instance.SegmentCap || mseg != instance.SegmentCap || tagged == nil || mtagged == nil {
+			t.Fatalf("caches hold %d and %d entries, tags %p %p: the next new allotment would not clear", seg, mseg, tagged, mtagged)
 		}
 		o.probe("after the clear", dense, dc, next)
-		if o.sc.clistOf != tagged || o.sc.mlistOf != mtagged || o.sc.seg.total != 1 {
+		if o.sc.clistOf != tagged || o.sc.mlistOf != mtagged || o.sc.seg.Stats().Entries != 1 {
 			t.Fatal("the recycled entries were not the tagged ones; the test no longer reaches the hazard")
 		}
 		o.lists("after the clear", dc, next)
@@ -269,13 +269,13 @@ func TestListDraftReuseInvisible(t *testing.T) {
 		in, c, fired := firedGuess(t)
 		lamA := fired * 4 // every task sequential: another allotment
 		o.probe("pair of A", in, c, lamA)
-		e := o.sc.seg.filled(c, fired)
+		e := filled(&o.sc.seg, c, fired)
 		if e == o.sc.clistOf {
 			t.Fatal("the fired guess is the tagged allotment")
 		}
-		a := e.allotment(fired)
+		a := allotmentOf(e, fired)
 		polls := 0
-		if o.sc.canonicalPair(c, e, a, e.sortedOrder(c, a), func() bool { polls++; return true }) || polls != 1 {
+		if o.sc.canonicalPair(c, e, a, e.Val.sortedOrder(c, a), func() bool { polls++; return true }) || polls != 1 {
 			t.Fatalf("canonicalPair polled %d times and was not stopped between its passes", polls)
 		}
 		if o.sc.clistOf != nil {
@@ -335,7 +335,7 @@ func TestSearchBuildsFewerListsThanItAccepts(t *testing.T) {
 	}
 	cb, mb := sc.clistBuilds, sc.mlistBuilds
 	for _, l := range []float64{lambda, math.Nextafter(lambda, 0), lambda} {
-		if e := sc.seg.filled(c, l); e != sc.clistOf {
+		if e := filled(&sc.seg, c, l); e != sc.clistOf {
 			t.Fatalf("λ=%v is another allotment", l)
 		}
 		dualStep(c, l, p, sc, nil)

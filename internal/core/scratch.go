@@ -17,12 +17,10 @@ import (
 // tables). A Scratch carries them across probes — and across instances —
 // so the hot path stops re-allocating them.
 //
-// The Scratch additionally carries the two λ-segment caches (seg for the
-// probe deadline, mseg for §3.1's relaxed deadline): the total canonical
-// work, the by-decreasing-time order and the prefix area are functions of
-// the canonical allotment vector alone, which is constant on each segment
-// of the λ-axis between two breakpoints, so a probe whose deadline yields
-// a previously seen allotment reuses them wholesale.
+// The Scratch additionally carries two λ-range indexes (instance.Segments;
+// seg for the probe deadline, mseg for §3.1's relaxed deadline), so a probe
+// whose deadline yields a previously seen allotment reuses its total work,
+// by-decreasing-time order and prefix area wholesale.
 //
 // The constructions also build their schedules here: each writes its
 // placements into a Scratch-owned buffer (every construction places each
@@ -42,10 +40,7 @@ import (
 // engine's worker pool does exactly that). Results handed to callers never
 // alias the Scratch (that one copy), so retaining a returned schedule while
 // reusing the Scratch is safe — the speculative drivers hold a probe's
-// result long after its pooled Scratch has moved on. An Allotment
-// materialised from a segment-cache entry aliases it and is only valid
-// until the entry is recycled (DropCompiled, or the cache's wholesale
-// clear).
+// result long after its pooled Scratch has moved on.
 //
 // The zero value is ready to use.
 type Scratch struct {

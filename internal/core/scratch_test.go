@@ -104,7 +104,7 @@ func TestDualStepResultsDoNotAliasScratch(t *testing.T) {
 // The segment caches recycle evicted entries and inner maps. One Scratch
 // solving many distinct instances — past two wholesale clears, with
 // DropCompiled interleaved — must answer each exactly as a fresh Scratch
-// does: a recycled segEntry whose range, sum or haveOrder/haveArea survived
+// does: a recycled segEntry whose range, sum or sorted/listed flags survived
 // would serve another instance's tables here.
 func TestRecycledSegmentEntriesStartClean(t *testing.T) {
 	// A search lands in about four distinct segments, so the 512-entry cap
@@ -128,19 +128,19 @@ func TestRecycledSegmentEntriesStartClean(t *testing.T) {
 			got.Probes != want.Probes || got.Branch != want.Branch || !sameSchedule(got.Schedule, want.Schedule) {
 			t.Fatalf("instance %d: recycled scratch answers %+v, fresh scratch %+v", i, got, want)
 		}
-		if sc.seg.total < prevTotal {
+		if sc.seg.Stats().Entries < prevTotal {
 			clears++
 		}
-		prevTotal = sc.seg.total
+		prevTotal = sc.seg.Stats().Entries
 		if i%8 == 7 {
 			sc.DropCompiled(c)
-			prevTotal = sc.seg.total
+			prevTotal = sc.seg.Stats().Entries
 		}
 	}
 	if clears < 2 {
 		t.Fatalf("only %d wholesale clears in %d solves; the test no longer reaches the recycling path", clears, solves)
 	}
-	if len(sc.seg.freeEntries) == 0 && len(sc.mseg.freeEntries) == 0 {
+	if sc.seg.Stats().FreeEntries == 0 && sc.mseg.Stats().FreeEntries == 0 {
 		t.Fatal("nothing was recycled")
 	}
 }
@@ -156,8 +156,8 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 		c := instance.Compile(in)
 		for _, lambda := range []float64{0.5, 1, 2, 5, 20} {
 			a1 := CanonicalAllotment(in, lambda)
-			e := sc.seg.filled(c, lambda)
-			a2 := e.allotment(lambda)
+			e := filled(&sc.seg, c, lambda)
+			a2 := allotmentOf(e, lambda)
 			if a1.OK != a2.OK || a1.Slowest != a2.Slowest || (a1.OK && !reflect.DeepEqual(a1.Gamma, a2.Gamma)) {
 				t.Fatalf("CanonicalAllotment differs at λ=%v", lambda)
 			}
@@ -172,7 +172,7 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 			if !a1.OK {
 				continue
 			}
-			order := e.sortedOrder(c, a2)
+			order := e.Val.sortedOrder(c, a2)
 			if !reflect.DeepEqual(a1.ByDecreasingTime(in), order) {
 				t.Fatalf("ByDecreasingTime differs at λ=%v", lambda)
 			}
@@ -210,14 +210,14 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 // must not outlive the call in a borrowed Scratch: the exported one-shots
 // hand their pooled Scratch back without them, and Approximate without
 // Options.Compiled leaves the caller's Scratch as it found it. (Left in,
-// each pooled Scratch would pin up to segCacheCap dead tables until the
+// each pooled Scratch would pin up to instance.SegmentCap dead tables until the
 // wholesale clear.)
 func TestPrivateTablesLeaveScratch(t *testing.T) {
 	empty := func(ctx string, sc *Scratch) {
 		t.Helper()
-		if sc.seg.total != 0 || len(sc.seg.caches) != 0 || sc.mseg.total != 0 || len(sc.mseg.caches) != 0 {
+		if seg, mseg := sc.seg.Stats(), sc.mseg.Stats(); seg.Entries != 0 || seg.Lists != 0 || mseg.Entries != 0 || mseg.Lists != 0 {
 			t.Fatalf("%s: scratch retains segment entries of private tables (seg %d in %d tables, mseg %d in %d)",
-				ctx, sc.seg.total, len(sc.seg.caches), sc.mseg.total, len(sc.mseg.caches))
+				ctx, seg.Entries, seg.Lists, mseg.Entries, mseg.Lists)
 		}
 	}
 	p := DefaultParams()
@@ -248,7 +248,7 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 	if _, err := Approximate(in, Options{Scratch: sc, Compiled: c}); err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.seg.caches[c]) == 0 {
+	if len(sc.seg.Ranges(c, 0)) == 0 {
 		t.Fatal("caller-supplied tables were evicted from the caller's scratch")
 	}
 }

@@ -105,7 +105,7 @@ type TwoShelfResult struct {
 // certifies OPT > λ.
 func TwoShelf(in *instance.Instance, lambda float64, p Params) TwoShelfResult {
 	return oneShot(in, func(c *instance.Compiled, sc *Scratch) TwoShelfResult {
-		a := sc.seg.filled(c, lambda).allotment(lambda)
+		a := allotmentOf(filled(&sc.seg, c, lambda), lambda)
 		if !a.OK {
 			return TwoShelfResult{Exact: true}
 		}

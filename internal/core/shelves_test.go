@@ -183,7 +183,7 @@ func TestTrivialSolutionResetsPerCandidate(t *testing.T) {
 	})
 	c := instance.Compile(in)
 	sc := NewScratch()
-	a := sc.seg.filled(c, 1).allotment(1)
+	a := allotmentOf(filled(&sc.seg, c, 1), 1)
 	part, err := newPartition(c, a, Mu, sc)
 	if err != nil {
 		t.Fatal(err)

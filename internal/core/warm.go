@@ -68,11 +68,11 @@ func (s *search) synthesize(lambda float64, sc *Scratch) (StepResult, bool) {
 	if !s.synthOK {
 		return StepResult{}, false
 	}
-	e := sc.seg.filled(s.c, lambda)
-	if !e.ok {
+	e := filled(&sc.seg, s.c, lambda)
+	if !e.OK {
 		return StepResult{Reject: RejectTooSlow, Certified: true}, true
 	}
-	if !task.Leq(e.work, float64(s.in.M)*lambda) {
+	if !task.Leq(e.Work, float64(s.in.M)*lambda) {
 		return StepResult{Reject: RejectArea, Certified: true}, true
 	}
 	return StepResult{}, false
@@ -288,14 +288,13 @@ func (s *search) runSpeculativeWarm(k int, sc *Scratch) error {
 	return nil
 }
 
-// DropCompiled evicts every λ-segment cache entry derived from c, from both
-// of the Scratch's segment caches. Warm replanning keeps one Scratch alive
-// across residual re-solves; when a lineage moves to its next residual the
-// retired tables are dropped explicitly so the cache stays within its cap
-// without the wholesale clear that would also evict live entries.
+// DropCompiled evicts every entry derived from c from the Scratch's λ-range
+// indexes and its aux cache: a lineage moving to its next residual retires
+// the old tables here rather than in the wholesale clear at the cap, which
+// would evict live entries too.
 func (sc *Scratch) DropCompiled(c *instance.Compiled) {
-	sc.seg.drop(c)
-	sc.mseg.drop(c)
+	sc.seg.Drop(c)
+	sc.mseg.Drop(c)
 	if sc.aux != nil {
 		sc.aux.DropCompiled(c)
 	}

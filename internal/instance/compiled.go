@@ -32,10 +32,11 @@ import (
 // canonical allotment index is constant. Every γ_i(λ) is non-increasing in
 // λ (see Gamma), so the allotment vectors met along the λ-axis are totally
 // ordered and Σ_i γ_i(λ) names the vector exactly
-// (TestAllotmentSumIdentifiesAllotment). core's Scratch and the DAG solver
-// key their caches of derived tables — the by-decreasing-time order, the
-// total canonical work, the prefix area — on that sum, so Compile builds
-// what a probe reads and nothing else.
+// (TestAllotmentSumIdentifiesAllotment). Segments, the λ-range index both
+// the dual search and the DAG solver keep their derived tables in — the
+// by-decreasing-time order, the total canonical work, the prefix area, the
+// critical path — keys on that sum, so Compile builds what a probe reads
+// and nothing else.
 //
 // The merged, sorted, deduplicated union of all thresholds — the axis
 // Segment indexes and GlobalBreakpoints returns — is an observability view:

@@ -1,14 +1,13 @@
 // The compiled DAG solve path. The crossover allotment search and the
 // candidate portfolio of Schedule re-evaluate (γ(λ), times, area, CP) at
 // many deadlines; this file resolves those evaluations by threshold binary
-// search over the instance's compiled λ-breakpoint tables
-// (instance.Compiled, the PR-4 machinery) and caches the derived tables
-// per canonical allotment — per λ-segment — so repeat probes — the bisection endgame, the portfolio,
-// and every solve of a replanning lineage that shares a Scratch — pay
-// zero re-derivation. The tables answer exactly what the task structs
-// would (flattened copies of times and works, λ-thresholds float-exact
-// against task.Leq); the test-only refEval and the golden suite hold the
-// path to that.
+// search over the instance's compiled λ-breakpoint tables and keeps the
+// derived tables in the dual search's λ-range index (instance.Segments),
+// keyed per graph, so repeat probes — the bisection endgame, the
+// portfolio, every solve of a lineage that shares a Scratch — pay zero
+// re-derivation. The tables answer exactly what the task structs would (flattened copies
+// of times and works, λ-thresholds float-exact against task.Leq); the
+// test-only refEval and the golden suite hold the path to that.
 package precedence
 
 import (
@@ -34,8 +33,8 @@ type Options struct {
 	// engine's per-fingerprint compiled cache does exactly that.
 	Compiled *instance.Compiled
 	// Scratch attaches the solve to a worker's reusable buffers. The DAG
-	// path keeps its working memory — evaluation and list-scheduling
-	// buffers plus the λ-segment candidate cache — in an auxiliary slot
+	// path keeps its working memory — its λ-range index of candidate
+	// evaluations and the list-scheduling buffers — in an auxiliary slot
 	// of the core Scratch (core.Scratch.SetAux), so the engine's
 	// per-worker pooling and the warm lineage's scratch pinning extend to
 	// DAG solves unchanged, including DropCompiled eviction when a
@@ -64,63 +63,36 @@ type Result struct {
 	// happens to carry — which is what lets the serving tier echo it in
 	// responses and the differential oracle compare it bit-for-bit.
 	Probes int
-	// CacheHits counts the subset of Probes resolved wholly from the
-	// λ-segment cache (zero derivation cost). Unlike Probes it depends on
-	// cross-solve scratch state, so
-	// consumers treat it the way Synthesized is treated everywhere
-	// else: a cost annotation, never part of the solution's identity.
+	// CacheHits counts the subset of Probes the λ-segment cache already
+	// held an answer for: an allotment of that Σγ, or the verdict that some
+	// task cannot meet the deadline. Unlike Probes it depends on cross-solve
+	// scratch state, so consumers treat it the way Synthesized is treated
+	// everywhere else: a cost annotation, never the solution's identity.
 	CacheHits int
 }
 
-// dagSegCap bounds the λ-segment cache across all (compiled, DAG) pairs a
-// Scratch has seen; on overflow the cache is cleared wholesale, like the
-// core segment caches (simple, bounds memory and how long retired
-// compiled tables stay referenced).
-const dagSegCap = 512
+// dagEntry is one candidate evaluation: an index entry tagged with the
+// graph's edge hash, so two graphs over one *instance.Compiled never share
+// a critical path (the 64-bit collision risk is accepted as for the engine
+// memo), holding the times and CP; the area Σw(γ)/m is its Work over m.
+type dagEntry = instance.Segment[dagTables]
 
-// segKey identifies one cached candidate evaluation: the compiled tables
-// it derives from, the DAG shape over them, and the canonical allotment,
-// named by Σ_i γ_i — γ is componentwise non-increasing in λ, so along the
-// λ-axis equal sums mean equal vectors (see core's segState) — or −1 for
-// the bare verdict that some task cannot meet the deadline. The edge hash
-// keeps two graphs over the same instance — which share one
-// *instance.Compiled in the engine's workload-keyed compiled cache — from
-// aliasing each other's critical paths; the residual 64-bit collision risk
-// is accepted as it is for the engine memo (a per-process cache, not a
-// correctness oracle).
-type segKey struct {
-	c     *instance.Compiled
-	edges uint64
-	seg   int
-}
-
-// segEval is one allotment's cached candidate tables: the canonical
-// allotment γ(λ), its execution times, the normalised area Σw(γ)/m and
-// the critical path CP(γ). All four are functions of the compiled tables,
-// the graph and γ alone, so any λ with a cached allotment reuses them
-// wholesale.
-type segEval struct {
-	ok    bool
-	seg   int // the key's Σγ: two entries with equal seg hold one allotment
-	alloc []int
+type dagTables struct {
 	times []float64
-	area  float64
 	cp    float64
 }
 
 // Scratch is the reusable working memory of the DAG solve path: the
-// λ-segment evaluation cache plus the buffers of the critical-path and
-// list-scheduling inner loops. Not safe for concurrent use — it rides a
-// per-worker core.Scratch via the aux slot (see Options.Scratch).
+// λ-range index of candidate evaluations plus the buffers of the
+// critical-path and list-scheduling inner loops. Not safe for concurrent
+// use — it rides a per-worker core.Scratch via the aux slot (see
+// Options.Scratch).
 type Scratch struct {
-	seg     map[segKey]*segEval
-	freeSeg []*segEval // evicted entries, slices and all, awaiting reuse
+	seg instance.Segments[dagTables]
 
 	times   []float64
-	tail    []float64
 	evtail  []float64
 	start   []float64
-	gamma   []int
 	preds   []int
 	ready   []int
 	free    []int
@@ -138,46 +110,9 @@ type Scratch struct {
 	planProcs []int
 }
 
-// DropCompiled forgets every cached evaluation derived from c. It is the
-// core.AuxCache contract: a warm lineage moving to its next residual
-// drops the retired tables through core.Scratch.DropCompiled, which
-// forwards here.
-func (sc *Scratch) DropCompiled(c *instance.Compiled) {
-	for k, ent := range sc.seg {
-		if k.c == c {
-			delete(sc.seg, k)
-			sc.freeSeg = append(sc.freeSeg, ent)
-		}
-	}
-}
-
-// put makes room for a segment evaluation under k and returns the entry
-// to fill in: a recycled one, tables and all, when there is one. At the cap
-// the cache is emptied wholesale; entries evicted here and by DropCompiled
-// go to the free list and are handed out again, so an entry returned by
-// eval is valid only until the next eval on the same Scratch: callers copy
-// what they keep. (No caller holds one across an eval: selectAllotment
-// copies its winner, portfolio scores a candidate before it asks for the
-// next.)
-func (sc *Scratch) put(k segKey) *segEval {
-	if sc.seg == nil {
-		sc.seg = make(map[segKey]*segEval)
-	}
-	if len(sc.seg) >= dagSegCap {
-		for _, old := range sc.seg {
-			sc.freeSeg = append(sc.freeSeg, old)
-		}
-		clear(sc.seg)
-	}
-	var ent *segEval
-	if n := len(sc.freeSeg); n > 0 {
-		ent, sc.freeSeg = sc.freeSeg[n-1], sc.freeSeg[:n-1]
-	} else {
-		ent = &segEval{}
-	}
-	sc.seg[k] = ent
-	return ent
-}
+// DropCompiled forgets every evaluation derived from c, under every graph:
+// the core.AuxCache contract, which core.Scratch.DropCompiled forwards.
+func (sc *Scratch) DropCompiled(c *instance.Compiled) { sc.seg.Drop(c) }
 
 // auxScratch resolves the precedence working memory attached to a core
 // Scratch, creating and attaching it on first use; nil gets a private
@@ -246,47 +181,28 @@ func (e *evalCtx) release() {
 	}
 }
 
-// eval derives (γ(λ), times, Σw/m, CP) for a candidate deadline; ok is
-// false when some task cannot meet it. The returned entry is owned by the
-// segment cache (see Scratch.put for how long it lives). The allotment is
-// staged in a Scratch buffer first — its sum is the cache key — so a hit
-// costs the n threshold searches and nothing else, and an infeasible
-// deadline — half the probes of the feasibility search — shares one cached
-// verdict and allocates no table.
-func (e *evalCtx) eval(lambda float64) *segEval {
+// eval derives (γ(λ), times, Σw/m, CP) for a candidate deadline; OK is
+// false when some task cannot meet it. The entry is valid until the next
+// eval on the Scratch, so callers copy what they keep (selectAllotment its
+// winner; portfolio scores a candidate before asking for the next).
+func (e *evalCtx) eval(lambda float64) *dagEntry {
 	e.probes++
-	sc := e.sc
-	n := e.g.in.N()
-	gamma := intsBuf(&sc.gamma, n)
-	key := segKey{c: e.c, edges: e.g.edgeHash}
-	for i := range gamma {
-		gm, ok := e.c.Gamma(i, lambda)
-		if !ok {
-			key.seg = -1
-			break
-		}
-		gamma[i] = gm
-		key.seg += gm
-	}
-	if ent, ok := sc.seg[key]; ok {
+	ent, fresh := e.sc.seg.Lookup(e.c, e.g.edgeHash, lambda)
+	if !fresh {
 		e.hits++
-		return ent
-	}
-	ent := sc.put(key)
-	ent.ok, ent.seg = key.seg >= 0, key.seg
-	if ent.ok {
-		copy(intsBuf(&ent.alloc, n), gamma)
-		times := floatsBuf(&ent.times, n)
-		var raw float64
-		for i, gm := range gamma {
+	} else if ent.OK {
+		n := len(ent.Gamma)
+		times := floatsBuf(&ent.Val.times, n)
+		for i, gm := range ent.Gamma {
 			times[i] = e.c.Time(i, gm)
-			raw += e.c.Work(i, gm)
 		}
-		ent.area = raw / float64(e.g.in.M)
-		ent.cp = e.g.criticalPathInto(times, floatsBuf(&sc.tail, n))
+		ent.Val.cp = e.g.criticalPathInto(times, floatsBuf(&e.sc.evtail, n))
 	}
 	return ent
 }
+
+// area is the normalised area Σw(γ)/m of a feasible entry.
+func (e *evalCtx) area(ent *dagEntry) float64 { return ent.Work / float64(e.g.in.M) }
 
 // searchSeeded returns the smallest k in [0, n] with pred(k) true, like
 // sort.Search, for a monotone predicate. A valid seed is verified with at
@@ -324,12 +240,12 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 		}
 	}
 	from := searchSeeded(len(cands), seedFrom, func(k int) bool {
-		return e.eval(cands[k]).ok
+		return e.eval(cands[k]).OK
 	})
 	rest := cands[from:]
 	cross := searchSeeded(len(rest), seedCross-from, func(k int) bool {
 		ent := e.eval(rest[k])
-		return ent.ok && ent.cp >= ent.area
+		return ent.OK && ent.Val.cp >= e.area(ent)
 	})
 	var alloc []int
 	bestL := math.Inf(1)
@@ -337,10 +253,10 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 		if k < 0 || k >= len(rest) {
 			continue
 		}
-		if ent := e.eval(rest[k]); ent.ok && math.Max(ent.area, ent.cp) < bestL {
-			alloc = intsBuf(&e.sc.winner, len(ent.alloc))
-			copy(alloc, ent.alloc)
-			bestL = math.Max(ent.area, ent.cp)
+		if ent := e.eval(rest[k]); ent.OK && math.Max(e.area(ent), ent.Val.cp) < bestL {
+			alloc = intsBuf(&e.sc.winner, len(ent.Gamma))
+			copy(alloc, ent.Gamma)
+			bestL = math.Max(e.area(ent), ent.Val.cp)
 		}
 	}
 	if warm != nil && alloc != nil {
@@ -444,10 +360,10 @@ func (e *evalCtx) portfolio(warm *core.WarmStart) ([]int, float64) {
 	// Two grid samples inside one λ-segment are the same cached entry, and
 	// a repeated allotment can only tie the incumbent: score it once.
 	tried := sc.tried[:0]
-	trySeg := func(ent *segEval) {
-		if ent.ok && !slices.Contains(tried, ent.seg) {
-			tried = append(tried, ent.seg)
-			try(ent.alloc)
+	trySeg := func(ent *dagEntry) {
+		if ent.OK && !slices.Contains(tried, ent.Sum) {
+			tried = append(tried, ent.Sum)
+			try(ent.Gamma)
 		}
 	}
 	// Subsample ~16 deadlines spread over the (deduplicated) grid.

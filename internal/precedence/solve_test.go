@@ -24,41 +24,41 @@ func testGraphs(t *testing.T, in *instance.Instance, seed int64) []*Graph {
 	return []*Graph{gs["chain"], gs["out-tree"], gs["random-0.3"]}
 }
 
-// evalsEqual compares two candidate evaluations bit for bit.
-func evalsEqual(a, b *segEval) bool {
-	if a.ok != b.ok {
+// evalsEqual compares two candidate evaluations bit for bit: allotment,
+// times, work (and so area) and critical path.
+func evalsEqual(a, b *dagEntry) bool {
+	if a.OK != b.OK {
 		return false
 	}
-	if !a.ok {
+	if !a.OK {
 		return true
 	}
-	return reflect.DeepEqual(a.alloc, b.alloc) &&
-		reflect.DeepEqual(a.times, b.times) &&
-		math.Float64bits(a.area) == math.Float64bits(b.area) &&
-		math.Float64bits(a.cp) == math.Float64bits(b.cp)
+	return a.Sum == b.Sum && reflect.DeepEqual(a.Gamma, b.Gamma) &&
+		reflect.DeepEqual(a.Val.times, b.Val.times) &&
+		math.Float64bits(a.Work) == math.Float64bits(b.Work) &&
+		math.Float64bits(a.Val.cp) == math.Float64bits(b.Val.cp)
 }
 
 // refEval is the reference the compiled evaluation answers to — the sole
 // surviving task-struct evaluator: it derives (γ(λ), times, Σw/m, CP)
 // straight from the task profiles, the way the pre-compiled implementation
 // did, with no tables, no thresholds and no cache.
-func refEval(g *Graph, lambda float64) *segEval {
+func refEval(g *Graph, lambda float64) *dagEntry {
 	in := g.in
 	n := in.N()
-	ent := &segEval{alloc: make([]int, n), times: make([]float64, n), ok: true}
-	var raw float64
+	ent := &dagEntry{Gamma: make([]int, n), Val: dagTables{times: make([]float64, n)}, OK: true}
 	for i, t := range in.Tasks {
 		gm, ok := t.Canonical(lambda)
 		if !ok {
-			ent.ok = false
+			ent.OK = false
 			return ent
 		}
-		ent.alloc[i] = gm
-		ent.times[i] = t.Time(gm)
-		raw += t.Work(gm)
+		ent.Gamma[i] = gm
+		ent.Val.times[i] = t.Time(gm)
+		ent.Work += t.Work(gm)
+		ent.Sum += gm
 	}
-	ent.area = raw / float64(in.M)
-	ent.cp = g.criticalPathInto(ent.times, make([]float64, n))
+	ent.Val.cp = g.criticalPathInto(ent.Val.times, make([]float64, n))
 	return ent
 }
 
@@ -119,54 +119,84 @@ func TestSegmentCacheIsolatesGraphs(t *testing.T) {
 			t.Fatalf("tree λ=%v poisoned by chain's cache entry", lambda)
 		}
 	}
-	// DropCompiled must evict every entry keyed by these tables.
+	// DropCompiled must evict every entry keyed by these tables, under
+	// both graphs.
+	if len(sc.seg.Ranges(c, chain.edgeHash)) == 0 || len(sc.seg.Ranges(c, tree.edgeHash)) == 0 {
+		t.Fatal("a graph holds no entries")
+	}
 	sc.DropCompiled(c)
-	if len(sc.seg) != 0 {
-		t.Fatalf("%d entries survived DropCompiled", len(sc.seg))
+	if st := sc.seg.Stats(); st.Entries != 0 || st.Lists != 0 {
+		t.Fatalf("%d entries in %d lists survived DropCompiled", st.Entries, st.Lists)
 	}
 }
 
 // TestSegmentCacheRecyclesEntries: evicted entries — by DropCompiled and by
 // the wholesale clear at the cap — are handed out again instead of being
 // abandoned, a recycled entry answers for its new segment exactly like a
-// fresh one, and an infeasible deadline caches its verdict without tables.
+// fresh one, the hits are the flat map's across every clear, and an
+// infeasible deadline is answered by the index's verdict, never by an
+// entry's stale tables.
 func TestSegmentCacheRecyclesEntries(t *testing.T) {
 	sc := &Scratch{}
+	ref := flatRef{}
 	fresh := 0
-	for seed := int64(1); fresh <= 3*dagSegCap; seed++ {
+	for seed := int64(1); fresh <= 3*instance.SegmentCap; seed++ {
 		in := instance.Mixed(seed, 12, 6)
 		g := testGraphs(t, in, seed)[1]
 		e := &evalCtx{g: g, c: instance.Compile(in), sc: sc}
-		for _, lambda := range g.cands {
-			if got := e.eval(lambda); !evalsEqual(got, refEval(g, lambda)) {
-				t.Fatalf("seed %d λ=%v: entry (recycled or not) != reference", seed, lambda)
-			}
-			if len(sc.seg) > dagSegCap {
-				t.Fatalf("cache holds %d entries, cap %d", len(sc.seg), dagSegCap)
+		// A cold pass and a hot one, so a clear mid-instance shows in the hits.
+		for pass := 0; pass < 2; pass++ {
+			for _, lambda := range g.cands {
+				hits := e.hits
+				got := e.eval(lambda)
+				want, hit := ref.eval(g, e.c, lambda)
+				if !evalsEqual(got, want) {
+					t.Fatalf("seed %d λ=%v: entry (recycled or not) != reference", seed, lambda)
+				}
+				if (e.hits > hits) != hit {
+					t.Fatalf("seed %d pass %d λ=%v: hit %v, flat map %v", seed, pass, lambda, e.hits > hits, hit)
+				}
+				if n := sc.seg.Stats().Entries; n > instance.SegmentCap {
+					t.Fatalf("cache holds %d entries, cap %d", n, instance.SegmentCap)
+				}
 			}
 		}
 		fresh += e.probes - e.hits
 		if seed%2 == 0 {
-			held, free := len(sc.seg), len(sc.freeSeg)
+			before := sc.seg.Stats()
 			sc.DropCompiled(e.c)
-			if dropped := held - len(sc.seg); dropped == 0 || len(sc.freeSeg) != free+dropped {
+			ref.drop(e.c)
+			after := sc.seg.Stats()
+			if dropped := before.Entries - after.Entries; dropped == 0 || after.FreeEntries != before.FreeEntries+dropped {
 				t.Fatalf("seed %d: DropCompiled evicted %d entries, free list grew by %d",
-					seed, dropped, len(sc.freeSeg)-free)
+					seed, dropped, after.FreeEntries-before.FreeEntries)
 			}
 		}
 	}
 	// Everything ever allocated is either cached or awaiting reuse, and a
 	// new entry is only made when none awaits: the population is bounded by
 	// the cap however many segments went through.
-	if total := len(sc.seg) + len(sc.freeSeg); total > dagSegCap {
-		t.Fatalf("%d entries alive after %d fresh evaluations, cap %d", total, fresh, dagSegCap)
+	if st := sc.seg.Stats(); st.Entries+st.FreeEntries > instance.SegmentCap {
+		t.Fatalf("%d entries alive after %d fresh evaluations, cap %d", st.Entries+st.FreeEntries, fresh, instance.SegmentCap)
 	}
 
+	// An infeasible deadline on a Scratch whose free list holds entries
+	// with tables: the answer is the verdict, with no tables to read.
 	in := instance.Mixed(1, 12, 6)
 	g := testGraphs(t, in, 1)[0]
-	e := &evalCtx{g: g, c: instance.Compile(in), sc: &Scratch{}}
-	if ent := e.eval(g.cands[0] / 2); ent.ok || ent.alloc != nil || ent.times != nil {
-		t.Fatalf("infeasible deadline: ok=%v, tables %v/%v", ent.ok, ent.alloc, ent.times)
+	e := &evalCtx{g: g, c: instance.Compile(in), sc: sc}
+	if sc.seg.Stats().FreeEntries == 0 {
+		t.Fatal("no recycled entry awaits reuse")
+	}
+	for _, lambda := range []float64{g.cands[0] / 2, g.cands[len(g.cands)-1], g.cands[0] / 2} {
+		want := refEval(g, lambda)
+		ent := e.eval(lambda)
+		if !evalsEqual(ent, want) {
+			t.Fatalf("λ=%v: entry != reference", lambda)
+		}
+		if !ent.OK && (ent.Gamma != nil || ent.Val.times != nil) {
+			t.Fatalf("infeasible deadline: tables %v/%v", ent.Gamma, ent.Val.times)
+		}
 	}
 }
 
@@ -181,7 +211,7 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 			if _, err := run(Options{Scratch: cs}); err != nil {
 				t.Fatal(err)
 			}
-			if n := len(auxScratch(cs).seg); n != 0 {
+			if n := auxScratch(cs).seg.Stats().Entries; n != 0 {
 				t.Fatalf("%d segment entries of private tables left in the scratch", n)
 			}
 		}
@@ -190,7 +220,7 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 	if _, err := testGraphs(t, in, 3)[0].Solve(Options{Compiled: c, Scratch: cs}); err != nil {
 		t.Fatal(err)
 	}
-	if len(auxScratch(cs).seg) == 0 {
+	if auxScratch(cs).seg.Stats().Entries == 0 {
 		t.Fatal("caller-supplied tables were evicted from the caller's scratch")
 	}
 }
@@ -329,12 +359,12 @@ func refSolve(g *Graph, o Options) (Result, error) {
 	grid := g.grid
 	step := len(grid)/16 + 1
 	for k := 0; k < len(grid); k += step {
-		if ent := e.eval(grid[k]); ent.ok {
-			try(ent.alloc)
+		if ent := e.eval(grid[k]); ent.OK {
+			try(ent.Gamma)
 		}
 	}
-	if ent := e.eval(grid[len(grid)-1]); ent.ok {
-		try(ent.alloc)
+	if ent := e.eval(grid[len(grid)-1]); ent.OK {
+		try(ent.Gamma)
 	}
 	if alloc, _ := e.selectAllotment(o.Warm); alloc != nil {
 		try(alloc)

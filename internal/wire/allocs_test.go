@@ -53,3 +53,28 @@ func TestAllocBudgetJSONScan(t *testing.T) {
 		t.Logf("JSON scan: %d allocs, %d B per op (budgets %d, %d)", res.AllocsPerOp(), got, budget, byteBudget)
 	}
 }
+
+// A version-2 frame's successor lists decode into one slab: the graph adds
+// its outer slice and the edge backing to the instance's four allocations
+// and the options' two, whatever the number of lists. Reads 8; 22 when
+// every non-empty list was an allocation of its own.
+func TestAllocBudgetGraphDecode(t *testing.T) {
+	const n, budget = 16, 8
+	graph := make([][]int, n)
+	for i := range graph {
+		for j := i + 1; j <= i+2 && j < n; j++ {
+			graph[i] = append(graph[i], j)
+		}
+	}
+	frame := AppendScheduleRequest(nil, instance.Mixed(9, n, 8), graph, &RequestOptions{Solver: "dag"})
+	decode := func() {
+		if _, got, _, err := DecodeScheduleRequest(frame); err != nil || len(got) != n {
+			t.Fatalf("decoded %d lists, err %v", len(got), err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, decode); got > budget {
+		t.Errorf("16-list v2 decode: %.1f allocs per run, budget %d", got, budget)
+	} else {
+		t.Logf("16-list v2 decode: %.1f allocs per run (budget %d)", got, budget)
+	}
+}

@@ -664,14 +664,20 @@ func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOp
 	var graph [][]int
 	if r.ver >= 2 && r.u8() != 0 {
 		nLists := r.count(1)
+		// Every list is a capacity-capped window of one slab: an edge takes
+		// at least one wire byte, so the bytes left bound them all.
+		var edges []int
 		if r.err == nil {
 			graph = make([][]int, nLists)
+			edges = make([]int, 0, len(r.b)-r.off)
 		}
 		for i := 0; i < nLists && r.err == nil; i++ {
 			// Empty lists decode nil, matching what the precedence
 			// constructors produce and keeping DeepEqual round-trips exact.
 			if nEdges := r.count(1); nEdges > 0 {
-				list := make([]int, nEdges)
+				lo := len(edges)
+				edges = edges[:lo+nEdges]
+				list := edges[lo:len(edges):len(edges)]
 				for j := range list {
 					list[j] = int(r.uvarint())
 				}
