@@ -3,9 +3,8 @@
 // solver configuration) through the batch engine with fixed seeds and
 // repeats and emits BENCH_engine.json — the reproducible perf artifact
 // whose schema is documented in docs/BENCHMARKS.md. The solver dimension
-// tracks the sequential paper algorithm ("mrt"), the speculative parallel
-// dual search ("mrt" at parallelism 8, single engine worker so the probe
-// throughput compares per-search) and the default solver portfolio. Future
+// tracks the paper algorithm ("mrt", single engine worker so the probe
+// throughput reads per search) and the default solver portfolio. Future
 // PRs regenerate the artifact and compare ns/op, allocs/op, probe
 // throughput and achieved ratios against the committed trajectory. A
 // replan_churn section plays online arrival traces through the simulator's
@@ -75,34 +74,34 @@ type scenario struct {
 	N, M   int
 	// Solver is the registered solver the cell runs ("mrt", "portfolio", …).
 	Solver string
-	// Parallelism is the speculative dual-search width (mrt only).
-	Parallelism int
 	// Workers is the engine worker-pool size for this cell. The mrt cells
-	// pin it to 1 so sequential vs speculative search compare per-search
-	// (instance-level batch parallelism would mask the λ-level speedup);
-	// portfolio cells use the configured pool.
+	// pin it to 1 so their columns read per search (instance-level batch
+	// parallelism would mask the search's own cost); portfolio cells use
+	// the configured pool.
 	Workers int
 }
 
-// label names the solver configuration in reports.
-func (sc scenario) label() string {
-	if sc.Solver == "mrt" && sc.Parallelism > 1 {
-		return fmt.Sprintf("mrt-p%d", sc.Parallelism)
+// width is the cell's "parallelism" coordinate, kept because schema v7 keys
+// cells on it: mrt rows read 1 and portfolio rows 0, so the keys of
+// artifacts written before and after the search became sequential match.
+func (sc scenario) width() int {
+	if sc.Solver == "mrt" {
+		return 1
 	}
-	return sc.Solver
+	return 0
 }
 
 // scenarioResult is the measured outcome of one scenario; field semantics
 // are specified in docs/BENCHMARKS.md.
 type scenarioResult struct {
-	Family      string `json:"family"`
-	N           int    `json:"n"`
-	M           int    `json:"m"`
-	Solver      string `json:"solver"`
-	Parallelism int    `json:"parallelism"`
-	Workers     int    `json:"workers"`
-	Instances   int    `json:"instances"`
-	Repeats     int    `json:"repeats"`
+	Family    string `json:"family"`
+	N         int    `json:"n"`
+	M         int    `json:"m"`
+	Solver    string `json:"solver"`
+	Width     int    `json:"parallelism"`
+	Workers   int    `json:"workers"`
+	Instances int    `json:"instances"`
+	Repeats   int    `json:"repeats"`
 
 	OpsCold         int    `json:"ops_cold"`
 	OpsWarm         int    `json:"ops_warm"`
@@ -113,10 +112,8 @@ type scenarioResult struct {
 	BytesPerOpCold  uint64 `json:"bytes_per_op_cold"`
 	BytesPerOpWarm  uint64 `json:"bytes_per_op_warm"`
 
-	// ProbesCold counts dual-approximation steps over the cold pass
-	// (speculative probes included) and ProbesPerSecCold the resulting
-	// probe throughput — the metric that compares the sequential and
-	// speculative search configurations.
+	// ProbesCold counts dual-approximation steps over the cold pass and
+	// ProbesPerSecCold the resulting probe throughput.
 	ProbesCold       int64   `json:"probes_cold"`
 	ProbesPerSecCold float64 `json:"probes_per_sec_cold"`
 
@@ -263,8 +260,8 @@ func main() {
 }
 
 // grid returns the declarative scenario grid: every workload cell crossed
-// with the solver dimension — the sequential paper algorithm, the
-// speculative search at width 8, and the default portfolio. Every scenario
+// with the solver dimension — the paper algorithm and the default
+// portfolio. Every scenario
 // is a pure function of (family, n, m, seed), so the artifact's
 // workload-derived fields are exactly regenerable.
 func grid(quick bool, workers int) []scenario {
@@ -277,13 +274,11 @@ func grid(quick bool, workers int) []scenario {
 		ms = []int{8, 32}
 	}
 	cfgs := []struct {
-		solver      string
-		parallelism int
-		workers     int
+		solver  string
+		workers int
 	}{
-		{"mrt", 1, 1},
-		{"mrt", 8, 1},
-		{"portfolio", 0, workers},
+		{"mrt", 1},
+		{"portfolio", workers},
 	}
 	var g []scenario
 	for _, f := range families {
@@ -292,7 +287,7 @@ func grid(quick bool, workers int) []scenario {
 				for _, c := range cfgs {
 					g = append(g, scenario{
 						Family: f, N: n, M: m,
-						Solver: c.solver, Parallelism: c.parallelism, Workers: c.workers,
+						Solver: c.solver, Workers: c.workers,
 					})
 				}
 			}
@@ -376,7 +371,7 @@ func runEngineGrid(quick bool, seed int64, out string, seeds, repeats, workers i
 		r := benchScenario(sc, ins, repeats)
 		rep.Scenarios = append(rep.Scenarios, r)
 		fmt.Fprintf(os.Stderr, "%-18s %5d %5d %-10s  %14d %14d %12.0f %12d %8.3f %8.1f\n",
-			sc.Family, sc.N, sc.M, sc.label(), r.NsPerOpCold, r.NsPerOpWarm,
+			sc.Family, sc.N, sc.M, sc.Solver, r.NsPerOpCold, r.NsPerOpWarm,
 			r.ProbesPerSecCold, r.ProbeNsHot, r.RatioMax, 100*r.MemoHitRateWarm)
 	}
 
@@ -399,21 +394,18 @@ func runEngineGrid(quick bool, seed int64, out string, seeds, repeats, workers i
 // runtime's global counters.
 func benchScenario(sc scenario, ins []*malsched.Instance, repeats int) scenarioResult {
 	eng := malsched.NewEngine(malsched.EngineOptions{
-		Workers: sc.Workers,
-		Schedule: malsched.Options{
-			Solver:      sc.Solver,
-			Parallelism: sc.Parallelism,
-		},
+		Workers:  sc.Workers,
+		Schedule: malsched.Options{Solver: sc.Solver},
 	})
 	r := scenarioResult{
-		Family:      sc.Family,
-		N:           sc.N,
-		M:           sc.M,
-		Solver:      sc.Solver,
-		Parallelism: sc.Parallelism,
-		Workers:     sc.Workers,
-		Instances:   len(ins),
-		Repeats:     repeats,
+		Family:    sc.Family,
+		N:         sc.N,
+		M:         sc.M,
+		Solver:    sc.Solver,
+		Width:     sc.width(),
+		Workers:   sc.Workers,
+		Instances: len(ins),
+		Repeats:   repeats,
 	}
 	r.CompileNs, r.ProbeNsHot = measureHot(sc, ins)
 
@@ -757,9 +749,8 @@ func measureHot(sc scenario, ins []*malsched.Instance) (compileNs, probeNsHot in
 	scratch := core.NewScratch()
 	opts := func(i int) core.Options {
 		return core.Options{
-			Parallelism: sc.Parallelism,
-			Scratch:     scratch,
-			Compiled:    compiled[i],
+			Scratch:  scratch,
+			Compiled: compiled[i],
 		}
 	}
 	run := func() (probes int64) {

@@ -3,16 +3,13 @@
 //
 // Usage:
 //
-//	msched [-solver mrt|portfolio|exact|twy-ffdh|…] [-parallelism k]
-//	       [-eps 1e-3] [-compact] [-cols 80] [-json] [-trace] [file]
+//	msched [-solver mrt|portfolio|exact|twy-ffdh|…] [-eps 1e-3] [-compact]
+//	       [-cols 80] [-json] [-trace] [file]
 //	msched -solvers
 //
-// -solver selects any registered solver (-solvers lists them); -algo is the
-// deprecated spelling of the same flag. -parallelism ≥ 2 speculates that
-// many λ-guesses of the dual search concurrently — same output, lower
-// latency on idle cores.
+// -solver selects any registered solver (-solvers lists them).
 //
-// -trace prints the dual search's consumed probe trajectory (λ, segment,
+// -trace prints the dual search's probe trajectory (λ, segment,
 // accept/reject reason, synthesized) plus the search wall-clock to stderr —
 // pure observation, the schedule is bit-identical traced or not. The
 // schema is documented in docs/OBSERVABILITY.md.
@@ -36,8 +33,8 @@ import (
 	"malsched/internal/instance"
 )
 
-// printTrace writes the λ-search trajectory to stderr, one consumed probe
-// per line in sequential search order.
+// printTrace writes the λ-search trajectory to stderr, one probe per line
+// in search order.
 func printTrace(tr *malsched.SolveTrace) {
 	if tr == nil {
 		fmt.Fprintln(os.Stderr, "trace: no dual search (solver has no λ-search)")
@@ -66,9 +63,7 @@ func printTrace(tr *malsched.SolveTrace) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("msched: ")
-	algo := flag.String("algo", "", "deprecated alias for -solver")
 	solverName := flag.String("solver", "", "registered solver to run (default mrt; see -solvers)")
-	parallelism := flag.Int("parallelism", 0, "speculative dual-search width (≥ 2 probes λ-guesses concurrently)")
 	listSolvers := flag.Bool("solvers", false, "list registered solvers and exit")
 	eps := flag.Float64("eps", 1e-3, "dual search tolerance (mrt only)")
 	compact := flag.Bool("compact", false, "left-shift the final schedule")
@@ -98,13 +93,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts := &malsched.Options{Eps: *eps, Compact: *compact, Parallelism: *parallelism, Trace: *trace}
-	switch {
-	case *solverName != "":
-		opts.Solver = *solverName
-	case *algo != "" && *algo != "mrt":
-		opts.Solver = *algo
-	}
+	opts := &malsched.Options{Eps: *eps, Compact: *compact, Solver: *solverName, Trace: *trace}
 	res, err := malsched.Schedule(in, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,7 @@
 //
 //	msload [-addr http://127.0.0.1:8080] [-seed 1] [-n 200] [-batch 0]
 //	       [-families mixed,random-monotone,comm-heavy,wide-parallel,powerlaw-0.7]
-//	       [-tasks 18] [-m 16] [-solver name] [-parallelism 0] [-eps 0]
+//	       [-tasks 18] [-m 16] [-solver name] [-eps 0]
 //	       [-codec json] [-compact] [-v]
 //
 // The workload is a pure function of -seed/-n/-families/-tasks/-m, so a
@@ -58,7 +58,6 @@ func main() {
 	maxTasks := flag.Int("tasks", 18, "max tasks per instance")
 	maxM := flag.Int("m", 16, "max processors per instance")
 	solverName := flag.String("solver", "", "registered solver for every request (default mrt)")
-	parallelism := flag.Int("parallelism", 0, "speculative dual-search width")
 	eps := flag.Float64("eps", 0, "search tolerance (0 = default)")
 	codec := flag.String("codec", "json", "request codec: json, or binary (cross-codec byte-equality oracle)")
 	compact := flag.Bool("compact", false, "left-shift final schedules")
@@ -103,16 +102,14 @@ func main() {
 	}
 
 	opts := &wire.RequestOptions{
-		Solver:      *solverName,
-		Eps:         *eps,
-		Compact:     *compact,
-		Parallelism: *parallelism,
+		Solver:  *solverName,
+		Eps:     *eps,
+		Compact: *compact,
 	}
 	local := &malsched.Options{
-		Solver:      *solverName,
-		Eps:         *eps,
-		Compact:     *compact,
-		Parallelism: *parallelism,
+		Solver:  *solverName,
+		Eps:     *eps,
+		Compact: *compact,
 	}
 
 	ld := &loader{

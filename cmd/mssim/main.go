@@ -1,14 +1,14 @@
 // Command mssim evaluates the scheduling stack *online*: it plays arrival
 // traces through the discrete-event cluster simulator (internal/sim) under
 // every selected policy and emits BENCH_sim.json — the reproducible
-// simulation artifact whose schema (bench-sim/v2) is documented in
+// simulation artifact whose schema (bench-sim/v3) is documented in
 // docs/BENCHMARKS.md. Every executed timeline is certified with
 // malsched.VerifyTimeline before it is reported; a violation is a
 // simulator bug and exits non-zero.
 //
 // Usage:
 //
-//	mssim [-out BENCH_sim.json] [-quick] [-seed 1] [-parallelism 1]
+//	mssim [-out BENCH_sim.json] [-quick] [-seed 1]
 //	      [-policies epoch-batch,greedy-rigid,replan-on-arrival,dag-release]
 //	      [-epoch 2] [-preempt repartition] [-solver mrt]
 //	      [-metrics-out metrics.txt]
@@ -26,8 +26,7 @@
 // (sim.Run refuses edge-blind ones), and its timelines are certified with
 // the DAG verifier — predecessor-ordering included — instead of the plain
 // one. The artifact is bit-identical across runs with the same flags: the
-// simulator is deterministic at every planning parallelism (only the
-// probes column counts the speculative search's extra work).
+// simulator is deterministic.
 package main
 
 import (
@@ -50,7 +49,9 @@ import (
 // v2: replan-on-arrival rows replan warm by default (lineage-threaded
 // warm starts — schedules unchanged, probes lower) and carry the new
 // synthesized column counting probe outcomes resolved without a dual step.
-const Schema = "malsched/bench-sim/v2"
+// v3: the header drops the parallelism key with the -parallelism flag (the
+// planning search is sequential); rows are unchanged.
+const Schema = "malsched/bench-sim/v3"
 
 // scenario is one workload of the grid; each runs under every policy at
 // every noise level.
@@ -81,14 +82,13 @@ type row struct {
 
 // report is the full BENCH_sim.json document.
 type report struct {
-	Schema      string  `json:"schema"`
-	GoVersion   string  `json:"go_version"`
-	GOOS        string  `json:"goos"`
-	GOARCH      string  `json:"goarch"`
-	Seed        int64   `json:"seed"`
-	Parallelism int     `json:"parallelism"`
-	Epoch       float64 `json:"epoch"`
-	Rows        []row   `json:"scenarios"`
+	Schema    string  `json:"schema"`
+	GoVersion string  `json:"go_version"`
+	GOOS      string  `json:"goos"`
+	GOARCH    string  `json:"goarch"`
+	Seed      int64   `json:"seed"`
+	Epoch     float64 `json:"epoch"`
+	Rows      []row   `json:"scenarios"`
 }
 
 func main() {
@@ -97,7 +97,6 @@ func main() {
 	out := flag.String("out", "BENCH_sim.json", "output artifact path (- for stdout)")
 	quick := flag.Bool("quick", false, "small grid for a fast smoke run")
 	seed := flag.Int64("seed", 1, "base seed (workload generation and runtime noise)")
-	parallelism := flag.Int("parallelism", 1, "speculative dual-search width of the planning kernel")
 	solver := flag.String("solver", "", "planning solver (default: the paper's mrt)")
 	epoch := flag.Float64("epoch", 2, "epoch-batch planning period")
 	preempt := flag.String("preempt", sim.PreemptRepartition, "replan-on-arrival preemption model: none or repartition")
@@ -115,13 +114,12 @@ func main() {
 	}
 
 	rep := report{
-		Schema:      Schema,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Seed:        *seed,
-		Parallelism: *parallelism,
-		Epoch:       *epoch,
+		Schema:    Schema,
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		Seed:      *seed,
+		Epoch:     *epoch,
 	}
 	// One planning engine for the whole grid: cells of the same workload
 	// share the compiled trace tables and answer repeated residual
@@ -157,14 +155,13 @@ func main() {
 		for _, noise := range []float64{0, 0.15} {
 			for _, policy := range polsFor {
 				cfg := sim.Config{
-					Policy:      policy,
-					Epoch:       *epoch,
-					Noise:       noise,
-					Seed:        *seed,
-					Eps:         *eps,
-					Solver:      *solver,
-					Parallelism: *parallelism,
-					Engine:      eng,
+					Policy: policy,
+					Epoch:  *epoch,
+					Noise:  noise,
+					Seed:   *seed,
+					Eps:    *eps,
+					Solver: *solver,
+					Engine: eng,
 				}
 				if policy == "replan-on-arrival" {
 					cfg.Preempt = *preempt

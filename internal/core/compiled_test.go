@@ -32,7 +32,6 @@ func assertSameResult(t *testing.T, ctx string, got, want Result) {
 		math.Float64bits(got.AcceptedLambda) != math.Float64bits(want.AcceptedLambda) ||
 		got.Branch != want.Branch ||
 		got.Probes != want.Probes ||
-		got.Speculated != want.Speculated ||
 		got.Synthesized != want.Synthesized ||
 		got.UnprovenRejects != want.UnprovenRejects {
 		t.Fatalf("%s: got %+v, want %+v", ctx, got, want)
@@ -46,7 +45,7 @@ func assertSameResult(t *testing.T, ctx string, got, want Result) {
 // by every search of the grid — entries of many instances side by side,
 // repeat solves answered from warm segments, the wholesale clear at the
 // cap — returns bit for bit what a search probing on a fresh Scratch per
-// probe returns, sequentially and speculatively.
+// probe returns.
 func TestSegmentCacheInvisible(t *testing.T) {
 	shared := NewScratch()
 	for name, gen := range instance.Families() {
@@ -54,28 +53,25 @@ func TestSegmentCacheInvisible(t *testing.T) {
 			for _, dims := range [][2]int{{25, 16}, {40, 64}} {
 				in := gen(seed, dims[0], dims[1])
 				c := instance.Compile(in)
-				for _, par := range []int{1, 4} {
-					want, err := Approximate(in, Options{Compiled: c, Parallelism: par, Prober: freshProber{}})
+				want, err := Approximate(in, Options{Compiled: c, Prober: freshProber{}})
+				if err != nil {
+					t.Fatalf("%s/%d: fresh-scratch reference: %v", name, seed, err)
+				}
+				// Twice: the second solve finds every segment cached.
+				for pass := 0; pass < 2; pass++ {
+					got, err := Approximate(in, Options{Compiled: c, Scratch: shared})
 					if err != nil {
-						t.Fatalf("%s/%d: fresh-scratch reference: %v", name, seed, err)
+						t.Fatalf("%s/%d: shared scratch: %v", name, seed, err)
 					}
-					// Twice: the second solve finds every segment cached.
-					for pass := 0; pass < 2; pass++ {
-						got, err := Approximate(in, Options{Compiled: c, Parallelism: par, Scratch: shared})
-						if err != nil {
-							t.Fatalf("%s/%d: shared scratch: %v", name, seed, err)
-						}
-						assertSameResult(t, name, got, want)
-					}
+					assertSameResult(t, name, got, want)
 				}
 			}
 		}
 	}
 }
 
-// Where the tables come from must be invisible too: auto-compiled,
-// caller-compiled and caller-compiled at a speculative width all return
-// what the fresh-scratch reference returns.
+// Where the tables come from must be invisible too: auto-compiled and
+// caller-compiled both return what the fresh-scratch reference returns.
 func TestApproximateCompiledBitIdentical(t *testing.T) {
 	for name, gen := range instance.Families() {
 		for seed := int64(0); seed < 3; seed++ {
@@ -83,9 +79,8 @@ func TestApproximateCompiledBitIdentical(t *testing.T) {
 				in := gen(seed, dims[0], dims[1])
 				c := instance.Compile(in)
 				for _, opts := range []Options{
-					{},                            // auto-compiled
-					{Compiled: c},                 // caller-compiled
-					{Compiled: c, Parallelism: 4}, // compiled + speculative
+					{},            // auto-compiled
+					{Compiled: c}, // caller-compiled
 				} {
 					ref := opts
 					ref.Prober = freshProber{}
@@ -133,17 +128,17 @@ func TestDualStepCompiledMatchesLegacy(t *testing.T) {
 
 // A breakpoint-dense workload (all-distinct profile times, the worst case
 // for the threshold tables: nearly every probe opens a new segment) must
-// also match the fresh-scratch reference, at every parallelism.
+// also match the fresh-scratch reference, on a cold and a warm Scratch.
 func TestApproximateCompiledDenseProfiles(t *testing.T) {
 	in := instance.PowerLawFamily(3, 30, 48, 0.83)
 	c := instance.Compile(in)
 	shared := NewScratch()
-	for _, k := range []int{1, 2, 8} {
-		want, err := Approximate(in, Options{Compiled: c, Parallelism: k, Prober: freshProber{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Approximate(in, Options{Compiled: c, Parallelism: k, Scratch: shared})
+	want, err := Approximate(in, Options{Compiled: c, Prober: freshProber{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, err := Approximate(in, Options{Compiled: c, Scratch: shared})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,16 +25,15 @@ func familyNames() []string {
 // from a different instance, a fabricated or inverted probe history,
 // NaN/Inf/negative floats — the warm
 // solve must return a result bit-identical to the cold solve of the same
-// instance at the same width. Garbage seeds may cost probes; they can
-// never change an answer (synthesis only certifies outcomes the compiled
-// tables prove, and prediction only reorders speculation).
+// instance. Garbage seeds may cost probes; they can never change an
+// answer (synthesis only certifies outcomes the compiled tables prove).
 func FuzzWarmStart(f *testing.F) {
 	// Committed seeds (testdata/fuzz/FuzzWarmStart) cover the named attack
 	// classes; these inline ones keep `go test` meaningful without the
 	// corpus.
-	f.Add(uint8(0), uint8(1), 0.0, 0.0, 0.0, uint64(0))
-	f.Add(uint8(1), uint8(8), 123.456, 1e-9, 7.5, uint64(0xA5))
-	f.Add(uint8(2), uint8(2), math.Inf(1), math.Inf(-1), math.NaN(), uint64(0xFF))
+	f.Add(uint8(0), 0.0, 0.0, 0.0, uint64(0))
+	f.Add(uint8(1), 123.456, 1e-9, 7.5, uint64(0xA5))
+	f.Add(uint8(2), math.Inf(1), math.Inf(-1), math.NaN(), uint64(0xFF))
 
 	names := familyNames()
 	type compiledCase struct {
@@ -47,11 +46,10 @@ func FuzzWarmStart(f *testing.F) {
 		cases[i] = compiledCase{in: in, c: instance.Compile(in)}
 	}
 
-	f.Fuzz(func(t *testing.T, famIdx, par uint8, lam, floor, histLam float64, histBits uint64) {
+	f.Fuzz(func(t *testing.T, famIdx uint8, lam, floor, histLam float64, histBits uint64) {
 		cc := cases[int(famIdx)%len(cases)]
-		parallelism := 1 + int(par%8)
 
-		cold, err := Approximate(cc.in, Options{Compiled: cc.c, Parallelism: parallelism})
+		cold, err := Approximate(cc.in, Options{Compiled: cc.c})
 		if err != nil {
 			t.Fatalf("cold solve failed: %v", err)
 		}
@@ -71,11 +69,7 @@ func FuzzWarmStart(f *testing.F) {
 			Floor:          floor,
 			History:        hist,
 		}
-		warm, err := Approximate(cc.in, Options{
-			Compiled:    cc.c,
-			Parallelism: parallelism,
-			WarmStart:   warmSeed,
-		})
+		warm, err := Approximate(cc.in, Options{Compiled: cc.c, WarmStart: warmSeed})
 		if err != nil {
 			t.Fatalf("warm solve failed: %v", err)
 		}
@@ -85,11 +79,7 @@ func FuzzWarmStart(f *testing.F) {
 		// updated state has to stay bit-identical too (the in-place update
 		// is the lineage handoff, so a corrupted update would poison every
 		// later replan).
-		again, err := Approximate(cc.in, Options{
-			Compiled:    cc.c,
-			Parallelism: parallelism,
-			WarmStart:   warmSeed,
-		})
+		again, err := Approximate(cc.in, Options{Compiled: cc.c, WarmStart: warmSeed})
 		if err != nil {
 			t.Fatalf("re-warmed solve failed: %v", err)
 		}

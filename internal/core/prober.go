@@ -3,15 +3,13 @@ package core
 import "malsched/internal/instance"
 
 // Prober evaluates one deadline guess of the dichotomic search. It is the
-// seam between the search drivers — sequential and speculative — and the
-// paper's dual step: every guess Approximate makes flows through exactly one
-// Probe call, so tests can instrument the guess sequence and alternative
-// dual steps can be swapped in without touching the drivers.
+// seam between the search driver and the paper's dual step: every guess
+// Approximate makes flows through exactly one Probe call, so tests can
+// instrument the guess sequence and alternative dual steps can be swapped
+// in without touching the driver.
 //
-// A Prober must be deterministic in (in, c, lambda, p) and safe for
-// concurrent calls with distinct Scratch values: the speculative driver
-// invokes it from up to Parallelism goroutines, one pooled Scratch per
-// worker. The compiled tables c are immutable and shared by all of them.
+// A Prober must be deterministic in (in, c, lambda, p). The compiled tables
+// c are immutable.
 type Prober interface {
 	// Probe evaluates the guess λ on the instance: either a schedule of
 	// makespan ≤ ρλ, with that makespan in StepResult.Makespan (the search

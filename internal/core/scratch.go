@@ -33,14 +33,13 @@ import (
 // entry: an entry recycled hundreds of searches later is cold memory.
 // dualStep hands its winner back inside the Scratch (won); owned is the
 // single place it becomes a caller-owned Schedule — once per probe for a
-// Prober's caller, once per search for the default sequential driver,
-// which keeps its incumbent in best.
+// Prober's caller, once per search for the default prober, whose search
+// keeps its incumbent in best.
 //
 // A Scratch is not safe for concurrent use: pool one per worker (the
 // engine's worker pool does exactly that). Results handed to callers never
 // alias the Scratch (that one copy), so retaining a returned schedule while
-// reusing the Scratch is safe — the speculative drivers hold a probe's
-// result long after its pooled Scratch has moved on.
+// reusing the Scratch is safe.
 //
 // The zero value is ready to use.
 type Scratch struct {

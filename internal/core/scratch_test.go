@@ -48,9 +48,8 @@ func TestApproximateScratchBitIdentical(t *testing.T) {
 // that separates a held result from the next probe. The
 // hammer uses same-shape instances, so the buffers are reused at identical
 // offsets and an aliased result could not survive it; the second half
-// repeats it through Approximate, whose speculative workers (Parallelism 4)
-// probe on pooled Scratches that move on while the search still holds their
-// results.
+// repeats it through Approximate, whose one copy-out is all that separates
+// its result from later searches on the same Scratch.
 func TestDualStepResultsDoNotAliasScratch(t *testing.T) {
 	const n, m = 30, 16
 	p := DefaultParams()
@@ -80,24 +79,22 @@ func TestDualStepResultsDoNotAliasScratch(t *testing.T) {
 		t.Fatal("earlier schedule mutated by later probes on the same Scratch")
 	}
 
-	for _, par := range []int{1, 4} {
-		res, err := Approximate(in, Options{Scratch: sc, Parallelism: par})
-		if err != nil {
+	res, err := Approximate(in, Options{Scratch: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot = clone(res.Schedule)
+	hammer(sc)
+	for seed := int64(200); seed < 204; seed++ {
+		if _, err := Approximate(instance.Mixed(seed, n, m), Options{Scratch: sc}); err != nil {
 			t.Fatal(err)
 		}
-		snapshot := clone(res.Schedule)
-		hammer(sc)
-		for seed := int64(200); seed < 204; seed++ { // and the pooled speculative Scratches
-			if _, err := Approximate(instance.Mixed(seed, n, m), Options{Scratch: sc, Parallelism: par}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(snapshot, res.Schedule.Placements) {
-			t.Fatalf("parallelism %d: returned schedule mutated by later searches", par)
-		}
-		if err := schedule.Validate(in, res.Schedule, true); err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
+	}
+	if !reflect.DeepEqual(snapshot, res.Schedule.Placements) {
+		t.Fatal("returned schedule mutated by later searches")
+	}
+	if err := schedule.Validate(in, res.Schedule, true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -235,14 +232,12 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 
 	in := instance.Mixed(7, 25, 16)
 	sc := NewScratch()
-	for _, par := range []int{1, 4} {
-		if _, err := Approximate(in, Options{Scratch: sc, Parallelism: par}); err != nil {
-			t.Fatal(err)
-		}
-		empty("Approximate", sc)
-		(DualProber{}).Probe(in, nil, in.MinTotalWork(), p, sc, nil)
-		empty("DualProber.Probe(nil tables)", sc)
+	if _, err := Approximate(in, Options{Scratch: sc}); err != nil {
+		t.Fatal(err)
 	}
+	empty("Approximate", sc)
+	(DualProber{}).Probe(in, nil, in.MinTotalWork(), p, sc, nil)
+	empty("DualProber.Probe(nil tables)", sc)
 	// Caller-supplied tables are the caller's to drop: they stay hot.
 	c := instance.Compile(in)
 	if _, err := Approximate(in, Options{Scratch: sc, Compiled: c}); err != nil {

@@ -24,37 +24,24 @@ type Options struct {
 	// (never increases the makespan; off by default to match the paper's
 	// structures exactly).
 	Compact bool
-	// Parallelism, when ≥ 2, runs the dichotomic search speculatively: up
-	// to Parallelism λ-guesses — the upcoming doubling guesses, then the
-	// next levels of the bisection decision tree — are evaluated
-	// concurrently, each probe on its own pooled Scratch, and the outcomes
-	// are consumed in exactly the order the sequential search would probe
-	// them; off-path outcomes are discarded unseen. Every output is
-	// therefore bit-identical to Parallelism ≤ 1: only Probes and
-	// Speculated report the extra work. Values ≤ 1 (the default) keep the
-	// fully sequential search.
-	Parallelism int
 	// Compiled, when non-nil, supplies the instance's precompiled
 	// λ-breakpoint tables (instance.Compile) and must describe exactly the
 	// instance being solved (same machine size and time tables; names may
 	// differ — the tables are name-independent). When nil, Approximate
 	// compiles the instance itself before the first probe and drops the
 	// private tables from Scratch again on return. Either way every
-	// probe of the search — sequential or speculative — shares the same
-	// immutable tables; callers solving repeated shapes (the engine's
-	// compiled cache, the scheduling service) pass their cached value so
-	// compilation happens once per workload, not once per search.
+	// probe of the search shares the same immutable tables; callers
+	// solving repeated shapes (the engine's compiled cache, the
+	// scheduling service) pass their cached value so compilation happens
+	// once per workload, not once per search.
 	Compiled *instance.Compiled
 	// Prober, when non-nil, replaces the paper's dual step (DualProber) as
-	// the evaluator of deadline guesses. Tests instrument it; the
-	// speculative driver calls it concurrently with distinct Scratch
-	// values.
+	// the evaluator of deadline guesses. Tests instrument it.
 	Prober Prober
 	// Scratch, when non-nil, supplies the reusable working memory of the
 	// probes. A nil Scratch allocates a private one per call (still shared
 	// across that search's probes). Callers scheduling many instances pool
-	// a Scratch per worker; results never alias it. With Parallelism ≥ 2
-	// the extra workers draw additional buffers from a package-level pool.
+	// a Scratch per worker; results never alias it.
 	Scratch *Scratch
 	// Interrupt, when non-nil, aborts the search with ErrInterrupted as
 	// soon as the channel is closed. The search polls it between probes
@@ -62,20 +49,19 @@ type Options struct {
 	// worse units of work), which is how the engine implements
 	// per-instance timeouts without leaking goroutines.
 	Interrupt <-chan struct{}
-	// Trace, when non-nil, records the consumed probe trajectory into the
+	// Trace, when non-nil, records the probe trajectory into the
 	// given SolveTrace (appending to Probes, overwriting SearchNS). Tracing
-	// is observation only: it cannot change the search path or the result
-	// at any Parallelism, warm or cold (the golden and differential suites
-	// run traced to enforce it).
+	// is observation only: it cannot change the search path or the result,
+	// warm or cold (the golden and differential suites run traced to
+	// enforce it).
 	Trace *SolveTrace
 	// WarmStart, when non-nil, switches the search to warm mode: probe
 	// outcomes decided by the compiled segment tables alone are
-	// synthesized without running the dual step, the speculative budget
-	// follows the path the seed predicts, and on success the WarmStart is
-	// updated in place with this search's outcome for the next solve of
-	// the lineage. The result is bit-identical to a cold solve at every
-	// Parallelism — only Probes, Speculated and Synthesized change. A
-	// zero-valued (but non-nil) seed enables warm mode with no prior.
+	// synthesized without running the dual step, and on success the
+	// WarmStart is updated in place with this search's outcome for the
+	// next solve of the lineage. The result is bit-identical to a cold
+	// solve — only Probes and Synthesized change. A zero-valued (but
+	// non-nil) seed enables warm mode with no prior.
 	WarmStart *WarmStart
 }
 
@@ -91,17 +77,12 @@ type Result struct {
 	LowerBound float64
 	// AcceptedLambda is the smallest accepted guess.
 	AcceptedLambda float64
-	// Probes counts dual steps performed, speculative ones included.
+	// Probes counts dual steps performed.
 	Probes int
-	// Speculated counts probes that were executed speculatively and then
-	// discarded because the search path never reached their guess (always
-	// 0 when Parallelism ≤ 1). Probes includes them; Probes − Speculated
-	// is the sequential search's probe count of the real dual steps.
-	Speculated int
-	// Synthesized counts consumed probe outcomes that a warm search
-	// resolved from the compiled segment tables without running the dual
-	// step (always 0 without Options.WarmStart). The cold sequential
-	// search's probe count is (Probes − Speculated) + Synthesized.
+	// Synthesized counts probe outcomes that a warm search resolved from
+	// the compiled segment tables without running the dual step (always 0
+	// without Options.WarmStart). The cold search's probe count is
+	// Probes + Synthesized.
 	Synthesized int
 	// UnprovenRejects counts RejectUnproven outcomes. The paper's theorems
 	// imply 0 for every monotone instance; the experiment suite reports it
@@ -140,14 +121,12 @@ var ErrZeroLowerBound = errors.New("core: trivial lower bound is zero (empty or 
 // the instance up front.
 var ErrOverflow = errors.New("core: trivial lower bound overflows float64")
 
-// search is the shared state of the dichotomic dual search: the result
-// under construction, the incumbent schedule and the current bracketing
-// interval. Both drivers — the sequential loop and the speculative k-probe
-// driver — mutate it through merge, in the same order, which is what makes
-// their outputs identical.
+// search is the state of the dichotomic dual search: the result under
+// construction, the incumbent schedule and the current bracketing interval.
+// run mutates it through merge, one probe outcome at a time.
 //
 // No guess is ever probed twice, by construction rather than bookkeeping:
-// every consumed guess becomes an interval endpoint (doubling guesses are
+// every probed guess becomes an interval endpoint (doubling guesses are
 // successive floors, bisection guesses the new lo or hi), every future
 // bisection guess is a strictly interior midpoint, and the collapse guard
 // stops the search once the interval reaches float resolution — the
@@ -160,31 +139,25 @@ type search struct {
 	prober    Prober
 	interrupt <-chan struct{}
 
-	// privateTables marks c as compiled by this search itself: no later
-	// call can look the tables up, so every Scratch the search touched
-	// drops them on the way out.
-	privateTables bool
-
 	res    Result
 	best   *schedule.Schedule
 	bestMk float64
 
-	// borrow is the Scratch of a default sequential search: its probes are
-	// dualStep's, un-copied, so the incumbent is kept in that Scratch too
-	// and the one Schedule returned is allocated after the last probe. Nil
-	// for a Prober (its results are owned) and for the speculative drivers
-	// (a result outlives its worker's pooled Scratch).
+	// borrow is the Scratch of a search on the default prober: its probes
+	// are dualStep's, un-copied, so the incumbent is kept in that Scratch
+	// too and the one Schedule returned is allocated after the last probe.
+	// Nil for a Prober (its results are owned).
 	borrow *Scratch
 
 	// warm is the seed of a warm-mode search (nil on cold solves), hist
-	// the consumed-outcome history recorded for the next solve of the
+	// the probe-outcome history recorded for the next solve of the
 	// lineage, and synthOK whether outcomes may be synthesized from the
 	// segment tables (warm mode, default prober).
 	warm    *WarmStart
 	hist    []WarmProbe
 	synthOK bool
 
-	// trace, when non-nil, collects the consumed probe trajectory
+	// trace, when non-nil, collects the probe trajectory
 	// (Options.Trace). Written only in merge, read by nobody inside the
 	// search — observation cannot steer it.
 	trace *SolveTrace
@@ -192,9 +165,6 @@ type search struct {
 	// lo is the largest rejected guess (search floor, starts at the
 	// trivial lower bound); hi the smallest accepted one.
 	lo, hi float64
-	// consumed counts merged probes; Probes − consumed is the speculative
-	// waste.
-	consumed int
 }
 
 // Approximate runs the dichotomic dual search of §2.2: starting from the
@@ -202,9 +172,7 @@ type search struct {
 // accepts, then bisects between the largest rejected and smallest accepted
 // guesses. The returned schedule has makespan ≤ ρ(1+Eps)·OPT (Theorem 3
 // plus the search argument); the reported LowerBound certifies the ratio a
-// posteriori, instance by instance. With Options.Parallelism ≥ 2 the same
-// search speculates several guesses concurrently — same output, fewer
-// sequential probe rounds.
+// posteriori, instance by instance.
 func Approximate(in *instance.Instance, opts Options) (Result, error) {
 	p := opts.Params
 	if p.Rho == 0 {
@@ -223,8 +191,7 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 		sc = NewScratch()
 	}
 	c := opts.Compiled
-	private := c == nil
-	if private {
+	if c == nil {
 		// Compile once per search: every probe — tens of them, all on this
 		// one instance — then resolves canonical allotments by threshold
 		// compares and reuses the segment caches. Callers with a compiled
@@ -244,8 +211,9 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 		interrupt: opts.Interrupt,
 		warm:      opts.WarmStart,
 		trace:     opts.Trace,
-
-		privateTables: private,
+	}
+	if opts.Prober == nil {
+		s.borrow = sc
 	}
 	if s.warm != nil {
 		// Synthesis replays dualStep's certified pre-construction exits,
@@ -268,25 +236,13 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 	if s.trace != nil {
 		t0 = time.Now()
 	}
-	var err error
-	switch {
-	case opts.Parallelism >= 2 && s.warm != nil:
-		err = s.runSpeculativeWarm(opts.Parallelism, sc)
-	case opts.Parallelism >= 2:
-		err = s.runSpeculative(opts.Parallelism, sc)
-	default:
-		if opts.Prober == nil {
-			s.borrow = sc
-		}
-		err = s.runSequential(sc)
-	}
+	err := s.run(sc)
 	if s.trace != nil {
 		s.trace.SearchNS = time.Since(t0).Nanoseconds()
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	s.res.Speculated = s.res.Probes - (s.consumed - s.res.Synthesized)
 	s.updateWarm()
 
 	if s.borrow != nil {
@@ -303,9 +259,9 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 }
 
 // consider keeps the schedule (of makespan mk) if it strictly beats the
-// incumbent; ties keep the earlier one, so consumption order decides and
-// must match the sequential probe order. A borrowed winner dies with the
-// next probe, so keeping it is a scratch-to-scratch copy of its placements.
+// incumbent; ties keep the earlier one, so probe order decides. A borrowed
+// winner dies with the next probe, so keeping it is a scratch-to-scratch
+// copy of its placements.
 func (s *search) consider(sch *schedule.Schedule, mk float64) {
 	if s.best == nil || mk < s.bestMk {
 		if sc := s.borrow; sc != nil {
@@ -316,12 +272,10 @@ func (s *search) consider(sch *schedule.Schedule, mk float64) {
 	}
 }
 
-// merge applies one consumed probe outcome to the search result. All
-// drivers call it in the sequential probe order; speculative probes whose
-// guess the path never reaches are never merged. synth reports a warm
-// outcome resolved from the segment tables (trace provenance only).
+// merge applies one probe outcome to the search result, in probe order.
+// synth reports a warm outcome resolved from the segment tables (trace
+// provenance only).
 func (s *search) merge(lambda float64, r StepResult, synth bool) {
-	s.consumed++
 	if s.warm != nil {
 		s.hist = append(s.hist, WarmProbe{Lambda: lambda, Accepted: r.Schedule != nil})
 	}
@@ -369,10 +323,8 @@ func (s *search) errInterrupted() error {
 // covers every representable guess.
 const maxDoubling = 64
 
-// runSequential is the reference driver: one probe at a time, exactly the
-// §2.2 loop. Its probe order defines the output every other driver must
-// reproduce.
-func (s *search) runSequential(sc *Scratch) error {
+// run is the search driver: one probe at a time, exactly the §2.2 loop.
+func (s *search) run(sc *Scratch) error {
 	step := func(l float64) StepResult {
 		if r, ok := s.synthesize(l, sc); ok {
 			s.res.Synthesized++

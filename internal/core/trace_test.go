@@ -8,7 +8,7 @@ import (
 )
 
 // Tracing must be pure observation: enabling it cannot change any result
-// field, and the consumed trajectory must be identical across drivers.
+// field, and the trajectory must be the probe order itself.
 
 func TestTraceBitIdentity(t *testing.T) {
 	for _, fam := range []string{"mixed", "comm-heavy"} {
@@ -19,48 +19,55 @@ func TestTraceBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{1, 4} {
-				tr := &SolveTrace{}
-				got, err := Approximate(in, Options{Parallelism: par, Trace: tr})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Makespan != base.Makespan || got.LowerBound != base.LowerBound ||
-					got.AcceptedLambda != base.AcceptedLambda || got.Branch != base.Branch {
-					t.Fatalf("%s/%d par=%d: traced result differs from untraced", fam, seed, par)
-				}
-				if !reflect.DeepEqual(got.Schedule, base.Schedule) {
-					t.Fatalf("%s/%d par=%d: traced schedule differs", fam, seed, par)
-				}
-				if len(tr.Probes) == 0 {
-					t.Fatalf("%s/%d par=%d: empty trace", fam, seed, par)
-				}
-				if tr.SearchNS <= 0 {
-					t.Fatalf("%s/%d par=%d: SearchNS = %d", fam, seed, par, tr.SearchNS)
-				}
+			tr := &SolveTrace{}
+			got, err := Approximate(in, Options{Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Makespan != base.Makespan || got.LowerBound != base.LowerBound ||
+				got.AcceptedLambda != base.AcceptedLambda || got.Branch != base.Branch {
+				t.Fatalf("%s/%d: traced result differs from untraced", fam, seed)
+			}
+			if !reflect.DeepEqual(got.Schedule, base.Schedule) {
+				t.Fatalf("%s/%d: traced schedule differs", fam, seed)
+			}
+			if len(tr.Probes) == 0 {
+				t.Fatalf("%s/%d: empty trace", fam, seed)
+			}
+			if tr.SearchNS <= 0 {
+				t.Fatalf("%s/%d: SearchNS = %d", fam, seed, tr.SearchNS)
 			}
 		}
 	}
 }
 
-// TestTraceConsumptionOrder asserts the trace is driver-independent: the
-// sequential and speculative drivers record the same consumed trajectory.
+// TestTraceConsumptionOrder asserts the trace records the guesses in the
+// order the prober evaluated them, and that two traced searches of one
+// instance record the same trajectory.
 func TestTraceConsumptionOrder(t *testing.T) {
 	in := instance.Families()["mixed"](7, 24, 16)
 	seq := &SolveTrace{}
 	if _, err := Approximate(in, Options{Trace: seq}); err != nil {
 		t.Fatal(err)
 	}
-	spec := &SolveTrace{}
-	if _, err := Approximate(in, Options{Parallelism: 8, Trace: spec}); err != nil {
+	rec := &recordingProber{}
+	again := &SolveTrace{}
+	if _, err := Approximate(in, Options{Prober: rec, Trace: again}); err != nil {
 		t.Fatal(err)
 	}
-	seq.SearchNS, spec.SearchNS = 0, 0
-	if !reflect.DeepEqual(seq, spec) {
-		t.Fatalf("consumed trajectories differ:\n seq: %+v\nspec: %+v", seq.Probes, spec.Probes)
+	seq.SearchNS, again.SearchNS = 0, 0
+	if !reflect.DeepEqual(seq, again) {
+		t.Fatalf("trajectories differ:\n first: %+v\nsecond: %+v", seq.Probes, again.Probes)
+	}
+	if len(rec.lambdas) != len(seq.Probes) {
+		t.Fatalf("trace has %d probes, prober saw %d", len(seq.Probes), len(rec.lambdas))
+	}
+	for i, p := range seq.Probes {
+		if p.Lambda != rec.lambdas[i] {
+			t.Fatalf("trace probe %d at λ=%v, prober saw λ=%v", i, p.Lambda, rec.lambdas[i])
+		}
 	}
 	// Accepted probes carry RejectNone; rejected certified probes a reason.
-	last := seq.Probes[len(seq.Probes)-1]
 	sawAccept := false
 	for _, p := range seq.Probes {
 		if p.Accepted {
@@ -72,7 +79,6 @@ func TestTraceConsumptionOrder(t *testing.T) {
 		if p.Segment < 0 {
 			t.Fatalf("probe missing its λ-segment: %+v", p)
 		}
-		_ = last
 	}
 	if !sawAccept {
 		t.Fatal("trace has no accepted probe")
@@ -101,7 +107,7 @@ func TestTraceWarm(t *testing.T) {
 		t.Fatal("warm traced result differs from cold")
 	}
 	if len(warm.Probes) != len(cold.Probes) {
-		t.Fatalf("warm consumed %d probes, cold %d", len(warm.Probes), len(cold.Probes))
+		t.Fatalf("warm traced %d probes, cold %d", len(warm.Probes), len(cold.Probes))
 	}
 	sawSynth := false
 	for i, p := range warm.Probes {

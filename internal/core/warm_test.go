@@ -11,8 +11,8 @@ import (
 
 // assertWarmColdIdentical compares a warm result against its cold reference
 // bit by bit: makespan, λ*, certified lower bound, branch, unproven-reject
-// count and the full placement vector. Probes/Speculated/Synthesized are
-// the only fields allowed to differ — they report how the identical answer
+// count and the full placement vector. Probes/Synthesized are the only
+// fields allowed to differ — they report how the identical answer
 // was paid for.
 func assertWarmColdIdentical(t *testing.T, ctx string, warm, cold Result) {
 	t.Helper()
@@ -69,55 +69,52 @@ func residualStream(t *testing.T, c *instance.Compiled, seed int64, steps int) [
 // stream: at each replanning point the warm search (threading one WarmStart
 // through the whole stream, exactly as the engine's warm state does) must
 // return bit-identical results to a cold solve of the same residual
-// instance, at parallelism 1 and 8. The warm run must also never execute
-// more dual steps than the cold one.
+// instance. The warm run must also never execute more dual steps than the
+// cold one.
 func TestWarmColdEquivalenceStream(t *testing.T) {
 	for fam, gen := range instance.Families() {
-		for _, par := range []int{1, 8} {
-			full := gen(7, 24, 16)
-			c := instance.Compile(full)
-			stream := residualStream(t, c, 11, 8)
-			ws := &WarmStart{}
-			sc := NewScratch()
-			totalSynth, totalWarmProbes, totalColdProbes := 0, 0, 0
-			for k, in := range stream {
-				rc := instance.Compile(in)
-				cold, err := Approximate(in, Options{Parallelism: par, Compiled: rc})
-				if err != nil {
-					t.Fatalf("%s[%d] par %d: cold: %v", fam, k, par, err)
-				}
-				warm, err := Approximate(in, Options{Parallelism: par, Compiled: rc, Scratch: sc, WarmStart: ws})
-				if err != nil {
-					t.Fatalf("%s[%d] par %d: warm: %v", fam, k, par, err)
-				}
-				assertWarmColdIdentical(t, fam, warm, cold)
-				if seqWarm, seqCold := warm.Probes-warm.Speculated, cold.Probes-cold.Speculated; seqWarm > seqCold {
-					t.Errorf("%s[%d] par %d: warm consumed %d real probes, cold %d", fam, k, par, seqWarm, seqCold)
-				}
-				if bits := math.Float64bits(ws.AcceptedLambda); bits != math.Float64bits(warm.AcceptedLambda) {
-					t.Errorf("%s[%d] par %d: seed not updated: λ*=%v, result %v", fam, k, par, ws.AcceptedLambda, warm.AcceptedLambda)
-				}
-				if len(ws.History) == 0 {
-					t.Errorf("%s[%d] par %d: seed history not recorded", fam, k, par)
-				}
-				totalSynth += warm.Synthesized
-				totalWarmProbes += warm.Probes - warm.Speculated
-				totalColdProbes += cold.Probes - cold.Speculated
-				sc.DropCompiled(rc)
+		full := gen(7, 24, 16)
+		c := instance.Compile(full)
+		stream := residualStream(t, c, 11, 8)
+		ws := &WarmStart{}
+		sc := NewScratch()
+		totalSynth, totalWarmProbes, totalColdProbes := 0, 0, 0
+		for k, in := range stream {
+			rc := instance.Compile(in)
+			cold, err := Approximate(in, Options{Compiled: rc})
+			if err != nil {
+				t.Fatalf("%s[%d]: cold: %v", fam, k, err)
 			}
-			if totalSynth == 0 {
-				t.Errorf("%s par %d: warm stream never synthesized a probe", fam, par)
+			warm, err := Approximate(in, Options{Compiled: rc, Scratch: sc, WarmStart: ws})
+			if err != nil {
+				t.Fatalf("%s[%d]: warm: %v", fam, k, err)
 			}
-			if totalWarmProbes >= totalColdProbes {
-				t.Errorf("%s par %d: warm stream used %d real probes, cold %d — no saving", fam, par, totalWarmProbes, totalColdProbes)
+			assertWarmColdIdentical(t, fam, warm, cold)
+			if warm.Probes > cold.Probes {
+				t.Errorf("%s[%d]: warm ran %d real probes, cold %d", fam, k, warm.Probes, cold.Probes)
 			}
+			if bits := math.Float64bits(ws.AcceptedLambda); bits != math.Float64bits(warm.AcceptedLambda) {
+				t.Errorf("%s[%d]: seed not updated: λ*=%v, result %v", fam, k, ws.AcceptedLambda, warm.AcceptedLambda)
+			}
+			if len(ws.History) == 0 {
+				t.Errorf("%s[%d]: seed history not recorded", fam, k)
+			}
+			totalSynth += warm.Synthesized
+			totalWarmProbes += warm.Probes
+			totalColdProbes += cold.Probes
+			sc.DropCompiled(rc)
+		}
+		if totalSynth == 0 {
+			t.Errorf("%s: warm stream never synthesized a probe", fam)
+		}
+		if totalWarmProbes >= totalColdProbes {
+			t.Errorf("%s: warm stream used %d real probes, cold %d — no saving", fam, totalWarmProbes, totalColdProbes)
 		}
 	}
 }
 
-// A corrupt or stale warm seed may cost probes but must never change the
-// answer: the seed only decides what is synthesized (outcome-exact by
-// construction) and where speculation is spent (discarded unless on-path).
+// A corrupt or stale warm seed must never change the answer: the seed only
+// decides what is synthesized, which is outcome-exact by construction.
 func TestWarmGarbageSeedsHarmless(t *testing.T) {
 	gen := instance.Families()["mixed"]
 	in := gen(3, 20, 12)
@@ -137,17 +134,15 @@ func TestWarmGarbageSeedsHarmless(t *testing.T) {
 		"inverted-hist": {AcceptedLambda: cold.AcceptedLambda, History: []WarmProbe{{cold.AcceptedLambda * 2, false}, {cold.AcceptedLambda / 2, true}}},
 	}
 	for name, ws := range seeds {
-		for _, par := range []int{1, 2, 8} {
-			seed := *ws
-			if ws.History != nil {
-				seed.History = append([]WarmProbe(nil), ws.History...)
-			}
-			warm, err := Approximate(in, Options{Compiled: c, Parallelism: par, WarmStart: &seed})
-			if err != nil {
-				t.Fatalf("seed %q par %d: %v", name, par, err)
-			}
-			assertWarmColdIdentical(t, "seed "+name, warm, cold)
+		seed := *ws
+		if ws.History != nil {
+			seed.History = append([]WarmProbe(nil), ws.History...)
 		}
+		warm, err := Approximate(in, Options{Compiled: c, WarmStart: &seed})
+		if err != nil {
+			t.Fatalf("seed %q: %v", name, err)
+		}
+		assertWarmColdIdentical(t, "seed "+name, warm, cold)
 	}
 }
 

@@ -120,54 +120,51 @@ func dagWarmChain(t *testing.T, seed int64, n, steps int) []*instance.Compiled {
 }
 
 // TestScheduleWarmDAGMatchesCold extends the warm bit-identity bar to the
-// DAG solvers: at parallelism 1 and 8, every step of a DAG replanning
-// lineage must solve warm to the exact cold solution, and the lineage's
+// DAG solvers: every step of a DAG replanning lineage must solve warm to the exact cold solution, and the lineage's
 // crossover seeds must make the warm side strictly cheaper in fresh
 // evaluations overall.
 func TestScheduleWarmDAGMatchesCold(t *testing.T) {
 	const n = 16
 	edges := precedence.RandomEdges(5, n, 0.3)
-	for _, par := range []int{1, 8} {
-		for _, name := range []string{solver.DAGSolverName, solver.DAGCrossoverSolverName} {
-			chain := dagWarmChain(t, 17, n, 6)
-			warmE := New(Config{Workers: 1, MemoCapacity: -1})
-			coldE := New(Config{Workers: 1, MemoCapacity: -1})
-			ws := warmE.NewWarmState(9)
-			o := Options{Solver: name, Edges: edges, Parallelism: par}
+	for _, name := range []string{solver.DAGSolverName, solver.DAGCrossoverSolverName} {
+		chain := dagWarmChain(t, 17, n, 6)
+		warmE := New(Config{Workers: 1, MemoCapacity: -1})
+		coldE := New(Config{Workers: 1, MemoCapacity: -1})
+		ws := warmE.NewWarmState(9)
+		o := Options{Solver: name, Edges: edges}
 
-			warmProbes, coldProbes := 0, 0
-			for i, c := range chain {
-				in := c.Instance()
-				w := warmE.ScheduleWarm(in, c, o, 0, ws)
-				if w.Err != nil {
-					t.Fatalf("%s par %d step %d warm: %v", name, par, i, w.Err)
-				}
-				cold := coldE.ScheduleCompiled(in, c, o, 0, Fingerprint(in, o))
-				if cold.Err != nil {
-					t.Fatalf("%s par %d step %d cold: %v", name, par, i, cold.Err)
-				}
-				if !sameSolution(w.Solution, cold.Solution) {
-					t.Fatalf("%s par %d step %d: warm solution differs from cold:\nwarm: mk=%v %s\ncold: mk=%v %s",
-						name, par, i, w.Makespan, w.Branch, cold.Makespan, cold.Branch)
-				}
-				// Probes counts search decisions (a seeded search may pay a
-				// couple extra verifying its guess); the lineage's win is in
-				// fresh derivations — decisions the pinned scratch's segment
-				// cache resolved for free show up in Synthesized.
-				warmProbes += w.Probes - w.Synthesized
-				coldProbes += cold.Probes - cold.Synthesized
+		warmProbes, coldProbes := 0, 0
+		for i, c := range chain {
+			in := c.Instance()
+			w := warmE.ScheduleWarm(in, c, o, 0, ws)
+			if w.Err != nil {
+				t.Fatalf("%s step %d warm: %v", name, i, w.Err)
 			}
-			if name == solver.DAGCrossoverSolverName && warmProbes >= coldProbes {
-				t.Fatalf("%s par %d: warm lineage paid %d fresh evaluations, cold %d — seeds never helped",
-					name, par, warmProbes, coldProbes)
+			cold := coldE.ScheduleCompiled(in, c, o, 0, Fingerprint(in, o))
+			if cold.Err != nil {
+				t.Fatalf("%s step %d cold: %v", name, i, cold.Err)
 			}
-			if warmProbes > coldProbes {
-				t.Fatalf("%s par %d: warm lineage paid %d fresh evaluations, cold %d — seeds made it worse",
-					name, par, warmProbes, coldProbes)
+			if !sameSolution(w.Solution, cold.Solution) {
+				t.Fatalf("%s step %d: warm solution differs from cold:\nwarm: mk=%v %s\ncold: mk=%v %s",
+					name, i, w.Makespan, w.Branch, cold.Makespan, cold.Branch)
 			}
-			if ws.Solves() != uint64(len(chain)) {
-				t.Fatalf("%s par %d: state recorded %d solves, want %d", name, par, ws.Solves(), len(chain))
-			}
+			// Probes counts search decisions (a seeded search may pay a
+			// couple extra verifying its guess); the lineage's win is in
+			// fresh derivations — decisions the pinned scratch's segment
+			// cache resolved for free show up in Synthesized.
+			warmProbes += w.Probes - w.Synthesized
+			coldProbes += cold.Probes - cold.Synthesized
+		}
+		if name == solver.DAGCrossoverSolverName && warmProbes >= coldProbes {
+			t.Fatalf("%s: warm lineage paid %d fresh evaluations, cold %d — seeds never helped",
+				name, warmProbes, coldProbes)
+		}
+		if warmProbes > coldProbes {
+			t.Fatalf("%s: warm lineage paid %d fresh evaluations, cold %d — seeds made it worse",
+				name, warmProbes, coldProbes)
+		}
+		if ws.Solves() != uint64(len(chain)) {
+			t.Fatalf("%s: state recorded %d solves, want %d", name, ws.Solves(), len(chain))
 		}
 	}
 }

@@ -229,7 +229,7 @@ func (e *Engine) Schedule(in *instance.Instance) (Solution, error) {
 // timeout instead of the engine's configured ones, sharing the same pooled
 // scratches and memo (entries are keyed by options, so differently-tuned
 // calls never collide). A zero timeout means no limit. It is how the
-// scheduling service maps per-request solver/parallelism/timeout selection
+// scheduling service maps per-request solver/timeout selection
 // onto shared engines.
 func (e *Engine) ScheduleWith(in *instance.Instance, o Options, timeout time.Duration) Outcome {
 	return e.runWith(0, in, o, timeout, nil, nil, nil)

@@ -401,11 +401,11 @@ func TestConcurrentMixedUse(t *testing.T) {
 	_ = fmt.Sprintf("%+v", st)
 }
 
-// Portfolio and parallelism options flow through the batch path, and the
-// solution reports the winning solver and its probe count.
-func TestBatchWithPortfolioAndParallelism(t *testing.T) {
+// Portfolio options flow through the batch path, and the solution reports
+// the winning solver and its probe count.
+func TestBatchWithPortfolio(t *testing.T) {
 	ins := testFleet(t, 2)[:6]
-	e := New(Config{Workers: 3, Options: Options{Portfolio: []string{"mrt", "seq-lpt"}, Parallelism: 4}})
+	e := New(Config{Workers: 3, Options: Options{Portfolio: []string{"mrt", "seq-lpt"}}})
 	for i, o := range e.ScheduleBatch(ins) {
 		if o.Err != nil {
 			t.Fatalf("instance %d: %v", i, o.Err)
@@ -426,15 +426,15 @@ func TestBatchWithPortfolioAndParallelism(t *testing.T) {
 }
 
 // The memo key resolves the solver identity: the default shares entries
-// with the explicit "mrt" spelling, and Parallelism — which cannot change
+// with the explicit "mrt" spelling, and Trace — which cannot change
 // results — is excluded.
 func TestFingerprintSolverResolution(t *testing.T) {
 	a := testFleet(t, 1)[0]
 	if fingerprint(a, Options{}) != fingerprint(a, Options{Solver: "mrt"}) {
 		t.Fatal("default and explicit mrt hash differently")
 	}
-	if fingerprint(a, Options{}) != fingerprint(a, Options{Parallelism: 8}) {
-		t.Fatal("Parallelism leaked into the memo key")
+	if fingerprint(a, Options{}) != fingerprint(a, Options{Trace: true}) {
+		t.Fatal("Trace leaked into the memo key")
 	}
 	if fingerprint(a, Options{}) == fingerprint(a, Options{Portfolio: []string{"mrt"}}) {
 		t.Fatal("portfolio ignored by the memo key")

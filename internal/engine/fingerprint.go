@@ -110,10 +110,9 @@ func fingerprint(in *instance.Instance, o Options) memoKey {
 		h.Word(0)
 	}
 	// The solver identity is hashed in resolved form, so an empty Solver
-	// and an explicit "mrt" share memo entries. Parallelism and Trace are
-	// deliberately excluded: the speculative search is bit-identical to the
-	// sequential one and tracing is pure observation (enforced by the
-	// golden, determinism and trace tests), so their results are
+	// and an explicit "mrt" share memo entries. Trace is deliberately
+	// excluded: tracing is pure observation (enforced by the golden,
+	// determinism and trace tests), so traced and untraced results are
 	// interchangeable.
 	if len(o.Portfolio) > 0 {
 		h.String("portfolio")

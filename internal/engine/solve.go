@@ -35,13 +35,9 @@ type Options struct {
 	// concurrently and keeps the best certified result; it overrides
 	// Solver.
 	Portfolio []string
-	// Parallelism is the speculative width of the dual search; results
-	// are identical at every value (see core.Options.Parallelism).
-	Parallelism int
-	// Trace captures the dual search's consumed probe trajectory into
+	// Trace captures the dual search's probe trajectory into
 	// Solution.Trace. Pure observation: results are bit-identical traced or
-	// not, so Trace — like Parallelism — is excluded from the
-	// memo fingerprint; a memo hit returns no trace (there was no search).
+	// not, so Trace is excluded from the memo fingerprint; a memo hit returns no trace (there was no search).
 	// Only solvers with a dual search record probes ("mrt"); others return
 	// an empty trace.
 	Trace bool
@@ -125,18 +121,14 @@ type Solution struct {
 	// Solver names the registered solver that produced the plan (the
 	// winning member for portfolios).
 	Solver string
-	// Probes counts dual-approximation steps performed, speculative ones
-	// included (0 for solvers without a dual search).
+	// Probes counts dual-approximation steps performed (0 for solvers
+	// without a dual search), the replanning benchmarks' cost metric.
 	Probes int
-	// Speculated counts the probes executed speculatively beyond the
-	// sequential decision path; Probes − Speculated is the consumed path
-	// length, the replanning benchmarks' cost metric.
-	Speculated int
 	// Synthesized counts probe outcomes a warm-mode dual search resolved
 	// from the compiled segment tables without a dual step (0 for cold
 	// solves; see Engine.ScheduleWarm).
 	Synthesized int
-	// Trace is the dual search's consumed probe trajectory, present only
+	// Trace is the dual search's probe trajectory, present only
 	// when Options.Trace was set and the solve actually ran a search (memo
 	// hits return nil — clone strips it, so memo entries never carry a
 	// stale trajectory).
@@ -195,15 +187,14 @@ func solve(in *instance.Instance, o Options, sc *core.Scratch, interrupt <-chan 
 		tr = &core.SolveTrace{}
 	}
 	sol, err := sv.Solve(in, solver.Options{
-		Eps:         o.Eps,
-		Compact:     o.Compact,
-		Parallelism: o.Parallelism,
-		Compiled:    ci,
-		Scratch:     sc,
-		Interrupt:   interrupt,
-		WarmStart:   warm,
-		Trace:       tr,
-		Edges:       o.Edges,
+		Eps:       o.Eps,
+		Compact:   o.Compact,
+		Compiled:  ci,
+		Scratch:   sc,
+		Interrupt: interrupt,
+		WarmStart: warm,
+		Trace:     tr,
+		Edges:     o.Edges,
 	})
 	if err != nil {
 		return Solution{}, err
@@ -215,7 +206,6 @@ func solve(in *instance.Instance, o Options, sc *core.Scratch, interrupt <-chan 
 		Branch:      sol.Branch,
 		Solver:      sol.Solver,
 		Probes:      sol.Probes,
-		Speculated:  sol.Speculated,
 		Synthesized: sol.Synthesized,
 		Trace:       tr,
 	}, nil

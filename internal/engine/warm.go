@@ -15,8 +15,7 @@ import (
 // lineage's lifetime (so λ-segment caches and delta-synced knapsack
 // columns survive across re-solves instead of being rebuilt per replan)
 // and threads one core.WarmStart seed through consecutive solves (so each
-// solve synthesizes the probe outcomes the previous one certifies and
-// speculates along the previous path).
+// solve synthesizes the probe outcomes the compiled tables certify).
 //
 // Correctness never depends on the state matching the instance: a
 // mismatched lineage costs probes, not answers — ScheduleWarm's results
@@ -84,8 +83,7 @@ func (e *Engine) WarmFor(lineage uint64) *WarmState {
 // The memo is shared with the cold paths: a hit returns the memoised
 // solution without touching the lineage state (warm and cold solutions
 // are interchangeable by the bit-identity invariant — only their probe
-// accounting differs, exactly as with Parallelism, which the memo
-// fingerprint already ignores).
+// accounting differs).
 func (e *Engine) ScheduleWarm(in *instance.Instance, c *instance.Compiled, o Options, timeout time.Duration, ws *WarmState) Outcome {
 	if ws == nil {
 		return e.runWith(0, in, o, timeout, nil, c, nil)

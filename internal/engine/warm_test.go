@@ -45,43 +45,41 @@ func warmStream(t *testing.T, seed int64, steps int) []*instance.Compiled {
 // every step of a replanning lineage, while performing strictly fewer real
 // probes over the lineage and synthesizing at least one outcome.
 func TestScheduleWarmMatchesColdBitIdentical(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		chain := warmStream(t, 11, 6)
-		warmE := New(Config{Workers: 1, MemoCapacity: -1})
-		coldE := New(Config{Workers: 1, MemoCapacity: -1})
-		ws := warmE.NewWarmState(42)
-		o := Options{Parallelism: par}
+	chain := warmStream(t, 11, 6)
+	warmE := New(Config{Workers: 1, MemoCapacity: -1})
+	coldE := New(Config{Workers: 1, MemoCapacity: -1})
+	ws := warmE.NewWarmState(42)
+	o := Options{}
 
-		warmProbes, coldProbes, synth := 0, 0, 0
-		for i, c := range chain {
-			in := c.Instance()
-			w := warmE.ScheduleWarm(in, c, o, 0, ws)
-			if w.Err != nil {
-				t.Fatalf("par %d step %d warm: %v", par, i, w.Err)
-			}
-			cold := coldE.ScheduleCompiled(in, c, o, 0, Fingerprint(in, o))
-			if cold.Err != nil {
-				t.Fatalf("par %d step %d cold: %v", par, i, cold.Err)
-			}
-			if !sameSolution(w.Solution, cold.Solution) {
-				t.Fatalf("par %d step %d: warm solution differs from cold:\nwarm: mk=%v lb=%v %s\ncold: mk=%v lb=%v %s",
-					par, i, w.Makespan, w.LowerBound, w.Branch,
-					cold.Makespan, cold.LowerBound, cold.Branch)
-			}
-			warmProbes += w.Probes - w.Speculated
-			coldProbes += cold.Probes - cold.Speculated
-			synth += w.Synthesized
+	warmProbes, coldProbes, synth := 0, 0, 0
+	for i, c := range chain {
+		in := c.Instance()
+		w := warmE.ScheduleWarm(in, c, o, 0, ws)
+		if w.Err != nil {
+			t.Fatalf("step %d warm: %v", i, w.Err)
 		}
-		if synth == 0 {
-			t.Fatalf("par %d: lineage synthesized no probe outcomes", par)
+		cold := coldE.ScheduleCompiled(in, c, o, 0, Fingerprint(in, o))
+		if cold.Err != nil {
+			t.Fatalf("step %d cold: %v", i, cold.Err)
 		}
-		if warmProbes >= coldProbes {
-			t.Fatalf("par %d: warm lineage consumed %d probes, cold %d — warm must be strictly cheaper",
-				par, warmProbes, coldProbes)
+		if !sameSolution(w.Solution, cold.Solution) {
+			t.Fatalf("step %d: warm solution differs from cold:\nwarm: mk=%v lb=%v %s\ncold: mk=%v lb=%v %s",
+				i, w.Makespan, w.LowerBound, w.Branch,
+				cold.Makespan, cold.LowerBound, cold.Branch)
 		}
-		if ws.Solves() != uint64(len(chain)) {
-			t.Fatalf("par %d: state recorded %d solves, want %d", par, ws.Solves(), len(chain))
-		}
+		warmProbes += w.Probes
+		coldProbes += cold.Probes
+		synth += w.Synthesized
+	}
+	if synth == 0 {
+		t.Fatal("lineage synthesized no probe outcomes")
+	}
+	if warmProbes >= coldProbes {
+		t.Fatalf("warm lineage ran %d probes, cold %d — warm must be strictly cheaper",
+			warmProbes, coldProbes)
+	}
+	if ws.Solves() != uint64(len(chain)) {
+		t.Fatalf("state recorded %d solves, want %d", ws.Solves(), len(chain))
 	}
 }
 

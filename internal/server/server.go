@@ -59,11 +59,15 @@ const (
 	DefaultShards       = 4
 	DefaultQueueDepth   = 64
 	DefaultMaxTimeout   = 60 * time.Second
-	DefaultMaxParallel  = 64
 	DefaultMaxBatch     = 256
 	DefaultMaxBodyBytes = 8 << 20
 	// MaxLineageBytes caps the lineage key of RequestOptions.Lineage.
 	MaxLineageBytes = 128
+	// DefaultMaxParallel bounds RequestOptions.Parallelism, a wire field
+	// the search ignores: a value inside [0, DefaultMaxParallel] is
+	// accepted, one outside it is a bad_options error, so clients see the
+	// same contract whatever value they send.
+	DefaultMaxParallel = 64
 )
 
 // Config tunes a Server. The zero value serves with DefaultShards engine
@@ -90,9 +94,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps per-request timeouts; ≤ 0 means DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// MaxParallelism caps per-request speculative width; ≤ 0 means
-	// DefaultMaxParallel.
-	MaxParallelism int
 	// MaxBatch caps instances per /v1/batch request; ≤ 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
@@ -168,9 +169,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
-	}
-	if cfg.MaxParallelism <= 0 {
-		cfg.MaxParallelism = DefaultMaxParallel
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
@@ -319,15 +317,14 @@ func (s *Server) resolveOptions(ro *wire.RequestOptions) (engine.Options, time.D
 	}
 	o.Eps = ro.Eps
 	o.Compact = ro.Compact
-	// Trace is observation only — excluded from the memo fingerprint like
-	// Parallelism, so traced and untraced requests share memo entries (a
-	// hit returns phases without probes). The binary codec never sets it
+	// Trace is observation only — excluded from the memo fingerprint, so
+	// traced and untraced requests share memo entries (a hit returns phases
+	// without probes). The binary codec never sets it
 	// (frozen layout; see wire.RequestOptions.Trace).
 	o.Trace = ro.Trace
-	if ro.Parallelism < 0 || ro.Parallelism > s.cfg.MaxParallelism {
-		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("parallelism must be in [0, %d], got %d", s.cfg.MaxParallelism, ro.Parallelism)}
+	if ro.Parallelism < 0 || ro.Parallelism > DefaultMaxParallel {
+		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("parallelism must be in [0, %d], got %d", DefaultMaxParallel, ro.Parallelism)}
 	}
-	o.Parallelism = ro.Parallelism
 	if ro.TimeoutMS < 0 {
 		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("timeout_ms must be ≥ 0, got %d", ro.TimeoutMS)}
 	}

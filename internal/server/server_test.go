@@ -150,7 +150,7 @@ func TestMemoServesRenamedWorkload(t *testing.T) {
 // Every request-validation failure must be a typed 4xx before any work is
 // queued.
 func TestScheduleRequestValidation(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1, MaxParallelism: 8})
+	s := New(Config{Shards: 1, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	good := mustRaw(t, instance.Mixed(1, 5, 4))
@@ -169,7 +169,7 @@ func TestScheduleRequestValidation(t *testing.T) {
 			http.StatusBadRequest, wire.CodeBadOptions},
 		{"negative parallelism", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Parallelism: -1}},
 			http.StatusBadRequest, wire.CodeBadOptions},
-		{"parallelism over cap", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Parallelism: 9}},
+		{"parallelism over cap", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{Parallelism: DefaultMaxParallel + 1}},
 			http.StatusBadRequest, wire.CodeBadOptions},
 		{"negative timeout", wire.ScheduleRequest{Instance: good, Options: &wire.RequestOptions{TimeoutMS: -5}},
 			http.StatusBadRequest, wire.CodeBadOptions},
@@ -431,7 +431,7 @@ func TestStatszCompileCounters(t *testing.T) {
 		nil,              // memo miss, compile miss
 		nil,              // memo hit, no compiled-cache probe
 		{Eps: 0.05},      // memo miss (options differ), compile hit
-		{Parallelism: 2}, // memo hit (parallelism excluded), no probe
+		{Parallelism: 2}, // memo hit (parallelism ignored), no probe
 	} {
 		if status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw, Options: opts}); status != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", status, body)

@@ -13,17 +13,12 @@
 //
 // Determinism: the event queue is ordered by (time, insertion sequence),
 // policies see state through deterministic slice-ordered views, runtime
-// noise is a pure function of (seed, job index), and the planning engine's
-// speculative parallelism is bit-identical at every width — so a
-// simulation is a pure function of (trace, Config), at any Parallelism.
-// One caveat scopes that claim: Metrics.Probes counts the dual search's
-// steps, speculation included, so it scales with Parallelism, and with a
-// shared Engine a memo hit reports the probe count of whichever
-// parallelism first solved the workload (the memo key deliberately
-// excludes Parallelism — the solutions are bit-identical).
-// Metrics.Synthesized shares the caveat: it depends on the warm/cold mode
-// of whichever solve populated the memo. Every other field, the timeline
-// included, is cache- and width-independent.
+// noise is a pure function of (seed, job index), and the planning engine is
+// deterministic — so a simulation is a pure function of (trace, Config).
+// One caveat scopes that claim: with a shared Engine a memo hit reports
+// the Metrics.Probes and Metrics.Synthesized of whichever solve populated
+// the memo, warm or cold. Every other field, the timeline included, is
+// cache-independent.
 package sim
 
 import (
@@ -49,7 +44,7 @@ const doneTol = 1e-9
 
 // Config selects and tunes one simulation run. The zero value of every
 // field is usable: epoch-batch policy semantics require Policy to be set,
-// but Epoch, Preempt, Noise, Seed, Eps, Solver and Parallelism all default
+// but Epoch, Preempt, Noise, Seed, Eps and Solver all default
 // sensibly and Engine defaults to a private planning engine.
 type Config struct {
 	// Policy names the online policy: "epoch-batch", "greedy-rigid" or
@@ -69,11 +64,10 @@ type Config struct {
 	// Seed seeds the noise stream (and nothing else — workload randomness
 	// lives in the trace).
 	Seed int64
-	// Eps, Solver, Parallelism configure the planning kernel exactly like
-	// the facade options of the same names.
-	Eps         float64
-	Solver      string
-	Parallelism int
+	// Eps and Solver configure the planning kernel exactly like the
+	// facade options of the same names.
+	Eps    float64
+	Solver string
 	// ColdReplan disables warm-start replanning: the replan-on-arrival
 	// policy re-solves every residual from scratch instead of threading a
 	// warm lineage (engine.ScheduleWarm) through the run's successive
@@ -298,9 +292,8 @@ func newState(tr *workload.Trace, cfg Config, eng *engine.Engine, planner bool) 
 		cfg: cfg,
 		eng: eng,
 		opts: engine.Options{
-			Eps:         cfg.Eps,
-			Solver:      cfg.Solver,
-			Parallelism: cfg.Parallelism,
+			Eps:    cfg.Eps,
+			Solver: cfg.Solver,
 		},
 		noise:     make([]float64, n),
 		arrived:   make([]bool, n),

@@ -28,22 +28,20 @@ func init() {
 }
 
 // paperSolver is the paper's algorithm: the dual-approximation dichotomic
-// search of internal/core, sequential or speculative per
-// Options.Parallelism.
+// search of internal/core.
 type paperSolver struct{}
 
 func (paperSolver) Name() string { return PaperSolverName }
 
 func (paperSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 	res, err := core.Approximate(in, core.Options{
-		Eps:         o.Eps,
-		Compact:     o.Compact,
-		Parallelism: o.Parallelism,
-		Compiled:    o.Compiled,
-		Scratch:     o.Scratch,
-		Interrupt:   o.Interrupt,
-		WarmStart:   o.WarmStart,
-		Trace:       o.Trace,
+		Eps:       o.Eps,
+		Compact:   o.Compact,
+		Compiled:  o.Compiled,
+		Scratch:   o.Scratch,
+		Interrupt: o.Interrupt,
+		WarmStart: o.WarmStart,
+		Trace:     o.Trace,
 	})
 	if err != nil {
 		return Solution{}, err
@@ -59,7 +57,6 @@ func (paperSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 		Branch:      res.Branch,
 		Solver:      PaperSolverName,
 		Probes:      res.Probes,
-		Speculated:  res.Speculated,
 		Synthesized: res.Synthesized,
 	}, nil
 }

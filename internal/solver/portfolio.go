@@ -107,7 +107,6 @@ func (p *Portfolio) Solve(in *instance.Instance, o Options) (Solution, error) {
 		firstErr error
 		maxLB    float64
 		probes   int
-		spec     int
 		synth    int
 	)
 	for i := range solvers {
@@ -126,7 +125,6 @@ func (p *Portfolio) Solve(in *instance.Instance, o Options) (Solution, error) {
 		}
 		sol := sols[i]
 		probes += sol.Probes
-		spec += sol.Speculated
 		synth += sol.Synthesized
 		if sol.LowerBound > maxLB {
 			maxLB = sol.LowerBound
@@ -144,7 +142,6 @@ func (p *Portfolio) Solve(in *instance.Instance, o Options) (Solution, error) {
 	}
 	best.LowerBound = maxLB
 	best.Probes = probes
-	best.Speculated = spec
 	best.Synthesized = synth
 	// Members verified their own plans, but the merge built a new claim —
 	// the winning plan under the strongest member bound — so certify the

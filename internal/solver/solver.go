@@ -31,10 +31,6 @@ type Options struct {
 	Eps float64
 	// Compact greedily left-shifts the final schedule.
 	Compact bool
-	// Parallelism is the speculative-search width of the dual search
-	// (core.Options.Parallelism); results are identical at every value.
-	// Solvers without an internal search ignore it.
-	Parallelism int
 
 	// Compiled carries the instance's precompiled λ-breakpoint tables
 	// (instance.Compile) when the caller — the engine's compiled cache,
@@ -57,7 +53,7 @@ type Options struct {
 	// ignore it; the portfolio hands it to at most its "mrt" member.
 	WarmStart *core.WarmStart
 
-	// Trace, when non-nil, collects the dual search's consumed probe
+	// Trace, when non-nil, collects the dual search's probe
 	// trajectory (core.Options.Trace). Pure observation: results are
 	// bit-identical traced or not. Solvers without a dual search ignore
 	// it; the portfolio leaves it untouched (members race concurrently, so
@@ -108,10 +104,6 @@ type Solution struct {
 	// Probes counts dual-approximation steps performed (0 for solvers
 	// without a dual search; the portfolio sums its members').
 	Probes int
-	// Speculated counts the probes a speculative dual search executed
-	// beyond the sequential decision path (core.Result.Speculated);
-	// Probes − Speculated is the consumed path length.
-	Speculated int
 	// Synthesized counts probe outcomes a warm-mode dual search resolved
 	// from the compiled segment tables without a dual step (0 for cold
 	// solves and solvers without a dual search).

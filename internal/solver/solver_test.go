@@ -71,8 +71,8 @@ func TestBuiltinSolversProduceValidCertifiedPlans(t *testing.T) {
 
 // The portfolio satellite: on a fixed seed grid the portfolio's makespan is
 // ≤ every member's, its lower bound is ≥ every member's, and its output is
-// identical across repeated runs and across Parallelism settings (the -race
-// CI pass runs this file, so the concurrent fan-out is also race-checked).
+// identical across repeated runs (the -race CI pass runs this file, so the
+// concurrent fan-out is also race-checked).
 func TestPortfolioDeterministicAndDominant(t *testing.T) {
 	p, _ := Lookup(PortfolioName)
 	members := p.(*Portfolio).Members()
@@ -110,19 +110,19 @@ func TestPortfolioDeterministicAndDominant(t *testing.T) {
 					in.Name, ref.LowerBound, name, sol.LowerBound)
 			}
 		}
-		for _, par := range []int{0, 1, 4, 8} {
-			got, err := p.Solve(in, Options{Parallelism: par})
+		for run := 1; run <= 3; run++ {
+			got, err := p.Solve(in, Options{})
 			if err != nil {
-				t.Fatalf("portfolio(parallelism=%d) on %s: %v", par, in.Name, err)
+				t.Fatalf("portfolio run %d on %s: %v", run, in.Name, err)
 			}
 			if math.Float64bits(got.Makespan) != math.Float64bits(ref.Makespan) ||
 				math.Float64bits(got.LowerBound) != math.Float64bits(ref.LowerBound) ||
 				got.Solver != ref.Solver || got.Branch != ref.Branch {
-				t.Errorf("%s: parallelism %d changed the portfolio outcome: %+v vs %+v",
-					in.Name, par, got, ref)
+				t.Errorf("%s: run %d changed the portfolio outcome: %+v vs %+v",
+					in.Name, run, got, ref)
 			}
 			if !reflect.DeepEqual(got.Plan.Placements, ref.Plan.Placements) {
-				t.Errorf("%s: parallelism %d changed the portfolio plan", in.Name, par)
+				t.Errorf("%s: run %d changed the portfolio plan", in.Name, run)
 			}
 		}
 	}

@@ -99,8 +99,9 @@ type RequestOptions struct {
 	Eps float64 `json:"eps,omitempty"`
 	// Compact left-shifts the final schedule.
 	Compact bool `json:"compact,omitempty"`
-	// Parallelism is the speculative dual-search width; results are
-	// bit-identical at every value. Capped by the server's MaxParallelism.
+	// Parallelism is kept for wire compatibility: both codecs carry it and
+	// the server rejects a value outside [0, 64], but the search is
+	// sequential and ignores any value inside that range.
 	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutMS bounds the wall-clock time spent solving this request, in
 	// milliseconds; 0 means the server's default, and the server's
@@ -116,7 +117,7 @@ type RequestOptions struct {
 	// probes, never correctness. Ignored for solvers without a dual
 	// search. Max 128 bytes.
 	Lineage string `json:"lineage,omitempty"`
-	// Trace requests the solve trace: the dual search's consumed probe
+	// Trace requests the solve trace: the dual search's probe
 	// trajectory plus per-phase timings, returned as the response's "trace"
 	// field and never stored in the memo. Pure observation — the schedule,
 	// certificates and provenance are bit-identical traced or not. JSON
@@ -202,7 +203,7 @@ type ScheduleResponse struct {
 }
 
 // TraceInfo is the solve trace of one request: where the wall-clock time
-// went, stage by stage, plus the dual search's consumed probe trajectory.
+// went, stage by stage, plus the dual search's probe trajectory.
 // Phase fields are nanoseconds measured by the serving shard; a memo hit
 // has SolveNS ≈ 0 and no probes. The schema is documented in
 // docs/OBSERVABILITY.md.
@@ -218,12 +219,12 @@ type TraceInfo struct {
 	// SearchNS is the dual search's own wall-clock time (inside SolveNS);
 	// 0 for memo hits and solvers without a dual search.
 	SearchNS int64 `json:"search_ns,omitempty"`
-	// Probes is the consumed probe trajectory in sequential search order;
+	// Probes is the probe trajectory in search order;
 	// empty for memo hits and solvers without a dual search.
 	Probes []TraceProbe `json:"probes,omitempty"`
 }
 
-// TraceProbe is one consumed probe of the dual search.
+// TraceProbe is one probe of the dual search.
 type TraceProbe struct {
 	// Lambda is the deadline guess, Segment its λ-breakpoint segment index
 	// in the compiled tables (never negative).

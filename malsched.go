@@ -34,10 +34,8 @@
 // baselines, an exhaustive "exact" reference for tiny instances), and
 // Options.Portfolio runs several concurrently, keeping the plan with the
 // smallest makespan under the strongest certified lower bound any member
-// produced (Result.Solver names the winner). Options.Parallelism speculates
-// λ-guesses of the dual search concurrently — bit-identical output, lower
-// latency on idle cores. RegisterSolver plugs in external solvers; see
-// docs/ARCHITECTURE.md.
+// produced (Result.Solver names the winner). RegisterSolver plugs in
+// external solvers; see docs/ARCHITECTURE.md.
 //
 // For batches and streams of instances, NewEngine wraps the same pipeline
 // in a bounded worker pool with memoisation of repeated workloads; see
@@ -109,7 +107,7 @@ func NewInstance(name string, m int, tasks []Task) (*Instance, error) {
 
 // Options tunes Schedule. The zero value (or nil) uses the paper's
 // configuration: ρ = √3, search tolerance 1e-3, no compaction, the "mrt"
-// solver, sequential search.
+// solver.
 type Options struct {
 	// Eps is the dichotomic search tolerance; the guarantee is √3(1+Eps).
 	Eps float64
@@ -126,15 +124,9 @@ type Options struct {
 	// makespan under the strongest certified lower bound any member
 	// produced. Overrides Solver. See Result.Solver for the winner.
 	Portfolio []string
-	// Parallelism, when ≥ 2, speculates that many λ-guesses of the dual
-	// search concurrently. Every output is bit-identical to the
-	// sequential search — parallelism only trades spare cores for search
-	// latency. Ignored by solvers without a dual search.
-	Parallelism int
-	// Trace captures the dual search's consumed probe trajectory into
+	// Trace captures the dual search's probe trajectory into
 	// Result.Trace — λ, breakpoint segment, accept/reject with reason,
-	// certification and warm-synthesis flags, in the exact consumption
-	// order. Pure observation: every output is bit-identical traced or
+	// certification and warm-synthesis flags, in the exact probe order. Pure observation: every output is bit-identical traced or
 	// not. Only solvers with a dual search record probes ("mrt"); others
 	// return an empty trace.
 	Trace bool
@@ -152,10 +144,10 @@ type Options struct {
 // re-exported from the search core. See docs/OBSERVABILITY.md for the
 // trace schema.
 type (
-	// SolveTrace is one search's consumed probe trajectory plus its
-	// wall-clock duration.
+	// SolveTrace is one search's probe trajectory plus its wall-clock
+	// duration.
 	SolveTrace = core.SolveTrace
-	// ProbeTrace is one consumed probe outcome.
+	// ProbeTrace is one probe outcome.
 	ProbeTrace = core.ProbeTrace
 )
 
@@ -174,11 +166,10 @@ type Result struct {
 	// Solver names the registered solver that produced the plan; for
 	// portfolio runs it is the winning member, not "portfolio".
 	Solver string
-	// Probes counts dual-approximation steps performed, speculative ones
-	// included (0 for solvers without a dual search; portfolios sum their
-	// members'). The benchmark harness derives probe throughput from it.
+	// Probes counts dual-approximation steps performed (0 for solvers
+	// without a dual search; portfolios sum their members'). The benchmark harness derives probe throughput from it.
 	Probes int
-	// Trace is the consumed probe trajectory, present only when
+	// Trace is the probe trajectory, present only when
 	// Options.Trace was set (empty Probes for solvers without a dual
 	// search).
 	Trace *SolveTrace
@@ -223,13 +214,12 @@ func Schedule(in *Instance, opts *Options) (Result, error) {
 // engineOptions maps the facade options onto the engine's.
 func engineOptions(o Options) engine.Options {
 	return engine.Options{
-		Eps:         o.Eps,
-		Compact:     o.Compact,
-		Solver:      o.Solver,
-		Portfolio:   o.Portfolio,
-		Parallelism: o.Parallelism,
-		Trace:       o.Trace,
-		Edges:       o.Edges,
+		Eps:       o.Eps,
+		Compact:   o.Compact,
+		Solver:    o.Solver,
+		Portfolio: o.Portfolio,
+		Trace:     o.Trace,
+		Edges:     o.Edges,
 	}
 }
 
@@ -240,8 +230,8 @@ func Solvers() []string { return solver.Names() }
 
 // SolverFunc is a custom scheduling algorithm for RegisterSolver: it must
 // return a complete plan (validated non-contiguously by the registry) and a
-// certified lower bound for the instance. Eps, Compact and Parallelism are
-// passed through in opts; Solver/Portfolio are empty.
+// certified lower bound for the instance. Eps and Compact are passed
+// through in opts; Solver/Portfolio are empty.
 type SolverFunc func(in *Instance, opts Options) (Result, error)
 
 // RegisterSolver makes a custom solver available to Schedule, Engine and
@@ -252,7 +242,7 @@ func RegisterSolver(name string, fn SolverFunc) {
 	solver.Register(solver.Func{
 		SolverName: name,
 		Fn: func(in *instance.Instance, o solver.Options) (solver.Solution, error) {
-			res, err := fn(in, Options{Eps: o.Eps, Compact: o.Compact, Parallelism: o.Parallelism})
+			res, err := fn(in, Options{Eps: o.Eps, Compact: o.Compact})
 			if err != nil {
 				return solver.Solution{}, err
 			}
