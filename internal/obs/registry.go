@@ -25,9 +25,9 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Registry holds metric families and renders them in Prometheus text
 // exposition format. Get-or-create accessors are safe for concurrent use
-// and return the same instrument for the same (name, labels) pair, so hot
-// paths may re-resolve instead of caching handles (though caching is
-// cheaper). The zero value is not ready; use NewRegistry.
+// and return the same instrument for the same (name, labels) pair; a hot
+// path holds its handles, or resolves them through a Vec, because a lookup
+// here renders the label key. The zero value is not ready; use NewRegistry.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -163,10 +163,43 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// scrape time — the bridge for pre-existing atomics (engine shard counters,
-// router totals) that already count monotonically elsewhere.
+// scrape time: a view over counts kept elsewhere (the engine's own
+// counters) or a sum of this registry's counters.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	r.family(name, help, kindCounter).get(labels).fn = fn
+}
+
+// Vec is a typed get-or-create cache of instruments keyed on a comparable
+// label combination: Get builds a key's value with mk on first use and
+// returns the same value after. A hit is one read-locked map lookup and
+// allocates nothing, so a hot path keeps its labels in a struct key instead
+// of rendering a label string per request.
+type Vec[K comparable, V any] struct {
+	mk func(K) V
+	mu sync.RWMutex
+	m  map[K]V
+}
+
+// NewVec returns an empty Vec whose values mk builds.
+func NewVec[K comparable, V any](mk func(K) V) *Vec[K, V] {
+	return &Vec[K, V]{mk: mk, m: make(map[K]V)}
+}
+
+// Get returns k's value, building it on the first call for k.
+func (v *Vec[K, V]) Get(k K) V {
+	v.mu.RLock()
+	x, ok := v.m[k]
+	v.mu.RUnlock()
+	if ok {
+		return x
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if x, ok = v.m[k]; !ok {
+		x = v.mk(k)
+		v.m[k] = x
+	}
+	return x
 }
 
 // GaugeFunc registers a gauge series evaluated at scrape time.

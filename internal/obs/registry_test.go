@@ -3,6 +3,7 @@ package obs
 import (
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,40 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("h_us", "H.", "k", "v").Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
+	}
+}
+
+// A Vec builds each key's instrument once, however many goroutines race
+// for it, and hands every caller the same one.
+func TestVecBuildsOncePerKey(t *testing.T) {
+	r := NewRegistry()
+	type key struct {
+		codec  string
+		status int
+	}
+	var built sync.Map
+	v := NewVec(func(k key) *Counter {
+		if _, dup := built.LoadOrStore(k, true); dup {
+			t.Errorf("key %+v built twice", k)
+		}
+		return r.Counter("v_total", "V.", "codec", k.codec, "status", strconv.Itoa(k.status))
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				v.Get(key{codec: []string{"json", "binary"}[j%2], status: 200}).Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, codec := range []string{"json", "binary"} {
+		c := v.Get(key{codec: codec, status: 200})
+		if c != r.Counter("v_total", "V.", "codec", codec, "status", "200") || c.Value() != 4000 {
+			t.Fatalf("%s: %d, want the registry's counter at 4000", codec, c.Value())
+		}
 	}
 }
 

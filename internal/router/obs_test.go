@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +46,10 @@ func TestRouterMetricsz(t *testing.T) {
 		"msroute_routed_total",
 		"msroute_rejected_total",
 		"msroute_dispatch_total",
+		"msroute_binary_requests_total",
+		"msroute_backend_routed_total",
+		"msroute_backend_served_total",
+		"msroute_backend_stolen_away_total",
 		"msroute_steals_total",
 		"msroute_lineage_pinned_total",
 		"msroute_queue_len",
@@ -121,6 +126,172 @@ func TestRouterStatszSchemaDrift(t *testing.T) {
 	assertKeys(t, "backend", backends[0], []string{
 		"name", "routed", "served", "stolen_away", "stolen_served", "queue_len", "errors",
 	})
+}
+
+// One set of books: after mixed traffic — both codecs, a lineage, a steal
+// and a shed request — every numeric /statsz leaf equals its /metricsz
+// series, and the tier's locality numbers follow from the per-backend ones.
+func TestRouterStatszIsMetricsz(t *testing.T) {
+	g0 := newGate(server.New(server.Config{Shards: 1, Workers: 1}).Handler())
+	g1 := newGate(server.New(server.Config{Shards: 1, Workers: 1}).Handler())
+	rt, err := New(Config{
+		Backends:   []Backend{{Name: "shard-0", Handler: g0}, {Name: "shard-1", Handler: g1}},
+		Workers:    1,
+		QueueDepth: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	held0, held1, queued, shed := homedOn(t, rt, 0, 1), homedOn(t, rt, 1, 1), homedOn(t, rt, 0, 100), homedOn(t, rt, 0, 200)
+
+	// Both slots are held at the gates, one request homed on shard-0 queues
+	// behind them, and the next one is shed.
+	results := make(chan *httptest.ResponseRecorder, 3)
+	go func() { results <- postFrame(rt.Handler(), held0) }()
+	await(t, g0.arrived, "shard-0's slot to be taken")
+	go func() { results <- postFrame(rt.Handler(), held1) }()
+	await(t, g1.arrived, "shard-1's slot to be taken")
+	go func() { results <- postFrame(rt.Handler(), queued) }()
+	for deadline := time.Now().Add(10 * time.Second); rt.Stats().Backends[0].QueueLen != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the third request never queued on shard-0")
+		}
+	}
+	if rec := postFrame(rt.Handler(), shed); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("with shard-0's queue full: HTTP %d, want 429", rec.Code)
+	}
+	// shard-1 finishes its own request and steals the queued one; shard-0
+	// is still held, so the steal is certain.
+	close(g1.release)
+	for i := 0; i < 2; i++ {
+		if rec := <-results; rec.Code != http.StatusOK || rec.Header().Get("X-Msroute-Backend") != "shard-1" {
+			t.Fatalf("HTTP %d from %q, want 200 from shard-1", rec.Code, rec.Header().Get("X-Msroute-Backend"))
+		}
+	}
+	close(g0.release)
+	if rec := <-results; rec.Code != http.StatusOK {
+		t.Fatalf("the held request: HTTP %d", rec.Code)
+	}
+	in := instance.Mixed(5, 8, 6)
+	if rec := postJSON(t, rt.Handler(), "/v1/schedule", wire.ScheduleRequest{Instance: mustRaw(t, in)}); rec.Code != http.StatusOK {
+		t.Fatalf("JSON: HTTP %d", rec.Code)
+	}
+	if rec := postBinary(t, rt.Handler(), in, &wire.RequestOptions{Lineage: "books"}); rec.Code != http.StatusOK {
+		t.Fatalf("lineage: HTTP %d", rec.Code)
+	}
+
+	scrape := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Body.Bytes()
+	}
+	leaves := jsonLeaves(t, scrape("/statsz"))
+	series := parseExposition(t, string(scrape("/metricsz")))
+	var local, steals float64
+	for _, b := range []string{"shard-0", "shard-1"} {
+		stolen := series[`msroute_steals_total{backend="`+b+`"}`]
+		local += series[`msroute_backend_served_total{backend="`+b+`"}`] - stolen
+		steals += stolen
+	}
+	derived := map[string]float64{"local_served": local, "steals": steals, "locality_hit_rate": local / (local + steals)}
+	for path, v := range leaves {
+		want, ok := derived[path]
+		if !ok {
+			name := routerSeries(path)
+			if want, ok = series[name]; !ok {
+				t.Errorf("/statsz %s = %v has no /metricsz series (%q)", path, v, name)
+				continue
+			}
+		}
+		if want != v {
+			t.Errorf("/statsz %s = %v, but /metricsz says %v", path, v, want)
+		}
+	}
+	// A later request can find its home slot briefly held by the drainer
+	// the queued one woke, and be stolen too, so steals is a floor.
+	for path, want := range map[string]float64{
+		"routed": 5, "rejected": 1, "lineage_pinned": 1, "binary_requests": 5,
+	} {
+		if leaves[path] != want {
+			t.Errorf("/statsz %s = %v, want %v: the traffic did not reach every counter", path, leaves[path], want)
+		}
+	}
+	if leaves["steals"] < 1 {
+		t.Error("/statsz steals = 0: the queued request was not stolen")
+	}
+}
+
+// routerSeries names the /metricsz series that must equal a /statsz leaf
+// of a tier whose backends are named shard-0, shard-1, …; "" for none.
+func routerSeries(path string) string {
+	switch path {
+	case "routed", "rejected", "lineage_pinned", "binary_requests":
+		return "msroute_" + path + "_total"
+	}
+	parts := strings.Split(path, ".")
+	if len(parts) != 3 || parts[0] != "backends" {
+		return ""
+	}
+	label := `{backend="shard-` + parts[1] + `"}`
+	switch parts[2] {
+	case "routed", "served", "stolen_away", "errors":
+		return "msroute_backend_" + parts[2] + "_total" + label
+	case "stolen_served":
+		return "msroute_steals_total" + label
+	case "queue_len":
+		return "msroute_queue_len" + label
+	}
+	return ""
+}
+
+// parseExposition reads a Prometheus text page into series → value, the
+// series named as the page prints it: name{labels}.
+func parseExposition(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("unparsable exposition line %q: %v", line, err)
+		}
+		out[line[:sp]] = v
+	}
+	return out
+}
+
+// jsonLeaves flattens a JSON body into path → value for every numeric leaf,
+// booleans as 0 or 1: "rejected", "backends.1.served".
+func jsonLeaves(t *testing.T, body []byte) map[string]float64 {
+	t.Helper()
+	var root any
+	if err := json.Unmarshal(body, &root); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				walk(prefix+k+".", x)
+			}
+		case []any:
+			for i, x := range v {
+				walk(prefix+strconv.Itoa(i)+".", x)
+			}
+		case float64:
+			out[strings.TrimSuffix(prefix, ".")] = v
+		case bool:
+			out[strings.TrimSuffix(prefix, ".")] = map[bool]float64{true: 1}[v]
+		}
+	}
+	walk("", root)
+	return out
 }
 
 func assertKeys(t *testing.T, label string, m map[string]json.RawMessage, want []string) {
@@ -268,7 +439,7 @@ func TestClientGoneWhileQueuedIsCounted(t *testing.T) {
 	req.Header.Set("Content-Type", wire.ContentType)
 	rt.Handler().ServeHTTP(httptest.NewRecorder(), req.WithContext(ctx))
 
-	if got := rt.requestCounter("schedule", "binary", statusClientClosedRequest).Value(); got != 1 {
+	if got := rt.requests.Get(reqKey{"schedule", "binary", statusClientClosedRequest}).Value(); got != 1 {
 		t.Fatalf("msroute_requests_total{status=499} = %d, want 1", got)
 	}
 	mu.Lock()

@@ -47,7 +47,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -219,11 +218,10 @@ type backendState struct {
 	// nothing.
 	wake chan struct{}
 
-	routed       atomic.Uint64
-	served       atomic.Uint64
-	stolenAway   atomic.Uint64
-	stolenServed atomic.Uint64
-	errors       atomic.Uint64
+	// The backend's books and stage histograms, labeled backend=name in the
+	// router's registry.
+	routed, served, stolenAway, stolenServed, errors *obs.Counter
+	queueLat, forwardLat                             *obs.Histogram
 }
 
 // signal rouses one idle drainer of b, if one is not already due.
@@ -243,23 +241,16 @@ type Router struct {
 	mux      *http.ServeMux
 	stop     chan struct{}
 
-	// metrics is the /metricsz registry. stageSets and reqCounters cache
-	// its instruments so the dispatch and forwarding hot paths resolve them
-	// with one allocation-free map read under obsMu; the dispatch-mode and
-	// JSON decode-path counters are resolved once at New.
-	metrics     *obs.Registry
-	obsMu       sync.RWMutex
-	stageSets   map[string]*stageSet
-	reqCounters map[reqKey]*obs.Counter
-	inlineCnt   *obs.Counter
-	queuedCnt   *obs.Counter
-	jsonDecode  [wire.NumDecodePaths]*obs.Counter
+	// metrics is the /metricsz registry and the router's only set of books:
+	// /statsz reads the same instruments. requests resolves the per-request
+	// label combinations; the rest are resolved once at New.
+	metrics    *obs.Registry
+	requests   *obs.Vec[reqKey, *obs.Counter]
+	jsonDecode [wire.NumDecodePaths]*obs.Counter
 
-	draining   atomic.Bool
-	routed     atomic.Uint64
-	rejected   atomic.Uint64
-	pinnedCnt  atomic.Uint64
-	binaryReqs atomic.Uint64
+	inlineCnt, queuedCnt, rejected, pinnedCnt, binaryReqs *obs.Counter
+
+	draining atomic.Bool
 }
 
 // New builds and starts a Router (its drainers run until Close).
@@ -290,9 +281,6 @@ func New(cfg Config) (*Router, error) {
 		mux:     http.NewServeMux(),
 		stop:    make(chan struct{}),
 		metrics: obs.NewRegistry(),
-
-		stageSets:   make(map[string]*stageSet),
-		reqCounters: make(map[reqKey]*obs.Counter),
 	}
 	client := cfg.Client
 	if client == nil {
@@ -359,23 +347,24 @@ func (r *Router) Close() {
 func (r *Router) Stats() Stats {
 	st := Stats{
 		Schema:         StatszSchema,
-		Routed:         r.routed.Load(),
-		Rejected:       r.rejected.Load(),
-		LineagePinned:  r.pinnedCnt.Load(),
-		BinaryRequests: r.binaryReqs.Load(),
+		Rejected:       r.rejected.Value(),
+		LineagePinned:  r.pinnedCnt.Value(),
+		BinaryRequests: r.binaryReqs.Value(),
 	}
 	for _, b := range r.backends {
-		served := b.served.Load()
-		stolen := b.stolenServed.Load()
+		routed := b.routed.Value()
+		served := b.served.Value()
+		stolen := b.stolenServed.Value()
 		st.Backends = append(st.Backends, BackendStats{
 			Name:         b.name,
-			Routed:       b.routed.Load(),
+			Routed:       routed,
 			Served:       served,
-			StolenAway:   b.stolenAway.Load(),
+			StolenAway:   b.stolenAway.Value(),
 			StolenServed: stolen,
 			QueueLen:     len(b.pinned) + len(b.local),
-			Errors:       b.errors.Load(),
+			Errors:       b.errors.Value(),
 		})
+		st.Routed += routed
 		st.LocalServed += served - stolen
 		st.Steals += stolen
 	}
@@ -392,7 +381,7 @@ func (r *Router) Stats() Stats {
 // shards' own decoder, so the tiers accept and refuse the same bodies.
 func (r *Router) routeKey(path, contentType string, body []byte) (uint64, bool, *wire.ErrorInfo) {
 	if contentType == wire.ContentType {
-		r.binaryReqs.Add(1)
+		r.binaryReqs.Inc()
 		key, lineage, err := wire.RouteKey(body)
 		if err != nil {
 			return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
@@ -490,7 +479,7 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 			r.queuedCnt.Inc()
 			r.wakeFor(home, pinned)
 		default:
-			r.rejected.Add(1)
+			r.rejected.Inc()
 			wire.PutBuffer(body)
 			w.Header().Set("Retry-After", "1")
 			refuse(http.StatusTooManyRequests, &wire.ErrorInfo{
@@ -541,10 +530,9 @@ func readBody(w http.ResponseWriter, req *http.Request, maxBytes int64) ([]byte,
 
 // admitted books a request onto its home shard.
 func (r *Router) admitted(b *backendState, pinned bool) {
-	r.routed.Add(1)
-	b.routed.Add(1)
+	b.routed.Inc()
 	if pinned {
-		r.pinnedCnt.Add(1)
+		r.pinnedCnt.Inc()
 	}
 }
 
@@ -667,7 +655,7 @@ func (r *Router) take(i int) *job {
 		v := r.backends[(i+d)%n]
 		select {
 		case j := <-v.local:
-			v.stolenAway.Add(1)
+			v.stolenAway.Inc()
 			return j
 		default:
 		}
@@ -687,18 +675,17 @@ func (r *Router) forward(i int, c *call, queueNS int64, dst []byte) jobResult {
 		res.status, res.err = http.StatusServiceUnavailable, err
 		return res
 	}
-	b.served.Add(1)
+	b.served.Inc()
 	if res.stolen {
-		b.stolenServed.Add(1)
+		b.stolenServed.Inc()
 	}
 	t := time.Now()
 	status, ct, out, retryAfter, err := b.tr.Serve(c.ctx, c.path, c.contentType, c.body, c.reqID, dst)
 	res.forwardNS = time.Since(t).Nanoseconds()
-	set := r.stagesFor(b.name)
-	set.queue.Observe(queueNS / 1e3)
-	set.forward.Observe(res.forwardNS / 1e3)
+	b.queueLat.Observe(queueNS / 1e3)
+	b.forwardLat.Observe(res.forwardNS / 1e3)
 	if err != nil {
-		b.errors.Add(1)
+		b.errors.Inc()
 		wire.PutBuffer(out)
 		res.status, res.err = http.StatusBadGateway, err
 		return res

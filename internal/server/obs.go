@@ -23,9 +23,13 @@ const (
 	metricStageLatency = "malsched_stage_latency_us"
 	metricQueueDepth   = "malsched_queue_depth"
 	metricInFlight     = "malsched_queue_in_flight"
+	metricDraining     = "malsched_draining"
 	metricAdmission    = "malsched_admission_total"
 	metricVerifyFail   = "malsched_verify_failures_total"
+	metricBinary       = "malsched_binary_requests_total"
+	metricGraph        = "malsched_graph_requests_total"
 	metricEngine       = "malsched_engine_events_total"
+	metricEntries      = "malsched_engine_entries"
 	metricJSONDecode   = "malsched_json_decode_total"
 )
 
@@ -55,15 +59,13 @@ type stageNS struct {
 	queue, compile, solve, verify int64
 }
 
-// stageSet caches the five stage histograms of one (solver, codec, shard)
-// label combination so the hot path does one map lookup, not five.
+// stageSet holds the five stage histograms of one (solver, codec, shard)
+// label combination so the hot path does one lookup, not five.
 type stageSet struct {
 	queue, compile, solve, verify, encode *obs.Histogram
 }
 
-// stageKey and reqKey index the hot-path instrument caches. Comparable
-// struct keys in plain maps keep lookups allocation-free — a string key
-// would be rebuilt per request, and boxing into a sync.Map allocates.
+// stageKey and reqKey key the hot-path instrument Vecs.
 type stageKey struct {
 	solver, codec string
 	shard         int
@@ -80,7 +82,7 @@ type reqKey struct {
 // included when one was captured — and the rest log at Info only when
 // Config.LogRequests is set.
 func (s *Server) finishRequest(rc *reqCtx, status int, dur time.Duration) {
-	s.requestCounter(rc.endpoint, rc.codec, status).Inc()
+	s.requests.Get(reqKey{endpoint: rc.endpoint, codec: rc.codec, status: status}).Inc()
 	if s.cfg.Logger == nil {
 		return
 	}
@@ -114,57 +116,6 @@ func (s *Server) finishRequest(rc *reqCtx, status int, dur time.Duration) {
 	s.cfg.Logger.Info("request", attrs...)
 }
 
-// stagesFor resolves the cached stage histograms for one label combination.
-func (s *Server) stagesFor(solverName, codec string, shard int) *stageSet {
-	k := stageKey{solver: solverName, codec: codec, shard: shard}
-	s.obsMu.RLock()
-	set := s.stageSets[k]
-	s.obsMu.RUnlock()
-	if set != nil {
-		return set
-	}
-	const help = "Per-request stage latency by solver, codec and shard."
-	sh := strconv.Itoa(shard)
-	set = &stageSet{
-		queue:   s.metrics.Histogram(metricStageLatency, help, "stage", "queue", "solver", solverName, "codec", codec, "shard", sh),
-		compile: s.metrics.Histogram(metricStageLatency, help, "stage", "compile", "solver", solverName, "codec", codec, "shard", sh),
-		solve:   s.metrics.Histogram(metricStageLatency, help, "stage", "solve", "solver", solverName, "codec", codec, "shard", sh),
-		verify:  s.metrics.Histogram(metricStageLatency, help, "stage", "verify", "solver", solverName, "codec", codec, "shard", sh),
-		encode:  s.metrics.Histogram(metricStageLatency, help, "stage", "encode", "solver", solverName, "codec", codec, "shard", sh),
-	}
-	s.obsMu.Lock()
-	if prev := s.stageSets[k]; prev != nil {
-		set = prev
-	} else {
-		s.stageSets[k] = set
-	}
-	s.obsMu.Unlock()
-	return set
-}
-
-// requestCounter resolves the cached request counter for one
-// (endpoint, codec, status) combination; the registry lookup renders label
-// keys, so the hot path goes through this allocation-free cache instead.
-func (s *Server) requestCounter(endpoint, codec string, status int) *obs.Counter {
-	k := reqKey{endpoint: endpoint, codec: codec, status: status}
-	s.obsMu.RLock()
-	c := s.reqCounters[k]
-	s.obsMu.RUnlock()
-	if c != nil {
-		return c
-	}
-	c = s.metrics.Counter(metricRequests, "Scheduling requests by endpoint, codec and HTTP status.",
-		"endpoint", endpoint, "codec", codec, "status", strconv.Itoa(status))
-	s.obsMu.Lock()
-	if prev := s.reqCounters[k]; prev != nil {
-		c = prev
-	} else {
-		s.reqCounters[k] = c
-	}
-	s.obsMu.Unlock()
-	return c
-}
-
 // observeStages records one solve's queue/compile/solve/verify timings.
 func (set *stageSet) observe(st stageNS) {
 	set.queue.Observe(st.queue / 1e3)
@@ -185,47 +136,82 @@ func solverLabel(o engine.Options) string {
 	return solver.PaperSolverName
 }
 
-// registerMetrics wires the registry's scrape-time views over the server's
-// and shards' existing atomic counters, plus the queue gauges.
+// engineView reads one of the engine's own counters. They stay in the
+// engine, because engine.Stats is the facade's EngineStats, and /metricsz
+// bridges them at scrape time.
+type engineView struct {
+	label string
+	of    func(engine.Stats) float64
+}
+
+var (
+	engineEvents = []engineView{
+		{"scheduled", func(st engine.Stats) float64 { return float64(st.Scheduled) }},
+		{"errors", func(st engine.Stats) float64 { return float64(st.Errors) }},
+		{"panics", func(st engine.Stats) float64 { return float64(st.Panics) }},
+		{"timeouts", func(st engine.Stats) float64 { return float64(st.Timeouts) }},
+		{"memo_hits", func(st engine.Stats) float64 { return float64(st.MemoHits) }},
+		{"memo_misses", func(st engine.Stats) float64 { return float64(st.MemoMisses) }},
+		{"compile_hits", func(st engine.Stats) float64 { return float64(st.CompileHits) }},
+		{"compile_misses", func(st engine.Stats) float64 { return float64(st.CompileMisses) }},
+		{"warm_solves", func(st engine.Stats) float64 { return float64(st.WarmSolves) }},
+		{"synthesized", func(st engine.Stats) float64 { return float64(st.Synthesized) }},
+	}
+	engineEntries = []engineView{
+		{"memo", func(st engine.Stats) float64 { return float64(st.MemoEntries) }},
+		{"compiled", func(st engine.Stats) float64 { return float64(st.CompiledEntries) }},
+		{"warm", func(st engine.Stats) float64 { return float64(st.WarmEntries) }},
+	}
+)
+
+// registerMetrics creates the server's instruments in its registry — the
+// one set of books /statsz and /metricsz both read — plus the scrape-time
+// views over the queue and the engine shards.
 func (s *Server) registerMetrics() {
 	m := s.metrics
-	m.GaugeFunc(metricQueueDepth, "Configured admission queue depth.",
-		func() float64 { return float64(s.cfg.QueueDepth) })
-	m.GaugeFunc(metricInFlight, "Currently admitted requests.",
-		func() float64 { return float64(len(s.sem)) })
-	m.CounterFunc(metricAdmission, "Admission outcomes.",
-		func() float64 { return float64(s.accepted.Load()) }, "outcome", "accepted")
-	m.CounterFunc(metricAdmission, "Admission outcomes.",
-		func() float64 { return float64(s.rejected.Load()) }, "outcome", "rejected")
-	m.CounterFunc(metricVerifyFail, "Responses withheld because verification rejected the plan.",
-		func() float64 { return float64(s.verifyFail.Load()) })
+	const stageHelp = "Per-request stage latency by solver, codec and shard."
+	s.stages = obs.NewVec(func(k stageKey) *stageSet {
+		h := func(stage string) *obs.Histogram {
+			return m.Histogram(metricStageLatency, stageHelp, "stage", stage, "solver", k.solver, "codec", k.codec, "shard", strconv.Itoa(k.shard))
+		}
+		return &stageSet{queue: h("queue"), compile: h("compile"), solve: h("solve"), verify: h("verify"), encode: h("encode")}
+	})
+	s.requests = obs.NewVec(func(k reqKey) *obs.Counter {
+		return m.Counter(metricRequests, "Scheduling requests by endpoint, codec and HTTP status.",
+			"endpoint", k.endpoint, "codec", k.codec, "status", strconv.Itoa(k.status))
+	})
+	s.accepted = m.Counter(metricAdmission, "Admission outcomes.", "outcome", "accepted")
+	s.rejected = m.Counter(metricAdmission, "Admission outcomes.", "outcome", "rejected")
+	s.verifyFail = m.Counter(metricVerifyFail, "Responses withheld because verification rejected the plan.")
+	s.binaryReqs = m.Counter(metricBinary, "/v1/schedule requests over the binary codec.")
+	s.graphReqs = m.Counter(metricGraph, "/v1/schedule requests that carried a precedence graph, valid or not.")
 	const jsonHelp = "JSON requests and batch items decoded, by path: the request scanner, or encoding/json for a body outside its subset."
 	for p := range s.jsonDecode {
 		s.jsonDecode[p] = m.Counter(metricJSONDecode, jsonHelp, "path", wire.DecodePath(p).String())
 	}
-	for i := range s.shards {
-		eng := s.shards[i]
+	m.GaugeFunc(metricQueueDepth, "Configured admission queue depth.",
+		func() float64 { return float64(s.cfg.QueueDepth) })
+	m.GaugeFunc(metricInFlight, "Currently admitted requests.",
+		func() float64 { return float64(len(s.sem)) })
+	m.GaugeFunc(metricDraining, "1 once the server is draining, 0 before.", func() float64 {
+		if s.draining.Load() {
+			return 1
+		}
+		return 0
+	})
+	for i, eng := range s.shards {
 		sh := strconv.Itoa(i)
-		const help = "Engine shard events (scheduled/errors/timeouts/memo/compile/warm)."
-		for _, ev := range []struct {
-			name string
-			fn   func(engine.Stats) uint64
-		}{
-			{"scheduled", func(st engine.Stats) uint64 { return st.Scheduled }},
-			{"errors", func(st engine.Stats) uint64 { return st.Errors }},
-			{"timeouts", func(st engine.Stats) uint64 { return st.Timeouts }},
-			{"memo_hits", func(st engine.Stats) uint64 { return st.MemoHits }},
-			{"memo_misses", func(st engine.Stats) uint64 { return st.MemoMisses }},
-			{"compile_hits", func(st engine.Stats) uint64 { return st.CompileHits }},
-			{"compile_misses", func(st engine.Stats) uint64 { return st.CompileMisses }},
-			{"warm_solves", func(st engine.Stats) uint64 { return st.WarmSolves }},
-			{"synthesized", func(st engine.Stats) uint64 { return st.Synthesized }},
-		} {
-			fn := ev.fn
-			m.CounterFunc(metricEngine, help,
-				func() float64 { return float64(fn(eng.Stats())) }, "event", ev.name, "shard", sh)
+		for _, v := range engineEvents {
+			m.CounterFunc(metricEngine, "Engine shard events.", v.at(eng), "event", v.label, "shard", sh)
+		}
+		for _, v := range engineEntries {
+			m.GaugeFunc(metricEntries, "Resident engine cache entries by cache and shard.", v.at(eng), "cache", v.label, "shard", sh)
 		}
 	}
+}
+
+func (v engineView) at(eng *engine.Engine) func() float64 {
+	return func() float64 { return v.of(eng.Stats()) }
 }
 
 // Metrics returns the server's metrics registry (served on GET /metricsz);

@@ -3,17 +3,21 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"malsched/internal/engine"
 	"malsched/internal/instance"
 	"malsched/internal/obs"
+	"malsched/internal/precedence"
 	"malsched/internal/wire"
 )
 
@@ -41,9 +45,13 @@ func TestMetricszExposition(t *testing.T) {
 		"malsched_stage_latency_us",
 		"malsched_queue_depth",
 		"malsched_queue_in_flight",
+		"malsched_draining",
 		"malsched_admission_total",
 		"malsched_verify_failures_total",
+		"malsched_binary_requests_total",
+		"malsched_graph_requests_total",
 		"malsched_engine_events_total",
+		"malsched_engine_entries",
 		"malsched_json_decode_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" ") {
@@ -132,6 +140,148 @@ func TestStatszSchemaDrift(t *testing.T) {
 		"compile_hits", "compile_misses", "compiled_entries",
 		"warm_solves", "synthesized", "warm_entries",
 	})
+}
+
+// One set of books: after mixed traffic — both codecs, a graph, a lineage,
+// a shed request and a withheld response — every numeric /statsz leaf
+// equals its /metricsz series.
+func TestStatszIsMetricsz(t *testing.T) {
+	s := New(Config{Shards: 2, Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	in := instance.Mixed(1, 8, 6)
+	raw := mustRaw(t, in)
+
+	for _, req := range []wire.ScheduleRequest{
+		{Instance: raw},
+		{Instance: raw, Graph: precedence.ChainEdges(in.N()), Options: &wire.RequestOptions{Solver: "dag"}},
+		{Instance: mustRaw(t, instance.Mixed(2, 8, 6)), Options: &wire.RequestOptions{Lineage: "books"}},
+	} {
+		if status, body := post(t, ts, "/v1/schedule", req); status != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", status, body)
+		}
+	}
+	if status, body, _ := postBinary(t, ts, instance.Mixed(3, 8, 6), nil); status != http.StatusOK {
+		t.Fatalf("binary: HTTP %d: %s", status, body)
+	}
+	s.corrupt = func(sol *engine.Solution) { sol.Makespan *= 2 }
+	if status, _ := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); status != http.StatusInternalServerError {
+		t.Fatalf("corrupted plan: HTTP %d, want 500", status)
+	}
+	s.corrupt = nil
+	// Hold the only admission token, so the next request is shed.
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.admitted = func() { close(entered); <-release }
+	done := make(chan int)
+	go func() { status, _ := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); done <- status }()
+	awaitTick(t, entered, "the token holder")
+	if status, _ := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw}); status != http.StatusTooManyRequests {
+		t.Fatalf("with the token held: HTTP %d, want 429", status)
+	}
+	close(release)
+	if status := <-done; status != http.StatusOK {
+		t.Fatalf("token holder: HTTP %d", status)
+	}
+
+	_, statsz := get(t, ts, "/statsz")
+	_, metricsz := get(t, ts, "/metricsz")
+	series := parseExposition(t, string(metricsz))
+	leaves := jsonLeaves(t, statsz)
+	for path, v := range leaves {
+		name := statszSeries(path)
+		if name == "" {
+			if path != fmt.Sprintf("shards.%v.shard", v) { // a shard's index is its label
+				t.Errorf("/statsz %s = %v has no /metricsz series", path, v)
+			}
+			continue
+		}
+		if got, ok := series[name]; !ok {
+			t.Errorf("/statsz %s = %v: no series %s", path, v, name)
+		} else if got != v {
+			t.Errorf("/statsz %s = %v, but %s = %v", path, v, name, got)
+		}
+	}
+	for path, want := range map[string]float64{
+		"binary_requests": 1, "graph_requests": 1, "verify_failures": 1, "queue.rejected": 1, "queue.accepted": 6,
+	} {
+		if leaves[path] != want {
+			t.Errorf("/statsz %s = %v, want %v: the traffic did not reach every counter", path, leaves[path], want)
+		}
+	}
+}
+
+// statszSeries names the /metricsz series that must equal a /statsz leaf,
+// or "" for a leaf that is not a count.
+func statszSeries(path string) string {
+	switch path {
+	case "queue.depth":
+		return "malsched_queue_depth"
+	case "queue.in_flight":
+		return "malsched_queue_in_flight"
+	case "queue.accepted", "queue.rejected":
+		return `malsched_admission_total{outcome="` + path[len("queue."):] + `"}`
+	case "queue.draining":
+		return "malsched_draining"
+	case "verify_failures", "binary_requests", "graph_requests":
+		return "malsched_" + path + "_total"
+	}
+	parts := strings.Split(path, ".")
+	if len(parts) != 3 || parts[0] != "shards" || parts[2] == "shard" {
+		return ""
+	}
+	if cache, ok := strings.CutSuffix(parts[2], "_entries"); ok {
+		return `malsched_engine_entries{cache="` + cache + `",shard="` + parts[1] + `"}`
+	}
+	return `malsched_engine_events_total{event="` + parts[2] + `",shard="` + parts[1] + `"}`
+}
+
+// parseExposition reads a Prometheus text page into series → value, the
+// series named as the page prints it: name{labels}.
+func parseExposition(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("unparsable exposition line %q: %v", line, err)
+		}
+		out[line[:sp]] = v
+	}
+	return out
+}
+
+// jsonLeaves flattens a JSON body into path → value for every numeric leaf,
+// booleans as 0 or 1: "queue.accepted", "shards.1.memo_hits".
+func jsonLeaves(t *testing.T, body []byte) map[string]float64 {
+	t.Helper()
+	var root any
+	if err := json.Unmarshal(body, &root); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				walk(prefix+k+".", x)
+			}
+		case []any:
+			for i, x := range v {
+				walk(prefix+strconv.Itoa(i)+".", x)
+			}
+		case float64:
+			out[strings.TrimSuffix(prefix, ".")] = v
+		case bool:
+			out[strings.TrimSuffix(prefix, ".")] = map[bool]float64{true: 1}[v]
+		}
+	}
+	walk("", root)
+	return out
 }
 
 func assertKeys(t *testing.T, label string, m map[string]json.RawMessage, want []string) {
@@ -256,7 +406,7 @@ func TestCompileStageOnlyOnMemoMiss(t *testing.T) {
 		}
 		return resp
 	}
-	compile := s.stagesFor("mrt", "json", 0).compile
+	compile := s.stages.Get(stageKey{solver: "mrt", codec: "json", shard: 0}).compile
 
 	miss := schedule()
 	if miss.FromMemo || miss.Trace.CompileNS <= 0 {

@@ -11,6 +11,7 @@
 //	POST /v1/batch     many instances, per-item errors, shared options
 //	GET  /healthz      200 while serving, 503 once draining
 //	GET  /statsz       queue + per-shard engine counters
+//	GET  /metricsz     the same counters and the stage histograms, as Prometheus text
 //
 // The two scheduling endpoints are one byte-in/byte-out request path
 // (Server.serve) with two entries: the HTTP handlers above, and Serve, the
@@ -129,22 +130,17 @@ type Server struct {
 	sem   chan struct{}
 	mux   *http.ServeMux
 
-	// metrics is the /metricsz registry. stageSets and reqCounters cache
-	// its instruments under comparable struct keys so the per-request hot
-	// path resolves them with one allocation-free map read under obsMu; the
-	// two JSON decode-path counters are resolved once at New.
-	metrics     *obs.Registry
-	obsMu       sync.RWMutex
-	stageSets   map[stageKey]*stageSet
-	reqCounters map[reqKey]*obs.Counter
-	jsonDecode  [wire.NumDecodePaths]*obs.Counter
+	// metrics is the /metricsz registry and the server's only set of books:
+	// /statsz reads the same instruments. stages and requests resolve the
+	// per-request label combinations; the rest are resolved once at New.
+	metrics    *obs.Registry
+	stages     *obs.Vec[stageKey, *stageSet]
+	requests   *obs.Vec[reqKey, *obs.Counter]
+	jsonDecode [wire.NumDecodePaths]*obs.Counter
 
-	draining   atomic.Bool
-	accepted   atomic.Uint64
-	rejected   atomic.Uint64
-	verifyFail atomic.Uint64
-	binaryReqs atomic.Uint64
-	graphReqs  atomic.Uint64
+	accepted, rejected, verifyFail, binaryReqs, graphReqs *obs.Counter
+
+	draining atomic.Bool
 
 	// admitted, when non-nil, runs once per admitted scheduling request
 	// after the queue token is taken; the admission-control tests use it
@@ -183,9 +179,6 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.QueueDepth),
 		mux:     http.NewServeMux(),
 		metrics: obs.NewRegistry(),
-
-		stageSets:   make(map[stageKey]*stageSet),
-		reqCounters: make(map[reqKey]*obs.Counter),
 	}
 	for i := range s.shards {
 		s.shards[i] = engine.New(engine.Config{
@@ -227,13 +220,13 @@ func (s *Server) Stats() StatsResponse {
 		Queue: QueueStats{
 			Depth:    s.cfg.QueueDepth,
 			InFlight: len(s.sem),
-			Accepted: s.accepted.Load(),
-			Rejected: s.rejected.Load(),
+			Accepted: s.accepted.Value(),
+			Rejected: s.rejected.Value(),
 			Draining: s.draining.Load(),
 		},
-		VerifyFailures: s.verifyFail.Load(),
-		BinaryRequests: s.binaryReqs.Load(),
-		GraphRequests:  s.graphReqs.Load(),
+		VerifyFailures: s.verifyFail.Value(),
+		BinaryRequests: s.binaryReqs.Value(),
+		GraphRequests:  s.graphReqs.Value(),
 	}
 	for i, sh := range s.shards {
 		st := sh.Stats()
@@ -266,13 +259,13 @@ func (s *Server) admit() (errInfo *wire.ErrorInfo, status int) {
 	}
 	select {
 	case s.sem <- struct{}{}:
-		s.accepted.Add(1)
+		s.accepted.Inc()
 		if s.admitted != nil {
 			s.admitted()
 		}
 		return nil, 0
 	default:
-		s.rejected.Add(1)
+		s.rejected.Inc()
 		return &wire.ErrorInfo{
 			Code:    wire.CodeQueueFull,
 			Message: fmt.Sprintf("admission queue full (%d in flight); retry after backoff", s.cfg.QueueDepth),
@@ -401,7 +394,7 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	st.compile = out.CompileNS
 	st.solve = time.Since(t).Nanoseconds() - st.compile
 	<-s.slots[shard]
-	set := s.stagesFor(rc.solver, rc.codec, shard)
+	set := s.stages.Get(stageKey{solver: rc.solver, codec: rc.codec, shard: shard})
 	rc.set = set
 	if out.Err != nil {
 		set.observe(st)
@@ -414,7 +407,7 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	t = time.Now()
 	c := verify.Certified{Plan: out.Plan, Makespan: out.Makespan, LowerBound: out.LowerBound}
 	if err := verify.Plan(in, c, false); err != nil {
-		s.verifyFail.Add(1)
+		s.verifyFail.Inc()
 		st.verify = time.Since(t).Nanoseconds()
 		set.observe(st)
 		rc.st = st
@@ -428,7 +421,7 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 		// same never-vouch-unverified stance as verify.Plan above, extended
 		// to the ordering constraints the client asked for.
 		if err := verify.Precedence(in, o.Edges, out.Plan); err != nil {
-			s.verifyFail.Add(1)
+			s.verifyFail.Inc()
 			st.verify = time.Since(t).Nanoseconds()
 			set.observe(st)
 			rc.st = st
@@ -550,7 +543,7 @@ func (s *Server) serve(endpoint, contentType string, body []byte, bodyErr error,
 	respType = jsonContentType
 	if binary {
 		rc.codec, respType = "binary", wire.ContentType
-		s.binaryReqs.Add(1)
+		s.binaryReqs.Inc()
 	}
 	out, status, errInfo := s.admitAndRun(&rc, binary, body, bodyErr, dst)
 	if errInfo != nil {
@@ -641,7 +634,7 @@ func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int
 		// bad_instance from engine admission. Requesting a graph with an
 		// edge-blind solver is an options error, mapped from the engine's
 		// ErrEdgesUnsupported in errInfoOf.
-		s.graphReqs.Add(1)
+		s.graphReqs.Inc()
 		if err := precedence.ValidateEdges(in.N(), graph); err != nil {
 			return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadGraph, Message: err.Error()}
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"malsched/internal/engine"
@@ -47,6 +48,43 @@ func FuzzRouteKeyMatchesDecode(f *testing.F) {
 		}
 		if lineage != want {
 			t.Fatalf("RouteKey lineage %q, decoded %q", lineage, want)
+		}
+	})
+}
+
+// FuzzResponseDecode fuzzes the client-side parsers of untrusted response
+// bytes. Invariants: neither DecodeScheduleResponse nor DecodeError panics;
+// no input decodes as both; and whatever decodes re-encodes to a fixed
+// point, encode(decode(encode(decode(x)))) == encode(decode(x)). The check
+// compares bytes, not decoded values: a NaN makespan is legal on the wire
+// and never DeepEqual to itself. The seeds are under
+// testdata/fuzz/FuzzResponseDecode.
+func FuzzResponseDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, respErr := DecodeScheduleResponse(data)
+		body, errErr := DecodeError(data)
+		if respErr == nil && errErr == nil {
+			t.Fatal("the bytes decode as both a response and an error")
+		}
+		if respErr == nil {
+			once := AppendScheduleResponse(nil, resp)
+			again, err := DecodeScheduleResponse(once)
+			if err != nil {
+				t.Fatalf("a re-encoded response does not decode: %v", err)
+			}
+			if twice := AppendScheduleResponse(nil, again); !bytes.Equal(once, twice) {
+				t.Fatalf("response re-encoding is not a fixed point:\n%x\n%x", once, twice)
+			}
+		}
+		if errErr == nil {
+			once := AppendError(nil, body)
+			again, err := DecodeError(once)
+			if err != nil {
+				t.Fatalf("a re-encoded error does not decode: %v", err)
+			}
+			if twice := AppendError(nil, again); !bytes.Equal(once, twice) {
+				t.Fatalf("error re-encoding is not a fixed point:\n%x\n%x", once, twice)
+			}
 		}
 	})
 }
