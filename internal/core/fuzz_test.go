@@ -22,11 +22,12 @@ func familyNames() []string {
 
 // FuzzWarmStart throws adversarial warm seeds at the dual search and holds
 // it to the warm-start contract: whatever the seed claims — a stale λ*
-// from a different instance, a fabricated or inverted probe history,
-// NaN/Inf/negative floats — the warm
-// solve must return a result bit-identical to the cold solve of the same
-// instance. Garbage seeds may cost probes; they can never change an
-// answer (synthesis only certifies outcomes the compiled tables prove).
+// from a different instance, a floor above it, NaN/Inf/negative floats —
+// the warm solve must return a result bit-identical to the cold solve of
+// the same instance, and so must a solve from the updated seed and one from
+// that seed corrupted again. Garbage seeds may cost probes; they can never
+// change an answer (synthesis only certifies outcomes the compiled tables
+// prove).
 func FuzzWarmStart(f *testing.F) {
 	// Committed seeds (testdata/fuzz/FuzzWarmStart) cover the named attack
 	// classes; these inline ones keep `go test` meaningful without the
@@ -46,7 +47,9 @@ func FuzzWarmStart(f *testing.F) {
 		cases[i] = compiledCase{in: in, c: instance.Compile(in)}
 	}
 
-	f.Fuzz(func(t *testing.T, famIdx uint8, lam, floor, histLam float64, histBits uint64) {
+	// stale and bits corrupt the updated seed before the third solve; every
+	// committed corpus entry carries all five values.
+	f.Fuzz(func(t *testing.T, famIdx uint8, lam, floor, stale float64, bits uint64) {
 		cc := cases[int(famIdx)%len(cases)]
 
 		cold, err := Approximate(cc.in, Options{Compiled: cc.c})
@@ -54,21 +57,7 @@ func FuzzWarmStart(f *testing.F) {
 			t.Fatalf("cold solve failed: %v", err)
 		}
 
-		// Fabricate a history from the fuzzed bits: eight probes whose
-		// lambdas fan out from histLam and whose accept verdicts are the
-		// bits of histBits — including self-contradictory sequences.
-		hist := make([]WarmProbe, 0, 8)
-		for k := 0; k < 8; k++ {
-			hist = append(hist, WarmProbe{
-				Lambda:   histLam * (1 + float64(k)/4),
-				Accepted: histBits&(1<<k) != 0,
-			})
-		}
-		warmSeed := &WarmStart{
-			AcceptedLambda: lam,
-			Floor:          floor,
-			History:        hist,
-		}
+		warmSeed := &WarmStart{AcceptedLambda: lam, Floor: floor}
 		warm, err := Approximate(cc.in, Options{Compiled: cc.c, WarmStart: warmSeed})
 		if err != nil {
 			t.Fatalf("warm solve failed: %v", err)
@@ -84,6 +73,19 @@ func FuzzWarmStart(f *testing.F) {
 			t.Fatalf("re-warmed solve failed: %v", err)
 		}
 		assertWarmColdIdentical(t, "fuzz-rewarm", again, cold)
+
+		// A handoff corrupted between two solves is just another seed.
+		if bits&1 != 0 {
+			warmSeed.AcceptedLambda = stale
+		}
+		if bits&2 != 0 {
+			warmSeed.Floor = stale * (1 + float64(bits>>2&7)/4)
+		}
+		corrupted, err := Approximate(cc.in, Options{Compiled: cc.c, WarmStart: warmSeed})
+		if err != nil {
+			t.Fatalf("solve from a corrupted handoff failed: %v", err)
+		}
+		assertWarmColdIdentical(t, "fuzz-corrupted", corrupted, cold)
 	})
 }
 

@@ -149,12 +149,10 @@ type search struct {
 	// Nil for a Prober (its results are owned).
 	borrow *Scratch
 
-	// warm is the seed of a warm-mode search (nil on cold solves), hist
-	// the probe-outcome history recorded for the next solve of the
-	// lineage, and synthOK whether outcomes may be synthesized from the
-	// segment tables (warm mode, default prober).
+	// warm is the seed of a warm-mode search (nil on cold solves), and
+	// synthOK whether outcomes may be synthesized from the segment tables
+	// (warm mode, default prober).
 	warm    *WarmStart
-	hist    []WarmProbe
 	synthOK bool
 
 	// trace, when non-nil, collects the probe trajectory
@@ -221,7 +219,6 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 		// instrumented prober's outcomes must keep deciding the search
 		// alone.
 		s.synthOK = opts.Prober == nil
-		s.hist = make([]WarmProbe, 0, 2*maxDoubling)
 	}
 	s.res.LowerBound = lowerbound.Trivial(in)
 	if !(s.res.LowerBound > 0) {
@@ -276,9 +273,6 @@ func (s *search) consider(sch *schedule.Schedule, mk float64) {
 // synth reports a warm outcome resolved from the segment tables (trace
 // provenance only).
 func (s *search) merge(lambda float64, r StepResult, synth bool) {
-	if s.warm != nil {
-		s.hist = append(s.hist, WarmProbe{Lambda: lambda, Accepted: r.Schedule != nil})
-	}
 	if s.trace != nil {
 		s.trace.Probes = append(s.trace.Probes, ProbeTrace{
 			Lambda:      lambda,

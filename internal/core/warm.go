@@ -5,15 +5,6 @@ import (
 	"malsched/internal/task"
 )
 
-// WarmProbe records one probe outcome of a finished search, in probe order:
-// which side of each guess the run landed on.
-type WarmProbe struct {
-	// Lambda is the probed deadline guess.
-	Lambda float64
-	// Accepted reports whether the dual step produced a schedule at Lambda.
-	Accepted bool
-}
-
 // WarmStart seeds an incremental re-solve from the outcome of a previous
 // search on a related instance (typically the previous residual of the same
 // replanning lineage). Approximate treats every field as advisory: the warm
@@ -24,7 +15,7 @@ type WarmProbe struct {
 // suites enforce bit-identity.
 //
 // On success Approximate updates the WarmStart in place with this search's
-// own outcome (λ*, floor, history), so a caller replanning in a loop threads
+// own outcome (λ* and floor), so a caller replanning in a loop threads
 // one WarmStart value through consecutive solves.
 type WarmStart struct {
 	// AcceptedLambda is the prior run's smallest accepted guess (its λ*);
@@ -32,8 +23,6 @@ type WarmStart struct {
 	AcceptedLambda float64
 	// Floor is the prior run's largest rejected guess.
 	Floor float64
-	// History is the prior run's probe outcomes in probe order.
-	History []WarmProbe
 }
 
 // update writes the finished search's outcome back into the seed.
@@ -43,7 +32,6 @@ func (s *search) updateWarm() {
 	}
 	s.warm.AcceptedLambda = s.res.AcceptedLambda
 	s.warm.Floor = s.lo
-	s.warm.History = s.hist
 }
 
 // synthesize resolves a deadline guess without running the dual step, when

@@ -96,8 +96,8 @@ func TestWarmColdEquivalenceStream(t *testing.T) {
 			if bits := math.Float64bits(ws.AcceptedLambda); bits != math.Float64bits(warm.AcceptedLambda) {
 				t.Errorf("%s[%d]: seed not updated: λ*=%v, result %v", fam, k, ws.AcceptedLambda, warm.AcceptedLambda)
 			}
-			if len(ws.History) == 0 {
-				t.Errorf("%s[%d]: seed history not recorded", fam, k)
+			if !(ws.Floor > 0 && ws.Floor <= ws.AcceptedLambda) {
+				t.Errorf("%s[%d]: seed floor not updated: floor=%v, λ*=%v", fam, k, ws.Floor, ws.AcceptedLambda)
 			}
 			totalSynth += warm.Synthesized
 			totalWarmProbes += warm.Probes
@@ -124,20 +124,16 @@ func TestWarmGarbageSeedsHarmless(t *testing.T) {
 		t.Fatalf("cold: %v", err)
 	}
 	seeds := map[string]*WarmStart{
-		"zero":          {},
-		"nan":           {AcceptedLambda: math.NaN(), Floor: math.NaN()},
-		"inf":           {AcceptedLambda: math.Inf(1), Floor: math.Inf(-1)},
-		"negative":      {AcceptedLambda: -5, Floor: -10},
-		"stale-lambda":  {AcceptedLambda: cold.AcceptedLambda * 1e6, Floor: cold.AcceptedLambda * 1e5},
-		"tiny-lambda":   {AcceptedLambda: cold.AcceptedLambda * 1e-9},
-		"fake-history":  {History: []WarmProbe{{math.NaN(), true}, {math.Inf(1), false}, {0, true}}},
-		"inverted-hist": {AcceptedLambda: cold.AcceptedLambda, History: []WarmProbe{{cold.AcceptedLambda * 2, false}, {cold.AcceptedLambda / 2, true}}},
+		"zero":         {},
+		"nan":          {AcceptedLambda: math.NaN(), Floor: math.NaN()},
+		"inf":          {AcceptedLambda: math.Inf(1), Floor: math.Inf(-1)},
+		"negative":     {AcceptedLambda: -5, Floor: -10},
+		"stale-lambda": {AcceptedLambda: cold.AcceptedLambda * 1e6, Floor: cold.AcceptedLambda * 1e5},
+		"tiny-lambda":  {AcceptedLambda: cold.AcceptedLambda * 1e-9},
+		"inverted":     {AcceptedLambda: cold.AcceptedLambda / 2, Floor: cold.AcceptedLambda * 2},
 	}
 	for name, ws := range seeds {
 		seed := *ws
-		if ws.History != nil {
-			seed.History = append([]WarmProbe(nil), ws.History...)
-		}
 		warm, err := Approximate(in, Options{Compiled: c, WarmStart: &seed})
 		if err != nil {
 			t.Fatalf("seed %q: %v", name, err)
@@ -159,7 +155,7 @@ func TestWarmCustomProberSeesEveryGuess(t *testing.T) {
 		t.Fatalf("cold: %v", err)
 	}
 	warmRec := &recordingProber{}
-	ws := &WarmStart{AcceptedLambda: cold.AcceptedLambda, History: append([]WarmProbe(nil), ws0(cold)...)}
+	ws := &WarmStart{AcceptedLambda: cold.AcceptedLambda}
 	warm, err := Approximate(in, Options{Compiled: c, Prober: warmRec, WarmStart: ws})
 	if err != nil {
 		t.Fatalf("warm: %v", err)
@@ -171,9 +167,4 @@ func TestWarmCustomProberSeesEveryGuess(t *testing.T) {
 	if !reflect.DeepEqual(warmRec.lambdas, coldRec.lambdas) {
 		t.Errorf("instrumented prober saw %v warm, %v cold", warmRec.lambdas, coldRec.lambdas)
 	}
-}
-
-// ws0 fabricates a history from a result's accepted guess, for seeding.
-func ws0(r Result) []WarmProbe {
-	return []WarmProbe{{r.AcceptedLambda, true}}
 }

@@ -3,12 +3,15 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
+	"malsched/internal/schedule"
 	"malsched/internal/solver"
 	"malsched/internal/task"
+	"malsched/internal/verify"
 )
 
 func dagEngineInstance(n, m int) *instance.Instance {
@@ -73,6 +76,56 @@ func TestEngineDAGDispatchAndMemoIsolation(t *testing.T) {
 	}
 	if pout.FromMemo {
 		t.Fatal("projection solve aliased the DAG's memo entry")
+	}
+}
+
+// A DAG plan's processor sets share one backing array per copy, each set a
+// capacity-capped window of it. An append through one set of a memo hit must
+// reach neither its neighbour nor the memo's copy, and a caller rewriting a
+// returned plan in place must leave the memo entry verifying.
+func TestMemoHitProcSetsIsolated(t *testing.T) {
+	in := instance.Mixed(9, 16, 8)
+	edges := precedence.RandomEdges(9, in.N(), 0.3)
+	o := Options{Solver: solver.DAGSolverName, Edges: edges}
+	e := New(Config{Workers: 1})
+	first := e.ScheduleWith(in, o, 0)
+	if first.Err != nil {
+		t.Fatal(first.Err)
+	}
+	hit := e.ScheduleWith(in, o, 0)
+	if hit.Err != nil || !hit.FromMemo {
+		t.Fatalf("repeat should hit the memo: err=%v fromMemo=%v", hit.Err, hit.FromMemo)
+	}
+	pl := hit.Solution.Plan.Placements
+	k := slices.IndexFunc(pl[:len(pl)-1], func(p schedule.Placement) bool { return p.ProcSet != nil })
+	if k < 0 || pl[k+1].ProcSet == nil {
+		t.Fatal("the DAG plan has no two neighbouring processor sets to test")
+	}
+	neighbour := slices.Clone(pl[k+1].ProcSet)
+	pl[k].ProcSet = append(pl[k].ProcSet, -1, -2, -3)
+	if !slices.Equal(pl[k+1].ProcSet, neighbour) {
+		t.Fatalf("append through placement %d reached its neighbour: %v, was %v", k, pl[k+1].ProcSet, neighbour)
+	}
+	next := e.ScheduleWith(in, o, 0)
+	if next.Err != nil || !next.FromMemo || !sameSolution(first.Solution, next.Solution) {
+		t.Fatalf("append through a hit's processor set changed the next hit (err=%v)", next.Err)
+	}
+
+	for i := range next.Solution.Plan.Placements {
+		p := &next.Solution.Plan.Placements[i]
+		clear(p.ProcSet)
+		p.Start = -1
+	}
+	again := e.ScheduleWith(in, o, 0)
+	if again.Err != nil || !sameSolution(first.Solution, again.Solution) {
+		t.Fatalf("a caller's in-place rewrite reached the memo (err=%v)", again.Err)
+	}
+	cert := verify.Certified{Plan: again.Solution.Plan, Makespan: again.Solution.Makespan, LowerBound: again.Solution.LowerBound}
+	if err := verify.Plan(in, cert, false); err != nil {
+		t.Fatalf("memo entry no longer verifies: %v", err)
+	}
+	if err := verify.Precedence(in, edges, again.Solution.Plan); err != nil {
+		t.Fatalf("memo entry no longer verifies: %v", err)
 	}
 }
 

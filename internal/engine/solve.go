@@ -135,27 +135,18 @@ type Solution struct {
 	Trace *core.SolveTrace
 }
 
-// clone returns a Solution whose plan shares no memory with the receiver's,
-// so memo entries stay immutable when callers mutate returned plans.
+// clone returns a Solution whose plan shares no memory with the receiver's
+// (schedule.Schedule.Clone: three allocations, one backing array for every
+// processor set), so memo entries stay immutable when callers mutate
+// returned plans.
 func (s Solution) clone() Solution {
 	// Traces never enter or leave the memo: Options.Trace is excluded from
 	// the fingerprint, so an untraced request may hit an entry a traced one
 	// filled (and vice versa) — stripping here keeps the hit path unambiguous.
 	s.Trace = nil
-	if s.Plan == nil {
-		return s
+	if s.Plan != nil {
+		s.Plan = s.Plan.Clone()
 	}
-	cp := &schedule.Schedule{
-		Algorithm:  s.Plan.Algorithm,
-		Placements: make([]schedule.Placement, len(s.Plan.Placements)),
-	}
-	copy(cp.Placements, s.Plan.Placements)
-	for i := range cp.Placements {
-		if ps := cp.Placements[i].ProcSet; ps != nil {
-			cp.Placements[i].ProcSet = append([]int(nil), ps...)
-		}
-	}
-	s.Plan = cp
 	return s
 }
 

@@ -22,7 +22,7 @@ func TestSolveAllocBudget(t *testing.T) {
 		// shared backing, one block for preds/indegree/topological order,
 		// the candidate deadlines, the λ grid.
 		newGraph = 6
-		// cloneSchedule, once, for the winner: the Schedule, its
+		// schedule.Clone, once, for the winner: the Schedule, its
 		// placements, one backing array for every processor set.
 		copyOut = 3
 		budget  = newGraph + copyOut
@@ -66,8 +66,8 @@ func TestSolveAllocBudget(t *testing.T) {
 }
 
 // The pieces the request path calls on their own: every edge admission is
-// one topological sort on one block, the certified bound one buffer, and a
-// cold pass over a graph's deadlines on a Scratch whose segment cache has
+// one topological sort on a pooled block (no allocation; one block per call
+// before), the certified bound one buffer, and a cold pass over a graph's deadlines on a Scratch whose segment cache has
 // entries to recycle allocates nothing.
 func TestGraphAllocBudgets(t *testing.T) {
 	in := instance.Mixed(9, 16, 8)
@@ -83,7 +83,7 @@ func TestGraphAllocBudgets(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"ValidateEdges", 1, func() {
+		{"ValidateEdges", 0, func() {
 			if err := ValidateEdges(in.N(), edges); err != nil {
 				t.Fatal(err)
 			}

@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"malsched/internal/fphash"
 	"malsched/internal/instance"
@@ -69,8 +70,14 @@ func ValidateEdges(n int, succ [][]int) error {
 	if err := checkEndpoints(n, succ); err != nil {
 		return err
 	}
-	buf := make([]int, 2*n)
+	bp := kahnPool.Get().(*[]int)
+	defer kahnPool.Put(bp)
+	if cap(*bp) < 2*n {
+		*bp = make([]int, 2*n)
+	}
+	buf := (*bp)[:2*n]
 	indeg, order := buf[:n], buf[n:]
+	clear(indeg) // kahn overwrites order before it reads it
 	for _, ss := range succ {
 		for _, j := range ss {
 			indeg[j]++
@@ -81,6 +88,11 @@ func ValidateEdges(n int, succ [][]int) error {
 	}
 	return nil
 }
+
+// kahnPool holds ValidateEdges' Kahn block (in-degrees and order, 2n ints):
+// every DAG request crosses that gate at each layer it enters, so the block
+// is recycled rather than allocated per call.
+var kahnPool = sync.Pool{New: func() any { return new([]int) }}
 
 // checkEndpoints is the shape half of edge admission: exactly n successor
 // lists, every endpoint in [0, n).

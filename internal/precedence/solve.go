@@ -266,9 +266,6 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 		if cross < len(rest) {
 			warm.AcceptedLambda = rest[cross]
 		}
-		// The probe history belongs to the dual search; a DAG lineage
-		// carries only the two boundary deadlines.
-		warm.History = nil
 	}
 	return alloc, bestL
 }
@@ -298,7 +295,7 @@ func (g *Graph) SolveCrossover(o Options) (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	out := cloneSchedule(s)
+	out := s.Clone()
 	out.Algorithm = "dag-crossover"
 	r.Schedule = out
 	r.Probes, r.CacheHits = e.probes, e.hits
@@ -337,7 +334,7 @@ func (g *Graph) Solve(o Options) (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	r.Schedule = cloneSchedule(s)
+	r.Schedule = s.Clone()
 	return r, nil
 }
 
@@ -682,27 +679,6 @@ func mergeFree(a, b, spare []int) (merged, nextSpare []int) {
 	return out, a[:0]
 }
 
-// cloneSchedule deep-copies a scratch-owned schedule into caller-owned
-// memory: the placements plus one backing array for all processor sets.
-func cloneSchedule(s *schedule.Schedule) *schedule.Schedule {
-	total := 0
-	for _, p := range s.Placements {
-		total += len(p.ProcSet)
-	}
-	backing := make([]int, 0, total)
-	out := &schedule.Schedule{
-		Algorithm:  s.Algorithm,
-		Placements: make([]schedule.Placement, len(s.Placements)),
-	}
-	for i, p := range s.Placements {
-		off := len(backing)
-		backing = append(backing, p.ProcSet...)
-		p.ProcSet = backing[off:len(backing):len(backing)]
-		out.Placements[i] = p
-	}
-	return out
-}
-
 // listSchedule greedily list-schedules the rigid DAG induced by the
 // allotment, longest tail first: a task is ready when all predecessors
 // are done; among ready tasks, longest tail first; start when enough
@@ -712,7 +688,7 @@ func cloneSchedule(s *schedule.Schedule) *schedule.Schedule {
 // solve, on the allotment that won. All state lives on the Scratch,
 // including the returned schedule — it is valid only until the next
 // listSchedule call on the same scratch, and callers keeping it must
-// cloneSchedule it.
+// Clone it.
 func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 	g, sc, in := e.g, e.sc, e.g.in
 	n := in.N()

@@ -353,7 +353,7 @@ func refSolve(g *Graph, o Options) (Result, error) {
 			return
 		}
 		if mk := s.Makespan(in); mk < bestMk {
-			best, bestMk = cloneSchedule(s), mk
+			best, bestMk = s.Clone(), mk
 		}
 	}
 	grid := g.grid
@@ -393,7 +393,7 @@ func refSolve(g *Graph, o Options) (Result, error) {
 				}
 				alloc[i] = w
 				if s, err := e.listSchedule(alloc); err == nil && s.Makespan(in) < bestMk-1e-12 {
-					best, bestMk = cloneSchedule(s), s.Makespan(in)
+					best, bestMk = s.Clone(), s.Makespan(in)
 					cur = w
 					improved = true
 				}

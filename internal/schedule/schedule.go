@@ -101,6 +101,29 @@ func (s *Schedule) Work(in *instance.Instance) float64 {
 	return w
 }
 
+// Clone returns a deep copy that shares no memory with s, in three
+// allocations whatever the number of processor sets: the Schedule, its
+// placements, and one backing array for every set. Each set is a
+// capacity-capped window of that array, so an append through one
+// reallocates instead of reaching its neighbour; nil sets stay nil.
+func (s *Schedule) Clone() *Schedule {
+	total := 0
+	for _, p := range s.Placements {
+		total += len(p.ProcSet)
+	}
+	backing := make([]int, 0, total)
+	out := &Schedule{Algorithm: s.Algorithm, Placements: make([]Placement, len(s.Placements))}
+	for i, p := range s.Placements {
+		if p.ProcSet != nil {
+			off := len(backing)
+			backing = append(backing, p.ProcSet...)
+			p.ProcSet = backing[off:len(backing):len(backing)]
+		}
+		out.Placements[i] = p
+	}
+	return out
+}
+
 // Idle returns the total idle processor-time below the makespan,
 // m·makespan − work. It is the waste metric of experiment E10.
 func (s *Schedule) Idle(in *instance.Instance) float64 {
@@ -120,11 +143,12 @@ var (
 	ErrRepeatProcessor = errors.New("schedule: placement uses a processor twice")
 )
 
-// interval is one placement's occupancy of one processor.
-type interval struct {
-	proc       int
-	start, end float64
-	task       int
+// slot is the tail of one processor's timeline during Validate's sweep:
+// the end of the interval swept onto it last, and 1 + the index of that
+// interval's placement (0 while the processor is still free).
+type slot struct {
+	end float64
+	idx int
 }
 
 // validateScratch is Validate's working memory, pooled so the check that
@@ -135,8 +159,9 @@ type validateScratch struct {
 	// last[j] is 1 + the index of the last placement that used processor j,
 	// so a repeat within one placement shows without a per-placement set.
 	last  []int
-	procs []int      // sorted copy of one ProcSet, for the contiguity check
-	ivs   []interval // every (placement, processor) pair
+	procs []int  // sorted copy of one ProcSet, for the contiguity check
+	order []int  // placement indices, stably sorted by start
+	tail  []slot // per processor: the interval the sweep placed on it last
 }
 
 var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
@@ -169,7 +194,6 @@ func Validate(in *instance.Instance, s *Schedule, requireContiguous bool) error 
 	defer validatePool.Put(sc)
 	sc.seen = zeroed(sc.seen, in.N())
 	sc.last = zeroed(sc.last, in.M)
-	sc.ivs = sc.ivs[:0]
 	for idx := range s.Placements {
 		p := &s.Placements[idx]
 		if p.Task < 0 || p.Task >= in.N() {
@@ -192,7 +216,6 @@ func Validate(in *instance.Instance, s *Schedule, requireContiguous bool) error 
 		if requireContiguous && p.ProcSet != nil && !sc.contiguous(p.ProcSet) {
 			return fmt.Errorf("%w: %s", ErrNotContiguous, name)
 		}
-		end := p.End(in)
 		for k := 0; k < p.Width; k++ {
 			j := p.First + k
 			if p.ProcSet != nil {
@@ -205,7 +228,6 @@ func Validate(in *instance.Instance, s *Schedule, requireContiguous bool) error 
 				return fmt.Errorf("%w: %s on processor %d", ErrRepeatProcessor, name, j)
 			}
 			sc.last[j] = idx + 1
-			sc.ivs = append(sc.ivs, interval{proc: j, start: p.Start, end: end, task: p.Task})
 		}
 	}
 	for i, ok := range sc.seen {
@@ -213,21 +235,36 @@ func Validate(in *instance.Instance, s *Schedule, requireContiguous bool) error 
 			return fmt.Errorf("%w: %s", ErrMissingTask, in.Tasks[i].Name)
 		}
 	}
-	// One sort by (processor, start) lines every processor's intervals up
-	// in time order; neighbours on the same processor must then not overlap.
-	slices.SortFunc(sc.ivs, func(a, b interval) int {
-		if a.proc != b.proc {
-			return cmp.Compare(a.proc, b.proc)
-		}
-		return cmp.Compare(a.start, b.start)
+	// Sweep the placements in start order: each processor's intervals then
+	// arrive in time order, so every interval meets exactly its predecessor
+	// on each of its processors — the neighbours a sort by (processor,
+	// start) would line up — and must not overlap it. List schedulers emit
+	// their placements in start order already, which the stable sort of n
+	// indices passes through in linear time.
+	sc.order = sc.order[:0]
+	for idx := range s.Placements {
+		sc.order = append(sc.order, idx)
+	}
+	slices.SortStableFunc(sc.order, func(a, b int) int {
+		return cmp.Compare(s.Placements[a].Start, s.Placements[b].Start)
 	})
-	for k := 1; k < len(sc.ivs); k++ {
-		a, b := &sc.ivs[k-1], &sc.ivs[k]
-		// Allow touching intervals up to the module tolerance.
-		if a.proc == b.proc && !task.Leq(a.end, b.start) {
-			return fmt.Errorf("%w: %s and %s on processor %d ([%g,%g] vs [%g,%g])",
-				ErrOverlap, in.Tasks[a.task].Name, in.Tasks[b.task].Name, a.proc,
-				a.start, a.end, b.start, b.end)
+	sc.tail = zeroed(sc.tail, in.M)
+	for _, idx := range sc.order {
+		p := &s.Placements[idx]
+		end := p.End(in)
+		for k := 0; k < p.Width; k++ {
+			j := p.First + k
+			if p.ProcSet != nil {
+				j = p.ProcSet[k]
+			}
+			// Allow touching intervals up to the module tolerance.
+			if t := sc.tail[j]; t.idx != 0 && !task.Leq(t.end, p.Start) {
+				a := &s.Placements[t.idx-1]
+				return fmt.Errorf("%w: %s and %s on processor %d ([%g,%g] vs [%g,%g])",
+					ErrOverlap, in.Tasks[a.Task].Name, in.Tasks[p.Task].Name, j,
+					a.Start, t.end, p.Start, end)
+			}
+			sc.tail[j] = slot{end: end, idx: idx + 1}
 		}
 	}
 	return nil

@@ -144,13 +144,15 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // NewGraph, verify.Precedence in the solver and again in the handler),
 // compile, the precedence solve, both verifies, encode — every run a fresh
 // 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
-// share is what precedence.TestSolveAllocBudget bounds (9). Reads 89: 318
+// share is what precedence.TestSolveAllocBudget bounds (9). Reads 64: 318
 // before candidates were scored on processor counts and the segment
 // cache's entries recycled, 124 before the decode shared one string, 104
 // before Compile stopped building the breakpoint axis, 100 before the
-// successor lists decoded into one slab.
+// successor lists decoded into one slab, 89 while the memo's copy took one
+// allocation per processor set and the edge gates and verify.Precedence
+// allocated their buffers per call.
 func TestAllocBudgetDAGMiss(t *testing.T) {
-	const n, m, runs, budget = 16, 8, 200, 93
+	const n, m, runs, budget = 16, 8, 200, 67
 	outTree, err := precedence.OutTreeEdges(n, 2)
 	if err != nil {
 		t.Fatal(err)

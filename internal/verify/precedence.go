@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
@@ -20,6 +21,16 @@ var (
 	// predecessors ends.
 	ErrPrecedenceViolated = fmt.Errorf("verify: task starts before a predecessor ends")
 )
+
+// precedenceScratch is Precedence's working memory: per task the earliest
+// start, the latest end and whether any placement was seen. Pooled, as
+// schedule.Validate's is, because both run on every DAG response.
+type precedenceScratch struct {
+	start, end []float64
+	placed     []bool
+}
+
+var precedencePool = sync.Pool{New: func() any { return new(precedenceScratch) }}
 
 // Precedence checks the DAG ordering claim of a static plan: for every edge
 // i → j of the successor-list representation, task j's start is at or after
@@ -39,9 +50,16 @@ func Precedence(in *instance.Instance, succ [][]int, plan *schedule.Schedule) er
 	if err := precedence.ValidateEdges(in.N(), succ); err != nil {
 		return err
 	}
-	start := make([]float64, in.N())
-	end := make([]float64, in.N())
-	placed := make([]bool, in.N())
+	sc := precedencePool.Get().(*precedenceScratch)
+	defer precedencePool.Put(sc)
+	n := in.N()
+	if cap(sc.placed) < n {
+		sc.start, sc.end, sc.placed = make([]float64, n), make([]float64, n), make([]bool, n)
+	}
+	// start and end are read only where placed is set, so only placed needs
+	// clearing.
+	start, end, placed := sc.start[:n], sc.end[:n], sc.placed[:n]
+	clear(placed)
 	for _, p := range plan.Placements {
 		if p.Task < 0 || p.Task >= in.N() {
 			return fmt.Errorf("%w: placement references task %d of %d", ErrEdgeUnplaced, p.Task, in.N())

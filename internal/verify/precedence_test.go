@@ -145,3 +145,32 @@ func TestTimelineDAGTripwire(t *testing.T) {
 		t.Fatalf("out-of-range: want ErrEdge, got %v", err)
 	}
 }
+
+// BenchmarkValidateDAGPlan times schedule.Validate, through Plan, on
+// list-scheduled plans of the benchmark's serve-dag shape (16 tasks, 8
+// processors, random edges at density 0.3) — the check every DAG response
+// runs twice.
+func BenchmarkValidateDAGPlan(b *testing.B) {
+	const plans = 16
+	ins := make([]*instance.Instance, plans)
+	certs := make([]Certified, plans)
+	for k := range certs {
+		in := instance.Mixed(int64(k+1), 16, 8)
+		g, err := precedence.NewGraph(in, precedence.RandomEdges(int64(k+1), in.N(), 0.3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := g.Schedule()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins[k], certs[k] = in, Certified{Plan: plan, Makespan: plan.Makespan(in), LowerBound: g.LowerBound()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Plan(ins[i%plans], certs[i%plans], false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

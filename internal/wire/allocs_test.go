@@ -78,3 +78,29 @@ func TestAllocBudgetGraphDecode(t *testing.T) {
 		t.Logf("16-list v2 decode: %.1f allocs per run (budget %d)", got, budget)
 	}
 }
+
+// A response's processor sets decode into one slab, allocated at the first
+// non-empty set: sixteen list-scheduled placements cost the response, its
+// four strings, the placements and the slab, whatever the number of sets.
+// Reads 7; 23 when every set was an allocation of its own.
+func TestAllocBudgetResponseDecode(t *testing.T) {
+	const n, budget = 16, 7
+	resp := &ScheduleResponse{
+		Name: "dag", Makespan: 12.5, LowerBound: 10, Branch: "dag-list", Solver: "dag", Probes: 3,
+		Plan: PlanJSON{Algorithm: "dag-list", Placements: make([]PlacementJSON, n)},
+	}
+	for i := range resp.Plan.Placements {
+		resp.Plan.Placements[i] = PlacementJSON{Task: i, Start: float64(i), Width: 2, First: -1, ProcSet: []int{i % 8, (i + 3) % 8}}
+	}
+	frame := AppendScheduleResponse(nil, resp)
+	decode := func() {
+		if got, err := DecodeScheduleResponse(frame); err != nil || len(got.Plan.Placements) != n {
+			t.Fatalf("decoded %+v, err %v", got, err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, decode); got > budget {
+		t.Errorf("16-placement response decode: %.1f allocs per run, budget %d", got, budget)
+	} else {
+		t.Logf("16-placement response decode: %.1f allocs per run (budget %d)", got, budget)
+	}
+}

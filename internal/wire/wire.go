@@ -748,6 +748,10 @@ func DecodeScheduleResponse(data []byte) (*ScheduleResponse, error) {
 	resp.Plan.Algorithm = r.str()
 	nPl := r.count(5) // a placement is at least 4 varints + a count
 	resp.Plan.Placements = make([]PlacementJSON, nPl)
+	// Every proc set is a capacity-capped window of one slab, allocated at
+	// the first non-empty set: a processor index takes at least one wire
+	// byte, so the bytes left then bound all the sets still to come.
+	var procs []int
 	for i := 0; i < nPl && r.err == nil; i++ {
 		p := &resp.Plan.Placements[i]
 		p.Task = int(r.uvarint())
@@ -755,7 +759,12 @@ func DecodeScheduleResponse(data []byte) (*ScheduleResponse, error) {
 		p.Width = int(r.uvarint())
 		p.First = int(r.uvarint())
 		if nProcs := r.count(1); nProcs > 0 {
-			p.ProcSet = make([]int, nProcs)
+			if procs == nil {
+				procs = make([]int, 0, len(r.b)-r.off)
+			}
+			lo := len(procs)
+			procs = procs[:lo+nProcs]
+			p.ProcSet = procs[lo:len(procs):len(procs)]
 			for j := range p.ProcSet {
 				p.ProcSet[j] = int(r.uvarint())
 			}
