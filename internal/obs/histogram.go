@@ -16,10 +16,9 @@ import (
 )
 
 // The log-linear bucket layout: exact 1µs buckets below 16µs, then four
-// sub-buckets per power of two, HDR-histogram style. This is the layout of
-// the bench-serve/v1 artifact's "histogram_us" field — BucketOf/BucketUpper
-// moved here from cmd/msloadgen verbatim, and a committed fixture test pins
-// the boundaries byte-for-byte so the artifact schema cannot drift.
+// sub-buckets per power of two, HDR-histogram style. BucketUpper gives the
+// `le` boundaries /metricsz renders (writeHistogram), and a committed
+// fixture test pins them so a scraper's series cannot drift.
 //
 // NumBuckets covers every non-negative int64: the largest µs value has high
 // bit 62, landing in bucket 16 + (62-4)*4 + 3 = 251.
@@ -52,7 +51,7 @@ func BucketUpper(b int) int64 {
 }
 
 // Histogram is a fixed-layout log-linear latency histogram safe for
-// concurrent Observe. The bucket layout is the bench-serve/v1 layout above;
+// concurrent Observe. The bucket layout is the one above;
 // observations are microseconds. The zero value is NOT ready — use
 // NewHistogram (the fixed bucket array makes the type too large to copy
 // casually, so it lives behind a pointer).
@@ -80,15 +79,3 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // SumUS returns the sum of all observed values in µs.
 func (h *Histogram) SumUS() int64 { return h.sum.Load() }
-
-// Snapshot returns the non-empty buckets as sorted [upper_us, count] pairs
-// — exactly the bench-serve/v1 "histogram_us" encoding.
-func (h *Histogram) Snapshot() [][2]int64 {
-	var out [][2]int64
-	for b := 0; b < NumBuckets; b++ {
-		if n := h.buckets[b].Load(); n > 0 {
-			out = append(out, [2]int64{BucketUpper(b), n})
-		}
-	}
-	return out
-}

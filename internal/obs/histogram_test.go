@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// The bucket layout is the bench-serve/v1 artifact contract: BucketOf and
+// The bucket layout is the /metricsz exposition contract: BucketOf and
 // BucketUpper must round-trip, buckets must be contiguous and monotone, and
 // the whole non-negative µs range must land in [0, NumBuckets).
 
@@ -78,9 +78,9 @@ func TestBucketOfProperty(t *testing.T) {
 	}
 }
 
-// TestHistogramFixture pins the bench-serve/v1 bucket boundaries to a
-// committed fixture generated from the original msloadgen implementation.
-// If this fails, the artifact schema has silently drifted.
+// TestHistogramFixture pins the `le` boundaries /metricsz renders
+// (writeHistogram) to a committed fixture of samples and their non-empty
+// [upper_us, count] buckets. If this fails, the exposed series have drifted.
 func TestHistogramFixture(t *testing.T) {
 	raw, err := os.ReadFile("testdata/bench_serve_v1_histogram.json")
 	if err != nil {
@@ -97,9 +97,20 @@ func TestHistogramFixture(t *testing.T) {
 	for _, s := range fix.Samples {
 		h.Observe(s)
 	}
-	if got := h.Snapshot(); !reflect.DeepEqual(got, fix.Histogram) {
-		t.Fatalf("histogram drifted from committed bench-serve/v1 fixture\n got: %v\nwant: %v", got, fix.Histogram)
+	if got := nonEmpty(h); !reflect.DeepEqual(got, fix.Histogram) {
+		t.Fatalf("histogram drifted from the committed fixture\n got: %v\nwant: %v", got, fix.Histogram)
 	}
+}
+
+// nonEmpty lists h's non-empty buckets as sorted [upper_us, count] pairs.
+func nonEmpty(h *Histogram) [][2]int64 {
+	var out [][2]int64
+	for b := range NumBuckets {
+		if n := h.buckets[b].Load(); n > 0 {
+			out = append(out, [2]int64{BucketUpper(b), n})
+		}
+	}
+	return out
 }
 
 func TestHistogramCounts(t *testing.T) {
@@ -114,7 +125,7 @@ func TestHistogramCounts(t *testing.T) {
 		t.Fatalf("SumUS = %d", h.SumUS())
 	}
 	var total int64
-	for _, p := range h.Snapshot() {
+	for _, p := range nonEmpty(h) {
 		total += p[1]
 	}
 	if total != 7 {

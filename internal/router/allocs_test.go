@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"malsched/internal/instance"
+	"malsched/internal/precedence"
 	"malsched/internal/server"
 	"malsched/internal/wire"
 )
@@ -133,6 +134,74 @@ func TestAllocBudgetRoutedJSONHit(t *testing.T) {
 	}
 	if st := shard.Stats().Shards[0]; st.MemoMisses != 1 {
 		t.Fatalf("the timed requests were not memo hits: %+v", st)
+	}
+	if got := rt.jsonDecode[wire.PathFallback].Value(); got != 0 {
+		t.Fatalf("%d bodies fell back to encoding/json", got)
+	}
+}
+
+// The binary codec costs fewer allocations than JSON for the same memo hit
+// through one router and one in-process shard, on edge-free requests and on
+// the dag solver's chain and out-tree graphs alike. A Go client marshals
+// every leaf's nil successor list as null, so the JSON DAG bodies here are
+// what such a client sends; none may fall back to encoding/json, which cost
+// 252–440 allocations per DAG hit on this grid where the scanner costs 32.
+func TestAllocBinaryBelowJSON(t *testing.T) {
+	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	bin, js := newReusedCall(t, wire.ContentType), newReusedCall(t, "application/json")
+	for _, shape := range []string{"none", "chain", "out-tree"} {
+		for _, size := range [][2]int{{10, 8}, {20, 12}} {
+			n, m := size[0], size[1]
+			in := instance.Mixed(int64(n*m), n, m)
+			var graph [][]int
+			var opts *wire.RequestOptions
+			switch shape {
+			case "chain":
+				graph = precedence.ChainEdges(n)
+			case "out-tree":
+				if graph, err = precedence.OutTreeEdges(n, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if graph != nil {
+				opts = &wire.RequestOptions{Solver: "dag"}
+			}
+			raw, err := server.EncodeInstance(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := json.Marshal(wire.ScheduleRequest{Instance: raw, Graph: graph, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := wire.AppendScheduleRequest(nil, in, graph, opts)
+			allocs := func(c *reusedCall, req []byte) float64 {
+				serve := func() {
+					if code := c.do(rt.Handler(), req); code != http.StatusOK {
+						t.Fatalf("%s %dx%d: HTTP %d", shape, n, m, code)
+					}
+				}
+				serve() // fills the memo
+				serve() // warms the pools
+				misses := shard.Stats().Shards[0].MemoMisses
+				got := testing.AllocsPerRun(100, serve)
+				if shard.Stats().Shards[0].MemoMisses != misses {
+					t.Fatalf("%s %dx%d: the timed requests were not memo hits", shape, n, m)
+				}
+				return got
+			}
+			b, j := allocs(bin, frame), allocs(js, body)
+			if b >= j {
+				t.Errorf("%s %dx%d: binary %.1f allocs per memo hit, not below JSON %.1f", shape, n, m, b, j)
+			} else {
+				t.Logf("%s %dx%d: binary %.1f, JSON %.1f allocs per memo hit", shape, n, m, b, j)
+			}
+		}
 	}
 	if got := rt.jsonDecode[wire.PathFallback].Value(); got != 0 {
 		t.Fatalf("%d bodies fell back to encoding/json", got)

@@ -16,8 +16,8 @@ import (
 // per-request server cost: admission, codec, memo-hit solve, verification
 // and response encoding. Run with -benchmem (allocs are also reported
 // explicitly): the binary codec and the pooled response buffers exist to
-// push allocs/op down, and BENCH_serve.json tracks the same win under
-// sustained open-loop load.
+// push allocs/op down, and router.TestAllocBinaryBelowJSON pins the same
+// win through the routing tier.
 
 func benchSchedule(b *testing.B, binary bool) {
 	s := New(Config{Shards: 1, Workers: 2})

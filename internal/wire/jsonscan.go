@@ -17,8 +17,9 @@ import (
 // and any plain JSON library emits for it — straight into the slabs the
 // binary decoder builds: exact lower-case keys, each at most once, in any
 // order; strings of unescaped printable ASCII; numbers in the strict JSON
-// grammar, integers where the schema has integers; no null. Anything else
-// (unknown, duplicate or case-folded key, an escape or a non-ASCII byte, a
+// grammar, integers where the schema has integers; null only for a successor
+// list, which decodes to a nil list. Anything else (unknown, duplicate or
+// case-folded key, an escape or a non-ASCII byte, a null anywhere else, a
 // number strconv refuses, a syntax error, bytes after the value) is not the
 // scanner's: it reports so without a verdict and encoding/json decodes the
 // body as it always has, so every exotic input keeps its answer and its
@@ -33,8 +34,8 @@ import (
 type JSONRequest struct {
 	Instance    *instance.Instance
 	InstanceErr error
-	// Graph is nil without a "graph" key; empty lists are empty, not nil,
-	// as encoding/json decodes them.
+	// Graph is nil without a "graph" key; as encoding/json decodes them,
+	// empty lists are empty and null lists nil.
 	Graph   [][]int
 	Options *RequestOptions
 }
@@ -412,6 +413,17 @@ func (s *scanner) integer() int {
 	return v
 }
 
+// null consumes a null literal, after any whitespace, and reports whether
+// there was one. Anything else is left for the caller's own read.
+func (s *scanner) null() bool {
+	s.space()
+	if s.bad || !bytes.HasPrefix(s.b[s.off:], []byte("null")) {
+		return false
+	}
+	s.off += len("null")
+	return true
+}
+
 func (s *scanner) boolean() bool {
 	s.space()
 	rest := s.b[s.off:]
@@ -528,6 +540,9 @@ func (s *scanner) times() []float64 {
 }
 
 // graphLists walks the successor lists [[…],…] into windows of one slab.
+// A null list is nil, as encoding/json decodes it (a Go client marshals a
+// nil list so: every leaf of a chain or an out-tree); an empty one is an
+// empty window.
 func (s *scanner) graphLists() {
 	s.expect('[')
 	if s.fill {
@@ -535,18 +550,22 @@ func (s *scanner) graphLists() {
 		s.edges = make([]int, 0, s.nEdges)
 	}
 	for i := 0; s.more(i, ']'); i++ {
-		s.expect('[')
-		lo := len(s.edges)
-		for j := 0; s.more(j, ']'); j++ {
-			v := s.integer()
-			if s.fill {
-				s.edges = append(s.edges, v)
-			} else {
-				s.nEdges++
+		var list []int
+		if !s.null() {
+			s.expect('[')
+			lo := len(s.edges)
+			for j := 0; s.more(j, ']'); j++ {
+				v := s.integer()
+				if s.fill {
+					s.edges = append(s.edges, v)
+				} else {
+					s.nEdges++
+				}
 			}
+			list = s.edges[lo:len(s.edges):len(s.edges)]
 		}
 		if s.fill {
-			s.graph = append(s.graph, s.edges[lo:len(s.edges):len(s.edges)])
+			s.graph = append(s.graph, list)
 		} else {
 			s.nLists++
 		}

@@ -44,15 +44,17 @@ func jsonBody(tb testing.TB, in *instance.Instance, graph [][]int, opts *Request
 func jsonSeeds(tb testing.TB) []jsonSeed {
 	in := instance.Mixed(5, 6, 4)
 	chain := precedence.ChainEdges(in.N())
-	chain[in.N()-1] = []int{} // a nil list marshals as null, which is encoding/json's to decode
+	chain[in.N()-1] = []int{} // an empty list, where ChainEdges leaves a nil one (null on the wire)
 	every := &RequestOptions{Solver: "mrt", Portfolio: []string{"mrt", "lpt"}, Eps: 0.01, Compact: true,
 		Parallelism: 2, TimeoutMS: 1500, Lineage: "chain-7", Trace: true}
 	const tasks = `"tasks":[{"name":"a","times":[4,2.5,2]},{"name":"b","times":[3]}]`
+	const tasks4 = `"tasks":[{"name":"a","times":[4,2.5]},{"name":"b","times":[3]},{"name":"c","times":[2,1.5]},{"name":"d","times":[1]}]`
 	inst := func(fields string) string { return `{"instance":{` + fields + `}}` }
 	return []jsonSeed{
 		{"canonical", jsonBody(tb, in, nil, nil), true},
 		{"graph", jsonBody(tb, in, chain, &RequestOptions{Solver: "dag"}), true},
-		{"graph-null-list", jsonBody(tb, in, precedence.ChainEdges(in.N()), &RequestOptions{Solver: "dag"}), false},
+		{"graph-null-list", jsonBody(tb, in, precedence.ChainEdges(in.N()), &RequestOptions{Solver: "dag"}), true},
+		{"graph-mixed-lists", `{"graph":[[1,2], null ,[3],[]],` + inst(`"m":2,` + tasks4)[1:], true},
 		{"every-option", jsonBody(tb, in, nil, every), true},
 		{"empty-options-and-graph", `{"options":{},"graph":[],` + inst(`"name":"x","m":2,` + tasks)[1:], true},
 		{"m-after-tasks", inst(tasks + `,"m":3,"name":"late"`), true},
