@@ -402,7 +402,7 @@ func (l *loader) compareResult(r *replay, got *wire.ScheduleResponse) {
 		return
 	}
 	if l.verbose {
-		log.Printf("[%d] %s: ok (makespan %.6g, shard %d, memo %v)",
-			r.index, r.in.Name, got.Makespan, got.Shard, got.FromMemo)
+		log.Printf("[%d] %s: ok (makespan %.6g, memo %v)",
+			r.index, r.in.Name, got.Makespan, got.FromMemo)
 	}
 }

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	msroute -backends http://h1:8080,http://h2:8080 [-addr :8070]
-//	        [-vnodes 160] [-queue 128] [-workers 4] [-no-steal]
+//	        [-vnodes 160] [-queue 128] [-workers 4]
 //	        [-drain-grace 30s] [-pprof] [-log-requests] [-slow 0]
 //
 // Observability: GET /metricsz serves Prometheus text metrics (request
@@ -89,7 +89,6 @@ func main() {
 	vnodes := flag.Int("vnodes", 0, "ring points per backend (0 = default)")
 	queue := flag.Int("queue", router.DefaultQueueDepth, "pending requests per shard before shedding with 429")
 	workers := flag.Int("workers", router.DefaultWorkers, "concurrent forwards per shard (forwarding slots)")
-	noSteal := flag.Bool("no-steal", false, "disable work-stealing (requests always wait for their home shard)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long in-flight requests get after SIGTERM")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on /debug/pprof/ (off by default)")
 	logRequests := flag.Bool("log-requests", false, "log every routed request (structured, stderr)")
@@ -105,7 +104,6 @@ func main() {
 		VNodes:        *vnodes,
 		QueueDepth:    *queue,
 		Workers:       *workers,
-		DisableSteal:  *noSteal,
 		LogRequests:   *logRequests,
 		SlowThreshold: *slow,
 	}
@@ -130,8 +128,8 @@ func main() {
 	for i, b := range bk {
 		names[i] = b.Name
 	}
-	log.Printf("routing on %s over %d shards [%s] (queue %d, workers %d, steal %v)",
-		*addr, len(bk), strings.Join(names, ", "), *queue, *workers, !*noSteal)
+	log.Printf("routing on %s over %d shards [%s] (queue %d, workers %d)",
+		*addr, len(bk), strings.Join(names, ", "), *queue, *workers)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

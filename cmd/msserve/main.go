@@ -1,12 +1,12 @@
 // Command msserve runs the malsched scheduling service: an HTTP/JSON API
-// over the batch engine with fingerprint-sharded memoisation, a bounded
+// over one batch engine with fingerprint-keyed memoisation, a bounded
 // admission queue and registry-validated per-request solver selection.
 // Every response is re-checked with the canonical plan verifier before it
 // leaves the process.
 //
 // Usage:
 //
-//	msserve [-addr :8080] [-shards 4] [-workers 0] [-memo 0] [-queue 64]
+//	msserve [-addr :8080] [-workers 0] [-memo 0] [-queue 64]
 //	        [-timeout 0] [-max-timeout 60s] [-drain-grace 30s] [-pprof]
 //	        [-log-requests] [-slow 0]
 //
@@ -62,9 +62,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("msserve: ")
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", server.DefaultShards, "engine shards (workloads are fingerprint-routed)")
-	workers := flag.Int("workers", 0, "workers per shard (0 = GOMAXPROCS)")
-	memo := flag.Int("memo", 0, "memo capacity per shard (0 = default, negative disables)")
+	workers := flag.Int("workers", 0, "concurrent solves per process (0 = GOMAXPROCS)")
+	memo := flag.Int("memo", 0, "memo capacity per process (0 = default, negative disables)")
 	queue := flag.Int("queue", server.DefaultQueueDepth, "admission queue depth (further requests get 429)")
 	timeout := flag.Duration("timeout", 0, "default per-request solve timeout (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout, "cap on per-request timeout_ms")
@@ -75,7 +74,6 @@ func main() {
 	flag.Parse()
 
 	cfg := server.Config{
-		Shards:         *shards,
 		Workers:        *workers,
 		MemoCapacity:   *memo,
 		QueueDepth:     *queue,
@@ -96,8 +94,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	log.Printf("listening on %s (%d shards, queue %d, solvers: %s)",
-		*addr, *shards, *queue, strings.Join(malsched.Solvers(), ", "))
+	log.Printf("listening on %s (queue %d, solvers: %s)",
+		*addr, *queue, strings.Join(malsched.Solvers(), ", "))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

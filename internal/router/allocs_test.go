@@ -70,7 +70,7 @@ func (c *reusedCall) do(h http.Handler, frame []byte) int {
 func TestAllocBudgetRoutedHit(t *testing.T) {
 	const n, m, budget = 24, 16, 12 + 10
 	frame := wire.AppendScheduleRequest(nil, instance.Mixed(9, n, m), nil, nil)
-	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestAllocBudgetRoutedJSONHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestAllocBudgetRoutedJSONHit(t *testing.T) {
 // what such a client sends; none may fall back to encoding/json, which cost
 // 252–440 allocations per DAG hit on this grid where the scanner costs 32.
 func TestAllocBinaryBelowJSON(t *testing.T) {
-	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestAllocBudgetRoutedMiss(t *testing.T) {
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
 	}
-	shard := server.New(server.Config{Shards: 1, Workers: 1})
+	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
 	if err != nil {
 		t.Fatal(err)

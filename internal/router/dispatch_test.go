@@ -125,7 +125,7 @@ func TestInlineAndQueuedAgree(t *testing.T) {
 	run := func(callers int) ([][]byte, Stats, uint64, uint64) {
 		cfg := Config{Workers: 1}
 		for i := 0; i < 3; i++ {
-			shard := server.New(server.Config{Shards: 2, Workers: 2}).Handler()
+			shard := server.New(server.Config{Workers: 2}).Handler()
 			cfg.Backends = append(cfg.Backends, Backend{
 				Name: fmt.Sprintf("shard-%d", i),
 				// Holding the slot while asleep is what makes concurrent
@@ -201,7 +201,7 @@ func TestInlineAndQueuedAgree(t *testing.T) {
 func TestPinnedNeverOvertakes(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
-	shard := server.New(server.Config{Shards: 1, Workers: 1}).Handler()
+	shard := server.New(server.Config{Workers: 1}).Handler()
 	rt, err := New(Config{
 		Backends: []Backend{{Name: "only", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
@@ -275,8 +275,8 @@ func TestPinnedNeverOvertakes(t *testing.T) {
 // queued, so nobody is roused then, and the steal starts when that slot is
 // handed back.
 func TestStealWakesWithoutPolling(t *testing.T) {
-	s0 := server.New(server.Config{Shards: 1, Workers: 1})
-	s1 := server.New(server.Config{Shards: 1, Workers: 1})
+	s0 := server.New(server.Config{Workers: 1})
+	s1 := server.New(server.Config{Workers: 1})
 	g0, g1 := newGate(s0.Handler()), newGate(s1.Handler())
 	rt, err := New(Config{
 		Backends: []Backend{{Name: "shard-0", Handler: g0}, {Name: "shard-1", Handler: g1}},

@@ -132,8 +132,8 @@ func TestRouterStatszSchemaDrift(t *testing.T) {
 // and a shed request — every numeric /statsz leaf equals its /metricsz
 // series, and the tier's locality numbers follow from the per-backend ones.
 func TestRouterStatszIsMetricsz(t *testing.T) {
-	g0 := newGate(server.New(server.Config{Shards: 1, Workers: 1}).Handler())
-	g1 := newGate(server.New(server.Config{Shards: 1, Workers: 1}).Handler())
+	g0 := newGate(server.New(server.Config{Workers: 1}).Handler())
+	g1 := newGate(server.New(server.Config{Workers: 1}).Handler())
 	rt, err := New(Config{
 		Backends:   []Backend{{Name: "shard-0", Handler: g0}, {Name: "shard-1", Handler: g1}},
 		Workers:    1,
@@ -318,7 +318,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	var routerLog, shardLog bytes.Buffer
 
 	shard := server.New(server.Config{
-		Shards: 1, Workers: 1,
+		Workers:     1,
 		Logger:      slog.New(slog.NewTextHandler(lockedWriter{&mu, &shardLog}, nil)),
 		LogRequests: true,
 	})
@@ -409,7 +409,7 @@ func TestRouterSlowLogging(t *testing.T) {
 func TestClientGoneWhileQueuedIsCounted(t *testing.T) {
 	var mu sync.Mutex
 	var lines bytes.Buffer
-	s0 := server.New(server.Config{Shards: 1})
+	s0 := server.New(server.Config{})
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	rt, err := New(Config{

@@ -77,8 +77,8 @@ type Backend struct {
 }
 
 // Config tunes a Router. The zero value routes with defaultVNodes vnodes
-// per backend, DefaultQueueDepth pending requests per shard, DefaultWorkers
-// concurrent forwards per shard, and work-stealing on.
+// per backend, DefaultQueueDepth pending requests per shard and
+// DefaultWorkers concurrent forwards per shard.
 type Config struct {
 	// Backends are the scheduler shards; at least one is required.
 	Backends []Backend
@@ -96,9 +96,6 @@ type Config struct {
 	// slots), which serve their own shard's queues first and steal from
 	// other shards' stealable queues with a slot to spare.
 	Workers int
-	// DisableSteal turns work-stealing off: every request waits for its
-	// home shard no matter how uneven the load.
-	DisableSteal bool
 	// MaxBodyBytes caps request body size; ≤ 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// Client is used for URL backends; nil means a default client with no
@@ -566,14 +563,11 @@ func (r *Router) release(i int) {
 }
 
 // pending reports whether a job that shard i may serve is queued: in its
-// own queues or, with stealing on, in a peer's stealable queue.
+// own queues or in a peer's stealable queue.
 func (r *Router) pending(i int) bool {
 	b := r.backends[i]
 	if len(b.pinned) > 0 || len(b.local) > 0 {
 		return true
-	}
-	if r.cfg.DisableSteal {
-		return false
 	}
 	for _, v := range r.backends {
 		if v != b && len(v.local) > 0 {
@@ -589,7 +583,7 @@ func (r *Router) pending(i int) bool {
 // now.
 func (r *Router) wakeFor(home int, pinned bool) {
 	r.backends[home].signal()
-	if pinned || r.cfg.DisableSteal {
+	if pinned {
 		return
 	}
 	n := len(r.backends)
@@ -604,8 +598,8 @@ func (r *Router) wakeFor(home int, pinned bool) {
 // drainer forwards queued jobs for shard i. It sleeps until an enqueue (or
 // an inline request leaving a stealable backlog behind) signals the shard,
 // then serves while anything is pending: a slot first, then a job — own
-// pinned queue, own stealable queue, then, with stealing on, other shards'
-// stealable queues. The pinned queue is deliberately invisible to thieves.
+// pinned queue, own stealable queue, then other shards' stealable
+// queues. The pinned queue is deliberately invisible to thieves.
 // The slot goes back before the result goes out, so a caller that sends its
 // next request the moment it has this answer finds the slot free.
 func (r *Router) drainer(i int) {
@@ -646,9 +640,6 @@ func (r *Router) take(i int) *job {
 	case j := <-b.local:
 		return j
 	default:
-	}
-	if r.cfg.DisableSteal {
-		return nil
 	}
 	n := len(r.backends)
 	for d := 1; d < n; d++ {

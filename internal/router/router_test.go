@@ -24,7 +24,7 @@ func newTier(t *testing.T, n int, cfg Config) (*Router, []*server.Server) {
 	t.Helper()
 	shards := make([]*server.Server, n)
 	for i := range shards {
-		shards[i] = server.New(server.Config{Shards: 2, Workers: 2})
+		shards[i] = server.New(server.Config{Workers: 2})
 		cfg.Backends = append(cfg.Backends, Backend{
 			Name:    fmt.Sprintf("shard-%d", i),
 			Handler: shards[i].Handler(),
@@ -146,16 +146,13 @@ func TestRouteKeyMatchesEngineFingerprint(t *testing.T) {
 	}
 }
 
-// TestFingerprintSpread checks the two reductions the fleet applies to
-// fingerprints, over 12 288 distinct workloads (the size of the benchmark's
-// cold pool, chosen so every engine shard sees more keys than its caches
-// hold): the routing key picks a backend by ring position, the memo key
-// picks an engine shard by % 4. No two workloads may collide, every share
-// must sit within 10 % of its expectation — the backend's arc of the ring,
-// a quarter of the shards — and so must every (backend, shard) cell, which
-// is what keeps the emptiest engine shard above its cache size.
+// TestFingerprintSpread checks the routing key over 12 288 distinct
+// workloads (the size of the benchmark's cold pool, chosen so every shard
+// sees more keys than its caches hold): no two workloads may collide, and
+// each backend's share must sit within 10 % of its arc of the ring, which
+// is what keeps the emptier shard above its cache size.
 func TestFingerprintSpread(t *testing.T) {
-	const pool, shards = 12288, 4
+	const pool = 12288
 	rg, err := newRing([]string{"shard-0", "shard-1"}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -166,32 +163,19 @@ func TestFingerprintSpread(t *testing.T) {
 		arc[p.backend] += float64(p.hash-prev) / (1 << 64) // wraps correctly in uint64
 	}
 	seen := make(map[uint64]int64, pool)
-	var cell [2][shards]int
+	var routed [2]int
 	for seed := int64(1); seed <= pool; seed++ {
-		in := instance.Mixed(seed, 24, 16)
-		key := engine.WorkloadFingerprint(in)
+		key := engine.WorkloadFingerprint(instance.Mixed(seed, 24, 16))
 		if other, dup := seen[key]; dup {
 			t.Fatalf("workloads %d and %d collide on %#x", other, seed, key)
 		}
 		seen[key] = seed
-		cell[rg.route(key)][engine.Fingerprint(in, engine.Options{})%shards]++
+		routed[rg.route(key)]++
 	}
-	within := func(what string, got int, want float64) {
-		t.Helper()
-		if f := float64(got); f < 0.9*want || f > 1.1*want {
-			t.Errorf("%s: %d of %d workloads, want %.0f ± 10%%", what, got, pool, want)
+	for b, got := range routed {
+		if want := pool * arc[b]; float64(got) < 0.9*want || float64(got) > 1.1*want {
+			t.Errorf("backend %d: %d of %d workloads, want %.0f ± 10%%", b, got, pool, want)
 		}
-	}
-	for b := range cell {
-		total := 0
-		for sh, n := range cell[b] {
-			total += n
-			within(fmt.Sprintf("backend %d shard %d", b, sh), n, pool*arc[b]/shards)
-		}
-		within(fmt.Sprintf("backend %d", b), total, pool*arc[b])
-	}
-	for sh := 0; sh < shards; sh++ {
-		within(fmt.Sprintf("hash %% %d == %d", shards, sh), cell[0][sh]+cell[1][sh], pool/shards)
 	}
 }
 
@@ -251,10 +235,9 @@ func TestRouteKeyMatchesDAGFingerprint(t *testing.T) {
 // TestRouterMatchesSingleProcess is the acceptance bar: the routed tier
 // must be semantically invisible. Every response through router+2 shards
 // is DeepEqual to the single-process msserve response for the same
-// request, modulo the two serving-metadata fields that name which cache
-// answered (shard index, memo hit).
+// request, modulo the memo-hit flag, which names the cache that answered.
 func TestRouterMatchesSingleProcess(t *testing.T) {
-	single := server.New(server.Config{Shards: 2, Workers: 2})
+	single := server.New(server.Config{Workers: 2})
 	rt, _ := newTier(t, 2, Config{})
 
 	fams := instance.Families()
@@ -286,7 +269,6 @@ func TestRouterMatchesSingleProcess(t *testing.T) {
 			if err := json.Unmarshal(recR.Body.Bytes(), &b); err != nil {
 				t.Fatal(err)
 			}
-			a.Shard, b.Shard = 0, 0
 			a.FromMemo, b.FromMemo = false, false
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s/%d: routed response differs from single-process:\n single: %+v\n routed: %+v", name, seed, a, b)
@@ -443,8 +425,8 @@ func (b *blockingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // behind a slow backend, shard B's idle workers must claim A's queued
 // stealable requests — and the steal counters must say so.
 func TestWorkStealingDrainsOverloadedShard(t *testing.T) {
-	slowSrv := server.New(server.Config{Shards: 1, Workers: 1})
-	fastSrv := server.New(server.Config{Shards: 1, Workers: 1})
+	slowSrv := server.New(server.Config{Workers: 1})
+	fastSrv := server.New(server.Config{Workers: 1})
 	slow := &blockingHandler{inner: slowSrv.Handler(), blocked: true, release: make(chan struct{})}
 	rt, err := New(Config{
 		Backends: []Backend{
@@ -574,8 +556,8 @@ func TestLineageNeverMigratesMidChain(t *testing.T) {
 // home shard saturated: stealable traffic drains via steals while every
 // lineage request still waits for — and is served by — its home shard.
 func TestLineagePinnedUnderStealPressure(t *testing.T) {
-	s0 := server.New(server.Config{Shards: 1, Workers: 1})
-	s1 := server.New(server.Config{Shards: 1, Workers: 1})
+	s0 := server.New(server.Config{Workers: 1})
+	s1 := server.New(server.Config{Workers: 1})
 	slow := &blockingHandler{inner: s0.Handler(), blocked: true, release: make(chan struct{})}
 	rt, err := New(Config{
 		Backends: []Backend{
@@ -634,13 +616,12 @@ func TestLineagePinnedUnderStealPressure(t *testing.T) {
 // TestRouterQueueFullSheds: a full home queue sheds with 429 + Retry-After
 // in the request's codec instead of queueing unboundedly.
 func TestRouterQueueFullSheds(t *testing.T) {
-	s0 := server.New(server.Config{Shards: 1})
+	s0 := server.New(server.Config{})
 	slow := &blockingHandler{inner: s0.Handler(), blocked: true, release: make(chan struct{})}
 	rt, err := New(Config{
-		Backends:     []Backend{{Name: "only", Handler: slow}},
-		Workers:      1,
-		QueueDepth:   1,
-		DisableSteal: true,
+		Backends:   []Backend{{Name: "only", Handler: slow}},
+		Workers:    1,
+		QueueDepth: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func awaitTick(t *testing.T, ch chan struct{}, what string) {
 // next one is shed with 429, a typed queue_full error and a Retry-After
 // hint — and the queue recovers as soon as a slot frees.
 func TestAdmissionQueueFull(t *testing.T) {
-	b := newBlockingServer(Config{Shards: 1, Workers: 1, QueueDepth: 2})
+	b := newBlockingServer(Config{Workers: 1, QueueDepth: 2})
 	ts := httptest.NewServer(b.Handler())
 	defer ts.Close()
 	raw := mustRaw(t, instance.Mixed(1, 5, 4))
@@ -120,7 +120,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 // scheduling work is refused typed, and requests already in flight run to
 // completion.
 func TestDrain(t *testing.T) {
-	b := newBlockingServer(Config{Shards: 1, Workers: 1, QueueDepth: 4})
+	b := newBlockingServer(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(b.Handler())
 	defer ts.Close()
 	raw := mustRaw(t, instance.Mixed(2, 6, 4))
@@ -182,7 +182,7 @@ func TestDrain(t *testing.T) {
 
 // StartDrain is idempotent and Draining observable.
 func TestDrainIdempotent(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	if s.Draining() {
 		t.Fatal("fresh server draining")
 	}

@@ -29,7 +29,7 @@ func TestAllocBudgets(t *testing.T) {
 	}
 	cert := verify.Certified{Plan: sol.Plan, Makespan: sol.Makespan, LowerBound: sol.LowerBound}
 
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	serve := func() int {
 		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frame))
 		req.Header.Set("Content-Type", wire.ContentType)
@@ -116,7 +116,7 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
 	}
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	next := 0
 	serve := func() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frames[next]))
@@ -164,7 +164,7 @@ func TestAllocBudgetDAGMiss(t *testing.T) {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(seed, n, m), graph,
 			&wire.RequestOptions{Solver: "dag"})
 	}
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	next := 0
 	serve := func() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frames[next]))

@@ -20,7 +20,7 @@ import (
 // win through the routing tier.
 
 func benchSchedule(b *testing.B, binary bool) {
-	s := New(Config{Shards: 1, Workers: 2})
+	s := New(Config{Workers: 2})
 	in := instance.Mixed(1, 12, 8)
 
 	var body []byte

@@ -34,7 +34,7 @@ func postBinary(t *testing.T, ts *httptest.Server, in *instance.Instance, opts *
 // provenance excluded — the second request of a pair hits the memo the
 // first one filled).
 func TestBinaryScheduleBitIdenticalToJSON(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 2})
+	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -62,6 +62,11 @@ func TestBinaryScheduleBitIdenticalToJSON(t *testing.T) {
 			if err := json.Unmarshal(jbody, &js); err != nil {
 				t.Fatal(err)
 			}
+			// One engine per process: the frozen shard field reads 0 on
+			// both codecs.
+			if bin.Shard != 0 || js.Shard != 0 {
+				t.Fatalf("%s/%d: shard = %d (binary), %d (JSON), want 0", name, seed, bin.Shard, js.Shard)
+			}
 			// The JSON request repeats the workload, so it reports a memo
 			// hit; everything else must match bit for bit.
 			bin.FromMemo, js.FromMemo = false, false
@@ -85,7 +90,7 @@ func TestBinaryScheduleBitIdenticalToJSON(t *testing.T) {
 // graphs are refused with a binary CodeBadGraph, and the graph_requests
 // counter tracks both codecs.
 func TestBinaryDAGSchedule(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 2})
+	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -163,7 +168,7 @@ func TestBinaryDAGSchedule(t *testing.T) {
 
 // Binary-negotiated requests must get binary errors on every failure path.
 func TestBinaryErrorsAreBinary(t *testing.T) {
-	s := New(Config{Shards: 1})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -199,7 +204,7 @@ func TestBinaryErrorsAreBinary(t *testing.T) {
 // Admission rejections negotiate the codec too: a binary request shed by
 // the full queue gets a binary queue_full with Retry-After.
 func TestBinaryQueueFullIsBinary(t *testing.T) {
-	s := New(Config{Shards: 1, QueueDepth: 1})
+	s := New(Config{QueueDepth: 1})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 2)
 	s.admitted = func() {
@@ -243,7 +248,7 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 // A JSON request with a binary-looking body must not be sniffed into the
 // binary path: negotiation is by Content-Type alone.
 func TestNegotiationIsByContentTypeOnly(t *testing.T) {
-	s := New(Config{Shards: 1})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

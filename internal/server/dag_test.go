@@ -31,7 +31,7 @@ func planOfJSON(pj wire.PlanJSON) *schedule.Schedule {
 // client side too — against the graph the client sent, not anything the
 // server claims.
 func TestScheduleDAGRequest(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 2})
+	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -87,7 +87,7 @@ func TestScheduleDAGRequest(t *testing.T) {
 // never a solve: cyclic, self-edge, out-of-range endpoint, negative
 // endpoint, and shape-mismatched successor lists.
 func TestScheduleHostileGraphs(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -115,17 +115,15 @@ func TestScheduleHostileGraphs(t *testing.T) {
 			t.Errorf("%s: error code %q, want %q", tc.name, code, wire.CodeBadGraph)
 		}
 	}
-	for i, sh := range s.Stats().Shards {
-		if sh.Panics != 0 {
-			t.Fatalf("shard %d recovered %d panics on hostile graphs", i, sh.Panics)
-		}
+	if p := s.Stats().Shards[0].Panics; p != 0 {
+		t.Fatalf("engine recovered %d panics on hostile graphs", p)
 	}
 }
 
 // A graph with an edge-blind solver selection — explicit, defaulted, or a
 // portfolio — is an options error, not a silently dropped constraint.
 func TestScheduleGraphNeedsEdgeAwareSolver(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -150,7 +148,7 @@ func TestScheduleGraphNeedsEdgeAwareSolver(t *testing.T) {
 // An explicitly empty graph ([] per task, no edges) is valid — it is the
 // independent-task projection requested through the DAG path.
 func TestScheduleEmptyGraphIsValid(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -39,16 +39,14 @@ func lineageChain(t *testing.T, seed int64) []json.RawMessage {
 
 // A lineage key must not change any answer: every response of a
 // same-lineage request sequence is bit-identical to the same requests
-// without the key, the sequence lands on one shard, and the shard's warm
-// counters record the solves.
+// without the key, and the engine's warm counters record the solves.
 func TestLineageRequestsWarmAndIdentical(t *testing.T) {
-	s := New(Config{Shards: 4, Workers: 2, MemoCapacity: -1})
+	s := New(Config{Workers: 2, MemoCapacity: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	chain := lineageChain(t, 6)
 	opts := &wire.RequestOptions{Lineage: "client-7/queue-a"}
-	shard := -1
 	var warmSynth int
 	for i, raw := range chain {
 		status, body := post(t, ts, "/v1/schedule", wire.ScheduleRequest{Instance: raw, Options: opts})
@@ -58,11 +56,6 @@ func TestLineageRequestsWarmAndIdentical(t *testing.T) {
 		var warm wire.ScheduleResponse
 		if err := json.Unmarshal(body, &warm); err != nil {
 			t.Fatal(err)
-		}
-		if shard == -1 {
-			shard = warm.Shard
-		} else if warm.Shard != shard {
-			t.Fatalf("step %d routed to shard %d, lineage lives on %d", i, warm.Shard, shard)
 		}
 		warmSynth += warm.Synthesized
 
@@ -74,8 +67,7 @@ func TestLineageRequestsWarmAndIdentical(t *testing.T) {
 		if err := json.Unmarshal(body, &cold); err != nil {
 			t.Fatal(err)
 		}
-		// Everything but routing and probe accounting must match bitwise.
-		warm.Shard, cold.Shard = 0, 0
+		// Everything but probe accounting must match bitwise.
 		warm.Probes, cold.Probes = 0, 0
 		warm.Synthesized, cold.Synthesized = 0, 0
 		if !reflect.DeepEqual(warm, cold) {
@@ -91,33 +83,24 @@ func TestLineageRequestsWarmAndIdentical(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	var solves, synth uint64
-	entries := 0
-	for _, sh := range stats.Shards {
-		solves += sh.WarmSolves
-		synth += sh.Synthesized
-		entries += sh.WarmEntries
-		if sh.WarmSolves > 0 && sh.Shard != shard {
-			t.Fatalf("warm solves recorded on shard %d, lineage routed to %d", sh.Shard, shard)
-		}
+	sh := stats.Shards[0]
+	if sh.WarmSolves != uint64(len(chain)) {
+		t.Fatalf("warm_solves = %d, want %d", sh.WarmSolves, len(chain))
 	}
-	if solves != uint64(len(chain)) {
-		t.Fatalf("warm_solves = %d, want %d", solves, len(chain))
-	}
-	if synth != uint64(warmSynth) || synth == 0 {
-		t.Fatalf("synthesized = %d, want %d (> 0)", synth, warmSynth)
+	if sh.Synthesized != uint64(warmSynth) || sh.Synthesized == 0 {
+		t.Fatalf("synthesized = %d, want %d (> 0)", sh.Synthesized, warmSynth)
 	}
 	// The registry is LRU-backed; with the memo disabled states are
 	// per-call, so no entries are resident.
-	if entries != 0 {
-		t.Fatalf("memo-disabled shards report %d warm entries", entries)
+	if sh.WarmEntries != 0 {
+		t.Fatalf("memo-disabled engine reports %d warm entries", sh.WarmEntries)
 	}
 }
 
 // With the registry enabled, one lineage key occupies one entry and the
 // carried state survives across requests.
 func TestLineageRegistryResidency(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 1, MemoCapacity: 16})
+	s := New(Config{Workers: 1, MemoCapacity: 16})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -134,18 +117,14 @@ func TestLineageRegistryResidency(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	entries := 0
-	for _, sh := range stats.Shards {
-		entries += sh.WarmEntries
-	}
-	if entries != 1 {
+	if entries := stats.Shards[0].WarmEntries; entries != 1 {
 		t.Fatalf("one lineage should occupy one registry entry, got %d", entries)
 	}
 }
 
 // An oversized lineage key is rejected at validation, before any work.
 func TestLineageTooLong(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -16,7 +16,7 @@ import (
 const StatszSchema = "statsz/v1"
 
 // Metric family names served on GET /metricsz. Stage latencies are labeled
-// by stage/solver/codec/shard; the full catalogue is documented in
+// by stage/solver/codec; the full catalogue is documented in
 // docs/OBSERVABILITY.md.
 const (
 	metricRequests     = "malsched_requests_total"
@@ -42,10 +42,9 @@ type reqCtx struct {
 	codec    string // "json" or "binary"
 	start    time.Time
 
-	// solver and shard label the stage histograms; a batch leaves them
-	// unset (each item observes its own stages under a per-item context).
+	// solver labels the stage histograms; a batch leaves it unset (each
+	// item observes its own stages under a per-item context).
 	solver string
-	shard  int
 	// set is the stage-histogram set resolved during the solve; the encode
 	// stage reuses it instead of a second lookup.
 	set *stageSet
@@ -59,8 +58,8 @@ type stageNS struct {
 	queue, compile, solve, verify int64
 }
 
-// stageSet holds the five stage histograms of one (solver, codec, shard)
-// label combination so the hot path does one lookup, not five.
+// stageSet holds the five stage histograms of one (solver, codec) label
+// combination so the hot path does one lookup, not five.
 type stageSet struct {
 	queue, compile, solve, verify, encode *obs.Histogram
 }
@@ -68,7 +67,6 @@ type stageSet struct {
 // stageKey and reqKey key the hot-path instrument Vecs.
 type stageKey struct {
 	solver, codec string
-	shard         int
 }
 
 type reqKey struct {
@@ -97,7 +95,6 @@ func (s *Server) finishRequest(rc *reqCtx, status int, dur time.Duration) {
 		"status", status,
 		"duration_us", dur.Microseconds(),
 		"solver", rc.solver,
-		"shard", rc.shard,
 		"slow", slow,
 	}
 	if slow {
@@ -166,13 +163,13 @@ var (
 
 // registerMetrics creates the server's instruments in its registry — the
 // one set of books /statsz and /metricsz both read — plus the scrape-time
-// views over the queue and the engine shards.
+// views over the queue and the engine.
 func (s *Server) registerMetrics() {
 	m := s.metrics
-	const stageHelp = "Per-request stage latency by solver, codec and shard."
+	const stageHelp = "Per-request stage latency by solver and codec."
 	s.stages = obs.NewVec(func(k stageKey) *stageSet {
 		h := func(stage string) *obs.Histogram {
-			return m.Histogram(metricStageLatency, stageHelp, "stage", stage, "solver", k.solver, "codec", k.codec, "shard", strconv.Itoa(k.shard))
+			return m.Histogram(metricStageLatency, stageHelp, "stage", stage, "solver", k.solver, "codec", k.codec)
 		}
 		return &stageSet{queue: h("queue"), compile: h("compile"), solve: h("solve"), verify: h("verify"), encode: h("encode")}
 	})
@@ -199,14 +196,11 @@ func (s *Server) registerMetrics() {
 		}
 		return 0
 	})
-	for i, eng := range s.shards {
-		sh := strconv.Itoa(i)
-		for _, v := range engineEvents {
-			m.CounterFunc(metricEngine, "Engine shard events.", v.at(eng), "event", v.label, "shard", sh)
-		}
-		for _, v := range engineEntries {
-			m.GaugeFunc(metricEntries, "Resident engine cache entries by cache and shard.", v.at(eng), "cache", v.label, "shard", sh)
-		}
+	for _, v := range engineEvents {
+		m.CounterFunc(metricEngine, "Engine events.", v.at(s.eng), "event", v.label)
+	}
+	for _, v := range engineEntries {
+		m.GaugeFunc(metricEntries, "Resident engine cache entries by cache.", v.at(s.eng), "cache", v.label)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +24,7 @@ import (
 // families in Prometheus text format, with the stage-latency histogram
 // carrying non-zero samples for every stage.
 func TestMetricszExposition(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 2})
+	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -80,7 +79,7 @@ func TestMetricszExposition(t *testing.T) {
 
 // The /metricsz endpoint must refuse non-read methods.
 func TestMetricszMethods(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/metricsz", "text/plain", strings.NewReader("x"))
@@ -98,7 +97,7 @@ func TestMetricszMethods(t *testing.T) {
 // keys — additions require a deliberate schema decision, removals are
 // breakage.
 func TestStatszSchemaDrift(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -146,7 +145,7 @@ func TestStatszSchemaDrift(t *testing.T) {
 // a shed request and a withheld response — every numeric /statsz leaf
 // equals its /metricsz series.
 func TestStatszIsMetricsz(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 1, QueueDepth: 1})
+	s := New(Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	in := instance.Mixed(1, 8, 6)
@@ -190,7 +189,7 @@ func TestStatszIsMetricsz(t *testing.T) {
 	for path, v := range leaves {
 		name := statszSeries(path)
 		if name == "" {
-			if path != fmt.Sprintf("shards.%v.shard", v) { // a shard's index is its label
+			if path != "shards.0.shard" || v != 0 { // the one engine's index always reads 0
 				t.Errorf("/statsz %s = %v has no /metricsz series", path, v)
 			}
 			continue
@@ -211,7 +210,9 @@ func TestStatszIsMetricsz(t *testing.T) {
 }
 
 // statszSeries names the /metricsz series that must equal a /statsz leaf,
-// or "" for a leaf that is not a count.
+// or "" for a leaf that is not a count. The process's one engine is the
+// shards list's only entry, so only shards.0 maps onto the label-free
+// engine series; any other index is a leaf with no series.
 func statszSeries(path string) string {
 	switch path {
 	case "queue.depth":
@@ -226,13 +227,13 @@ func statszSeries(path string) string {
 		return "malsched_" + path + "_total"
 	}
 	parts := strings.Split(path, ".")
-	if len(parts) != 3 || parts[0] != "shards" || parts[2] == "shard" {
+	if len(parts) != 3 || parts[0] != "shards" || parts[1] != "0" || parts[2] == "shard" {
 		return ""
 	}
 	if cache, ok := strings.CutSuffix(parts[2], "_entries"); ok {
-		return `malsched_engine_entries{cache="` + cache + `",shard="` + parts[1] + `"}`
+		return `malsched_engine_entries{cache="` + cache + `"}`
 	}
-	return `malsched_engine_events_total{event="` + parts[2] + `",shard="` + parts[1] + `"}`
+	return `malsched_engine_events_total{event="` + parts[2] + `"}`
 }
 
 // parseExposition reads a Prometheus text page into series → value, the
@@ -255,7 +256,7 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 }
 
 // jsonLeaves flattens a JSON body into path → value for every numeric leaf,
-// booleans as 0 or 1: "queue.accepted", "shards.1.memo_hits".
+// booleans as 0 or 1: "queue.accepted", "shards.0.memo_hits".
 func jsonLeaves(t *testing.T, body []byte) map[string]float64 {
 	t.Helper()
 	var root any
@@ -307,7 +308,7 @@ func assertKeys(t *testing.T, label string, m map[string]json.RawMessage, want [
 // A traced request must return the trace field and a bit-identical result
 // to the untraced request; the memo-hit repeat returns phases, no probes.
 func TestScheduleTrace(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -325,7 +326,7 @@ func TestScheduleTrace(t *testing.T) {
 	}
 
 	// Fresh server so the traced solve is cold — same workload, no memo.
-	s2 := New(Config{Shards: 1, Workers: 1})
+	s2 := New(Config{Workers: 1})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	status, body := post(t, ts2, "/v1/schedule", wire.ScheduleRequest{
@@ -391,7 +392,7 @@ func TestScheduleTrace(t *testing.T) {
 // compiled cache and observes exactly 0 — in the trace and in the
 // stage=compile histogram alike.
 func TestCompileStageOnlyOnMemoMiss(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -406,7 +407,7 @@ func TestCompileStageOnlyOnMemoMiss(t *testing.T) {
 		}
 		return resp
 	}
-	compile := s.stages.Get(stageKey{solver: "mrt", codec: "json", shard: 0}).compile
+	compile := s.stages.Get(stageKey{solver: "mrt", codec: "json"}).compile
 
 	miss := schedule()
 	if miss.FromMemo || miss.Trace.CompileNS <= 0 {
@@ -432,7 +433,7 @@ func TestCompileStageOnlyOnMemoMiss(t *testing.T) {
 // Every scheduling response carries a request ID; a client-supplied
 // X-Malsched-Request is echoed verbatim, an absent one is minted.
 func TestRequestIDEcho(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -479,7 +480,7 @@ func TestRequestLogging(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(lockedWriter{&mu, &lines}, nil))
 
 	s := New(Config{
-		Shards: 1, Workers: 1,
+		Workers:       1,
 		Logger:        logger,
 		LogRequests:   true,
 		SlowThreshold: time.Nanosecond, // everything is slow

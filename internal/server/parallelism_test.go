@@ -33,7 +33,7 @@ func TestParallelismAcceptedAndIgnored(t *testing.T) {
 	serve := func(entry, codec string, opts *wire.RequestOptions) (int, []byte) {
 		t.Helper()
 		body, ct := request(codec, opts)
-		s := New(Config{Shards: 2, Workers: 1})
+		s := New(Config{Workers: 1})
 		if entry == "Serve" {
 			status, _, out, _, err := s.Serve(context.Background(), pathSchedule, ct, body, "", nil)
 			if err != nil {

@@ -34,7 +34,9 @@ type QueueStats struct {
 	Draining bool `json:"draining"`
 }
 
-// ShardStats snapshots one engine shard for /statsz.
+// ShardStats snapshots the process's engine for /statsz. Shard always
+// reads 0: the list it sits in has one entry per process (see
+// StatsResponse.Shards).
 type ShardStats struct {
 	Shard       int    `json:"shard"`
 	Scheduled   uint64 `json:"scheduled"`
@@ -44,7 +46,7 @@ type ShardStats struct {
 	MemoHits    uint64 `json:"memo_hits"`
 	MemoMisses  uint64 `json:"memo_misses"`
 	MemoEntries int    `json:"memo_entries"`
-	// CompileHits/CompileMisses count the shard's compiled-instance cache
+	// CompileHits/CompileMisses count the engine's compiled-instance cache
 	// probes. The engine probes it after a memo miss only, so batch items
 	// of a repeated shape share one compilation and memo hits move neither
 	// counter; CompiledEntries is the resident table count.
@@ -53,7 +55,7 @@ type ShardStats struct {
 	CompiledEntries int    `json:"compiled_entries"`
 	// WarmSolves counts solves run against a request lineage's carried
 	// state, Synthesized the probe outcomes those solves resolved without
-	// a dual step, WarmEntries the resident lineage count of the shard's
+	// a dual step, WarmEntries the resident lineage count of the engine's
 	// registry.
 	WarmSolves  uint64 `json:"warm_solves"`
 	Synthesized uint64 `json:"synthesized"`
@@ -66,7 +68,9 @@ type StatsResponse struct {
 	// within a version. The drift-guard tests pin the documented key set.
 	Schema string     `json:"schema"`
 	Queue  QueueStats `json:"queue"`
-	// Shards holds one entry per engine shard, in shard order.
+	// Shards holds exactly one entry, the process's engine. The list stays
+	// because statsz/v1 takes additive changes only; a shard of the fleet is
+	// a whole msserve process behind msroute.
 	Shards []ShardStats `json:"shards"`
 	// VerifyFailures counts responses withheld because verify.Plan
 	// rejected the solution — any non-zero value is a bug worth paging on.
@@ -101,8 +105,8 @@ func EncodeInstance(in *instance.Instance) (json.RawMessage, error) {
 	return buf.Bytes(), nil
 }
 
-// ResponseOf maps an engine outcome onto the wire type; shard is the
-// serving shard index.
+// ResponseOf maps an engine outcome onto the wire type. shard fills the
+// response's frozen shard field, which msserve always sets to 0.
 func ResponseOf(in *instance.Instance, out engine.Outcome, shard int) *wire.ScheduleResponse {
 	return &wire.ScheduleResponse{
 		Name:        in.Name,

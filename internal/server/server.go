@@ -1,16 +1,15 @@
 // Package server implements msserve, the production HTTP/JSON scheduling
-// service over the batch engine: a bounded admission queue in front of
-// engine shards routed by workload fingerprint, per-request solver
-// selection validated against the registry, and verify.Plan enforced on
-// every response path — the server never vouches for a schedule it has not
-// independently re-checked.
+// service over the batch engine: a bounded admission queue in front of one
+// engine, per-request solver selection validated against the registry, and
+// verify.Plan enforced on every response path — the server never vouches
+// for a schedule it has not independently re-checked.
 //
 // Endpoints:
 //
 //	POST /v1/schedule  one instance → one verified schedule
 //	POST /v1/batch     many instances, per-item errors, shared options
 //	GET  /healthz      200 while serving, 503 once draining
-//	GET  /statsz       queue + per-shard engine counters
+//	GET  /statsz       queue + engine counters
 //	GET  /metricsz     the same counters and the stage histograms, as Prometheus text
 //
 // The two scheduling endpoints are one byte-in/byte-out request path
@@ -57,7 +56,6 @@ import (
 
 // Defaults for the zero Config.
 const (
-	DefaultShards       = 4
 	DefaultQueueDepth   = 64
 	DefaultMaxTimeout   = 60 * time.Second
 	DefaultMaxBatch     = 256
@@ -71,20 +69,16 @@ const (
 	DefaultMaxParallel = 64
 )
 
-// Config tunes a Server. The zero value serves with DefaultShards engine
-// shards, GOMAXPROCS workers per shard, the engine's default memo size, a
-// DefaultQueueDepth admission queue, no default per-request timeout and the
-// paper's scheduling configuration.
+// Config tunes a Server. The zero value serves with one engine, GOMAXPROCS
+// solve slots, the engine's default memo size, a DefaultQueueDepth
+// admission queue, no default per-request timeout and the paper's
+// scheduling configuration.
 type Config struct {
-	// Shards is the number of engine shards; requests are routed by
-	// workload fingerprint so repeated workloads always hit the shard
-	// whose memo already holds them. ≤ 0 means DefaultShards.
-	Shards int
-	// Workers bounds concurrent solves per shard (a token per running
+	// Workers bounds concurrent solves in the process (a token per running
 	// solve, held across the memo probe and the search); ≤ 0 means
 	// GOMAXPROCS.
 	Workers int
-	// MemoCapacity sizes each shard's LRU memo (0 default, negative
+	// MemoCapacity sizes the engine's LRU memo (0 default, negative
 	// disables).
 	MemoCapacity int
 	// QueueDepth bounds concurrently admitted requests; further requests
@@ -120,13 +114,12 @@ type Config struct {
 // http.Server, call StartDrain on shutdown signals. Safe for concurrent
 // use.
 type Server struct {
-	cfg    Config
-	shards []*engine.Engine
-	// slots[i] bounds concurrent solves on shard i to cfg.Workers — the
-	// engine's own pool only bounds its batch entry points, and the server
-	// drives engines through per-call ScheduleWith, so the bound lives
-	// here.
-	slots []chan struct{}
+	cfg Config
+	eng *engine.Engine
+	// slots bounds concurrent solves to cfg.Workers — the engine's own pool
+	// only bounds its batch entry points, and the server drives the engine
+	// through per-call entry points, so the bound lives here.
+	slots chan struct{}
 	sem   chan struct{}
 	mux   *http.ServeMux
 
@@ -154,9 +147,6 @@ type Server struct {
 
 // New builds a Server; see Config for zero-value defaults.
 func New(cfg Config) *Server {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -174,18 +164,11 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		shards:  make([]*engine.Engine, cfg.Shards),
-		slots:   make([]chan struct{}, cfg.Shards),
+		eng:     engine.New(engine.Config{MemoCapacity: cfg.MemoCapacity}),
+		slots:   make(chan struct{}, cfg.Workers),
 		sem:     make(chan struct{}, cfg.QueueDepth),
 		mux:     http.NewServeMux(),
 		metrics: obs.NewRegistry(),
-	}
-	for i := range s.shards {
-		s.shards[i] = engine.New(engine.Config{
-			Workers:      cfg.Workers,
-			MemoCapacity: cfg.MemoCapacity,
-		})
-		s.slots[i] = make(chan struct{}, cfg.Workers)
 	}
 	s.registerMetrics()
 	s.mux.HandleFunc("POST "+pathSchedule, s.handleHTTP(endpointSchedule))
@@ -213,7 +196,7 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports drain mode.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Stats snapshots the queue and every shard.
+// Stats snapshots the queue and the engine.
 func (s *Server) Stats() StatsResponse {
 	resp := StatsResponse{
 		Schema: StatszSchema,
@@ -228,25 +211,24 @@ func (s *Server) Stats() StatsResponse {
 		BinaryRequests: s.binaryReqs.Value(),
 		GraphRequests:  s.graphReqs.Value(),
 	}
-	for i, sh := range s.shards {
-		st := sh.Stats()
-		resp.Shards = append(resp.Shards, ShardStats{
-			Shard:           i,
-			Scheduled:       st.Scheduled,
-			Errors:          st.Errors,
-			Panics:          st.Panics,
-			Timeouts:        st.Timeouts,
-			MemoHits:        st.MemoHits,
-			MemoMisses:      st.MemoMisses,
-			MemoEntries:     st.MemoEntries,
-			CompileHits:     st.CompileHits,
-			CompileMisses:   st.CompileMisses,
-			CompiledEntries: st.CompiledEntries,
-			WarmSolves:      st.WarmSolves,
-			Synthesized:     st.Synthesized,
-			WarmEntries:     st.WarmEntries,
-		})
-	}
+	// statsz/v1 keeps its shards list: the process's one engine is its only
+	// entry.
+	st := s.eng.Stats()
+	resp.Shards = []ShardStats{{
+		Scheduled:       st.Scheduled,
+		Errors:          st.Errors,
+		Panics:          st.Panics,
+		Timeouts:        st.Timeouts,
+		MemoHits:        st.MemoHits,
+		MemoMisses:      st.MemoMisses,
+		MemoEntries:     st.MemoEntries,
+		CompileHits:     st.CompileHits,
+		CompileMisses:   st.CompileMisses,
+		CompiledEntries: st.CompiledEntries,
+		WarmSolves:      st.WarmSolves,
+		Synthesized:     st.Synthesized,
+		WarmEntries:     st.WarmEntries,
+	}}
 	return resp
 }
 
@@ -322,10 +304,13 @@ func (s *Server) resolveOptions(ro *wire.RequestOptions) (engine.Options, time.D
 		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("timeout_ms must be ≥ 0, got %d", ro.TimeoutMS)}
 	}
 	if ro.TimeoutMS > 0 {
-		timeout = time.Duration(ro.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
+		// Cap in milliseconds before converting: the product in
+		// nanoseconds overflows int64 for large values, and a wrapped
+		// non-positive timeout would mean no deadline at all.
 		timeout = s.cfg.MaxTimeout
+		if ro.TimeoutMS <= s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(ro.TimeoutMS) * time.Millisecond
+		}
 	}
 	if len(ro.Lineage) > MaxLineageBytes {
 		return o, 0, &wire.ErrorInfo{Code: wire.CodeBadOptions, Message: fmt.Sprintf("lineage key exceeds %d bytes", MaxLineageBytes)}
@@ -348,53 +333,42 @@ func lineageHash(lineage string) uint64 {
 	return h.Sum64()
 }
 
-// solveVerified runs one instance on its shard and re-checks the result
+// solveVerified runs one instance on the engine and re-checks the result
 // with verify.Plan before anything is released to the caller. It returns
 // either a response or a typed error with its HTTP status.
 //
-// Routing is by workload fingerprint — the memo key hash — so renamed
-// copies of the same workload under the same options land on the same
-// shard and hit its memo; the hash is computed once and handed to the
-// engine, which reuses it for the memo probe. A request with a lineage
-// key routes by the key's hash instead: consecutive residuals of one
-// replanning client have different fingerprints, and the carried warm
-// state they need lives on exactly one shard. The engine probes its memo
-// first and resolves the compiled λ-breakpoint tables only after a miss,
-// through the shard's compiled-instance cache — /v1/batch items of a
-// repeated shape and memo-miss re-solves under different options share
-// one set of tables per shard, and a memo hit pays for none. The shard's
-// solve slots bound concurrency to Config.Workers across all requests,
-// compilation included.
+// The workload fingerprint — the memo key hash — is computed once and
+// handed to the engine, which reuses it for the memo probe, so renamed
+// copies of the same workload under the same options hit the memo. A
+// request with a lineage key solves against the lineage's carried warm
+// state instead, found by the key's hash: consecutive residuals of one
+// replanning client have different fingerprints. The engine probes its
+// memo first and resolves the compiled λ-breakpoint tables only after a
+// miss, through its compiled-instance cache — /v1/batch items of a
+// repeated shape and memo-miss re-solves under different options share one
+// set of tables, and a memo hit pays for none. The solve slots bound
+// concurrency to Config.Workers across all requests, compilation included.
 func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx) (*wire.ScheduleResponse, *wire.ErrorInfo, int) {
 	hash := engine.Fingerprint(in, o)
 	warm := lineage != "" && engine.WantsCompiled(o)
-	var shard int
-	var lh uint64
-	if warm {
-		lh = lineageHash(lineage)
-		shard = int(lh % uint64(len(s.shards)))
-	} else {
-		shard = int(hash % uint64(len(s.shards)))
-	}
-	rc.solver, rc.shard = solverLabel(o), shard
+	rc.solver = solverLabel(o)
 	var st stageNS
 	t := time.Now()
-	s.slots[shard] <- struct{}{}
+	s.slots <- struct{}{}
 	st.queue = time.Since(t).Nanoseconds()
-	eng := s.shards[shard]
 	var out engine.Outcome
 	t = time.Now()
 	if warm {
-		out = eng.ScheduleWarm(in, nil, o, timeout, eng.WarmFor(lh))
+		out = s.eng.ScheduleWarm(in, nil, o, timeout, s.eng.WarmFor(lineageHash(lineage)))
 	} else {
-		out = eng.ScheduleCompiled(in, nil, o, timeout, hash)
+		out = s.eng.ScheduleCompiled(in, nil, o, timeout, hash)
 	}
 	// The engine reports the table resolution it did inside the call (0 on
 	// a memo hit); the rest of the call is the solve stage.
 	st.compile = out.CompileNS
 	st.solve = time.Since(t).Nanoseconds() - st.compile
-	<-s.slots[shard]
-	set := s.stages.Get(stageKey{solver: rc.solver, codec: rc.codec, shard: shard})
+	<-s.slots
+	set := s.stages.Get(stageKey{solver: rc.solver, codec: rc.codec})
 	rc.set = set
 	if out.Err != nil {
 		set.observe(st)
@@ -434,7 +408,7 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	st.verify = time.Since(t).Nanoseconds()
 	set.observe(st)
 	rc.st = st
-	resp := ResponseOf(in, out, shard)
+	resp := ResponseOf(in, out, 0)
 	if o.Trace {
 		resp.Trace = traceInfoOf(out, st)
 		rc.trace = resp.Trace
@@ -534,7 +508,7 @@ func (s *Server) handleHTTP(endpoint string) http.HandlerFunc {
 // errors and admission rejections included. bodyErr is the HTTP handler's
 // failed body read, reported as a 400 in its place in that order.
 func (s *Server) serve(endpoint, contentType string, body []byte, bodyErr error, reqID string, dst []byte) (status int, respType string, out []byte, retryAfter string) {
-	rc := reqCtx{id: reqID, endpoint: endpoint, codec: "json", start: time.Now(), shard: -1}
+	rc := reqCtx{id: reqID, endpoint: endpoint, codec: "json", start: time.Now()}
 	if rc.id == "" {
 		rc.id = obs.NewRequestID()
 	}
@@ -628,7 +602,7 @@ func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wir
 // gate, the verified solve, and the response appended to dst.
 func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int, o engine.Options, timeout time.Duration, lineage string, binary bool, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	if graph != nil {
-		// The graph is validated here — before any shard is touched — so a
+		// The graph is validated here — before the engine is touched — so a
 		// hostile graph (cycle, self-edge, out-of-range endpoint, wrong
 		// shape) gets its own typed 400 rather than surfacing as a generic
 		// bad_instance from engine admission. Requesting a graph with an
@@ -693,15 +667,15 @@ func (s *Server) batch(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorIn
 		return nil, http.StatusBadRequest, errInfo
 	}
 	// A batch-level lineage applies to every item; same-lineage items
-	// serialise on the shard's carried state by design (a lineage's
+	// serialise on the lineage's carried state by design (a lineage's
 	// re-solves are ordered), so clients wanting fan-out leave it unset.
 	lineage := lineageOf(req.Options)
 
 	// Items decode and solve independently: a poisoned instance yields its
-	// own typed error and never drops a sibling. Work fans out over the
-	// shard engines; the goroutine count here only bounds this request's
-	// submission concurrency — actual solves are bounded by the per-shard
-	// solve slots (Config.Workers each) shared with every other request.
+	// own typed error and never drops a sibling. The goroutine count here
+	// only bounds this request's submission concurrency — actual solves are
+	// bounded by the solve slots (Config.Workers) shared with every other
+	// request.
 	resp := wire.BatchResponse{Results: make([]wire.BatchItem, len(req.Instances))}
 	codec := rc.codec // the workers capture the label, not rc, which stays on serve's stack
 	workers := runtime.GOMAXPROCS(0)
@@ -739,8 +713,8 @@ func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout
 	}
 	// Each item gets its own observability context: items solve concurrently,
 	// so they must not share the request-level reqCtx, and each observes its
-	// own stage timings under its own shard label.
-	irc := &reqCtx{endpoint: "batch", codec: codec, shard: -1}
+	// own stage timings.
+	irc := &reqCtx{endpoint: "batch", codec: codec}
 	res, errInfo, _ := s.solveVerified(in, o, timeout, lineage, irc)
 	if errInfo != nil {
 		return wire.BatchItem{Index: i, Error: errInfo}

@@ -70,7 +70,7 @@ func errCode(t *testing.T, body []byte) string {
 // The service must be a transparent wrapper: a /v1/schedule response is
 // bit-identical to the in-process pipeline on the same decoded instance.
 func TestScheduleMatchesInProcess(t *testing.T) {
-	s := New(Config{Shards: 3, Workers: 2})
+	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -106,10 +106,10 @@ func TestScheduleMatchesInProcess(t *testing.T) {
 	}
 }
 
-// Repeated workloads under any name must be served by the same shard's
-// memo — the locality the fingerprint routing exists for.
+// Repeated workloads under any name must be served from the memo: the
+// fingerprint keys the workload, not its name.
 func TestMemoServesRenamedWorkload(t *testing.T) {
-	s := New(Config{Shards: 4, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -139,9 +139,6 @@ func TestMemoServesRenamedWorkload(t *testing.T) {
 	if !second.FromMemo {
 		t.Fatal("renamed copy of the same workload missed the memo")
 	}
-	if second.Shard != first.Shard {
-		t.Fatalf("renamed workload routed to shard %d, original to %d", second.Shard, first.Shard)
-	}
 	if math.Float64bits(second.Makespan) != math.Float64bits(first.Makespan) {
 		t.Fatal("memo hit differs from the original solve")
 	}
@@ -150,7 +147,7 @@ func TestMemoServesRenamedWorkload(t *testing.T) {
 // Every request-validation failure must be a typed 4xx before any work is
 // queued.
 func TestScheduleRequestValidation(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	good := mustRaw(t, instance.Mixed(1, 5, 4))
@@ -222,7 +219,7 @@ func TestScheduleRequestValidation(t *testing.T) {
 // The acceptance criterion for response verification: a corrupted plan must
 // yield a typed 500, never a bad schedule, on both response paths.
 func TestCorruptedPlanYields500(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	raw := mustRaw(t, instance.Mixed(21, 8, 6))
@@ -284,7 +281,7 @@ func TestCorruptedPlanYields500(t *testing.T) {
 // One poisoned batch item must fail alone, typed; siblings succeed — the
 // service-level half of the silent-drop fix.
 func TestBatchIsolatesPoisonedItem(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 2})
+	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -333,7 +330,7 @@ func TestBatchIsolatesPoisonedItem(t *testing.T) {
 
 // Batch-level request validation.
 func TestBatchRequestValidation(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1, MaxBatch: 3})
+	s := New(Config{Workers: 1, MaxBatch: 3})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	good := mustRaw(t, instance.Mixed(1, 5, 4))
@@ -357,7 +354,7 @@ func TestBatchRequestValidation(t *testing.T) {
 
 // Per-request solver selection must flow through to the pipeline.
 func TestPerRequestSolverSelection(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	raw := mustRaw(t, instance.Mixed(41, 6, 4))
@@ -379,7 +376,7 @@ func TestPerRequestSolverSelection(t *testing.T) {
 
 // statsz must reflect the work done.
 func TestStatsz(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 1, QueueDepth: 5})
+	s := New(Config{Workers: 1, QueueDepth: 5})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -400,29 +397,26 @@ func TestStatsz(t *testing.T) {
 	if st.Queue.Depth != 5 || st.Queue.Accepted != 4 || st.Queue.Rejected != 0 || st.Queue.InFlight != 0 {
 		t.Fatalf("queue stats off: %+v", st.Queue)
 	}
-	if len(st.Shards) != 2 {
-		t.Fatalf("%d shard entries, want 2", len(st.Shards))
+	// One entry: the process's engine.
+	if len(st.Shards) != 1 {
+		t.Fatalf("%d shard entries, want 1", len(st.Shards))
 	}
-	var scheduled, compileMisses uint64
-	for _, sh := range st.Shards {
-		scheduled += sh.Scheduled
-		compileMisses += sh.CompileMisses
-	}
-	if scheduled != 4 {
-		t.Fatalf("shards scheduled %d total, want 4", scheduled)
+	sh := st.Shards[0]
+	if sh.Shard != 0 || sh.Scheduled != 4 {
+		t.Fatalf("engine entry %+v, want shard 0 with 4 scheduled", sh)
 	}
 	// Four distinct workloads: each compiled exactly once at admission.
-	if compileMisses != 4 {
-		t.Fatalf("compile_misses %d total, want 4: %+v", compileMisses, st.Shards)
+	if sh.CompileMisses != 4 {
+		t.Fatalf("compile_misses %d, want 4: %+v", sh.CompileMisses, sh)
 	}
 }
 
 // The compiled-instance cache behind /statsz's compile_hits/compile_misses
 // is probed only after a memo miss: repeats of one workload under different
-// options — which miss the memo — compile once per shard and hit the cache
+// options — which miss the memo — compile once and hit the cache
 // afterwards, and a memo hit touches neither counter.
 func TestStatszCompileCounters(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1, QueueDepth: 5})
+	s := New(Config{Workers: 1, QueueDepth: 5})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -457,7 +451,7 @@ func TestStatszCompileCounters(t *testing.T) {
 // The wire plan for non-contiguous solvers must carry explicit processor
 // sets that survive the round trip.
 func TestNonContiguousPlanOnTheWire(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	in := instance.RandomMonotone(61, 4, 4) // tiny: exact applies
@@ -486,7 +480,7 @@ func TestNonContiguousPlanOnTheWire(t *testing.T) {
 
 // An unroutable path is a plain 404, not a hang on the queue.
 func TestUnknownPath(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	status, _ := get(t, ts, "/v2/everything")
@@ -499,7 +493,7 @@ func TestUnknownPath(t *testing.T) {
 // without an options object gets the same effective deadline as one with
 // an empty one.
 func TestMaxTimeoutCapsDefault(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1, DefaultTimeout: 120 * time.Second, MaxTimeout: 60 * time.Second})
+	s := New(Config{Workers: 1, DefaultTimeout: 120 * time.Second, MaxTimeout: 60 * time.Second})
 	for _, ro := range []*wire.RequestOptions{nil, {}} {
 		_, timeout, errInfo := s.resolveOptions(ro)
 		if errInfo != nil {
@@ -509,9 +503,20 @@ func TestMaxTimeoutCapsDefault(t *testing.T) {
 			t.Fatalf("options %+v: effective timeout %v, want the 60s cap", ro, timeout)
 		}
 	}
-	// And an explicit per-request timeout is capped too.
-	_, timeout, errInfo := s.resolveOptions(&wire.RequestOptions{TimeoutMS: 600_000})
-	if errInfo != nil || timeout != 60*time.Second {
-		t.Fatalf("explicit 600s request: timeout %v err %+v, want the 60s cap", timeout, errInfo)
+	// And an explicit per-request timeout is capped too, including values
+	// whose nanosecond product overflows int64 (to a negative or zero
+	// duration, which the engine would read as no deadline).
+	for _, ms := range []int64{600_000, 9223372036855, 1 << 62, math.MaxInt64} {
+		_, timeout, errInfo := s.resolveOptions(&wire.RequestOptions{TimeoutMS: ms})
+		if errInfo != nil || timeout != 60*time.Second {
+			t.Errorf("timeout_ms %d: timeout %v err %+v, want the 60s cap", ms, timeout, errInfo)
+		}
+	}
+	// A request below the cap keeps its own deadline.
+	if _, timeout, _ := s.resolveOptions(&wire.RequestOptions{TimeoutMS: 60_000}); timeout != 60*time.Second {
+		t.Fatalf("timeout_ms 60000: timeout %v, want 60s", timeout)
+	}
+	if _, timeout, _ := s.resolveOptions(&wire.RequestOptions{TimeoutMS: 1}); timeout != time.Millisecond {
+		t.Fatalf("timeout_ms 1: timeout %v, want 1ms", timeout)
 	}
 }

@@ -190,8 +190,9 @@ type ScheduleResponse struct {
 	Solver      string `json:"solver"`
 	Probes      int    `json:"probes"`
 	Synthesized int    `json:"synthesized,omitempty"`
-	// FromMemo reports a memoised answer; Shard is the engine shard that
-	// served the request (fingerprint-routed, see docs/SERVICE.md).
+	// FromMemo reports a memoised answer. Shard always reads 0: an
+	// msserve runs one engine, and the field stays because the binary
+	// layout is frozen.
 	FromMemo bool `json:"from_memo"`
 	Shard    int  `json:"shard"`
 	// Plan is the verified schedule.
