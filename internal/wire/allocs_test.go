@@ -7,6 +7,9 @@
 package wire
 
 import (
+	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 
 	"malsched/internal/instance"
@@ -32,26 +35,76 @@ func TestAllocBudgetBufferPool(t *testing.T) {
 // task slice, one slab for the time tables — sized by the counting walk, so
 // 3 KB for 384 floats rather than a bound from the body length — and the
 // instance. Reads 4 allocations and 4.3 KB; encoding/json's decode of the
-// same body reads 214 and 85 KB.
+// same body reads 214 and 85 KB. The second row writes every time with 20
+// significant digits, so each float takes the strconv.ParseFloat fallback:
+// that costs no allocation either.
 func TestAllocBudgetJSONScan(t *testing.T) {
-	const budget, byteBudget = 6, 16 << 10
-	body := []byte(jsonBody(t, instance.Mixed(9, 24, 16), nil, nil))
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, ok := scanScheduleRequest(body); !ok {
-				b.Fatal("not scanned")
+	const budget, byteBudget = 4, 16 << 10
+	in := instance.Mixed(9, 24, 16)
+	for _, row := range []struct {
+		name string
+		body []byte
+	}{
+		{"shortest floats", []byte(jsonBody(t, in, nil, nil))},
+		{"20-digit floats", longDigitsBody(t, in)},
+	} {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := scanScheduleRequest(row.body); !ok {
+					b.Fatal("not scanned")
+				}
 			}
+		})
+		if got := res.AllocsPerOp(); got > budget {
+			t.Errorf("JSON scan, %s: %d allocs per op, budget %d", row.name, got, budget)
 		}
-	})
-	if got := res.AllocsPerOp(); got > budget {
-		t.Errorf("JSON scan: %d allocs per op, budget %d", got, budget)
+		if got := res.AllocedBytesPerOp(); got > byteBudget {
+			t.Errorf("JSON scan, %s: %d B per op, budget %d", row.name, got, byteBudget)
+		} else {
+			t.Logf("JSON scan, %s: %d allocs, %d B per op (budgets %d, %d)", row.name, res.AllocsPerOp(), got, budget, byteBudget)
+		}
 	}
-	if got := res.AllocedBytesPerOp(); got > byteBudget {
-		t.Errorf("JSON scan: %d B per op, budget %d", got, byteBudget)
-	} else {
-		t.Logf("JSON scan: %d allocs, %d B per op (budgets %d, %d)", res.AllocsPerOp(), got, budget, byteBudget)
+}
+
+// longDigitsBody is in's request body with every time written in 20
+// significant digits, the last non-zero: the 17 that round-trip the float,
+// then "001". The tail is far below half an ulp, so the body decodes to in.
+func longDigitsBody(t *testing.T, in *instance.Instance) []byte {
+	type jsonTask struct {
+		Name  string        `json:"name"`
+		Times []json.Number `json:"times"`
 	}
+	var tasks []jsonTask
+	for _, tk := range in.Tasks {
+		jt := jsonTask{Name: tk.Name}
+		for _, v := range tk.Times() {
+			lit := strconv.FormatFloat(v, 'e', 16, 64)
+			e := strings.IndexByte(lit, 'e')
+			jt.Times = append(jt.Times, json.Number(lit[:e]+"001"+lit[e:]))
+		}
+		tasks = append(tasks, jt)
+	}
+	raw, err := json.Marshal(struct {
+		Name  string     `json:"name"`
+		M     int        `json:"m"`
+		Tasks []jsonTask `json:"tasks"`
+	}{in.Name, in.M, tasks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(ScheduleRequest{Instance: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, ok := scanScheduleRequest(body)
+	if !ok || req.InstanceErr != nil {
+		t.Fatalf("20-digit body: scanned %v, %v", ok, req.InstanceErr)
+	}
+	if err := sameInstance(req.Instance, in); err != nil {
+		t.Fatalf("20-digit body: %v", err)
+	}
+	return body
 }
 
 // A version-2 frame's successor lists decode into one slab: the graph adds

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"malsched/internal/instance"
@@ -25,7 +24,11 @@ import (
 // body as it always has, so every exotic input keeps its answer and its
 // error text. The two paths agree by bits on everything the scanner accepts
 // (FuzzJSONScanMatchesEncodingJSON), and both build the instance through the
-// validating constructors of the binary decoder.
+// validating constructors of the binary decoder. A float is read once: the
+// filling walk converts each literal in the pass that checks it (parseFloat,
+// strconv's own exact steps), and strconv.ParseFloat, which still decides
+// every refusal, runs only on a literal with a non-zero digit past its 19th
+// significant one or one that Eisel–Lemire declines.
 
 // JSONRequest is a decoded JSON /v1/schedule body. A body that decodes but
 // carries an invalid instance has Instance nil and the reason in
@@ -370,17 +373,25 @@ func (s *scanner) number() (lit []byte, integer bool) {
 	return b[lo:i], integer
 }
 
-// float reads a number as encoding/json does: strconv.ParseFloat on the
-// literal, a range error included — which here hands the body over.
+// float reads a number as encoding/json does, to strconv.ParseFloat's bits.
+// The counting walk only checks the literal; the filling walk converts it in
+// the pass that reads it (parseFloat), and a literal strconv refuses (a range
+// error) hands the body over.
 func (s *scanner) float() float64 {
-	lit, _ := s.number()
-	if s.bad || !s.fill {
+	if !s.fill {
+		s.number()
 		return 0
 	}
-	v, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		s.bad = true
+	s.space()
+	if s.bad {
+		return 0
 	}
+	v, n, ok := parseFloat(s.b[s.off:])
+	if !ok {
+		s.bad = true
+		return 0
+	}
+	s.off += n
 	return v
 }
 

@@ -281,30 +281,59 @@ func FuzzRouteKeyJSONMatchesDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkRouteKey(t, body) })
 }
 
-func benchBody(b *testing.B) []byte {
-	return []byte(jsonBody(b, instance.Mixed(9, 24, 16), nil, nil))
+// hotBodies are request bodies of the serving bench's hot-json shape: 24×16
+// instances, mixed and comm-heavy alternately, written by WriteJSON inside
+// json.Marshal's envelope — and the same instances as binary frames.
+func hotBodies(b *testing.B) (jsonBodies, frames [][]byte) {
+	for seed := int64(1); seed <= 8; seed++ {
+		in := instance.Mixed(seed, 24, 16)
+		if seed%2 == 0 {
+			in = instance.CommHeavy(seed, 24, 16)
+		}
+		jsonBodies = append(jsonBodies, []byte(jsonBody(b, in, nil, nil)))
+		frames = append(frames, AppendScheduleRequest(nil, in, nil, nil))
+	}
+	return jsonBodies, frames
 }
 
-func BenchmarkDecodeJSONRequest(b *testing.B) {
-	body := benchBody(b)
-	b.SetBytes(int64(len(body)))
+// BenchmarkDecodeJSONScheduleRequest is the JSON decode both tiers run on
+// every JSON request, on the scanner's path.
+func BenchmarkDecodeJSONScheduleRequest(b *testing.B) {
+	bodies, _ := hotBodies(b)
 	b.ReportAllocs()
+	i := 0
 	for b.Loop() {
-		if _, path, err := DecodeJSONScheduleRequest(body); err != nil || path != PathScan {
+		if _, path, err := DecodeJSONScheduleRequest(bodies[i%len(bodies)]); err != nil || path != PathScan {
 			b.Fatal(path, err)
 		}
+		i++
 	}
 }
 
 // BenchmarkDecodeJSONRequestFallback is the encoding/json path on the same
-// body: what every JSON request cost before the scanner.
+// bodies: what every JSON request cost before the scanner.
 func BenchmarkDecodeJSONRequestFallback(b *testing.B) {
-	body := benchBody(b)
-	b.SetBytes(int64(len(body)))
+	bodies, _ := hotBodies(b)
 	b.ReportAllocs()
+	i := 0
 	for b.Loop() {
-		if _, err := unmarshalScheduleRequest(body); err != nil {
+		if _, err := unmarshalScheduleRequest(bodies[i%len(bodies)]); err != nil {
 			b.Fatal(err)
 		}
+		i++
+	}
+}
+
+// BenchmarkDecodeScheduleRequest is the binary codec's decode of the same
+// instances.
+func BenchmarkDecodeScheduleRequest(b *testing.B) {
+	_, frames := hotBodies(b)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, _, _, err := DecodeScheduleRequest(frames[i%len(frames)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
 	}
 }
