@@ -10,7 +10,7 @@ import (
 // instances (the benchmark's serve-cold shape) solved in turn on one
 // Scratch with the tables supplied, so every search meets its allotments
 // for the first time and the segment caches recycle as they do under cold
-// traffic. docs/BENCHMARKS.md, "The cold search after PR 23", reads it.
+// traffic. docs/BENCHMARKS.md's section "The cold dual step" reads it.
 func BenchmarkApproximateCold(b *testing.B) {
 	const pool = 2048
 	ins := make([]*instance.Instance, pool)

@@ -77,8 +77,10 @@ type StepResult struct {
 // contradict Theorems 1–3; the property tests assert certified rejections
 // are the only ones that occur).
 //
-// All applicable constructions are built and the best valid one is kept —
-// the guarantee is per-branch, so taking the minimum only helps.
+// The two list constructions are always built and the shorter kept. The
+// guarantee is per branch, so the §4 two-shelf (m > SmallM) is built only
+// when neither list meets ρλ: it can then still accept the guess, and
+// when it fails exhaustively with W > θmλ it certifies the rejection.
 //
 // This exported one-shot compiles the instance on entry and probes on a
 // pooled Scratch; searches compile once and go through Approximate.
@@ -100,7 +102,10 @@ func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
 // allotment, its work, the by-decreasing-time order and the prefix area
 // come from sc's λ-segment cache and the two list constructions from the
 // drafts sc kept of the allotment that last built them, so all of it is
-// free when the allotment repeats; only the two-shelf reads λ itself. A non-nil
+// free when the allotment repeats; only the two-shelf reads λ itself, and
+// it runs only when both lists miss ρλ (the acceptance, the rejection and
+// its certificate are those of building every construction; only an
+// accepted winner the two-shelf would have beaten differs). A non-nil
 // interrupt is polled between the probe's constructions (each is the
 // O(n log n)-or-worse unit of work), so a timeout lands within one
 // construction even when the whole search is a single probe; a fired
@@ -129,7 +134,6 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	}
 	order := e.Val.sortedOrder(c, a)
 	w := e.Val.area
-	knapsackBranch := !task.Leq(w, p.theta()*float64(m)*lambda) && m > p.SmallM
 
 	var best draft
 	consider := func(d draft) {
@@ -137,6 +141,7 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 			best = d
 		}
 	}
+	meets := func() bool { return best.built() && task.Leq(best.makespan, p.Rho*lambda) }
 
 	if stop() {
 		return StepResult{Interrupted: true}
@@ -151,7 +156,7 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	consider(sc.clist[1])
 	consider(sc.clist[0])
 	var shelf shelfDraft
-	if m > p.SmallM {
+	if m > p.SmallM && !meets() {
 		if stop() {
 			return StepResult{Interrupted: true}
 		}
@@ -159,10 +164,11 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 		consider(shelf.draft)
 	}
 
-	if best.built() && task.Leq(best.makespan, p.Rho*lambda) {
+	if meets() {
 		sc.won = schedule.Schedule{Algorithm: best.algorithm, Placements: best.placements}
 		return StepResult{Schedule: &sc.won, Makespan: best.makespan, Branch: best.algorithm, PrefixArea: w}
 	}
+	knapsackBranch := !task.Leq(w, p.theta()*float64(m)*lambda) && m > p.SmallM
 	if knapsackBranch && !shelf.built() && shelf.exact {
 		return StepResult{Reject: RejectKnapsack, Certified: true, PrefixArea: w}
 	}

@@ -12,7 +12,8 @@ package core
 
 import "math"
 
-// The paper's constants (see DESIGN.md §2.1 for the reconstruction notes).
+// The paper's constants; each comment names the theorem or section that
+// fixes it.
 var (
 	// Rho is the worst-case guarantee √3 of Theorem 3.
 	Rho = math.Sqrt(3)
@@ -64,5 +65,5 @@ func (p Params) mu() float64 { return p.Rho - 1 }
 // theta returns the list/knapsack threshold parameter ρ/2.
 func (p Params) theta() float64 { return p.Rho / 2 }
 
-// rhoList returns the malleable list guarantee 2 − 2/(m+1) of Theorem 1.
+// RhoList returns the malleable list guarantee 2 − 2/(m+1) of Theorem 1.
 func RhoList(m int) float64 { return 2 - 2/float64(m+1) }

@@ -62,7 +62,7 @@ type Scratch struct {
 	won       schedule.Schedule    // the last accepted probe's winner, aliasing that draft's buffer
 	best      schedule.Schedule    // incumbent of a default sequential search, copied from won
 	kcols     knapsack.Cols        // knapsack columns (d_i, γ_i, task id), delta-synced across probes
-	win       rigid.Windower       // canonical-list window search deque
+	win       rigid.Windower       // canonical-list window search buffer
 	part      Partition
 	ks        knapsack.Solver
 	seg       segState // λ-segment cache of the probe deadline

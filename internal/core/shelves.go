@@ -18,9 +18,10 @@ import (
 // second-shelf First-Fit processor count LS for TS.
 type Partition struct {
 	T1, T2, TS []int
-	// D[i] is d_i = γ_i(μλ) for i ∈ T1 (0 when unreachable: the task
-	// cannot run within the second shelf even on the full machine).
-	D  map[int]int
+	// D[i] is d_i = γ_i(μλ) for i ∈ T1, indexed by task (0 when
+	// unreachable: the task cannot run within the second shelf even on the
+	// full machine; 0 for every task outside T1).
+	D  []int
 	Q1 int
 	Q2 int
 	// LS is FF(μλ, TS), the second-shelf processor count of the small
@@ -43,17 +44,14 @@ func newPartition(c *instance.Compiled, a Allotment, mu float64, sc *Scratch) (*
 	lambda := a.Lambda
 	p := &sc.part
 	p.T1, p.T2, p.TS = p.T1[:0], p.T2[:0], p.TS[:0]
-	if p.D == nil {
-		p.D = make(map[int]int)
-	} else {
-		clear(p.D)
-	}
+	n := c.N()
+	p.D = intsBuf(&p.D, n)
 	p.Q1, p.Q2, p.LS = 0, 0, 0
 	sizes := sc.sizes[:0]
-	n := c.N()
 	for i := 0; i < n; i++ {
 		g := a.Gamma[i]
 		ct := c.Time(i, g)
+		p.D[i] = 0
 		switch {
 		case ct > mu*lambda:
 			p.T1 = append(p.T1, i)
@@ -161,7 +159,7 @@ func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Sc
 	cols := &sc.kcols
 	cur := 0
 	for _, i := range part.T1 {
-		if d, ok := part.D[i]; ok && d <= capacity {
+		if d := part.D[i]; d > 0 && d <= capacity {
 			cur = cols.Sync(cur, i, d, a.Gamma[i])
 		}
 	}
@@ -216,8 +214,8 @@ func trivialSolution(c *instance.Compiled, a Allotment, part *Partition, sc *Scr
 	need := part.Q1 + part.Q2 + sPack.NumBins()
 candidates:
 	for _, i := range part.T1 {
-		d, ok := part.D[i]
-		if !ok || d > m || a.Gamma[i] < need {
+		d := part.D[i]
+		if d == 0 || d > m || a.Gamma[i] < need {
 			continue
 		}
 		// Every candidate builds from an emptied buffer: one that fails

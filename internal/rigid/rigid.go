@@ -152,7 +152,7 @@ func ContiguousList(m int, jobs []Job, order []int) []Placement {
 	}
 	front := make([]float64, m)
 	pls := make([]Placement, len(jobs))
-	var wd Windower // one deque for the whole pass
+	var wd Windower // one buffer for the whole pass
 	for _, i := range order {
 		j := jobs[i]
 		if j.Width < 1 || j.Width > m {
@@ -169,53 +169,74 @@ func ContiguousList(m int, jobs []Job, order []int) []Placement {
 
 // BestWindow returns the block of width w with minimal sliding-window
 // maximum of front, applying the paper's leftmost-at-zero /
-// rightmost-otherwise tie rule. O(m) with a monotonic deque. Exported for
-// the canonical list algorithm in package core, whose reallocation rule
-// needs window search interleaved with custom placements.
+// rightmost-otherwise tie rule; x is -1 when no block of width w fits
+// (w < 1 or w > len(front)). O(m) by block maxima. Exported for the
+// canonical list algorithm in package core, whose reallocation rule needs
+// window search interleaved with custom placements.
 func BestWindow(front []float64, w int) (x int, start float64) {
 	var wd Windower
 	return wd.Best(front, w)
 }
 
-type idxVal struct {
-	i int
-	v float64
-}
-
-// Windower is BestWindow with a reusable deque: the canonical list
-// construction runs one window search per task per probe, and the deque was
-// the hot path's dominant allocation. The zero value is ready to use; not
-// safe for concurrent use (core's Scratch carries one per worker).
+// Windower is BestWindow with a reusable buffer: the canonical list
+// construction runs one window search per task per probe. The zero value is
+// ready to use; not safe for concurrent use (core's Scratch carries one per
+// worker).
 type Windower struct {
-	deque []idxVal
+	suf []float64
 }
 
-// Best is BestWindow on the reused deque.
+// Best is BestWindow on the reused buffer. It follows van Herk and
+// Gil–Werman: cut front into blocks of w; a window starting at x spans the
+// tail of one block and the head of the next, so its maximum is the larger
+// of the tail's running maximum from the block's right end (suf[x], one
+// pass per block) and the head's from the next block's left end (kept
+// while the window's right edge advances). The windows are scanned left to
+// right with the tie rule, exactly as over any other sequence of the same
+// maxima.
 func (wd *Windower) Best(front []float64, w int) (x int, start float64) {
 	m := len(front)
-	deque := wd.deque[:0]
-	head := 0 // deque[head:] is the live monotonic window
-	bestX, bestV := -1, 0.0
-	for i := 0; i < m; i++ {
-		for len(deque) > head && deque[len(deque)-1].v <= front[i] {
-			deque = deque[:len(deque)-1]
-		}
-		deque = append(deque, idxVal{i, front[i]})
-		if deque[head].i <= i-w {
-			head++
-		}
-		if i >= w-1 {
-			v := deque[head].v
-			switch {
-			case bestX < 0 || v < bestV:
-				bestX, bestV = i-w+1, v
-			case v == bestV && bestV > 0:
-				bestX = i - w + 1 // rightmost among ties when starting later than 0
+	if w < 1 || w > m {
+		return -1, 0
+	}
+	if cap(wd.suf) < m {
+		wd.suf = make([]float64, m)
+	}
+	suf := wd.suf[:m]
+	for lo := 0; lo < m; lo += w {
+		hi := min(lo+w, m)
+		v := front[hi-1]
+		suf[hi-1] = v
+		for i := hi - 2; i >= lo; i-- {
+			if front[i] > v {
+				v = front[i]
 			}
-			// v == bestV && bestV == 0: keep leftmost.
+			suf[i] = v
 		}
 	}
-	wd.deque = deque[:0] // keep the grown backing array
+	// The first window is block 0 whole; afterwards the right edge r
+	// enters a new block at every multiple of w, where the head's running
+	// maximum restarts.
+	bestX, bestV := 0, suf[0]
+	head, next := 0.0, w
+	for r := w; r < m; r++ {
+		if r == next {
+			head, next = front[r], next+w
+		} else if front[r] > head {
+			head = front[r]
+		}
+		x, v := r-w+1, suf[r-w+1]
+		if head > v {
+			v = head
+		}
+		switch {
+		case v < bestV:
+			bestX, bestV = x, v
+		case v == bestV && bestV > 0:
+			bestX = x // rightmost among ties when starting later than 0
+		}
+		// v == bestV && bestV == 0: keep leftmost.
+	}
 	return bestX, bestV
 }
 
