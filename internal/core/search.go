@@ -191,11 +191,12 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 	c := opts.Compiled
 	if c == nil {
 		// Compile once per search: every probe — tens of them, all on this
-		// one instance — then resolves canonical allotments by threshold
-		// compares and reuses the segment caches. Callers with a compiled
-		// cache pass Options.Compiled and skip even this. Nobody else can
-		// ever look these tables up, so they leave the Scratch with the
-		// call instead of pinning cache entries until the wholesale clear.
+		// one instance — then resolves canonical allotments by float
+		// compares against one bound per deadline and reuses the segment
+		// caches. Callers with a compiled cache pass Options.Compiled and
+		// skip even this. Nobody else can ever look these tables up, so
+		// they leave the Scratch with the call instead of pinning cache
+		// entries until the wholesale clear.
 		c = instance.Compile(in)
 		defer sc.DropCompiled(c)
 	}

@@ -39,7 +39,7 @@ func NewPartition(in *instance.Instance, a Allotment, mu float64) (*Partition, e
 
 // newPartition computes the partition into sc's reused Partition value; the
 // result is valid until the next probe on sc. t_i(γ_i) comes from the
-// flattened time matrix and d_i = γ_i(μλ) from the breakpoint tables.
+// flattened time matrix and d_i = γ_i(μλ) from one resolved bound of μλ.
 func newPartition(c *instance.Compiled, a Allotment, mu float64, sc *Scratch) (*Partition, error) {
 	lambda := a.Lambda
 	p := &sc.part
@@ -48,6 +48,7 @@ func newPartition(c *instance.Compiled, a Allotment, mu float64, sc *Scratch) (*
 	p.D = intsBuf(&p.D, n)
 	p.Q1, p.Q2, p.LS = 0, 0, 0
 	sizes := sc.sizes[:0]
+	muBound := c.Bound(mu * lambda)
 	for i := 0; i < n; i++ {
 		g := a.Gamma[i]
 		ct := c.Time(i, g)
@@ -56,7 +57,7 @@ func newPartition(c *instance.Compiled, a Allotment, mu float64, sc *Scratch) (*
 		case ct > mu*lambda:
 			p.T1 = append(p.T1, i)
 			p.Q1 += g
-			if d, ok := c.Gamma(i, mu*lambda); ok {
+			if d, ok := c.GammaAt(i, muBound); ok {
 				p.D[i] = d
 			}
 		case ct > lambda/2 || g > 1:

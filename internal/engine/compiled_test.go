@@ -111,3 +111,48 @@ func TestCompiledCacheDisabledWithMemo(t *testing.T) {
 		t.Fatalf("disabled cache: %+v", st)
 	}
 }
+
+// One pass over the profiles keys both caches: the workload prefix the
+// memo key forks from must sum to instanceKey, and a memo miss must file
+// its tables under that key — a later CompiledFor hits them — across
+// families, options and DAG edges.
+func TestKeysForkWorkloadPrefix(t *testing.T) {
+	for name, gen := range instance.Families() {
+		for _, dims := range [][2]int{{1, 1}, {7, 3}, {24, 16}} {
+			in := gen(5, dims[0], dims[1])
+			chain := make([][]int, in.N())
+			for i := 0; i+1 < in.N(); i++ {
+				chain[i] = []int{i + 1}
+			}
+			opts := []Options{
+				{},
+				{Eps: 0.07, Compact: true},
+				{Portfolio: []string{"mrt", "seq-lpt"}},
+				{Solver: "seq-lpt"},
+				{Solver: "dag", Edges: make([][]int, in.N())}, // the empty DAG
+				{Solver: "dag", Edges: chain},
+			}
+			for k, o := range opts {
+				memo, prefix := keys(in, o)
+				if got := workloadKey(in, prefix); got != instanceKey(in) {
+					t.Fatalf("%s %v options %d: forked key %+v, instanceKey %+v", name, dims, k, got, instanceKey(in))
+				}
+				if memo != fingerprint(in, o) || memo == instanceKey(in) {
+					t.Fatalf("%s %v options %d: memo key %+v, fingerprint %+v", name, dims, k, memo, fingerprint(in, o))
+				}
+				e := New(Config{Workers: 1})
+				if out := e.ScheduleWith(in, o, 0); out.Err != nil {
+					t.Fatalf("%s %v options %d: %v", name, dims, k, out.Err)
+				}
+				if !WantsCompiled(o) {
+					continue
+				}
+				before := e.Stats()
+				e.CompiledFor(in)
+				if st := e.Stats(); st.CompileMisses != before.CompileMisses || st.CompileHits != before.CompileHits+1 {
+					t.Fatalf("%s %v options %d: tables filed by the miss not found by CompiledFor: %+v → %+v", name, dims, k, before, st)
+				}
+			}
+		}
+	}
+}

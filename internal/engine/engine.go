@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"malsched/internal/core"
+	"malsched/internal/fphash"
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
 )
@@ -199,11 +200,23 @@ func (e *Engine) CompiledFor(in *instance.Instance) *instance.Compiled {
 	if in == nil {
 		return nil
 	}
+	return e.compiledFor(in, nil)
+}
+
+// compiledFor is CompiledFor for a caller that already hashed the
+// workload: prefix, when non-nil, is the memo key's workload prefix (see
+// keys), and the compiled-cache key is its sum.
+func (e *Engine) compiledFor(in *instance.Instance, prefix *fphash.Hash) *instance.Compiled {
 	if e.compiled == nil {
 		e.compileMisses.Add(1)
 		return instance.Compile(in)
 	}
-	k := instanceKey(in)
+	var k memoKey
+	if prefix != nil {
+		k = workloadKey(in, *prefix)
+	} else {
+		k = instanceKey(in)
+	}
 	if c, ok := e.compiled.get(k); ok {
 		e.compileHits.Add(1)
 		return c
@@ -236,9 +249,10 @@ func (e *Engine) ScheduleWith(in *instance.Instance, o Options, timeout time.Dur
 }
 
 // ScheduleCompiled is ScheduleWith for callers that already computed
-// Fingerprint(in, o) — the scheduling service routes shards by that hash,
-// and the memo probe reuses it instead of re-hashing every profile. The
-// hash MUST equal Fingerprint(in, o): a stale one would alias memo entries.
+// Fingerprint(in, o): the memo probe reuses it instead of re-hashing every
+// profile (ScheduleWith hashes once for both the memo and the compiled
+// cache). The hash MUST equal Fingerprint(in, o): a stale one would alias
+// memo entries.
 // A non-nil c additionally supplies the instance's compiled λ-breakpoint
 // tables (typically from CompiledFor, and describing the same workload as
 // in — same machine size and time tables; names may differ); nil resolves
@@ -336,12 +350,17 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 		e.errs.Add(1)
 		return out
 	}
+	// Hashing the profiles here keys both caches: the memo key's workload
+	// prefix is kept for the compiled-cache key a miss needs.
 	var k memoKey
+	var prefix *fphash.Hash
 	if e.memo != nil {
 		if hash != nil {
 			k = memoKey{hash: *hash, m: in.M, n: in.N()}
 		} else {
-			k = fingerprint(in, opts)
+			var h fphash.Hash
+			k, h = keys(in, opts)
+			prefix = &h
 		}
 		if v, ok := e.memo.get(k); ok {
 			e.scheduled.Add(1)
@@ -381,7 +400,7 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 	// nothing would read them.
 	if ci == nil && WantsCompiled(opts) {
 		t := time.Now()
-		ci = e.CompiledFor(in)
+		ci = e.compiledFor(in, prefix)
 		out.CompileNS = time.Since(t).Nanoseconds()
 	}
 

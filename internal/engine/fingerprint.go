@@ -97,12 +97,30 @@ func instanceHash(in *instance.Instance) fphash.Hash {
 // accepts the residual 64-bit collision risk (the compiled cache is a
 // per-process cache, disabled along with the memo by a negative capacity).
 func instanceKey(in *instance.Instance) memoKey {
-	return memoKey{hash: instanceHash(in).Sum(), m: in.M, n: in.N()}
+	return workloadKey(in, instanceHash(in))
+}
+
+// workloadKey sums a workload prefix into the compiled-cache key.
+func workloadKey(in *instance.Instance, h fphash.Hash) memoKey {
+	return memoKey{hash: h.Sum(), m: in.M, n: in.N()}
 }
 
 // fingerprint computes the memo key of an instance under the given options.
 func fingerprint(in *instance.Instance, o Options) memoKey {
-	h := instanceHash(in)
+	memo, _ := keys(in, o)
+	return memo
+}
+
+// keys computes the memo key in one pass over the profiles and returns
+// the workload prefix it forked from: after a memo miss, workloadKey sums
+// the prefix into the compiled-cache key without a second pass.
+func keys(in *instance.Instance, o Options) (memo memoKey, prefix fphash.Hash) {
+	prefix = instanceHash(in)
+	return withOptions(in, prefix, o), prefix
+}
+
+// withOptions continues a workload prefix h into the memo key under o.
+func withOptions(in *instance.Instance, h fphash.Hash, o Options) memoKey {
 	h.Word(math.Float64bits(o.Eps))
 	if o.Compact {
 		h.Word(1)

@@ -21,8 +21,9 @@ const (
 )
 
 // Hash is the running state of one fingerprint; start from New. It is a
-// plain value, so copying it forks the stream (the engine derives the memo
-// key from the workload prefix that way).
+// plain value, so copying it forks the stream (the engine hashes a
+// workload once and derives both the memo key and the compiled-cache key
+// from that prefix).
 type Hash uint64
 
 // New returns the initial state.

@@ -44,9 +44,7 @@ func allotAt(c *Compiled, lambda float64) ([]int, int) {
 // float lattice, and the midpoints between consecutive distinct thresholds.
 // Ascending, distinct.
 func lambdaGrid(c *Compiled) []float64 {
-	thr := slices.Clone(c.thr)
-	sort.Float64s(thr)
-	thr = slices.Compact(thr)
+	thr := c.GlobalBreakpoints()
 	var grid []float64
 	for k, b := range thr {
 		grid = append(grid, b, math.Nextafter(b, math.Inf(1)))

@@ -17,32 +17,34 @@ import (
 // of λ that only changes at finitely many breakpoints.
 //
 // Compile flattens every task profile into contiguous time and work
-// columns (no per-task pointer chasing on the probe path) and computes the
-// λ-breakpoint table: for every profile entry t_i(p) the exact float64
-// threshold b with
+// columns (no per-task pointer chasing on the probe path) and records the
+// largest time. That is all it reads of each entry: a canonical lookup
+// γ_i(λ) = min{p : t_i(p) ≤ λ} resolves the deadline once, to the exact
+// largest float64 τ(λ) with task.Leq(τ(λ), λ) (see Bound), and then
+// compares time rows against τ with plain float compares. Where no
+// addition inside task.Leq can overflow (times and λ up to boundLimit),
 //
-//	task.Leq(t_i(p), λ)  ⇔  λ ≥ b   for all λ ≥ 0,
+//	task.Leq(t, λ)  ⇔  t ≤ τ(λ)   for every such time t,
 //
-// so a canonical lookup γ_i(λ) = min{p : t_i(p) ≤ λ} becomes a binary
-// search over plain float compares that returns bit-identically what
-// task.Canonical returns — the threshold is exact by construction (found on
-// the float lattice against the very predicate task.Leq evaluates), not an
-// algebraic approximation. The per-task threshold rows double as the
-// breakpoint lists: between two consecutive thresholds of a row the
-// canonical allotment index is constant. Every γ_i(λ) is non-increasing in
-// λ (see Gamma), so the allotment vectors met along the λ-axis are totally
-// ordered and Σ_i γ_i(λ) names the vector exactly
-// (TestAllotmentSumIdentifiesAllotment). Segments, the λ-range index both
-// the dual search and the DAG solver keep their derived tables in — the
-// by-decreasing-time order, the total canonical work, the prefix area, the
-// critical path — keys on that sum, so Compile builds what a probe reads
-// and nothing else.
+// so the binary search returns bit-identically what task.Canonical
+// returns — τ is exact by construction (found on the float lattice against
+// the very predicate task.Leq evaluates), not an algebraic approximation.
+// Outside that domain — a time or deadline near MaxFloat64, or +Inf, on a
+// table built around validation — every compare is task.Leq itself.
+// Every γ_i(λ) is non-increasing in λ (see Gamma), so the allotment
+// vectors met along the λ-axis are totally ordered and Σ_i γ_i(λ) names
+// the vector exactly (TestAllotmentSumIdentifiesAllotment). Segments, the
+// λ-range index both the dual search and the DAG solver keep their derived
+// tables in — the by-decreasing-time order, the total canonical work, the
+// prefix area, the critical path — keys on that sum, so Compile builds
+// what a probe reads and nothing else.
 //
-// The merged, sorted, deduplicated union of all thresholds — the axis
-// Segment indexes and GlobalBreakpoints returns — is an observability view:
-// solve traces echo a probe's position on it. It is built from the
-// threshold table on first use, which a search that is not traced never
-// makes.
+// The breakpoints of the λ-axis are the per-entry thresholds: for every
+// time t the exact smallest λ ≥ 0 with task.Leq(t, λ). Their merged,
+// sorted, deduplicated union — the axis Segment indexes and
+// GlobalBreakpoints returns — is an observability view: solve traces echo
+// a probe's position on it. It is built on first use, which a search that
+// is not traced never makes.
 //
 // A Compiled is immutable after Compile (the lazy axis is published under a
 // sync.Once) and safe for concurrent use by any number of searches. The
@@ -59,14 +61,12 @@ type Compiled struct {
 	// needs exactly this order at every λ. It shares one slab with off.
 	seqOrder []int
 	// times and works are the flattened profile matrices: t_i(p) and
-	// p·t_i(p) in the layout above.
+	// p·t_i(p) in the layout above, sharing one slab.
 	times []float64
 	works []float64
-	// thr is the λ-breakpoint table: thr[off[i]+p-1] is the exact smallest
-	// λ ≥ 0 with task.Leq(t_i(p), λ) (+Inf when no λ satisfies it, e.g. a
-	// NaN time on an instance built around validation). times, works and
-	// thr share one slab.
-	thr []float64
+	// maxTime is the largest time of the table (0 when none is positive;
+	// NaN entries are skipped). Bound compares it against boundLimit.
+	maxTime float64
 
 	// axis is the merged breakpoint axis, built on first use under axisOnce.
 	axisOnce sync.Once
@@ -85,13 +85,13 @@ func Compile(in *Instance) *Compiled {
 	for i, t := range in.Tasks {
 		c.fillRow(i, t)
 	}
-	c.sortSeqOrder()
+	c.seal()
 	return c
 }
 
 // newTables lays out the tables of in's tasks, rows unfilled: the Compiled
-// itself, one int slab (off | seqOrder) and one float slab (times | works |
-// thr) — three allocations whatever the instance.
+// itself, one int slab (off | seqOrder) and one float slab (times | works)
+// — three allocations whatever the instance.
 func newTables(in *Instance) *Compiled {
 	n := len(in.Tasks)
 	ints := make([]int, 2*n+1)
@@ -102,32 +102,31 @@ func newTables(in *Instance) *Compiled {
 		total += t.MaxProcs()
 	}
 	c.off[n] = total
-	floats := make([]float64, 3*total)
+	floats := make([]float64, 2*total)
 	c.times = floats[:total:total]
-	c.works = floats[total : 2*total : 2*total]
-	c.thr = floats[2*total:]
+	c.works = floats[total:]
 	return c
 }
 
-// fillRow writes task i's times, works and thresholds. A run of equal
-// consecutive times (a plateau of the profile) shares one threshold: the
-// lattice walk is a function of the time value alone.
+// fillRow writes task i's times and works.
 func (c *Compiled) fillRow(i int, t task.Task) {
-	base := c.off[i]
-	var prev, b float64
-	for p := 1; p <= t.MaxProcs(); p++ {
-		tv := t.Time(p)
-		if p == 1 || tv != prev {
-			prev, b = tv, leqThreshold(tv)
-		}
-		c.times[base+p-1] = tv
-		c.works[base+p-1] = float64(p) * tv
-		c.thr[base+p-1] = b
+	times := c.times[c.off[i]:c.off[i+1]]
+	works := c.works[c.off[i]:c.off[i+1]]
+	for p := range times {
+		tv := t.Time(p + 1)
+		times[p] = tv
+		works[p] = float64(p+1) * tv
 	}
 }
 
-// sortSeqOrder derives the sequential order from the filled time rows.
-func (c *Compiled) sortSeqOrder() {
+// seal derives what the filled time rows determine: the largest time and
+// the sequential order.
+func (c *Compiled) seal() {
+	for _, t := range c.times {
+		if t > c.maxTime {
+			c.maxTime = t
+		}
+	}
 	for i := range c.seqOrder {
 		c.seqOrder[i] = i
 	}
@@ -137,13 +136,21 @@ func (c *Compiled) sortSeqOrder() {
 }
 
 // globalAxis returns the merged breakpoint axis — the sorted, deduplicated
-// union of all thresholds — building it on first use. The once publishes
-// the slice to every goroutine, so a Compiled shared by concurrent searches
-// stays immutable as far as any of them can observe.
+// union of every entry's threshold — building it on first use. A run of
+// equal consecutive times (a plateau of a profile) shares one threshold.
+// The once publishes the slice to every goroutine, so a Compiled shared by
+// concurrent searches stays immutable as far as any of them can observe.
 func (c *Compiled) globalAxis() []float64 {
 	c.axisOnce.Do(func() {
-		axis := make([]float64, len(c.thr))
-		copy(axis, c.thr)
+		axis := make([]float64, 0, len(c.times))
+		for i := 0; i < c.N(); i++ {
+			row := c.times[c.off[i]:c.off[i+1]]
+			for p, t := range row {
+				if p == 0 || t != row[p-1] {
+					axis = append(axis, leqThreshold(t))
+				}
+			}
+		}
 		sort.Float64s(axis)
 		c.axis = slices.Compact(axis)
 	})
@@ -182,20 +189,76 @@ func (c *Compiled) Work(i, p int) float64 { return c.works[c.off[i]+p-1] }
 // SeqTime returns t_i(1).
 func (c *Compiled) SeqTime(i int) float64 { return c.times[c.off[i]] }
 
+// boundLimit is the edge of the domain where a deadline resolves to τ: for
+// times and deadlines in [0, boundLimit] no addition inside task.Leq
+// overflows, nor does the walk that finds τ. A negative time never
+// matters — task.Leq holds for it at every λ ≥ 0, and so does t ≤ τ.
+const boundLimit = math.MaxFloat64 / 4
+
+// Bound is a deadline λ resolved for the γ lookups of one Compiled. When
+// the table's largest time and λ lie in [0, boundLimit], it holds τ(λ),
+// the exact largest float64 with task.Leq(τ(λ), λ), and a time row is
+// compared against λ by t ≤ τ(λ): there task.Leq(t, λ) only turns false as
+// t grows, so the two predicates agree on every time up to boundLimit, NaN
+// and negative ones included (TestBoundMatchesLeq, FuzzBoundMatchesLeq).
+// Otherwise it holds λ alone and every compare is task.Leq. τ is
+// non-decreasing in λ (TestBoundMonotone).
+type Bound struct {
+	lambda, tau float64
+	exact       bool
+}
+
+// Bound resolves λ once for any number of GammaAt lookups.
+func (c *Compiled) Bound(lambda float64) Bound {
+	if c.maxTime <= boundLimit && lambda >= 0 && lambda <= boundLimit {
+		if tau, ok := leqBound(lambda); ok {
+			return Bound{lambda: lambda, tau: tau, exact: true}
+		}
+	}
+	return Bound{lambda: lambda}
+}
+
 // Gamma returns the canonical processor count γ_i(λ) = min{p : t_i(p) ≤ λ}
-// and whether it exists, bit-identically to task.Canonical for every
-// λ ≥ 0 — the threshold table makes the two predicates pointwise equal, and
-// both sides resolve them with the same binary search. γ_i is non-increasing
-// in λ whatever the row holds, sorted or not: a larger λ only turns
-// predicate answers true, so its search follows the smaller one's path
-// until the first differing answer and goes left there.
+// and whether it exists, bit-identically to task.Canonical for every λ.
+// It resolves λ on every call; a caller looking up many tasks at
+// one deadline resolves it once with Bound and calls GammaAt.
 func (c *Compiled) Gamma(i int, lambda float64) (int, bool) {
-	lo, hi := c.off[i], c.off[i+1]
-	if lo == hi || !(lambda >= c.thr[hi-1]) {
+	return c.GammaAt(i, c.Bound(lambda))
+}
+
+// GammaAt is Gamma at a resolved deadline. Both predicates, t ≤ τ and the
+// task.Leq fallback, equal task.Canonical's pointwise, and the search below
+// is sort.Search's own loop, so every row — sorted or not — gets
+// task.Canonical's answer. γ_i is non-increasing in λ whatever the row
+// holds: a larger λ only turns predicate answers true, so its search
+// follows the smaller one's path until the first differing answer and goes
+// left there.
+func (c *Compiled) GammaAt(i int, b Bound) (int, bool) {
+	row := c.times[c.off[i]:c.off[i+1]]
+	if !b.exact {
+		return canonicalLeq(row, b.lambda)
+	}
+	if len(row) == 0 || !(row[len(row)-1] <= b.tau) {
 		return 0, false
 	}
-	row := c.thr[lo:hi]
-	p := sort.Search(len(row), func(j int) bool { return lambda >= row[j] })
+	lo, hi := 0, len(row)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if !(row[h] <= b.tau) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo + 1, true
+}
+
+// canonicalLeq is task.Canonical over a time row: γ through task.Leq.
+func canonicalLeq(row []float64, lambda float64) (int, bool) {
+	if len(row) == 0 || !task.Leq(row[len(row)-1], lambda) {
+		return 0, false
+	}
+	p := sort.Search(len(row), func(j int) bool { return task.Leq(row[j], lambda) })
 	return p + 1, true
 }
 
@@ -209,12 +272,6 @@ func (c *Compiled) Segment(lambda float64) int {
 	return sort.Search(len(axis), func(j int) bool { return axis[j] > lambda })
 }
 
-// Breakpoints returns task i's λ-threshold row: entry p-1 is the exact
-// smallest λ with task.Leq(t_i(p), λ), so on [row[p-1], row[p-2]) the
-// canonical allotment is p (rows are non-increasing for monotone profiles).
-// The returned slice aliases the compiled table; callers must not modify it.
-func (c *Compiled) Breakpoints(i int) []float64 { return c.thr[c.off[i]:c.off[i+1]] }
-
 // GlobalBreakpoints returns the merged breakpoint array (sorted, distinct),
 // building it on first use like Segment. The returned slice aliases the
 // compiled table; callers must not modify it.
@@ -225,21 +282,49 @@ func (c *Compiled) GlobalBreakpoints() []float64 { return c.globalAxis() }
 // must not modify it.
 func (c *Compiled) SeqOrder() []int { return c.seqOrder }
 
-// leqThreshold returns the exact smallest λ ≥ 0 with task.Leq(t, λ): the
-// float-evaluated predicate is monotone in λ (every operation in Leq is
-// monotone), so the boundary is a single float64, located on the float
-// lattice against the predicate itself. An algebraic estimate lands within
-// a few ulps and a short walk pins it; pathological inputs fall back to a
-// full bisection over the float bits (monotone for non-negative floats).
+// maxWalk bounds the lattice walks of leqBound and leqThreshold: the
+// closed-form estimates land within a few ulps of the float-exact boundary.
+const maxWalk = 128
+
+// leqBound returns τ(λ), the largest float64 t with task.Leq(t, λ), for
+// 0 ≤ λ ≤ boundLimit, and false when the walk from the estimate does not
+// reach it (the caller then falls back to task.Leq). The real-arithmetic
+// boundary of t ≤ λ + Eps·(t+λ+1) is (λ(1+Eps)+Eps)/(1−Eps); the walk pins
+// the float-exact one against the predicate itself.
+func leqBound(lambda float64) (float64, bool) {
+	est := (lambda*(1+task.Eps) + task.Eps) / (1 - task.Eps)
+	if task.Leq(est, lambda) {
+		for range maxWalk {
+			next := math.Nextafter(est, math.Inf(1))
+			if !task.Leq(next, lambda) {
+				return est, true
+			}
+			est = next
+		}
+	} else {
+		for range maxWalk {
+			est = math.Nextafter(est, math.Inf(-1))
+			if task.Leq(est, lambda) {
+				return est, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// leqThreshold returns the exact smallest λ ≥ 0 with task.Leq(t, λ) — the
+// breakpoint entry t contributes to the axis: the float-evaluated
+// predicate is monotone in λ (every operation in Leq is monotone), so the
+// boundary is a single float64, located on the float lattice against the
+// predicate itself. An algebraic estimate lands within a few ulps and a
+// short walk pins it; pathological inputs fall back to a full bisection
+// over the float bits (monotone for non-negative floats).
 func leqThreshold(t float64) float64 {
 	if math.IsNaN(t) {
 		return math.Inf(1) // Leq(NaN, λ) is false for every λ
 	}
-	if task.Leq(t, 0) {
+	if task.Leq(t, 0) { // a negative or tiny t, and ±Inf: Eps·(+Inf) = +Inf
 		return 0
-	}
-	if math.IsInf(t, 1) {
-		return math.Inf(1) // no finite λ satisfies Leq(+Inf, λ)
 	}
 	// Here t > 0 and finite; Leq(t, t) always holds, so t brackets from
 	// above. Estimate the real-arithmetic boundary of
@@ -251,9 +336,8 @@ func leqThreshold(t float64) float64 {
 	if est > t {
 		est = t
 	}
-	const maxWalk = 128
 	if task.Leq(t, est) {
-		for i := 0; i < maxWalk; i++ {
+		for range maxWalk {
 			prev := math.Nextafter(est, math.Inf(-1))
 			if prev < 0 || !task.Leq(t, prev) {
 				return est
@@ -261,7 +345,7 @@ func leqThreshold(t float64) float64 {
 			est = prev
 		}
 	} else {
-		for i := 0; i < maxWalk; i++ {
+		for range maxWalk {
 			est = math.Nextafter(est, math.Inf(1))
 			if task.Leq(t, est) {
 				return est

@@ -66,14 +66,42 @@ func TestCompiledThresholdsExact(t *testing.T) {
 	}
 }
 
+// hostileInstances are tables built around validation, each holding
+// +Inf, NaN, zero or negative times, or times on either side of the edge
+// of the domain where a deadline resolves to τ. The first three stay
+// inside it; the others put every lookup on the task.Leq fallback.
+func hostileInstances() []*Instance {
+	edge := boundLimit
+	past := math.Nextafter(edge, math.Inf(1))
+	inf, nan := math.Inf(1), math.NaN()
+	mk := func(name string, tasks ...task.Task) *Instance {
+		return &Instance{Name: name, M: 6, Tasks: tasks}
+	}
+	return []*Instance{
+		mk("nan zero negative", unchecked(5, nan, 2, 1), unchecked(nan, 3, nan), unchecked(0, 0, -1),
+			unchecked(2, -1, 1), unchecked(math.Inf(-1), -math.MaxFloat64), unchecked(5e-324, 0)),
+		mk("at the domain edge", unchecked(edge, 1e300, 1), unchecked(edge, edge), unchecked(3, 2)),
+		mk("rising", unchecked(1, 2, 3, 4), unchecked(3, 5, 2, 8, 1)),
+		mk("past the domain edge", unchecked(past, 1e300, 1), unchecked(3, 2)),
+		mk("max float", unchecked(math.MaxFloat64, edge, 1), unchecked(3, 2)),
+		mk("inf", unchecked(inf, 3, 1), unchecked(5, nan, 2, inf, 1), unchecked(0, -1)),
+	}
+}
+
 // Gamma must agree with task.Canonical everywhere — random deadlines plus
 // the adversarial ones: each breakpoint and its float neighbours, where an
-// inexact threshold would first diverge.
+// inexact bound would first diverge, and on the hostile tables the special
+// deadlines and both sides of the domain edge. Both the τ path and the
+// task.Leq fallback must be exercised.
 func TestCompiledGammaMatchesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, in := range compiledTestInstances() {
+	edge := boundLimit
+	special := []float64{0, 5e-324, 1, 1e300, math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1)),
+		math.MaxFloat64, math.Inf(1), math.NaN(), -1}
+	var exact, fallback int
+	for _, in := range append(compiledTestInstances(), hostileInstances()...) {
 		c := Compile(in)
-		var lambdas []float64
+		lambdas := append([]float64(nil), special...)
 		for _, b := range c.GlobalBreakpoints() {
 			lambdas = append(lambdas, b, math.Nextafter(b, math.Inf(1)))
 			if b > 0 {
@@ -84,6 +112,11 @@ func TestCompiledGammaMatchesCanonical(t *testing.T) {
 			lambdas = append(lambdas, 50*rng.Float64())
 		}
 		for _, l := range lambdas {
+			if c.Bound(l).exact {
+				exact++
+			} else {
+				fallback++
+			}
 			for i, tk := range in.Tasks {
 				wantG, wantOK := tk.Canonical(l)
 				gotG, gotOK := c.Gamma(i, l)
@@ -93,6 +126,9 @@ func TestCompiledGammaMatchesCanonical(t *testing.T) {
 				}
 			}
 		}
+	}
+	if exact == 0 || fallback == 0 {
+		t.Fatalf("deadlines resolved exactly %d, through the fallback %d: both paths must run", exact, fallback)
 	}
 }
 
@@ -258,6 +294,29 @@ func TestAxisIsLazyAndRaceFree(t *testing.T) {
 					t.Fatalf("%s: caller %d Segment(%v) = %d, reference %d", in.Name, g, l, segs[g][k], ref)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkCompile compiles distinct serve-cold-shaped instances in turn,
+// so no table stays warm in cache across iterations.
+func BenchmarkCompile(b *testing.B) { benchCompile(b, false) }
+
+// BenchmarkCompileAxis adds the merged breakpoint axis, what the first
+// traced solve on a compiled instance pays: the difference to
+// BenchmarkCompile is the axis build.
+func BenchmarkCompileAxis(b *testing.B) { benchCompile(b, true) }
+
+func benchCompile(b *testing.B, axis bool) {
+	ins := make([]*Instance, 2048)
+	for k := range ins {
+		ins[k] = Mixed(int64(k+1), 24, 16)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		c := Compile(ins[i%len(ins)])
+		if axis {
+			c.GlobalBreakpoints()
 		}
 	}
 }

@@ -77,18 +77,15 @@ func Residual(c *Compiled, name string, m int, ids []int, remaining []float64) (
 	return NewOwned(name, m, tasks)
 }
 
-// ResidualCompiled builds the residual instance and its compiled
-// λ-breakpoint tables in one pass, mapping parent rows onto residual rows
-// wherever the profile is unchanged: a task with remaining fraction 1 has
-// bitwise-equal times (1.0·t is exact), works and λ-thresholds, so its rows
-// are copied from the parent tables instead of re-deriving each threshold
-// with leqThreshold's lattice walk — a fifth of a cold Compile while the
-// breakpoint axis was still built there (its sort was half), two fifths of
-// what remains. Only re-scaled tasks are recomputed, by the same fillRow
-// Compile uses, so the result is field-for-field identical to
-// Compile(Residual(...)) — the residual_test equivalence suite asserts it
-// bit by bit. This is the compilation half of the warm replanning path: per
-// replan the threshold cost is proportional to the churn, not the queue.
+// ResidualCompiled builds the residual instance and its compiled tables in
+// one pass, mapping parent rows onto residual rows wherever the profile is
+// unchanged: a task with remaining fraction 1 has bitwise-equal times
+// (1.0·t is exact) and works, so its two columns are copied from the parent
+// tables instead of re-read from the task. Only re-scaled tasks are
+// written by the same fillRow Compile uses, so the result is
+// field-for-field identical to Compile(Residual(...)) — the residual_test
+// equivalence suite asserts it bit by bit. This is the compilation half of
+// the warm replanning path.
 func ResidualCompiled(c *Compiled, name string, m int, ids []int, remaining []float64) (*Instance, *Compiled, error) {
 	in, err := Residual(c, name, m, ids, remaining)
 	if err != nil {
@@ -103,8 +100,7 @@ func ResidualCompiled(c *Compiled, name string, m int, ids []int, remaining []fl
 		base, pbase, mp := rc.off[k], c.off[id], in.Tasks[k].MaxProcs()
 		copy(rc.times[base:base+mp], c.times[pbase:pbase+mp])
 		copy(rc.works[base:base+mp], c.works[pbase:pbase+mp])
-		copy(rc.thr[base:base+mp], c.thr[pbase:pbase+mp])
 	}
-	rc.sortSeqOrder()
+	rc.seal()
 	return in, rc, nil
 }

@@ -106,7 +106,6 @@ func compiledEqual(t *testing.T, ctx string, got, want *Compiled) {
 	for name, pair := range map[string][2][]float64{
 		"times":  {got.times, want.times},
 		"works":  {got.works, want.works},
-		"thr":    {got.thr, want.thr},
 		"global": {got.GlobalBreakpoints(), want.GlobalBreakpoints()},
 	} {
 		if len(pair[0]) != len(pair[1]) {
@@ -117,6 +116,9 @@ func compiledEqual(t *testing.T, ctx string, got, want *Compiled) {
 				t.Fatalf("%s: %s[%d] = %v vs %v", ctx, name, i, pair[0][i], pair[1][i])
 			}
 		}
+	}
+	if math.Float64bits(got.maxTime) != math.Float64bits(want.maxTime) {
+		t.Fatalf("%s: maxTime %v vs %v", ctx, got.maxTime, want.maxTime)
 	}
 	if !reflect.DeepEqual(got.seqOrder, want.seqOrder) {
 		t.Fatalf("%s: seqOrder diverged: %v vs %v", ctx, got.seqOrder, want.seqOrder)

@@ -176,16 +176,18 @@ func (s *Segments[V]) Drop(c *Compiled) {
 }
 
 // stageGamma writes γ(λ) into *buf and returns Σγ, or names the first task
-// that cannot meet λ in slowest (−1 when the allotment exists). Only the
-// tasks on which below and above — when non-nil, the vectors of a smaller
-// and a larger deadline — differ scan their threshold rows.
+// that cannot meet λ in slowest (−1 when the allotment exists). λ is
+// resolved once; only the tasks on which below and above — when non-nil,
+// the vectors of a smaller and a larger deadline — differ search their
+// time rows.
 func (c *Compiled) stageGamma(lambda float64, buf *[]int, below, above []int) (sum, slowest int) {
 	gamma := append((*buf)[:0], make([]int, c.N())...)
 	*buf = gamma
+	b := c.Bound(lambda)
 	for i := range gamma {
 		if below != nil && below[i] == above[i] {
 			gamma[i] = below[i]
-		} else if g, ok := c.Gamma(i, lambda); ok {
+		} else if g, ok := c.GammaAt(i, b); ok {
 			gamma[i] = g
 		} else {
 			return 0, i

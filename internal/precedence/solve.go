@@ -1,12 +1,12 @@
 // The compiled DAG solve path. The crossover allotment search and the
 // candidate portfolio of Schedule re-evaluate (γ(λ), times, area, CP) at
-// many deadlines; this file resolves those evaluations by threshold binary
-// search over the instance's compiled λ-breakpoint tables and keeps the
-// derived tables in the dual search's λ-range index (instance.Segments),
-// keyed per graph, so repeat probes — the bisection endgame, the
-// portfolio, every solve of a lineage that shares a Scratch — pay zero
+// many deadlines; this file resolves those evaluations by binary search
+// over the instance's compiled time rows against one exact bound per
+// deadline (instance.Compiled.Bound) and keeps the derived tables in the
+// dual search's λ-range index (instance.Segments), keyed per graph, so
+// repeat probes — the bisection endgame, the portfolio, every solve of a lineage that shares a Scratch — pay zero
 // re-derivation. The tables answer exactly what the task structs would (flattened copies
-// of times and works, λ-thresholds float-exact against task.Leq); the
+// of times and works, a bound float-exact against task.Leq); the
 // test-only refEval and the golden suite hold the path to that.
 package precedence
 

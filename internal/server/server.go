@@ -337,8 +337,8 @@ func lineageHash(lineage string) uint64 {
 // with verify.Plan before anything is released to the caller. It returns
 // either a response or a typed error with its HTTP status.
 //
-// The workload fingerprint — the memo key hash — is computed once and
-// handed to the engine, which reuses it for the memo probe, so renamed
+// The engine hashes the profiles once, inside the solve slot: the memo key,
+// and forked from its workload prefix the compiled-cache key, so renamed
 // copies of the same workload under the same options hit the memo. A
 // request with a lineage key solves against the lineage's carried warm
 // state instead, found by the key's hash: consecutive residuals of one
@@ -349,7 +349,6 @@ func lineageHash(lineage string) uint64 {
 // set of tables, and a memo hit pays for none. The solve slots bound
 // concurrency to Config.Workers across all requests, compilation included.
 func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx) (*wire.ScheduleResponse, *wire.ErrorInfo, int) {
-	hash := engine.Fingerprint(in, o)
 	warm := lineage != "" && engine.WantsCompiled(o)
 	rc.solver = solverLabel(o)
 	var st stageNS
@@ -361,7 +360,7 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	if warm {
 		out = s.eng.ScheduleWarm(in, nil, o, timeout, s.eng.WarmFor(lineageHash(lineage)))
 	} else {
-		out = s.eng.ScheduleCompiled(in, nil, o, timeout, hash)
+		out = s.eng.ScheduleWith(in, o, timeout)
 	}
 	// The engine reports the table resolution it did inside the call (0 on
 	// a memo hit); the rest of the call is the solve stage.
