@@ -1,12 +1,12 @@
 package malsched
 
-// The benchmark harness regenerates every experiment in EXPERIMENTS.md
-// (one benchmark per table/figure of the evaluation; the paper is a theory
-// paper, so the "tables and figures" are its theorems' bounds, its
-// appendix figure 8, and the experiment suite the authors announce in §5 —
-// see DESIGN.md §5 for the full index). Each benchmark times the relevant
-// computation and, on the first iteration, prints the experiment's table so
-// that `go test -bench=. -benchmem` reproduces EXPERIMENTS.md verbatim.
+// The benchmark harness reproduces the experiment suite: one benchmark per
+// table or figure of the evaluation (the paper is a theory paper, so the
+// "tables and figures" are its theorems' bounds, its appendix figure 8, and
+// the experiment suite the authors announce in §5). Each benchmark times
+// the relevant computation and, on the first iteration, prints the
+// experiment's markdown table, so `go test -bench=. -benchmem` regenerates
+// every table.
 
 import (
 	"fmt"
@@ -317,9 +317,8 @@ func BenchmarkOceanRounds(b *testing.B) {
 }
 
 // BenchmarkDualStep measures one dual-approximation probe (the unit of all
-// searches). The tables are compiled outside the loop — core.DualStep would
-// compile per call and the benchmark would time instance.Compile, which
-// BenchmarkCompile prices on its own.
+// searches). The tables are compiled outside the loop, so the benchmark
+// does not time instance.Compile, which BenchmarkCompile prices on its own.
 func BenchmarkDualStep(b *testing.B) {
 	in := instance.Mixed(2, 200, 64)
 	lambda := seqUpperBench(in)
@@ -528,11 +527,11 @@ func BenchmarkDAGPipeline(b *testing.B) {
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		s, err := g.Schedule()
+		r, err := g.Solve(precedence.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio = s.Makespan(in) / g.LowerBound()
+		ratio = r.Schedule.Makespan(in) / g.LowerBound()
 	}
 	once("dag", func() {
 		fmt.Printf("\nE-DAG (§5 future work): fork-join pipeline ratio vs certified DAG bound = %.4f\n", ratio)

@@ -23,8 +23,8 @@
 //	msbench -tables [-quick] [-seed 1]
 //	msbench -compare a.json b.json
 //
-// -tables switches to the legacy experiment suite that prints the
-// EXPERIMENTS.md markdown tables (deterministic in the seed). -quick
+// -tables switches to the legacy experiment suite, which prints its
+// markdown tables (deterministic in the seed). -quick
 // shrinks either grid for a fast smoke run. -workers 0 means GOMAXPROCS.
 // -compare reads two artifacts, matches their rows on cell coordinates and
 // exits non-zero when a deterministic column differs or a cell is missing
@@ -226,7 +226,7 @@ type report struct {
 }
 
 func main() {
-	tables := flag.Bool("tables", false, "legacy mode: print the EXPERIMENTS.md markdown tables")
+	tables := flag.Bool("tables", false, "legacy mode: print the experiment suite's markdown tables")
 	quick := flag.Bool("quick", false, "small grid for a fast run")
 	seed := flag.Int64("seed", 1, "base seed")
 	out := flag.String("out", "BENCH_engine.json", "engine mode: output artifact path (- for stdout)")
@@ -777,9 +777,8 @@ func measureHot(sc scenario, ins []*malsched.Instance) (compileNs, probeNsHot in
 	return compileNs, probeNsHot
 }
 
-// runTables prints the legacy EXPERIMENTS.md tables. Every table is
-// deterministic in the seed, so the committed results are exactly
-// regenerable.
+// runTables prints the legacy experiment tables. Every table is
+// deterministic in the seed, so a run is exactly regenerable.
 func runTables(quick bool, seed int64) {
 	families := []string{"mixed", "random-monotone", "comm-heavy", "wide-parallel", "powerlaw-0.7"}
 	ns := []int{30, 150}

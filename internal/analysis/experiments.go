@@ -152,7 +152,7 @@ func CompareKnownOpt(ms []int, seeds int, seed0 int64) []Row {
 }
 
 // WriteMarkdown renders rows as a GitHub-flavoured markdown table, sorted
-// by (family, n, m, algorithm) for stable diffs in EXPERIMENTS.md.
+// by (family, n, m, algorithm) for stable diffs between runs.
 func WriteMarkdown(w io.Writer, rows []Row) {
 	sorted := append([]Row(nil), rows...)
 	sort.Slice(sorted, func(a, b int) bool {

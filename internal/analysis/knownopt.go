@@ -1,7 +1,8 @@
 // Package analysis contains the experiment harness of the reproduction:
 // instances with exactly known optimum, the Property-3 checker of the
 // canonical list algorithm, the empirical m₀(θ) curve behind the paper's
-// figure 8, and the ratio-comparison machinery behind EXPERIMENTS.md.
+// figure 8, and the ratio-comparison machinery behind the experiment tables
+// (msbench -tables).
 package analysis
 
 import (

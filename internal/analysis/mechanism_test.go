@@ -1,9 +1,9 @@
 package analysis
 
-// This file documents, as executable tests, the derivation referenced by
-// DESIGN.md §8: why Property-3 violations are hard to realise on instances
-// that actually admit a schedule of length λ, which is why the empirical
-// m₀ search (figure 8) observes none even at small m.
+// This file documents, as executable tests, why Property-3 violations are
+// hard to realise on instances that actually admit a schedule of length λ,
+// which is why the empirical m₀ search (figure 8) observes none even at
+// small m.
 //
 // Mechanism. A violation needs a second-level task i (length t' ≤ θλ, by
 // the W-hypothesis) supported by a first-level task j with t_j + t' > 2θλ,

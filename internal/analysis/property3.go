@@ -128,8 +128,8 @@ type M0Row struct {
 // theorem's hypothesis W ≤ θm. The empirical m₀(θ) is the smallest m from
 // which violations stop; figure 8 plots it against θ. (The paper derives
 // m₀ analytically in the appendix; the printed formulas are unreadable in
-// the available copy, so the reproduction measures the curve — see
-// DESIGN.md §8.)
+// the available copy, so the reproduction measures the curve, and
+// mechanism_test.go derives why violations are rare.)
 func M0Empirical(theta float64, ms []int, trials int, seed int64) []M0Row {
 	rows := make([]M0Row, 0, len(ms))
 	for _, m := range ms {
@@ -167,10 +167,10 @@ type Fig8Point struct {
 
 // Fig8 reproduces the paper's figure 8 empirically. The paper's m₀(θ) is
 // the *sufficient* processor count derived by the appendix's worst-case
-// analysis (its printed formulas are unreadable in the available copy; see
-// DESIGN.md §8); the reproduction therefore measures, per θ, (a) the
-// empirical m₀ — the smallest m from which no Property-3 violation is
-// observed on known-optimum ensembles — and (b) the worst guarantee margin.
+// analysis (its printed formulas are unreadable in the available copy);
+// the reproduction therefore measures, per θ, (a) the empirical m₀ — the
+// smallest m from which no Property-3 violation is observed on
+// known-optimum ensembles — and (b) the worst guarantee margin.
 // Random and structured ensembles show no violations already at tiny m,
 // which matches the paper's own §5 remark that practical instances behave
 // far better than the worst-case bound; the committed table records that

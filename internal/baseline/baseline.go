@@ -2,9 +2,9 @@
 // (§1): Turek–Wolf–Yu allotment selection [18] with Ludwig's efficient
 // selection rule [12], composed with a non-malleable scheduling phase —
 // Graham/Garey-style list scheduling (the factor-2 route the paper quotes)
-// or a level strip-packer (NFDH/FFDH/BLD; Steinberg [17] is substituted,
-// see DESIGN.md §3). Naive single-allotment baselines complete the field
-// for the experiments.
+// or a level strip-packer (NFDH/FFDH/BLD, which stand in for Steinberg's
+// algorithm [17]; see package strippack). Naive single-allotment baselines
+// complete the field for the experiments.
 package baseline
 
 import (

@@ -149,7 +149,7 @@ func TestTWYFFDHBound(t *testing.T) {
 func TestTWYPackUnknownPacker(t *testing.T) {
 	in := instance.Mixed(1, 5, 4)
 	if _, err := TWYPack(in, "steinberg"); err == nil {
-		t.Fatal("want error for unimplemented packer (see DESIGN.md substitution note)")
+		t.Fatal("want error for unimplemented packer (Steinberg's algorithm has a stand-in, not an implementation)")
 	}
 }
 

@@ -25,14 +25,6 @@ func CanonicalAllotment(in *instance.Instance, lambda float64) Allotment {
 	return allotmentOf(e, lambda)
 }
 
-// ByDecreasingTime returns the task indices sorted by non-increasing
-// canonical execution time t_i(γ_i) (stable); the order is owned by the
-// caller.
-func (a Allotment) ByDecreasingTime(in *instance.Instance) []int {
-	var order []int
-	return sortByDecreasingTime(instance.Compile(in), a, &order)
-}
-
 // PrefixArea computes W, the canonical prefix area of Definition 1: with
 // tasks in non-increasing t_i(γ_i) order, the (fractional) area of the
 // minimal prefix whose canonical processor counts reach m — equivalently,

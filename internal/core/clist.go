@@ -20,8 +20,8 @@ import (
 // Under Theorem 2's conditions — a schedule of length ≤ λ exists, m ≥ m₀(θ)
 // and prefix area W ≤ θ·m·λ — the result has makespan ≤ 2θλ = ρλ.
 // The function itself always returns a valid schedule when the canonical
-// allotment exists (and nil otherwise); the guarantee check lives in
-// DualStep.
+// allotment exists (and nil otherwise); the guarantee check lives in the
+// dual step.
 func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *schedule.Schedule {
 	return oneShot(in, func(c *instance.Compiled, sc *Scratch) *schedule.Schedule {
 		e := filled(&sc.seg, c, lambda)

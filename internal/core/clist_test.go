@@ -12,7 +12,7 @@ import (
 )
 
 // referenceCanonicalList is §3.2's list algorithm the plain way: a window
-// search (rigid.BestWindow) for every task, no level-1 fast path, a fresh
+// search (rigid.Windower) for every task, no level-1 fast path, a fresh
 // schedule. squeezed is the task the reallocation squeezed, -1 when it did
 // not fire. The construction under test must equal it placement for
 // placement.
@@ -22,13 +22,14 @@ func referenceCanonicalList(c *instance.Compiled, a Allotment, order []int, real
 		s.Algorithm = "canonical-list+realloc"
 	}
 	front := make([]float64, c.M())
+	var wd rigid.Windower
 	limit, checked, squeezed := c.M(), false, -1
 	for _, i := range order {
 		w := a.Gamma[i]
 		if w > limit {
 			w = limit
 		}
-		x, start := rigid.BestWindow(front[:limit], w)
+		x, start := wd.Best(front[:limit], w)
 		if reallocate && !checked && start > 0 {
 			checked = true
 			idle := 0

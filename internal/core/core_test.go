@@ -77,7 +77,7 @@ func TestPrefixAreaMatchesSimulation(t *testing.T) {
 		// infinite machine; sum column areas of processors 0..m-1.
 		var w float64
 		x := 0
-		for _, i := range a.ByDecreasingTime(in) {
+		for _, i := range byDecreasingTime(a, in) {
 			g, tt := a.Gamma[i], in.Tasks[i].Time(a.Gamma[i])
 			for k := 0; k < g; k++ {
 				if x+k < m {
@@ -219,7 +219,7 @@ func TestDualStepAcceptsAboveOPT(t *testing.T) {
 			in = instance.WideParallel(rng.Int63(), 1+rng.Intn(10), m)
 		}
 		lambda := seqLPTMakespan(in)
-		r := DualStep(in, lambda, DefaultParams())
+		r := dualStepOnce(in, lambda, DefaultParams())
 		if r.Schedule == nil {
 			t.Fatalf("iter %d: rejected λ ≥ OPT (m=%d, reason %v)", iter, m, r.Reject)
 		}
@@ -232,7 +232,7 @@ func TestDualStepAcceptsAboveOPT(t *testing.T) {
 
 func TestDualStepCertificates(t *testing.T) {
 	in := instance.MustNew("c", 2, []task.Task{task.Sequential("a", 10, 2)})
-	r := DualStep(in, 1, DefaultParams())
+	r := dualStepOnce(in, 1, DefaultParams())
 	if r.Schedule != nil || r.Reject != RejectTooSlow || !r.Certified {
 		t.Fatalf("want certified RejectTooSlow, got %+v", r)
 	}
@@ -241,7 +241,7 @@ func TestDualStepCertificates(t *testing.T) {
 	in2 := instance.MustNew("c2", 1, []task.Task{
 		task.Sequential("a", 1, 1), task.Sequential("b", 1, 1),
 	})
-	r2 := DualStep(in2, 1.2, DefaultParams())
+	r2 := dualStepOnce(in2, 1.2, DefaultParams())
 	if r2.Schedule != nil || r2.Reject != RejectArea || !r2.Certified {
 		t.Fatalf("want certified RejectArea, got %+v", r2)
 	}

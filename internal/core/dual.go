@@ -71,7 +71,7 @@ type StepResult struct {
 	Interrupted bool
 }
 
-// DualStep is the paper's dual √3-approximation: given λ it either returns
+// dualStep is the paper's dual √3-approximation: given λ it either returns
 // a schedule of makespan ≤ ρλ or rejects, certifying OPT > λ whenever one
 // of the paper's certificates applies (every rejection for λ ≥ OPT would
 // contradict Theorems 1–3; the property tests assert certified rejections
@@ -82,23 +82,13 @@ type StepResult struct {
 // when neither list meets ρλ: it can then still accept the guess, and
 // when it fails exhaustively with W > θmλ it certifies the rejection.
 //
-// This exported one-shot compiles the instance on entry and probes on a
-// pooled Scratch; searches compile once and go through Approximate.
-func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
-	return oneShot(in, func(c *instance.Compiled, sc *Scratch) StepResult {
-		r := dualStep(c, lambda, p, sc, nil)
-		r.Schedule = owned(r.Schedule)
-		return r
-	})
-}
-
-// dualStep is DualStep on scratch memory: all per-probe working buffers —
-// the constructions' placements included — come from sc, and nothing
-// survives the next probe on the same sc: the drafts' makespans are
-// compared and an accepted winner is returned un-copied, as sc.won aliasing
-// its draft's buffer. The probe allocates nothing; whoever keeps the
-// schedule copies it (owned: DualStep, DualProber.Probe; or the default
-// sequential search, into the Scratch's incumbent). The canonical
+// It runs on scratch memory: all per-probe working buffers — the
+// constructions' placements included — come from sc, and nothing survives
+// the next probe on the same sc: the drafts' makespans are compared and an
+// accepted winner is returned un-copied, as sc.won aliasing its draft's
+// buffer. The probe allocates nothing; whoever keeps the schedule copies
+// it (owned: DualProber.Probe; or the default sequential search, into the
+// Scratch's incumbent). The canonical
 // allotment, its work, the by-decreasing-time order and the prefix area
 // come from sc's λ-segment cache and the two list constructions from the
 // drafts sc kept of the allotment that last built them, so all of it is

@@ -10,8 +10,8 @@ import (
 // MalleableList builds the §3.1 schedule for deadline guess lambda: every
 // task gets the minimal allotment meeting the relaxed deadline
 // (2−2/(m+1))·λ; all parallel tasks then start at time 0 side by side
-// (Properties 1+2 guarantee they fit when the canonical work test of
-// DualStep passed) and the sequential rest is LPT-scheduled behind them in
+// (Properties 1+2 guarantee they fit when the dual step's canonical work
+// test passed) and the sequential rest is LPT-scheduled behind them in
 // non-increasing t(1) order. Theorem 1: the result has makespan ≤
 // (2−2/(m+1))·λ whenever a schedule of length ≤ λ exists.
 //

@@ -5,9 +5,9 @@
 //
 // The three constructions of the dual step are exported individually —
 // MalleableList (§3.1), CanonicalList (§3.2) and TwoShelf (§4) — so the
-// experiment harness can exercise each branch on its own; DualStep combines
-// them with the paper's branch conditions and certified rejections, and
-// Approximate runs the dichotomic search of §2.2.
+// experiment harness can exercise each branch on its own; the dual step
+// (DualProber) combines them with the paper's branch conditions and
+// certified rejections, and Approximate runs the dichotomic search of §2.2.
 package core
 
 import "math"

@@ -22,7 +22,7 @@ type Prober interface {
 }
 
 // DualProber is the default Prober: the paper's dual √3-approximation step
-// (DualStep on scratch memory).
+// on scratch memory.
 type DualProber struct{}
 
 // Probe implements Prober with dualStep, copying an accepted schedule out

@@ -149,8 +149,8 @@ func (sc *Scratch) Aux() AuxCache { return sc.aux }
 func (sc *Scratch) SetAux(a AuxCache) { sc.aux = a }
 
 // scratchPool backs the exported one-shot constructions (MalleableList,
-// CanonicalList, TwoShelf, DualStep): instead of growing a fresh Scratch per
-// call they borrow a pooled one, so casual callers stop thrashing the
+// CanonicalList, TwoShelf): instead of growing a fresh Scratch per call
+// they borrow a pooled one, so casual callers stop thrashing the
 // allocator. Results returned by those helpers never alias the pool: each
 // copies its draft out (draft.schedule) before the Scratch goes back.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}

@@ -160,8 +160,8 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 			}
 			want := dualStep(c, lambda, p, sc, nil)
 			want.Schedule = owned(want.Schedule) // the later probes on sc reuse its buffers
-			if got := DualStep(in, lambda, p); !sameStep(got, want) {
-				t.Fatalf("DualStep differs at λ=%v: %+v vs %+v", lambda, got, want)
+			if got := dualStepOnce(in, lambda, p); !sameStep(got, want) {
+				t.Fatalf("dual step differs at λ=%v: %+v vs %+v", lambda, got, want)
 			}
 			if got := (DualProber{}).Probe(in, nil, lambda, p, sc, nil); !sameStep(got, want) {
 				t.Fatalf("DualProber.Probe without tables differs at λ=%v: %+v vs %+v", lambda, got, want)
@@ -170,8 +170,8 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 				continue
 			}
 			order := e.Val.sortedOrder(c, a2)
-			if !reflect.DeepEqual(a1.ByDecreasingTime(in), order) {
-				t.Fatalf("ByDecreasingTime differs at λ=%v", lambda)
+			if !reflect.DeepEqual(byDecreasingTime(a1, in), order) {
+				t.Fatalf("by-decreasing-time order differs at λ=%v", lambda)
 			}
 			if w1, w2 := a1.PrefixArea(in), prefixAreaFrom(c, a2, order); w1 != w2 {
 				t.Fatalf("PrefixArea %v != %v", w1, w2)
@@ -221,7 +221,7 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 	for i := int64(0); i < 300; i++ {
 		in := instance.Mixed(i, 12, 8)
 		lambda := in.MinTotalWork() / float64(in.M) * 2
-		DualStep(in, lambda, p)
+		dualStepOnce(in, lambda, p)
 		CanonicalList(in, lambda, true)
 		// Single goroutine, so the pool hands the same Scratch back (a
 		// GC or the race detector may swap in a new one, trivially clean).

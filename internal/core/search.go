@@ -13,9 +13,6 @@ import (
 
 // Options drives Approximate.
 type Options struct {
-	// Params are the algorithm's constants; zero value means
-	// DefaultParams.
-	Params Params
 	// Eps is the dichotomic-search tolerance of §2.2: the search stops
 	// when the accepted and rejected guesses are within a (1+Eps) factor,
 	// giving an overall guarantee ρ(1+Eps). Default 1e-3.
@@ -172,10 +169,7 @@ type search struct {
 // plus the search argument); the reported LowerBound certifies the ratio a
 // posteriori, instance by instance.
 func Approximate(in *instance.Instance, opts Options) (Result, error) {
-	p := opts.Params
-	if p.Rho == 0 {
-		p = DefaultParams()
-	}
+	p := DefaultParams()
 	eps := opts.Eps
 	if eps <= 0 {
 		eps = 1e-3

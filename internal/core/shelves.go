@@ -155,8 +155,8 @@ func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Sc
 	// lineage sharing this Scratch, the movable set barely moves, so
 	// arrivals are appended, re-scaled entries patched in place and only a
 	// diverged suffix is rebuilt. The synced slices equal a from-scratch
-	// assembly element for element, so the columnar Solver sees identical
-	// inputs in identical order.
+	// assembly element for element, so the Solver sees identical inputs in
+	// identical order.
 	cols := &sc.kcols
 	cur := 0
 	for _, i := range part.T1 {
@@ -173,16 +173,16 @@ func twoShelfFromAllotment(c *instance.Compiled, a Allotment, prm Params, sc *Sc
 	var method string
 	exact := false
 	if useDP {
-		s, profit := sc.ks.MaxProfitCols(wcol, pcol, capacity)
+		s, profit := sc.ks.MaxProfit(wcol, pcol, capacity)
 		exact = true
 		if profit >= part.Q1 {
 			sel, method = s, "knapsack-dp"
 		}
 	} else {
-		s, profit := sc.ks.MaxProfitFPTASCols(wcol, pcol, capacity, prm.KnapsackEps)
+		s, profit := sc.ks.MaxProfitFPTAS(wcol, pcol, capacity, prm.KnapsackEps)
 		if profit >= part.Q1 {
 			sel, method = s, "knapsack-fptas"
-		} else if s2, w, ok := sc.ks.MinWeightApproxCols(wcol, pcol, part.Q1, capacity, prm.KnapsackEps); ok && w <= capacity {
+		} else if s2, w, ok := sc.ks.MinWeightApprox(wcol, pcol, part.Q1, capacity, prm.KnapsackEps); ok && w <= capacity {
 			sel, method = s2, "knapsack-dual"
 		}
 	}

@@ -32,24 +32,20 @@ func Fingerprint(in *instance.Instance, o Options) uint64 {
 	return fingerprint(in, o).hash
 }
 
-// WorkloadFingerprint returns the workload-only hash — machine size and
-// every task's full time table, no options. It is the routing key of the
-// multi-shard tier (internal/router): consistent-hash routing by this
-// value keeps repeated workloads on the shard whose memo, compiled-table
-// and warm caches already hold them, and it is options-independent so the
-// same workload under different solver options still shares locality.
-func WorkloadFingerprint(in *instance.Instance) uint64 {
-	return instanceHash(in).Sum()
-}
-
-// WorkloadFingerprintDAG is WorkloadFingerprint with the precedence DAG
-// folded in: nil edges leave the hash exactly equal to the independent
-// fingerprint, while non-nil edges — even the empty DAG — fold a marker
-// plus the full successor lists, the same stream the memo fingerprint
-// hashes. The routing tier uses it so a DAG request never lands on (and
-// never shares warm state with) the shard of its independent projection;
-// the binary codec's RouteKey folds the identical stream, keeping JSON and
-// binary routing decisions aligned.
+// WorkloadFingerprintDAG returns the workload-only hash — machine size,
+// every task's full time table and the precedence DAG, no options. It is
+// the routing key of the multi-shard tier for JSON requests
+// (internal/router; the binary codec's wire.RouteKey folds the identical
+// stream off the wire bytes, keeping JSON and binary routing decisions
+// aligned): consistent-hash routing by this value keeps repeated workloads
+// on the shard whose memo, compiled-table and warm caches already hold
+// them, and it is options-independent so the same workload under different
+// solver options still shares locality. nil edges fold nothing, so a
+// graphless workload hashes as instanceHash alone, while non-nil edges —
+// even the empty DAG — fold a marker plus the full successor lists, the
+// same stream the memo fingerprint hashes: a DAG request never lands on
+// (and never shares warm state with) the shard of its independent
+// projection.
 func WorkloadFingerprintDAG(in *instance.Instance, edges [][]int) uint64 {
 	h := instanceHash(in)
 	hashEdges(&h, edges)

@@ -9,7 +9,7 @@ import (
 )
 
 // Generators for the experiment suite. All are deterministic functions of
-// the seed so every table in EXPERIMENTS.md is exactly regenerable.
+// the seed so every experiment table is exactly regenerable.
 
 // RandomMonotoneTask draws a uniformly random valid monotone profile: t(1)
 // uniform in [0.5, 10], then each t(p+1) uniform in the legal band

@@ -1,31 +1,23 @@
 package knapsack
 
 // Cols is an incrementally maintained weight/profit column pair for the
-// columnar Solver API, plus a caller-chosen integer tag per column (the
-// task id behind the item). The dual search's two-shelf step assembles its
-// knapsack columns once per probe; between consecutive probes of a search —
-// and between consecutive residual re-solves of a warm replanning lineage —
+// Solver, plus a caller-chosen integer tag per column (the task id behind
+// the item). The dual search's two-shelf step assembles its knapsack
+// columns once per probe; between consecutive probes of a search — and
+// between consecutive residual re-solves of a warm replanning lineage —
 // most of the movable set is unchanged, so the columns are delta-updated
 // against the previous contents instead of reassembled: new arrivals are
-// appended, re-scaled jobs are patched in place, departures truncate or
-// shift. The maintained slices are exactly what a from-scratch rebuild
-// would produce (the property tests assert it element-wise), so the solver
-// outputs — including DP tie-breaking, which depends on item order — are
-// identical.
+// appended, re-scaled jobs are patched in place, and a departure drops the
+// suffix from its position on, which is then rebuilt. The maintained
+// slices are exactly what a from-scratch rebuild would produce (the
+// property tests assert it element-wise), so the solver outputs — including
+// DP tie-breaking, which depends on item order — are identical.
 //
 // The zero value is empty and ready to use. Cols is not safe for concurrent
 // use; it lives in the per-worker core.Scratch.
 type Cols struct {
 	tags, weights, profits []int
 }
-
-// Reset empties the columns, keeping capacity.
-func (c *Cols) Reset() {
-	c.tags, c.weights, c.profits = c.tags[:0], c.weights[:0], c.profits[:0]
-}
-
-// Len returns the number of columns.
-func (c *Cols) Len() int { return len(c.tags) }
 
 // Append adds one column at the end.
 func (c *Cols) Append(tag, weight, profit int) {
@@ -39,15 +31,6 @@ func (c *Cols) Append(tag, weight, profit int) {
 func (c *Cols) Patch(k, weight, profit int) {
 	c.weights[k] = weight
 	c.profits[k] = profit
-}
-
-// Remove deletes column k preserving the order of the survivors — a shift,
-// never a swap-with-last, because the DP backtracking's tie-breaks depend
-// on item order and must match a rebuild of the surviving sequence.
-func (c *Cols) Remove(k int) {
-	c.tags = append(c.tags[:k], c.tags[k+1:]...)
-	c.weights = append(c.weights[:k], c.weights[k+1:]...)
-	c.profits = append(c.profits[:k], c.profits[k+1:]...)
 }
 
 // Truncate drops every column at index n and beyond.

@@ -2,8 +2,8 @@
 // instances. Every bound is valid against the strongest adversary the paper
 // measures against (§2): an optimal schedule that may be preemptive and
 // non-contiguous. The bounds are what the experiment harness divides by to
-// report approximation ratios, so their validity is what makes every ratio
-// in EXPERIMENTS.md a true upper bound on the real ratio.
+// report approximation ratios, so their validity is what makes every
+// reported ratio a true upper bound on the real ratio.
 package lowerbound
 
 import (

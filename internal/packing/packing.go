@@ -2,7 +2,7 @@
 // paper uses (§4.1, reference [11], Johnson et al.) to stack small
 // sequential tasks onto processors under a time deadline: FF(C, S) is the
 // number of processors First Fit needs to pack the durations of S into bins
-// of capacity C.
+// of capacity C, the NumBins of (*Result).FirstFit.
 //
 // The only property the paper needs — and which we test — is: if
 // FF(C, S) > 1 then the total size of S exceeds C·FF(C,S)/2.
@@ -11,7 +11,6 @@ package packing
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"malsched/internal/task"
 )
@@ -36,19 +35,10 @@ var ErrOversized = errors.New("packing: item larger than capacity")
 // FirstFit packs the items in their given order, placing each into the
 // lowest-indexed bin with residual capacity, opening a new bin when none
 // fits. Comparisons use the module tolerance so an item may exactly fill a
-// bin.
-func FirstFit(sizes []float64, capacity float64) (Result, error) {
-	var r Result
-	if err := r.FirstFit(sizes, capacity); err != nil {
-		return Result{}, err
-	}
-	return r, nil
-}
-
-// FirstFit is the in-place form of the package-level FirstFit: it
-// overwrites r with the packing, reusing the capacity of r's slices, so a
-// caller packing same-sized inputs over and over (core's Scratch, twice per
-// probe) allocates nothing. On error r's contents are unspecified.
+// bin. It overwrites r with the packing, reusing the capacity of r's
+// slices, so a caller packing same-sized inputs over and over (core's
+// Scratch, twice per probe) allocates nothing. On error r's contents are
+// unspecified.
 func (r *Result) FirstFit(sizes []float64, capacity float64) error {
 	if cap(r.Bin) < len(sizes) {
 		r.Bin = make([]int, len(sizes))
@@ -78,38 +68,4 @@ func (r *Result) FirstFit(sizes []float64, capacity float64) error {
 		}
 	}
 	return nil
-}
-
-// FirstFitDecreasing sorts the items by non-increasing size before running
-// First Fit; the classical variant with the better constant.
-func FirstFitDecreasing(sizes []float64, capacity float64) (Result, error) {
-	order := make([]int, len(sizes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
-	sorted := make([]float64, len(sizes))
-	for k, i := range order {
-		sorted[k] = sizes[i]
-	}
-	rs, err := FirstFit(sorted, capacity)
-	if err != nil {
-		return Result{}, err
-	}
-	r := Result{Bin: make([]int, len(sizes)), Offset: make([]float64, len(sizes)), Loads: rs.Loads}
-	for k, i := range order {
-		r.Bin[i] = rs.Bin[k]
-		r.Offset[i] = rs.Offset[k]
-	}
-	return r, nil
-}
-
-// Count is the paper's FF(C, S): the number of processors First Fit uses.
-// It panics on oversized items — callers guarantee sizes ≤ C.
-func Count(sizes []float64, capacity float64) int {
-	r, err := FirstFit(sizes, capacity)
-	if err != nil {
-		panic(err)
-	}
-	return r.NumBins()
 }

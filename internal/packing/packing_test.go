@@ -8,8 +8,8 @@ import (
 )
 
 func TestFirstFitBasic(t *testing.T) {
-	r, err := FirstFit([]float64{0.6, 0.5, 0.4, 0.3}, 1.0)
-	if err != nil {
+	var r Result
+	if err := r.FirstFit([]float64{0.6, 0.5, 0.4, 0.3}, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	// 0.6 -> bin0; 0.5 -> bin1; 0.4 -> bin0 (0.6+0.4=1 fits); 0.3 -> bin1.
@@ -28,14 +28,15 @@ func TestFirstFitBasic(t *testing.T) {
 }
 
 func TestFirstFitOversized(t *testing.T) {
-	if _, err := FirstFit([]float64{1.2}, 1.0); !errors.Is(err, ErrOversized) {
+	var r Result
+	if err := r.FirstFit([]float64{1.2}, 1.0); !errors.Is(err, ErrOversized) {
 		t.Fatalf("want ErrOversized, got %v", err)
 	}
 }
 
 func TestFirstFitEmpty(t *testing.T) {
-	r, err := FirstFit(nil, 1)
-	if err != nil || r.NumBins() != 0 {
+	var r Result
+	if err := r.FirstFit(nil, 1); err != nil || r.NumBins() != 0 {
 		t.Fatalf("empty pack: %v bins=%d", err, r.NumBins())
 	}
 }
@@ -77,7 +78,10 @@ func validate(t *testing.T, sizes []float64, capacity float64, r Result) {
 	}
 }
 
+// One Result reused across inputs of every length packs each of them
+// validly: nothing of an earlier packing survives into a later one.
 func TestFirstFitValidityRandom(t *testing.T) {
+	var r Result
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(60)
@@ -85,17 +89,11 @@ func TestFirstFitValidityRandom(t *testing.T) {
 		for i := range sizes {
 			sizes[i] = rng.Float64()
 		}
-		r, err := FirstFit(sizes, 1.0)
-		if err != nil {
+		if err := r.FirstFit(sizes, 1.0); err != nil {
 			return false
 		}
 		validate(t, sizes, 1.0, r)
-		rd, err := FirstFitDecreasing(sizes, 1.0)
-		if err != nil {
-			return false
-		}
-		validate(t, sizes, 1.0, rd)
-		return rd.NumBins() <= r.NumBins()+1 // FFD never much worse here
+		return len(r.Bin) == n && len(r.Offset) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -114,7 +112,11 @@ func TestPaperHalfFullProperty(t *testing.T) {
 			sizes[i] = rng.Float64() * capacity
 			total += sizes[i]
 		}
-		ff := Count(sizes, capacity)
+		var r Result
+		if err := r.FirstFit(sizes, capacity); err != nil {
+			return false
+		}
+		ff := r.NumBins()
 		if ff <= 1 {
 			return true
 		}
@@ -123,28 +125,4 @@ func TestPaperHalfFullProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFirstFitDecreasingStable(t *testing.T) {
-	sizes := []float64{0.3, 0.9, 0.3, 0.5}
-	r, err := FirstFitDecreasing(sizes, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	validate(t, sizes, 1.0, r)
-	// FFD: 0.9 -> b0; 0.5 -> b1; 0.3 -> b1 (0.8); 0.3 -> b1? 1.1 no -> b0? 1.2 no -> b2.
-	// Wait: 0.9+0.3 = 1.2 > 1, 0.5+0.3+0.3 = 1.1 > 1 so third 0.3 opens b2? Recompute:
-	// sorted: 0.9, 0.5, 0.3, 0.3 -> b0=0.9, b1=0.5, b1=0.8, b1? 0.8+0.3=1.1 no, b0? 1.2 no -> b2.
-	if r.NumBins() != 3 {
-		t.Fatalf("FFD bins = %d, want 3", r.NumBins())
-	}
-}
-
-func TestCountPanicsOnOversized(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	Count([]float64{2}, 1)
 }

@@ -34,8 +34,8 @@ import (
 // tasks that may start only after task i completes. The fields are
 // unexported on purpose — every Graph in existence went through NewGraph,
 // so the scheduling entry points never see a cyclic or shape-mismatched
-// graph and cannot panic on one. Construct with NewGraph, Chain or OutTree;
-// read the edges back with Edges.
+// graph and cannot panic on one. Construct with NewGraph, over successor
+// lists from ChainEdges, OutTreeEdges, RandomEdges or the caller.
 //
 // NewGraph derives once what every solve on the graph needs: the
 // topological order and predecessor counts (previously recomputed per
@@ -137,9 +137,8 @@ func kahn(succ [][]int, indeg, order []int) bool {
 }
 
 // copyEdges deep-copies a successor list so later caller mutation cannot
-// break a validated Graph (or leak out through Edges). All lists share one
-// backing array, each capped at its own length so an append through one
-// cannot reach its neighbour.
+// break a validated Graph. All lists share one backing array, each capped
+// at its own length so an append through one cannot reach its neighbour.
 func copyEdges(succ [][]int) [][]int {
 	total := 0
 	for _, ss := range succ {
@@ -229,12 +228,6 @@ func dedupSorted(s []float64) []float64 {
 	return out
 }
 
-// Instance returns the underlying malleable instance.
-func (g *Graph) Instance() *instance.Instance { return g.in }
-
-// Edges returns a deep copy of the successor lists.
-func (g *Graph) Edges() [][]int { return copyEdges(g.succ) }
-
 // ChainEdges builds the successor lists of the linear order
 // 0 → 1 → … → n−1.
 func ChainEdges(n int) [][]int {
@@ -277,41 +270,11 @@ func RandomEdges(seed int64, n int, p float64) [][]int {
 	return succ
 }
 
-// Chain builds the linear graph 0 → 1 → … → n−1.
-func Chain(in *instance.Instance) (*Graph, error) {
-	return NewGraph(in, ChainEdges(in.N()))
-}
-
-// OutTree builds a rooted tree: task i > 0 depends on task (i−1)/arity.
-// arity < 1 is a returned error, not a panic.
-func OutTree(in *instance.Instance, arity int) (*Graph, error) {
-	succ, err := OutTreeEdges(in.N(), arity)
-	if err != nil {
-		return nil, err
-	}
-	return NewGraph(in, succ)
-}
-
-// Topological returns a copy of the topological order computed at
-// construction. The error return is kept for API compatibility but is
-// always nil: NewGraph is the only constructor and it rejects cycles.
-func (g *Graph) Topological() ([]int, error) {
-	return append([]int(nil), g.topo...), nil
-}
-
-// CriticalPath returns the longest chain length when task i takes time
-// times[i], plus each task's tail (longest remaining chain including i).
-// It walks the construction-time topological order; the solve hot path
-// uses the same walk on reusable buffers (criticalPathInto).
-func (g *Graph) CriticalPath(times []float64) (float64, []float64) {
-	tail := make([]float64, g.in.N())
-	return g.criticalPathInto(times, tail), tail
-}
-
-// criticalPathInto is CriticalPath on a caller-owned tail buffer: the
-// per-candidate unit of the solve hot path, freed of the order and tail
-// allocations the public method pays. tail needs no zeroing — the reverse
-// topological walk writes every entry before any successor read.
+// criticalPathInto returns the longest chain length when task i takes time
+// times[i], and fills tail with each task's tail (longest remaining chain
+// including i): the per-candidate unit of the solve hot path. It walks the
+// construction-time topological order; tail needs no zeroing — the reverse
+// walk writes every entry before any successor read.
 func (g *Graph) criticalPathInto(times, tail []float64) float64 {
 	cp := 0.0
 	for k := len(g.topo) - 1; k >= 0; k-- {

@@ -21,6 +21,12 @@ func chainInstance(n, m int) *instance.Instance {
 	return instance.MustNew("chain", m, tasks)
 }
 
+// scheduleOf runs the two-phase heuristic with default options.
+func scheduleOf(g *Graph) (*schedule.Schedule, error) {
+	r, err := g.Solve(Options{})
+	return r.Schedule, err
+}
+
 func TestNewGraphValidation(t *testing.T) {
 	in := chainInstance(3, 4)
 	if _, err := NewGraph(in, [][]int{{1}}); !errors.Is(err, ErrShape) {
@@ -43,15 +49,12 @@ func TestTopologicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := g.Topological()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := g.topo
 	pos := make([]int, 4)
 	for k, i := range order {
 		pos[i] = k
 	}
-	for i, ss := range g.Edges() {
+	for i, ss := range g.succ {
 		for _, j := range ss {
 			if pos[i] >= pos[j] {
 				t.Fatalf("order violates edge %d->%d: %v", i, j, order)
@@ -63,7 +66,8 @@ func TestTopologicalOrder(t *testing.T) {
 func TestCriticalPathHandChecked(t *testing.T) {
 	in := chainInstance(4, 2)
 	g, _ := NewGraph(in, [][]int{{1, 2}, {3}, {3}, nil})
-	cp, tail := g.CriticalPath([]float64{1, 2, 3, 4})
+	tail := make([]float64, 4)
+	cp := g.criticalPathInto([]float64{1, 2, 3, 4}, tail)
 	if cp != 8 { // 0 -> 2 -> 3
 		t.Fatalf("cp = %v, want 8", cp)
 	}
@@ -76,14 +80,14 @@ func TestLowerBoundChain(t *testing.T) {
 	// Chain of 3 linear tasks (work 4) on m=4: CP at full speed = 3·1 = 3;
 	// area bound = 12/4 = 3. LB = 3, and the schedule achieves it.
 	in := chainInstance(3, 4)
-	g, err := Chain(in)
+	g, err := NewGraph(in, ChainEdges(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lb := g.LowerBound(); math.Abs(lb-3) > 1e-9 {
 		t.Fatalf("LB = %v, want 3", lb)
 	}
-	s, err := g.Schedule()
+	s, err := scheduleOf(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestScheduleRespectsPrecedence(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		s, err := g.Schedule()
+		s, err := scheduleOf(g)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -167,7 +171,7 @@ func TestScheduleRatioReasonable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := g.Schedule()
+		s, err := scheduleOf(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,13 +191,12 @@ func TestScheduleRatioReasonable(t *testing.T) {
 
 func TestOutTreeShape(t *testing.T) {
 	in := chainInstance(7, 4)
-	g, err := OutTree(in, 2)
+	edges, err := OutTreeEdges(in.N(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 -> {1,2}, 1 -> {3,4}, 2 -> {5,6}.
 	want := [][]int{{1, 2}, {3, 4}, {5, 6}, nil, nil, nil, nil}
-	edges := g.Edges()
 	for i := range want {
 		got := append([]int(nil), edges[i]...)
 		sort.Ints(got)
@@ -206,12 +209,12 @@ func TestOutTreeShape(t *testing.T) {
 			}
 		}
 	}
-	if _, err := g.Topological(); err != nil {
+	if _, err := NewGraph(in, edges); err != nil {
 		t.Fatal(err)
 	}
-	// arity < 1 is a typed error now, not a panic.
-	if _, err := OutTree(in, 0); !errors.Is(err, ErrShape) {
-		t.Fatalf("OutTree(0): want ErrShape, got %v", err)
+	// arity < 1 is a typed error, not a panic.
+	if _, err := OutTreeEdges(in.N(), 0); !errors.Is(err, ErrShape) {
+		t.Fatalf("OutTreeEdges(0): want ErrShape, got %v", err)
 	}
 	if _, err := OutTreeEdges(5, -1); !errors.Is(err, ErrShape) {
 		t.Fatalf("OutTreeEdges(-1): want ErrShape, got %v", err)
@@ -242,9 +245,9 @@ func TestValidateEdgesTyped(t *testing.T) {
 	}
 }
 
-// Graphs are immune to caller mutation: NewGraph copies the edges in, and
-// Edges copies them out. This is what makes the unexported fields an
-// invariant rather than a convention.
+// Graphs are immune to caller mutation: NewGraph copies the edges in. This
+// is what makes the unexported fields an invariant rather than a
+// convention.
 func TestGraphEdgeIsolation(t *testing.T) {
 	in := chainInstance(3, 4)
 	succ := [][]int{{1}, {2}, nil}
@@ -252,14 +255,10 @@ func TestGraphEdgeIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	succ[0][0] = 2
 	succ[2] = []int{0} // would be a cycle if shared
-	if _, err := g.Topological(); err != nil {
-		t.Fatalf("caller mutation corrupted the graph: %v", err)
-	}
-	out := g.Edges()
-	out[0][0] = 99
-	if got := g.Edges()[0][0]; got != 1 {
-		t.Fatalf("Edges() leaked internal storage: %d", got)
+	if g.succ[0][0] != 1 || g.succ[2] != nil {
+		t.Fatalf("caller mutation reached the graph: %v", g.succ)
 	}
 }
 
@@ -297,11 +296,12 @@ func TestSelectAllotmentTradesOff(t *testing.T) {
 	// wider allotments than one-processor-per-task only when it pays.
 	m := 8
 	in := chainInstance(4, m)
-	g, err := Chain(in)
+	g, err := NewGraph(in, ChainEdges(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, l := g.SelectAllotment()
+	e := g.evalContext(Options{})
+	alloc, l := e.selectAllotment(nil)
 	// For a pure chain of linear tasks, CP(alloc) = Σ 4/p_i and the best
 	// canonical family member is everyone on the full machine:
 	// L = max(4·4·? /m, Σ4/8) … widest allotment minimises CP while area

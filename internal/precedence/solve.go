@@ -270,14 +270,6 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 	return alloc, bestL
 }
 
-// SelectAllotment minimises L(γ(λ')) = max(Σ w(γ)/m, CP(γ(λ'))) over the
-// canonical-allotment family (see selectAllotment), on privately compiled
-// tables and a private scratch.
-func (g *Graph) SelectAllotment() ([]int, float64) {
-	e := g.evalContext(Options{})
-	return e.selectAllotment(nil)
-}
-
 // SolveCrossover runs the plain two-phase algorithm with no candidate
 // portfolio and no refinement: the L-minimising canonical allotment of
 // the crossover search, list-scheduled greedily longest-tail-first. It is
@@ -300,12 +292,6 @@ func (g *Graph) SolveCrossover(o Options) (Result, error) {
 	r.Schedule = out
 	r.Probes, r.CacheHits = e.probes, e.hits
 	return r, nil
-}
-
-// ScheduleCrossover is SolveCrossover with default options.
-func (g *Graph) ScheduleCrossover() (*schedule.Schedule, error) {
-	r, err := g.SolveCrossover(Options{})
-	return r.Schedule, err
 }
 
 // Solve runs the two-phase heuristic: candidate allotments from the
@@ -440,12 +426,6 @@ func (e *evalCtx) climb(alloc []int, mk float64, score func([]int, float64) (flo
 			held, nh, heldFor = rejected, nr, i
 		}
 	}
-}
-
-// Schedule is Solve with default options.
-func (g *Graph) Schedule() (*schedule.Schedule, error) {
-	r, err := g.Solve(Options{})
-	return r.Schedule, err
 }
 
 // levelProportional builds the fork-join candidate: depth-layer the DAG,

@@ -624,14 +624,14 @@ func TestPruneNeverChangesTheWinner(t *testing.T) {
 			tasks[i] = task.MustNew(fmt.Sprintf("t%d", i), []float64{x})
 		}
 		in := instance.MustNew("last-bit", 1, tasks)
-		g, err := Chain(in)
+		g, err := NewGraph(in, ChainEdges(len(times)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := g.evalContext(Options{})
 		alloc := []int{1, 1, 1}
 		mk, _ := e.score(alloc, math.Inf(1))
-		cp, _ := g.CriticalPath(times)
+		cp := g.criticalPathInto(times, make([]float64, len(times)))
 		if math.Float64bits(cp) == math.Float64bits(mk) {
 			t.Fatalf("times %v: tail sum %v and simulated sum %v agree — the case tests nothing", times, cp, mk)
 		}

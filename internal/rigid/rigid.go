@@ -6,10 +6,11 @@
 //     Garey–Graham resource argument the paper quotes gives factor 2 for
 //     the non-malleable scheduling problem, and the direct bound
 //     makespan ≤ 2·max(W/m, tmax) is asserted by our property tests.
-//   - ContiguousList: frontier list scheduling on consecutively indexed
-//     processors with the paper's tie-breaking convention (leftmost block
-//     when starting at time 0, rightmost otherwise); this is the engine of
-//     the canonical list algorithm (§3.2).
+//   - Windower: the window search of frontier list scheduling on
+//     consecutively indexed processors, with the paper's tie-breaking
+//     convention (leftmost block when starting at time 0, rightmost
+//     otherwise); this is the engine of the canonical list algorithm
+//     (§3.2).
 //   - LPT: Graham's longest-processing-time rule for sequential jobs on
 //     processors with release times; the engine of the malleable list
 //     algorithm's second phase (§3.1).
@@ -27,13 +28,10 @@ type Job struct {
 	Time  float64
 }
 
-// Placement is the result for one job.
+// Placement is the result for one job of List: its start and the
+// processors it runs on.
 type Placement struct {
 	Start float64
-	// First is the lowest index of a contiguous block (contiguous
-	// schedulers); -1 when Procs is set.
-	First int
-	// Procs lists explicit processors (non-contiguous schedulers).
 	Procs []int
 }
 
@@ -114,7 +112,7 @@ func List(m int, jobs []Job, order []int) []Placement {
 			if j.Width <= len(free) {
 				procs := append([]int(nil), free[:j.Width]...)
 				free = free[j.Width:]
-				pls[i] = Placement{Start: now, First: -1, Procs: procs}
+				pls[i] = Placement{Start: now, Procs: procs}
 				heap.Push(&events, event{t: now + j.Time, procs: procs})
 			} else {
 				remaining = append(remaining, i)
@@ -140,53 +138,19 @@ func List(m int, jobs []Job, order []int) []Placement {
 	return pls
 }
 
-// ContiguousList schedules jobs on contiguous processor blocks using
-// per-processor frontiers: each job in order is placed on the block of
-// Width consecutive processors with the minimal frontier maximum; its start
-// is that maximum. Ties follow the paper's convention: the leftmost block
-// when the start is 0, the rightmost otherwise. order may be nil for input
-// order.
-func ContiguousList(m int, jobs []Job, order []int) []Placement {
-	if order == nil {
-		order = identity(len(jobs))
-	}
-	front := make([]float64, m)
-	pls := make([]Placement, len(jobs))
-	var wd Windower // one buffer for the whole pass
-	for _, i := range order {
-		j := jobs[i]
-		if j.Width < 1 || j.Width > m {
-			panic(fmt.Sprintf("rigid: job %d width %d outside machine of %d", i, j.Width, m))
-		}
-		x, start := wd.Best(front, j.Width)
-		pls[i] = Placement{Start: start, First: x}
-		for k := x; k < x+j.Width; k++ {
-			front[k] = start + j.Time
-		}
-	}
-	return pls
-}
-
-// BestWindow returns the block of width w with minimal sliding-window
-// maximum of front, applying the paper's leftmost-at-zero /
-// rightmost-otherwise tie rule; x is -1 when no block of width w fits
-// (w < 1 or w > len(front)). O(m) by block maxima. Exported for the
-// canonical list algorithm in package core, whose reallocation rule needs
-// window search interleaved with custom placements.
-func BestWindow(front []float64, w int) (x int, start float64) {
-	var wd Windower
-	return wd.Best(front, w)
-}
-
-// Windower is BestWindow with a reusable buffer: the canonical list
-// construction runs one window search per task per probe. The zero value is
-// ready to use; not safe for concurrent use (core's Scratch carries one per
-// worker).
+// Windower is the contiguous window search of the canonical list
+// algorithm (§3.2) with a reusable buffer: the construction runs one window
+// search per task per probe, interleaved with its own reallocation rule.
+// The zero value is ready to use; not safe for concurrent use (core's
+// Scratch carries one per worker).
 type Windower struct {
 	suf []float64
 }
 
-// Best is BestWindow on the reused buffer. It follows van Herk and
+// Best returns the block of width w with minimal sliding-window maximum of
+// front, applying the paper's leftmost-at-zero / rightmost-otherwise tie
+// rule; x is -1 when no block of width w fits (w < 1 or w > len(front)).
+// It is O(m) by block maxima and follows van Herk and
 // Gil–Werman: cut front into blocks of w; a window starting at x spans the
 // tail of one block and the head of the next, so its maximum is the larger
 // of the tail's running maximum from the block's right end (suf[x], one

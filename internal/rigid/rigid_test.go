@@ -15,34 +15,17 @@ func randJobs(rng *rand.Rand, n, m int) []Job {
 	return jobs
 }
 
-// validatePlacements checks capacity and (optionally) contiguity by building
-// per-processor interval lists.
-func validatePlacements(t *testing.T, m int, jobs []Job, pls []Placement, contiguous bool) {
+// validatePlacements checks widths and capacity by building per-processor
+// interval lists.
+func validatePlacements(t *testing.T, m int, jobs []Job, pls []Placement) {
 	t.Helper()
 	type iv struct{ lo, hi float64 }
 	per := make([][]iv, m)
 	for i, p := range pls {
-		var procs []int
-		if p.Procs != nil {
-			procs = p.Procs
-		} else {
-			for k := p.First; k < p.First+jobs[i].Width; k++ {
-				procs = append(procs, k)
-			}
+		if len(p.Procs) != jobs[i].Width {
+			t.Fatalf("job %d: %d processors for width %d", i, len(p.Procs), jobs[i].Width)
 		}
-		if len(procs) != jobs[i].Width {
-			t.Fatalf("job %d: %d processors for width %d", i, len(procs), jobs[i].Width)
-		}
-		if contiguous {
-			s := append([]int(nil), procs...)
-			sort.Ints(s)
-			for k := 1; k < len(s); k++ {
-				if s[k] != s[k-1]+1 {
-					t.Fatalf("job %d: non-contiguous processors %v", i, procs)
-				}
-			}
-		}
-		for _, j := range procs {
+		for _, j := range p.Procs {
 			if j < 0 || j >= m {
 				t.Fatalf("job %d: processor %d outside machine %d", i, j, m)
 			}
@@ -76,7 +59,7 @@ func lbOf(m int, jobs []Job) float64 {
 func TestListSimple(t *testing.T) {
 	jobs := []Job{{Width: 2, Time: 2}, {Width: 2, Time: 1}, {Width: 2, Time: 1}}
 	pls := List(4, jobs, nil)
-	validatePlacements(t, 4, jobs, pls, false)
+	validatePlacements(t, 4, jobs, pls)
 	// Jobs 0 and 1 start at 0; job 2 starts when job 1 finishes at t=1.
 	if pls[0].Start != 0 || pls[1].Start != 0 {
 		t.Fatalf("first two should start immediately: %v %v", pls[0], pls[1])
@@ -95,7 +78,7 @@ func TestListSkipsBlockedJob(t *testing.T) {
 	// job is started first when it fits.
 	jobs := []Job{{Width: 3, Time: 1}, {Width: 1, Time: 1}}
 	pls := List(3, jobs, nil)
-	validatePlacements(t, 3, jobs, pls, false)
+	validatePlacements(t, 3, jobs, pls)
 	if pls[1].Start != 1 {
 		t.Fatalf("narrow job should wait: %v", pls[1].Start)
 	}
@@ -113,7 +96,7 @@ func TestListValidityAndBoundRandom(t *testing.T) {
 		jobs := randJobs(rng, 1+rng.Intn(50), m)
 		for _, order := range [][]int{nil, ByDecreasingTime(jobs)} {
 			pls := List(m, jobs, order)
-			validatePlacements(t, m, jobs, pls, false)
+			validatePlacements(t, m, jobs, pls)
 			// Garey–Graham-style bound: ≤ 2·max(W/m, tmax).
 			if Makespan(jobs, pls) > 2*lbOf(m, jobs)+1e-9 {
 				t.Logf("seed %d: list makespan %v > 2·LB %v", seed, Makespan(jobs, pls), lbOf(m, jobs))
@@ -127,54 +110,24 @@ func TestListValidityAndBoundRandom(t *testing.T) {
 	}
 }
 
-func TestContiguousListValidityRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(16)
-		jobs := randJobs(rng, 1+rng.Intn(50), m)
-		pls := ContiguousList(m, jobs, ByDecreasingTime(jobs))
-		validatePlacements(t, m, jobs, pls, true)
-		// Frontier scheduling can waste more than plain list scheduling but
-		// must stay within the trivial stacking bound.
-		var stack float64
-		for _, j := range jobs {
-			stack += j.Time
-		}
-		return Makespan(jobs, pls) <= stack+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// The paper's tie rule on the window search: on an all-zero front the
+// leftmost block wins, on equal positive frontiers the rightmost.
 func TestContiguousTieRule(t *testing.T) {
-	// Three processors all free at 0: width-1 job goes leftmost (P0).
-	jobs := []Job{{Width: 1, Time: 1}}
-	pls := ContiguousList(3, jobs, nil)
-	if pls[0].First != 0 || pls[0].Start != 0 {
-		t.Fatalf("want leftmost at 0, got %+v", pls[0])
+	var wd Windower
+	if x, start := wd.Best([]float64{0, 0, 0}, 1); x != 0 || start != 0 {
+		t.Fatalf("want leftmost at 0, got (%d, %v)", x, start)
 	}
-	// Now make frontiers equal but positive: job of width 3 first, then a
-	// width-1 job — all windows tie at start 1, so rightmost (P2).
-	jobs = []Job{{Width: 3, Time: 1}, {Width: 1, Time: 1}}
-	pls = ContiguousList(3, jobs, nil)
-	if pls[1].Start != 1 || pls[1].First != 2 {
-		t.Fatalf("want rightmost at start 1, got %+v", pls[1])
+	if x, start := wd.Best([]float64{1, 1, 1}, 1); x != 2 || start != 1 {
+		t.Fatalf("want rightmost at start 1, got (%d, %v)", x, start)
 	}
 }
 
+// The window search takes the earliest block, not the leftmost: after two
+// width-1 jobs of time 2 on P0 and P1, a width-2 job starts on P2–P3 at 0.
 func TestContiguousPicksEarliestWindow(t *testing.T) {
-	// Frontiers: [2, 0, 0, 2] after two width-1 jobs of time 2 at the edges…
-	jobs := []Job{
-		{Width: 1, Time: 2}, // P0 (leftmost at 0)
-		{Width: 1, Time: 2}, // P1 — hmm, leftmost free is P1
-		{Width: 2, Time: 1},
-	}
-	// Place the first two manually through order: after jobs 0,1 frontiers
-	// are [2,2,0,0]; the width-2 job must take processors 2-3 at time 0.
-	pls := ContiguousList(4, jobs, nil)
-	if pls[2].Start != 0 || pls[2].First != 2 {
-		t.Fatalf("want window [2,3] at 0, got %+v", pls[2])
+	var wd Windower
+	if x, start := wd.Best([]float64{2, 2, 0, 0}, 2); x != 2 || start != 0 {
+		t.Fatalf("want window [2,3] at 0, got (%d, %v)", x, start)
 	}
 }
 
@@ -241,7 +194,7 @@ func TestLPTReleaseLengthPanics(t *testing.T) {
 func TestWidthPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { List(2, []Job{{Width: 3, Time: 1}}, nil) },
-		func() { ContiguousList(2, []Job{{Width: 0, Time: 1}}, nil) },
+		func() { List(2, []Job{{Width: 0, Time: 1}}, nil) },
 	} {
 		func() {
 			defer func() {

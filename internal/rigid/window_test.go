@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// naiveBestWindow is the definition BestWindow implements, in O(m·w): the
+// naiveBestWindow is the definition Windower.Best implements, in O(m·w): the
 // maximum of every window of width w, scanned left to right, keeping the
 // minimum with the paper's tie rule (leftmost when the start is 0,
 // rightmost otherwise).

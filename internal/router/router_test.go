@@ -85,7 +85,7 @@ func jsonRouteKey(t *testing.T, rt *Router, in *instance.Instance, graph [][]int
 }
 
 // TestRouteKeyMatchesEngineFingerprint pins wire.RouteKey's off-the-wire
-// hash walk to engine.WorkloadFingerprint over the decoded instance —
+// hash walk to engine.WorkloadFingerprintDAG over the decoded instance —
 // including the profile-truncation case — so binary routing and the
 // shards' cache keys can never silently drift apart. The JSON body of the
 // same workload must key the same, or the two codecs' copies of one
@@ -108,8 +108,8 @@ func TestRouteKeyMatchesEngineFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := engine.WorkloadFingerprint(dec); key != want {
-				t.Fatalf("%s/%d: RouteKey %x != WorkloadFingerprint %x", name, seed, key, want)
+			if want := engine.WorkloadFingerprintDAG(dec, nil); key != want {
+				t.Fatalf("%s/%d: RouteKey %x != WorkloadFingerprintDAG %x", name, seed, key, want)
 			}
 			if jsonKey, pinned := jsonRouteKey(t, rt, in, nil, nil); jsonKey != key || pinned {
 				t.Fatalf("%s/%d: JSON key %x (pinned %v) != binary key %x", name, seed, jsonKey, pinned, key)
@@ -132,8 +132,8 @@ func TestRouteKeyMatchesEngineFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := engine.WorkloadFingerprint(dec); key != want {
-		t.Fatalf("truncated RouteKey %x != WorkloadFingerprint %x", key, want)
+	if want := engine.WorkloadFingerprintDAG(dec, nil); key != want {
+		t.Fatalf("truncated RouteKey %x != WorkloadFingerprintDAG %x", key, want)
 	}
 	if jsonKey, pinned := jsonRouteKey(t, rt, wide, nil, nil); jsonKey != key || pinned {
 		t.Fatalf("truncated JSON key %x (pinned %v) != binary key %x", jsonKey, pinned, key)
@@ -165,7 +165,7 @@ func TestFingerprintSpread(t *testing.T) {
 	seen := make(map[uint64]int64, pool)
 	var routed [2]int
 	for seed := int64(1); seed <= pool; seed++ {
-		key := engine.WorkloadFingerprint(instance.Mixed(seed, 24, 16))
+		key := engine.WorkloadFingerprintDAG(instance.Mixed(seed, 24, 16), nil)
 		if other, dup := seen[key]; dup {
 			t.Fatalf("workloads %d and %d collide on %#x", other, seed, key)
 		}
@@ -212,7 +212,7 @@ func TestRouteKeyMatchesDAGFingerprint(t *testing.T) {
 				if want := engine.WorkloadFingerprintDAG(dec, decGraph); key != want {
 					t.Fatalf("%s/%d: RouteKey %x != WorkloadFingerprintDAG %x", name, seed, key, want)
 				}
-				if indep := engine.WorkloadFingerprint(dec); key == indep {
+				if indep := engine.WorkloadFingerprintDAG(dec, nil); key == indep {
 					t.Fatalf("%s/%d: graph request routed as its independent projection", name, seed)
 				}
 				// JSON: as the constructors build the graph (a nil list

@@ -59,9 +59,6 @@ func defaultPortfolio() *Portfolio {
 // Name implements Solver.
 func (p *Portfolio) Name() string { return p.name }
 
-// Members returns the member solver names, in priority (tie-break) order.
-func (p *Portfolio) Members() []string { return append([]string(nil), p.members...) }
-
 // Solve implements Solver: every member runs concurrently on its own
 // scratch (only member 0 inherits the caller's), results are merged
 // deterministically by member order.

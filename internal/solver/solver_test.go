@@ -75,7 +75,7 @@ func TestBuiltinSolversProduceValidCertifiedPlans(t *testing.T) {
 // concurrent fan-out is also race-checked).
 func TestPortfolioDeterministicAndDominant(t *testing.T) {
 	p, _ := Lookup(PortfolioName)
-	members := p.(*Portfolio).Members()
+	members := p.(*Portfolio).members
 	var grid []*instance.Instance
 	for _, fam := range []string{"mixed", "powerlaw-0.7", "wide-parallel"} {
 		gen := instance.Families()[fam]

@@ -11,9 +11,9 @@
 //   - BLD, a skyline bottom-left-decreasing heuristic with no worst-case
 //     bound but strong average behaviour.
 //
-// Steinberg's absolute-2 algorithm [17] is deliberately substituted — see
-// DESIGN.md §3; the factor-2 baseline is obtained with list scheduling in
-// package rigid instead.
+// Steinberg's absolute-2 algorithm [17] is deliberately not implemented;
+// the factor-2 baseline is obtained with list scheduling in package rigid
+// instead.
 package strippack
 
 import (
@@ -197,24 +197,4 @@ func Validate(rects []Rect, pos []Pos, m int, height float64) error {
 		}
 	}
 	return nil
-}
-
-// Area returns the total area of the rectangles.
-func Area(rects []Rect) float64 {
-	var a float64
-	for _, r := range rects {
-		a += float64(r.Width) * r.Height
-	}
-	return a
-}
-
-// MaxHeight returns the tallest rectangle's height.
-func MaxHeight(rects []Rect) float64 {
-	var h float64
-	for _, r := range rects {
-		if r.Height > h {
-			h = r.Height
-		}
-	}
-	return h
 }

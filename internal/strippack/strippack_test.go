@@ -78,13 +78,33 @@ func TestPackersValidityRandom(t *testing.T) {
 	}
 }
 
+// areaOf returns the total area of the rectangles.
+func areaOf(rects []Rect) float64 {
+	var a float64
+	for _, r := range rects {
+		a += float64(r.Width) * r.Height
+	}
+	return a
+}
+
+// maxHeight returns the tallest rectangle's height.
+func maxHeight(rects []Rect) float64 {
+	var h float64
+	for _, r := range rects {
+		if r.Height > h {
+			h = r.Height
+		}
+	}
+	return h
+}
+
 // Classical bounds: NFDH ≤ 2·A/m + hmax and FFDH ≤ 1.7·A/m + hmax.
 func TestLevelPackerHeightBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(16)
 		rects := randRects(rng, 1+rng.Intn(50), m)
-		a, hm := Area(rects), MaxHeight(rects)
+		a, hm := areaOf(rects), maxHeight(rects)
 		if _, h, _ := NFDH(rects, m); h > 2*a/float64(m)+hm+1e-9 {
 			t.Logf("NFDH bound violated: h=%v A/m=%v hmax=%v", h, a/float64(m), hm)
 			return false
@@ -108,8 +128,8 @@ func TestRelativeQuality(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		m := 2 + rng.Intn(14)
 		rects := randRects(rng, 5+rng.Intn(40), m)
-		lb := MaxHeight(rects)
-		if a := Area(rects) / float64(m); a > lb {
+		lb := maxHeight(rects)
+		if a := areaOf(rects) / float64(m); a > lb {
 			lb = a
 		}
 		var ub float64

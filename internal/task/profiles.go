@@ -93,28 +93,6 @@ func Rigid(name string, work float64, req, m int) Task {
 	return Task{Name: name, times: Monotonize(times)}
 }
 
-// Staircase builds a profile whose time only improves at the given processor
-// counts (steps must be increasing and start at 1): between steps the time is
-// flat. times[i] is the execution time at steps[i]. Used to build adversarial
-// instances with large canonical areas. Repaired with Monotonize so callers
-// may pass any non-increasing step times.
-func Staircase(name string, steps []int, stepTimes []float64, m int) Task {
-	if len(steps) == 0 || len(steps) != len(stepTimes) || steps[0] != 1 {
-		panic("task: Staircase needs matching steps/times starting at processor 1")
-	}
-	times := make([]float64, m)
-	cur := stepTimes[0]
-	next := 1
-	for p := 1; p <= m; p++ {
-		if next < len(steps) && p >= steps[next] {
-			cur = stepTimes[next]
-			next++
-		}
-		times[p-1] = cur
-	}
-	return Task{Name: name, times: Monotonize(times)}
-}
-
 // NonMonotone builds a deliberately non-monotone profile exhibiting a
 // super-linear speedup dip at processor count dip (cache-effect anomaly,
 // per Graham's anomalies discussion in §2.1). It bypasses validation — the

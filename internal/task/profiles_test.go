@@ -109,20 +109,6 @@ func TestRigidProfile(t *testing.T) {
 	}
 }
 
-func TestStaircaseProfile(t *testing.T) {
-	tk := Staircase("st", []int{1, 3, 6}, []float64{9, 5, 2}, 8)
-	if !tk.IsMonotone() {
-		t.Fatalf("Staircase not monotone: %v", tk.Times())
-	}
-	if tk.Time(2) != 9 {
-		t.Fatalf("Staircase t(2) = %v, want flat 9", tk.Time(2))
-	}
-	// Step values can be lifted by the work-monotony repair, never lowered.
-	if tk.Time(3) < 5-1e-12 || tk.Time(6) < 2-1e-12 {
-		t.Fatalf("Staircase step values lowered: %v", tk.Times())
-	}
-}
-
 func TestNonMonotoneIsNonMonotone(t *testing.T) {
 	tk := NonMonotone("nm", 8, 3, 0.3, 6)
 	if tk.IsMonotone() {
@@ -143,7 +129,7 @@ func MustNewQuiet(times []float64) bool {
 }
 
 // Every profile constructor must produce a validating profile for random
-// parameters (CommOverhead/Rigid/Staircase via their built-in repair).
+// parameters (CommOverhead/Rigid via their built-in repair).
 func TestAllProfilesValidate(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -17,7 +17,7 @@ import (
 )
 
 // Eps is the relative tolerance used for every floating-point comparison of
-// times and areas throughout the module. See DESIGN.md §7.
+// times and areas throughout the module.
 const Eps = 1e-9
 
 // Leq reports whether x ≤ y up to the module-wide relative tolerance.

@@ -24,10 +24,11 @@ func TestAllocBudgetPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := g.Schedule()
+	r, err := g.Solve(precedence.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := r.Schedule
 	cert := Certified{Plan: plan, Makespan: plan.Makespan(in), LowerBound: g.LowerBound()}
 	for _, tc := range []struct {
 		name string

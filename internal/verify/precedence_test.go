@@ -101,10 +101,11 @@ func TestPrecedenceAcceptsHeuristicOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := g.Schedule()
+		r, err := g.Solve(precedence.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := r.Schedule
 		if err := Precedence(in, succ, s); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -160,10 +161,11 @@ func BenchmarkValidateDAGPlan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plan, err := g.Schedule()
+		r, err := g.Solve(precedence.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		plan := r.Schedule
 		ins[k], certs[k] = in, Certified{Plan: plan, Makespan: plan.Makespan(in), LowerBound: g.LowerBound()}
 	}
 	b.ReportAllocs()

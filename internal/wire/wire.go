@@ -363,20 +363,6 @@ func appendF64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// Kind sniffs a binary message's kind byte after validating the header.
-func Kind(data []byte) (byte, error) {
-	if len(data) < headerLen {
-		return 0, ErrTruncated
-	}
-	if data[0] != magic0 || data[1] != magic1 {
-		return 0, ErrBadMagic
-	}
-	if data[2] < VersionMin || data[2] > Version {
-		return 0, fmt.Errorf("%w: %d (this build speaks %d..%d)", ErrBadVersion, data[2], VersionMin, Version)
-	}
-	return data[3], nil
-}
-
 // AppendScheduleRequest encodes one /v1/schedule request: the instance
 // inline (name, m, per-task name and time table), the precedence graph,
 // and the options. A nil graph emits version 1 — byte-identical to the

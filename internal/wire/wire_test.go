@@ -114,20 +114,24 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKindSniffing: every decoder validates the 4-byte header typed —
+// magic, version range and kind — before it reads a body.
 func TestKindSniffing(t *testing.T) {
 	buf := AppendError(nil, &ErrorBody{Error: ErrorInfo{Code: CodeTimeout}})
-	k, err := Kind(buf)
-	if err != nil || k != KindError {
-		t.Fatalf("Kind = %d, %v", k, err)
+	if _, err := DecodeError(buf); err != nil {
+		t.Fatalf("valid error frame: %v", err)
 	}
-	if _, err := Kind([]byte{'X', 'Y', 1, 1}); !errors.Is(err, ErrBadMagic) {
+	if _, err := DecodeError([]byte{'X', 'Y', 1, KindError}); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if _, err := Kind([]byte{'M', 'S', 99, 1}); !errors.Is(err, ErrBadVersion) {
+	if _, err := DecodeError([]byte{'M', 'S', 99, KindError}); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
-	if _, err := Kind([]byte{'M'}); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeError([]byte{'M'}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated: %v", err)
+	}
+	if _, _, _, err := DecodeScheduleRequest(buf); !errors.Is(err, ErrBadKind) {
+		t.Fatalf("error frame decoded as a request: %v", err)
 	}
 }
 

@@ -96,13 +96,10 @@ func TestHostileGraphCountIsBounded(t *testing.T) {
 }
 
 // TestUnknownVersionRejected: version 3 does not exist yet; both the
-// decoder and the sniffer must refuse it typed.
+// decoder and the router's key walk must refuse it typed.
 func TestUnknownVersionRejected(t *testing.T) {
 	req := AppendScheduleRequest(nil, testInstance(t), nil, nil)
 	req[2] = 3
-	if _, err := Kind(req); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("Kind: %v", err)
-	}
 	if _, _, _, err := DecodeScheduleRequest(req); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("decode: %v", err)
 	}
