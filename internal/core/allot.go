@@ -33,5 +33,6 @@ func CanonicalAllotment(in *instance.Instance, lambda float64) Allotment {
 func (a Allotment) PrefixArea(in *instance.Instance) float64 {
 	c := instance.Compile(in)
 	var order []int
-	return prefixAreaFrom(c, a, sortByDecreasingTime(c, a, &order))
+	var keys []float64
+	return prefixAreaFrom(c, a, sortByDecreasingTime(c, a, &order, &keys))
 }

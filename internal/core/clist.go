@@ -29,7 +29,7 @@ func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *sche
 		if !a.OK {
 			return nil
 		}
-		d, _ := canonicalListFromAllotment(c, a, e.Val.sortedOrder(c, a), reallocate, sc)
+		d, _ := canonicalListFromAllotment(c, a, e.Val.sortedOrder(c, a, &sc.keys), reallocate, sc)
 		return d.schedule()
 	})
 }
@@ -43,7 +43,7 @@ func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *sche
 // always reported it). stop is polled between the passes; when it fires
 // the pair stays untagged and canonicalPair reports false.
 func (sc *Scratch) canonicalPair(c *instance.Compiled, e *segEntry, a Allotment, order []int, stop func() bool) bool {
-	if sc.clistOf == e && e.Val.listed {
+	if sc.clistOf == e && e.Val.clisted {
 		return true
 	}
 	sc.clistBuilds++
@@ -56,7 +56,7 @@ func (sc *Scratch) canonicalPair(c *instance.Compiled, e *segEntry, a Allotment,
 		}
 		sc.clist[0], _ = canonicalListFromAllotment(c, a, order, false, sc)
 	}
-	sc.clistOf, e.Val.listed = e, true // only now: the pair is whole
+	sc.clistOf, e.Val.clisted = e, true // only now: the pair is whole
 	return true
 }
 

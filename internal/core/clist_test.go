@@ -94,7 +94,7 @@ func TestUnfiredReallocationIsThePlainList(t *testing.T) {
 		if !a.OK {
 			return
 		}
-		order := e.Val.sortedOrder(c, a)
+		order := e.Val.sortedOrder(c, a, &sc.keys)
 		var got [2]*schedule.Schedule // [0] plain, [1] with the reallocation
 		didFire, squeezedTask := false, -1
 		for k, realloc := range []bool{false, true} {

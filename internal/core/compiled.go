@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"malsched/internal/instance"
 	"malsched/internal/task"
 )
@@ -15,21 +13,25 @@ type segEntry = instance.Segment[segTables]
 
 // segTables is core's payload: the by-decreasing-time order and prefix
 // area, filled lazily (rejected probes never need them), and whether the
-// list drafts tagged clistOf / mlistOf were built from the entry.
+// canonical pair tagged clistOf and the malleable list tagged mlistOf were
+// built from the entry — one flag per draft, since the probe deadline and
+// the relaxed one can land on the same entry.
 type segTables struct {
-	sorted bool // order and area are filled
-	order  []int
-	area   float64
-	listed bool
+	sorted  bool // order and area are filled
+	order   []int
+	area    float64
+	clisted bool
+	mlisted bool
 }
 
 // filled returns λ's entry in st, its payload reset when the index hands it
-// out fresh. A probe holds at most one live entry per segState: dualStep
-// the seg one, malleableList the mseg one.
+// out fresh. A lookup at the cap recycles every entry, so a caller holding
+// an entry across n lookups, its own included, calls st.Reserve(n) before
+// the first: dualStep holds the probe's entry across malleableList's.
 func filled(st *segState, c *instance.Compiled, lambda float64) *segEntry {
 	e, fresh := st.Lookup(c, 0, lambda)
 	if fresh {
-		e.Val.sorted, e.Val.listed = false, false
+		e.Val.sorted, e.Val.clisted, e.Val.mlisted = false, false, false
 	}
 	return e
 }
@@ -42,10 +44,11 @@ func allotmentOf(e *segEntry, lambda float64) Allotment {
 
 // sortedOrder returns the by-decreasing-time order of the entry's
 // allotment a and leaves its Definition-1 prefix area in t.area, computing
-// both on the allotment's first surviving probe only.
-func (t *segTables) sortedOrder(c *instance.Compiled, a Allotment) []int {
+// both on the allotment's first surviving probe only; keys is the sort's
+// scratch.
+func (t *segTables) sortedOrder(c *instance.Compiled, a Allotment, keys *[]float64) []int {
 	if !t.sorted {
-		t.order = sortByDecreasingTime(c, a, &t.order)
+		t.order = sortByDecreasingTime(c, a, &t.order, keys)
 		t.area = prefixAreaFrom(c, a, t.order)
 		t.sorted = true
 	}
@@ -53,15 +56,16 @@ func (t *segTables) sortedOrder(c *instance.Compiled, a Allotment) []int {
 }
 
 // sortByDecreasingTime fills *buf with the task indices sorted by
-// non-increasing canonical execution time t_i(γ_i) (stable).
-func sortByDecreasingTime(c *instance.Compiled, a Allotment, buf *[]int) []int {
+// non-increasing canonical execution time t_i(γ_i) (stable), staging the
+// times in *keys.
+func sortByDecreasingTime(c *instance.Compiled, a Allotment, buf *[]int, keys *[]float64) []int {
 	order := intsBuf(buf, len(a.Gamma))
-	for i := range order {
+	t := floatsBuf(keys, len(a.Gamma))
+	for i, g := range a.Gamma {
 		order[i] = i
+		t[i] = c.Time(i, g)
 	}
-	slices.SortStableFunc(order, func(x, y int) int {
-		return task.Descending(c.Time(x, a.Gamma[x]), c.Time(y, a.Gamma[y]))
-	})
+	task.SortDescending(order, t)
 	return order
 }
 

@@ -231,7 +231,8 @@ func TestObservedRangesMatchFreshLookups(t *testing.T) {
 		}
 		if got.OK {
 			a, wa := allotmentOf(got, lambda), allotmentOf(want, lambda)
-			order, worder := got.Val.sortedOrder(c, a), want.Val.sortedOrder(c, wa)
+			var keys []float64
+			order, worder := got.Val.sortedOrder(c, a, &keys), want.Val.sortedOrder(c, wa, &keys)
 			if !slices.Equal(a.Gamma, wa.Gamma) || !slices.Equal(order, worder) ||
 				math.Float64bits(got.Work) != math.Float64bits(want.Work) ||
 				math.Float64bits(got.Val.area) != math.Float64bits(want.Val.area) {

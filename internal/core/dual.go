@@ -113,7 +113,11 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 
 	// Canonical allotment and total canonical work, then (only for guesses
 	// surviving the Property-2 test) the by-decreasing-time order and the
-	// prefix area — all four live in the λ-segment cache.
+	// prefix area — all four live in the λ-segment cache. The probe holds
+	// its entry across malleableList's lookup, so it reserves room for both
+	// first: a lookup at the cap would clear the index and could hand the
+	// held entry out again under the relaxed deadline's allotment.
+	sc.seg.Reserve(2)
 	e := filled(&sc.seg, c, lambda)
 	a := allotmentOf(e, lambda)
 	if !a.OK {
@@ -122,7 +126,7 @@ func dualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch, inter
 	if !task.Leq(e.Work, float64(m)*lambda) {
 		return StepResult{Reject: RejectArea, Certified: true}
 	}
-	order := e.Val.sortedOrder(c, a)
+	order := e.Val.sortedOrder(c, a, &sc.keys)
 	w := e.Val.area
 
 	var best draft

@@ -16,6 +16,7 @@ import (
 // Like dualStep, an accepted winner is returned inside sc.
 func eagerDualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch) StepResult {
 	m := c.M()
+	sc.seg.Reserve(2) // e is held across malleableList's lookup
 	e := filled(&sc.seg, c, lambda)
 	a := allotmentOf(e, lambda)
 	if !a.OK {
@@ -24,7 +25,7 @@ func eagerDualStep(c *instance.Compiled, lambda float64, p Params, sc *Scratch) 
 	if !task.Leq(e.Work, float64(m)*lambda) {
 		return StepResult{Reject: RejectArea, Certified: true}
 	}
-	order := e.Val.sortedOrder(c, a)
+	order := e.Val.sortedOrder(c, a, &sc.keys)
 	w := e.Val.area
 	knapsackBranch := !task.Leq(w, p.theta()*float64(m)*lambda) && m > p.SmallM
 

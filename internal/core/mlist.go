@@ -25,19 +25,20 @@ func MalleableList(in *instance.Instance, lambda float64) *schedule.Schedule {
 }
 
 // malleableList is MalleableList as a draft in scratch memory: the
-// relaxed-deadline allotment comes from the mseg segment cache, and the
-// list it determines from sc.mlist when that entry built it — only
-// Theorem 1's check reads the deadline itself.
+// relaxed-deadline allotment comes from the segment cache the probe
+// deadline's does (one lookup, which a caller holding an entry must have
+// reserved), and the list it determines from sc.mlist when that entry
+// built it — only Theorem 1's check reads the deadline itself.
 func malleableList(c *instance.Compiled, lambda float64, sc *Scratch) draft {
 	deadline := RhoList(c.M()) * lambda
 
-	e := filled(&sc.mseg, c, deadline)
+	e := filled(&sc.seg, c, deadline)
 	if !e.OK {
 		return draft{} // not even the relaxed deadline is reachable
 	}
-	if sc.mlistOf != e || !e.Val.listed {
+	if sc.mlistOf != e || !e.Val.mlisted {
 		sc.mlist = buildMalleableList(c, e.Gamma, sc)
-		sc.mlistOf, e.Val.listed = e, true
+		sc.mlistOf, e.Val.mlisted = e, true
 	}
 	// Defensive check of Theorem 1's promise; callers treat an unbuilt
 	// draft as "reject".

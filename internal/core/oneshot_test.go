@@ -16,5 +16,6 @@ func dualStepOnce(in *instance.Instance, lambda float64, p Params) StepResult {
 // canonical execution time t_i(γ_i) (stable).
 func byDecreasingTime(a Allotment, in *instance.Instance) []int {
 	var order []int
-	return sortByDecreasingTime(instance.Compile(in), a, &order)
+	var keys []float64
+	return sortByDecreasingTime(instance.Compile(in), a, &order, &keys)
 }

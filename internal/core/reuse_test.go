@@ -42,7 +42,7 @@ func (o reuseOracle) lists(ctx string, c *instance.Compiled, lambda float64) {
 		if !a.OK {
 			return [2]draft{}
 		}
-		if !sc.canonicalPair(c, e, a, e.Val.sortedOrder(c, a), func() bool { return false }) {
+		if !sc.canonicalPair(c, e, a, e.Val.sortedOrder(c, a, &sc.keys), func() bool { return false }) {
 			o.t.Fatalf("%s λ=%v: canonicalPair stopped by a stop that never fires", ctx, lambda)
 		}
 		return sc.clist
@@ -86,6 +86,17 @@ func acceptedGuesses(t *testing.T, in *instance.Instance, c *instance.Compiled) 
 	return accepted, all
 }
 
+// sequentialGuess returns a deadline at which every task of in runs on one
+// processor, and so at its relaxed deadline too: their canonical
+// allotments are one entry.
+func sequentialGuess(in *instance.Instance) float64 {
+	var l float64
+	for _, tk := range in.Tasks {
+		l = max(l, tk.SeqTime())
+	}
+	return 2 * l
+}
+
 // firedGuess returns a 24×16 instance and an accepted guess whose
 // reallocation pass fires, so its canonical pair takes two passes.
 func firedGuess(t *testing.T) (*instance.Instance, *instance.Compiled, float64) {
@@ -101,7 +112,7 @@ func firedGuess(t *testing.T) (*instance.Instance, *instance.Compiled, float64) 
 			}
 			e := filled(&sc.seg, c, lb*f)
 			a := allotmentOf(e, lb*f)
-			if _, fired := canonicalListFromAllotment(c, a, e.Val.sortedOrder(c, a), true, sc); fired {
+			if _, fired := canonicalListFromAllotment(c, a, e.Val.sortedOrder(c, a, &sc.keys), true, sc); fired {
 				return in, c, lb * f
 			}
 		}
@@ -205,26 +216,33 @@ func TestListDraftReuseInvisible(t *testing.T) {
 		}
 	})
 
+	// Both lists look their allotments up in one index, and recycling is
+	// last in, first out: a probe whose two deadlines land on two entries
+	// hands them back swapped (the relaxed one is freed last), so neither
+	// list lookup meets the entry its own tag names. A deadline whose
+	// relaxed deadline lands on the same allotment — every task sequential —
+	// tags one entry twice, and the next such probe, of another instance,
+	// then reaches both: its canonical lookup recycles the entry, and its
+	// malleable lookup hits it again, trusting only what the recycling reset.
 	t.Run("DropCompiled hands the tagged entries to another allotment", func(t *testing.T) {
-		// One probe on private tables leaves one entry per cache, tagged;
-		// dropping them puts exactly those on top of the free lists, so the
-		// next new allotment — of another instance — gets the tagged
-		// pointers back.
+		// One probe on private tables leaves one entry, tagged by both
+		// lists; dropping the tables puts it on top of the free list, so
+		// the next new allotment — of another instance — gets it back.
 		other := instance.Mixed(10, n, m)
 		oc := instance.Compile(other)
 		for round := 0; round < 3; round++ {
 			priv := instance.Compile(in)
-			o.probe("before drop", in, priv, lamA)
-			tagged, mtagged := o.sc.clistOf, o.sc.mlistOf
-			if tagged == nil || mtagged == nil {
-				t.Fatal("an accepted probe left no tag")
+			o.probe("before drop", in, priv, sequentialGuess(in))
+			tagged := o.sc.clistOf
+			if tagged == nil || o.sc.mlistOf != tagged {
+				t.Fatalf("tags %p %p: the probe did not tag one entry twice", tagged, o.sc.mlistOf)
 			}
 			o.sc.DropCompiled(oc)
 			o.sc.DropCompiled(priv)
-			l := lowerbound.Trivial(other) * (1.3 + 0.2*float64(round))
+			l := sequentialGuess(other) * (1 + 0.5*float64(round))
 			o.probe("after drop", other, oc, l)
-			if o.sc.clistOf != tagged || o.sc.mlistOf != mtagged {
-				t.Fatalf("round %d: the recycled entries were not the tagged ones (%p %p vs %p %p); the test no longer reaches the hazard", round, o.sc.clistOf, o.sc.mlistOf, tagged, mtagged)
+			if o.sc.clistOf != tagged || o.sc.mlistOf != tagged {
+				t.Fatalf("round %d: the recycled entries were not the tagged one (%p %p vs %p); the test no longer reaches the hazard", round, o.sc.clistOf, o.sc.mlistOf, tagged)
 			}
 			o.lists("after drop", oc, l)
 			o.probe("back", in, c, lamA)
@@ -234,35 +252,72 @@ func TestListDraftReuseInvisible(t *testing.T) {
 	t.Run("the wholesale clear hands the tagged entries to another allotment", func(t *testing.T) {
 		// A breakpoint-dense instance: more distinct allotments below the
 		// tagged guess than the cap holds, all of one instance, so the clear
-		// frees them in deadline order and the tagged entries — the largest
-		// deadlines — are the first handed out again.
+		// frees them in deadline order and the tagged entry — the largest
+		// deadline — is the first handed out again.
 		dense := instance.PowerLawFamily(3, 40, 64, 0.83)
 		dc := instance.Compile(dense)
 		axis := dc.GlobalBreakpoints()
-		big, next := axis[len(axis)-1], lowerbound.Trivial(dense)*1.6
+		big := axis[len(axis)-1] // every task sequential, at ρ·big too
 		feasible := firstFeasible(dc, axis)
-		// One entry short of the cap, so the tagged guess fills it.
-		for _, st := range []*segState{&o.sc.seg, &o.sc.mseg} {
-			st.Drop(nil)
-			for k := feasible; axis[k] < big && st.Stats().Entries < instance.SegmentCap-1; k++ {
-				filled(st, dc, axis[k])
-			}
-			if n := st.Stats().Entries; n < instance.SegmentCap-1 {
-				t.Fatalf("only %d distinct allotments below the tagged guess; the cap is out of reach", n)
-			}
+		// Two entries short of the cap, so the tagged guess's reservation
+		// fits and the next probe's does not.
+		st := &o.sc.seg
+		st.Drop(nil)
+		for k := feasible; axis[k] < big && st.Stats().Entries < instance.SegmentCap-2; k++ {
+			filled(st, dc, axis[k])
+		}
+		if n := st.Stats().Entries; n < instance.SegmentCap-2 {
+			t.Fatalf("only %d distinct allotments below the tagged guess; the cap is out of reach", n)
 		}
 		o.probe("at the cap", dense, dc, big)
-		tagged, mtagged := o.sc.clistOf, o.sc.mlistOf
-		seg, mseg := o.sc.seg.Stats().Entries, o.sc.mseg.Stats().Entries
-		if seg != instance.SegmentCap || mseg != instance.SegmentCap || tagged == nil || mtagged == nil {
-			t.Fatalf("caches hold %d and %d entries, tags %p %p: the next new allotment would not clear", seg, mseg, tagged, mtagged)
+		tagged := o.sc.clistOf
+		if n := st.Stats().Entries; n != instance.SegmentCap-1 || tagged == nil || o.sc.mlistOf != tagged {
+			t.Fatalf("the index holds %d entries, tags %p %p: the next probe would not clear, or one entry is not tagged twice", n, tagged, o.sc.mlistOf)
 		}
-		o.probe("after the clear", dense, dc, next)
-		if o.sc.clistOf != tagged || o.sc.mlistOf != mtagged || o.sc.seg.Stats().Entries != 1 {
-			t.Fatal("the recycled entries were not the tagged ones; the test no longer reaches the hazard")
+		other := instance.Mixed(10, n, m)
+		oc := instance.Compile(other)
+		next := sequentialGuess(other)
+		o.probe("after the clear", other, oc, next)
+		if o.sc.clistOf != tagged || o.sc.mlistOf != tagged || st.Stats().Entries != 1 {
+			t.Fatal("the recycled entry was not the tagged one; the test no longer reaches the hazard")
 		}
-		o.lists("after the clear", dc, next)
+		o.lists("after the clear", oc, next)
 		o.probe("back at the tagged guess", dense, dc, big)
+	})
+
+	t.Run("a probe at the cap edge", func(t *testing.T) {
+		// One entry short of the cap, all below a guess whose deadline and
+		// relaxed deadline are both new allotments: the probe's own entry
+		// fills the cap and is the index's last, so were the relaxed lookup
+		// to clear the index, it would recycle the entry the probe still
+		// holds. The probe reserves room for both lookups before the first.
+		dense := instance.PowerLawFamily(3, 40, 64, 0.83)
+		dc := instance.Compile(dense)
+		axis := dc.GlobalBreakpoints()
+		lambda := axis[len(axis)-1] * 0.3
+		st := &o.sc.seg
+		st.Drop(nil)
+		for k := firstFeasible(dc, axis); axis[k] < lambda && st.Stats().Entries < instance.SegmentCap-1; k++ {
+			filled(st, dc, axis[k])
+		}
+		if n := st.Stats().Entries; n != instance.SegmentCap-1 {
+			t.Fatalf("only %d distinct allotments below the guess; the cap is out of reach", n)
+		}
+		var fresh segState
+		if e, r := filled(&fresh, dc, lambda), filled(&fresh, dc, RhoList(dc.M())*lambda); e == r {
+			t.Fatal("the guess and its relaxed deadline share an allotment")
+		}
+		o.probe("at the cap edge", dense, dc, lambda)
+		want := NewScratch()
+		dualStep(dc, lambda, o.p, want, nil)
+		for k := range want.clist {
+			if !sameDraft(o.sc.clist[k], want.clist[k]) {
+				t.Fatalf("canonical draft %d at the cap edge %+v, fresh scratch %+v", k, o.sc.clist[k], want.clist[k])
+			}
+		}
+		if !sameDraft(o.sc.mlist, want.mlist) {
+			t.Fatalf("malleable draft at the cap edge %+v, fresh scratch %+v", o.sc.mlist, want.mlist)
+		}
 	})
 
 	t.Run("an interrupt between the canonical passes", func(t *testing.T) {
@@ -275,7 +330,7 @@ func TestListDraftReuseInvisible(t *testing.T) {
 		}
 		a := allotmentOf(e, fired)
 		polls := 0
-		if o.sc.canonicalPair(c, e, a, e.Val.sortedOrder(c, a), func() bool { polls++; return true }) || polls != 1 {
+		if o.sc.canonicalPair(c, e, a, e.Val.sortedOrder(c, a, &o.sc.keys), func() bool { polls++; return true }) || polls != 1 {
 			t.Fatalf("canonicalPair polled %d times and was not stopped between its passes", polls)
 		}
 		if o.sc.clistOf != nil {

@@ -17,10 +17,13 @@ import (
 // tables). A Scratch carries them across probes — and across instances —
 // so the hot path stops re-allocating them.
 //
-// The Scratch additionally carries two λ-range indexes (instance.Segments;
-// seg for the probe deadline, mseg for §3.1's relaxed deadline), so a probe
-// whose deadline yields a previously seen allotment reuses its total work,
-// by-decreasing-time order and prefix area wholesale.
+// The Scratch additionally carries a λ-range index (instance.Segments,
+// seg), so a probe whose deadline yields a previously seen allotment reuses
+// its total work, by-decreasing-time order and prefix area wholesale. Both
+// deadlines a probe reads γ at — λ for §3.2's canonical list and
+// (2−2/(m+1))·λ for §3.1's malleable list — share it: γ is one monotone
+// function of the deadline, so a relaxed deadline lands between entries
+// that probes put there, and only the tasks they disagree on are staged.
 //
 // The constructions also build their schedules here: each writes its
 // placements into a Scratch-owned buffer (every construction places each
@@ -56,8 +59,8 @@ type Scratch struct {
 	inMoved   []bool               // two-shelf: membership of moved, by task id
 	mlist     draft                // malleable-list draft of mlistOf's allotment, before the deadline check
 	clist     [2]draft             // canonical-list drafts of clistOf's allotment: [0] plain (unbuilt unless [1] fired), [1] with the reallocation
-	mlistOf   *segEntry            // the mseg entry that built mlist, clistOf the seg entry that built the
-	clistOf   *segEntry            // clist pair; each trusted only while the entry's listed flag stands
+	mlistOf   *segEntry            // the seg entry that built mlist, trusted only while its mlisted flag stands
+	clistOf   *segEntry            // the seg entry that built the clist pair, trusted only while its clisted flag stands
 	shelf     []schedule.Placement // two-shelf / trivial-solution draft
 	won       schedule.Schedule    // the last accepted probe's winner, aliasing that draft's buffer
 	best      schedule.Schedule    // incumbent of a default sequential search, copied from won
@@ -65,9 +68,9 @@ type Scratch struct {
 	win       rigid.Windower       // canonical-list window search buffer
 	part      Partition
 	ks        knapsack.Solver
-	seg       segState // λ-segment cache of the probe deadline
-	mseg      segState // λ-segment cache of §3.1's relaxed deadline
-	aux       AuxCache // opaque per-worker cache of other solver families
+	keys      []float64 // by-decreasing-time sort keys, by task id
+	seg       segState  // λ-segment cache of both deadlines
+	aux       AuxCache  // opaque per-worker cache of other solver families
 
 	clistBuilds, mlistBuilds int // canonical pairs and malleable lists built; tests count reuse with them
 }

@@ -137,7 +137,7 @@ func TestRecycledSegmentEntriesStartClean(t *testing.T) {
 	if clears < 2 {
 		t.Fatalf("only %d wholesale clears in %d solves; the test no longer reaches the recycling path", clears, solves)
 	}
-	if sc.seg.Stats().FreeEntries == 0 && sc.mseg.Stats().FreeEntries == 0 {
+	if sc.seg.Stats().FreeEntries == 0 {
 		t.Fatal("nothing was recycled")
 	}
 }
@@ -169,7 +169,7 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 			if !a1.OK {
 				continue
 			}
-			order := e.Val.sortedOrder(c, a2)
+			order := e.Val.sortedOrder(c, a2, &sc.keys)
 			if !reflect.DeepEqual(byDecreasingTime(a1, in), order) {
 				t.Fatalf("by-decreasing-time order differs at λ=%v", lambda)
 			}
@@ -212,9 +212,8 @@ func TestScratchVariantsMatchExported(t *testing.T) {
 func TestPrivateTablesLeaveScratch(t *testing.T) {
 	empty := func(ctx string, sc *Scratch) {
 		t.Helper()
-		if seg, mseg := sc.seg.Stats(), sc.mseg.Stats(); seg.Entries != 0 || seg.Lists != 0 || mseg.Entries != 0 || mseg.Lists != 0 {
-			t.Fatalf("%s: scratch retains segment entries of private tables (seg %d in %d tables, mseg %d in %d)",
-				ctx, seg.Entries, seg.Lists, mseg.Entries, mseg.Lists)
+		if seg := sc.seg.Stats(); seg.Entries != 0 || seg.Lists != 0 {
+			t.Fatalf("%s: scratch retains segment entries of private tables (%d in %d tables)", ctx, seg.Entries, seg.Lists)
 		}
 	}
 	p := DefaultParams()

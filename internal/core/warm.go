@@ -60,12 +60,11 @@ func (s *search) synthesize(lambda float64, sc *Scratch) (StepResult, bool) {
 }
 
 // DropCompiled evicts every entry derived from c from the Scratch's λ-range
-// indexes and its aux cache: a lineage moving to its next residual retires
+// index and its aux cache: a lineage moving to its next residual retires
 // the old tables here rather than in the wholesale clear at the cap, which
 // would evict live entries too.
 func (sc *Scratch) DropCompiled(c *instance.Compiled) {
 	sc.seg.Drop(c)
-	sc.mseg.Drop(c)
 	if sc.aux != nil {
 		sc.aux.DropCompiled(c)
 	}

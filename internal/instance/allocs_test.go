@@ -8,8 +8,8 @@ package instance
 import "testing"
 
 // Compile allocates the Compiled, one int slab (off | seqOrder) and one
-// float slab (times | works), whatever the instance; the breakpoint axis
-// is not its to build.
+// float slab (times | works) — and, above 64 tasks, the sequential order's
+// sort keys; the breakpoint axis is not its to build.
 func TestCompileAllocBudget(t *testing.T) {
 	in := Mixed(9, 24, 16) // the benchmark's serve-cold shape
 	const budget = 3

@@ -120,20 +120,28 @@ func (c *Compiled) fillRow(i int, t task.Task) {
 }
 
 // seal derives what the filled time rows determine: the largest time and
-// the sequential order.
+// the sequential order. The sort keys live on the stack up to sealKeys
+// tasks, so Compile's three allocations stay three there.
 func (c *Compiled) seal() {
 	for _, t := range c.times {
 		if t > c.maxTime {
 			c.maxTime = t
 		}
 	}
+	var stack [sealKeys]float64
+	keys := stack[:0]
+	if n := len(c.seqOrder); n > sealKeys {
+		keys = make([]float64, 0, n)
+	}
 	for i := range c.seqOrder {
 		c.seqOrder[i] = i
+		keys = append(keys, c.seqTimeOrZero(i))
 	}
-	slices.SortStableFunc(c.seqOrder, func(a, b int) int {
-		return task.Descending(c.seqTimeOrZero(a), c.seqTimeOrZero(b))
-	})
+	task.SortDescending(c.seqOrder, keys)
 }
+
+// sealKeys is how many sequential times seal sorts on its stack.
+const sealKeys = 64
 
 // globalAxis returns the merged breakpoint axis — the sorted, deduplicated
 // union of every entry's threshold — building it on first use. A run of

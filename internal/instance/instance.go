@@ -55,7 +55,9 @@ func NewOwned(name string, m int, tasks []task.Task) (*Instance, error) {
 		return nil, err
 	}
 	for i, tk := range tasks {
-		tasks[i] = tk.TruncateOwned(m)
+		if tk.MaxProcs() > m {
+			tasks[i] = tk.TruncateOwned(m)
+		}
 	}
 	return &Instance{Name: name, M: m, Tasks: tasks}, nil
 }

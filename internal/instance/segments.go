@@ -29,11 +29,13 @@ const SegmentCap = 512
 // verdict entry; the pair only records that it met one.
 //
 // Evicted entries (Gamma and payload kept) and emptied lists are recycled:
-// sound because a caller holds at most one live entry per Segments between
-// two lookups, and both recycle points — Drop, the clear at the cap — run
-// before an entry is handed out. Lookup reports such an entry fresh, and
-// the caller must then (re)fill V; it is the same pointer under another
-// allotment, so whatever a caller tagged with it dies through V there.
+// an entry a caller holds stays its own as long as no Drop and no clear at
+// the cap runs, so a caller holding an entry across n lookups, its own
+// included, calls Reserve(n) before the first and no Drop until it lets
+// go. Both recycle points run before an entry is handed out. Lookup
+// reports such an entry fresh, and the caller must then (re)fill V; it is
+// the same pointer under another allotment, so whatever a caller tagged
+// with it dies through V there.
 //
 // Not safe for concurrent use; the zero value is ready to use.
 type Segments[V any] struct {
@@ -153,6 +155,16 @@ func (s *Segments[V]) Lookup(c *Compiled, tag uint64, lambda float64) (e *Segmen
 	s.lists[key] = l
 	s.total++
 	return e, true
+}
+
+// Reserve makes room for n new entries or verdicts, clearing the index
+// wholesale now when they would not fit: the next n lookups then never
+// reach the clear at the cap, so every entry they or the caller hold stays
+// in the index.
+func (s *Segments[V]) Reserve(n int) {
+	if s.total+s.verdicts+n > SegmentCap {
+		s.Drop(nil)
+	}
 }
 
 // Drop evicts the entries of c under every tag — of every instance when c

@@ -157,11 +157,15 @@ type Windower struct {
 // pass per block) and the head's from the next block's left end (kept
 // while the window's right edge advances). The windows are scanned left to
 // right with the tie rule, exactly as over any other sequence of the same
-// maxima.
+// maxima. Width 1 — nearly every search the canonical list makes past its
+// first level — has the frontiers themselves for maxima and takes one scan.
 func (wd *Windower) Best(front []float64, w int) (x int, start float64) {
 	m := len(front)
 	if w < 1 || w > m {
 		return -1, 0
+	}
+	if w == 1 {
+		return earliest(front)
 	}
 	if cap(wd.suf) < m {
 		wd.suf = make([]float64, m)
@@ -202,6 +206,21 @@ func (wd *Windower) Best(front []float64, w int) (x int, start float64) {
 		// v == bestV && bestV == 0: keep leftmost.
 	}
 	return bestX, bestV
+}
+
+// earliest is Best at width 1: the earliest frontier under the same tie
+// rule (leftmost among zeros, rightmost among later ones).
+func earliest(front []float64) (x int, start float64) {
+	x, start = 0, front[0]
+	for i := 1; i < len(front); i++ {
+		switch v := front[i]; {
+		case v < start:
+			x, start = i, v
+		case v == start && start > 0:
+			x = i
+		}
+	}
+	return x, start
 }
 
 // LPT schedules sequential jobs (durations) onto m processors with the

@@ -6,7 +6,6 @@
 package schedule
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -159,9 +158,10 @@ type validateScratch struct {
 	// last[j] is 1 + the index of the last placement that used processor j,
 	// so a repeat within one placement shows without a per-placement set.
 	last  []int
-	procs []int  // sorted copy of one ProcSet, for the contiguity check
-	order []int  // placement indices, stably sorted by start
-	tail  []slot // per processor: the interval the sweep placed on it last
+	procs []int     // sorted copy of one ProcSet, for the contiguity check
+	order []int     // placement indices, stably sorted by start
+	keys  []float64 // per placement: −start, the sort's key
+	tail  []slot    // per processor: the interval the sweep placed on it last
 }
 
 var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
@@ -240,14 +240,14 @@ func Validate(in *instance.Instance, s *Schedule, requireContiguous bool) error 
 	// on each of its processors — the neighbours a sort by (processor,
 	// start) would line up — and must not overlap it. List schedulers emit
 	// their placements in start order already, which the stable sort of n
-	// indices passes through in linear time.
-	sc.order = sc.order[:0]
+	// indices passes through in linear time. The starts are finite (checked
+	// above), so sorting −start non-increasing is sorting start ascending.
+	sc.order, sc.keys = sc.order[:0], sc.keys[:0]
 	for idx := range s.Placements {
 		sc.order = append(sc.order, idx)
+		sc.keys = append(sc.keys, -s.Placements[idx].Start)
 	}
-	slices.SortStableFunc(sc.order, func(a, b int) int {
-		return cmp.Compare(s.Placements[a].Start, s.Placements[b].Start)
-	})
+	task.SortDescending(sc.order, sc.keys)
 	sc.tail = zeroed(sc.tail, in.M)
 	for _, idx := range sc.order {
 		p := &s.Placements[idx]

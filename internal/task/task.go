@@ -28,20 +28,6 @@ func Leq(x, y float64) bool {
 // Geq reports whether x ≥ y up to the module-wide relative tolerance.
 func Geq(x, y float64) bool { return Leq(y, x) }
 
-// Descending is the slices.SortStableFunc comparator of a non-increasing
-// order of times: negative when x > y, positive when x < y, zero otherwise.
-// Exact compares, no tolerance; a NaN ties with everything, as under the
-// less-function x > y.
-func Descending(x, y float64) int {
-	switch {
-	case x > y:
-		return -1
-	case x < y:
-		return 1
-	}
-	return 0
-}
-
 // Task is an immutable malleable task. The zero value is invalid; use New
 // or one of the profile constructors in profiles.go.
 type Task struct {
@@ -85,11 +71,42 @@ func NewOwned(name string, times []float64) (Task, error) {
 
 // checkTimes validates a time table in place: non-empty, positive and
 // finite, time non-increasing and work non-decreasing (the monotone
-// hypothesis). New and Check share it.
+// hypothesis). New and Check share it. monotoneTimes decides in one loop;
+// only a table it refuses is walked again, by timesError, which words the
+// rejection.
 func checkTimes(name string, times []float64) error {
 	if len(times) == 0 {
 		return fmt.Errorf("%w (task %q)", ErrEmpty, name)
 	}
+	if monotoneTimes(times) {
+		return nil
+	}
+	return timesError(name, times)
+}
+
+// monotoneTimes is the verdict of timesError's two loops on a non-empty
+// table, in one: every time positive and finite (once t > 0 has excluded
+// NaN, t > MaxFloat64 is +Inf), every step's time and work compared
+// exactly as there.
+func monotoneTimes(times []float64) bool {
+	prev := times[0]
+	if !(prev > 0) || prev > math.MaxFloat64 {
+		return false
+	}
+	for p := 1; p < len(times); p++ {
+		t := times[p]
+		if !(t > 0) || t > math.MaxFloat64 || t > prev*(1+Eps) ||
+			float64(p+1)*t < float64(p)*prev*(1-Eps) {
+			return false
+		}
+		prev = t
+	}
+	return true
+}
+
+// timesError is the error of a non-empty table — nil when it is valid:
+// every time's positivity first, then each step's monotony.
+func timesError(name string, times []float64) error {
 	for p, t := range times {
 		if !(t > 0) || math.IsInf(t, 0) {
 			return fmt.Errorf("%w: t(%d)=%v (task %q)", ErrNonPositive, p+1, t, name)

@@ -640,9 +640,12 @@ func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOp
 		lo := len(slab)
 		slab = slab[:lo+nTimes]
 		times := slab[lo:len(slab):len(slab)]
+		// count(8) proved the row is there: read it behind that one check.
+		row := r.b[r.off : r.off+8*nTimes]
 		for p := range times {
-			times[p] = r.f64()
+			times[p] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*p:]))
 		}
+		r.off += len(row)
 		t, err := task.NewOwned(tName, times)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("instance: task %d: %w", i, err)
