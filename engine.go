@@ -1,33 +1,13 @@
 package malsched
 
-import (
-	"time"
+import "malsched/internal/engine"
 
-	"malsched/internal/engine"
-	"malsched/internal/instance"
-)
-
-// EngineOptions tunes an Engine. The zero value uses GOMAXPROCS workers, a
-// memo of engine.DefaultMemoCapacity entries, no per-instance timeout and
-// the paper's scheduling configuration.
-type EngineOptions struct {
-	// Workers bounds the number of instances scheduled concurrently;
-	// ≤ 0 means runtime.GOMAXPROCS(0).
-	Workers int
-	// MemoCapacity sizes the LRU memo of solved instances, keyed by a
-	// name-independent fingerprint of the workload (machine size, every
-	// profile) plus the scheduling options: repeated workloads — identical
-	// profiles under any names — are answered from the memo. 0 means the
-	// default capacity, negative disables memoisation.
-	MemoCapacity int
-	// Timeout bounds the wall-clock time spent on any one instance;
-	// 0 means no limit. A timed-out instance fails alone with an error
-	// wrapping engine.ErrTimeout; the rest of its batch is unaffected.
-	Timeout time.Duration
-	// Schedule is the scheduling configuration applied to every instance
-	// (same semantics as the Options passed to Schedule).
-	Schedule Options
-}
+// EngineOptions tunes an Engine: Workers, MemoCapacity, Timeout and the
+// Schedule options applied to every instance. It is the engine's own
+// configuration type, documented field by field there; the zero value uses
+// GOMAXPROCS workers, a memo of engine.DefaultMemoCapacity entries, no
+// per-instance timeout and the paper's scheduling configuration.
+type EngineOptions = engine.Config
 
 // EngineStats is a snapshot of an Engine's counters.
 type EngineStats = engine.Stats
@@ -62,23 +42,12 @@ type Engine struct {
 // NewEngine builds an Engine; see EngineOptions for the zero-value
 // defaults.
 func NewEngine(opts EngineOptions) *Engine {
-	return &Engine{e: engine.New(engine.Config{
-		Workers:      opts.Workers,
-		MemoCapacity: opts.MemoCapacity,
-		Timeout:      opts.Timeout,
-		Options:      engineOptions(opts.Schedule),
-	})}
+	return &Engine{e: engine.New(opts)}
 }
 
 // Schedule runs one instance through the engine — memo and pooled scratch
 // included — and returns its result.
-func (e *Engine) Schedule(in *Instance) (Result, error) {
-	sol, err := e.e.Schedule(in)
-	if err != nil {
-		return Result{}, err
-	}
-	return resultOf(sol), nil
-}
+func (e *Engine) Schedule(in *Instance) (Result, error) { return e.e.Schedule(in) }
 
 // ScheduleBatch schedules every instance on the worker pool and returns one
 // BatchResult per instance, in input order. Failures (errors, timeouts,
@@ -114,24 +83,6 @@ func (e *Engine) ScheduleStream(jobs <-chan *Instance) <-chan BatchResult {
 // failures by class, memo hits/misses/occupancy).
 func (e *Engine) Stats() EngineStats { return e.e.Stats() }
 
-func resultOf(sol engine.Solution) Result {
-	return Result{
-		Plan:       sol.Plan,
-		Makespan:   sol.Makespan,
-		LowerBound: sol.LowerBound,
-		Branch:     sol.Branch,
-		Solver:     sol.Solver,
-		Probes:     sol.Probes,
-	}
-}
-
 func batchResultOf(o engine.Outcome) BatchResult {
-	br := BatchResult{Index: o.Index, Instance: o.In, Err: o.Err, FromMemo: o.FromMemo}
-	if o.Err == nil {
-		br.Result = resultOf(o.Solution)
-	}
-	return br
+	return BatchResult{Index: o.Index, Instance: o.In, Result: o.Solution, Err: o.Err, FromMemo: o.FromMemo}
 }
-
-// compile-time check that the facade and engine agree on the instance type.
-var _ *instance.Instance = (*Instance)(nil)

@@ -237,3 +237,100 @@ func TestDocReferencesExist(t *testing.T) {
 		check(filepath.ToSlash(p), string(b))
 	}
 }
+
+// fuzzStep matches a CI fuzz-smoke step: the target and the package
+// directory it runs in.
+var fuzzStep = regexp.MustCompile(`-fuzz=(\S+) -fuzztime=10s (\S+)`)
+
+// TestFuzzTargetsSmokedInCI fails when a fuzz target of the module has no
+// CI smoke step, more than one, or when a step names a target its directory
+// does not declare: go test -fuzz with a missing target warns and exits 0,
+// so a renamed or deleted target would leave a green step that fuzzes
+// nothing.
+func TestFuzzTargetsSmokedInCI(t *testing.T) {
+	targets := map[string]bool{} // "dir FuzzX", dir as the step writes it
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := "."
+		if d := path.Dir(filepath.ToSlash(p)); d != "." {
+			dir = "./" + d + "/"
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") && takesTestingF(fn) {
+				targets[dir+" "+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) == 0 {
+		t.Fatal("found no fuzz targets")
+	}
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[string]int{}
+	for _, line := range strings.Split(string(ci), "\n") {
+		if !strings.Contains(line, "-fuzz=") {
+			continue
+		}
+		m := fuzzStep.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("ci.yml fuzz step not of the form -fuzz=FuzzX -fuzztime=10s ./dir/: %s", strings.TrimSpace(line))
+			continue
+		}
+		key := m[2] + " " + m[1]
+		steps[key]++
+		if !targets[key] {
+			t.Errorf("ci.yml fuzzes %s in %s, which declares no such target", m[1], m[2])
+		}
+	}
+	keys := make([]string, 0, len(targets))
+	for k := range targets {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if n := steps[k]; n != 1 {
+			t.Errorf("fuzz target %s has %d ci.yml smoke steps, want 1", k, n)
+		}
+	}
+}
+
+// takesTestingF reports whether fn's only parameter is a *testing.F.
+func takesTestingF(fn *ast.FuncDecl) bool {
+	ps := fn.Type.Params.List
+	if len(ps) != 1 || len(ps[0].Names) > 1 {
+		return false
+	}
+	star, ok := ps[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := star.X.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "testing" && sel.Sel.Name == "F"
+}

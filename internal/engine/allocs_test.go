@@ -42,7 +42,7 @@ func TestAllocBudgetDAGMemo(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"Solution.clone (memo put)", cloneBudget, func() { _ = out.Solution.clone() }},
+		{"clone (memo put)", cloneBudget, func() { _ = clone(out.Solution) }},
 		{"ScheduleWith memo hit", hitBudget, func() {
 			if hit := e.ScheduleWith(in, o, 0); hit.Err != nil || !hit.FromMemo {
 				t.Fatalf("not a memo hit: %v", hit.Err)

@@ -17,23 +17,30 @@ import (
 // DefaultMemoCapacity is the memo size used when Config.MemoCapacity is 0.
 const DefaultMemoCapacity = 1024
 
-// Config tunes an Engine. The zero value is usable: GOMAXPROCS workers,
-// a DefaultMemoCapacity memo, no timeout, the paper's scheduling options.
+// Config tunes an Engine; the facade re-exports it as
+// malsched.EngineOptions. The zero value is usable: GOMAXPROCS workers, a
+// DefaultMemoCapacity memo, no timeout, the paper's scheduling options.
 type Config struct {
 	// Workers bounds the number of instances scheduled concurrently;
 	// ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// MemoCapacity sizes the LRU memo of solved instances: 0 means
+	// MemoCapacity sizes the LRU memo of solved instances, keyed by a
+	// name-independent fingerprint of the workload (machine size, every
+	// profile) plus the scheduling options: repeated workloads — identical
+	// profiles under any names — are answered from the memo. 0 means
 	// DefaultMemoCapacity, negative disables memoisation entirely.
 	MemoCapacity int
 	// Timeout bounds the wall-clock time spent on one instance; 0 means
-	// no limit. A timed-out instance fails with ErrTimeout and does not
+	// no limit. A timed-out instance fails alone with an error wrapping
+	// ErrTimeout (the rest of its batch is unaffected) and does not
 	// poison its worker (the dual search polls the deadline between its
 	// units of work, so no goroutine outlives its job; the overshoot is
 	// one construction, not one search).
 	Timeout time.Duration
-	// Options is the scheduling configuration applied to every instance.
-	Options Options
+	// Schedule is the scheduling configuration applied to every instance
+	// (same semantics as the Options passed to Solve and
+	// malsched.Schedule).
+	Schedule Options
 }
 
 // Engine schedules batches and streams of instances at high throughput:
@@ -333,7 +340,7 @@ func (e *Engine) ScheduleStream(jobs <-chan *instance.Instance) <-chan Outcome {
 
 // run executes one job under the engine's configured options and timeout.
 func (e *Engine) run(idx int, in *instance.Instance) Outcome {
-	return e.runWith(idx, in, e.cfg.Options, e.cfg.Timeout, nil, nil, nil)
+	return e.runWith(idx, in, e.cfg.Schedule, e.cfg.Timeout, nil, nil, nil)
 }
 
 // runWith executes one job: admission check, memo probe, compiled-table
@@ -365,7 +372,7 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 		if v, ok := e.memo.get(k); ok {
 			e.scheduled.Add(1)
 			e.hits.Add(1)
-			out.Solution = v.clone()
+			out.Solution = clone(v)
 			out.FromMemo = true
 			return out
 		}
@@ -455,7 +462,7 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 		e.synthesized.Add(uint64(out.Solution.Synthesized))
 	}
 	if e.memo != nil {
-		e.memo.put(k, out.Solution.clone())
+		e.memo.put(k, clone(out.Solution))
 	}
 	return out
 }

@@ -84,7 +84,7 @@ func TestBatchMatchesSequentialBitIdentical(t *testing.T) {
 // Baseline options must flow through the batch path too.
 func TestBatchWithBaselineOptions(t *testing.T) {
 	ins := testFleet(t, 3)
-	e := New(Config{Workers: 4, Options: Options{Solver: "seq-lpt"}})
+	e := New(Config{Workers: 4, Schedule: Options{Solver: "seq-lpt"}})
 	for _, o := range e.ScheduleBatch(ins) {
 		if o.Err != nil {
 			t.Fatal(o.Err)
@@ -405,7 +405,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 // the winning solver and its probe count.
 func TestBatchWithPortfolio(t *testing.T) {
 	ins := testFleet(t, 2)[:6]
-	e := New(Config{Workers: 3, Options: Options{Portfolio: []string{"mrt", "seq-lpt"}}})
+	e := New(Config{Workers: 3, Schedule: Options{Portfolio: []string{"mrt", "seq-lpt"}}})
 	for i, o := range e.ScheduleBatch(ins) {
 		if o.Err != nil {
 			t.Fatalf("instance %d: %v", i, o.Err)
@@ -523,7 +523,7 @@ func TestScheduleWith(t *testing.T) {
 	}
 
 	// Results match a dedicated engine configured with the same options.
-	want, err := New(Config{Workers: 1, Options: Options{Solver: "seq-lpt"}}).Schedule(in)
+	want, err := New(Config{Workers: 1, Schedule: Options{Solver: "seq-lpt"}}).Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}

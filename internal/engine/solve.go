@@ -16,37 +16,48 @@ import (
 
 	"malsched/internal/core"
 	"malsched/internal/instance"
-	"malsched/internal/schedule"
 	"malsched/internal/solver"
 )
 
-// Options selects and tunes the per-instance pipeline. It mirrors the
-// facade's scheduling options (the facade re-exports the semantics; see
-// malsched.Options).
+// Options selects and tunes the per-instance pipeline. The facade
+// re-exports it as malsched.Options. The zero value is the paper's
+// configuration: ρ = √3, search tolerance 1e-3, no compaction, the "mrt"
+// solver.
 type Options struct {
 	// Eps is the dichotomic search tolerance; the guarantee is √3(1+Eps).
 	Eps float64
-	// Compact greedily left-shifts the final schedule.
+	// Compact greedily left-shifts the final schedule (never increases the
+	// makespan; changes the shelf structure).
 	Compact bool
 	// Solver names the registered solver to run; empty means the paper's
-	// algorithm ("mrt").
+	// algorithm ("mrt"). solver.Names (malsched.Solvers) lists the
+	// registry: the six baselines, the exhaustive "exact" reference (tiny
+	// instances only), the default "portfolio", and anything added with
+	// malsched.RegisterSolver.
 	Solver string
 	// Portfolio, when non-empty, runs these registered solvers
-	// concurrently and keeps the best certified result; it overrides
-	// Solver.
+	// concurrently and keeps the best certified result: the smallest
+	// makespan under the strongest certified lower bound any member
+	// produced. Overrides Solver. See Solution.Solver for the winner.
 	Portfolio []string
 	// Trace captures the dual search's probe trajectory into
-	// Solution.Trace. Pure observation: results are bit-identical traced or
-	// not, so Trace is excluded from the memo fingerprint; a memo hit returns no trace (there was no search).
-	// Only solvers with a dual search record probes ("mrt"); others return
-	// an empty trace.
+	// Solution.Trace — λ, breakpoint segment, accept/reject with reason,
+	// certification and warm-synthesis flags, in the exact probe order.
+	// Pure observation: every output is bit-identical traced or not, so
+	// Trace is excluded from the memo fingerprint; a memo hit returns no
+	// trace (there was no search). Only solvers with a dual search record
+	// probes ("mrt"); others return an empty trace.
 	Trace bool
-	// Edges, when non-nil, is the successor-list precedence DAG over the
-	// instance's tasks (Edges[i] lists the tasks that may start only after
-	// task i completes). It is part of the memo fingerprint — a DAG never
-	// aliases its independent-task projection — and only edge-aware solvers
-	// accept it (solver.SupportsEdges); any other selection fails with
-	// solver.ErrEdgesUnsupported rather than silently dropping the edges.
+	// Edges, when non-nil, is a successor-list precedence DAG over the
+	// instance's tasks: Edges[i] lists the tasks that may start only after
+	// task i completes. It is part of the memo fingerprint — a DAG never
+	// aliases its independent-task projection. Only edge-aware solvers
+	// accept it ("dag", "dag-crossover"; solver.SupportsEdges); any other
+	// selection fails with solver.ErrEdgesUnsupported rather than silently
+	// scheduling the independent-task projection. Build standard shapes
+	// with malsched.ChainEdges/OutTreeEdges, validate untrusted ones with
+	// malsched.ValidateEdges, and check results with
+	// malsched.VerifyPrecedence.
 	Edges [][]int
 }
 
@@ -106,40 +117,16 @@ func resolveSolver(o Options) (solver.Solver, error) {
 	return s, nil
 }
 
-// Solution is the outcome of scheduling one instance: the validated plan
-// plus its certificates. It is the engine-level mirror of malsched.Result.
-type Solution struct {
-	// Plan is the schedule; always complete and validated.
-	Plan *schedule.Schedule
-	// Makespan is the parallel execution time achieved.
-	Makespan float64
-	// LowerBound is a certified lower bound on the optimal makespan.
-	LowerBound float64
-	// Branch names the paper construction (or baseline) that produced the
-	// plan.
-	Branch string
-	// Solver names the registered solver that produced the plan (the
-	// winning member for portfolios).
-	Solver string
-	// Probes counts dual-approximation steps performed (0 for solvers
-	// without a dual search), the replanning benchmarks' cost metric.
-	Probes int
-	// Synthesized counts probe outcomes a warm-mode dual search resolved
-	// from the compiled segment tables without a dual step (0 for cold
-	// solves; see Engine.ScheduleWarm).
-	Synthesized int
-	// Trace is the dual search's probe trajectory, present only
-	// when Options.Trace was set and the solve actually ran a search (memo
-	// hits return nil — clone strips it, so memo entries never carry a
-	// stale trajectory).
-	Trace *core.SolveTrace
-}
+// Solution is the outcome of scheduling one instance: the registry's
+// result type, which the facade re-exports as malsched.Result. Only the
+// engine sets its Trace.
+type Solution = solver.Solution
 
-// clone returns a Solution whose plan shares no memory with the receiver's
+// clone returns a Solution whose plan shares no memory with s's
 // (schedule.Schedule.Clone: three allocations, one backing array for every
 // processor set), so memo entries stay immutable when callers mutate
 // returned plans.
-func (s Solution) clone() Solution {
+func clone(s Solution) Solution {
 	// Traces never enter or leave the memo: Options.Trace is excluded from
 	// the fingerprint, so an untraced request may hit an entry a traced one
 	// filled (and vice versa) — stripping here keeps the hit path unambiguous.
@@ -190,14 +177,6 @@ func solve(in *instance.Instance, o Options, sc *core.Scratch, interrupt <-chan 
 	if err != nil {
 		return Solution{}, err
 	}
-	return Solution{
-		Plan:        sol.Plan,
-		Makespan:    sol.Makespan,
-		LowerBound:  sol.LowerBound,
-		Branch:      sol.Branch,
-		Solver:      sol.Solver,
-		Probes:      sol.Probes,
-		Synthesized: sol.Synthesized,
-		Trace:       tr,
-	}, nil
+	sol.Trace = tr
+	return sol, nil
 }

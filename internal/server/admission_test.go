@@ -180,15 +180,17 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// StartDrain is idempotent and Draining observable.
+// StartDrain is idempotent: a second call keeps the server draining, and
+// /healthz says so with 503 "draining".
 func TestDrainIdempotent(t *testing.T) {
 	s := New(Config{Workers: 1})
-	if s.Draining() {
-		t.Fatal("fresh server draining")
-	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	s.StartDrain()
 	s.StartDrain()
-	if !s.Draining() {
-		t.Fatal("drain flag lost")
+	status, body := get(t, ts, "/healthz")
+	var h HealthResponse
+	if err := json.Unmarshal(body, &h); err != nil || status != http.StatusServiceUnavailable || h.Status != "draining" {
+		t.Fatalf("/healthz after two StartDrain calls: HTTP %d %s, want 503 draining", status, body)
 	}
 }

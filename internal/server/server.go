@@ -193,9 +193,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // use http.Server.Shutdown to wait for the in-flight connections.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Stats snapshots the queue and the engine.
 func (s *Server) Stats() StatsResponse {
 	resp := StatsResponse{

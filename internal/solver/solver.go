@@ -87,27 +87,50 @@ func SupportsEdges(s Solver) bool {
 	return ok && ea.EdgeAware()
 }
 
-// Solution is the outcome of one solver on one instance: the validated plan
-// plus its certificates and provenance.
+// Solution is the outcome of scheduling one instance: the validated plan
+// plus its certificates and provenance. It is the one result type from the
+// registry to the public surface: engine.Solution and malsched.Result are
+// aliases of it.
 type Solution struct {
 	// Plan is the schedule; always complete and validated.
 	Plan *schedule.Schedule
 	// Makespan is the parallel execution time achieved.
 	Makespan float64
-	// LowerBound is a certified lower bound on the optimal makespan.
+	// LowerBound is a certified lower bound on the optimal makespan, so
+	// Makespan/LowerBound bounds the true approximation ratio of this run.
 	LowerBound float64
-	// Branch names the construction that produced the plan.
+	// Branch names the paper construction (or baseline) that produced the
+	// plan: "malleable-list", "canonical-list[+realloc]", "two-shelf", …
 	Branch string
-	// Solver names the registered solver that produced the plan; for the
-	// portfolio it is the winning member, not "portfolio".
+	// Solver names the registered solver that produced the plan; for
+	// portfolio runs it is the winning member, not "portfolio".
 	Solver string
 	// Probes counts dual-approximation steps performed (0 for solvers
-	// without a dual search; the portfolio sums its members').
+	// without a dual search; portfolios sum their members'). The benchmark
+	// harness derives probe throughput from it, and the replanning
+	// benchmarks use it as their cost metric.
 	Probes int
 	// Synthesized counts probe outcomes a warm-mode dual search resolved
 	// from the compiled segment tables without a dual step (0 for cold
-	// solves and solvers without a dual search).
+	// solves and solvers without a dual search, and so always 0 through
+	// the malsched facade, which has no warm entry point; see
+	// engine.Engine.ScheduleWarm).
 	Synthesized int
+	// Trace is the dual search's probe trajectory, present only when the
+	// engine's Options.Trace was set and the solve actually ran a search
+	// (empty Probes for solvers without a dual search; nil on memo hits,
+	// which ran no search). Only the engine sets it; solvers record into
+	// Options.Trace instead.
+	Trace *core.SolveTrace
+}
+
+// Ratio returns Makespan / LowerBound, the certified ratio.
+func (s Solution) Ratio() float64 { return s.Makespan / s.LowerBound }
+
+// Gantt renders the plan as an ASCII chart with the given number of
+// columns.
+func (s Solution) Gantt(in *instance.Instance, cols int) string {
+	return schedule.Gantt(in, s.Plan, cols)
 }
 
 // Solver turns an instance into a certified solution. Implementations must

@@ -25,8 +25,9 @@ import (
 )
 
 // Certified bundles a plan with the certificates its producer claims for
-// it. It mirrors the certificate fields of malsched.Result,
-// engine.Solution and solver.Solution, so any of them converts trivially.
+// it: the certificate fields of solver.Solution (which engine.Solution and
+// malsched.Result alias), so a solution converts field by field. verify
+// sits below the solver layer and cannot import its type.
 type Certified struct {
 	// Plan is the schedule under scrutiny.
 	Plan *schedule.Schedule

@@ -105,40 +105,11 @@ func NewInstance(name string, m int, tasks []Task) (*Instance, error) {
 	return instance.New(name, m, tasks)
 }
 
-// Options tunes Schedule. The zero value (or nil) uses the paper's
-// configuration: ρ = √3, search tolerance 1e-3, no compaction, the "mrt"
-// solver.
-type Options struct {
-	// Eps is the dichotomic search tolerance; the guarantee is √3(1+Eps).
-	Eps float64
-	// Compact greedily left-shifts the final schedule (never increases the
-	// makespan; changes the shelf structure).
-	Compact bool
-	// Solver names the registered solver to run; empty means the paper's
-	// algorithm ("mrt"). Solvers() lists the registry: the six baselines,
-	// the exhaustive "exact" reference (tiny instances only), the default
-	// "portfolio", and anything added with RegisterSolver.
-	Solver string
-	// Portfolio, when non-empty, runs these registered solvers
-	// concurrently and keeps the best certified result: the smallest
-	// makespan under the strongest certified lower bound any member
-	// produced. Overrides Solver. See Result.Solver for the winner.
-	Portfolio []string
-	// Trace captures the dual search's probe trajectory into
-	// Result.Trace — λ, breakpoint segment, accept/reject with reason,
-	// certification and warm-synthesis flags, in the exact probe order. Pure observation: every output is bit-identical traced or
-	// not. Only solvers with a dual search record probes ("mrt"); others
-	// return an empty trace.
-	Trace bool
-	// Edges, when non-nil, is a successor-list precedence DAG over the
-	// instance's tasks: Edges[i] lists the tasks that may start only after
-	// task i completes. Only edge-aware solvers accept it ("dag",
-	// "dag-crossover"); any other selection fails typed rather than
-	// silently scheduling the independent-task projection. Build standard
-	// shapes with ChainEdges/OutTreeEdges, validate untrusted ones with
-	// ValidateEdges, and check results with VerifyPrecedence.
-	Edges [][]int
-}
+// Options tunes Schedule and Engine; it is the engine's own options type,
+// documented field by field there. The zero value (or nil) uses the
+// paper's configuration: ρ = √3, search tolerance 1e-3, no compaction, the
+// "mrt" solver.
+type Options = engine.Options
 
 // SolveTrace and ProbeTrace are the solve-trace types of Options.Trace,
 // re-exported from the search core. See docs/OBSERVABILITY.md for the
@@ -151,38 +122,12 @@ type (
 	ProbeTrace = core.ProbeTrace
 )
 
-// Result is a produced schedule plus its certificates.
-type Result struct {
-	// Plan is the schedule; always complete and validated.
-	Plan *Plan
-	// Makespan is the parallel execution time achieved.
-	Makespan float64
-	// LowerBound is a certified lower bound on the optimal makespan, so
-	// Makespan/LowerBound bounds the true approximation ratio of this run.
-	LowerBound float64
-	// Branch names the paper construction (or baseline) that produced the
-	// plan: "malleable-list", "canonical-list[+realloc]", "two-shelf", …
-	Branch string
-	// Solver names the registered solver that produced the plan; for
-	// portfolio runs it is the winning member, not "portfolio".
-	Solver string
-	// Probes counts dual-approximation steps performed (0 for solvers
-	// without a dual search; portfolios sum their members'). The benchmark harness derives probe throughput from it.
-	Probes int
-	// Trace is the probe trajectory, present only when
-	// Options.Trace was set (empty Probes for solvers without a dual
-	// search).
-	Trace *SolveTrace
-}
-
-// Ratio returns Makespan / LowerBound, the certified ratio.
-func (r Result) Ratio() float64 { return r.Makespan / r.LowerBound }
-
-// Gantt renders the plan as an ASCII chart with the given number of
-// columns.
-func (r Result) Gantt(in *Instance, cols int) string {
-	return schedule.Gantt(in, r.Plan, cols)
-}
+// Result is a produced schedule plus its certificates: Plan, Makespan,
+// LowerBound, the Branch and Solver that produced it, the Probes it took
+// and, when Options.Trace was set, its Trace. It is the solver registry's
+// own result type, documented field by field there; Synthesized is always
+// 0 here, since warm replanning is not exposed by this package.
+type Result = engine.Solution
 
 // Schedule runs the √3-approximation (or a named baseline) on the instance
 // and returns the schedule with its certificates. The returned plan is
@@ -196,31 +141,7 @@ func Schedule(in *Instance, opts *Options) (Result, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	sol, err := engine.Solve(in, engineOptions(*opts))
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Plan:       sol.Plan,
-		Makespan:   sol.Makespan,
-		LowerBound: sol.LowerBound,
-		Branch:     sol.Branch,
-		Solver:     sol.Solver,
-		Probes:     sol.Probes,
-		Trace:      sol.Trace,
-	}, nil
-}
-
-// engineOptions maps the facade options onto the engine's.
-func engineOptions(o Options) engine.Options {
-	return engine.Options{
-		Eps:       o.Eps,
-		Compact:   o.Compact,
-		Solver:    o.Solver,
-		Portfolio: o.Portfolio,
-		Trace:     o.Trace,
-		Edges:     o.Edges,
-	}
+	return engine.Solve(in, *opts)
 }
 
 // Solvers returns the names of every registered solver — the paper's "mrt",
@@ -231,7 +152,9 @@ func Solvers() []string { return solver.Names() }
 // SolverFunc is a custom scheduling algorithm for RegisterSolver: it must
 // return a complete plan (validated non-contiguously by the registry) and a
 // certified lower bound for the instance. Eps and Compact are passed
-// through in opts; Solver/Portfolio are empty.
+// through in opts; every other field is zero. The returned Result passes
+// through as is, except that Solver becomes the registered name, an empty
+// Branch becomes the name too, and Synthesized and Trace are zeroed.
 type SolverFunc func(in *Instance, opts Options) (Result, error)
 
 // RegisterSolver makes a custom solver available to Schedule, Engine and
@@ -246,18 +169,12 @@ func RegisterSolver(name string, fn SolverFunc) {
 			if err != nil {
 				return solver.Solution{}, err
 			}
-			branch := res.Branch
-			if branch == "" {
-				branch = name
+			if res.Branch == "" {
+				res.Branch = name
 			}
-			return solver.Solution{
-				Plan:       res.Plan,
-				Makespan:   res.Makespan,
-				LowerBound: res.LowerBound,
-				Branch:     branch,
-				Solver:     name,
-				Probes:     res.Probes,
-			}, nil
+			// Only the engine reports warm synthesis and traces.
+			res.Solver, res.Synthesized, res.Trace = name, 0, nil
+			return res, nil
 		},
 	})
 }

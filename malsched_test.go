@@ -2,6 +2,7 @@ package malsched
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -171,8 +172,21 @@ func TestLowerBoundExported(t *testing.T) {
 	}
 }
 
+// untimed strips the one wall-clock field of a result, the trace's search
+// time, so whole results compare with reflect.DeepEqual.
+func untimed(r Result) Result {
+	if r.Trace != nil {
+		tr := *r.Trace
+		tr.SearchNS = 0
+		r.Trace = &tr
+	}
+	return r
+}
+
 // The facade engine must return exactly what sequential Schedule calls
-// return, preserve batch order, and expose its counters.
+// return — every field, the trace included — from Schedule, ScheduleBatch
+// and ScheduleStream, preserve batch order, and expose its counters. A
+// repeated batch is answered from the memo, which carries no trace.
 func TestEngineFacadeMatchesSchedule(t *testing.T) {
 	var ins []*Instance
 	for name, gen := range instance.Families() {
@@ -182,31 +196,87 @@ func TestEngineFacadeMatchesSchedule(t *testing.T) {
 			ins = append(ins, in)
 		}
 	}
-	want := make([]Result, len(ins))
-	for i, in := range ins {
-		r, err := Schedule(in, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, opts := range []*Options{nil, {Trace: true}} {
+		eo := EngineOptions{Workers: 4}
+		if opts != nil {
+			eo.Schedule = *opts
 		}
-		want[i] = r
-	}
+		want := make([]Result, len(ins))
+		for i, in := range ins {
+			r, err := Schedule(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Trace != nil; got != eo.Schedule.Trace {
+				t.Fatalf("%s: Schedule trace present = %v with Options.Trace = %v", in.Name, got, eo.Schedule.Trace)
+			}
+			want[i] = untimed(r)
+		}
+		check := func(via string, i int, got Result) {
+			t.Helper()
+			if !reflect.DeepEqual(untimed(got), want[i]) {
+				t.Fatalf("trace=%v %s %s: engine result differs from Schedule:\n got %+v\nwant %+v",
+					eo.Schedule.Trace, via, ins[i].Name, got, want[i])
+			}
+		}
 
-	eng := NewEngine(EngineOptions{Workers: 4})
-	out := eng.ScheduleBatch(ins)
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", ins[i].Name, r.Err)
+		eng := NewEngine(eo)
+		for i, in := range ins {
+			r, err := eng.Schedule(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Schedule", i, r)
 		}
-		if r.Index != i || r.Instance != ins[i] {
-			t.Fatalf("batch result %d misrouted", i)
+
+		eng = NewEngine(eo)
+		for i, r := range eng.ScheduleBatch(ins) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", ins[i].Name, r.Err)
+			}
+			if r.Index != i || r.Instance != ins[i] || r.FromMemo {
+				t.Fatalf("batch result %d misrouted or memoised", i)
+			}
+			check("ScheduleBatch", i, r.Result)
 		}
-		if r.Result.Makespan != want[i].Makespan || r.Result.LowerBound != want[i].LowerBound || r.Result.Branch != want[i].Branch {
-			t.Fatalf("%s: engine result differs from Schedule", ins[i].Name)
+		st := eng.Stats()
+		if st.Scheduled != uint64(len(ins)) || st.Errors != 0 || st.MemoHits != 0 {
+			t.Fatalf("unexpected stats: %+v", st)
 		}
-	}
-	st := eng.Stats()
-	if st.Scheduled != uint64(len(ins)) || st.Errors != 0 {
-		t.Fatalf("unexpected stats: %+v", st)
+		for i, r := range eng.ScheduleBatch(ins) {
+			if r.Err != nil || !r.FromMemo {
+				t.Fatalf("%s: repeated batch not a memo hit (err %v)", ins[i].Name, r.Err)
+			}
+			if r.Result.Trace != nil {
+				t.Fatalf("%s: memo hit carries a trace", ins[i].Name)
+			}
+			hit := want[i]
+			hit.Trace = nil
+			if !reflect.DeepEqual(r.Result, hit) {
+				t.Fatalf("%s: memo hit differs from Schedule", ins[i].Name)
+			}
+		}
+
+		eng = NewEngine(eo)
+		jobs := make(chan *Instance, len(ins))
+		for _, in := range ins {
+			jobs <- in
+		}
+		close(jobs)
+		seen := 0
+		for r := range eng.ScheduleStream(jobs) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if r.Instance != ins[r.Index] {
+				t.Fatalf("stream result %d misrouted", r.Index)
+			}
+			check("ScheduleStream", r.Index, r.Result)
+			seen++
+		}
+		if seen != len(ins) {
+			t.Fatalf("stream emitted %d results, want %d", seen, len(ins))
+		}
 	}
 }
 
