@@ -334,8 +334,8 @@ func BenchmarkDualStep(b *testing.B) {
 
 // BenchmarkHotProbeCompiled is the steady-state cost of one
 // dual-approximation probe in a memo-free re-solve loop (shared Scratch,
-// tables compiled once). The custom ns/probe metric is what
-// BENCH_engine.json's probe_ns_hot tracks.
+// tables compiled once), reported as a custom ns/probe metric;
+// BENCH_engine.json pins answers, not time.
 func BenchmarkHotProbeCompiled(b *testing.B) {
 	in := instance.Mixed(2, 200, 64)
 	opts := core.Options{Scratch: core.NewScratch(), Compiled: instance.Compile(in)}
@@ -483,8 +483,8 @@ func BenchmarkEngineBatch(b *testing.B) {
 
 // The DAG solve benchmarks mirror the hot-probe one: the steady-state cost
 // of one full DAG solve in a re-solve loop (tables compiled once, shared
-// Scratch carrying the λ-segment cache). BENCH_engine.json's dag section
-// (solve_ns_hot, allocs_per_solve) tracks exactly this loop.
+// Scratch carrying the λ-segment cache); BENCH_engine.json's dag section
+// pins the answers, these the time and allocation.
 func benchmarkDAGSolve(b *testing.B, crossover bool) {
 	in := instance.Mixed(9, 60, 16)
 	g, err := precedence.NewGraph(in, precedence.RandomEdges(9, in.N(), 0.3))

@@ -1,34 +1,29 @@
-// Command msbench is the repo's benchmark harness. Its default mode runs a
-// declarative scenario grid (profile family × task count × machine size ×
-// solver configuration) through the batch engine with fixed seeds and
-// repeats and emits BENCH_engine.json — the reproducible perf artifact
-// whose schema is documented in docs/BENCHMARKS.md. The solver dimension
-// tracks the paper algorithm ("mrt", single engine worker so the probe
-// throughput reads per search) and the default solver portfolio. Future
-// PRs regenerate the artifact and compare ns/op, allocs/op, probe
-// throughput and achieved ratios against the committed trajectory. A
-// replan_churn section plays online arrival traces through the simulator's
-// replan-on-arrival policy warm (lineage-threaded replanning) and cold,
-// reporting probes and ns per replan — the warm-start dimension's artifact.
-// A dag section adds the precedence-constrained family axis: seeded
-// instances under chain / out-tree / random DAG shapes solved with both
-// edge-aware registry solvers, pinned by certificate bits and plan hashes —
-// bit-identical across runs — plus cold/hot solve timing and allocation
-// columns.
+// Command msbench pins the paper algorithm's answers on a declarative grid.
+// Its default mode runs a scenario grid (profile family × task count ×
+// machine size × solver) with fixed seeds and writes BENCH_engine.json,
+// whose schema is documented in docs/BENCHMARKS.md. Every column is a pure
+// function of the code and the seed: per cell the certified ratios, the
+// makespans and the probe count of the dual search. The solver dimension
+// crosses the paper algorithm ("mrt") with the default solver portfolio.
+// A replan_churn section plays online arrival traces through the
+// simulator's replan-on-arrival policy warm (lineage-threaded replanning)
+// and cold, and counts the probes each mode pays. A dag section adds the
+// precedence-constrained family axis: seeded instances under chain /
+// out-tree / random DAG shapes solved with both edge-aware registry
+// solvers, pinned by certificate bits and plan hashes.
+//
+// Nothing here is timed; go run ./bench and the Go benchmarks measure
+// time and allocation. Two artifacts compare with cmp or diff, and
+// TestEngineArtifactIsCurrent holds the committed one to a fresh run.
 //
 // Usage:
 //
-//	msbench [-out BENCH_engine.json] [-quick] [-seed 1] [-seeds 4]
-//	        [-repeats 3] [-workers 0]
+//	msbench [-out BENCH_engine.json] [-quick] [-seed 1]
 //	msbench -tables [-quick] [-seed 1]
-//	msbench -compare a.json b.json
 //
 // -tables switches to the legacy experiment suite, which prints its
-// markdown tables (deterministic in the seed). -quick
-// shrinks either grid for a fast smoke run. -workers 0 means GOMAXPROCS.
-// -compare reads two artifacts, matches their rows on cell coordinates and
-// exits non-zero when a deterministic column differs or a cell is missing
-// on one side; measured columns are summed per side and reported.
+// markdown tables (deterministic in the seed). -quick shrinks either grid
+// for a fast smoke run.
 package main
 
 import (
@@ -36,11 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
-	"time"
 
 	"malsched"
 	"malsched/internal/analysis"
@@ -52,84 +46,35 @@ import (
 )
 
 // Schema identifies the BENCH_engine.json layout; bump on breaking change.
-// v2 added the solver dimension (solver, parallelism, workers per row) and
-// probe-throughput fields. v3 added the compiled dimension (compiled per
-// row, plus compile_ns and probe_ns_hot) tracking the compiled-instance
-// hot path against the task-struct probe path. v4 added the replan_churn
-// section: warm-start vs cold replanning cost (probes and ns per replan)
-// over online replan-on-arrival workloads. v5 added the dag section:
-// precedence-constrained cells (family × n × m × DAG shape × DAG solver)
-// with certificate bits and plan hashes. v6 split every dag cell into a
-// compiled/legacy pair and added its timing columns (solve_ns_cold,
-// solve_ns_hot, allocs_per_solve). v7 dropped the compiled dimension with
-// the legacy path itself: no mrt-legacy scenario rows, one row per dag
-// cell, no compiled field; every retained column reads as it did on v6's
-// compiled rows, and only the timing columns vary with the machine.
-const Schema = "malsched/bench-engine/v7"
+// v2 added the solver dimension and probe-throughput fields, v3 the
+// compiled-layer timing columns, v4 the replan_churn section, v5 the dag
+// section and v6 its timing columns; v7 dropped the compiled dimension
+// with the legacy path. v8 keeps only what the code and the seed decide:
+// every timing and allocation column is gone, and with them the host- and
+// pass-keyed fields (go_version, goos, goarch, workers, repeats, instances,
+// parallelism). Every retained column reads as it did in v7.
+const Schema = "malsched/bench-engine/v8"
 
-// scenario is one cell of the declarative grid: a workload (family, n, m)
-// under one solver configuration.
-type scenario struct {
-	Family string
-	N, M   int
-	// Solver is the registered solver the cell runs ("mrt", "portfolio", …).
-	Solver string
-	// Workers is the engine worker-pool size for this cell. The mrt cells
-	// pin it to 1 so their columns read per search (instance-level batch
-	// parallelism would mask the search's own cost); portfolio cells use
-	// the configured pool.
-	Workers int
-}
+// defaultSeed is the -seed default, the seed of the committed artifact.
+const defaultSeed = 1
 
-// width is the cell's "parallelism" coordinate, kept because schema v7 keys
-// cells on it: mrt rows read 1 and portfolio rows 0, so the keys of
-// artifacts written before and after the search became sequential match.
-func (sc scenario) width() int {
-	if sc.Solver == "mrt" {
-		return 1
-	}
-	return 0
-}
-
-// scenarioResult is the measured outcome of one scenario; field semantics
-// are specified in docs/BENCHMARKS.md.
+// scenarioResult is one cell of the declarative grid — a workload (family,
+// n, m) under one registered solver ("mrt", "portfolio") — and its outcome
+// over the cell's seeded instances; field semantics are specified in
+// docs/BENCHMARKS.md.
 type scenarioResult struct {
-	Family    string `json:"family"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	Solver    string `json:"solver"`
-	Width     int    `json:"parallelism"`
-	Workers   int    `json:"workers"`
-	Instances int    `json:"instances"`
-	Repeats   int    `json:"repeats"`
+	Family string `json:"family"`
+	N      int    `json:"n"`
+	M      int    `json:"m"`
+	Solver string `json:"solver"`
 
-	OpsCold         int    `json:"ops_cold"`
-	OpsWarm         int    `json:"ops_warm"`
-	NsPerOpCold     int64  `json:"ns_per_op_cold"`
-	NsPerOpWarm     int64  `json:"ns_per_op_warm"`
-	AllocsPerOpCold uint64 `json:"allocs_per_op_cold"`
-	AllocsPerOpWarm uint64 `json:"allocs_per_op_warm"`
-	BytesPerOpCold  uint64 `json:"bytes_per_op_cold"`
-	BytesPerOpWarm  uint64 `json:"bytes_per_op_warm"`
-
-	// ProbesCold counts dual-approximation steps over the cold pass and
-	// ProbesPerSecCold the resulting probe throughput.
-	ProbesCold       int64   `json:"probes_cold"`
-	ProbesPerSecCold float64 `json:"probes_per_sec_cold"`
-
-	// CompileNs is the mean per-instance cost of instance.Compile for the
-	// cell's workloads. ProbeNsHot is the steady-state time per dual-search
-	// probe: repeated memo-free searches on the same instances with one
-	// pooled Scratch and tables compiled once (mrt rows only; 0 for
-	// solvers without a dual search).
-	CompileNs  int64 `json:"compile_ns"`
-	ProbeNsHot int64 `json:"probe_ns_hot"`
-
-	MemoHitRateWarm float64 `json:"memo_hit_rate_warm"`
-	RatioMean       float64 `json:"ratio_mean"`
-	RatioMax        float64 `json:"ratio_max"`
-	MakespanSum     float64 `json:"makespan_sum"`
-	Errors          int     `json:"errors"`
+	// ProbesCold counts dual-approximation steps over the cell's solves
+	// (named for v7's cold pass, the one pass that counted them).
+	ProbesCold  int64   `json:"probes_cold"`
+	RatioMean   float64 `json:"ratio_mean"`
+	RatioMax    float64 `json:"ratio_max"`
+	MakespanSum float64 `json:"makespan_sum"`
+	Errors      int     `json:"errors"`
 }
 
 // churnCell is one replan-churn workload: a Poisson arrival trace played
@@ -149,8 +94,7 @@ func (c churnCell) name() string { return fmt.Sprintf("poisson-mixed-%d", c.N) }
 
 // churnResult is one replan_churn row; schedules are bit-identical across
 // the two modes (the simulator guarantees it), so the row reports only
-// the cost columns. Probe counts are deterministic; the ns columns take
-// the per-replan minimum over the passes.
+// what each mode paid.
 type churnResult struct {
 	Workload string `json:"workload"`
 	N        int    `json:"n"`
@@ -164,20 +108,13 @@ type churnResult struct {
 	ProbesWarm  int `json:"probes_warm"`
 	ProbesCold  int `json:"probes_cold"`
 	Synthesized int `json:"synthesized"`
-	// NsPerReplanWarm/NsPerReplanCold are min-over-passes wall time per
-	// planning invocation (the whole simulation divided by Replans, so
-	// executor overhead is a common additive term of both columns).
-	NsPerReplanWarm int64 `json:"ns_per_replan_warm"`
-	NsPerReplanCold int64 `json:"ns_per_replan_cold"`
 }
 
-// dagResult is one precedence-constrained cell of the dag section (added
-// in bench-engine/v5, timing columns in v6): a seeded instance under one
-// DAG shape and one edge-aware solver. The certificate and plan columns
-// are a pure function of (family, n, m, seed, shape, solver) — identical
-// across runs, so CI can diff them like a golden file after stripping the
-// timing columns. Certificates are recorded as hex floats (exact bits);
-// plan_hash is FNV-1a over every placement.
+// dagResult is one precedence-constrained cell of the dag section: a
+// seeded instance under one DAG shape and one edge-aware solver, a pure
+// function of (family, n, m, seed, shape, solver). Certificates are
+// recorded as hex floats (exact bits); plan_hash is FNV-1a over every
+// placement.
 type dagResult struct {
 	Family string `json:"family"`
 	N      int    `json:"n"`
@@ -196,75 +133,106 @@ type dagResult struct {
 	Lower    string  `json:"lower"`    // hex float: exact bits
 	Ratio    float64 `json:"ratio"`
 	PlanHash string  `json:"plan_hash"`
-	// SolveNsCold is one solve from nothing: fresh scratch, table
-	// compilation included. SolveNsHot is the min-over-passes steady-state
-	// re-solve cost on a warm scratch (segment caches resident) — the
-	// replanning-loop shape. AllocsPerSolve is the mean allocation count
-	// per hot solve.
-	SolveNsCold    int64  `json:"solve_ns_cold"`
-	SolveNsHot     int64  `json:"solve_ns_hot"`
-	AllocsPerSolve uint64 `json:"allocs_per_solve"`
 }
 
 // report is the full BENCH_engine.json document.
 type report struct {
 	Schema           string           `json:"schema"`
-	GoVersion        string           `json:"go_version"`
-	GOOS             string           `json:"goos"`
-	GOARCH           string           `json:"goarch"`
-	Workers          int              `json:"workers"`
 	Seed             int64            `json:"seed"`
 	SeedsPerScenario int              `json:"seeds_per_scenario"`
-	Repeats          int              `json:"repeats"`
 	Scenarios        []scenarioResult `json:"scenarios"`
 	// ReplanChurn compares warm-start vs cold replanning on online
-	// replan-on-arrival workloads (added in bench-engine/v4).
+	// replan-on-arrival workloads; see churnResult.
 	ReplanChurn []churnResult `json:"replan_churn"`
-	// DAG is the deterministic precedence-constrained section (added in
-	// bench-engine/v5); see dagResult.
+	// DAG is the precedence-constrained section; see dagResult.
 	DAG []dagResult `json:"dag"`
+}
+
+// write encodes the report as the artifact's bytes.
+func (r *report) write(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }
 
 func main() {
 	tables := flag.Bool("tables", false, "legacy mode: print the experiment suite's markdown tables")
 	quick := flag.Bool("quick", false, "small grid for a fast run")
-	seed := flag.Int64("seed", 1, "base seed")
+	seed := flag.Int64("seed", defaultSeed, "base seed")
 	out := flag.String("out", "BENCH_engine.json", "engine mode: output artifact path (- for stdout)")
-	seeds := flag.Int("seeds", 4, "engine mode: instances (seeds) per scenario")
-	repeats := flag.Int("repeats", 3, "engine mode: timed passes per scenario (first is cold, rest warm)")
-	workers := flag.Int("workers", 0, "engine mode: worker-pool size (0 = GOMAXPROCS)")
-	compare := flag.Bool("compare", false, "compare two artifacts cell by cell: -compare a.json b.json; exits non-zero on any deterministic difference")
 	flag.Parse()
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "msbench: -compare takes two artifact files")
-			os.Exit(2)
-		}
-		diffs, err := compareArtifacts(os.Stdout, flag.Arg(0), flag.Arg(1))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
-			os.Exit(1)
-		}
-		if diffs > 0 {
-			fmt.Fprintf(os.Stderr, "msbench: %d deterministic differences\n", diffs)
-			os.Exit(1)
-		}
-		return
-	}
 	if *tables {
 		runTables(*quick, *seed)
 		return
 	}
-	runEngineGrid(*quick, *seed, *out, *seeds, *repeats, *workers)
+	if err := runEngineGrid(*quick, *seed, *out); err != nil {
+		fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// runEngineGrid builds the engine grid and writes it to out.
+func runEngineGrid(quick bool, seed int64, out string) error {
+	// Open the artifact before running anything: a bad -out path should
+	// fail in milliseconds, not after the whole grid has run.
+	w := os.Stdout
+	if out != "-" {
+		f, err := os.Create(out)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w = f
+	}
+	rep, err := build(quick, seed)
+	if err != nil {
+		return err
+	}
+	if err := rep.write(w); err != nil {
+		return err
+	}
+	if out != "-" {
+		if err := w.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "msbench: wrote %s: %d scenarios, %d replan_churn cells, %d dag cells\n",
+			out, len(rep.Scenarios), len(rep.ReplanChurn), len(rep.DAG))
+	}
+	return nil
+}
+
+// build runs the whole engine grid: the scenarios, the replan-churn cells
+// and the dag cells.
+func build(quick bool, seed int64) (*report, error) {
+	seeds := 4
+	if quick {
+		seeds = 2
+	}
+	rep := &report{Schema: Schema, Seed: seed, SeedsPerScenario: seeds}
+	gens := instance.Families()
+	for _, r := range grid(quick) {
+		ins := make([]*malsched.Instance, seeds)
+		for i := range ins {
+			ins[i] = gens[r.Family](seed+int64(i), r.N, r.M)
+		}
+		rep.Scenarios = append(rep.Scenarios, runScenario(r, ins))
+	}
+	var err error
+	if rep.ReplanChurn, err = runChurn(quick, seed); err != nil {
+		return nil, err
+	}
+	if rep.DAG, err = runDAG(quick, seed); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // grid returns the declarative scenario grid: every workload cell crossed
 // with the solver dimension — the paper algorithm and the default
-// portfolio. Every scenario
-// is a pure function of (family, n, m, seed), so the artifact's
-// workload-derived fields are exactly regenerable.
-func grid(quick bool, workers int) []scenario {
+// portfolio. Every scenario is a pure function of (family, n, m, seed), so
+// the artifact is exactly regenerable.
+func grid(quick bool) []scenarioResult {
 	families := []string{"mixed", "random-monotone", "comm-heavy", "wide-parallel", "powerlaw-0.7"}
 	ns := []int{25, 100, 400}
 	ms := []int{16, 64, 256}
@@ -273,22 +241,12 @@ func grid(quick bool, workers int) []scenario {
 		ns = []int{20, 60}
 		ms = []int{8, 32}
 	}
-	cfgs := []struct {
-		solver  string
-		workers int
-	}{
-		{"mrt", 1},
-		{"portfolio", workers},
-	}
-	var g []scenario
+	var g []scenarioResult
 	for _, f := range families {
 		for _, n := range ns {
 			for _, m := range ms {
-				for _, c := range cfgs {
-					g = append(g, scenario{
-						Family: f, N: n, M: m,
-						Solver: c.solver, Workers: c.workers,
-					})
+				for _, solver := range []string{"mrt", "portfolio"} {
+					g = append(g, scenarioResult{Family: f, N: n, M: m, Solver: solver})
 				}
 			}
 		}
@@ -296,174 +254,25 @@ func grid(quick bool, workers int) []scenario {
 	return g
 }
 
-func runEngineGrid(quick bool, seed int64, out string, seeds, repeats, workers int) {
-	if seeds < 1 || repeats < 1 {
-		fmt.Fprintln(os.Stderr, "msbench: -seeds and -repeats must be ≥ 1")
-		os.Exit(2)
-	}
-	if quick {
-		if seeds > 2 {
-			seeds = 2
-		}
-		if repeats > 2 {
-			repeats = 2
-		}
-	}
-	rep := report{
-		Schema:           Schema,
-		GoVersion:        runtime.Version(),
-		GOOS:             runtime.GOOS,
-		GOARCH:           runtime.GOARCH,
-		Workers:          workers,
-		Seed:             seed,
-		SeedsPerScenario: seeds,
-		Repeats:          repeats,
-	}
-	if rep.Workers <= 0 {
-		rep.Workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Open the artifact before measuring anything: a bad -out path should
-	// fail in milliseconds, not after the whole grid has run.
-	var w *os.File
-	if out == "-" {
-		w = os.Stdout
-	} else {
-		f, err := os.Create(out)
+// runScenario schedules the cell's instances once each under its solver and
+// sums their certificates into r; a failed instance counts in Errors.
+func runScenario(r scenarioResult, ins []*malsched.Instance) scenarioResult {
+	for _, in := range ins {
+		res, err := malsched.Schedule(in, &malsched.Options{Solver: r.Solver})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	gens := instance.Families()
-	scenarios := grid(quick, rep.Workers)
-
-	// Warm the process before measuring anything: without this the grid's
-	// first cell absorbs allocator and scheduler ramp-up into its timing
-	// columns (reproducibly 2× on microsecond cells).
-	warmup := instance.Mixed(seed, 20, 8)
-	wsc := core.NewScratch()
-	for t0 := time.Now(); time.Since(t0) < 100*time.Millisecond; {
-		if _, err := core.Approximate(warmup, core.Options{Scratch: wsc}); err != nil {
-			fmt.Fprintf(os.Stderr, "msbench: warmup: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "msbench: %d scenarios × %d instances × %d passes (workers=%d)\n",
-		len(scenarios), seeds, repeats, rep.Workers)
-	fmt.Fprintf(os.Stderr, "%-18s %5s %5s %-10s  %14s %14s %12s %12s %8s %8s\n",
-		"family", "n", "m", "solver", "cold ns/op", "warm ns/op", "probes/s", "hot ns/prb", "ratio", "hit%")
-
-	for _, sc := range scenarios {
-		gen, ok := gens[sc.Family]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "msbench: unknown family %q\n", sc.Family)
-			os.Exit(2)
-		}
-		ins := make([]*malsched.Instance, seeds)
-		for i := range ins {
-			ins[i] = gen(seed+int64(i), sc.N, sc.M)
-		}
-		r := benchScenario(sc, ins, repeats)
-		rep.Scenarios = append(rep.Scenarios, r)
-		fmt.Fprintf(os.Stderr, "%-18s %5d %5d %-10s  %14d %14d %12.0f %12d %8.3f %8.1f\n",
-			sc.Family, sc.N, sc.M, sc.Solver, r.NsPerOpCold, r.NsPerOpWarm,
-			r.ProbesPerSecCold, r.ProbeNsHot, r.RatioMax, 100*r.MemoHitRateWarm)
-	}
-
-	rep.ReplanChurn = runChurn(quick, seed, repeats)
-	rep.DAG = runDAG(quick, seed)
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
-		os.Exit(1)
-	}
-	if out != "-" {
-		fmt.Fprintf(os.Stderr, "msbench: wrote %s\n", out)
-	}
-}
-
-// benchScenario measures one scenario: a cold batch pass (memo empty) and
-// repeats-1 warm passes (memo resident), with allocation deltas from the
-// runtime's global counters.
-func benchScenario(sc scenario, ins []*malsched.Instance, repeats int) scenarioResult {
-	eng := malsched.NewEngine(malsched.EngineOptions{
-		Workers:  sc.Workers,
-		Schedule: malsched.Options{Solver: sc.Solver},
-	})
-	r := scenarioResult{
-		Family:    sc.Family,
-		N:         sc.N,
-		M:         sc.M,
-		Solver:    sc.Solver,
-		Width:     sc.width(),
-		Workers:   sc.Workers,
-		Instances: len(ins),
-		Repeats:   repeats,
-	}
-	r.CompileNs, r.ProbeNsHot = measureHot(sc, ins)
-
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	t0 := time.Now()
-	cold := eng.ScheduleBatch(ins)
-	coldDt := time.Since(t0)
-	runtime.ReadMemStats(&ms1)
-
-	r.OpsCold = len(ins)
-	r.NsPerOpCold = coldDt.Nanoseconds() / int64(len(ins))
-	r.AllocsPerOpCold = (ms1.Mallocs - ms0.Mallocs) / uint64(len(ins))
-	r.BytesPerOpCold = (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(len(ins))
-
-	for _, o := range cold {
-		if o.Err != nil {
 			r.Errors++
 			continue
 		}
-		r.MakespanSum += o.Result.Makespan
-		r.ProbesCold += int64(o.Result.Probes)
-		ratio := o.Result.Ratio()
+		r.MakespanSum += res.Makespan
+		r.ProbesCold += int64(res.Probes)
+		ratio := res.Ratio()
 		r.RatioMean += ratio
 		if ratio > r.RatioMax {
 			r.RatioMax = ratio
 		}
 	}
-	if s := coldDt.Seconds(); s > 0 {
-		r.ProbesPerSecCold = float64(r.ProbesCold) / s
-	}
 	if ok := len(ins) - r.Errors; ok > 0 {
 		r.RatioMean /= float64(ok)
-	}
-
-	if repeats > 1 {
-		before := eng.Stats()
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		t0 = time.Now()
-		for p := 1; p < repeats; p++ {
-			warm := eng.ScheduleBatch(ins)
-			for _, o := range warm {
-				if o.Err != nil {
-					r.Errors++
-				}
-			}
-		}
-		warmDt := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
-		after := eng.Stats()
-
-		r.OpsWarm = len(ins) * (repeats - 1)
-		r.NsPerOpWarm = warmDt.Nanoseconds() / int64(r.OpsWarm)
-		r.AllocsPerOpWarm = (ms1.Mallocs - ms0.Mallocs) / uint64(r.OpsWarm)
-		r.BytesPerOpWarm = (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(r.OpsWarm)
-		r.MemoHitRateWarm = float64(after.MemoHits-before.MemoHits) / float64(r.OpsWarm)
 	}
 	return r
 }
@@ -494,89 +303,54 @@ func churnCells(quick bool, seed int64) []churnCell {
 	return cells
 }
 
-// runChurn measures the replan_churn section: every cell's trace is
-// simulated warm and cold, each on fresh private engines so no memo or
-// lineage state crosses modes or passes. Probe counts are checked for the
-// warm-start contract on the spot — a warm run that pays more probes than
-// its cold reference is a regression the artifact must not paper over.
-func runChurn(quick bool, seed int64, repeats int) []churnResult {
+// runChurn builds the replan_churn section: every cell's trace is
+// simulated warm and cold, each on a fresh private engine so no memo or
+// lineage state crosses modes. The warm-start contract is checked on the
+// spot — a warm run that pays as many probes as its cold reference is a
+// regression the artifact must not paper over.
+func runChurn(quick bool, seed int64) ([]churnResult, error) {
 	cells := churnCells(quick, seed)
-	fmt.Fprintf(os.Stderr, "msbench: replan churn: %d cells × %d passes per mode\n", len(cells), repeats)
-	fmt.Fprintf(os.Stderr, "%-18s %-12s %8s %10s %10s %8s %14s %14s\n",
-		"workload", "preempt", "replans", "warm prb", "cold prb", "synth", "warm ns/rpl", "cold ns/rpl")
 	out := make([]churnResult, 0, len(cells))
 	for _, cell := range cells {
 		tr, err := workload.Poisson(cell.Seed, cell.N, cell.M, cell.Rate, "mixed")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "msbench: churn trace: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("churn trace: %w", err)
 		}
-		warm, warmNs := churnRun(tr, cell.Preempt, false, repeats)
-		cold, coldNs := churnRun(tr, cell.Preempt, true, repeats)
+		var modes [2]sim.Metrics // warm, cold
+		for i := range modes {
+			res, err := sim.Run(tr, sim.Config{
+				Policy:     "replan-on-arrival",
+				Preempt:    cell.Preempt,
+				Noise:      0.1,
+				Seed:       3,
+				ColdReplan: i == 1,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("churn run: %w", err)
+			}
+			modes[i] = res.Metrics
+		}
+		warm, cold := modes[0], modes[1]
 		if warm.Plans != cold.Plans {
-			fmt.Fprintf(os.Stderr, "msbench: churn %s/%s: replan count diverged warm=%d cold=%d\n",
+			return nil, fmt.Errorf("churn %s/%s: replan count diverged warm=%d cold=%d",
 				cell.name(), cell.Preempt, warm.Plans, cold.Plans)
-			os.Exit(1)
 		}
 		if warm.Probes >= cold.Probes {
-			fmt.Fprintf(os.Stderr, "msbench: churn %s/%s: warm probes %d not below cold %d\n",
+			return nil, fmt.Errorf("churn %s/%s: warm probes %d not below cold %d",
 				cell.name(), cell.Preempt, warm.Probes, cold.Probes)
-			os.Exit(1)
 		}
-		r := churnResult{
-			Workload:        cell.name(),
-			N:               cell.N,
-			M:               cell.M,
-			Preempt:         cell.Preempt,
-			Replans:         warm.Plans,
-			ProbesWarm:      warm.Probes,
-			ProbesCold:      cold.Probes,
-			Synthesized:     warm.Synthesized,
-			NsPerReplanWarm: warmNs,
-			NsPerReplanCold: coldNs,
-		}
-		out = append(out, r)
-		fmt.Fprintf(os.Stderr, "%-18s %-12s %8d %10d %10d %8d %14d %14d\n",
-			r.Workload, r.Preempt, r.Replans, r.ProbesWarm, r.ProbesCold, r.Synthesized,
-			r.NsPerReplanWarm, r.NsPerReplanCold)
+		out = append(out, churnResult{
+			Workload:    cell.name(),
+			N:           cell.N,
+			M:           cell.M,
+			Preempt:     cell.Preempt,
+			Replans:     warm.Plans,
+			ProbesWarm:  warm.Probes,
+			ProbesCold:  cold.Probes,
+			Synthesized: warm.Synthesized,
+		})
 	}
-	return out
-}
-
-// churnRun plays one trace through replan-on-arrival in one mode, repeats
-// times, returning the (pass-invariant) metrics and the minimum observed
-// ns per replan. Config.Engine stays nil on purpose: each pass builds a
-// private engine, so the timing is a cache-cold replanning sequence in
-// both modes and the warm column's advantage is the lineage alone.
-func churnRun(tr *workload.Trace, preempt string, cold bool, repeats int) (sim.Metrics, int64) {
-	cfg := sim.Config{
-		Policy:     "replan-on-arrival",
-		Preempt:    preempt,
-		Noise:      0.1,
-		Seed:       3,
-		ColdReplan: cold,
-	}
-	var m sim.Metrics
-	best := int64(math.MaxInt64)
-	for p := 0; p < repeats; p++ {
-		t0 := time.Now()
-		res, err := sim.Run(tr, cfg)
-		dt := time.Since(t0).Nanoseconds()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msbench: churn run: %v\n", err)
-			os.Exit(1)
-		}
-		m = res.Metrics
-		if m.Plans > 0 {
-			if per := dt / int64(m.Plans); per < best {
-				best = per
-			}
-		}
-	}
-	if best == math.MaxInt64 {
-		best = 0
-	}
-	return m, best
+	return out, nil
 }
 
 // dagShapes returns the DAG-shape dimension: generators from n to
@@ -596,98 +370,70 @@ func dagShapes() []struct {
 	}
 }
 
-// runDAG measures the dag section: every precedence cell solved with both
+// runDAG builds the dag section: every precedence cell solved with both
 // edge-aware registry solvers, the resulting plan re-checked against the
 // plan validator and the predecessor-ordering verifier on the spot (a
 // constraint-violating plan must fail the run, not be recorded), and the
-// certificates pinned bit-exactly. Timing columns: one cold solve from
-// nothing (compile included), then hotPasses re-solves on the warm scratch
-// taking the minimum, with the mean allocation count over the hot passes.
-func runDAG(quick bool, seed int64) []dagResult {
+// certificates pinned bit-exactly.
+func runDAG(quick bool, seed int64) ([]dagResult, error) {
 	families := []string{"mixed", "comm-heavy", "wide-parallel"}
 	ns := []int{25, 100}
 	ms := []int{16, 64}
 	seeds := 2
-	hotPasses := 9
 	if quick {
 		families = families[:2]
 		ns = []int{12}
 		ms = []int{8}
 		seeds = 1
-		hotPasses = 2
 	}
 	gens := instance.Families()
-	shapes := dagShapes()
-	solvers := []string{"dag", "dag-crossover"}
-	fmt.Fprintf(os.Stderr, "msbench: dag section: %d cells\n",
-		len(families)*len(ns)*len(ms)*seeds*len(shapes)*len(solvers))
-	fmt.Fprintf(os.Stderr, "%-14s %4s %4s %-10s %-13s %12s %12s %9s\n",
-		"family", "n", "m", "shape", "solver", "cold ns", "hot ns", "allocs")
 	var out []dagResult
 	for _, fam := range families {
-		gen, ok := gens[fam]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "msbench: unknown family %q\n", fam)
-			os.Exit(2)
-		}
 		for _, n := range ns {
 			for _, m := range ms {
 				for s := int64(0); s < int64(seeds); s++ {
-					in := gen(seed+s, n, m)
-					for _, sh := range shapes {
+					in := gens[fam](seed+s, n, m)
+					for _, sh := range dagShapes() {
 						edges, err := sh.build(seed+s, n)
 						if err != nil {
-							fmt.Fprintf(os.Stderr, "msbench: dag shape %s: %v\n", sh.name, err)
-							os.Exit(1)
+							return nil, fmt.Errorf("dag shape %s: %w", sh.name, err)
 						}
 						g, err := precedence.NewGraph(in, edges)
 						if err != nil {
-							fmt.Fprintf(os.Stderr, "msbench: dag graph %s: %v\n", sh.name, err)
-							os.Exit(1)
+							return nil, fmt.Errorf("dag graph %s: %w", sh.name, err)
 						}
-						for _, sv := range solvers {
+						for _, sv := range []string{"dag", "dag-crossover"} {
 							cell := dagResult{Family: fam, N: n, M: m, Seed: seed + s, Shape: sh.name, Solver: sv}
-							cell = dagCell(in, g, edges, cell, hotPasses)
+							if err := dagCell(in, g, edges, &cell); err != nil {
+								return nil, fmt.Errorf("dag cell %s/%s/%s: %w", in.Name, sh.name, sv, err)
+							}
 							out = append(out, cell)
-							fmt.Fprintf(os.Stderr, "%-14s %4d %4d %-10s %-13s %12d %12d %9d\n",
-								fam, n, m, sh.name, sv, cell.SolveNsCold, cell.SolveNsHot, cell.AllocsPerSolve)
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
-// dagCell measures one (workload, shape, solver) cell: one solve from
-// nothing — compile included — with the spot verification, then hotPasses
-// re-solves on the same tables and scratch. The hot time is the minimum
-// over the passes; allocations come from the malloc-counter delta around
-// them.
-func dagCell(in *malsched.Instance, g *precedence.Graph, edges [][]int, cell dagResult, hotPasses int) dagResult {
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "msbench: dag cell %s/%s/%s: %v\n", in.Name, cell.Shape, cell.Solver, err)
-		os.Exit(1)
-	}
+// dagCell solves one (workload, shape, solver) cell from nothing, verifies
+// the plan and records its certificate pair and plan hash.
+func dagCell(in *malsched.Instance, g *precedence.Graph, edges [][]int, cell *dagResult) error {
 	run := g.Solve
 	if cell.Solver == "dag-crossover" {
 		run = g.SolveCrossover
 	}
-
-	t0 := time.Now()
-	opts := precedence.Options{Compiled: instance.Compile(in), Scratch: core.NewScratch()}
-	res, err := run(opts)
-	cell.SolveNsCold = time.Since(t0).Nanoseconds()
+	res, err := run(precedence.Options{Compiled: instance.Compile(in), Scratch: core.NewScratch()})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	plan := res.Schedule
 	if err := malsched.Validate(in, plan, false); err != nil {
-		fail(err)
+		return err
 	}
 	if err := malsched.VerifyPrecedence(in, edges, plan); err != nil {
-		fail(err)
+		return err
 	}
 	mk := plan.Makespan(in)
 	lb := g.LowerBound()
@@ -695,23 +441,7 @@ func dagCell(in *malsched.Instance, g *precedence.Graph, edges [][]int, cell dag
 	cell.Lower = strconv.FormatFloat(lb, 'x', -1, 64)
 	cell.Ratio = mk / lb
 	cell.PlanHash = dagPlanHash(plan)
-
-	var before, after runtime.MemStats
-	cell.SolveNsHot = math.MaxInt64
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for p := 0; p < hotPasses; p++ {
-		t0 := time.Now()
-		if _, err := run(opts); err != nil {
-			fail(err)
-		}
-		if dt := time.Since(t0).Nanoseconds(); dt < cell.SolveNsHot {
-			cell.SolveNsHot = dt
-		}
-	}
-	runtime.ReadMemStats(&after)
-	cell.AllocsPerSolve = (after.Mallocs - before.Mallocs) / uint64(hotPasses)
-	return cell
+	return nil
 }
 
 // dagPlanHash is FNV-1a over the plan's algorithm tag and every placement
@@ -728,53 +458,6 @@ func dagPlanHash(p *malsched.Plan) string {
 		fmt.Fprint(h, ";")
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// measureHot times the compiled layer's two columns. compile_ns is the
-// mean cost of instance.Compile over the cell's workloads. probe_ns_hot is
-// the steady-state per-probe cost of the dual search: repeated memo-free
-// searches on the same instances, one pooled Scratch, tables compiled once
-// and shared across every probe of every pass — the memo-warm re-solve
-// shape (mrt cells only; solvers without a dual search report 0).
-func measureHot(sc scenario, ins []*malsched.Instance) (compileNs, probeNsHot int64) {
-	compiled := make([]*instance.Compiled, len(ins))
-	t0 := time.Now()
-	for i, in := range ins {
-		compiled[i] = instance.Compile(in)
-	}
-	compileNs = time.Since(t0).Nanoseconds() / int64(len(ins))
-	if sc.Solver != "mrt" {
-		return compileNs, 0
-	}
-	scratch := core.NewScratch()
-	opts := func(i int) core.Options {
-		return core.Options{
-			Scratch:  scratch,
-			Compiled: compiled[i],
-		}
-	}
-	run := func() (probes int64) {
-		for i, in := range ins {
-			res, err := core.Approximate(in, opts(i))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "msbench: hot pass: %v\n", err)
-				os.Exit(1)
-			}
-			probes += int64(res.Probes)
-		}
-		return probes
-	}
-	run() // warm the scratch (and the segment caches) before timing
-	const hotPasses = 3
-	var probes int64
-	t0 = time.Now()
-	for p := 0; p < hotPasses; p++ {
-		probes += run()
-	}
-	if dt := time.Since(t0); probes > 0 {
-		probeNsHot = dt.Nanoseconds() / probes
-	}
-	return compileNs, probeNsHot
 }
 
 // runTables prints the legacy experiment tables. Every table is

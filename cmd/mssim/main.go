@@ -1,7 +1,7 @@
 // Command mssim evaluates the scheduling stack *online*: it plays arrival
 // traces through the discrete-event cluster simulator (internal/sim) under
 // every selected policy and emits BENCH_sim.json — the reproducible
-// simulation artifact whose schema (bench-sim/v3) is documented in
+// simulation artifact whose schema (bench-sim/v4) is documented in
 // docs/BENCHMARKS.md. Every executed timeline is certified with
 // malsched.VerifyTimeline before it is reported; a violation is a
 // simulator bug and exits non-zero.
@@ -33,9 +33,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 
 	"malsched"
@@ -51,7 +51,9 @@ import (
 // synthesized column counting probe outcomes resolved without a dual step.
 // v3: the header drops the parallelism key with the -parallelism flag (the
 // planning search is sequential); rows are unchanged.
-const Schema = "malsched/bench-sim/v3"
+// v4: the header drops go_version, goos and goarch, so the file is a pure
+// function of the code and the flags; rows are unchanged.
+const Schema = "malsched/bench-sim/v4"
 
 // scenario is one workload of the grid; each runs under every policy at
 // every noise level.
@@ -82,13 +84,35 @@ type row struct {
 
 // report is the full BENCH_sim.json document.
 type report struct {
-	Schema    string  `json:"schema"`
-	GoVersion string  `json:"go_version"`
-	GOOS      string  `json:"goos"`
-	GOARCH    string  `json:"goarch"`
-	Seed      int64   `json:"seed"`
-	Epoch     float64 `json:"epoch"`
-	Rows      []row   `json:"scenarios"`
+	Schema string  `json:"schema"`
+	Seed   int64   `json:"seed"`
+	Epoch  float64 `json:"epoch"`
+	Rows   []row   `json:"scenarios"`
+}
+
+// settings are the flags that shape the rows; defaults holds the flag
+// defaults, which the committed artifact was written with.
+type settings struct {
+	seed     int64
+	epoch    float64
+	preempt  string
+	solver   string
+	eps      float64
+	policies []string
+	// corrupt damages the first timeline before verification (the
+	// verification tripwire's self-test).
+	corrupt bool
+	// observe, when set, returns the solve-latency observer of a policy.
+	observe func(policy string) func(ns int64)
+}
+
+var defaults = settings{seed: 1, epoch: 2, preempt: sim.PreemptRepartition, policies: sim.Policies()}
+
+// write encodes the report as the artifact's bytes.
+func (r *report) write(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }
 
 func main() {
@@ -96,109 +120,49 @@ func main() {
 	log.SetPrefix("mssim: ")
 	out := flag.String("out", "BENCH_sim.json", "output artifact path (- for stdout)")
 	quick := flag.Bool("quick", false, "small grid for a fast smoke run")
-	seed := flag.Int64("seed", 1, "base seed (workload generation and runtime noise)")
-	solver := flag.String("solver", "", "planning solver (default: the paper's mrt)")
-	epoch := flag.Float64("epoch", 2, "epoch-batch planning period")
-	preempt := flag.String("preempt", sim.PreemptRepartition, "replan-on-arrival preemption model: none or repartition")
-	policies := flag.String("policies", strings.Join(sim.Policies(), ","), "comma-separated policies to run")
+	seed := flag.Int64("seed", defaults.seed, "base seed (workload generation and runtime noise)")
+	solver := flag.String("solver", defaults.solver, "planning solver (default: the paper's mrt)")
+	epoch := flag.Float64("epoch", defaults.epoch, "epoch-batch planning period")
+	preempt := flag.String("preempt", defaults.preempt, "replan-on-arrival preemption model: none or repartition")
+	policies := flag.String("policies", strings.Join(defaults.policies, ","), "comma-separated policies to run")
 	tracePath := flag.String("trace", "", "replay this trace/v1 JSON file instead of the generated grid")
-	eps := flag.Float64("eps", 0, "dual-search tolerance (0 = paper default)")
+	eps := flag.Float64("eps", defaults.eps, "dual-search tolerance (0 = paper default)")
 	corrupt := flag.Bool("selftest-corrupt", false, "deliberately corrupt the first timeline before verification (must exit non-zero; CI self-test)")
 	metricsOut := flag.String("metrics-out", "", "also write Prometheus text metrics (per-policy solve-latency histograms) to this file; BENCH_sim.json is unaffected")
 	flag.Parse()
 
-	pols := strings.Split(*policies, ",")
+	s := settings{
+		seed: *seed, epoch: *epoch, preempt: *preempt, solver: *solver, eps: *eps,
+		policies: strings.Split(*policies, ","), corrupt: *corrupt,
+	}
 	scenarios, err := grid(*quick, *seed, *tracePath)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	rep := report{
-		Schema:    Schema,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Seed:      *seed,
-		Epoch:     *epoch,
-	}
-	// One planning engine for the whole grid: cells of the same workload
-	// share the compiled trace tables and answer repeated residual
-	// re-solves from the memo. Sharing never changes results (memo hits
-	// return cloned, bit-identical solutions), only latency.
-	eng := engine.New(engine.Config{Workers: 1})
 	// The metrics registry rides beside the artifact: solve wall-clock
 	// histograms per policy, written as Prometheus text to -metrics-out.
 	// Wall-clock never feeds BENCH_sim.json, which stays bit-identical
 	// across runs (CI cmp-checks it).
+	var rep report
 	var metrics *obs.Registry
-	solveHists := map[string]*obs.Histogram{}
 	if *metricsOut != "" {
 		metrics = obs.NewRegistry()
 		metrics.CounterFunc("mssim_rows_total", "Grid cells simulated.",
 			func() float64 { return float64(len(rep.Rows)) })
+		hists := map[string]*obs.Histogram{}
+		s.observe = func(policy string) func(int64) {
+			h, ok := hists[policy]
+			if !ok {
+				h = metrics.Histogram("mssim_solve_latency_us",
+					"Planning-solve wall-clock by policy.", "policy", policy)
+				hists[policy] = h
+			}
+			return func(ns int64) { h.Observe(ns / 1e3) }
+		}
 	}
-	for _, sc := range scenarios {
-		jobs := sim.TimelineJobs(sc.trace)
-		polsFor := pols
-		if sc.trace.Edges != nil {
-			polsFor = polsFor[:0:0]
-			for _, p := range pols {
-				if sim.DAGAware(p) {
-					polsFor = append(polsFor, p)
-				}
-			}
-			if len(polsFor) == 0 {
-				log.Fatalf("%s carries precedence edges but no selected policy is dag-aware (have %s)",
-					sc.name, *policies)
-			}
-		}
-		for _, noise := range []float64{0, 0.15} {
-			for _, policy := range polsFor {
-				cfg := sim.Config{
-					Policy: policy,
-					Epoch:  *epoch,
-					Noise:  noise,
-					Seed:   *seed,
-					Eps:    *eps,
-					Solver: *solver,
-					Engine: eng,
-				}
-				if policy == "replan-on-arrival" {
-					cfg.Preempt = *preempt
-				}
-				if metrics != nil {
-					h, ok := solveHists[policy]
-					if !ok {
-						h = metrics.Histogram("mssim_solve_latency_us",
-							"Planning-solve wall-clock by policy.", "policy", policy)
-						solveHists[policy] = h
-					}
-					cfg.SolveObserver = func(ns int64) { h.Observe(ns / 1e3) }
-				}
-				res, err := sim.Run(sc.trace, cfg)
-				if err != nil {
-					log.Fatalf("%s under %s: %v", sc.name, policy, err)
-				}
-				if *corrupt && len(res.Timeline) > 0 {
-					res.Timeline[0].Duration *= 2
-				}
-				verr := malsched.VerifyTimeline(sc.trace.M, jobs, res.Timeline)
-				if verr == nil && sc.trace.Edges != nil {
-					verr = malsched.VerifyTimelineDAG(sc.trace.M, jobs, sc.trace.Edges, res.Timeline)
-				}
-				if verr != nil {
-					log.Fatalf("%s under %s: executed timeline failed verification: %v", sc.name, policy, verr)
-				}
-				m := res.Metrics
-				rep.Rows = append(rep.Rows, row{
-					Workload: sc.name, Policy: policy, Preempt: cfg.Preempt,
-					N: sc.trace.N(), M: sc.trace.M, Noise: noise, Epoch: epochOf(policy, *epoch),
-					Metrics:        m,
-					MakespanOverLB: m.Makespan / m.LowerBound,
-					Verified:       true,
-				})
-			}
-		}
+	if rep, err = simulate(scenarios, s); err != nil {
+		log.Fatal(err)
 	}
 
 	w := os.Stdout
@@ -210,13 +174,16 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := rep.write(w); err != nil {
 		log.Fatal(err)
 	}
+	if *out != "-" {
+		if err := w.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
 	fmt.Fprintf(os.Stderr, "mssim: %d rows over %d workloads × %d policies × 2 noise levels\n",
-		len(rep.Rows), len(scenarios), len(pols))
+		len(rep.Rows), len(scenarios), len(s.policies))
 
 	if metrics != nil {
 		f, err := os.Create(*metricsOut)
@@ -230,6 +197,75 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// simulate runs every scenario under every selected policy at both noise
+// levels and certifies each executed timeline before it becomes a row.
+func simulate(scenarios []scenario, s settings) (report, error) {
+	rep := report{Schema: Schema, Seed: s.seed, Epoch: s.epoch}
+	// One planning engine for the whole grid: cells of the same workload
+	// share the compiled trace tables and answer repeated residual
+	// re-solves from the memo. Sharing never changes results (memo hits
+	// return cloned, bit-identical solutions), only latency.
+	eng := engine.New(engine.Config{Workers: 1})
+	for _, sc := range scenarios {
+		jobs := sim.TimelineJobs(sc.trace)
+		polsFor := s.policies
+		if sc.trace.Edges != nil {
+			polsFor = polsFor[:0:0]
+			for _, p := range s.policies {
+				if sim.DAGAware(p) {
+					polsFor = append(polsFor, p)
+				}
+			}
+			if len(polsFor) == 0 {
+				return rep, fmt.Errorf("%s carries precedence edges but no selected policy is dag-aware (have %s)",
+					sc.name, strings.Join(s.policies, ","))
+			}
+		}
+		for _, noise := range []float64{0, 0.15} {
+			for _, policy := range polsFor {
+				cfg := sim.Config{
+					Policy: policy,
+					Epoch:  s.epoch,
+					Noise:  noise,
+					Seed:   s.seed,
+					Eps:    s.eps,
+					Solver: s.solver,
+					Engine: eng,
+				}
+				if policy == "replan-on-arrival" {
+					cfg.Preempt = s.preempt
+				}
+				if s.observe != nil {
+					cfg.SolveObserver = s.observe(policy)
+				}
+				res, err := sim.Run(sc.trace, cfg)
+				if err != nil {
+					return rep, fmt.Errorf("%s under %s: %w", sc.name, policy, err)
+				}
+				if s.corrupt && len(res.Timeline) > 0 {
+					res.Timeline[0].Duration *= 2
+				}
+				verr := malsched.VerifyTimeline(sc.trace.M, jobs, res.Timeline)
+				if verr == nil && sc.trace.Edges != nil {
+					verr = malsched.VerifyTimelineDAG(sc.trace.M, jobs, sc.trace.Edges, res.Timeline)
+				}
+				if verr != nil {
+					return rep, fmt.Errorf("%s under %s: executed timeline failed verification: %w", sc.name, policy, verr)
+				}
+				m := res.Metrics
+				rep.Rows = append(rep.Rows, row{
+					Workload: sc.name, Policy: policy, Preempt: cfg.Preempt,
+					N: sc.trace.N(), M: sc.trace.M, Noise: noise, Epoch: epochOf(policy, s.epoch),
+					Metrics:        m,
+					MakespanOverLB: m.Makespan / m.LowerBound,
+					Verified:       true,
+				})
+			}
+		}
+	}
+	return rep, nil
 }
 
 // epochOf reports the epoch column only for the policy it configures.
