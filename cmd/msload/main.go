@@ -393,11 +393,7 @@ func (l *loader) compareResult(r *replay, got *wire.ScheduleResponse) {
 		l.mismatch(r, "plan algorithm %q != %q", got.Plan.Algorithm, want.Plan.Algorithm)
 		return
 	}
-	wantPl := make([]wire.PlacementJSON, len(want.Plan.Placements))
-	for i, p := range want.Plan.Placements {
-		wantPl[i] = wire.PlacementJSON{Task: p.Task, Start: p.Start, Width: p.Width, First: p.First, ProcSet: p.ProcSet}
-	}
-	if !reflect.DeepEqual(got.Plan.Placements, wantPl) {
+	if !reflect.DeepEqual(got.Plan.Placements, want.Plan.Placements) {
 		l.mismatch(r, "placements differ")
 		return
 	}

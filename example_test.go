@@ -1,6 +1,7 @@
 package malsched_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"log"
 
@@ -211,4 +212,21 @@ func ExampleSchedule_portfolio() {
 	// Output:
 	// render-small: winner exact, makespan 19.934, certified ratio 1.000
 	// render-large: winner mrt, makespan 57.405, certified ratio 1.002
+}
+
+// A Plan marshals to the scheduling service's plan object: the same keys
+// as a /v1/schedule response's "plan", proc_set only on a placement that
+// lists its processors.
+func ExamplePlan_json() {
+	plan := malsched.Plan{Algorithm: "dag-list", Placements: []malsched.Placement{
+		{Task: 0, Start: 0, Width: 2, First: 0},
+		{Task: 1, Start: 1.5, Width: 2, First: -1, ProcSet: []int{1, 3}},
+	}}
+	out, err := json.Marshal(plan)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(string(out))
+	// Output:
+	// {"algorithm":"dag-list","placements":[{"task":0,"start":0,"width":2,"first":0},{"task":1,"start":1.5,"width":2,"first":-1,"proc_set":[1,3]}]}
 }

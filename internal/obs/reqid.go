@@ -36,7 +36,11 @@ func processPrefix() string {
 }
 
 // NewRequestID mints a process-unique request ID: an 8-hex-char random
-// process prefix plus a monotone sequence number.
+// process prefix plus a monotone sequence number. The ID is assembled in a
+// stack buffer, so the returned string is its one allocation; concatenating
+// a separately formatted number would cost two.
 func NewRequestID() string {
-	return reqPrefix + "-" + strconv.FormatUint(reqSeq.Add(1), 16)
+	var buf [8 + 1 + 16]byte
+	id := append(append(buf[:0], reqPrefix...), '-')
+	return string(strconv.AppendUint(id, reqSeq.Add(1), 16))
 }

@@ -6,9 +6,7 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"testing"
 
@@ -18,57 +16,20 @@ import (
 	"malsched/internal/wire"
 )
 
-// reusedCall is a caller that pays for its request and recorder once, so
-// AllocsPerRun counts the router and the shard and nothing of the client.
-type reusedCall struct {
-	req  *http.Request
-	body bytes.Reader
-	rec  reusedRecorder
-}
-
-type reusedRecorder struct {
-	header http.Header
-	status int
-	n      int
-}
-
-func (r *reusedRecorder) Header() http.Header         { return r.header }
-func (r *reusedRecorder) WriteHeader(s int)           { r.status = s }
-func (r *reusedRecorder) Write(p []byte) (int, error) { r.n += len(p); return len(p), nil }
-
-func newReusedCall(t *testing.T, contentType string) *reusedCall {
-	t.Helper()
-	c := &reusedCall{rec: reusedRecorder{header: make(http.Header)}}
-	req, err := http.NewRequest(http.MethodPost, "/v1/schedule", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", contentType)
-	req.Body = io.NopCloser(&c.body)
-	c.req = req
-	return c
-}
-
-func (c *reusedCall) do(h http.Handler, frame []byte) int {
-	c.body.Reset(frame)
-	c.req.ContentLength = int64(len(frame))
-	clear(c.rec.header)
-	c.rec.status, c.rec.n = http.StatusOK, 0
-	h.ServeHTTP(&c.rec, c.req)
-	return c.rec.status
-}
-
 // A binary memo hit through the router and an in-process shard on the
 // direct transport, the benchmark's serve-hot shape. The budget is the
-// shard's own for the same hit through the same entry (12: "memo-hit Serve"
-// in server.TestAllocBudgets, which reads 9) plus 10 for the hop, which
-// reads 8: the minted request ID 2, five response header values 5, the body
-// cap's reader 1; route key, dispatch and both buffers are free. Reads 17;
-// the parent of the change that introduced the byte-level seam read 67 on
-// this measurement (a request, URL, header map and recorder per hop, a job
-// and its channel, an unpooled body, a string per task name).
+// shard's own for the same hit through the same entry (6: "memo-hit Serve"
+// in server.TestAllocBudgets) plus 5 for the hop: the minted request ID 1,
+// the request-ID and Content-Length header values 3 (the length's string
+// and both slices), the body cap's reader 1; route key, dispatch, both
+// buffers and the backend, stolen and content-type header values are free.
+// Reads 11; 17 while the shard copied every placement into the response
+// and kept the response and the outcome on the heap, and the router built
+// its three constant header values per request; 67
+// before the byte-level seam (a request, URL, header map and recorder per
+// hop, a job and its channel, an unpooled body, a string per task name).
 func TestAllocBudgetRoutedHit(t *testing.T) {
-	const n, m, budget = 24, 16, 12 + 10
+	const n, m, budget = 24, 16, 6 + 5
 	frame := wire.AppendScheduleRequest(nil, instance.Mixed(9, n, m), nil, nil)
 	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
@@ -101,7 +62,8 @@ func TestAllocBudgetRoutedHit(t *testing.T) {
 // body is scanned once at the router for its key and once at the shard for
 // its instance, 4 allocations each (one string for the names, the task
 // slice, one slab for the time tables, the instance), and the response is
-// encoding/json's. Reads 23; 433 when encoding/json decoded the body at both
+// encoding/json's. Reads 17 (23 before the hop's constant headers, request
+// ID, outcome and plan stopped allocating); 433 when encoding/json decoded the body at both
 // tiers (a value per token, a string per name, a slice per time table).
 func TestAllocBudgetRoutedJSONHit(t *testing.T) {
 	const n, m, budget = 24, 16, 30
@@ -211,11 +173,13 @@ func TestAllocBinaryBelowJSON(t *testing.T) {
 // The routed mrt memo miss: every run a fresh 24×16 instance through the
 // same hop — the hop's 8 on top of the shard's decode, compile, λ-search,
 // verify and encode (what server.TestAllocBudgetMemoMiss bounds, there with
-// a test request and recorder on top). Reads 39: 49 before the search
+// a test request and recorder on top). Reads 25: 32 before the hop's
+// constant headers, request ID, outcome, response and plan stopped
+// allocating, 39 before the cold search's one λ-index, 49 before the search
 // stopped copying out every accepted probe's schedule, 55 before Compile
 // stopped building the breakpoint axis, 105 before the byte-level seam.
 func TestAllocBudgetRoutedMiss(t *testing.T) {
-	const n, m, runs, budget = 24, 16, 200, 44
+	const n, m, runs, budget = 24, 16, 200, 25
 	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)

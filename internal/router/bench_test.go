@@ -1,0 +1,93 @@
+package router
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"testing"
+
+	"malsched/internal/instance"
+	"malsched/internal/server"
+	"malsched/internal/wire"
+)
+
+// reusedCall is a caller that pays for its request and recorder once, so
+// AllocsPerRun counts the router and the shard and nothing of the client.
+type reusedCall struct {
+	req  *http.Request
+	body bytes.Reader
+	rec  reusedRecorder
+}
+
+type reusedRecorder struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (r *reusedRecorder) Header() http.Header         { return r.header }
+func (r *reusedRecorder) WriteHeader(s int)           { r.status = s }
+func (r *reusedRecorder) Write(p []byte) (int, error) { r.n += len(p); return len(p), nil }
+
+func newReusedCall(t testing.TB, contentType string) *reusedCall {
+	t.Helper()
+	c := &reusedCall{rec: reusedRecorder{header: make(http.Header)}}
+	req, err := http.NewRequest(http.MethodPost, "/v1/schedule", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	req.Body = io.NopCloser(&c.body)
+	c.req = req
+	return c
+}
+
+func (c *reusedCall) do(h http.Handler, frame []byte) int {
+	c.body.Reset(frame)
+	c.req.ContentLength = int64(len(frame))
+	clear(c.rec.header)
+	c.rec.status, c.rec.n = http.StatusOK, 0
+	h.ServeHTTP(&c.rec, c.req)
+	return c.rec.status
+}
+
+// BenchmarkRoutedHit is the serving envelope of a binary memo hit, the
+// serve-hot shape: 64 popular 24×16 instances, alternating the mixed and
+// comm-heavy families, sent through the router to an in-process shard by a
+// caller that reuses its request and recorder. No solver runs in the timed
+// loop, so ns/op and allocs/op are the router's, the shard's and the
+// memo's own.
+func BenchmarkRoutedHit(b *testing.B) {
+	const pool, n, m = 64, 24, 16
+	frames := make([][]byte, pool)
+	for k := range frames {
+		in := instance.Mixed(int64(k), n, m)
+		if k%2 == 1 {
+			in = instance.CommHeavy(int64(k), n, m)
+		}
+		frames[k] = wire.AppendScheduleRequest(nil, in, nil, nil)
+	}
+	shard := server.New(server.Config{Workers: 1})
+	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	c := newReusedCall(b, wire.ContentType)
+	for _, f := range frames { // fills the memo
+		if code := c.do(rt.Handler(), f); code != http.StatusOK {
+			b.Fatalf("HTTP %d", code)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := c.do(rt.Handler(), frames[i%pool]); code != http.StatusOK {
+			b.Fatalf("HTTP %d", code)
+		}
+	}
+	b.StopTimer()
+	if st := shard.Stats().Shards[0]; st.MemoMisses != pool {
+		b.Fatalf("%d memo misses for %d popular instances", st.MemoMisses, pool)
+	}
+}

@@ -222,9 +222,8 @@ func TestPinnedNeverOvertakes(t *testing.T) {
 	}
 
 	ahead := &job{
-		call:     call{ctx: t.Context(), path: "/v1/schedule", contentType: wire.ContentType, body: frame(1), reqID: "ahead"},
-		enqueued: time.Now(),
-		done:     make(chan jobResult, 1),
+		call: call{ctx: t.Context(), path: "/v1/schedule", contentType: wire.ContentType, body: frame(1), reqID: "ahead", start: time.Now()},
+		done: make(chan jobResult, 1),
 	}
 	b.pinned <- ahead
 	if len(b.slots) != 0 {

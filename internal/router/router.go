@@ -169,14 +169,17 @@ type call struct {
 	// reqID is the request ID minted at dispatch (or supplied by the
 	// client); the transport propagates it to the shard.
 	reqID string
+	// start is the request's one wall-clock read at dispatch; every stage
+	// boundary after it is a monotonic time.Since(start).
+	start time.Time
 }
 
 // job is a call waiting in a shard's queue for a forwarding slot.
 type job struct {
 	call
-	// enqueued timestamps queue entry; the drainer's pickup delta is the
-	// queue-stage latency.
-	enqueued time.Time
+	// enqueued is the request's age at queue entry; its age at the
+	// drainer's pickup minus this is the queue-stage latency.
+	enqueued time.Duration
 	// done receives exactly one result; buffered so a drainer never blocks
 	// on a client that gave up.
 	done chan jobResult
@@ -200,7 +203,10 @@ type jobResult struct {
 
 type backendState struct {
 	name string
-	tr   transport
+	// nameHdr is the X-Msroute-Backend value of every response this shard
+	// serves, built once.
+	nameHdr []string
+	tr      transport
 	// slots bounds concurrent forwards to this shard (Config.Workers): a
 	// token per forward in flight, inline or drained.
 	slots chan struct{}
@@ -286,12 +292,13 @@ func New(cfg Config) (*Router, error) {
 	r.backends = make([]*backendState, len(cfg.Backends))
 	for i, b := range cfg.Backends {
 		r.backends[i] = &backendState{
-			name:   b.Name,
-			tr:     newTransport(b, client),
-			slots:  make(chan struct{}, cfg.Workers),
-			pinned: make(chan *job, cfg.QueueDepth),
-			local:  make(chan *job, cfg.QueueDepth),
-			wake:   make(chan struct{}, cfg.Workers),
+			name:    b.Name,
+			nameHdr: []string{b.Name},
+			tr:      newTransport(b, client),
+			slots:   make(chan struct{}, cfg.Workers),
+			pinned:  make(chan *job, cfg.QueueDepth),
+			local:   make(chan *job, cfg.QueueDepth),
+			wake:    make(chan struct{}, cfg.Workers),
 		}
 	}
 	r.registerMetrics()
@@ -376,8 +383,8 @@ func (r *Router) Stats() Stats {
 // otherwise. Batch requests route by their first instance — a batch is
 // one admission unit on the shard side too. JSON bodies decode through the
 // shards' own decoder, so the tiers accept and refuse the same bodies.
-func (r *Router) routeKey(path, contentType string, body []byte) (uint64, bool, *wire.ErrorInfo) {
-	if contentType == wire.ContentType {
+func (r *Router) routeKey(path string, binary bool, body []byte) (uint64, bool, *wire.ErrorInfo) {
+	if binary {
 		r.binaryReqs.Inc()
 		key, lineage, err := wire.RouteKey(body)
 		if err != nil {
@@ -411,10 +418,17 @@ func (r *Router) routeKey(path, contentType string, body []byte) (uint64, bool, 
 	return engine.WorkloadFingerprintDAG(req.Instance, req.Graph), false, nil
 }
 
+// Response header values the router sets verbatim, built once: assigning
+// one of these into a header map allocates nothing.
+var (
+	hdrStolen, hdrNotStolen    = []string{"true"}, []string{"false"}
+	hdrBinaryType, hdrJSONType = []string{wire.ContentType}, []string{"application/json"}
+)
+
 func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string) {
 	start := time.Now()
-	ct := contentTypeOf(req)
-	binary := ct == wire.ContentType
+	ct := req.Header.Get("Content-Type")
+	binary := wire.IsBinary(ct)
 	codec, endpoint := "json", path[len("/v1/"):]
 	if binary {
 		codec = "binary"
@@ -444,7 +458,7 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 			&wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", err)})
 		return
 	}
-	key, pinned, errInfo := r.routeKey(path, ct, body)
+	key, pinned, errInfo := r.routeKey(path, binary, body)
 	if errInfo != nil {
 		wire.PutBuffer(body)
 		refuse(http.StatusBadRequest, errInfo)
@@ -452,7 +466,7 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 	}
 	home := r.ring.route(key)
 	b := r.backends[home]
-	c := call{ctx: req.Context(), home: home, path: path, contentType: ct, body: body, reqID: reqID}
+	c := call{ctx: req.Context(), home: home, path: path, contentType: ct, body: body, reqID: reqID, start: start}
 
 	var res jobResult
 	if b.tryInline(pinned) {
@@ -461,11 +475,11 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 		// with a queue wait of zero.
 		r.admitted(b, pinned)
 		r.inlineCnt.Inc()
-		res = r.forward(home, &c, 0, wire.GetBuffer())
+		res = r.forward(home, &c, 0, time.Since(start), wire.GetBuffer())
 		res.inline = true
 		r.release(home)
 	} else {
-		j := &job{call: c, enqueued: time.Now(), done: make(chan jobResult, 1)}
+		j := &job{call: c, enqueued: time.Since(start), done: make(chan jobResult, 1)}
 		q := b.local
 		if pinned {
 			q = b.pinned
@@ -502,9 +516,18 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 		r.writeError(w, res.status, binary, &wire.ErrorInfo{Code: wire.CodeInternal, Message: res.err.Error()})
 	} else {
 		h := w.Header()
-		h.Set("X-Msroute-Backend", r.backends[res.servedBy].name)
-		h.Set("X-Msroute-Stolen", strconv.FormatBool(res.stolen))
-		if res.contentType != "" {
+		h["X-Msroute-Backend"] = r.backends[res.servedBy].nameHdr
+		h["X-Msroute-Stolen"] = hdrNotStolen
+		if res.stolen {
+			h["X-Msroute-Stolen"] = hdrStolen
+		}
+		switch res.contentType {
+		case "":
+		case wire.ContentType:
+			h["Content-Type"] = hdrBinaryType
+		case "application/json":
+			h["Content-Type"] = hdrJSONType
+		default:
 			h.Set("Content-Type", res.contentType)
 		}
 		if res.retryAfter != "" {
@@ -621,7 +644,8 @@ func (r *Router) drainer(i int) {
 				<-b.slots
 				break
 			}
-			res := r.forward(i, &j.call, time.Since(j.enqueued).Nanoseconds(), wire.GetBuffer())
+			picked := time.Since(j.start)
+			res := r.forward(i, &j.call, int64(picked-j.enqueued), picked, wire.GetBuffer())
 			<-b.slots
 			j.done <- res
 		}
@@ -655,9 +679,11 @@ func (r *Router) take(i int) *job {
 }
 
 // forward sends one call to shard i — whose slot the caller holds — and
-// reports the outcome. The response is appended to dst and travels in the
-// result; on failure dst goes back to the pool here.
-func (r *Router) forward(i int, c *call, queueNS int64, dst []byte) jobResult {
+// reports the outcome. from is the call's age as the forward begins, so the
+// forward stage costs one clock read at its end. The response is appended
+// to dst and travels in the result; on failure dst goes back to the pool
+// here.
+func (r *Router) forward(i int, c *call, queueNS int64, from time.Duration, dst []byte) jobResult {
 	b := r.backends[i]
 	res := jobResult{servedBy: i, stolen: i != c.home, queueNS: queueNS}
 	if err := c.ctx.Err(); err != nil {
@@ -670,9 +696,8 @@ func (r *Router) forward(i int, c *call, queueNS int64, dst []byte) jobResult {
 	if res.stolen {
 		b.stolenServed.Inc()
 	}
-	t := time.Now()
 	status, ct, out, retryAfter, err := b.tr.Serve(c.ctx, c.path, c.contentType, c.body, c.reqID, dst)
-	res.forwardNS = time.Since(t).Nanoseconds()
+	res.forwardNS = int64(time.Since(c.start) - from)
 	b.queueLat.Observe(queueNS / 1e3)
 	b.forwardLat.Observe(res.forwardNS / 1e3)
 	if err != nil {
@@ -720,15 +745,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf)
-}
-
-// contentTypeOf strips media-type parameters.
-func contentTypeOf(r *http.Request) string {
-	ct := r.Header.Get("Content-Type")
-	for i := 0; i < len(ct); i++ {
-		if ct[i] == ';' {
-			return ct[:i]
-		}
-	}
-	return ct
 }

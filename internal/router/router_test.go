@@ -77,7 +77,7 @@ func jsonRouteKey(t *testing.T, rt *Router, in *instance.Instance, graph [][]int
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, pinned, errInfo := rt.routeKey("/v1/schedule", "application/json", body)
+	key, pinned, errInfo := rt.routeKey("/v1/schedule", false, body)
 	if errInfo != nil {
 		t.Fatalf("JSON route key: %+v", errInfo)
 	}
@@ -334,6 +334,59 @@ func TestBinaryThroughRouter(t *testing.T) {
 	}
 	if rt.Stats().BinaryRequests == 0 {
 		t.Fatal("binary_requests counter never moved")
+	}
+}
+
+// Both tiers negotiate the codec by one rule (wire.IsBinary): parameters
+// stripped, spaces trimmed, type and subtype compared ignoring case. A
+// binary frame sent under each Content-Type gets the same status and
+// response Content-Type from the router as from a bare shard — 200 binary
+// where the header names the binary codec, a 400 JSON error where the
+// frame is read as JSON.
+func TestCodecNegotiationAgrees(t *testing.T) {
+	rt, _ := newTier(t, 1, Config{})
+	shard := server.New(server.Config{Workers: 1})
+	frame := wire.AppendScheduleRequest(nil, instance.Mixed(4, 6, 4), nil, nil)
+	for _, c := range []struct {
+		contentType string
+		binary      bool
+	}{
+		{wire.ContentType, true},
+		{wire.ContentType + "; v=1", true},
+		{wire.ContentType + " ; v=1", true},
+		{wire.ContentType + ";", true},
+		{" " + wire.ContentType, true},
+		{wire.ContentType + " ", true},
+		{"\t" + wire.ContentType + "\t;charset=x", true},
+		{"Application/X-Malsched-Bin", true},
+		{"APPLICATION/X-MALSCHED-BIN; V=1", true},
+		{"application/json", false},
+		{"", false},
+		{"application/x-malsched-binary", false},
+		{"application/x-malsched", false},
+		{"x-malsched-bin", false},
+		{"text/plain; " + wire.ContentType, false},
+	} {
+		want := http.StatusBadRequest
+		wantType := "application/json"
+		if c.binary {
+			want, wantType = http.StatusOK, wire.ContentType
+		}
+		for _, tier := range []struct {
+			name string
+			h    http.Handler
+		}{{"router", rt.Handler()}, {"shard", shard.Handler()}} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frame))
+			req.Header.Set("Content-Type", c.contentType)
+			rec := httptest.NewRecorder()
+			tier.h.ServeHTTP(rec, req)
+			if got := rec.Header().Get("Content-Type"); rec.Code != want || got != wantType {
+				t.Errorf("%s, Content-Type %q: HTTP %d %q, want %d %q", tier.name, c.contentType, rec.Code, got, want, wantType)
+			}
+		}
+		if got := wire.IsBinary(c.contentType); got != c.binary {
+			t.Errorf("wire.IsBinary(%q) = %v, want %v", c.contentType, got, c.binary)
+		}
 	}
 }
 

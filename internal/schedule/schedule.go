@@ -18,19 +18,22 @@ import (
 )
 
 // Placement runs one task on a fixed processor set for its whole duration.
+// It is also the service's wire placement (wire.PlacementJSON is an alias):
+// the JSON tags are the wire's keys, so encoding/json emits them for any
+// Placement.
 type Placement struct {
 	// Task indexes into the instance's task slice.
-	Task int
+	Task int `json:"task"`
 	// Start is the start time.
-	Start float64
+	Start float64 `json:"start"`
 	// Width is the number of processors allotted.
-	Width int
+	Width int `json:"width"`
 	// First is the lowest processor index of a contiguous block of Width
 	// processors. First is -1 when ProcSet is used instead.
-	First int
+	First int `json:"first"`
 	// ProcSet lists explicit processor indices for non-contiguous
 	// placements (len == Width). nil for contiguous placements.
-	ProcSet []int
+	ProcSet []int `json:"proc_set,omitempty"`
 }
 
 // Processors returns the processor indices the placement occupies.
@@ -72,12 +75,13 @@ func (p Placement) End(in *instance.Instance) float64 {
 	return p.Start + in.Tasks[p.Task].Time(p.Width)
 }
 
-// Schedule is a complete assignment of an instance's tasks.
+// Schedule is a complete assignment of an instance's tasks, and the
+// service's wire plan (wire.PlanJSON is an alias; JSON tags as Placement's).
 type Schedule struct {
 	// Algorithm names the producer, for reports.
-	Algorithm string
+	Algorithm string `json:"algorithm"`
 	// Placements holds one entry per task, in any order.
-	Placements []Placement
+	Placements []Placement `json:"placements"`
 }
 
 // Makespan returns the latest completion time, 0 for an empty schedule.

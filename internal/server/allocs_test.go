@@ -71,17 +71,21 @@ func TestAllocBudgets(t *testing.T) {
 			}
 		}},
 		// A whole binary memo hit through the shard's handler, test
-		// request and recorder included. Reads 37 (65 with per-name strings
-		// and a status-capturing writer around the handler).
-		{"memo-hit ServeHTTP", 42, func() {
+		// request and recorder included. Reads 33 (37 with the outcome, the
+		// response and a copy of the plan on the heap, 65 with per-name
+		// strings and a status-capturing writer around the handler).
+		{"memo-hit ServeHTTP", 33, func() {
 			if code := serve(); code != http.StatusOK {
 				t.Fatalf("HTTP %d", code)
 			}
 		}},
 		// The same hit through the byte-level entry the routing tier calls:
-		// the shard's own share, nothing of HTTP. Reads 10: decode 4, the
-		// memo's copy of the solution 2, the outcome, the response 3.
-		{"memo-hit Serve", 12, func() {
+		// the shard's own share, nothing of HTTP. Reads 6: decode 4, the
+		// memo's copy of the solution 2; the outcome and the response stay
+		// on the stack and the response carries the memo's copy of the
+		// plan. 9 while the outcome, the response and a copy of every
+		// placement took one allocation each.
+		{"memo-hit Serve", 6, func() {
 			status, _, out, _, _ := s.Serve(context.Background(), "/v1/schedule", wire.ContentType, frame, "alloc-test", dst[:0])
 			if dst = out; status != http.StatusOK {
 				t.Fatalf("status %d", status)
@@ -106,7 +110,9 @@ func TestAllocBudgets(t *testing.T) {
 // core.TestApproximateAllocBudget bounds (its state and the one schedule it
 // returns); the rest is the instance and its compiled tables.
 func TestAllocBudgetMemoMiss(t *testing.T) {
-	// Reads 58: 68 before the search stopped copying out every accepted
+	// Reads 47: 51 before the outcome, the response and a copy of the plan
+	// left the heap; 58 before the cold search's one λ-index; 68 before the
+	// search stopped copying out every accepted
 	// probe's schedule; 74 before Compile stopped building the breakpoint
 	// axis (three allocations for seven) and a new instance's segment ranges
 	// became one list instead of a map; 102 before the decode shared one
@@ -144,7 +150,8 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // NewGraph, verify.Precedence in the solver and again in the handler),
 // compile, the precedence solve, both verifies, encode — every run a fresh
 // 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
-// share is what precedence.TestSolveAllocBudget bounds (9). Reads 64: 318
+// share is what precedence.TestSolveAllocBudget bounds (9). Reads 60 (64
+// with the outcome, the response and a copy of the plan on the heap): 318
 // before candidates were scored on processor counts and the segment
 // cache's entries recycled, 124 before the decode shared one string, 104
 // before Compile stopped building the breakpoint axis, 100 before the

@@ -8,23 +8,10 @@ import (
 
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
-	"malsched/internal/schedule"
 	"malsched/internal/solver"
 	"malsched/internal/verify"
 	"malsched/internal/wire"
 )
-
-// planOfJSON reconstructs an in-process schedule from its wire form so the
-// client-side tests can re-run the verifier on exactly what came over HTTP.
-func planOfJSON(pj wire.PlanJSON) *schedule.Schedule {
-	p := &schedule.Schedule{Algorithm: pj.Algorithm}
-	for _, pl := range pj.Placements {
-		p.Placements = append(p.Placements, schedule.Placement{
-			Task: pl.Task, Start: pl.Start, Width: pl.Width, First: pl.First, ProcSet: pl.ProcSet,
-		})
-	}
-	return p
-}
 
 // A valid DAG request round-trips: 200, served by the requested edge-aware
 // solver, and the returned plan passes the precedence verifier on the
@@ -51,7 +38,7 @@ func TestScheduleDAGRequest(t *testing.T) {
 	if resp.Solver != solver.DAGSolverName {
 		t.Fatalf("served by %q, want %q", resp.Solver, solver.DAGSolverName)
 	}
-	if err := verify.Precedence(in, graph, planOfJSON(resp.Plan)); err != nil {
+	if err := verify.Precedence(in, graph, &resp.Plan); err != nil {
 		t.Fatalf("served plan violates the requested precedence: %v", err)
 	}
 

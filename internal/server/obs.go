@@ -40,7 +40,10 @@ type reqCtx struct {
 	id       string
 	endpoint string // "schedule" or "batch"
 	codec    string // "json" or "binary"
-	start    time.Time
+	// start is the request's one wall-clock read; last is the elapsed time
+	// at the latest stage boundary (see lap).
+	start time.Time
+	last  int64
 
 	// solver labels the stage histograms; a batch leaves it unset (each
 	// item observes its own stages under a per-item context).
@@ -51,6 +54,16 @@ type reqCtx struct {
 
 	st    stageNS
 	trace *wire.TraceInfo
+}
+
+// lap marks a stage boundary: it returns the nanoseconds since the previous
+// one (since start, at the first) and makes now the previous one. Each
+// boundary costs one monotonic clock read.
+func (rc *reqCtx) lap() int64 {
+	now := int64(time.Since(rc.start))
+	d := now - rc.last
+	rc.last = now
+	return d
 }
 
 // stageNS is where one solve's wall-clock went, in nanoseconds.

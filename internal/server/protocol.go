@@ -6,7 +6,6 @@ import (
 
 	"malsched/internal/engine"
 	"malsched/internal/instance"
-	"malsched/internal/schedule"
 	"malsched/internal/wire"
 )
 
@@ -108,7 +107,16 @@ func EncodeInstance(in *instance.Instance) (json.RawMessage, error) {
 // ResponseOf maps an engine outcome onto the wire type. shard fills the
 // response's frozen shard field, which msserve always sets to 0.
 func ResponseOf(in *instance.Instance, out engine.Outcome, shard int) *wire.ScheduleResponse {
-	return &wire.ScheduleResponse{
+	resp := new(wire.ScheduleResponse)
+	fillResponse(resp, in, &out, shard)
+	return resp
+}
+
+// fillResponse is ResponseOf into a response the caller owns, which the
+// single-request path keeps in its own frame. The plan is the outcome's
+// own (the memo's copy on a hit), not a copy of it.
+func fillResponse(resp *wire.ScheduleResponse, in *instance.Instance, out *engine.Outcome, shard int) {
+	*resp = wire.ScheduleResponse{
 		Name:        in.Name,
 		Makespan:    out.Makespan,
 		LowerBound:  out.LowerBound,
@@ -118,16 +126,6 @@ func ResponseOf(in *instance.Instance, out engine.Outcome, shard int) *wire.Sche
 		Synthesized: out.Synthesized,
 		FromMemo:    out.FromMemo,
 		Shard:       shard,
-		Plan:        planJSON(out.Plan),
+		Plan:        *out.Plan,
 	}
-}
-
-func planJSON(p *schedule.Schedule) wire.PlanJSON {
-	out := wire.PlanJSON{Algorithm: p.Algorithm, Placements: make([]wire.PlacementJSON, len(p.Placements))}
-	for i, pl := range p.Placements {
-		out.Placements[i] = wire.PlacementJSON{
-			Task: pl.Task, Start: pl.Start, Width: pl.Width, First: pl.First, ProcSet: pl.ProcSet,
-		}
-	}
-	return out
 }

@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -331,8 +330,8 @@ func lineageHash(lineage string) uint64 {
 }
 
 // solveVerified runs one instance on the engine and re-checks the result
-// with verify.Plan before anything is released to the caller. It returns
-// either a response or a typed error with its HTTP status.
+// with verify.Plan before anything is released to the caller. It fills resp,
+// or returns a typed error with its HTTP status.
 //
 // The engine hashes the profiles once, inside the solve slot: the memo key,
 // and forked from its workload prefix the compiled-cache key, so renamed
@@ -345,15 +344,14 @@ func lineageHash(lineage string) uint64 {
 // repeated shape and memo-miss re-solves under different options share one
 // set of tables, and a memo hit pays for none. The solve slots bound
 // concurrency to Config.Workers across all requests, compilation included.
-func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx) (*wire.ScheduleResponse, *wire.ErrorInfo, int) {
+func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx, resp *wire.ScheduleResponse) (*wire.ErrorInfo, int) {
 	warm := lineage != "" && engine.WantsCompiled(o)
 	rc.solver = solverLabel(o)
 	var st stageNS
-	t := time.Now()
+	rc.lap() // the queue stage starts here, after decode and validation
 	s.slots <- struct{}{}
-	st.queue = time.Since(t).Nanoseconds()
+	st.queue = rc.lap()
 	var out engine.Outcome
-	t = time.Now()
 	if warm {
 		out = s.eng.ScheduleWarm(in, nil, o, timeout, s.eng.WarmFor(lineageHash(lineage)))
 	} else {
@@ -362,26 +360,28 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	// The engine reports the table resolution it did inside the call (0 on
 	// a memo hit); the rest of the call is the solve stage.
 	st.compile = out.CompileNS
-	st.solve = time.Since(t).Nanoseconds() - st.compile
+	st.solve = rc.lap() - st.compile
 	<-s.slots
 	set := s.stages.Get(stageKey{solver: rc.solver, codec: rc.codec})
 	rc.set = set
 	if out.Err != nil {
 		set.observe(st)
 		rc.st = st
-		return nil, errInfoOf(out.Err), statusOf(out.Err)
+		return errInfoOf(out.Err), statusOf(out.Err)
 	}
 	if s.corrupt != nil {
-		s.corrupt(&out.Solution)
+		// The hook takes a copy's address, so out itself stays in this frame.
+		sol := out.Solution
+		s.corrupt(&sol)
+		out.Solution = sol
 	}
-	t = time.Now()
 	c := verify.Certified{Plan: out.Plan, Makespan: out.Makespan, LowerBound: out.LowerBound}
 	if err := verify.Plan(in, c, false); err != nil {
 		s.verifyFail.Inc()
-		st.verify = time.Since(t).Nanoseconds()
+		st.verify = rc.lap()
 		set.observe(st)
 		rc.st = st
-		return nil, &wire.ErrorInfo{
+		return &wire.ErrorInfo{
 			Code:    wire.CodeVerifyFailed,
 			Message: fmt.Sprintf("refusing to serve an unverified schedule for %q: %v", in.Name, err),
 		}, http.StatusInternalServerError
@@ -392,24 +392,24 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 		// to the ordering constraints the client asked for.
 		if err := verify.Precedence(in, o.Edges, out.Plan); err != nil {
 			s.verifyFail.Inc()
-			st.verify = time.Since(t).Nanoseconds()
+			st.verify = rc.lap()
 			set.observe(st)
 			rc.st = st
-			return nil, &wire.ErrorInfo{
+			return &wire.ErrorInfo{
 				Code:    wire.CodeVerifyFailed,
 				Message: fmt.Sprintf("refusing to serve a precedence-violating schedule for %q: %v", in.Name, err),
 			}, http.StatusInternalServerError
 		}
 	}
-	st.verify = time.Since(t).Nanoseconds()
+	st.verify = rc.lap()
 	set.observe(st)
 	rc.st = st
-	resp := ResponseOf(in, out, 0)
+	fillResponse(resp, in, &out, 0)
 	if o.Trace {
 		resp.Trace = traceInfoOf(out, st)
 		rc.trace = resp.Trace
 	}
-	return resp, nil, 0
+	return nil, 0
 }
 
 // errInfoOf maps engine/solver errors onto typed wire errors.
@@ -509,7 +509,7 @@ func (s *Server) serve(endpoint, contentType string, body []byte, bodyErr error,
 		rc.id = obs.NewRequestID()
 	}
 	// The batch path is JSON-only; the binary codec covers /v1/schedule.
-	binary := endpoint == endpointSchedule && isBinary(contentType)
+	binary := endpoint == endpointSchedule && wire.IsBinary(contentType)
 	respType = jsonContentType
 	if binary {
 		rc.codec, respType = "binary", wire.ContentType
@@ -610,28 +610,19 @@ func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int
 		}
 		o.Edges = graph
 	}
-	resp, errInfo, status := s.solveVerified(in, o, timeout, lineage, rc)
-	if errInfo != nil {
+	var resp wire.ScheduleResponse // stays in this frame: the encoders only read it
+	if errInfo, status := s.solveVerified(in, o, timeout, lineage, rc, &resp); errInfo != nil {
 		return nil, status, errInfo
 	}
-	t := time.Now()
 	var out []byte
+	var errInfo *wire.ErrorInfo
 	if binary {
-		out = wire.AppendScheduleResponse(dst, resp)
+		out = wire.AppendScheduleResponse(dst, &resp)
 	} else if out, errInfo = appendJSON(dst, resp); errInfo != nil {
 		return nil, http.StatusInternalServerError, errInfo
 	}
-	rc.set.encode.Observe(time.Since(t).Microseconds())
+	rc.set.encode.Observe(rc.lap() / 1e3)
 	return out, http.StatusOK, nil
-}
-
-// isBinary reports whether a Content-Type negotiates the binary codec
-// (parameters ignored).
-func isBinary(contentType string) bool {
-	if i := strings.IndexByte(contentType, ';'); i >= 0 {
-		contentType = contentType[:i]
-	}
-	return strings.TrimSpace(contentType) == wire.ContentType
 }
 
 // isFramingErr separates malformed binary framing (bad_request, like
@@ -710,12 +701,12 @@ func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout
 	// Each item gets its own observability context: items solve concurrently,
 	// so they must not share the request-level reqCtx, and each observes its
 	// own stage timings.
-	irc := &reqCtx{endpoint: "batch", codec: codec}
-	res, errInfo, _ := s.solveVerified(in, o, timeout, lineage, irc)
-	if errInfo != nil {
+	irc := &reqCtx{endpoint: "batch", codec: codec, start: time.Now()}
+	var res wire.ScheduleResponse
+	if errInfo, _ := s.solveVerified(in, o, timeout, lineage, irc, &res); errInfo != nil {
 		return wire.BatchItem{Index: i, Error: errInfo}
 	}
-	return wire.BatchItem{Index: i, Result: res}
+	return wire.BatchItem{Index: i, Result: &res}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,7 @@ import (
 
 	"malsched/internal/engine"
 	"malsched/internal/instance"
+	"malsched/internal/precedence"
 	"malsched/internal/wire"
 )
 
@@ -100,7 +101,7 @@ func TestScheduleMatchesInProcess(t *testing.T) {
 				seed, resp.Makespan, resp.LowerBound, resp.Branch, resp.Solver,
 				want.Makespan, want.LowerBound, want.Branch, want.Solver)
 		}
-		if !reflect.DeepEqual(resp.Plan, planJSON(want.Plan)) {
+		if !reflect.DeepEqual(resp.Plan, *want.Plan) {
 			t.Fatalf("seed %d: plan differs from in-process solve", seed)
 		}
 	}
@@ -518,5 +519,40 @@ func TestMaxTimeoutCapsDefault(t *testing.T) {
 	}
 	if _, timeout, _ := s.resolveOptions(&wire.RequestOptions{TimeoutMS: 1}); timeout != time.Millisecond {
 		t.Fatalf("timeout_ms 1: timeout %v, want 1ms", timeout)
+	}
+}
+
+// The served JSON plan object is the bytes it was before the wire's plan
+// and placement types became aliases of the schedule package's: the same
+// keys in the same order, proc_set only on placements that carry one.
+// Captured from the server before the merge, for contiguous placements
+// (mrt) and for processor sets (the dag solver).
+func TestJSONPlanBytesPinned(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	in := instance.Mixed(7, 6, 8)
+	raw := mustRaw(t, in)
+	for _, c := range []struct {
+		name string
+		req  wire.ScheduleRequest
+		want string
+	}{
+		{"contiguous", wire.ScheduleRequest{Instance: raw},
+			`{"algorithm":"canonical-list+realloc","placements":[{"task":1,"start":0,"width":3,"first":0},{"task":0,"start":0,"width":3,"first":3},{"task":3,"start":0,"width":1,"first":6},{"task":2,"start":0,"width":1,"first":7},{"task":5,"start":0.5110099966940077,"width":1,"first":7},{"task":4,"start":0.7401169358646739,"width":1,"first":7}]}`},
+		{"proc sets", wire.ScheduleRequest{Instance: raw, Graph: precedence.RandomEdges(3, in.N(), 0.3), Options: &wire.RequestOptions{Solver: "dag"}},
+			`{"algorithm":"dag-list","placements":[{"task":1,"start":0,"width":3,"first":-1,"proc_set":[0,1,2]},{"task":0,"start":0,"width":3,"first":-1,"proc_set":[3,4,5]},{"task":3,"start":0,"width":1,"first":-1,"proc_set":[6]},{"task":5,"start":0,"width":1,"first":-1,"proc_set":[7]},{"task":4,"start":0.22910693917066616,"width":1,"first":-1,"proc_set":[7]},{"task":2,"start":2.5014636581968266,"width":8,"first":-1,"proc_set":[0,1,2,3,4,5,6,7]}]}`},
+	} {
+		status, body := post(t, ts, "/v1/schedule", c.req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", c.name, status, body)
+		}
+		var resp struct{ Plan json.RawMessage }
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if string(resp.Plan) != c.want {
+			t.Errorf("%s: plan object\n got %s\nwant %s", c.name, resp.Plan, c.want)
+		}
 	}
 }

@@ -45,14 +45,27 @@ import (
 
 	"malsched/internal/fphash"
 	"malsched/internal/instance"
+	"malsched/internal/schedule"
 	"malsched/internal/task"
 )
 
 // ContentType is the negotiation key of the binary codec: a request whose
-// Content-Type equals it is decoded binary and answered binary (errors
-// included); anything else speaks JSON. Version is part of the payload
-// header, not the media type, so a future v2 negotiates identically.
+// Content-Type names it (see IsBinary) is decoded binary and answered
+// binary (errors included); anything else speaks JSON. Version is part of
+// the payload header, not the media type, so a future v2 negotiates
+// identically.
 const ContentType = "application/x-malsched-bin"
+
+// IsBinary reports whether a Content-Type header negotiates the binary
+// codec: its media type — parameters stripped, surrounding spaces trimmed —
+// equals ContentType ignoring case, as RFC 9110 §8.3.1 compares type and
+// subtype. Both serving tiers decide by it, so they negotiate alike.
+func IsBinary(contentType string) bool {
+	if i := strings.IndexByte(contentType, ';'); i >= 0 {
+		contentType = contentType[:i]
+	}
+	return strings.EqualFold(strings.TrimSpace(contentType), ContentType)
+}
 
 // Header bytes.
 const (
@@ -156,20 +169,13 @@ type BatchRequest struct {
 	Options   *RequestOptions   `json:"options,omitempty"`
 }
 
-// PlacementJSON mirrors schedule.Placement on the wire.
-type PlacementJSON struct {
-	Task    int     `json:"task"`
-	Start   float64 `json:"start"`
-	Width   int     `json:"width"`
-	First   int     `json:"first"`
-	ProcSet []int   `json:"proc_set,omitempty"`
-}
-
-// PlanJSON mirrors schedule.Schedule on the wire.
-type PlanJSON struct {
-	Algorithm  string          `json:"algorithm"`
-	Placements []PlacementJSON `json:"placements"`
-}
+// PlacementJSON and PlanJSON are the wire's names for the solver's own
+// types, whose JSON tags are the wire's keys: a response carries the plan
+// the engine returned, with no per-placement copy.
+type (
+	PlacementJSON = schedule.Placement
+	PlanJSON      = schedule.Schedule
+)
 
 // ScheduleResponse is the success body of /v1/schedule (and of each batch
 // item). Every field is produced by the same pipeline as the in-process
@@ -499,6 +505,11 @@ func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	// Counts, widths and indices are almost always below 0x80: one byte.
+	if r.off < len(r.b) && r.b[r.off] < 0x80 {
+		r.off++
+		return uint64(r.b[r.off-1])
+	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		r.fail(ErrTruncated)
@@ -523,13 +534,15 @@ func (r *reader) varint() int64 {
 
 // count reads a length prefix for elements of at least elemSize bytes and
 // rejects counts the remaining payload cannot possibly hold, so a hostile
-// length prefix cannot drive a huge allocation.
+// length prefix cannot drive a huge allocation. It decides v > rem/elemSize
+// without dividing: past v > rem the product v·elemSize (elemSize ≤ 8)
+// cannot overflow, and v·elemSize > rem is the same test on integers.
 func (r *reader) count(elemSize int) int {
 	v := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if v > uint64(len(r.b)-r.off)/uint64(elemSize) {
+	if rem := uint64(len(r.b) - r.off); v > rem || v*uint64(elemSize) > rem {
 		r.fail(ErrTooLarge)
 		return 0
 	}
@@ -640,12 +653,14 @@ func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOp
 		lo := len(slab)
 		slab = slab[:lo+nTimes]
 		times := slab[lo:len(slab):len(slab)]
-		// count(8) proved the row is there: read it behind that one check.
+		// count(8) proved the row is there: read it behind that one check,
+		// a float at a time off the front of the row.
 		row := r.b[r.off : r.off+8*nTimes]
-		for p := range times {
-			times[p] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*p:]))
-		}
 		r.off += len(row)
+		for p := range times {
+			times[p] = math.Float64frombits(binary.LittleEndian.Uint64(row))
+			row = row[8:]
+		}
 		t, err := task.NewOwned(tName, times)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("instance: task %d: %w", i, err)
@@ -803,9 +818,10 @@ func RouteKey(data []byte) (key uint64, lineage string, err error) {
 		// already stores Float64bits little-endian, which is exactly what
 		// the fingerprint hashes.
 		table := r.b[r.off : r.off+8*nTimes]
-		r.off += 8 * nTimes
-		for p := 0; p < maxProcs; p++ {
-			h.Word(binary.LittleEndian.Uint64(table[8*p:]))
+		r.off += len(table)
+		for range maxProcs {
+			h.Word(binary.LittleEndian.Uint64(table))
+			table = table[8:]
 		}
 	}
 	if r.ver >= 2 && r.u8() != 0 {

@@ -79,7 +79,8 @@ type (
 	// Placement runs one task on Width consecutive processors starting at
 	// First from time Start.
 	Placement = schedule.Placement
-	// Plan is a complete schedule of an instance.
+	// Plan is a complete schedule of an instance. It is also the service's
+	// wire plan: encoding/json emits the keys of a response's "plan".
 	Plan = schedule.Schedule
 )
 
