@@ -29,14 +29,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"maps"
 	"math"
 	"net/http"
 	"os"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,73 +53,65 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("msload: ")
-	addr := flag.String("addr", "http://127.0.0.1:8080", "msserve base URL")
-	seed := flag.Int64("seed", 1, "workload seed (the replay key)")
-	n := flag.Int("n", 200, "number of instances to replay")
-	batch := flag.Int("batch", 0, "≥ 2 sends /v1/batch requests of this size; else /v1/schedule")
-	famFlag := flag.String("families", "", "comma-separated family list (default: all)")
-	maxTasks := flag.Int("tasks", 18, "max tasks per instance")
-	maxM := flag.Int("m", 16, "max processors per instance")
-	solverName := flag.String("solver", "", "registered solver for every request (default mrt)")
-	eps := flag.Float64("eps", 0, "search tolerance (0 = default)")
-	codec := flag.String("codec", "json", "request codec: json, or binary (cross-codec byte-equality oracle)")
-	compact := flag.Bool("compact", false, "left-shift final schedules")
-	dag := flag.Bool("dag", false, "attach a precedence DAG to every request (rotating chain/out-tree/random shapes; default solver becomes dag)")
-	verbose := flag.Bool("v", false, "log every request")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run replays the workload the flags in args describe and prints the
+// verdict line to stdout. A mismatch is logged as it is found; the run
+// fails after the last replay if there was any, and at once on a bad
+// option or a transport failure.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("msload", flag.ExitOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "msserve base URL")
+	seed := fs.Int64("seed", 1, "workload seed (the replay key)")
+	n := fs.Int("n", 200, "number of instances to replay")
+	batch := fs.Int("batch", 0, "≥ 2 sends /v1/batch requests of this size; else /v1/schedule")
+	famFlag := fs.String("families", "", "comma-separated family list (default: all)")
+	maxTasks := fs.Int("tasks", 18, "max tasks per instance")
+	maxM := fs.Int("m", 16, "max processors per instance")
+	solverName := fs.String("solver", "", "registered solver for every request (default mrt)")
+	eps := fs.Float64("eps", 0, "search tolerance (0 = default)")
+	codec := fs.String("codec", "json", "request codec: json, or binary (cross-codec byte-equality oracle)")
+	compact := fs.Bool("compact", false, "left-shift final schedules")
+	dag := fs.Bool("dag", false, "attach a precedence DAG to every request (rotating chain/out-tree/random shapes; default solver becomes dag)")
+	verbose := fs.Bool("v", false, "log every request")
+	fs.Parse(args)
 
 	fams := instance.Families()
-	var famNames []string
-	if *famFlag == "" {
-		for name := range fams {
-			famNames = append(famNames, name)
-		}
-		sort.Strings(famNames)
-	} else {
-		for _, name := range strings.Split(*famFlag, ",") {
-			name = strings.TrimSpace(name)
-			if fams[name] == nil {
-				log.Fatalf("unknown family %q", name)
+	famNames := slices.Sorted(maps.Keys(fams))
+	if *famFlag != "" {
+		famNames = strings.Split(*famFlag, ",")
+		for i := range famNames {
+			if famNames[i] = strings.TrimSpace(famNames[i]); fams[famNames[i]] == nil {
+				return fmt.Errorf("unknown family %q", famNames[i])
 			}
-			famNames = append(famNames, name)
 		}
 	}
 	if *maxTasks < 2 || *maxM < 2 {
-		log.Fatal("-tasks and -m must be ≥ 2")
+		return errors.New("-tasks and -m must be ≥ 2")
 	}
-	switch *codec {
-	case "json", "binary":
-	default:
-		log.Fatalf("unknown codec %q (want json or binary)", *codec)
+	if *codec != "json" && *codec != "binary" {
+		return fmt.Errorf("unknown codec %q (want json or binary)", *codec)
 	}
 	if *codec == "binary" && *batch >= 2 {
-		log.Fatal("-codec binary supports /v1/schedule only; drop -batch")
+		return errors.New("-codec binary supports /v1/schedule only; drop -batch")
 	}
 	if *dag {
 		if *batch >= 2 {
-			log.Fatal("-dag supports /v1/schedule only (the batch path carries no graph); drop -batch")
+			return errors.New("-dag supports /v1/schedule only (the batch path carries no graph); drop -batch")
 		}
 		if *solverName == "" {
 			*solverName = "dag"
 		}
 	}
 
-	opts := &wire.RequestOptions{
-		Solver:  *solverName,
-		Eps:     *eps,
-		Compact: *compact,
-	}
-	local := &malsched.Options{
-		Solver:  *solverName,
-		Eps:     *eps,
-		Compact: *compact,
-	}
-
 	ld := &loader{
 		client:  &http.Client{Timeout: 120 * time.Second},
 		base:    strings.TrimRight(*addr, "/"),
-		opts:    opts,
-		local:   local,
+		opts:    &wire.RequestOptions{Solver: *solverName, Eps: *eps, Compact: *compact},
+		local:   &malsched.Options{Solver: *solverName, Eps: *eps, Compact: *compact},
 		binary:  *codec == "binary",
 		verbose: *verbose,
 	}
@@ -131,14 +126,14 @@ func main() {
 		in := fams[family](*seed*1_000_003+int64(i), nT, m)
 		raw, err := server.EncodeInstance(in)
 		if err != nil {
-			log.Fatalf("encoding %s: %v", in.Name, err)
+			return fmt.Errorf("encoding %s: %w", in.Name, err)
 		}
 		// Decode the encoded bytes back so the local reference sees exactly
 		// the instance the server will decode — the comparison then tests
 		// the service, not the codec round-trip.
 		canonical, err := server.DecodeInstance(raw)
 		if err != nil {
-			log.Fatalf("decoding %s: %v", in.Name, err)
+			return fmt.Errorf("decoding %s: %w", in.Name, err)
 		}
 		reqs[i] = replay{index: i, raw: raw, in: canonical}
 		if *dag {
@@ -150,7 +145,7 @@ func main() {
 			case 1:
 				g, err := malsched.OutTreeEdges(canonical.N(), 2)
 				if err != nil {
-					log.Fatalf("building out-tree for %s: %v", in.Name, err)
+					return fmt.Errorf("building out-tree for %s: %w", in.Name, err)
 				}
 				reqs[i].graph = g
 			default:
@@ -161,22 +156,23 @@ func main() {
 
 	if *batch >= 2 {
 		for lo := 0; lo < len(reqs); lo += *batch {
-			hi := lo + *batch
-			if hi > len(reqs) {
-				hi = len(reqs)
+			if err := ld.replayBatch(reqs[lo:min(lo+*batch, len(reqs))]); err != nil {
+				return err
 			}
-			ld.replayBatch(reqs[lo:hi])
 		}
 	} else {
 		for i := range reqs {
-			ld.replaySingle(&reqs[i])
+			if err := ld.replaySingle(&reqs[i]); err != nil {
+				return err
+			}
 		}
 	}
 
-	fmt.Printf("msload: %d mismatches across %d requests (seed %d)\n", ld.mismatches, len(reqs), *seed)
+	fmt.Fprintf(stdout, "msload: %d mismatches across %d requests (seed %d)\n", ld.mismatches, len(reqs), *seed)
 	if ld.mismatches > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d mismatches", ld.mismatches)
 	}
+	return nil
 }
 
 // replay is one instance to send plus its canonical in-memory form and the
@@ -208,47 +204,51 @@ func (l *loader) mismatch(r *replay, format string, args ...any) {
 // shedding is not a pipeline divergence: 429 (queue full) is retried with
 // backoff, and 503 (draining) aborts the run as a transport-level failure
 // — neither may ever be reported as a differential mismatch.
-func (l *loader) post(path string, body any) (int, []byte) {
+func (l *loader) post(path string, body any) (int, []byte, error) {
 	buf, err := json.Marshal(body)
 	if err != nil {
-		log.Fatalf("marshaling request: %v", err)
+		return 0, nil, fmt.Errorf("marshaling request: %w", err)
 	}
 	return l.postRaw(path, "application/json", buf)
 }
 
-func (l *loader) postRaw(path, contentType string, buf []byte) (int, []byte) {
+func (l *loader) postRaw(path, contentType string, buf []byte) (int, []byte, error) {
 	const retries = 60
 	for attempt := 0; ; attempt++ {
 		resp, err := l.client.Post(l.base+path, contentType, bytes.NewReader(buf))
 		if err != nil {
-			log.Fatalf("POST %s: %v (is msserve running?)", path, err)
+			return 0, nil, fmt.Errorf("POST %s: %w (is msserve running?)", path, err)
 		}
 		var out bytes.Buffer
 		_, readErr := out.ReadFrom(resp.Body)
 		resp.Body.Close()
 		if readErr != nil {
-			log.Fatalf("reading response: %v", readErr)
+			return 0, nil, fmt.Errorf("reading response: %w", readErr)
 		}
 		switch resp.StatusCode {
 		case http.StatusTooManyRequests:
 			if attempt >= retries {
-				log.Fatalf("POST %s: still shed (429) after %d retries; target is overloaded", path, retries)
+				return 0, nil, fmt.Errorf("POST %s: still shed (429) after %d retries; target is overloaded", path, retries)
 			}
 			time.Sleep(250 * time.Millisecond)
 			continue
 		case http.StatusServiceUnavailable:
-			log.Fatalf("POST %s: target is draining (503): %s", path, out.Bytes())
+			return 0, nil, fmt.Errorf("POST %s: target is draining (503): %s", path, out.Bytes())
 		}
-		return resp.StatusCode, out.Bytes()
+		return resp.StatusCode, out.Bytes(), nil
 	}
 }
 
-func (l *loader) replaySingle(r *replay) {
-	status, body := l.post("/v1/schedule", wire.ScheduleRequest{Instance: r.raw, Graph: r.graph, Options: l.opts})
+func (l *loader) replaySingle(r *replay) error {
+	status, body, err := l.post("/v1/schedule", wire.ScheduleRequest{Instance: r.raw, Graph: r.graph, Options: l.opts})
+	if err != nil {
+		return err
+	}
 	l.compare(r, status, body)
 	if l.binary {
-		l.replayBinary(r, status, body)
+		return l.replayBinary(r, status, body)
 	}
+	return nil
 }
 
 // replayBinary re-sends r over the binary codec and asserts the response
@@ -256,68 +256,69 @@ func (l *loader) replaySingle(r *replay) {
 // cleared (the second request legitimately hits the memo the first one
 // warmed) and both sides are re-marshalled as JSON so the comparison is
 // over semantics-carrying bytes, not framing.
-func (l *loader) replayBinary(r *replay, jsonStatus int, jsonBody []byte) {
+func (l *loader) replayBinary(r *replay, jsonStatus int, jsonBody []byte) error {
 	req := wire.AppendScheduleRequest(nil, r.in, r.graph, l.opts)
-	status, body := l.postRaw("/v1/schedule", wire.ContentType, req)
+	status, body, err := l.postRaw("/v1/schedule", wire.ContentType, req)
+	if err != nil {
+		return err
+	}
 	if status != jsonStatus {
 		l.mismatch(r, "binary HTTP %d != json HTTP %d", status, jsonStatus)
-		return
+		return nil
 	}
 	if status != http.StatusOK {
 		eb, err := wire.DecodeError(body)
 		if err != nil {
 			l.mismatch(r, "undecodable binary error: %v", err)
-			return
+			return nil
 		}
 		var jb wire.ErrorBody
 		_ = json.Unmarshal(jsonBody, &jb)
 		if eb.Error.Code != jb.Error.Code {
 			l.mismatch(r, "binary error code %q != json %q", eb.Error.Code, jb.Error.Code)
 		}
-		return
+		return nil
 	}
 	bin, err := wire.DecodeScheduleResponse(body)
 	if err != nil {
 		l.mismatch(r, "undecodable binary response: %v", err)
-		return
+		return nil
 	}
 	var js wire.ScheduleResponse
 	if err := json.Unmarshal(jsonBody, &js); err != nil {
 		l.mismatch(r, "undecodable json response: %v", err)
-		return
+		return nil
 	}
 	bin.FromMemo, js.FromMemo = false, false
-	a, err := json.Marshal(bin)
-	if err != nil {
-		log.Fatalf("canonicalising binary response: %v", err)
+	a, errA := json.Marshal(bin)
+	b, errB := json.Marshal(&js)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		l.mismatch(r, "binary response diverges from json after canonicalisation (%v, %v):\n binary: %s\n json:   %s", errA, errB, a, b)
 	}
-	b, err := json.Marshal(&js)
-	if err != nil {
-		log.Fatalf("canonicalising json response: %v", err)
-	}
-	if !bytes.Equal(a, b) {
-		l.mismatch(r, "binary response diverges from json after canonicalisation:\n binary: %s\n json:   %s", a, b)
-	}
+	return nil
 }
 
-func (l *loader) replayBatch(rs []replay) {
+func (l *loader) replayBatch(rs []replay) error {
 	raws := make([]json.RawMessage, len(rs))
 	for i := range rs {
 		raws[i] = rs[i].raw
 	}
-	status, body := l.post("/v1/batch", wire.BatchRequest{Instances: raws, Options: l.opts})
+	status, body, err := l.post("/v1/batch", wire.BatchRequest{Instances: raws, Options: l.opts})
+	if err != nil {
+		return err
+	}
 	if status != http.StatusOK {
 		for i := range rs {
 			l.mismatch(&rs[i], "batch request failed: HTTP %d: %s", status, body)
 		}
-		return
+		return nil
 	}
 	var resp wire.BatchResponse
 	if err := json.Unmarshal(body, &resp); err != nil || len(resp.Results) != len(rs) {
 		for i := range rs {
 			l.mismatch(&rs[i], "undecodable batch response (%d results, err %v)", len(resp.Results), err)
 		}
-		return
+		return nil
 	}
 	for i := range rs {
 		item := resp.Results[i]
@@ -327,6 +328,7 @@ func (l *loader) replayBatch(rs []replay) {
 		}
 		l.compareResult(&rs[i], item.Result)
 	}
+	return nil
 }
 
 // compare checks a /v1/schedule response against the in-process pipeline.
@@ -369,35 +371,22 @@ func (l *loader) compareError(r *replay, code string) {
 
 func (l *loader) compareResult(r *replay, got *wire.ScheduleResponse) {
 	want, err := malsched.Schedule(r.in, l.localOpts(r))
-	if err != nil {
+	switch {
+	case err != nil:
 		l.mismatch(r, "server succeeded but in-process Schedule fails: %v", err)
-		return
-	}
-	if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) {
+	case math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan):
 		l.mismatch(r, "makespan %v != in-process %v", got.Makespan, want.Makespan)
-		return
-	}
-	if math.Float64bits(got.LowerBound) != math.Float64bits(want.LowerBound) {
+	case math.Float64bits(got.LowerBound) != math.Float64bits(want.LowerBound):
 		l.mismatch(r, "lower bound %v != in-process %v", got.LowerBound, want.LowerBound)
-		return
-	}
-	if got.Branch != want.Branch || got.Solver != want.Solver {
+	case got.Branch != want.Branch || got.Solver != want.Solver:
 		l.mismatch(r, "provenance %s/%s != in-process %s/%s", got.Branch, got.Solver, want.Branch, want.Solver)
-		return
-	}
-	if got.Probes != want.Probes {
+	case got.Probes != want.Probes:
 		l.mismatch(r, "probes %d != in-process %d", got.Probes, want.Probes)
-		return
-	}
-	if got.Plan.Algorithm != want.Plan.Algorithm {
+	case got.Plan.Algorithm != want.Plan.Algorithm:
 		l.mismatch(r, "plan algorithm %q != %q", got.Plan.Algorithm, want.Plan.Algorithm)
-		return
-	}
-	if !reflect.DeepEqual(got.Plan.Placements, want.Plan.Placements) {
+	case !reflect.DeepEqual(got.Plan.Placements, want.Plan.Placements):
 		l.mismatch(r, "placements differ")
-		return
-	}
-	if l.verbose {
+	case l.verbose:
 		log.Printf("[%d] %s: ok (makespan %.6g, memo %v)",
 			r.index, r.in.Name, got.Makespan, got.FromMemo)
 	}

@@ -30,32 +30,20 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"malsched/internal/obs"
 	"malsched/internal/router"
 )
-
-func withPprof(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
-}
 
 // parseBackends turns "-backends a,b,c" into named Backend entries.
 // Each entry is either a bare URL (name = URL) or NAME=URL.
@@ -118,35 +106,22 @@ func main() {
 
 	handler := rt.Handler()
 	if *pprofOn {
-		handler = withPprof(handler)
+		handler = obs.WithPprof(handler)
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	names := make([]string, len(bk))
 	for i, b := range bk {
 		names[i] = b.Name
 	}
 	log.Printf("routing on %s over %d shards [%s] (queue %d, workers %d)",
-		*addr, len(bk), strings.Join(names, ", "), *queue, *workers)
+		ln.Addr(), len(bk), strings.Join(names, ", "), *queue, *workers)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errCh:
+	if err := obs.Serve(ln, handler, sig, rt.StartDrain, *drainGrace, log.Default()); err != nil {
 		log.Fatal(err)
-	case got := <-sig:
-		log.Printf("%v: draining (in-flight requests get %v)", got, *drainGrace)
-		rt.StartDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Fatalf("drain incomplete: %v", err)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-		log.Printf("drained cleanly")
 	}
 }

@@ -27,13 +27,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -41,22 +38,9 @@ import (
 	"time"
 
 	"malsched"
+	"malsched/internal/obs"
 	"malsched/internal/server"
 )
-
-// withPprof mounts the runtime profiling endpoints under /debug/pprof/ in
-// front of h. Off by default and never on the DefaultServeMux — profiling
-// a production scheduler is an explicit operator decision.
-func withPprof(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
-}
 
 func main() {
 	log.SetFlags(0)
@@ -88,31 +72,18 @@ func main() {
 	srv := server.New(cfg)
 	handler := srv.Handler()
 	if *pprofOn {
-		handler = withPprof(handler)
+		handler = obs.WithPprof(handler)
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	log.Printf("listening on %s (queue %d, solvers: %s)",
-		*addr, *queue, strings.Join(malsched.Solvers(), ", "))
+		ln.Addr(), *queue, strings.Join(malsched.Solvers(), ", "))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errCh:
+	if err := obs.Serve(ln, handler, sig, srv.StartDrain, *drainGrace, log.Default()); err != nil {
 		log.Fatal(err)
-	case got := <-sig:
-		log.Printf("%v: draining (in-flight requests get %v)", got, *drainGrace)
-		srv.StartDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Fatalf("drain incomplete: %v", err)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-		log.Printf("drained cleanly")
 	}
 }

@@ -99,8 +99,8 @@ type settings struct {
 	solver   string
 	eps      float64
 	policies []string
-	// corrupt damages the first timeline before verification (the
-	// verification tripwire's self-test).
+	// corrupt damages the first timeline before verification: the
+	// tripwire's self-test, TestVerificationTripwire, sets it.
 	corrupt bool
 	// observe, when set, returns the solve-latency observer of a policy.
 	observe func(policy string) func(ns int64)
@@ -127,13 +127,12 @@ func main() {
 	policies := flag.String("policies", strings.Join(defaults.policies, ","), "comma-separated policies to run")
 	tracePath := flag.String("trace", "", "replay this trace/v1 JSON file instead of the generated grid")
 	eps := flag.Float64("eps", defaults.eps, "dual-search tolerance (0 = paper default)")
-	corrupt := flag.Bool("selftest-corrupt", false, "deliberately corrupt the first timeline before verification (must exit non-zero; CI self-test)")
 	metricsOut := flag.String("metrics-out", "", "also write Prometheus text metrics (per-policy solve-latency histograms) to this file; BENCH_sim.json is unaffected")
 	flag.Parse()
 
 	s := settings{
 		seed: *seed, epoch: *epoch, preempt: *preempt, solver: *solver, eps: *eps,
-		policies: strings.Split(*policies, ","), corrupt: *corrupt,
+		policies: strings.Split(*policies, ","),
 	}
 	scenarios, err := grid(*quick, *seed, *tracePath)
 	if err != nil {
@@ -143,59 +142,60 @@ func main() {
 	// The metrics registry rides beside the artifact: solve wall-clock
 	// histograms per policy, written as Prometheus text to -metrics-out.
 	// Wall-clock never feeds BENCH_sim.json, which stays bit-identical
-	// across runs (CI cmp-checks it).
+	// across runs (TestObserveLeavesArtifactUnchanged).
 	var rep report
 	var metrics *obs.Registry
 	if *metricsOut != "" {
-		metrics = obs.NewRegistry()
+		metrics, s.observe = observeSolves()
 		metrics.CounterFunc("mssim_rows_total", "Grid cells simulated.",
 			func() float64 { return float64(len(rep.Rows)) })
-		hists := map[string]*obs.Histogram{}
-		s.observe = func(policy string) func(int64) {
-			h, ok := hists[policy]
-			if !ok {
-				h = metrics.Histogram("mssim_solve_latency_us",
-					"Planning-solve wall-clock by policy.", "policy", policy)
-				hists[policy] = h
-			}
-			return func(ns int64) { h.Observe(ns / 1e3) }
-		}
 	}
 	if rep, err = simulate(scenarios, s); err != nil {
 		log.Fatal(err)
 	}
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rep.write(w); err != nil {
+	if err := writeOut(*out, rep.write); err != nil {
 		log.Fatal(err)
-	}
-	if *out != "-" {
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
 	}
 	fmt.Fprintf(os.Stderr, "mssim: %d rows over %d workloads × %d policies × 2 noise levels\n",
 		len(rep.Rows), len(scenarios), len(s.policies))
-
 	if metrics != nil {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
+		if err := writeOut(*metricsOut, metrics.WriteText); err != nil {
 			log.Fatal(err)
 		}
-		if err := metrics.WriteText(f); err != nil {
-			log.Fatal(err)
+	}
+}
+
+// writeOut writes what write emits to the file at path, or to stdout for
+// "-".
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// observeSolves returns a registry of per-policy planning-solve latency
+// histograms and the settings.observe hook that fills it.
+func observeSolves() (*obs.Registry, func(policy string) func(ns int64)) {
+	metrics := obs.NewRegistry()
+	hists := map[string]*obs.Histogram{}
+	return metrics, func(policy string) func(int64) {
+		h, ok := hists[policy]
+		if !ok {
+			h = metrics.Histogram("mssim_solve_latency_us",
+				"Planning-solve wall-clock by policy.", "policy", policy)
+			hists[policy] = h
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		return func(ns int64) { h.Observe(ns / 1e3) }
 	}
 }
 

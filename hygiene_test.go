@@ -317,6 +317,31 @@ func TestFuzzTargetsSmokedInCI(t *testing.T) {
 	}
 }
 
+// ciProgram matches what makes a CI step a program of its own rather than
+// a go command: an interpreter, an HTTP client, a process sent to the
+// background, a fixed port.
+var ciProgram = regexp.MustCompile(`(?i)python|curl|[^&]&\s*$|(127\.0\.0\.1|localhost):[0-9]`)
+
+// TestCIRunsOnlyGoCommands fails when ci.yml grows a check of its own: an
+// inline python or curl gate, a backgrounded server, a fixed port, or more
+// than 110 lines. Such a check never runs under go test; it belongs in a Go
+// test next to the code it checks.
+func TestCIRunsOnlyGoCommands(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(ci), "\n"), "\n")
+	if len(lines) > 110 {
+		t.Errorf("ci.yml has %d lines, want ≤ 110", len(lines))
+	}
+	for i, line := range lines {
+		if ciProgram.MatchString(line) {
+			t.Errorf("ci.yml:%d runs a program of its own: %s", i+1, strings.TrimSpace(line))
+		}
+	}
+}
+
 // takesTestingF reports whether fn's only parameter is a *testing.F.
 func takesTestingF(fn *ast.FuncDecl) bool {
 	ps := fn.Type.Params.List

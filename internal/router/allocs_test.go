@@ -66,7 +66,7 @@ func TestAllocBudgetRoutedHit(t *testing.T) {
 // ID, outcome and plan stopped allocating); 433 when encoding/json decoded the body at both
 // tiers (a value per token, a string per name, a slice per time table).
 func TestAllocBudgetRoutedJSONHit(t *testing.T) {
-	const n, m, budget = 24, 16, 30
+	const n, m, budget = 24, 16, 17
 	raw, err := server.EncodeInstance(instance.Mixed(9, n, m))
 	if err != nil {
 		t.Fatal(err)

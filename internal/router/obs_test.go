@@ -79,10 +79,23 @@ func TestRouterMetricsz(t *testing.T) {
 		}
 	}
 	for _, stage := range []string{"queue", "forward"} {
-		if !strings.Contains(text, `msroute_stage_latency_us_count{stage="`+stage+`"`) {
-			t.Errorf("no stage-latency series for stage %q", stage)
+		if n := sampleSum(text, `msroute_stage_latency_us_count{stage="`+stage+`"`); n <= 0 {
+			t.Errorf("stage %q: %v samples", stage, n)
 		}
 	}
+}
+
+// sampleSum sums the values of the exposition's samples whose line starts
+// with prefix: 0 when there is none.
+func sampleSum(text, prefix string) float64 {
+	sum := 0.0
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			sum += v
+		}
+	}
+	return sum
 }
 
 // Drift guard: the router's statsz/v1 payload must carry exactly the

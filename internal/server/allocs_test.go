@@ -65,16 +65,17 @@ func TestAllocBudgets(t *testing.T) {
 		// The names' one string, the task slice, the slab, the instance:
 		// constant in n. Reads 4; 29 (one string per name, the task slice
 		// twice) before the names shared a string.
-		{"wire.DecodeScheduleRequest", 6, func() {
+		{"wire.DecodeScheduleRequest", 4, func() {
 			if _, _, _, err := wire.DecodeScheduleRequest(frame); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		// A whole binary memo hit through the shard's handler, test
-		// request and recorder included. Reads 33 (37 with the outcome, the
+		// request and recorder included. Reads 32 (33 while the constant
+		// Content-Type was built per response, 37 with the outcome, the
 		// response and a copy of the plan on the heap, 65 with per-name
 		// strings and a status-capturing writer around the handler).
-		{"memo-hit ServeHTTP", 33, func() {
+		{"memo-hit ServeHTTP", 32, func() {
 			if code := serve(); code != http.StatusOK {
 				t.Fatalf("HTTP %d", code)
 			}
@@ -110,14 +111,15 @@ func TestAllocBudgets(t *testing.T) {
 // core.TestApproximateAllocBudget bounds (its state and the one schedule it
 // returns); the rest is the instance and its compiled tables.
 func TestAllocBudgetMemoMiss(t *testing.T) {
-	// Reads 47: 51 before the outcome, the response and a copy of the plan
-	// left the heap; 58 before the cold search's one λ-index; 68 before the
+	// Reads 46: 47 while the constant Content-Type was built per response;
+	// 51 before the outcome, the response and a copy of the plan left the
+	// heap; 58 before the cold search's one λ-index; 68 before the
 	// search stopped copying out every accepted
 	// probe's schedule; 74 before Compile stopped building the breakpoint
 	// axis (three allocations for seven) and a new instance's segment ranges
 	// became one list instead of a map; 102 before the decode shared one
 	// string.
-	const n, m, runs, budget = 24, 16, 200, 62
+	const n, m, runs, budget = 24, 16, 200, 46
 	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
@@ -150,8 +152,9 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // NewGraph, verify.Precedence in the solver and again in the handler),
 // compile, the precedence solve, both verifies, encode — every run a fresh
 // 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
-// share is what precedence.TestSolveAllocBudget bounds (9). Reads 60 (64
-// with the outcome, the response and a copy of the plan on the heap): 318
+// share is what precedence.TestSolveAllocBudget bounds (9). Reads 59 (60
+// while the constant Content-Type was built per response, 64 with the
+// outcome, the response and a copy of the plan on the heap): 318
 // before candidates were scored on processor counts and the segment
 // cache's entries recycled, 124 before the decode shared one string, 104
 // before Compile stopped building the breakpoint axis, 100 before the
@@ -159,7 +162,7 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // allocation per processor set and the edge gates and verify.Precedence
 // allocated their buffers per call.
 func TestAllocBudgetDAGMiss(t *testing.T) {
-	const n, m, runs, budget = 16, 8, 200, 67
+	const n, m, runs, budget = 16, 8, 200, 59
 	outTree, err := precedence.OutTreeEdges(n, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -67,14 +67,26 @@ func TestMetricszExposition(t *testing.T) {
 		}
 	}
 	for _, stage := range []string{"queue", "compile", "solve", "verify", "encode"} {
-		marker := `malsched_stage_latency_us_count{stage="` + stage + `"`
-		if !strings.Contains(text, marker) {
-			t.Errorf("no stage-latency series for stage %q", stage)
+		if n := sampleSum(text, `malsched_stage_latency_us_count{stage="`+stage+`"`); n <= 0 {
+			t.Errorf("stage %q: %v samples", stage, n)
 		}
 	}
 	if !strings.Contains(text, `event="scheduled"`) {
 		t.Error("engine events missing scheduled series")
 	}
+}
+
+// sampleSum sums the values of the exposition's samples whose line starts
+// with prefix: 0 when there is none.
+func sampleSum(text, prefix string) float64 {
+	sum := 0.0
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			sum += v
+		}
+	}
+	return sum
 }
 
 // The /metricsz endpoint must refuse non-read methods.

@@ -752,13 +752,21 @@ func appendError(dst []byte, binary bool, info *wire.ErrorInfo) []byte {
 	return out
 }
 
-// writeResponse writes one response with an exact Content-Length.
+// The two codecs' Content-Type values, built once as the router's are:
+// assigning one into a header map allocates nothing.
+var hdrJSONType, hdrBinaryType = []string{jsonContentType}, []string{wire.ContentType}
+
+// writeResponse writes one response in either codec with an exact
+// Content-Length.
 func writeResponse(w http.ResponseWriter, status int, contentType string, body []byte, retryAfter string) {
 	h := w.Header()
 	if retryAfter != "" {
 		h.Set("Retry-After", retryAfter)
 	}
-	h.Set("Content-Type", contentType)
+	h["Content-Type"] = hdrJSONType
+	if contentType == wire.ContentType {
+		h["Content-Type"] = hdrBinaryType
+	}
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
