@@ -21,9 +21,11 @@
 // two responses are byte-equal after canonicalisation (from_memo cleared,
 // both re-marshalled as JSON) on top of the usual in-process comparison —
 // the cross-codec oracle for the wire format. Exits non-zero on any
-// mismatch or transport failure and prints a one-line verdict:
+// mismatch or transport failure and prints a one-line verdict, which also
+// says how many of the answers the server reported as memo hits (a replay
+// against a server that has seen the workload answers all of them so):
 //
-//	msload: 0 mismatches across 200 requests (seed 1)
+//	msload: 0 mismatches across 200 requests (seed 1), 0 of 200 answers from the memo
 package main
 
 import (
@@ -168,7 +170,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "msload: %d mismatches across %d requests (seed %d)\n", ld.mismatches, len(reqs), *seed)
+	fmt.Fprintf(stdout, "msload: %d mismatches across %d requests (seed %d), %d of %d answers from the memo\n",
+		ld.mismatches, len(reqs), *seed, ld.fromMemo, ld.answers)
 	if ld.mismatches > 0 {
 		return fmt.Errorf("%d mismatches", ld.mismatches)
 	}
@@ -193,6 +196,17 @@ type loader struct {
 	verbose bool
 
 	mismatches int
+	// answers counts the successful responses checked, fromMemo those of
+	// them that reported a memo hit.
+	answers, fromMemo int
+}
+
+// answered counts one successful response.
+func (l *loader) answered(fromMemo bool) {
+	l.answers++
+	if fromMemo {
+		l.fromMemo++
+	}
 }
 
 func (l *loader) mismatch(r *replay, format string, args ...any) {
@@ -289,6 +303,7 @@ func (l *loader) replayBinary(r *replay, jsonStatus int, jsonBody []byte) error 
 		l.mismatch(r, "undecodable json response: %v", err)
 		return nil
 	}
+	l.answered(bin.FromMemo)
 	bin.FromMemo, js.FromMemo = false, false
 	a, errA := json.Marshal(bin)
 	b, errB := json.Marshal(&js)
@@ -370,6 +385,7 @@ func (l *loader) compareError(r *replay, code string) {
 }
 
 func (l *loader) compareResult(r *replay, got *wire.ScheduleResponse) {
+	l.answered(got.FromMemo)
 	want, err := malsched.Schedule(r.in, l.localOpts(r))
 	switch {
 	case err != nil:

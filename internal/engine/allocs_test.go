@@ -14,11 +14,13 @@ import (
 )
 
 // Every memo put and every memo hit copies the plan. On a list-scheduled
-// DAG plan of the benchmark's serve-dag shape the copy is three
-// allocations whatever the number of processor sets — the Schedule, its
-// placements, one backing array for every set — and a whole hit through
-// ScheduleWith adds nothing to it. Both read 3; 17 and 18 while every set
-// was an allocation of its own.
+// DAG plan of the benchmark's serve-dag shape a put is three allocations
+// whatever the number of processor sets — the entry, which holds the
+// Schedule, the placements, and one backing array for every set and the
+// entry's copy of the edges — and a hit's copy three as well (the
+// Schedule, its placements, the sets' array), to which a whole hit through
+// ScheduleWith, identity check included, adds nothing. Both read 3; 17 and
+// 18 while every set was an allocation of its own.
 func TestAllocBudgetDAGMemo(t *testing.T) {
 	const cloneBudget, hitBudget = 3, 3
 	in := instance.Mixed(9, 16, 8)
@@ -42,7 +44,10 @@ func TestAllocBudgetDAGMemo(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"clone (memo put)", cloneBudget, func() { _ = clone(out.Solution) }},
+		{"newEntry (memo put)", cloneBudget, func() {
+			off, times := e.CompiledFor(in).Rows()
+			_ = newEntry(in, o, out.Solution, off, times)
+		}},
 		{"ScheduleWith memo hit", hitBudget, func() {
 			if hit := e.ScheduleWith(in, o, 0); hit.Err != nil || !hit.FromMemo {
 				t.Fatalf("not a memo hit: %v", hit.Err)

@@ -133,7 +133,7 @@ func TestKeysForkWorkloadPrefix(t *testing.T) {
 				{Solver: "dag", Edges: chain},
 			}
 			for k, o := range opts {
-				memo, prefix := keys(in, o)
+				memo, prefix := keyPair(in, o)
 				if got := workloadKey(in, prefix); got != instanceKey(in) {
 					t.Fatalf("%s %v options %d: forked key %+v, instanceKey %+v", name, dims, k, got, instanceKey(in))
 				}

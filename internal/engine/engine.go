@@ -55,12 +55,13 @@ type Config struct {
 type Engine struct {
 	cfg     Config
 	workers int
-	memo    *lru[Solution]
+	memo    *lru[*MemoEntry]
 	// compiled caches instance.Compiled values keyed by the workload-only
 	// fingerprint (no options): batch siblings, memo-miss re-solves under
 	// different options and service requests of a repeated shape all reuse
 	// one set of λ-breakpoint tables. Sized with the memo and disabled
-	// along with it (negative MemoCapacity).
+	// along with it (negative MemoCapacity). Like the memo it answers only
+	// for the exact words an entry holds (the Compiled's own rows).
 	compiled *lru[*instance.Compiled]
 	scratch  sync.Pool
 
@@ -80,6 +81,7 @@ type Engine struct {
 	compileMisses atomic.Uint64
 	warmSolves    atomic.Uint64
 	synthesized   atomic.Uint64
+	collisions    atomic.Uint64
 }
 
 // ErrTimeout wraps every per-instance timeout failure.
@@ -108,7 +110,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{cfg: cfg, workers: workers}
 	if memoCap > 0 {
-		e.memo = newLRU[Solution](memoCap)
+		e.memo = newLRU[*MemoEntry](memoCap)
 		e.compiled = newLRU[*instance.Compiled](memoCap)
 		e.warm = newLRU[*WarmState](memoCap)
 	}
@@ -136,6 +138,10 @@ type Outcome struct {
 	// instance.Compile on a miss). 0 on a memo hit, when the caller supplied
 	// the tables, and for solvers that never read them.
 	CompileNS int64
+	// Memo is the entry a memo hit was answered from, nil otherwise. A
+	// serving layer that verified the hit may attach the answer's encoding
+	// to it (MemoEntry.SetEncoded).
+	Memo *MemoEntry
 }
 
 // Stats is a snapshot of the engine's counters.
@@ -168,6 +174,9 @@ type Stats struct {
 	WarmSolves  uint64
 	Synthesized uint64
 	WarmEntries int
+	// Collisions counts memo and compiled-cache probes that found an entry
+	// under their key holding other words: each was answered as a miss.
+	Collisions uint64
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -183,6 +192,7 @@ func (e *Engine) Stats() Stats {
 		CompileMisses: e.compileMisses.Load(),
 		WarmSolves:    e.warmSolves.Load(),
 		Synthesized:   e.synthesized.Load(),
+		Collisions:    e.collisions.Load(),
 	}
 	if e.memo != nil {
 		s.MemoEntries = e.memo.len()
@@ -212,7 +222,9 @@ func (e *Engine) CompiledFor(in *instance.Instance) *instance.Compiled {
 
 // compiledFor is CompiledFor for a caller that already hashed the
 // workload: prefix, when non-nil, is the memo key's workload prefix (see
-// keys), and the compiled-cache key is its sum.
+// keyPair), and the compiled-cache key is its sum. A cached Compiled answers
+// only if its rows are in's, word for word; the tables it returns are
+// therefore always in's own.
 func (e *Engine) compiledFor(in *instance.Instance, prefix *fphash.Hash) *instance.Compiled {
 	if e.compiled == nil {
 		e.compileMisses.Add(1)
@@ -225,8 +237,11 @@ func (e *Engine) compiledFor(in *instance.Instance, prefix *fphash.Hash) *instan
 		k = instanceKey(in)
 	}
 	if c, ok := e.compiled.get(k); ok {
-		e.compileHits.Add(1)
-		return c
+		if off, times := c.Rows(); sameRows(in, off, times) {
+			e.compileHits.Add(1)
+			return c
+		}
+		e.collisions.Add(1)
 	}
 	e.compileMisses.Add(1)
 	c := instance.Compile(in)
@@ -252,7 +267,19 @@ func (e *Engine) Schedule(in *instance.Instance) (Solution, error) {
 // scheduling service maps per-request solver/timeout selection
 // onto shared engines.
 func (e *Engine) ScheduleWith(in *instance.Instance, o Options, timeout time.Duration) Outcome {
-	return e.runWith(0, in, o, timeout, nil, nil, nil)
+	return e.runWith(0, in, o, timeout, cacheKeys{}, nil, nil)
+}
+
+// ScheduleFolded is ScheduleWith — or ScheduleWarm without precompiled
+// tables, on a non-nil ws — for a caller that has already folded the
+// workload's words into a fingerprint state, as the binary codec's frame
+// walk does (wire.Frame.Prefix): prefix must fold M, N and every row as
+// WorkloadFingerprintDAG folds an instance without edges. Both caches key
+// off it, so the profiles are hashed once per request. A prefix of other
+// words costs a miss, never another workload's answer: every hit compares
+// the words.
+func (e *Engine) ScheduleFolded(in *instance.Instance, o Options, timeout time.Duration, prefix fphash.Hash, ws *WarmState) Outcome {
+	return e.warmRun(in, nil, o, timeout, cacheKeys{prefix: &prefix}, ws)
 }
 
 // ScheduleCompiled is ScheduleWith for callers that already computed
@@ -266,7 +293,7 @@ func (e *Engine) ScheduleWith(in *instance.Instance, o Options, timeout time.Dur
 // them from the compiled cache after a memo miss, so a memo hit never pays
 // for tables it does not read.
 func (e *Engine) ScheduleCompiled(in *instance.Instance, c *instance.Compiled, o Options, timeout time.Duration, hash uint64) Outcome {
-	return e.runWith(0, in, o, timeout, &hash, c, nil)
+	return e.runWith(0, in, o, timeout, cacheKeys{hash: &hash}, c, nil)
 }
 
 // ScheduleBatch schedules every instance and returns one outcome per
@@ -340,17 +367,26 @@ func (e *Engine) ScheduleStream(jobs <-chan *instance.Instance) <-chan Outcome {
 
 // run executes one job under the engine's configured options and timeout.
 func (e *Engine) run(idx int, in *instance.Instance) Outcome {
-	return e.runWith(idx, in, e.cfg.Schedule, e.cfg.Timeout, nil, nil, nil)
+	return e.runWith(idx, in, e.cfg.Schedule, e.cfg.Timeout, cacheKeys{}, nil, nil)
 }
 
-// runWith executes one job: admission check, memo probe, compiled-table
+// cacheKeys is what a caller already knows of a job's cache keys: the
+// memo key's hash (Fingerprint) or the workload prefix both keys continue
+// from. Neither is trusted with an answer — every hit compares the words —
+// so a stale one costs a miss.
+type cacheKeys struct {
+	hash   *uint64
+	prefix *fphash.Hash
+}
+
+// runWith executes one job: memo probe, admission check, compiled-table
 // resolution, pooled-scratch solve under the per-call deadline, panic
-// recovery, memo fill. A non-nil hash supplies the caller-precomputed
-// Fingerprint(in, opts); a non-nil ci supplies caller-precompiled tables
-// (otherwise the compiled cache provides them after admission). A non-nil
-// ws runs the solve in warm mode on the lineage's pinned scratch and seed
-// (the caller must hold ws.mu; ScheduleWarm does).
-func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout time.Duration, hash *uint64, ci *instance.Compiled, ws *WarmState) Outcome {
+// recovery, memo fill. keys supplies what the caller already hashed; a
+// non-nil ci supplies caller-precompiled tables (otherwise the compiled
+// cache provides them after admission). A non-nil ws runs the solve in warm
+// mode on the lineage's pinned scratch and seed (the caller must hold
+// ws.mu; warmRun does).
+func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout time.Duration, keys cacheKeys, ci *instance.Compiled, ws *WarmState) Outcome {
 	out := Outcome{Index: idx, In: in}
 	if in == nil {
 		out.Err = ErrNilInstance
@@ -360,30 +396,37 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 	// Hashing the profiles here keys both caches: the memo key's workload
 	// prefix is kept for the compiled-cache key a miss needs.
 	var k memoKey
-	var prefix *fphash.Hash
+	prefix := keys.prefix
 	if e.memo != nil {
-		if hash != nil {
-			k = memoKey{hash: *hash, m: in.M, n: in.N()}
-		} else {
+		switch {
+		case keys.hash != nil:
+			k = memoKey{hash: *keys.hash, m: in.M, n: in.N()}
+		case prefix != nil:
+			k = withOptions(*prefix, in.M, in.N(), opts)
+		default:
 			var h fphash.Hash
-			k, h = keys(in, opts)
+			k, h = keyPair(in, opts)
 			prefix = &h
 		}
-		if v, ok := e.memo.get(k); ok {
-			e.scheduled.Add(1)
-			e.hits.Add(1)
-			out.Solution = clone(v)
-			out.FromMemo = true
-			return out
+		if en, ok := e.memo.get(k); ok {
+			if en.matches(in, opts) {
+				e.scheduled.Add(1)
+				e.hits.Add(1)
+				out.Solution = clone(en.sol)
+				out.FromMemo = true
+				out.Memo = en
+				return out
+			}
+			e.collisions.Add(1)
 		}
 		e.misses.Add(1)
 	}
 
-	// The admission gate sits after the memo probe: a hit proves a
-	// same-profile workload already passed it (fingerprinting tolerates
-	// malformed profiles, and a poisoned profile cannot hash-match a
-	// validated one short of the accepted 64-bit collision), so the hot
-	// memo path skips the O(n·m) re-validation.
+	// The admission gate sits after the memo probe: a hit proves that these
+	// exact words — M, N, every row, the options and edges, everything the
+	// gate reads but the names, which only word its errors — passed it when
+	// the entry was solved, so the hot memo path skips the O(n·m)
+	// re-validation.
 	if err := instance.Check(in); err != nil {
 		out.Err = fmt.Errorf("%w: %w", ErrBadInstance, err)
 		e.errs.Add(1)
@@ -405,10 +448,20 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 	// instance never reaches Compile) and after the memo probe (a hit
 	// needs no tables at all). Solvers without a dual search skip them —
 	// nothing would read them.
+	// The memo entry keeps the rows it was keyed on. Tables from the
+	// compiled cache are in's rows by its own check, and the entry shares
+	// their slabs; a caller's tables are shared only once compared.
+	var rowOff []int
+	var rowTimes []float64
 	if ci == nil && WantsCompiled(opts) {
 		t := time.Now()
 		ci = e.compiledFor(in, prefix)
 		out.CompileNS = time.Since(t).Nanoseconds()
+		rowOff, rowTimes = ci.Rows()
+	} else if ci != nil && e.memo != nil {
+		if off, times := ci.Rows(); sameRows(in, off, times) {
+			rowOff, rowTimes = off, times
+		}
 	}
 
 	var sc *core.Scratch
@@ -462,7 +515,7 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 		e.synthesized.Add(uint64(out.Solution.Synthesized))
 	}
 	if e.memo != nil {
-		e.memo.put(k, clone(out.Solution))
+		e.memo.put(k, newEntry(in, opts, out.Solution, rowOff, rowTimes))
 	}
 	return out
 }

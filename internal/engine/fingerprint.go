@@ -7,16 +7,17 @@ import (
 	"malsched/internal/instance"
 )
 
-// memoKey identifies a (workload, options) pair in the memo. The hash is
-// the module's word-wise fingerprint (internal/fphash) over the
-// semantically relevant input — machine size, every
-// task's full time table, and the scheduling options — deliberately
-// excluding the instance and task names: plans reference tasks by index
-// only, so renamed copies of the same workload are memo hits. The m/n
-// fields ride along as cheap collision guards; a residual 64-bit collision
-// between same-shape workloads is possible in principle and accepted (the
-// memo is a per-process cache, not a correctness oracle — disable it with a
-// negative capacity for adversarial inputs).
+// memoKey is the cache slot of a (workload, options) pair in the memo, or
+// of a workload in the compiled cache. The hash is the module's word-wise
+// fingerprint (internal/fphash) over the semantically relevant input —
+// machine size, every task's full time table, and the scheduling options —
+// deliberately excluding the instance and task names: plans reference tasks
+// by index only, so renamed copies of the same workload are memo hits. The
+// key only picks the slot. fphash is not collision resistant — one free
+// word reaches any state, so a client can craft a second workload onto a
+// key — and every entry therefore keeps the words it was keyed on: a probe
+// compares them all (MemoEntry.matches, sameRows against a Compiled's own
+// slabs) and treats a mismatch as a miss, counted in Stats.Collisions.
 type memoKey struct {
 	hash uint64
 	m, n int
@@ -89,9 +90,7 @@ func instanceHash(in *instance.Instance) fphash.Hash {
 	return h
 }
 
-// instanceKey is the compiled-cache key of a workload. Like the memo key it
-// accepts the residual 64-bit collision risk (the compiled cache is a
-// per-process cache, disabled along with the memo by a negative capacity).
+// instanceKey is the compiled-cache key of a workload.
 func instanceKey(in *instance.Instance) memoKey {
 	return workloadKey(in, instanceHash(in))
 }
@@ -103,20 +102,21 @@ func workloadKey(in *instance.Instance, h fphash.Hash) memoKey {
 
 // fingerprint computes the memo key of an instance under the given options.
 func fingerprint(in *instance.Instance, o Options) memoKey {
-	memo, _ := keys(in, o)
+	memo, _ := keyPair(in, o)
 	return memo
 }
 
-// keys computes the memo key in one pass over the profiles and returns
+// keyPair computes the memo key in one pass over the profiles and returns
 // the workload prefix it forked from: after a memo miss, workloadKey sums
 // the prefix into the compiled-cache key without a second pass.
-func keys(in *instance.Instance, o Options) (memo memoKey, prefix fphash.Hash) {
+func keyPair(in *instance.Instance, o Options) (memo memoKey, prefix fphash.Hash) {
 	prefix = instanceHash(in)
-	return withOptions(in, prefix, o), prefix
+	return withOptions(prefix, in.M, in.N(), o), prefix
 }
 
-// withOptions continues a workload prefix h into the memo key under o.
-func withOptions(in *instance.Instance, h fphash.Hash, o Options) memoKey {
+// withOptions continues the workload prefix h of an m-processor, n-task
+// workload into the memo key under o.
+func withOptions(h fphash.Hash, m, n int, o Options) memoKey {
 	h.Word(math.Float64bits(o.Eps))
 	if o.Compact {
 		h.Word(1)
@@ -143,5 +143,5 @@ func withOptions(in *instance.Instance, h fphash.Hash, o Options) memoKey {
 	// non-nil edges — even the empty DAG — append a marker plus the full
 	// successor lists.
 	hashEdges(&h, o.Edges)
-	return memoKey{hash: h.Sum(), m: in.M, n: in.N()}
+	return memoKey{hash: h.Sum(), m: m, n: n}
 }

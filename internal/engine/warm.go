@@ -85,12 +85,17 @@ func (e *Engine) WarmFor(lineage uint64) *WarmState {
 // are interchangeable by the bit-identity invariant — only their probe
 // accounting differs).
 func (e *Engine) ScheduleWarm(in *instance.Instance, c *instance.Compiled, o Options, timeout time.Duration, ws *WarmState) Outcome {
+	return e.warmRun(in, c, o, timeout, cacheKeys{}, ws)
+}
+
+// warmRun is ScheduleWarm with the caller's cache keys.
+func (e *Engine) warmRun(in *instance.Instance, c *instance.Compiled, o Options, timeout time.Duration, keys cacheKeys, ws *WarmState) Outcome {
 	if ws == nil {
-		return e.runWith(0, in, o, timeout, nil, c, nil)
+		return e.runWith(0, in, o, timeout, keys, c, nil)
 	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	out := e.runWith(0, in, o, timeout, nil, c, ws)
+	out := e.runWith(0, in, o, timeout, keys, c, ws)
 	if out.Err == nil && !out.FromMemo {
 		ws.solves++
 	}

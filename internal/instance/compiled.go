@@ -194,6 +194,12 @@ func (c *Compiled) Time(i, p int) float64 { return c.times[c.off[i]+p-1] }
 // Work returns the precomputed w_i(p) = p·t_i(p).
 func (c *Compiled) Work(i, p int) float64 { return c.works[c.off[i]+p-1] }
 
+// Rows returns the time table as its two slabs: row i — task i's times on
+// 1..MaxProcs(i) processors — is times[off[i]:off[i+1]]. Both are the
+// Compiled's own and must not be modified. The engine's caches compare a
+// workload against them word for word before they answer from an entry.
+func (c *Compiled) Rows() (off []int, times []float64) { return c.off, c.times }
+
 // SeqTime returns t_i(1).
 func (c *Compiled) SeqTime(i int) float64 { return c.times[c.off[i]] }
 

@@ -72,9 +72,12 @@ type Result struct {
 }
 
 // dagEntry is one candidate evaluation: an index entry tagged with the
-// graph's edge hash, so two graphs over one *instance.Compiled never share
-// a critical path (the 64-bit collision risk is accepted as for the engine
-// memo), holding the times and CP; the area Σw(γ)/m is its Work over m.
+// graph's edge hash, so two graphs over one *instance.Compiled do not share
+// a critical path, holding the times and CP; the area Σw(γ)/m is its Work
+// over m. The tag is the hash alone: unlike the engine's caches, which
+// compare every word before they answer, this one still trusts 64 bits,
+// so a graph crafted onto another's edge hash over the same tables on the
+// same scratch would read the other's critical path.
 type dagEntry = instance.Segment[dagTables]
 
 type dagTables struct {

@@ -18,18 +18,20 @@ import (
 
 // A binary memo hit through the router and an in-process shard on the
 // direct transport, the benchmark's serve-hot shape. The budget is the
-// shard's own for the same hit through the same entry (6: "memo-hit Serve"
-// in server.TestAllocBudgets) plus 5 for the hop: the minted request ID 1,
-// the request-ID and Content-Length header values 3 (the length's string
-// and both slices), the body cap's reader 1; route key, dispatch, both
-// buffers and the backend, stolen and content-type header values are free.
-// Reads 11; 17 while the shard copied every placement into the response
-// and kept the response and the outcome on the heap, and the router built
-// its three constant header values per request; 67
-// before the byte-level seam (a request, URL, header map and recorder per
-// hop, a job and its channel, an unpooled body, a string per task name).
+// shard's own for the same hit through the same entry (0: "memo-hit Serve"
+// in server.TestAllocBudgets, a byte hit) plus 5 for the hop: the minted
+// request ID 1, the request-ID and Content-Length header values 3 (the
+// length's string and both slices), the body cap's reader 1; route key,
+// dispatch, both buffers and the backend, stolen and content-type header
+// values are free. Reads 5; 11 while every hit decoded the frame at the
+// shard and took the memo's copy of the plan; 17 while the shard copied
+// every placement into the response and kept the response and the outcome
+// on the heap, and the router built its three constant header values per
+// request; 67 before the byte-level seam (a request, URL, header map and
+// recorder per hop, a job and its channel, an unpooled body, a string per
+// task name).
 func TestAllocBudgetRoutedHit(t *testing.T) {
-	const n, m, budget = 24, 16, 6 + 5
+	const n, m, budget = 24, 16, 0 + 5
 	frame := wire.AppendScheduleRequest(nil, instance.Mixed(9, n, m), nil, nil)
 	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
@@ -44,8 +46,8 @@ func TestAllocBudgetRoutedHit(t *testing.T) {
 		}
 	}
 	serve() // fills the memo
-	serve() // warms the pools
-	if got := testing.AllocsPerRun(200, serve); got > budget {
+	serve() // attaches the answer's bytes to the entry
+	if got := allocsAfterWarmUp(serve); got > budget {
 		t.Errorf("routed memo hit: %.1f allocs per run, budget %d", got, budget)
 	} else {
 		t.Logf("routed memo hit: %.1f allocs per run (budget %d)", got, budget)
@@ -56,6 +58,18 @@ func TestAllocBudgetRoutedHit(t *testing.T) {
 	if got := rt.queuedCnt.Value(); got != 0 {
 		t.Fatalf("%d requests of a single caller were queued", got)
 	}
+}
+
+// allocsAfterWarmUp is testing.AllocsPerRun(200, f) after 100 runs of f: a
+// process's first allocations can be small enough for the runtime's tiny
+// allocator, whose count lags, so a budget read on a fresh process can hide
+// one (obs.TestAllocBudgetRequestID starts far along the request-ID
+// sequence for the same reason).
+func allocsAfterWarmUp(f func()) float64 {
+	for range 100 {
+		f()
+	}
+	return testing.AllocsPerRun(200, f)
 }
 
 // The same memo hit over the JSON codec, the benchmark's hot-JSON class: the

@@ -110,21 +110,34 @@ func (s *Schedule) Work(in *instance.Instance) float64 {
 // capacity-capped window of that array, so an append through one
 // reallocates instead of reaching its neighbour; nil sets stay nil.
 func (s *Schedule) Clone() *Schedule {
+	out := new(Schedule)
+	s.CloneInto(out, 0)
+	return out
+}
+
+// CloneInto is Clone into a Schedule the caller allocated, whose old
+// contents it overwrites, with extra ints of the caller's own at the end of
+// the one backing array: they come back as words, length extra and
+// capacity-capped like the sets, so an append through either side
+// reallocates. Two allocations, or one when there are no sets and no extra
+// words. The engine's memo keeps a plan inside its entry this way, and the
+// entry's identity words beside the sets.
+func (s *Schedule) CloneInto(dst *Schedule, extra int) (words []int) {
 	total := 0
 	for _, p := range s.Placements {
 		total += len(p.ProcSet)
 	}
-	backing := make([]int, 0, total)
-	out := &Schedule{Algorithm: s.Algorithm, Placements: make([]Placement, len(s.Placements))}
+	backing := make([]int, 0, total+extra)
+	*dst = Schedule{Algorithm: s.Algorithm, Placements: make([]Placement, len(s.Placements))}
 	for i, p := range s.Placements {
 		if p.ProcSet != nil {
 			off := len(backing)
 			backing = append(backing, p.ProcSet...)
 			p.ProcSet = backing[off:len(backing):len(backing)]
 		}
-		out.Placements[i] = p
+		dst.Placements[i] = p
 	}
-	return out
+	return backing[len(backing) : len(backing)+extra : len(backing)+extra]
 }
 
 // Idle returns the total idle processor-time below the makespan,

@@ -31,6 +31,8 @@ const (
 	metricEngine       = "malsched_engine_events_total"
 	metricEntries      = "malsched_engine_entries"
 	metricJSONDecode   = "malsched_json_decode_total"
+	metricCollisions   = "malsched_memo_collisions_total"
+	metricByteHits     = "malsched_memo_byte_hits_total"
 )
 
 // reqCtx is the per-request observability context threaded from serve
@@ -54,6 +56,9 @@ type reqCtx struct {
 
 	st    stageNS
 	trace *wire.TraceInfo
+	// memo is the entry a verified memo hit was answered from: the binary
+	// encoder attaches the answer's bytes to it.
+	memo *engine.MemoEntry
 }
 
 // lap marks a stage boundary: it returns the nanoseconds since the previous
@@ -195,6 +200,9 @@ func (s *Server) registerMetrics() {
 	s.verifyFail = m.Counter(metricVerifyFail, "Responses withheld because verification rejected the plan.")
 	s.binaryReqs = m.Counter(metricBinary, "/v1/schedule requests over the binary codec.")
 	s.graphReqs = m.Counter(metricGraph, "/v1/schedule requests that carried a precedence graph, valid or not.")
+	s.byteHits = m.Counter(metricByteHits, "Binary memo hits answered from the entry's verified bytes, without a decode.")
+	m.CounterFunc(metricCollisions, "Memo and compiled-cache probes that found an entry of other words under their key, answered as misses.",
+		func() float64 { return float64(s.eng.Stats().Collisions) })
 	const jsonHelp = "JSON requests and batch items decoded, by path: the request scanner, or encoding/json for a body outside its subset."
 	for p := range s.jsonDecode {
 		s.jsonDecode[p] = m.Counter(metricJSONDecode, jsonHelp, "path", wire.DecodePath(p).String())

@@ -2,7 +2,9 @@
 // service over the batch engine: a bounded admission queue in front of one
 // engine, per-request solver selection validated against the registry, and
 // verify.Plan enforced on every response path — the server never vouches
-// for a schedule it has not independently re-checked.
+// for a schedule it has not independently checked against the request's
+// exact workload: on the request itself, or, for a binary byte hit, on the
+// memo entry's first hit over the same words (see byteHit).
 //
 // Endpoints:
 //
@@ -30,6 +32,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,6 +40,7 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -45,6 +49,7 @@ import (
 	"time"
 
 	"malsched/internal/engine"
+	"malsched/internal/fphash"
 	"malsched/internal/instance"
 	"malsched/internal/obs"
 	"malsched/internal/precedence"
@@ -130,7 +135,7 @@ type Server struct {
 	requests   *obs.Vec[reqKey, *obs.Counter]
 	jsonDecode [wire.NumDecodePaths]*obs.Counter
 
-	accepted, rejected, verifyFail, binaryReqs, graphReqs *obs.Counter
+	accepted, rejected, verifyFail, binaryReqs, graphReqs, byteHits *obs.Counter
 
 	draining atomic.Bool
 
@@ -331,10 +336,12 @@ func lineageHash(lineage string) uint64 {
 
 // solveVerified runs one instance on the engine and re-checks the result
 // with verify.Plan before anything is released to the caller. It fills resp,
-// or returns a typed error with its HTTP status.
+// or returns a typed error with its HTTP status. A verified memo hit leaves
+// its entry in rc.memo for the encoder (see solveAndEncode).
 //
-// The engine hashes the profiles once, inside the solve slot: the memo key,
-// and forked from its workload prefix the compiled-cache key, so renamed
+// The profiles are hashed once: by the binary frame's walk, whose prefix
+// arrives here, or else by the engine inside the solve slot. Both caches key
+// off that prefix — the memo key, and the compiled-cache key — so renamed
 // copies of the same workload under the same options hit the memo. A
 // request with a lineage key solves against the lineage's carried warm
 // state instead, found by the key's hash: consecutive residuals of one
@@ -344,17 +351,23 @@ func lineageHash(lineage string) uint64 {
 // repeated shape and memo-miss re-solves under different options share one
 // set of tables, and a memo hit pays for none. The solve slots bound
 // concurrency to Config.Workers across all requests, compilation included.
-func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx, resp *wire.ScheduleResponse) (*wire.ErrorInfo, int) {
-	warm := lineage != "" && engine.WantsCompiled(o)
+func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, prefix *fphash.Hash, rc *reqCtx, resp *wire.ScheduleResponse) (*wire.ErrorInfo, int) {
+	var ws *engine.WarmState
 	rc.solver = solverLabel(o)
 	var st stageNS
 	rc.lap() // the queue stage starts here, after decode and validation
 	s.slots <- struct{}{}
 	st.queue = rc.lap()
+	if lineage != "" && engine.WantsCompiled(o) {
+		ws = s.eng.WarmFor(lineageHash(lineage))
+	}
 	var out engine.Outcome
-	if warm {
-		out = s.eng.ScheduleWarm(in, nil, o, timeout, s.eng.WarmFor(lineageHash(lineage)))
-	} else {
+	switch {
+	case prefix != nil:
+		out = s.eng.ScheduleFolded(in, o, timeout, *prefix, ws)
+	case ws != nil:
+		out = s.eng.ScheduleWarm(in, nil, o, timeout, ws)
+	default:
 		out = s.eng.ScheduleWith(in, o, timeout)
 	}
 	// The engine reports the table resolution it did inside the call (0 on
@@ -371,9 +384,12 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	}
 	if s.corrupt != nil {
 		// The hook takes a copy's address, so out itself stays in this frame.
+		// What it returns is no longer the memo's answer, so no encoding of it
+		// may be attached to the entry.
 		sol := out.Solution
 		s.corrupt(&sol)
 		out.Solution = sol
+		out.Memo = nil
 	}
 	c := verify.Certified{Plan: out.Plan, Makespan: out.Makespan, LowerBound: out.LowerBound}
 	if err := verify.Plan(in, c, false); err != nil {
@@ -404,6 +420,7 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	st.verify = rc.lap()
 	set.observe(st)
 	rc.st = st
+	rc.memo = out.Memo
 	fillResponse(resp, in, &out, 0)
 	if o.Trace {
 		resp.Trace = traceInfoOf(out, st)
@@ -568,7 +585,7 @@ func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.
 	if req.InstanceErr != nil {
 		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: req.InstanceErr.Error()}
 	}
-	return s.solveAndEncode(rc, req.Instance, req.Graph, o, timeout, lineageOf(req.Options), false, dst)
+	return s.solveAndEncode(rc, req.Instance, req.Graph, o, timeout, lineageOf(req.Options), nil, false, dst)
 }
 
 // scheduleBinary is /v1/schedule over the binary codec: the same
@@ -578,7 +595,26 @@ func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.
 // internal/wire, no reflection and no per-request encoder state. A wire/v2
 // request carries the precedence graph; v1 requests decode unchanged and
 // carry none.
+//
+// The frame is walked first (wire.ReadFrame). A repeat of a verified hit is
+// answered from the walk alone (byteHit); anything else decodes, and the
+// walk's workload prefix keys the engine's caches so the profiles are
+// hashed once.
 func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
+	f, walkErr := wire.ReadFrame(body)
+	if walkErr != nil {
+		return s.decodeBinary(rc, body, nil, dst)
+	}
+	if out, ok := s.byteHit(rc, &f, dst); ok {
+		return out, http.StatusOK, nil
+	}
+	return s.decodeBinary(rc, body, &f.Prefix, dst)
+}
+
+// decodeBinary is the binary path without the byte hit: decode, options,
+// then the shared tail. prefix is the frame walk's, nil if the walk failed
+// (the decode then reports why).
+func (s *Server) decodeBinary(rc *reqCtx, body []byte, prefix *fphash.Hash, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	in, graph, ro, err := wire.DecodeScheduleRequest(body)
 	if err != nil {
 		code := wire.CodeBadInstance
@@ -591,12 +627,80 @@ func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wir
 	if errInfo != nil {
 		return nil, http.StatusBadRequest, errInfo
 	}
-	return s.solveAndEncode(rc, in, graph, o, timeout, lineageOf(ro), true, dst)
+	return s.solveAndEncode(rc, in, graph, o, timeout, lineageOf(ro), prefix, true, dst)
+}
+
+// byteHit answers a binary request from the bytes of a memo entry: the
+// header, the request's own name, and the encoded answer the entry carries
+// since its first verified binary hit. The engine hands those bytes out
+// only after comparing every word of the frame's workload and options with
+// the entry's, so they are the bytes the full path would write: that path
+// would decode the same words, find the same entry, verify the same plan
+// against the same rows and encode the same answer.
+//
+// It declines — and the full path runs as if it had never been called —
+// for a frame with a graph (the full path also checks the edges), a row
+// wider than m (the decoder validates the words truncation drops), options
+// naming a portfolio or a lineage or holding a value resolveOptions
+// refuses, and any frame without a matching entry that carries bytes; and
+// while the verification tests' corruption hook is set, since every answer
+// must then pass through it. The solve slot is held across the probe and
+// the stage histograms are observed, as for any hit: the verify stage
+// reads 0.
+func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, dst []byte) ([]byte, bool) {
+	if f.Graph || f.Wide || f.M > math.MaxInt || s.corrupt != nil {
+		return nil, false
+	}
+	o, ok := s.frameOptions(f)
+	if !ok {
+		return nil, false
+	}
+	var st stageNS
+	rc.lap()
+	s.slots <- struct{}{}
+	st.queue = rc.lap()
+	enc := s.eng.MemoBytes(f.Prefix, int(f.M), f.N, o, f.SameWorkload)
+	st.solve = rc.lap()
+	<-s.slots
+	if enc == nil {
+		return nil, false
+	}
+	s.byteHits.Inc()
+	rc.solver = solverLabel(o)
+	set := s.stages.Get(stageKey{solver: rc.solver, codec: rc.codec})
+	set.observe(st)
+	rc.st = st
+	out := append(wire.AppendResponseHead(dst, f.Name), enc...)
+	set.encode.Observe(rc.lap() / 1e3)
+	return out, true
+}
+
+// frameOptions resolves a frame's options as resolveOptions would resolve
+// the decoded ones, without allocating; ok is false for options byteHit
+// declines.
+func (s *Server) frameOptions(f *wire.Frame) (o engine.Options, ok bool) {
+	if !f.Options {
+		o, _, errInfo := s.resolveOptions(nil)
+		return o, errInfo == nil
+	}
+	if f.Portfolio > 0 || len(f.Lineage) > 0 {
+		return o, false
+	}
+	ro := wire.RequestOptions{Eps: f.Eps, Compact: f.Compact, Parallelism: int(f.Parallelism), TimeoutMS: f.TimeoutMS}
+	if len(f.Solver) > 0 {
+		if ro.Solver, ok = solver.Canonical(f.Solver); !ok {
+			return o, false
+		}
+	}
+	o, _, errInfo := s.resolveOptions(&ro)
+	return o, errInfo == nil
 }
 
 // solveAndEncode is the codec-independent tail of /v1/schedule: the graph
-// gate, the verified solve, and the response appended to dst.
-func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int, o engine.Options, timeout time.Duration, lineage string, binary bool, dst []byte) ([]byte, int, *wire.ErrorInfo) {
+// gate, the verified solve, and the response appended to dst. On the binary
+// codec, the first verified hit of a graphless memo entry attaches the
+// encoded answer — the response minus its head — to the entry, for byteHit.
+func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int, o engine.Options, timeout time.Duration, lineage string, prefix *fphash.Hash, binary bool, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	if graph != nil {
 		// The graph is validated here — before the engine is touched — so a
 		// hostile graph (cycle, self-edge, out-of-range endpoint, wrong
@@ -611,13 +715,16 @@ func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int
 		o.Edges = graph
 	}
 	var resp wire.ScheduleResponse // stays in this frame: the encoders only read it
-	if errInfo, status := s.solveVerified(in, o, timeout, lineage, rc, &resp); errInfo != nil {
+	if errInfo, status := s.solveVerified(in, o, timeout, lineage, prefix, rc, &resp); errInfo != nil {
 		return nil, status, errInfo
 	}
 	var out []byte
 	var errInfo *wire.ErrorInfo
 	if binary {
 		out = wire.AppendScheduleResponse(dst, &resp)
+		if rc.memo != nil && o.Edges == nil && rc.memo.Encoded() == nil {
+			rc.memo.SetEncoded(bytes.Clone(wire.ResponseTail(out[len(dst):])))
+		}
 	} else if out, errInfo = appendJSON(dst, resp); errInfo != nil {
 		return nil, http.StatusInternalServerError, errInfo
 	}
@@ -703,7 +810,7 @@ func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout
 	// own stage timings.
 	irc := &reqCtx{endpoint: "batch", codec: codec, start: time.Now()}
 	var res wire.ScheduleResponse
-	if errInfo, _ := s.solveVerified(in, o, timeout, lineage, irc, &res); errInfo != nil {
+	if errInfo, _ := s.solveVerified(in, o, timeout, lineage, nil, irc, &res); errInfo != nil {
 		return wire.BatchItem{Index: i, Error: errInfo}
 	}
 	return wire.BatchItem{Index: i, Result: &res}

@@ -172,6 +172,19 @@ func Lookup(name string) (Solver, bool) {
 	return s, ok
 }
 
+// Canonical returns the registry's own string for a solver name held as
+// bytes — a window of a request frame — and whether the name is
+// registered. It allocates nothing.
+func Canonical(name []byte) (string, bool) {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	s, ok := registry[string(name)]
+	if !ok {
+		return "", false
+	}
+	return s.Name(), true
+}
+
 // Names returns every registered solver name, sorted.
 func Names() []string {
 	regMu.RLock()

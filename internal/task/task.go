@@ -170,6 +170,21 @@ func Monotonize(times []float64) []float64 {
 // are defined for p = 1..MaxProcs; schedulers never allot more.
 func (t Task) MaxProcs() int { return len(t.times) }
 
+// SameTimes reports whether the task's time table is exactly times: the
+// same length and every entry's bit pattern equal. The engine's caches,
+// which key a table by a fingerprint, compare with it before they answer.
+func (t Task) SameTimes(times []float64) bool {
+	if len(times) != len(t.times) {
+		return false
+	}
+	for p, v := range t.times {
+		if math.Float64bits(v) != math.Float64bits(times[p]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Time returns t(p), the execution time on p processors.
 // It panics if p is outside 1..MaxProcs: allotting an undefined processor
 // count is a scheduler bug, not an input error.

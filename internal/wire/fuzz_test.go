@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzRouteKeyMatchesDecode fuzzes the two parsers of untrusted request
-// bytes. Invariants: neither wire.RouteKey (the router's zero-allocation
-// peek) nor DecodeScheduleRequest (the shard's full decode) panics on any
+// bytes. Invariants: neither wire.RouteKey (ReadFrame: the router's
+// zero-allocation peek, and the shard's walk before a byte hit) nor
+// DecodeScheduleRequest (the shard's full decode) panics on any
 // input; and whenever the decode succeeds the peek succeeds too, its key
 // equals engine.WorkloadFingerprintDAG over the decoded (instance, graph)
 // and its lineage is the decoded options' — so the router and the shard can

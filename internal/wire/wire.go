@@ -360,7 +360,7 @@ func appendHeader(b []byte, version, kind byte) []byte {
 	return append(b, magic0, magic1, version, kind)
 }
 
-func appendString(b []byte, s string) []byte {
+func appendString[S ~string | ~[]byte](b []byte, s S) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -434,8 +434,7 @@ func AppendScheduleRequest(b []byte, in *instance.Instance, graph [][]int, opts 
 // version-1-only client reading a version-2-capable server never sees a
 // header it cannot parse.
 func AppendScheduleResponse(b []byte, r *ScheduleResponse) []byte {
-	b = appendHeader(b, 1, KindScheduleResponse)
-	b = appendString(b, r.Name)
+	b = AppendResponseHead(b, r.Name)
 	b = appendF64(b, r.Makespan)
 	b = appendF64(b, r.LowerBound)
 	b = appendString(b, r.Branch)
@@ -462,6 +461,25 @@ func AppendScheduleResponse(b []byte, r *ScheduleResponse) []byte {
 		}
 	}
 	return b
+}
+
+// AppendResponseHead opens a success response: the header and the echo of
+// the request's name, what AppendScheduleResponse writes before the answer.
+// Written in front of a ResponseTail of the same answer, it makes the bytes
+// AppendScheduleResponse would.
+func AppendResponseHead[S ~string | ~[]byte](b []byte, name S) []byte {
+	b = appendHeader(b, 1, KindScheduleResponse)
+	return appendString(b, name)
+}
+
+// ResponseTail returns what follows the head in an encoded success
+// response: every byte the answer decides and the request's name does not.
+// msg must be a response this package encoded.
+func ResponseTail(msg []byte) []byte {
+	r := &reader{b: msg}
+	r.header(KindScheduleResponse)
+	r.skipStr()
+	return msg[r.off:]
 }
 
 // AppendError encodes a typed error body (layout unchanged in version 2;
@@ -781,53 +799,84 @@ func DecodeScheduleResponse(data []byte) (*ScheduleResponse, error) {
 	return resp, nil
 }
 
-// RouteKey extracts the routing tier's consistent-hash key from a binary
-// /v1/schedule request without building the instance: the workload-only
-// fingerprint (internal/fphash over machine size, task count and every
-// task's truncated time table, with a version ≥ 2 request's precedence
-// graph folded in — the same words through the same kernel as
-// engine.WorkloadFingerprintDAG folds from the decoded request, pinned by
-// an equivalence test in internal/router and the differential fuzz target,
-// so a DAG never routes as its independent projection)
-// plus the lineage key, which overrides fingerprint routing when set.
-// Zero allocations: the router peeks, it never decodes.
-//
-// Truncation mirrors instance.New: profiles wider than m hash only their
-// first m entries, because that is what the backend will decode. Routing
-// from a mismatched key would cost locality, never correctness — every
-// shard answers every workload identically — but the equivalence test
-// keeps this walk and the engine's hash in lockstep anyway.
-func RouteKey(data []byte) (key uint64, lineage string, err error) {
+// Frame is a binary /v1/schedule request walked in place by ReadFrame: the
+// framing checks DecodeScheduleRequest makes, the workload words folded
+// into a fingerprint on the way, and windows onto everything else. It
+// allocates nothing and builds no instance. RouteKey is a walk, and so is
+// the shard's probe of its memo for a repeat request.
+type Frame struct {
+	data  []byte
+	tasks int // offset of the first task record
+	// Name is the instance name, a window of the frame.
+	Name []byte
+	// M and N are the machine size and the task count the frame states.
+	M uint64
+	N int
+	// Prefix is the workload-only fingerprint state: m, n and every row
+	// truncated to m, in the order and through the kernel that the engine
+	// folds a decoded instance (engine.WorkloadFingerprintDAG without
+	// edges), so the decoded request hashes to the same state.
+	Prefix fphash.Hash
+	// Wide reports a row wider than M: the decoder validates such a row in
+	// full, then truncates it, so the row's last words are in no
+	// fingerprint.
+	Wide bool
+	// Graph reports a precedence graph section (version 2, presence byte
+	// set); routeKey is Prefix with the graph folded in, RouteKey's value.
+	Graph    bool
+	routeKey uint64
+	// Options reports an options block; the fields after it are its
+	// values, zero without one. Portfolio counts the portfolio's names.
+	Options     bool
+	Solver      []byte
+	Portfolio   int
+	Eps         float64
+	Compact     bool
+	Parallelism int64
+	TimeoutMS   int64
+	Lineage     []byte
+}
+
+// ReadFrame walks a binary /v1/schedule request. It fails exactly where
+// DecodeScheduleRequest fails on framing (header, truncation, oversized
+// length prefixes, trailing bytes); what it does not check is what the
+// decoder's constructors check — the profiles, m and n — and the graph's
+// meaning. FuzzRouteKeyMatchesDecode holds the two walks to that.
+func ReadFrame(data []byte) (Frame, error) {
+	f := Frame{data: data}
 	r := &reader{b: data}
 	r.header(KindScheduleRequest)
-	r.skipStr() // instance name: fingerprints are name-independent
-	m := r.uvarint()
-	nTasks := r.count(2)
+	f.Name = r.view()
+	f.M = r.uvarint()
+	f.N = r.count(2)
+	f.tasks = r.off
 	h := fphash.New()
-	h.Word(m)
-	h.Word(uint64(nTasks))
-	for i := 0; i < nTasks && r.err == nil; i++ {
+	h.Word(f.M)
+	h.Word(uint64(f.N))
+	for i := 0; i < f.N && r.err == nil; i++ {
 		r.skipStr()
 		nTimes := r.count(8)
-		maxProcs := nTimes
-		if m > 0 && uint64(maxProcs) > m {
-			maxProcs = int(m)
+		width := nTimes
+		if f.M > 0 && uint64(width) > f.M {
+			width, f.Wide = int(f.M), true
 		}
-		h.Word(uint64(maxProcs))
-		// count(8) has checked that the whole table is present. The wire
+		h.Word(uint64(width))
+		// count(8) has checked that the whole row is present. The wire
 		// already stores Float64bits little-endian, which is exactly what
 		// the fingerprint hashes.
-		table := r.b[r.off : r.off+8*nTimes]
-		r.off += len(table)
-		for range maxProcs {
-			h.Word(binary.LittleEndian.Uint64(table))
-			table = table[8:]
+		row := r.b[r.off : r.off+8*nTimes]
+		r.off += len(row)
+		for range width {
+			h.Word(binary.LittleEndian.Uint64(row))
+			row = row[8:]
 		}
 	}
+	f.Prefix = h
 	if r.ver >= 2 && r.u8() != 0 {
 		// Fold the graph section exactly as engine.WorkloadFingerprintDAG
 		// hashes a present graph: the "edges" marker, the list count, then
 		// each list's length and indices.
+		f.Graph = true
 		nLists := r.count(1)
 		h.String("edges")
 		h.Word(uint64(nLists))
@@ -839,22 +888,76 @@ func RouteKey(data []byte) (key uint64, lineage string, err error) {
 			}
 		}
 	}
+	f.routeKey = h.Sum()
 	if r.u8() != 0 {
-		r.skipStr() // solver
-		nPort := r.count(1)
-		for i := 0; i < nPort && r.err == nil; i++ {
+		f.Options = true
+		f.Solver = r.view()
+		f.Portfolio = r.count(1)
+		for i := 0; i < f.Portfolio && r.err == nil; i++ {
 			r.skipStr()
 		}
-		_ = r.f64()    // eps
-		_ = r.u8()     // flags
-		_ = r.varint() // parallelism
-		_ = r.varint() // timeout_ms
-		lineage = r.str()
+		f.Eps = r.f64()
+		f.Compact = r.u8()&1 != 0
+		f.Parallelism = r.varint()
+		f.TimeoutMS = r.varint()
+		f.Lineage = r.view()
 	}
 	if err := r.done(); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// SameWorkload reports whether the frame's rows are exactly the rows off
+// and times describe — row i is times[off[i]:off[i+1]], the layout of
+// instance.Compiled — width for width and bit for bit. Names are not
+// compared, and neither are m and n, which a cache key already holds.
+func (f *Frame) SameWorkload(off []int, times []float64) bool {
+	if len(off) != f.N+1 {
+		return false
+	}
+	r := &reader{b: f.data, off: f.tasks}
+	for i := range f.N {
+		r.skipStr()
+		row := times[off[i]:off[i+1]]
+		if r.uvarint() != uint64(len(row)) {
+			return false
+		}
+		// The walk proved the framing, so the row's bytes are there.
+		b := r.b[r.off : r.off+8*len(row)]
+		r.off += len(b)
+		for _, t := range row {
+			if binary.LittleEndian.Uint64(b) != math.Float64bits(t) {
+				return false
+			}
+			b = b[8:]
+		}
+	}
+	return true
+}
+
+// RouteKey extracts the routing tier's consistent-hash key from a binary
+// /v1/schedule request without building the instance: the workload-only
+// fingerprint (internal/fphash over machine size, task count and every
+// task's truncated time table, with a version ≥ 2 request's precedence
+// graph folded in — the same words through the same kernel as
+// engine.WorkloadFingerprintDAG folds from the decoded request, pinned by
+// an equivalence test in internal/router and the differential fuzz target,
+// so a DAG never routes as its independent projection)
+// plus the lineage key, which overrides fingerprint routing when set.
+// It is ReadFrame: the router peeks, it never decodes.
+//
+// Truncation mirrors instance.New: profiles wider than m hash only their
+// first m entries, because that is what the backend will decode. Routing
+// from a mismatched key would cost locality, never correctness — every
+// shard answers every workload identically — but the equivalence test
+// keeps this walk and the engine's hash in lockstep anyway.
+func RouteKey(data []byte) (key uint64, lineage string, err error) {
+	f, err := ReadFrame(data)
+	if err != nil {
 		return 0, "", err
 	}
-	return h.Sum(), lineage, nil
+	return f.routeKey, string(f.Lineage), nil
 }
 
 // DecodeError decodes a binary error body.
