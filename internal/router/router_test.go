@@ -2,12 +2,15 @@ package router
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +19,7 @@ import (
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
 	"malsched/internal/server"
+	"malsched/internal/task"
 	"malsched/internal/wire"
 )
 
@@ -386,6 +390,79 @@ func TestCodecNegotiationAgrees(t *testing.T) {
 		}
 		if got := wire.IsBinary(c.contentType); got != c.binary {
 			t.Errorf("wire.IsBinary(%q) = %v, want %v", c.contentType, got, c.binary)
+		}
+	}
+}
+
+// TestOneErrorEveryTierAndCodec: a bad request gets one error code, on
+// either tier and in either codec. Each crafted frame is posted to a router
+// and to a bare shard, its JSON twin to the bare shard, and all three must
+// answer the code docs/SERVICE.md's "Error precedence" gives it: an
+// undecodable body (for the binary codec, a frame the walk refuses) before
+// the options, the options before the instance, the instance before the
+// graph.
+func TestOneErrorEveryTierAndCodec(t *testing.T) {
+	rt, _ := newTier(t, 1, Config{})
+	shard := server.New(server.Config{Workers: 1})
+	nope := &wire.RequestOptions{Solver: "nope"}
+	// F1 is task a with the rising profile [1, 2] on m = 2 under an unknown
+	// solver. The encoder only writes valid tasks, so the frame is encoded
+	// falling and its two times are swapped in place.
+	times := func(a, b float64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(a)), math.Float64bits(b))
+	}
+	f1 := bytes.Replace(wire.AppendScheduleRequest(nil, instance.MustNew("f1", 2, []task.Task{task.MustNew("a", []float64{2, 1})}), nil, nope),
+		times(2, 1), times(1, 2), 1)
+	f1JSON := `{"instance":{"name":"f1","m":2,"tasks":[{"name":"a","times":[1,2]}]},"options":{"solver":"nope"}}`
+	twin := func(in *instance.Instance, graph [][]int, opts *wire.RequestOptions) string {
+		body, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(t, in), Graph: graph, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	noProcs := &instance.Instance{Name: "m0", M: 0, Tasks: instance.Mixed(1, 2, 2).Tasks}
+	epsTwo := &wire.RequestOptions{Eps: 2}
+	pair := instance.Mixed(1, 2, 2)
+	cycle := [][]int{{1}, {0}}
+	for _, c := range []struct {
+		name, json, want string
+		frame            []byte
+	}{
+		{"F1: rising profile, unknown solver", f1JSON, wire.CodeUnknownSolver, f1},
+		{"F1 and one trailing byte", f1JSON + "x", wire.CodeBadRequest, append(f1[:len(f1):len(f1)], 0)},
+		{"F2: F1 less its last 3 bytes", f1JSON[:len(f1JSON)-3], wire.CodeBadRequest, f1[:len(f1)-3]},
+		{"eps 2 on m = 0", twin(noProcs, nil, epsTwo), wire.CodeBadOptions, wire.AppendScheduleRequest(nil, noProcs, nil, epsTwo)},
+		{"unknown solver, cyclic graph", twin(pair, cycle, nope), wire.CodeUnknownSolver, wire.AppendScheduleRequest(nil, pair, cycle, nope)},
+	} {
+		codes := map[string]string{}
+		for _, tier := range []struct {
+			name string
+			h    http.Handler
+		}{{"router", rt.Handler()}, {"shard", shard.Handler()}} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(c.frame))
+			req.Header.Set("Content-Type", wire.ContentType)
+			rec := httptest.NewRecorder()
+			tier.h.ServeHTTP(rec, req)
+			body, err := wire.DecodeError(rec.Body.Bytes())
+			if rec.Code != http.StatusBadRequest || err != nil {
+				t.Fatalf("%s, binary to the %s: HTTP %d, %v", c.name, tier.name, rec.Code, err)
+			}
+			codes["binary to the "+tier.name] = body.Error.Code
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(c.json))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		shard.Handler().ServeHTTP(rec, req)
+		var body wire.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusBadRequest || err != nil {
+			t.Fatalf("%s, JSON to the shard: HTTP %d, %v", c.name, rec.Code, err)
+		}
+		codes["JSON to the shard"] = body.Error.Code
+		for path, code := range codes {
+			if code != c.want {
+				t.Errorf("%s: %s answers %s, want %s (all: %v)", c.name, path, code, c.want, codes)
+			}
 		}
 	}
 }

@@ -208,9 +208,10 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // NewGraph, verify.Precedence in the solver and again in the handler),
 // compile, the precedence solve, both verifies, encode — every run a fresh
 // 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
-// share is what precedence.TestSolveAllocBudget bounds (9). Reads 59 (60
-// while the constant Content-Type was built per response, 64 with the
-// outcome, the response and a copy of the plan on the heap): 318
+// share is what precedence.TestSolveAllocBudget bounds (9). Reads 57: 59
+// while the options were decoded into a struct and a solver name of their
+// own, 60 while the constant Content-Type was built per response, 64 with
+// the outcome, the response and a copy of the plan on the heap, 318
 // before candidates were scored on processor counts and the segment
 // cache's entries recycled, 124 before the decode shared one string, 104
 // before Compile stopped building the breakpoint axis, 100 before the
@@ -218,7 +219,7 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // allocation per processor set and the edge gates and verify.Precedence
 // allocated their buffers per call.
 func TestAllocBudgetDAGMiss(t *testing.T) {
-	const n, m, runs, budget = 16, 8, 200, 59
+	const n, m, runs, budget = 16, 8, 200, 57
 	outTree, err := precedence.OutTreeEdges(n, 2)
 	if err != nil {
 		t.Fatal(err)

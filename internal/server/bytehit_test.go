@@ -157,14 +157,19 @@ func serveBinary(s *Server, frame []byte) (int, []byte) {
 }
 
 // byteHitOf runs byteHit alone on a frame, and slowPathOf the binary path
-// without it; both return what the request would be answered with.
+// without it — the frame's options, its decode, the shared tail; both
+// return what the request would be answered with.
 func byteHitOf(s *Server, frame []byte) ([]byte, bool) {
 	f, err := wire.ReadFrame(frame)
 	if err != nil {
 		return nil, false
 	}
+	o, _, _, errInfo := s.frameOptions(&f)
+	if errInfo != nil {
+		return nil, false
+	}
 	rc := reqCtx{codec: "binary", start: time.Now()}
-	return s.byteHit(&rc, &f, nil)
+	return s.byteHit(&rc, &f, o, nil)
 }
 
 func slowPathOf(s *Server, frame []byte) (int, []byte) {
@@ -172,8 +177,16 @@ func slowPathOf(s *Server, frame []byte) (int, []byte) {
 	if err != nil {
 		return 0, nil
 	}
+	o, timeout, lineage, errInfo := s.frameOptions(&f)
+	if errInfo != nil {
+		return http.StatusBadRequest, appendError(nil, true, errInfo)
+	}
+	in, graph, err := f.Decode()
+	if err != nil {
+		return http.StatusBadRequest, appendError(nil, true, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
+	}
 	rc := reqCtx{codec: "binary", start: time.Now()}
-	out, status, errInfo := s.decodeBinary(&rc, frame, &f.Prefix, nil)
+	out, status, errInfo := s.solveAndEncode(&rc, in, graph, o, timeout, lineage, &f.Prefix, true, nil)
 	if errInfo != nil {
 		return status, appendError(nil, true, errInfo)
 	}

@@ -515,11 +515,11 @@ func (s *Server) handleHTTP(endpoint string) http.HandlerFunc {
 
 // serve is the one implementation of a scheduling request, shared by the
 // HTTP handler and Serve: the observability envelope (request ID, request
-// counter, request log) around admit → size cap → decode → resolveOptions →
-// ValidateEdges → solveVerified → encode. The codec is negotiated by
-// contentType; a binary request gets a binary response on every path,
-// errors and admission rejections included. bodyErr is the HTTP handler's
-// failed body read, reported as a 400 in its place in that order.
+// counter, request log) around admit → size cap → decode → options →
+// instance → ValidateEdges → solveVerified → encode. The codec is
+// negotiated by contentType; a binary request gets a binary response on
+// every path, errors and admission rejections included. bodyErr is the HTTP
+// handler's failed body read, reported as a 400 in its place in that order.
 func (s *Server) serve(endpoint, contentType string, body []byte, bodyErr error, reqID string, dst []byte) (status int, respType string, out []byte, retryAfter string) {
 	rc := reqCtx{id: reqID, endpoint: endpoint, codec: "json", start: time.Now()}
 	if rc.id == "" {
@@ -568,10 +568,11 @@ func (s *Server) admitAndRun(rc *reqCtx, binary bool, body []byte, bodyErr error
 	}
 }
 
-// scheduleJSON is /v1/schedule over the JSON codec. Errors keep the order
-// they have always had: an undecodable body, then the options, then the
-// instance (which is why the decode holds its instance verdict), then the
-// graph in solveAndEncode.
+// scheduleJSON is /v1/schedule over the JSON codec. Errors come in the
+// order both codecs keep (docs/SERVICE.md, "Error precedence"): an
+// undecodable body, then the options, then the instance — its first invalid
+// task, then its shape; which is why the decode holds its instance verdict —
+// then the graph in solveAndEncode.
 func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	req, path, err := wire.DecodeJSONScheduleRequest(body)
 	s.jsonDecode[path].Inc()
@@ -596,38 +597,29 @@ func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.
 // request carries the precedence graph; v1 requests decode unchanged and
 // carry none.
 //
-// The frame is walked first (wire.ReadFrame). A repeat of a verified hit is
-// answered from the walk alone (byteHit); anything else decodes, and the
-// walk's workload prefix keys the engine's caches so the profiles are
-// hashed once.
+// The frame is walked once (wire.ReadFrame), and errors come in the JSON
+// path's order: a frame the walk refuses is the undecodable body, then the
+// options (frameOptions), then the instance the frame decodes to, then the
+// graph. A repeat of a verified hit is answered from the walk alone
+// (byteHit); anything else is decoded from the walked frame, and the walk's
+// workload prefix keys the engine's caches so the profiles are hashed once.
 func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
-	f, walkErr := wire.ReadFrame(body)
-	if walkErr != nil {
-		return s.decodeBinary(rc, body, nil, dst)
-	}
-	if out, ok := s.byteHit(rc, &f, dst); ok {
-		return out, http.StatusOK, nil
-	}
-	return s.decodeBinary(rc, body, &f.Prefix, dst)
-}
-
-// decodeBinary is the binary path without the byte hit: decode, options,
-// then the shared tail. prefix is the frame walk's, nil if the walk failed
-// (the decode then reports why).
-func (s *Server) decodeBinary(rc *reqCtx, body []byte, prefix *fphash.Hash, dst []byte) ([]byte, int, *wire.ErrorInfo) {
-	in, graph, ro, err := wire.DecodeScheduleRequest(body)
+	f, err := wire.ReadFrame(body)
 	if err != nil {
-		code := wire.CodeBadInstance
-		if isFramingErr(err) {
-			code = wire.CodeBadRequest
-		}
-		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: code, Message: err.Error()}
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
-	o, timeout, errInfo := s.resolveOptions(ro)
+	o, timeout, lineage, errInfo := s.frameOptions(&f)
 	if errInfo != nil {
 		return nil, http.StatusBadRequest, errInfo
 	}
-	return s.solveAndEncode(rc, in, graph, o, timeout, lineageOf(ro), prefix, true, dst)
+	if out, ok := s.byteHit(rc, &f, o, dst); ok {
+		return out, http.StatusOK, nil
+	}
+	in, graph, err := f.Decode()
+	if err != nil {
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
+	}
+	return s.solveAndEncode(rc, in, graph, o, timeout, lineage, &f.Prefix, true, dst)
 }
 
 // byteHit answers a binary request from the bytes of a memo entry: the
@@ -641,18 +633,13 @@ func (s *Server) decodeBinary(rc *reqCtx, body []byte, prefix *fphash.Hash, dst 
 // It declines — and the full path runs as if it had never been called —
 // for a frame with a graph (the full path also checks the edges), a row
 // wider than m (the decoder validates the words truncation drops), options
-// naming a portfolio or a lineage or holding a value resolveOptions
-// refuses, and any frame without a matching entry that carries bytes; and
-// while the verification tests' corruption hook is set, since every answer
-// must then pass through it. The solve slot is held across the probe and
-// the stage histograms are observed, as for any hit: the verify stage
-// reads 0.
-func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, dst []byte) ([]byte, bool) {
-	if f.Graph || f.Wide || f.M > math.MaxInt || s.corrupt != nil {
-		return nil, false
-	}
-	o, ok := s.frameOptions(f)
-	if !ok {
+// naming a portfolio or a lineage, and any frame without a matching entry
+// that carries bytes; and while the verification tests' corruption hook is
+// set, since every answer must then pass through it. The solve slot is held
+// across the probe and the stage histograms are observed, as for any hit:
+// the verify stage reads 0.
+func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, o engine.Options, dst []byte) ([]byte, bool) {
+	if f.Graph || f.Wide || f.M > math.MaxInt || f.Portfolio > 0 || len(f.Lineage) > 0 || s.corrupt != nil {
 		return nil, false
 	}
 	var st stageNS
@@ -675,25 +662,26 @@ func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, dst []byte) ([]byte, bool) {
 	return out, true
 }
 
-// frameOptions resolves a frame's options as resolveOptions would resolve
-// the decoded ones, without allocating; ok is false for options byteHit
-// declines.
-func (s *Server) frameOptions(f *wire.Frame) (o engine.Options, ok bool) {
+// frameOptions resolves a frame's options — for the byte hit and the full
+// path alike — as resolveOptions resolves the decoded ones, with the same
+// typed error, and returns the lineage key. A known solver name is the
+// registry's own string, so only a portfolio, a lineage key or an error
+// allocates.
+func (s *Server) frameOptions(f *wire.Frame) (o engine.Options, timeout time.Duration, lineage string, errInfo *wire.ErrorInfo) {
 	if !f.Options {
-		o, _, errInfo := s.resolveOptions(nil)
-		return o, errInfo == nil
+		o, timeout, errInfo = s.resolveOptions(nil)
+		return o, timeout, "", errInfo
 	}
-	if f.Portfolio > 0 || len(f.Lineage) > 0 {
-		return o, false
+	ro := wire.RequestOptions{
+		Portfolio: f.PortfolioNames(), Eps: f.Eps, Compact: f.Compact,
+		Parallelism: int(f.Parallelism), TimeoutMS: f.TimeoutMS, Lineage: string(f.Lineage),
 	}
-	ro := wire.RequestOptions{Eps: f.Eps, Compact: f.Compact, Parallelism: int(f.Parallelism), TimeoutMS: f.TimeoutMS}
-	if len(f.Solver) > 0 {
-		if ro.Solver, ok = solver.Canonical(f.Solver); !ok {
-			return o, false
-		}
+	var ok bool
+	if ro.Solver, ok = solver.Canonical(f.Solver); !ok {
+		ro.Solver = string(f.Solver) // resolveOptions names it in its refusal
 	}
-	o, _, errInfo := s.resolveOptions(&ro)
-	return o, errInfo == nil
+	o, timeout, errInfo = s.resolveOptions(&ro)
+	return o, timeout, ro.Lineage, errInfo
 }
 
 // solveAndEncode is the codec-independent tail of /v1/schedule: the graph
@@ -730,15 +718,6 @@ func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int
 	}
 	rc.set.encode.Observe(rc.lap() / 1e3)
 	return out, http.StatusOK, nil
-}
-
-// isFramingErr separates malformed binary framing (bad_request, like
-// undecodable JSON) from a well-framed but invalid instance
-// (bad_instance), keeping the two codecs' error taxonomy aligned.
-func isFramingErr(err error) bool {
-	return errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrTooLarge) ||
-		errors.Is(err, wire.ErrBadMagic) || errors.Is(err, wire.ErrBadVersion) ||
-		errors.Is(err, wire.ErrBadKind)
 }
 
 // batch is /v1/batch (JSON only).

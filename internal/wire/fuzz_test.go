@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"malsched/internal/engine"
@@ -9,14 +10,19 @@ import (
 	"malsched/internal/precedence"
 )
 
-// FuzzRouteKeyMatchesDecode fuzzes the two parsers of untrusted request
-// bytes. Invariants: neither wire.RouteKey (ReadFrame: the router's
-// zero-allocation peek, and the shard's walk before a byte hit) nor
-// DecodeScheduleRequest (the shard's full decode) panics on any
-// input; and whenever the decode succeeds the peek succeeds too, its key
-// equals engine.WorkloadFingerprintDAG over the decoded (instance, graph)
-// and its lineage is the decoded options' — so the router and the shard can
-// never disagree about where a request they both accept belongs.
+// FuzzRouteKeyMatchesDecode fuzzes the parser of untrusted request bytes
+// and the decoder that builds from what it proved. Invariants: neither
+// wire.RouteKey (ReadFrame: the router's zero-allocation peek, and the
+// shard's walk before a byte hit or a decode) nor DecodeScheduleRequest
+// panics on any input — Go's own bounds checks in the build never fire; a
+// frame the walk refuses, the decode refuses with the same error, and a
+// frame the walk accepts never fails the decode on framing; and whenever the
+// decode succeeds, the key equals engine.WorkloadFingerprintDAG over the
+// decoded (instance, graph) and the lineage is the decoded options' — so
+// the router and the shard can never disagree about where a request they
+// both accept belongs, nor answer a bad one with different errors. The
+// committed seeds include F1 (a rising profile under an unknown solver) and
+// F2 (F1 cut by three bytes).
 func FuzzRouteKeyMatchesDecode(f *testing.F) {
 	mixed := instance.Mixed(5, 6, 4)
 	wide := &instance.Instance{Name: "wide", M: 2, Tasks: instance.Mixed(3, 5, 8).Tasks} // profiles truncate to m on decode
@@ -34,11 +40,19 @@ func FuzzRouteKeyMatchesDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		key, lineage, keyErr := RouteKey(data)
 		in, graph, opts, err := DecodeScheduleRequest(data)
-		if err != nil {
-			return // rejected by the shard: the router's verdict is moot
-		}
 		if keyErr != nil {
-			t.Fatalf("decode accepts what RouteKey rejects: %v", keyErr)
+			if err == nil || err.Error() != keyErr.Error() {
+				t.Fatalf("the walk refuses with %v, the decode with %v", keyErr, err)
+			}
+			return
+		}
+		if err != nil {
+			for _, framing := range []error{ErrTruncated, ErrTooLarge, ErrBadMagic, ErrBadVersion, ErrBadKind} {
+				if errors.Is(err, framing) {
+					t.Fatalf("the walk accepts a frame the decode refuses on framing: %v", err)
+				}
+			}
+			return // an invalid instance: both tiers answer it from the decode
 		}
 		if want := engine.WorkloadFingerprintDAG(in, graph); key != want {
 			t.Fatalf("RouteKey %#x != WorkloadFingerprintDAG %#x", key, want)

@@ -324,8 +324,23 @@ func BenchmarkDecodeJSONRequestFallback(b *testing.B) {
 	}
 }
 
+// BenchmarkReadFrame is the binary codec's walk of the same instances: the
+// router's whole parse, and the part of the shard's decode that checks the
+// framing.
+func BenchmarkReadFrame(b *testing.B) {
+	_, frames := hotBodies(b)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := ReadFrame(frames[i%len(frames)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
 // BenchmarkDecodeScheduleRequest is the binary codec's decode of the same
-// instances.
+// instances: the walk, then the build from the walked frame.
 func BenchmarkDecodeScheduleRequest(b *testing.B) {
 	_, frames := hotBodies(b)
 	b.ReportAllocs()

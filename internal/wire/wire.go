@@ -569,8 +569,11 @@ func (r *reader) count(elemSize int) int {
 
 // view reads a length-prefixed string as a window of the payload, without
 // materialising it.
-func (r *reader) view() []byte {
-	n := r.count(1)
+func (r *reader) view() []byte { return r.take(r.count(1)) }
+
+// take returns the next n bytes as a window of the payload and steps past
+// them. The caller has proved they are there.
+func (r *reader) take(n int) []byte {
 	v := r.b[r.off : r.off+n]
 	r.off += n
 	return v
@@ -631,124 +634,27 @@ func (r *reader) header(kind byte) {
 }
 
 // DecodeScheduleRequest decodes and validates a binary /v1/schedule
-// request. The instance is built through the same task / instance
-// validation as the JSON codec (task.NewOwned and instance.NewOwned are
-// task.New and instance.New minus the copies), so both codecs admit exactly
-// the same workloads and reject invalid ones (non-monotone profiles
-// included) with the same typed errors. It never retains data: names are
-// copied into one string, times into one slab. The graph is the request's
-// successor lists — nil for version 1 and for a version ≥ 2 request without
-// one, mirroring the JSON codec's absent "graph" key. Like the JSON path
-// the lists are shape only: semantic validation (edge bounds against the
-// task count, acyclicity) stays with the caller (precedence.ValidateEdges),
-// so both codecs reject a bad graph with the same typed error.
+// request: ReadFrame, then the frame's Decode and its options. The graph is
+// nil for version 1 and for a version ≥ 2 request without one, and opts nil
+// for a request without an options block, mirroring the JSON codec's absent
+// "graph" and "options" keys. It never retains data.
 func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOptions, error) {
-	r := &reader{b: data}
-	r.header(KindScheduleRequest)
-	nameView := r.view()
-	m := r.uvarint()
-	nTasks := r.count(2) // a task is at least a name prefix + a count
-	// Every name — the instance's and the tasks' — is a window of one
-	// string: a first walk over the task block sizes it, so the builder
-	// below allocates once and never regrows.
-	var names strings.Builder
-	names.Grow(len(nameView) + r.taskNameBytes(nTasks))
-	names.Write(nameView)
-	name := names.String()
-	tasks := make([]task.Task, 0, nTasks)
-	// Every time table lives in one slab: a float64 takes 8 wire bytes, so
-	// len(data)/8 bounds what all the tables together can hold, and each
-	// task owns a capacity-capped window of it.
-	slab := make([]float64, 0, len(data)/8)
-	for i := 0; i < nTasks && r.err == nil; i++ {
-		nameLo := names.Len()
-		names.Write(r.view())
-		tName := names.String()[nameLo:]
-		nTimes := r.count(8)
-		if r.err != nil {
-			break
-		}
-		lo := len(slab)
-		slab = slab[:lo+nTimes]
-		times := slab[lo:len(slab):len(slab)]
-		// count(8) proved the row is there: read it behind that one check,
-		// a float at a time off the front of the row.
-		row := r.b[r.off : r.off+8*nTimes]
-		r.off += len(row)
-		for p := range times {
-			times[p] = math.Float64frombits(binary.LittleEndian.Uint64(row))
-			row = row[8:]
-		}
-		t, err := task.NewOwned(tName, times)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("instance: task %d: %w", i, err)
-		}
-		tasks = append(tasks, t)
-	}
-	var graph [][]int
-	if r.ver >= 2 && r.u8() != 0 {
-		nLists := r.count(1)
-		// Every list is a capacity-capped window of one slab: an edge takes
-		// at least one wire byte, so the bytes left bound them all.
-		var edges []int
-		if r.err == nil {
-			graph = make([][]int, nLists)
-			edges = make([]int, 0, len(r.b)-r.off)
-		}
-		for i := 0; i < nLists && r.err == nil; i++ {
-			// Empty lists decode nil, matching what the precedence
-			// constructors produce and keeping DeepEqual round-trips exact.
-			if nEdges := r.count(1); nEdges > 0 {
-				lo := len(edges)
-				edges = edges[:lo+nEdges]
-				list := edges[lo:len(edges):len(edges)]
-				for j := range list {
-					list[j] = int(r.uvarint())
-				}
-				graph[i] = list
-			}
-		}
-	}
-	var opts *RequestOptions
-	if r.u8() != 0 {
-		opts = &RequestOptions{}
-		opts.Solver = r.str()
-		nPort := r.count(1)
-		if nPort > 0 {
-			opts.Portfolio = make([]string, nPort)
-			for i := range opts.Portfolio {
-				opts.Portfolio[i] = r.str()
-			}
-		}
-		opts.Eps = r.f64()
-		flags := r.u8()
-		opts.Compact = flags&1 != 0
-		opts.Parallelism = int(r.varint())
-		opts.TimeoutMS = r.varint()
-		opts.Lineage = r.str()
-	}
-	if err := r.done(); err != nil {
-		return nil, nil, nil, err
-	}
-	in, err := instance.NewOwned(name, int(m), tasks)
+	f, err := ReadFrame(data)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return in, graph, opts, nil
-}
-
-// taskNameBytes walks nTasks task records from the reader's position on a
-// copy of the reader — the position and the sticky error of r do not move
-// — and returns the total length of their names; on a malformed block, of
-// those before the first error, which the decoding walk then reports.
-func (r *reader) taskNameBytes(nTasks int) int {
-	w := *r
-	total := 0
-	for i := 0; i < nTasks && w.err == nil; i++ {
-		total += len(w.view())
-		w.off += 8 * w.count(8)
+	in, graph, err := f.Decode()
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return total
+	var opts *RequestOptions
+	if f.Options {
+		opts = &RequestOptions{
+			Solver: string(f.Solver), Portfolio: f.PortfolioNames(), Eps: f.Eps, Compact: f.Compact,
+			Parallelism: int(f.Parallelism), TimeoutMS: f.TimeoutMS, Lineage: string(f.Lineage),
+		}
+	}
+	return in, graph, opts, nil
 }
 
 // DecodeScheduleResponse decodes a binary success response. Empty
@@ -799,14 +705,18 @@ func DecodeScheduleResponse(data []byte) (*ScheduleResponse, error) {
 	return resp, nil
 }
 
-// Frame is a binary /v1/schedule request walked in place by ReadFrame: the
-// framing checks DecodeScheduleRequest makes, the workload words folded
-// into a fingerprint on the way, and windows onto everything else. It
-// allocates nothing and builds no instance. RouteKey is a walk, and so is
-// the shard's probe of its memo for a repeat request.
+// Frame is a binary /v1/schedule request walked in place by ReadFrame, the
+// one parser of the request's framing: the workload words folded into a
+// fingerprint on the way, and windows onto everything else. It allocates
+// nothing and builds no instance. RouteKey is a walk, and so is the shard's
+// probe of its memo for a repeat request; Decode and PortfolioNames build
+// from the bytes the walk has proved.
 type Frame struct {
-	data  []byte
-	tasks int // offset of the first task record
+	data      []byte
+	tasks     int // offset of the first task record
+	nameBytes int // total length of the task names
+	nTimes    int // total length of the time tables
+	portfolio int // offset of the first portfolio name
 	// Name is the instance name, a window of the frame.
 	Name []byte
 	// M and N are the machine size and the task count the frame states.
@@ -837,25 +747,25 @@ type Frame struct {
 	Lineage     []byte
 }
 
-// ReadFrame walks a binary /v1/schedule request. It fails exactly where
-// DecodeScheduleRequest fails on framing (header, truncation, oversized
-// length prefixes, trailing bytes); what it does not check is what the
-// decoder's constructors check — the profiles, m and n — and the graph's
-// meaning. FuzzRouteKeyMatchesDecode holds the two walks to that.
+// ReadFrame walks a binary /v1/schedule request and checks its framing:
+// header, truncation, oversized length prefixes, trailing bytes. Everything
+// else — the profiles, m and n, which Decode's constructors check, the
+// options, and the graph's meaning — it leaves to its callers.
 func ReadFrame(data []byte) (Frame, error) {
 	f := Frame{data: data}
 	r := &reader{b: data}
 	r.header(KindScheduleRequest)
 	f.Name = r.view()
 	f.M = r.uvarint()
-	f.N = r.count(2)
+	f.N = r.count(2) // a task is at least a name prefix + a count
 	f.tasks = r.off
 	h := fphash.New()
 	h.Word(f.M)
 	h.Word(uint64(f.N))
 	for i := 0; i < f.N && r.err == nil; i++ {
-		r.skipStr()
+		f.nameBytes += len(r.view())
 		nTimes := r.count(8)
+		f.nTimes += nTimes
 		width := nTimes
 		if f.M > 0 && uint64(width) > f.M {
 			width, f.Wide = int(f.M), true
@@ -864,8 +774,7 @@ func ReadFrame(data []byte) (Frame, error) {
 		// count(8) has checked that the whole row is present. The wire
 		// already stores Float64bits little-endian, which is exactly what
 		// the fingerprint hashes.
-		row := r.b[r.off : r.off+8*nTimes]
-		r.off += len(row)
+		row := r.take(8 * nTimes)
 		for range width {
 			h.Word(binary.LittleEndian.Uint64(row))
 			row = row[8:]
@@ -893,6 +802,7 @@ func ReadFrame(data []byte) (Frame, error) {
 		f.Options = true
 		f.Solver = r.view()
 		f.Portfolio = r.count(1)
+		f.portfolio = r.off
 		for i := 0; i < f.Portfolio && r.err == nil; i++ {
 			r.skipStr()
 		}
@@ -906,6 +816,81 @@ func ReadFrame(data []byte) (Frame, error) {
 		return Frame{}, err
 	}
 	return f, nil
+}
+
+// Decode builds the frame's instance and graph through the same task and
+// instance validation as the JSON codec (task.NewOwned and
+// instance.NewOwned are task.New and instance.New minus the copies), so both
+// codecs admit exactly the same workloads and reject invalid ones — the
+// first invalid task, then the instance's shape — with the same typed
+// errors. ReadFrame has proved the framing, so Decode reads the bytes
+// without checking them again. Every name is a window of one string and
+// every time table of one slab, every successor list of one edge slab; the
+// result shares no memory with the frame. The graph is the request's
+// successor lists, nil without a graph section. Like the JSON path it is
+// shape only: edge bounds and acyclicity stay with the caller
+// (precedence.ValidateEdges), so both codecs reject a bad graph alike.
+func (f *Frame) Decode() (*instance.Instance, [][]int, error) {
+	r := &reader{b: f.data, off: f.tasks}
+	var names strings.Builder
+	names.Grow(len(f.Name) + f.nameBytes)
+	names.Write(f.Name)
+	name := names.String()
+	tasks := make([]task.Task, 0, f.N)
+	slab := make([]float64, 0, f.nTimes) // each task owns a capacity-capped window
+	for i := range f.N {
+		nameLo := names.Len()
+		names.Write(r.take(int(r.uvarint())))
+		lo := len(slab)
+		slab = slab[:lo+int(r.uvarint())]
+		times := slab[lo:len(slab):len(slab)]
+		row := r.take(8 * len(times))
+		for p := range times {
+			times[p] = math.Float64frombits(binary.LittleEndian.Uint64(row))
+			row = row[8:]
+		}
+		t, err := task.NewOwned(names.String()[nameLo:], times)
+		if err != nil {
+			return nil, nil, fmt.Errorf("instance: task %d: %w", i, err)
+		}
+		tasks = append(tasks, t)
+	}
+	in, err := instance.NewOwned(name, int(f.M), tasks)
+	if err != nil || !f.Graph {
+		return in, nil, err
+	}
+	r.off++ // the graph's presence byte
+	graph := make([][]int, r.uvarint())
+	// An edge takes at least one wire byte, so the bytes left bound them all.
+	edges := make([]int, 0, len(r.b)-r.off)
+	for i := range graph {
+		// Empty lists decode nil, matching what the precedence constructors
+		// produce and keeping DeepEqual round-trips exact.
+		if nEdges := int(r.uvarint()); nEdges > 0 {
+			lo := len(edges)
+			edges = edges[:lo+nEdges]
+			list := edges[lo:len(edges):len(edges)]
+			for j := range list {
+				list[j] = int(r.uvarint())
+			}
+			graph[i] = list
+		}
+	}
+	return in, graph, nil
+}
+
+// PortfolioNames copies the names of the frame's portfolio out of it; nil
+// without a portfolio.
+func (f *Frame) PortfolioNames() []string {
+	if f.Portfolio == 0 {
+		return nil
+	}
+	names := make([]string, f.Portfolio)
+	r := &reader{b: f.data, off: f.portfolio}
+	for i := range names {
+		names[i] = string(r.take(int(r.uvarint())))
+	}
+	return names
 }
 
 // SameWorkload reports whether the frame's rows are exactly the rows off
@@ -924,8 +909,7 @@ func (f *Frame) SameWorkload(off []int, times []float64) bool {
 			return false
 		}
 		// The walk proved the framing, so the row's bytes are there.
-		b := r.b[r.off : r.off+8*len(row)]
-		r.off += len(b)
+		b := r.take(8 * len(row))
 		for _, t := range row {
 			if binary.LittleEndian.Uint64(b) != math.Float64bits(t) {
 				return false

@@ -236,17 +236,3 @@ func BenchmarkEncodeResponse(b *testing.B) {
 		PutBuffer(buf)
 	}
 }
-
-func BenchmarkDecodeRequest(b *testing.B) {
-	in, _ := instance.New("bench", 16, []task.Task{
-		task.MustNew("a", []float64{9, 5, 4, 3.5}),
-		task.MustNew("b", []float64{7, 4, 3, 2.5}),
-	})
-	buf := AppendScheduleRequest(nil, in, nil, &RequestOptions{Solver: "mrt"})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := DecodeScheduleRequest(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
