@@ -270,16 +270,16 @@ func (e *Engine) ScheduleWith(in *instance.Instance, o Options, timeout time.Dur
 	return e.runWith(0, in, o, timeout, cacheKeys{}, nil, nil)
 }
 
-// ScheduleFolded is ScheduleWith — or ScheduleWarm without precompiled
-// tables, on a non-nil ws — for a caller that has already folded the
-// workload's words into a fingerprint state, as the binary codec's frame
-// walk does (wire.Frame.Prefix): prefix must fold M, N and every row as
-// WorkloadFingerprintDAG folds an instance without edges. Both caches key
-// off it, so the profiles are hashed once per request. A prefix of other
-// words costs a miss, never another workload's answer: every hit compares
-// the words.
-func (e *Engine) ScheduleFolded(in *instance.Instance, o Options, timeout time.Duration, prefix fphash.Hash, ws *WarmState) Outcome {
-	return e.warmRun(in, nil, o, timeout, cacheKeys{prefix: &prefix}, ws)
+// ScheduleFolded is the service's one solve: ScheduleWith, or ScheduleWarm
+// without precompiled tables on a non-nil ws, under a workload prefix the
+// caller may already have folded, as the binary codec's frame walk does
+// (wire.Frame.Prefix). A non-nil prefix must fold M, N and every row as
+// WorkloadFingerprintDAG folds an instance without edges; nil has the
+// engine hash the workload. Both caches key off the prefix, so the profiles
+// are hashed once per request. A prefix of other words costs a miss, never
+// another workload's answer: every hit compares the words.
+func (e *Engine) ScheduleFolded(in *instance.Instance, o Options, timeout time.Duration, prefix *fphash.Hash, ws *WarmState) Outcome {
+	return e.warmRun(in, nil, o, timeout, cacheKeys{prefix: prefix}, ws)
 }
 
 // ScheduleCompiled is ScheduleWith for callers that already computed

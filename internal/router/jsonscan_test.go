@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,22 +37,18 @@ func answerOf(t *testing.T, status int, body []byte) answer {
 }
 
 // askAll sends one JSON body to a shard by both of its entries and to a
-// router over it.
-func askAll(t *testing.T, rt *Router, shard *server.Server, path, body string) (serve, overHTTP, routed answer) {
+// router over it, and requires the routed status, Content-Type and refusal
+// bytes to be the shard's over HTTP: the shard alone answers for a body.
+func askAll(t *testing.T, rt *Router, shard *server.Server, what, path, body string) (serve, overHTTP answer) {
 	t.Helper()
-	status, _, out, _, err := shard.Serve(context.Background(), path, "application/json", []byte(body), "", nil)
+	status, _, out, _, err := shard.Serve(context.Background(), path, wire.JSONContentType, []byte(body), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serve = answerOf(t, status, out)
-	post := func(h http.Handler) answer {
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return answerOf(t, rec.Code, rec.Body.Bytes())
-	}
-	return serve, post(shard.Handler()), post(rt.Handler())
+	bare := post(shard.Handler(), path, wire.JSONContentType, []byte(body))
+	sameAnswer(t, what, post(rt.Handler(), path, wire.JSONContentType, []byte(body)), bare)
+	return serve, answerOf(t, bare.Code, bare.Body.Bytes())
 }
 
 const twoTasks = `"tasks":[{"name":"a","times":[4,2.5,2]},{"name":"b","times":[3]}]`
@@ -62,76 +58,66 @@ const twoTasks = `"tasks":[{"name":"a","times":[4,2.5,2]},{"name":"b","times":[3
 // encoding/json decoded every body (recorded at the parent of the change
 // that introduced the request scanner, where this test passes too); the
 // bodies cross the scanner's subset in both directions, so an answer that
-// depends on which path decoded a body fails here. routed is given where the
-// router answers for itself and differently (it words an undecodable body
-// its own way, and validates no options).
+// depends on which path decoded a body fails here. The router answers each
+// body as the shard does, byte for byte (askAll).
 func TestJSONAnswersMatchEncodingJSON(t *testing.T) {
 	inst := func(fields string) string { return `{"instance":{` + fields + `}}` }
 	valid := `"instance":{"name":"x","m":2,` + twoTasks + `}`
 	ok := answer{status: http.StatusOK}
 	bad := func(code, message string) answer { return answer{http.StatusBadRequest, code, message} }
-	undecodable := bad(wire.CodeBadRequest, "undecodable request")
 	noProcs := bad(wire.CodeBadInstance, `instance: number of processors must be ≥ 1: m=0 (instance "")`)
 	cases := []struct {
 		name, body string
-		shard      answer
-		routed     *answer
+		want       answer
 	}{
-		{"canonical", `{` + valid + `}`, ok, nil},
-		{"graph", `{` + valid + `,"graph":[[1],[]],"options":{"solver":"dag"}}`, ok, nil},
-		{"every option", `{"options":{"solver":"mrt","portfolio":["mrt","seq-lpt"],"eps":0.01,"compact":true,"parallelism":2,"timeout_ms":1500,"lineage":"k","trace":true},` + valid + `}`, ok, nil},
-		{"m after tasks", inst(twoTasks + `,"m":3,"name":"late"`), ok, nil},
-		{"duplicate key", inst(`"m":0,"m":3,` + twoTasks), ok, nil},
-		{"case-folded key", inst(`"M":2,` + twoTasks), ok, nil},
-		{"escape", inst(`"name":"\u0041","m":2,` + twoTasks), ok, nil},
-		{"utf-8 name", inst(`"name":"tâche","m":2,` + twoTasks), ok, nil},
-		{"whitespace after the value", `{` + valid + "}\n \t", ok, nil},
+		{"canonical", `{` + valid + `}`, ok},
+		{"graph", `{` + valid + `,"graph":[[1],[]],"options":{"solver":"dag"}}`, ok},
+		{"every option", `{"options":{"solver":"mrt","portfolio":["mrt","seq-lpt"],"eps":0.01,"compact":true,"parallelism":2,"timeout_ms":1500,"lineage":"k","trace":true},` + valid + `}`, ok},
+		{"m after tasks", inst(twoTasks + `,"m":3,"name":"late"`), ok},
+		{"duplicate key", inst(`"m":0,"m":3,` + twoTasks), ok},
+		{"case-folded key", inst(`"M":2,` + twoTasks), ok},
+		{"escape", inst(`"name":"\u0041","m":2,` + twoTasks), ok},
+		{"utf-8 name", inst(`"name":"tâche","m":2,` + twoTasks), ok},
+		{"whitespace after the value", `{` + valid + "}\n \t", ok},
 		{"1e999", inst(`"m":2,"tasks":[{"name":"a","times":[1e999]}]`),
-			bad(wire.CodeBadInstance, "instance: decoding JSON: json: cannot unmarshal number 1e999 into Go struct field jsonTask.tasks.times of type float64"), nil},
+			bad(wire.CodeBadInstance, "instance: decoding JSON: json: cannot unmarshal number 1e999 into Go struct field jsonTask.tasks.times of type float64")},
 		{"01", inst(`"m":01,` + twoTasks),
-			bad(wire.CodeBadRequest, "decoding request body: invalid character '1' after object key:value pair"), &undecodable},
+			bad(wire.CodeBadRequest, "decoding request body: invalid character '1' after object key:value pair")},
 		{"1.", inst(`"m":2,"tasks":[{"name":"a","times":[1.]}]`),
-			bad(wire.CodeBadRequest, "decoding request body: invalid character ']' after decimal point in numeric literal"), &undecodable},
+			bad(wire.CodeBadRequest, "decoding request body: invalid character ']' after decimal point in numeric literal")},
 		{"-0", inst(`"m":2,"tasks":[{"name":"a","times":[-0]}]`),
-			bad(wire.CodeBadInstance, `instance: task 0: task: execution times must be positive and finite: t(1)=-0 (task "a")`), nil},
+			bad(wire.CodeBadInstance, `instance: task 0: task: execution times must be positive and finite: t(1)=-0 (task "a")`)},
 		{"16.0 for m", inst(`"m":16.0,` + twoTasks),
-			bad(wire.CodeBadInstance, "instance: decoding JSON: json: cannot unmarshal number 16.0 into Go struct field jsonInstance.m of type int"), nil},
-		{"null tasks", inst(`"m":2,"tasks":null`), bad(wire.CodeBadInstance, `instance: no tasks (instance "")`), nil},
-		{"no instance", `{"options":{}}`, bad(wire.CodeBadInstance, "instance: decoding JSON: EOF"), nil},
+			bad(wire.CodeBadInstance, "instance: decoding JSON: json: cannot unmarshal number 16.0 into Go struct field jsonInstance.m of type int")},
+		{"null tasks", inst(`"m":2,"tasks":null`), bad(wire.CodeBadInstance, `instance: no tasks (instance "")`)},
+		{"no instance", `{"options":{}}`, bad(wire.CodeBadInstance, "instance: decoding JSON: EOF")},
 		{"empty times", inst(`"m":2,"tasks":[{"name":"a","times":[]}]`),
-			bad(wire.CodeBadInstance, `instance: task 0: task: no execution times (task "a")`), nil},
+			bad(wire.CodeBadInstance, `instance: task 0: task: no execution times (task "a")`)},
 		{"non-monotone row", inst(`"m":2,"tasks":[{"name":"ok","times":[2]},{"name":"t","times":[1,5]}]`),
-			bad(wire.CodeBadInstance, `instance: task 1: task: execution time increases with processors (not monotone): t(2)=5 > t(1)=1 (task "t")`), nil},
+			bad(wire.CodeBadInstance, `instance: task 1: task: execution time increases with processors (not monotone): t(2)=5 > t(1)=1 (task "t")`)},
 		{"bad task before bad m", inst(`"m":0,"tasks":[{"name":"t","times":[1,5]}]`),
-			bad(wire.CodeBadInstance, `instance: task 0: task: execution time increases with processors (not monotone): t(2)=5 > t(1)=1 (task "t")`), nil},
-		{"no processors", inst(twoTasks), noProcs, nil},
-		{"no tasks", inst(`"name":"z","m":2`), bad(wire.CodeBadInstance, `instance: no tasks (instance "z")`), nil},
+			bad(wire.CodeBadInstance, `instance: task 0: task: execution time increases with processors (not monotone): t(2)=5 > t(1)=1 (task "t")`)},
+		{"no processors", inst(twoTasks), noProcs},
+		{"no tasks", inst(`"name":"z","m":2`), bad(wire.CodeBadInstance, `instance: no tasks (instance "z")`)},
 		{"bad options before bad instance", `{"options":{"eps":2},` + inst(`"m":0`)[1:],
-			bad(wire.CodeBadOptions, "eps must be in [0, 1], got 2"), &noProcs},
+			bad(wire.CodeBadOptions, "eps must be in [0, 1], got 2")},
 		{"unknown solver before bad instance", `{"options":{"solver":"nope"},` + inst(`"m":0`)[1:],
-			bad(wire.CodeUnknownSolver, solver.ErrUnknown("nope").Error()), &noProcs},
-		{"bad instance before bad graph", `{"graph":[[0]],` + inst(`"m":0,` + twoTasks)[1:], noProcs, nil},
+			bad(wire.CodeUnknownSolver, solver.ErrUnknown("nope").Error())},
+		{"bad instance before bad graph", `{"graph":[[0]],` + inst(`"m":0,` + twoTasks)[1:], noProcs},
 		{"cyclic graph", `{` + valid + `,"graph":[[1],[0]],"options":{"solver":"dag"}}`,
-			bad(wire.CodeBadGraph, "precedence: graph is cyclic"), nil},
+			bad(wire.CodeBadGraph, "precedence: graph is cyclic")},
 		{"negative edge", `{` + valid + `,"graph":[[-1],[]],"options":{"solver":"dag"}}`,
-			bad(wire.CodeBadGraph, "precedence: edge endpoint out of range: 0 -> -1"), nil},
+			bad(wire.CodeBadGraph, "precedence: edge endpoint out of range: 0 -> -1")},
 		{"BOM", "\xef\xbb\xbf{" + valid + `}`,
-			bad(wire.CodeBadRequest, "decoding request body: invalid character 'ï' looking for beginning of value"), &undecodable},
-		{"empty body", ``, bad(wire.CodeBadRequest, "decoding request body: EOF"), &undecodable},
+			bad(wire.CodeBadRequest, "decoding request body: invalid character 'ï' looking for beginning of value")},
+		{"empty body", ``, bad(wire.CodeBadRequest, "decoding request body: EOF")},
 	}
 	rt, shards := newTier(t, 1, Config{})
 	shard := shards[0]
 	for _, c := range cases {
-		serve, overHTTP, routed := askAll(t, rt, shard, "/v1/schedule", c.body)
-		want := c.shard
-		if serve != want || overHTTP != want {
-			t.Errorf("%s: Serve %+v, ServeHTTP %+v, want %+v", c.name, serve, overHTTP, want)
-		}
-		if c.routed != nil {
-			want = *c.routed
-		}
-		if routed != want {
-			t.Errorf("%s: routed %+v, want %+v", c.name, routed, want)
+		serve, overHTTP := askAll(t, rt, shard, c.name, wire.PathSchedule, c.body)
+		if serve != c.want || overHTTP != c.want {
+			t.Errorf("%s: Serve %+v, ServeHTTP %+v, want %+v", c.name, serve, overHTTP, c.want)
 		}
 	}
 }
@@ -146,15 +132,16 @@ func TestTrailingDataRule(t *testing.T) {
 	instance := `{"name":"x","m":2,` + twoTasks + `}`
 	refused := answer{http.StatusBadRequest, wire.CodeBadRequest, wire.ErrTrailingData.Error()}
 	for path, body := range map[string]string{
-		"/v1/schedule": `{"instance":` + instance + `}`,
-		"/v1/batch":    `{"instances":[` + instance + `]}`,
+		wire.PathSchedule: `{"instance":` + instance + `}`,
+		wire.PathBatch:    `{"instances":[` + instance + `]}`,
 	} {
 		for tail, want := range map[string]answer{
 			"}": refused, "]": refused, " x": refused, "{}": refused, "\n \t": {status: http.StatusOK},
 		} {
-			serve, overHTTP, routed := askAll(t, rt, shard, path, body+tail)
-			if serve != want || overHTTP != want || routed != want {
-				t.Errorf("%s with tail %q: Serve %+v, ServeHTTP %+v, routed %+v, want %+v", path, tail, serve, overHTTP, routed, want)
+			what := fmt.Sprintf("%s with tail %q", path, tail)
+			serve, overHTTP := askAll(t, rt, shard, what, path, body+tail)
+			if serve != want || overHTTP != want {
+				t.Errorf("%s: Serve %+v, ServeHTTP %+v, want %+v", what, serve, overHTTP, want)
 			}
 		}
 	}

@@ -57,7 +57,7 @@ func (r *Router) registerMetrics() {
 		func() float64 { return float64(r.inlineCnt.Value() + r.queuedCnt.Value()) })
 	r.rejected = m.Counter(metricRejected, "Requests shed because their home queue was full.")
 	r.pinnedCnt = m.Counter(metricPinned, "Requests routed by lineage key (never stolen).")
-	r.binaryReqs = m.Counter(metricBinary, "Requests keyed via the binary codec.")
+	r.binaryReqs = m.Counter(metricBinary, "/v1/schedule requests keyed via the binary codec.")
 	const jsonHelp = "JSON requests keyed, by decode path: the request scanner, or encoding/json for a body outside its subset."
 	for p := range r.jsonDecode {
 		r.jsonDecode[p] = m.Counter(metricJSONDecode, jsonHelp, "path", wire.DecodePath(p).String())

@@ -32,14 +32,15 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// hashString is 64-bit FNV-1a with a murmur-style finalizer; stable
-// across processes and releases (the ring layout is part of the
-// deployment contract — see docs/SERVICE.md). Raw FNV avalanches poorly
+// hashString is 64-bit FNV-1a with a murmur-style finalizer, over a
+// string's or a byte slice's bytes with no copy; stable across processes
+// and releases (the ring layout is part of the deployment contract — see
+// docs/SERVICE.md). Raw FNV avalanches poorly
 // into the high bits on short inputs like vnode labels and lineage keys,
 // and ring position ordering is dominated by exactly those bits — without
 // the finalizer, per-backend keyspace shares are off by 2× and the
 // resharding bound fails.
-func hashString(s string) uint64 {
+func hashString[S ~string | ~[]byte](s S) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime

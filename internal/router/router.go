@@ -23,12 +23,17 @@
 //     remaps only ~1/(N+1) of fingerprints) and may be stolen by an idle
 //     shard when its home queue has backed up.
 //
-// The router speaks both codecs transparently: binary requests are peeked
-// with wire.RouteKey (zero-allocation fingerprint straight off the wire),
-// JSON requests go through the shards' own decoder (wire). Responses
-// pass through byte-for-byte, a shedding shard's Retry-After included;
-// X-Msroute-Backend and X-Msroute-Stolen report the serving shard for
-// observability and tests.
+// The router keys a request and forwards it; it never judges one. Binary
+// requests are peeked with wire.RouteKey (zero-allocation fingerprint
+// straight off the wire), JSON requests go through the shards' own decoder
+// (wire). A body it cannot key routes by a hash of its bytes, and the
+// shard alone answers for a request's content: its refusal, like every
+// response, passes through byte-for-byte, a shedding shard's Retry-After
+// included. The router refuses only what no shard answered — draining, a
+// full queue, a body past its cap, a failed forward — and negotiates the
+// codec and encodes the refusal by the shards' own rules (wire.IsBinary,
+// wire.AppendRefusal, wire.WriteResponse). X-Msroute-Backend and
+// X-Msroute-Stolen report the serving shard for observability and tests.
 //
 // Dispatch: every shard has Config.Workers forwarding slots. A request
 // whose home shard has a free slot and nothing queued ahead of it is
@@ -42,11 +47,9 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -135,7 +138,8 @@ type Stats struct {
 	LocalityHitRate float64 `json:"locality_hit_rate"`
 	// LineagePinned counts requests routed by lineage key (never stolen).
 	LineagePinned uint64 `json:"lineage_pinned"`
-	// BinaryRequests counts requests peeked via the binary codec.
+	// BinaryRequests counts /v1/schedule requests peeked via the binary
+	// codec.
 	BinaryRequests uint64 `json:"binary_requests"`
 	// Backends holds one entry per shard, in configuration order.
 	Backends []BackendStats `json:"backends"`
@@ -382,56 +386,51 @@ func (r *Router) Stats() Stats {
 // when a lineage key is present (pinned), the workload fingerprint
 // otherwise. Batch requests route by their first instance — a batch is
 // one admission unit on the shard side too. JSON bodies decode through the
-// shards' own decoder, so the tiers accept and refuse the same bodies.
-func (r *Router) routeKey(path string, binary bool, body []byte) (uint64, bool, *wire.ErrorInfo) {
+// shards' own decoder. A body it cannot key — a frame the walk refuses, an
+// undecodable JSON body, an invalid instance, an empty batch — routes by a
+// hash of its own bytes: the shard it lands on answers for it.
+func (r *Router) routeKey(path string, binary bool, body []byte) (key uint64, pinned bool) {
 	if binary {
 		r.binaryReqs.Inc()
 		key, lineage, err := wire.RouteKey(body)
-		if err != nil {
-			return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
+		switch {
+		case err != nil:
+			return hashString(body), false
+		case lineage != "":
+			return hashString(lineage), true
 		}
-		if lineage != "" {
-			return hashString(lineage), true, nil
-		}
-		return key, false, nil
+		return key, false
 	}
-	decode, undecodable := wire.DecodeJSONScheduleRequest, "undecodable request"
-	if path == "/v1/batch" {
-		decode, undecodable = wire.DecodeJSONBatchHead, "undecodable batch request"
+	decode := wire.DecodeJSONScheduleRequest
+	if path == wire.PathBatch {
+		decode = wire.DecodeJSONBatchHead
 	}
 	req, decodePath, err := decode(body)
 	r.jsonDecode[decodePath].Inc()
 	switch {
-	case err == wire.ErrTrailingData:
-		return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
-	case err != nil:
-		return 0, false, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: undecodable}
-	case req.Options != nil && req.Options.Lineage != "":
-		return hashString(req.Options.Lineage), true, nil
-	case req.InstanceErr != nil:
-		return 0, false, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: req.InstanceErr.Error()}
+	case err == nil && req.Options != nil && req.Options.Lineage != "":
+		return hashString(req.Options.Lineage), true
+	case err != nil || req.InstanceErr != nil:
+		return hashString(body), false
 	}
 	// The graph is folded into the key (nil folds nothing), so a DAG
 	// request never routes to — and never shares warm state with — the
 	// shard of its independent projection; wire.RouteKey folds the same
 	// stream for binary requests.
-	return engine.WorkloadFingerprintDAG(req.Instance, req.Graph), false, nil
+	return engine.WorkloadFingerprintDAG(req.Instance, req.Graph), false
 }
 
-// Response header values the router sets verbatim, built once: assigning
-// one of these into a header map allocates nothing.
-var (
-	hdrStolen, hdrNotStolen    = []string{"true"}, []string{"false"}
-	hdrBinaryType, hdrJSONType = []string{wire.ContentType}, []string{"application/json"}
-)
+// The X-Msroute-Stolen values, built once: assigning one into a header map
+// allocates nothing.
+var hdrStolen, hdrNotStolen = []string{"true"}, []string{"false"}
 
 func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string) {
 	start := time.Now()
 	ct := req.Header.Get("Content-Type")
-	binary := wire.IsBinary(ct)
-	codec, endpoint := "json", path[len("/v1/"):]
+	binary := wire.IsBinary(path, ct)
+	codec, endpoint, respType := "json", path[len("/v1/"):], wire.JSONContentType
 	if binary {
-		codec = "binary"
+		codec, respType = "binary", wire.ContentType
 	}
 	// The request ID is minted here at the edge (or taken from the client),
 	// echoed on the response and forwarded to the serving shard, which logs
@@ -441,29 +440,27 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 		reqID = obs.NewRequestID()
 	}
 	w.Header().Set(obs.RequestIDHeader, reqID)
-	// refuse answers a request that never reached a shard.
-	refuse := func(status int, info *wire.ErrorInfo) {
-		r.finishRequest(reqID, endpoint, codec, status, jobResult{servedBy: -1}, time.Since(start))
-		r.writeError(w, status, binary, info)
+	// refuse answers a request no shard answered — res carries its status,
+	// Retry-After and, for a failed forward, the shard it was sent to — as a
+	// shard words a refusal.
+	refuse := func(res jobResult, info *wire.ErrorInfo) {
+		r.finishRequest(reqID, endpoint, codec, res.status, res, time.Since(start))
+		out := wire.AppendRefusal(wire.GetBuffer(), binary, info)
+		wire.WriteResponse(w, res.status, respType, out, res.retryAfter)
+		wire.PutBuffer(out)
 	}
 	if r.draining.Load() {
-		refuse(http.StatusServiceUnavailable,
+		refuse(jobResult{status: http.StatusServiceUnavailable, servedBy: -1},
 			&wire.ErrorInfo{Code: wire.CodeDraining, Message: "router is draining; retry against another replica"})
 		return
 	}
-	body, err := readBody(w, req, r.cfg.MaxBodyBytes)
-	if err != nil {
+	body, err := wire.ReadBody(req.Body, req.ContentLength, r.cfg.MaxBodyBytes)
+	if errInfo := wire.BodyError(body, err, r.cfg.MaxBodyBytes); errInfo != nil {
 		wire.PutBuffer(body)
-		refuse(http.StatusBadRequest,
-			&wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", err)})
+		refuse(jobResult{status: http.StatusBadRequest, servedBy: -1}, errInfo)
 		return
 	}
-	key, pinned, errInfo := r.routeKey(path, binary, body)
-	if errInfo != nil {
-		wire.PutBuffer(body)
-		refuse(http.StatusBadRequest, errInfo)
-		return
-	}
+	key, pinned := r.routeKey(path, binary, body)
 	home := r.ring.route(key)
 	b := r.backends[home]
 	c := call{ctx: req.Context(), home: home, path: path, contentType: ct, body: body, reqID: reqID, start: start}
@@ -492,8 +489,7 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 		default:
 			r.rejected.Inc()
 			wire.PutBuffer(body)
-			w.Header().Set("Retry-After", "1")
-			refuse(http.StatusTooManyRequests, &wire.ErrorInfo{
+			refuse(jobResult{status: http.StatusTooManyRequests, servedBy: -1, retryAfter: "1"}, &wire.ErrorInfo{
 				Code:    wire.CodeQueueFull,
 				Message: fmt.Sprintf("shard %s queue full (%d pending); retry after backoff", b.name, r.cfg.QueueDepth),
 			})
@@ -511,41 +507,22 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 			return
 		}
 	}
-	r.finishRequest(reqID, endpoint, codec, res.status, res, time.Since(start))
 	if res.err != nil {
-		r.writeError(w, res.status, binary, &wire.ErrorInfo{Code: wire.CodeInternal, Message: res.err.Error()})
-	} else {
-		h := w.Header()
-		h["X-Msroute-Backend"] = r.backends[res.servedBy].nameHdr
-		h["X-Msroute-Stolen"] = hdrNotStolen
-		if res.stolen {
-			h["X-Msroute-Stolen"] = hdrStolen
-		}
-		switch res.contentType {
-		case "":
-		case wire.ContentType:
-			h["Content-Type"] = hdrBinaryType
-		case "application/json":
-			h["Content-Type"] = hdrJSONType
-		default:
-			h.Set("Content-Type", res.contentType)
-		}
-		if res.retryAfter != "" {
-			h.Set("Retry-After", res.retryAfter)
-		}
-		h.Set("Content-Length", strconv.Itoa(len(res.body)))
-		w.WriteHeader(res.status)
-		_, _ = w.Write(res.body)
+		// The forward failed: the router's one refusal after admission.
+		wire.PutBuffer(body)
+		refuse(res, &wire.ErrorInfo{Code: wire.CodeInternal, Message: res.err.Error()})
+		return
 	}
+	r.finishRequest(reqID, endpoint, codec, res.status, res, time.Since(start))
+	h := w.Header()
+	h["X-Msroute-Backend"] = r.backends[res.servedBy].nameHdr
+	h["X-Msroute-Stolen"] = hdrNotStolen
+	if res.stolen {
+		h["X-Msroute-Stolen"] = hdrStolen
+	}
+	wire.WriteResponse(w, res.status, res.contentType, res.body, res.retryAfter)
 	wire.PutBuffer(res.body)
 	wire.PutBuffer(body)
-}
-
-// readBody reads the whole request body under the size cap into a wire
-// pooled buffer, pre-sized from a declared Content-Length. The buffer comes
-// back on error too; the caller puts it back once the response is written.
-func readBody(w http.ResponseWriter, req *http.Request, maxBytes int64) ([]byte, error) {
-	return wire.ReadAll(wire.GetBuffer(), http.MaxBytesReader(w, req.Body, maxBytes), min(req.ContentLength, maxBytes))
 }
 
 // admitted books a request onto its home shard.
@@ -712,37 +689,12 @@ func (r *Router) forward(i int, c *call, queueNS int64, from time.Duration, dst 
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (r *Router) handleStatsz(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats())
-}
-
-func (r *Router) writeError(w http.ResponseWriter, status int, binary bool, info *wire.ErrorInfo) {
-	if binary {
-		buf := wire.AppendError(wire.GetBuffer(), &wire.ErrorBody{Error: *info})
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.WriteHeader(status)
-		_, _ = w.Write(buf)
-		wire.PutBuffer(buf)
-		return
-	}
-	writeJSON(w, status, wire.ErrorBody{Error: *info})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf)
+	wire.WriteJSON(w, http.StatusOK, r.Stats())
 }

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +64,27 @@ func postBinary(t *testing.T, h http.Handler, in *instance.Instance, opts *wire.
 	return rec
 }
 
+// post sends body to path on h under a Content-Type header.
+func post(h http.Handler, path, contentType string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// sameAnswer requires a routed response to be a bare shard's: status,
+// Content-Type and, for a refusal, body bytes. (A 200's bytes may differ: a
+// traced solve reports its own timings.)
+func sameAnswer(t *testing.T, what string, routed, bare *httptest.ResponseRecorder) {
+	t.Helper()
+	rt, bt := routed.Header().Get("Content-Type"), bare.Header().Get("Content-Type")
+	sameBytes := bare.Code == http.StatusOK || bytes.Equal(routed.Body.Bytes(), bare.Body.Bytes())
+	if routed.Code != bare.Code || rt != bt || !sameBytes {
+		t.Errorf("%s: routed HTTP %d %q %q, bare shard HTTP %d %q %q", what, routed.Code, rt, routed.Body.Bytes(), bare.Code, bt, bare.Body.Bytes())
+	}
+}
+
 func mustRaw(t *testing.T, in *instance.Instance) json.RawMessage {
 	t.Helper()
 	raw, err := server.EncodeInstance(in)
@@ -81,11 +101,7 @@ func jsonRouteKey(t *testing.T, rt *Router, in *instance.Instance, graph [][]int
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, pinned, errInfo := rt.routeKey("/v1/schedule", false, body)
-	if errInfo != nil {
-		t.Fatalf("JSON route key: %+v", errInfo)
-	}
-	return key, pinned
+	return rt.routeKey(wire.PathSchedule, false, body)
 }
 
 // TestRouteKeyMatchesEngineFingerprint pins wire.RouteKey's off-the-wire
@@ -341,16 +357,22 @@ func TestBinaryThroughRouter(t *testing.T) {
 	}
 }
 
-// Both tiers negotiate the codec by one rule (wire.IsBinary): parameters
-// stripped, spaces trimmed, type and subtype compared ignoring case. A
-// binary frame sent under each Content-Type gets the same status and
-// response Content-Type from the router as from a bare shard — 200 binary
-// where the header names the binary codec, a 400 JSON error where the
-// frame is read as JSON.
+// Both tiers negotiate the codec by one rule (wire.IsBinary): the binary
+// codec on /v1/schedule only, its media type with parameters stripped,
+// spaces trimmed, type and subtype compared ignoring case. A binary frame
+// sent under each Content-Type gets the same status, response Content-Type
+// and bytes from the router as from a bare shard — 200 binary where the
+// header names the binary codec, a 400 JSON error where the frame is read as
+// JSON — and so does a JSON batch, which is JSON under every header.
 func TestCodecNegotiationAgrees(t *testing.T) {
 	rt, _ := newTier(t, 1, Config{})
 	shard := server.New(server.Config{Workers: 1})
-	frame := wire.AppendScheduleRequest(nil, instance.Mixed(4, 6, 4), nil, nil)
+	in := instance.Mixed(4, 6, 4)
+	frame := wire.AppendScheduleRequest(nil, in, nil, nil)
+	batch, err := json.Marshal(wire.BatchRequest{Instances: []json.RawMessage{mustRaw(t, in)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		contentType string
 		binary      bool
@@ -371,36 +393,37 @@ func TestCodecNegotiationAgrees(t *testing.T) {
 		{"x-malsched-bin", false},
 		{"text/plain; " + wire.ContentType, false},
 	} {
-		want := http.StatusBadRequest
-		wantType := "application/json"
+		want, wantType := http.StatusBadRequest, wire.JSONContentType
 		if c.binary {
 			want, wantType = http.StatusOK, wire.ContentType
 		}
-		for _, tier := range []struct {
-			name string
-			h    http.Handler
-		}{{"router", rt.Handler()}, {"shard", shard.Handler()}} {
-			req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(frame))
-			req.Header.Set("Content-Type", c.contentType)
-			rec := httptest.NewRecorder()
-			tier.h.ServeHTTP(rec, req)
-			if got := rec.Header().Get("Content-Type"); rec.Code != want || got != wantType {
-				t.Errorf("%s, Content-Type %q: HTTP %d %q, want %d %q", tier.name, c.contentType, rec.Code, got, want, wantType)
-			}
+		routed, bare := post(rt.Handler(), wire.PathSchedule, c.contentType, frame), post(shard.Handler(), wire.PathSchedule, c.contentType, frame)
+		if got := bare.Header().Get("Content-Type"); bare.Code != want || got != wantType {
+			t.Errorf("frame under Content-Type %q: HTTP %d %q, want %d %q", c.contentType, bare.Code, got, want, wantType)
 		}
-		if got := wire.IsBinary(c.contentType); got != c.binary {
-			t.Errorf("wire.IsBinary(%q) = %v, want %v", c.contentType, got, c.binary)
+		sameAnswer(t, fmt.Sprintf("frame under Content-Type %q", c.contentType), routed, bare)
+		routed, bare = post(rt.Handler(), wire.PathBatch, c.contentType, batch), post(shard.Handler(), wire.PathBatch, c.contentType, batch)
+		if got := bare.Header().Get("Content-Type"); bare.Code != http.StatusOK || got != wire.JSONContentType {
+			t.Errorf("JSON batch under Content-Type %q: HTTP %d %q, want 200 JSON", c.contentType, bare.Code, got)
+		}
+		sameAnswer(t, fmt.Sprintf("JSON batch under Content-Type %q", c.contentType), routed, bare)
+		if got := wire.IsBinary(wire.PathSchedule, c.contentType); got != c.binary {
+			t.Errorf("wire.IsBinary(%q, %q) = %v, want %v", wire.PathSchedule, c.contentType, got, c.binary)
+		}
+		if wire.IsBinary(wire.PathBatch, c.contentType) {
+			t.Errorf("wire.IsBinary(%q, %q) = true", wire.PathBatch, c.contentType)
 		}
 	}
 }
 
-// TestOneErrorEveryTierAndCodec: a bad request gets one error code, on
-// either tier and in either codec. Each crafted frame is posted to a router
-// and to a bare shard, its JSON twin to the bare shard, and all three must
-// answer the code docs/SERVICE.md's "Error precedence" gives it: an
-// undecodable body (for the binary codec, a frame the walk refuses) before
-// the options, the options before the instance, the instance before the
-// graph.
+// TestOneErrorEveryTierAndCodec: a bad request gets one answer, on either
+// tier and in either codec. Each crafted frame and its JSON twin are posted
+// to a router and to a bare shard; every answer must carry the code
+// docs/SERVICE.md's "Error precedence" gives it — an undecodable body (for
+// the binary codec, a frame the walk refuses) before the options, the
+// options before the instance, the instance before the graph — and each
+// routed answer must be the bare shard's, byte for byte. The batch rows
+// have no frame: /v1/batch speaks JSON only.
 func TestOneErrorEveryTierAndCodec(t *testing.T) {
 	rt, _ := newTier(t, 1, Config{})
 	shard := server.New(server.Config{Workers: 1})
@@ -426,39 +449,36 @@ func TestOneErrorEveryTierAndCodec(t *testing.T) {
 	pair := instance.Mixed(1, 2, 2)
 	cycle := [][]int{{1}, {0}}
 	for _, c := range []struct {
-		name, json, want string
-		frame            []byte
+		name, path, json, want string
+		frame                  []byte
 	}{
-		{"F1: rising profile, unknown solver", f1JSON, wire.CodeUnknownSolver, f1},
-		{"F1 and one trailing byte", f1JSON + "x", wire.CodeBadRequest, append(f1[:len(f1):len(f1)], 0)},
-		{"F2: F1 less its last 3 bytes", f1JSON[:len(f1JSON)-3], wire.CodeBadRequest, f1[:len(f1)-3]},
-		{"eps 2 on m = 0", twin(noProcs, nil, epsTwo), wire.CodeBadOptions, wire.AppendScheduleRequest(nil, noProcs, nil, epsTwo)},
-		{"unknown solver, cyclic graph", twin(pair, cycle, nope), wire.CodeUnknownSolver, wire.AppendScheduleRequest(nil, pair, cycle, nope)},
+		{"F1: rising profile, unknown solver", wire.PathSchedule, f1JSON, wire.CodeUnknownSolver, f1},
+		{"F1 and one trailing byte", wire.PathSchedule, f1JSON + "x", wire.CodeBadRequest, append(f1[:len(f1):len(f1)], 0)},
+		{"F2: F1 less its last 3 bytes", wire.PathSchedule, f1JSON[:len(f1JSON)-3], wire.CodeBadRequest, f1[:len(f1)-3]},
+		{"eps 2 on m = 0", wire.PathSchedule, twin(noProcs, nil, epsTwo), wire.CodeBadOptions, wire.AppendScheduleRequest(nil, noProcs, nil, epsTwo)},
+		{"unknown solver, cyclic graph", wire.PathSchedule, twin(pair, cycle, nope), wire.CodeUnknownSolver, wire.AppendScheduleRequest(nil, pair, cycle, nope)},
+		{"empty batch", wire.PathBatch, `{"instances":[]}`, wire.CodeBadRequest, nil},
+		{"undecodable batch", wire.PathBatch, `{"instances":`, wire.CodeBadRequest, nil},
 	} {
 		codes := map[string]string{}
-		for _, tier := range []struct {
-			name string
-			h    http.Handler
-		}{{"router", rt.Handler()}, {"shard", shard.Handler()}} {
-			req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(c.frame))
-			req.Header.Set("Content-Type", wire.ContentType)
-			rec := httptest.NewRecorder()
-			tier.h.ServeHTTP(rec, req)
-			body, err := wire.DecodeError(rec.Body.Bytes())
-			if rec.Code != http.StatusBadRequest || err != nil {
-				t.Fatalf("%s, binary to the %s: HTTP %d, %v", c.name, tier.name, rec.Code, err)
+		ask := func(codec, contentType string, body []byte, decode func([]byte) (*wire.ErrorBody, error)) {
+			routed, bare := post(rt.Handler(), c.path, contentType, body), post(shard.Handler(), c.path, contentType, body)
+			sameAnswer(t, c.name+", "+codec, routed, bare)
+			for tier, rec := range map[string]*httptest.ResponseRecorder{"router": routed, "shard": bare} {
+				eb, err := decode(rec.Body.Bytes())
+				if rec.Code != http.StatusBadRequest || err != nil {
+					t.Fatalf("%s, %s to the %s: HTTP %d, %v", c.name, codec, tier, rec.Code, err)
+				}
+				codes[codec+" to the "+tier] = eb.Error.Code
 			}
-			codes["binary to the "+tier.name] = body.Error.Code
 		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(c.json))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		shard.Handler().ServeHTTP(rec, req)
-		var body wire.ErrorBody
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusBadRequest || err != nil {
-			t.Fatalf("%s, JSON to the shard: HTTP %d, %v", c.name, rec.Code, err)
+		if c.frame != nil {
+			ask("binary", wire.ContentType, c.frame, wire.DecodeError)
 		}
-		codes["JSON to the shard"] = body.Error.Code
+		ask("JSON", wire.JSONContentType, []byte(c.json), func(b []byte) (*wire.ErrorBody, error) {
+			var eb wire.ErrorBody
+			return &eb, json.Unmarshal(b, &eb)
+		})
 		for path, code := range codes {
 			if code != c.want {
 				t.Errorf("%s: %s answers %s, want %s (all: %v)", c.name, path, code, c.want, codes)

@@ -152,7 +152,7 @@ func TestCollidingWorkloadGetsItsOwnPlan(t *testing.T) {
 
 // serveBinary is the byte-level entry for one binary frame.
 func serveBinary(s *Server, frame []byte) (int, []byte) {
-	status, _, out, _, _ := s.Serve(context.Background(), pathSchedule, wire.ContentType, frame, "test", nil)
+	status, _, out, _, _ := s.Serve(context.Background(), wire.PathSchedule, wire.ContentType, frame, "test", nil)
 	return status, out
 }
 
@@ -179,16 +179,16 @@ func slowPathOf(s *Server, frame []byte) (int, []byte) {
 	}
 	o, timeout, lineage, errInfo := s.frameOptions(&f)
 	if errInfo != nil {
-		return http.StatusBadRequest, appendError(nil, true, errInfo)
+		return http.StatusBadRequest, wire.AppendRefusal(nil, true, errInfo)
 	}
 	in, graph, err := f.Decode()
 	if err != nil {
-		return http.StatusBadRequest, appendError(nil, true, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
+		return http.StatusBadRequest, wire.AppendRefusal(nil, true, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
 	}
 	rc := reqCtx{codec: "binary", start: time.Now()}
 	out, status, errInfo := s.solveAndEncode(&rc, in, graph, o, timeout, lineage, &f.Prefix, true, nil)
 	if errInfo != nil {
-		return status, appendError(nil, true, errInfo)
+		return status, wire.AppendRefusal(nil, true, errInfo)
 	}
 	return status, out
 }

@@ -35,7 +35,7 @@ func TestParallelismAcceptedAndIgnored(t *testing.T) {
 		body, ct := request(codec, opts)
 		s := New(Config{Workers: 1})
 		if entry == "Serve" {
-			status, _, out, _, err := s.Serve(context.Background(), pathSchedule, ct, body, "", nil)
+			status, _, out, _, err := s.Serve(context.Background(), wire.PathSchedule, ct, body, "", nil)
 			if err != nil {
 				t.Fatalf("Serve: %v", err)
 			}
@@ -46,7 +46,7 @@ func TestParallelismAcceptedAndIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rt.Close()
-		req := httptest.NewRequest(http.MethodPost, pathSchedule, bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, wire.PathSchedule, bytes.NewReader(body))
 		req.Header.Set("Content-Type", ct)
 		rec := httptest.NewRecorder()
 		rt.Handler().ServeHTTP(rec, req)

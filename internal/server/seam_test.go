@@ -62,45 +62,45 @@ func TestSeamMatchesHTTP(t *testing.T) {
 	cyclic := [][]int{{1}, {0}, nil, nil, nil, nil}
 	v1 := wire.AppendScheduleRequest(nil, in, nil, nil)
 	cases := []seamCase{
-		{"binary v1", pathSchedule, wire.ContentType, v1, 200},
-		{"binary v1 again (memo hit)", pathSchedule, wire.ContentType + "; charset=binary", v1, 200},
-		{"binary v2 graph", pathSchedule, wire.ContentType,
+		{"binary v1", wire.PathSchedule, wire.ContentType, v1, 200},
+		{"binary v1 again (memo hit)", wire.PathSchedule, wire.ContentType + "; charset=binary", v1, 200},
+		{"binary v2 graph", wire.PathSchedule, wire.ContentType,
 			wire.AppendScheduleRequest(nil, in, chain, &wire.RequestOptions{Solver: "dag"}), 200},
-		{"binary lineage", pathSchedule, wire.ContentType,
+		{"binary lineage", wire.PathSchedule, wire.ContentType,
 			wire.AppendScheduleRequest(nil, instance.Mixed(2, 6, 4), nil, &wire.RequestOptions{Lineage: "chain-1"}), 200},
-		{"json schedule", pathSchedule, "application/json",
+		{"json schedule", wire.PathSchedule, "application/json",
 			mustJSON(t, wire.ScheduleRequest{Instance: mustRaw(t, instance.Mixed(3, 6, 4))}), 200},
 		// Its own workload: a DAG solve reports its λ-segment cache hits as
 		// synthesized, and those depend on which pooled scratch the solve
 		// draws (precedence.Result.CacheHits). A second DAG solve over the
 		// compiled tables of the binary v2 case would make the bytes depend
 		// on the pool, which the race detector randomises.
-		{"json schedule with a graph", pathSchedule, "application/json",
+		{"json schedule with a graph", wire.PathSchedule, "application/json",
 			mustJSON(t, wire.ScheduleRequest{Instance: mustRaw(t, instance.Mixed(4, 6, 4)), Graph: chain, Options: &wire.RequestOptions{Solver: "dag-crossover"}}), 200},
-		{"json batch with a poisoned item", pathBatch, "application/json",
+		{"json batch with a poisoned item", wire.PathBatch, "application/json",
 			mustJSON(t, wire.BatchRequest{Instances: []json.RawMessage{raw, json.RawMessage(`{"name":"x","m":0,"tasks":[]}`), raw}}), 200},
-		{"binary body on the batch path", pathBatch, wire.ContentType, v1, 400},
-		{"truncated frame", pathSchedule, wire.ContentType, v1[:len(v1)/2], 400},
-		{"bad magic", pathSchedule, wire.ContentType, []byte("not a frame at all"), 400},
-		{"trailing byte", pathSchedule, wire.ContentType, append(append([]byte(nil), v1...), 0), 400},
-		{"malformed json", pathSchedule, "application/json", []byte(`{"instance": 7`), 400},
-		{"trailing json", pathSchedule, "application/json",
+		{"binary body on the batch path", wire.PathBatch, wire.ContentType, v1, 400},
+		{"truncated frame", wire.PathSchedule, wire.ContentType, v1[:len(v1)/2], 400},
+		{"bad magic", wire.PathSchedule, wire.ContentType, []byte("not a frame at all"), 400},
+		{"trailing byte", wire.PathSchedule, wire.ContentType, append(append([]byte(nil), v1...), 0), 400},
+		{"malformed json", wire.PathSchedule, "application/json", []byte(`{"instance": 7`), 400},
+		{"trailing json", wire.PathSchedule, "application/json",
 			append(mustJSON(t, wire.ScheduleRequest{Instance: raw}), "{}"...), 400},
-		{"empty batch", pathBatch, "application/json", []byte(`{"instances":[]}`), 400},
-		{"oversize binary", pathSchedule, wire.ContentType, make([]byte, maxBody+1), 400},
-		{"oversize json", pathSchedule, "application/json", bytes.Repeat([]byte(" "), 2*maxBody), 400},
-		{"body of exactly the cap", pathSchedule, "application/json", bytes.Repeat([]byte(" "), maxBody), 400},
-		{"bad graph binary", pathSchedule, wire.ContentType,
+		{"empty batch", wire.PathBatch, "application/json", []byte(`{"instances":[]}`), 400},
+		{"oversize binary", wire.PathSchedule, wire.ContentType, make([]byte, maxBody+1), 400},
+		{"oversize json", wire.PathSchedule, "application/json", bytes.Repeat([]byte(" "), 2*maxBody), 400},
+		{"body of exactly the cap", wire.PathSchedule, "application/json", bytes.Repeat([]byte(" "), maxBody), 400},
+		{"bad graph binary", wire.PathSchedule, wire.ContentType,
 			wire.AppendScheduleRequest(nil, in, cyclic, &wire.RequestOptions{Solver: "dag"}), 400},
-		{"bad graph json", pathSchedule, "application/json",
+		{"bad graph json", wire.PathSchedule, "application/json",
 			mustJSON(t, wire.ScheduleRequest{Instance: raw, Graph: cyclic, Options: &wire.RequestOptions{Solver: "dag"}}), 400},
-		{"graph with an edge-blind solver", pathSchedule, wire.ContentType,
+		{"graph with an edge-blind solver", wire.PathSchedule, wire.ContentType,
 			wire.AppendScheduleRequest(nil, in, chain, &wire.RequestOptions{Solver: "mrt"}), 400},
-		{"unknown solver binary", pathSchedule, wire.ContentType,
+		{"unknown solver binary", wire.PathSchedule, wire.ContentType,
 			wire.AppendScheduleRequest(nil, in, nil, &wire.RequestOptions{Solver: "nope"}), 400},
-		{"unknown solver json", pathSchedule, "application/json",
+		{"unknown solver json", wire.PathSchedule, "application/json",
 			mustJSON(t, wire.ScheduleRequest{Instance: raw, Options: &wire.RequestOptions{Solver: "nope"}}), 400},
-		{"bad instance json", pathSchedule, "application/json",
+		{"bad instance json", wire.PathSchedule, "application/json",
 			mustJSON(t, wire.ScheduleRequest{Instance: json.RawMessage(`{"name":"x","m":2,"tasks":[{"name":"a","times":[1,2]}]}`)}), 400},
 	}
 
@@ -164,9 +164,9 @@ func TestSeamMatchesHTTP(t *testing.T) {
 	awaitTick(t, overHTTP.entered, "the parked HTTP request")
 	awaitTick(t, overSeam.entered, "the parked seam request")
 	for _, c := range []seamCase{
-		{"queue full binary", pathSchedule, wire.ContentType, v1, 429},
-		{"queue full json", pathSchedule, "application/json", mustJSON(t, wire.ScheduleRequest{Instance: raw}), 429},
-		{"queue full batch", pathBatch, "application/json", mustJSON(t, wire.BatchRequest{Instances: []json.RawMessage{raw}}), 429},
+		{"queue full binary", wire.PathSchedule, wire.ContentType, v1, 429},
+		{"queue full json", wire.PathSchedule, "application/json", mustJSON(t, wire.ScheduleRequest{Instance: raw}), 429},
+		{"queue full batch", wire.PathBatch, "application/json", mustJSON(t, wire.BatchRequest{Instances: []json.RawMessage{raw}}), 429},
 	} {
 		check(c)
 	}
@@ -181,8 +181,8 @@ func TestSeamMatchesHTTP(t *testing.T) {
 	// Draining refuses typed, in the request's codec.
 	overHTTP.StartDrain()
 	overSeam.StartDrain()
-	check(seamCase{"draining binary", pathSchedule, wire.ContentType, v1, 503})
-	check(seamCase{"draining json", pathSchedule, "application/json", mustJSON(t, wire.ScheduleRequest{Instance: raw}), 503})
+	check(seamCase{"draining binary", wire.PathSchedule, wire.ContentType, v1, 503})
+	check(seamCase{"draining json", wire.PathSchedule, "application/json", mustJSON(t, wire.ScheduleRequest{Instance: raw}), 503})
 
 	if a, b := overHTTP.Stats(), overSeam.Stats(); !reflect.DeepEqual(a, b) {
 		t.Errorf("/statsz diverged:\n ServeHTTP: %+v\n Serve:     %+v", a, b)
@@ -230,7 +230,7 @@ func TestRetryAfterThroughRouter(t *testing.T) {
 		// One request holds the shard's only admission token.
 		parked := make(chan int, 1)
 		go func() {
-			req := httptest.NewRequest(http.MethodPost, pathSchedule, bytes.NewReader(wire.AppendScheduleRequest(nil, in, nil, nil)))
+			req := httptest.NewRequest(http.MethodPost, wire.PathSchedule, bytes.NewReader(wire.AppendScheduleRequest(nil, in, nil, nil)))
 			req.Header.Set("Content-Type", wire.ContentType)
 			rec := httptest.NewRecorder()
 			b.ServeHTTP(rec, req)
@@ -243,7 +243,7 @@ func TestRetryAfterThroughRouter(t *testing.T) {
 			if codec == "json" {
 				body, ct = mustJSON(t, wire.ScheduleRequest{Instance: raw}), "application/json"
 			}
-			req := httptest.NewRequest(http.MethodPost, pathSchedule, bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, wire.PathSchedule, bytes.NewReader(body))
 			req.Header.Set("Content-Type", ct)
 			rec := httptest.NewRecorder()
 			rt.Handler().ServeHTTP(rec, req)

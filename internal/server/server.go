@@ -38,12 +38,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,8 +173,8 @@ func New(cfg Config) *Server {
 		metrics: obs.NewRegistry(),
 	}
 	s.registerMetrics()
-	s.mux.HandleFunc("POST "+pathSchedule, s.handleHTTP(endpointSchedule))
-	s.mux.HandleFunc("POST "+pathBatch, s.handleHTTP(endpointBatch))
+	s.mux.HandleFunc("POST "+wire.PathSchedule, s.handleHTTP(wire.PathSchedule))
+	s.mux.HandleFunc("POST "+wire.PathBatch, s.handleHTTP(wire.PathBatch))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.Handle("GET /metricsz", s.metrics.Handler())
@@ -361,15 +359,7 @@ func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout 
 	if lineage != "" && engine.WantsCompiled(o) {
 		ws = s.eng.WarmFor(lineageHash(lineage))
 	}
-	var out engine.Outcome
-	switch {
-	case prefix != nil:
-		out = s.eng.ScheduleFolded(in, o, timeout, *prefix, ws)
-	case ws != nil:
-		out = s.eng.ScheduleWarm(in, nil, o, timeout, ws)
-	default:
-		out = s.eng.ScheduleWith(in, o, timeout)
-	}
+	out := s.eng.ScheduleFolded(in, o, timeout, prefix, ws)
 	// The engine reports the table resolution it did inside the call (0 on
 	// a memo hit); the rest of the call is the solve stage.
 	st.compile = out.CompileNS
@@ -456,14 +446,10 @@ func statusOf(err error) int {
 	}
 }
 
-// The scheduling endpoints, as the mux and the byte-level entry name them.
 const (
-	pathSchedule     = "/v1/schedule"
-	pathBatch        = "/v1/batch"
-	endpointSchedule = "schedule"
-	endpointBatch    = "batch"
-
-	jsonContentType = "application/json"
+	// endpointBatch labels /v1/batch in the request counter and the stage
+	// histograms; /v1/schedule is "schedule".
+	endpointBatch = "batch"
 	// retryAfterShed is the Retry-After of a request shed by admission.
 	retryAfterShed = "1"
 )
@@ -481,33 +467,25 @@ const (
 // and err is always nil: both exist for the routing tier's transports that
 // do cross a network.
 func (s *Server) Serve(_ context.Context, path, contentType string, body []byte, reqID string, dst []byte) (status int, respType string, out []byte, retryAfter string, err error) {
-	var endpoint string
-	switch path {
-	case pathSchedule:
-		endpoint = endpointSchedule
-	case pathBatch:
-		endpoint = endpointBatch
-	default: // what the mux answers
+	if path != wire.PathSchedule && path != wire.PathBatch { // what the mux answers
 		return http.StatusNotFound, "text/plain; charset=utf-8", append(dst, "404 page not found\n"...), "", nil
 	}
-	status, respType, out, retryAfter = s.serve(endpoint, contentType, body, nil, reqID, dst)
+	status, respType, out, retryAfter = s.serve(path, contentType, body, nil, reqID, dst)
 	return status, respType, out, retryAfter, nil
 }
 
-// handleHTTP is a scheduling endpoint over HTTP: read the body (one byte
-// past the cap at most, so the request path can tell an oversized body from
-// a full one), run the request path, write what it returned.
-func (s *Server) handleHTTP(endpoint string) http.HandlerFunc {
+// handleHTTP is a scheduling endpoint over HTTP: read the body
+// (wire.ReadBody), run the request path, write what it returned.
+func (s *Server) handleHTTP(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(obs.RequestIDHeader)
 		if id == "" {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set(obs.RequestIDHeader, id)
-		limit := s.cfg.MaxBodyBytes + 1
-		body, readErr := wire.ReadAll(wire.GetBuffer(), io.LimitReader(r.Body, limit), min(r.ContentLength, limit))
-		status, respType, out, retryAfter := s.serve(endpoint, r.Header.Get("Content-Type"), body, readErr, id, wire.GetBuffer())
-		writeResponse(w, status, respType, out, retryAfter)
+		body, readErr := wire.ReadBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+		status, respType, out, retryAfter := s.serve(path, r.Header.Get("Content-Type"), body, readErr, id, wire.GetBuffer())
+		wire.WriteResponse(w, status, respType, out, retryAfter)
 		wire.PutBuffer(body)
 		wire.PutBuffer(out)
 	}
@@ -517,17 +495,17 @@ func (s *Server) handleHTTP(endpoint string) http.HandlerFunc {
 // HTTP handler and Serve: the observability envelope (request ID, request
 // counter, request log) around admit → size cap → decode → options →
 // instance → ValidateEdges → solveVerified → encode. The codec is
-// negotiated by contentType; a binary request gets a binary response on
-// every path, errors and admission rejections included. bodyErr is the HTTP
-// handler's failed body read, reported as a 400 in its place in that order.
-func (s *Server) serve(endpoint, contentType string, body []byte, bodyErr error, reqID string, dst []byte) (status int, respType string, out []byte, retryAfter string) {
-	rc := reqCtx{id: reqID, endpoint: endpoint, codec: "json", start: time.Now()}
+// negotiated by path and contentType (wire.IsBinary); a binary request gets
+// a binary response on every path, errors and admission rejections
+// included. bodyErr is the HTTP handler's failed body read, reported as a
+// 400 in its place in that order.
+func (s *Server) serve(path, contentType string, body []byte, bodyErr error, reqID string, dst []byte) (status int, respType string, out []byte, retryAfter string) {
+	rc := reqCtx{id: reqID, endpoint: path[len("/v1/"):], codec: "json", start: time.Now()}
 	if rc.id == "" {
 		rc.id = obs.NewRequestID()
 	}
-	// The batch path is JSON-only; the binary codec covers /v1/schedule.
-	binary := endpoint == endpointSchedule && wire.IsBinary(contentType)
-	respType = jsonContentType
+	binary := wire.IsBinary(path, contentType)
+	respType = wire.JSONContentType
 	if binary {
 		rc.codec, respType = "binary", wire.ContentType
 		s.binaryReqs.Inc()
@@ -537,7 +515,7 @@ func (s *Server) serve(endpoint, contentType string, body []byte, bodyErr error,
 		if errInfo.Code == wire.CodeQueueFull {
 			retryAfter = retryAfterShed
 		}
-		out = appendError(dst, binary, errInfo)
+		out = wire.AppendRefusal(dst, binary, errInfo)
 	}
 	s.finishRequest(&rc, status, time.Since(rc.start))
 	return status, respType, out, retryAfter
@@ -551,14 +529,10 @@ func (s *Server) admitAndRun(rc *reqCtx, binary bool, body []byte, bodyErr error
 		return nil, status, errInfo
 	}
 	defer s.release()
+	if errInfo := wire.BodyError(body, bodyErr, s.cfg.MaxBodyBytes); errInfo != nil {
+		return nil, http.StatusBadRequest, errInfo
+	}
 	switch {
-	case bodyErr != nil:
-		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: fmt.Sprintf("reading request body: %v", bodyErr)}
-	case int64(len(body)) > s.cfg.MaxBodyBytes:
-		return nil, http.StatusBadRequest, &wire.ErrorInfo{
-			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("request body exceeds the %d-byte cap", s.cfg.MaxBodyBytes),
-		}
 	case rc.endpoint == endpointBatch:
 		return s.batch(rc, body, dst)
 	case binary:
@@ -707,14 +681,14 @@ func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int
 		return nil, status, errInfo
 	}
 	var out []byte
-	var errInfo *wire.ErrorInfo
+	var err error
 	if binary {
 		out = wire.AppendScheduleResponse(dst, &resp)
 		if rc.memo != nil && o.Edges == nil && rc.memo.Encoded() == nil {
 			rc.memo.SetEncoded(bytes.Clone(wire.ResponseTail(out[len(dst):])))
 		}
-	} else if out, errInfo = appendJSON(dst, resp); errInfo != nil {
-		return nil, http.StatusInternalServerError, errInfo
+	} else if out, err = wire.AppendJSON(dst, resp); err != nil {
+		return nil, http.StatusInternalServerError, encodeError(err)
 	}
 	rc.set.encode.Observe(rc.lap() / 1e3)
 	return out, http.StatusOK, nil
@@ -771,9 +745,9 @@ func (s *Server) batch(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorIn
 		}()
 	}
 	wg.Wait()
-	out, errInfo := appendJSON(dst, resp)
-	if errInfo != nil {
-		return nil, http.StatusInternalServerError, errInfo
+	out, err := wire.AppendJSON(dst, resp)
+	if err != nil {
+		return nil, http.StatusInternalServerError, encodeError(err)
 	}
 	return out, http.StatusOK, nil
 }
@@ -787,7 +761,7 @@ func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout
 	// Each item gets its own observability context: items solve concurrently,
 	// so they must not share the request-level reqCtx, and each observes its
 	// own stage timings.
-	irc := &reqCtx{endpoint: "batch", codec: codec, start: time.Now()}
+	irc := &reqCtx{endpoint: endpointBatch, codec: codec, start: time.Now()}
 	var res wire.ScheduleResponse
 	if errInfo, _ := s.solveVerified(in, o, timeout, lineage, nil, irc, &res); errInfo != nil {
 		return wire.BatchItem{Index: i, Error: errInfo}
@@ -797,74 +771,19 @@ func (s *Server) batchItem(i int, raw json.RawMessage, o engine.Options, timeout
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+	wire.WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	wire.WriteJSON(w, http.StatusOK, s.Stats())
 }
 
-// appendWriter is the io.Writer json.Encoder needs over an append target.
-type appendWriter struct{ b []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// appendJSON appends v's JSON encoding (newline-terminated, as
-// json.Encoder writes it) to dst.
-func appendJSON(dst []byte, v any) ([]byte, *wire.ErrorInfo) {
-	w := appendWriter{b: dst}
-	if err := json.NewEncoder(&w).Encode(v); err != nil {
-		// Wire types marshal without error by construction; this path
-		// exists for the type system, not for traffic.
-		return nil, &wire.ErrorInfo{Code: wire.CodeInternal, Message: fmt.Sprintf("encoding response: %v", err)}
-	}
-	return w.b, nil
-}
-
-// appendError appends a typed error body in the request's codec: same
-// codes either way, binary framing for binary-negotiated requests.
-func appendError(dst []byte, binary bool, info *wire.ErrorInfo) []byte {
-	body := wire.ErrorBody{Error: *info}
-	if binary {
-		return wire.AppendError(dst, &body)
-	}
-	out, _ := appendJSON(dst, body) // an ErrorBody is two strings: it cannot fail to marshal
-	return out
-}
-
-// The two codecs' Content-Type values, built once as the router's are:
-// assigning one into a header map allocates nothing.
-var hdrJSONType, hdrBinaryType = []string{jsonContentType}, []string{wire.ContentType}
-
-// writeResponse writes one response in either codec with an exact
-// Content-Length.
-func writeResponse(w http.ResponseWriter, status int, contentType string, body []byte, retryAfter string) {
-	h := w.Header()
-	if retryAfter != "" {
-		h.Set("Retry-After", retryAfter)
-	}
-	h["Content-Type"] = hdrJSONType
-	if contentType == wire.ContentType {
-		h["Content-Type"] = hdrBinaryType
-	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// writeJSON serves the admin endpoints' JSON bodies from a pooled buffer.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	out, errInfo := appendJSON(wire.GetBuffer(), v)
-	if errInfo != nil {
-		http.Error(w, errInfo.Message, http.StatusInternalServerError)
-		return
-	}
-	writeResponse(w, status, jsonContentType, out, "")
-	wire.PutBuffer(out)
+// encodeError is the refusal of a response encoding/json cannot encode.
+// Wire types marshal without error by construction; this path exists for
+// the type system, not for traffic.
+func encodeError(err error) *wire.ErrorInfo {
+	return &wire.ErrorInfo{Code: wire.CodeInternal, Message: fmt.Sprintf("encoding response: %v", err)}
 }

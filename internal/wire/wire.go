@@ -56,17 +56,6 @@ import (
 // identically.
 const ContentType = "application/x-malsched-bin"
 
-// IsBinary reports whether a Content-Type header negotiates the binary
-// codec: its media type — parameters stripped, surrounding spaces trimmed —
-// equals ContentType ignoring case, as RFC 9110 §8.3.1 compares type and
-// subtype. Both serving tiers decide by it, so they negotiate alike.
-func IsBinary(contentType string) bool {
-	if i := strings.IndexByte(contentType, ';'); i >= 0 {
-		contentType = contentType[:i]
-	}
-	return strings.EqualFold(strings.TrimSpace(contentType), ContentType)
-}
-
 // Header bytes.
 const (
 	magic0 = 'M'
