@@ -18,9 +18,9 @@ import (
 // that share a key — by accident or crafted — share nothing else, and the
 // later one's solve takes the slot over.
 //
-// An entry is immutable once cached, apart from its encoded answer, which
-// a serving layer attaches once (SetEncoded) and reads back through
-// Engine.MemoBytes.
+// An entry is immutable once cached, apart from its encoded answers, one
+// slot per serving codec, which a serving layer attaches once each
+// (SetEncoded) and reads back through Engine.MemoBytes.
 type MemoEntry struct {
 	sol  Solution // sol.Plan is &plan
 	plan schedule.Schedule
@@ -40,8 +40,18 @@ type MemoEntry struct {
 	// count, then each list's length and indices — and nil for no graph.
 	edges []int
 
-	encoded atomic.Pointer[[]byte]
+	encoded [numEncodings]atomic.Pointer[[]byte]
 }
+
+// Encoding names an entry's slot for an encoded answer: one per codec a
+// serving layer answers in.
+type Encoding int
+
+const (
+	EncodingBinary Encoding = iota
+	EncodingJSON
+	numEncodings
+)
 
 // newEntry builds the memo entry of a solved instance: a copy of the
 // solution (the plan inside the entry, its processor sets and the flattened
@@ -169,36 +179,36 @@ func sameRows(in *instance.Instance, off []int, times []float64) bool {
 	return true
 }
 
-// Encoded returns the encoded answer attached to the entry, nil before one
-// is.
-func (en *MemoEntry) Encoded() []byte {
-	if p := en.encoded.Load(); p != nil {
+// Encoded returns the answer attached to the entry in encoding enc, nil
+// before one is.
+func (en *MemoEntry) Encoded(enc Encoding) []byte {
+	if p := en.encoded[enc].Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-// SetEncoded attaches the entry's answer in a serving layer's encoding, for
-// Engine.MemoBytes to hand back. The caller owns the check that makes this
-// sound: b encodes exactly this entry's solution, and that solution passed
-// the caller's verification against a workload whose words the entry
-// proved equal. Only the first attachment is kept. The engine never reads
-// the bytes.
-func (en *MemoEntry) SetEncoded(b []byte) {
-	en.encoded.CompareAndSwap(nil, &b)
+// SetEncoded attaches the entry's answer in a serving layer's encoding enc,
+// for Engine.MemoBytes to hand back. The caller owns the check that makes
+// this sound: b encodes exactly this entry's solution, and that solution
+// passed the caller's verification against a workload whose words the entry
+// proved equal. Only the first attachment per encoding is kept. The engine
+// never reads the bytes.
+func (en *MemoEntry) SetEncoded(enc Encoding, b []byte) {
+	en.encoded[enc].CompareAndSwap(nil, &b)
 }
 
 // MemoBytes is the memo probe of a caller that walked its own encoding of
-// a request instead of building the instance — a binary frame, say
-// (wire.Frame). prefix is the workload's fingerprint state as instanceHash
-// folds it, m and n the machine size and task count, o the resolved
-// options, and same compares the caller's rows with an entry's (in
-// instance.Compiled.Rows's layout). It returns the bytes attached to the
-// entry (SetEncoded) when an entry holds exactly those words and carries
-// bytes; that counts as a scheduled instance and a memo hit, as any hit
-// does. Otherwise it returns nil and counts nothing: the caller's full
-// path probes again, and counts there.
-func (e *Engine) MemoBytes(prefix fphash.Hash, m, n int, o Options, same func(off []int, times []float64) bool) []byte {
+// a request instead of building the instance — a binary or a JSON frame,
+// say (wire.Frame, wire.JSONFrame). prefix is the workload's fingerprint
+// state as instanceHash folds it, m and n the machine size and task count,
+// o the resolved options, and same compares the caller's rows with an
+// entry's (in instance.Compiled.Rows's layout). It returns the bytes
+// attached to the entry in encoding enc (SetEncoded) when an entry holds
+// exactly those words and carries such bytes; that counts as a scheduled
+// instance and a memo hit, as any hit does. Otherwise it returns nil and
+// counts nothing: the caller's full path probes again, and counts there.
+func (e *Engine) MemoBytes(enc Encoding, prefix fphash.Hash, m, n int, o Options, same func(off []int, times []float64) bool) []byte {
 	if e.memo == nil {
 		return nil
 	}
@@ -206,7 +216,7 @@ func (e *Engine) MemoBytes(prefix fphash.Hash, m, n int, o Options, same func(of
 	if !ok {
 		return nil
 	}
-	b := en.Encoded()
+	b := en.Encoded(enc)
 	if b == nil || !en.sameOptions(o) || !same(en.off, en.times) {
 		return nil
 	}

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
@@ -58,14 +59,36 @@ func (c *reusedCall) do(h http.Handler, frame []byte) int {
 // loop, so ns/op and allocs/op are the router's, the shard's and the
 // memo's own.
 func BenchmarkRoutedHit(b *testing.B) {
+	benchRoutedHit(b, wire.ContentType, func(in *instance.Instance) []byte {
+		return wire.AppendScheduleRequest(nil, in, nil, nil)
+	})
+}
+
+// BenchmarkRoutedJSONHit is BenchmarkRoutedHit over the JSON codec, the
+// serve-mix hot-JSON class: the same 64 instances as json.Marshal bodies.
+func BenchmarkRoutedJSONHit(b *testing.B) {
+	benchRoutedHit(b, wire.JSONContentType, func(in *instance.Instance) []byte {
+		raw, err := server.EncodeInstance(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := json.Marshal(wire.ScheduleRequest{Instance: raw})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	})
+}
+
+func benchRoutedHit(b *testing.B, contentType string, encode func(*instance.Instance) []byte) {
 	const pool, n, m = 64, 24, 16
-	frames := make([][]byte, pool)
-	for k := range frames {
+	bodies := make([][]byte, pool)
+	for k := range bodies {
 		in := instance.Mixed(int64(k), n, m)
 		if k%2 == 1 {
 			in = instance.CommHeavy(int64(k), n, m)
 		}
-		frames[k] = wire.AppendScheduleRequest(nil, in, nil, nil)
+		bodies[k] = encode(in)
 	}
 	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
@@ -73,16 +96,16 @@ func BenchmarkRoutedHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Close()
-	c := newReusedCall(b, wire.ContentType)
-	for _, f := range frames { // fills the memo
-		if code := c.do(rt.Handler(), f); code != http.StatusOK {
+	c := newReusedCall(b, contentType)
+	for _, body := range bodies { // fills the memo
+		if code := c.do(rt.Handler(), body); code != http.StatusOK {
 			b.Fatalf("HTTP %d", code)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if code := c.do(rt.Handler(), frames[i%pool]); code != http.StatusOK {
+		if code := c.do(rt.Handler(), bodies[i%pool]); code != http.StatusOK {
 			b.Fatalf("HTTP %d", code)
 		}
 	}

@@ -24,14 +24,16 @@
 //     shard when its home queue has backed up.
 //
 // The router keys a request and forwards it; it never judges one. Binary
-// requests are peeked with wire.RouteKey (zero-allocation fingerprint
-// straight off the wire), JSON requests go through the shards' own decoder
-// (wire). A body it cannot key routes by a hash of its bytes, and the
-// shard alone answers for a request's content: its refusal, like every
-// response, passes through byte-for-byte, a shedding shard's Retry-After
-// included. The router refuses only what no shard answered — draining, a
-// full queue, a body past its cap, a failed forward — and negotiates the
-// codec and encodes the refusal by the shards' own rules (wire.IsBinary,
+// requests are peeked with wire.ReadFrame (the zero-allocation walk behind
+// wire.RouteKey, a fingerprint straight off the wire), JSON schedule
+// requests with its JSON twin (wire.ReadJSONFrame, one pooled walk), and
+// any other JSON body goes through the shards' own decoder (wire). A body
+// it cannot key routes by a hash of its bytes, and the shard alone answers
+// for a request's content: its refusal, like every response, passes
+// through byte-for-byte, a shedding shard's Retry-After included. The
+// router refuses only what no shard answered — draining, a full queue, a
+// body past its cap, a failed forward — and negotiates the codec and
+// encodes the refusal by the shards' own rules (wire.IsBinary,
 // wire.AppendRefusal, wire.WriteResponse). X-Msroute-Backend and
 // X-Msroute-Stolen report the serving shard for observability and tests.
 //
@@ -385,25 +387,39 @@ func (r *Router) Stats() Stats {
 // routeKey computes (key, pinned) for a request body: the lineage hash
 // when a lineage key is present (pinned), the workload fingerprint
 // otherwise. Batch requests route by their first instance — a batch is
-// one admission unit on the shard side too. JSON bodies decode through the
-// shards' own decoder. A body it cannot key — a frame the walk refuses, an
-// undecodable JSON body, an invalid instance, an empty batch — routes by a
-// hash of its own bytes: the shard it lands on answers for it.
+// one admission unit on the shard side too. A binary body is keyed by its
+// walk (wire.ReadFrame, wire.RouteKey's), and so is a JSON schedule body
+// in the scanner's subset (wire.ReadJSONFrame): neither builds an
+// instance, neither copies the lineage key out, and both key an invalid
+// instance by its words, as the walk keys before anything validates. Other
+// JSON bodies decode through the shards' own decoder. A body it cannot key
+// — a frame the walk refuses, an undecodable JSON body, an invalid decoded
+// instance, an empty batch — routes by a hash of its own bytes: the shard
+// it lands on answers for it.
 func (r *Router) routeKey(path string, binary bool, body []byte) (key uint64, pinned bool) {
 	if binary {
 		r.binaryReqs.Inc()
-		key, lineage, err := wire.RouteKey(body)
+		f, err := wire.ReadFrame(body)
 		switch {
 		case err != nil:
 			return hashString(body), false
-		case lineage != "":
-			return hashString(lineage), true
+		case len(f.Lineage) > 0:
+			return hashString(f.Lineage), true
 		}
-		return key, false
+		return f.RouteKey(), false
 	}
-	decode := wire.DecodeJSONScheduleRequest
-	if path == wire.PathBatch {
-		decode = wire.DecodeJSONBatchHead
+	decode := wire.DecodeJSONBatchHead
+	if path == wire.PathSchedule {
+		if f, ok := wire.ReadJSONFrame(body); ok {
+			r.jsonDecode[wire.PathScan].Inc()
+			key, pinned = f.RouteKey(), len(f.Lineage) > 0
+			if pinned {
+				key = hashString(f.Lineage)
+			}
+			f.Release()
+			return key, pinned
+		}
+		decode = wire.DecodeJSONScheduleRequest // the walk again, then encoding/json
 	}
 	req, decodePath, err := decode(body)
 	r.jsonDecode[decodePath].Inc()
@@ -415,8 +431,7 @@ func (r *Router) routeKey(path string, binary bool, body []byte) (key uint64, pi
 	}
 	// The graph is folded into the key (nil folds nothing), so a DAG
 	// request never routes to — and never shares warm state with — the
-	// shard of its independent projection; wire.RouteKey folds the same
-	// stream for binary requests.
+	// shard of its independent projection; the walks fold the same stream.
 	return engine.WorkloadFingerprintDAG(req.Instance, req.Graph), false
 }
 

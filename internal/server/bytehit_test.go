@@ -150,138 +150,316 @@ func TestCollidingWorkloadGetsItsOwnPlan(t *testing.T) {
 	}
 }
 
-// serveBinary is the byte-level entry for one binary frame.
-func serveBinary(s *Server, frame []byte) (int, []byte) {
-	status, _, out, _, _ := s.Serve(context.Background(), wire.PathSchedule, wire.ContentType, frame, "test", nil)
+// serveBody is the byte-level entry for one /v1/schedule body, a binary
+// frame or a JSON body.
+func serveBody(s *Server, binary bool, body []byte) (int, []byte) {
+	contentType := wire.JSONContentType
+	if binary {
+		contentType = wire.ContentType
+	}
+	status, _, out, _, _ := s.Serve(context.Background(), wire.PathSchedule, contentType, body, "test", nil)
 	return status, out
 }
 
-// byteHitOf runs byteHit alone on a frame, and slowPathOf the binary path
-// without it — the frame's options, its decode, the shared tail; both
-// return what the request would be answered with.
-func byteHitOf(s *Server, frame []byte) ([]byte, bool) {
-	f, err := wire.ReadFrame(frame)
+// serveBinary is the byte-level entry for one binary frame.
+func serveBinary(s *Server, frame []byte) (int, []byte) { return serveBody(s, true, frame) }
+
+// encodeBody is a /v1/schedule body of in under opts in either codec, as a
+// Go client writes it.
+func encodeBody(t *testing.T, binary bool, in *instance.Instance, opts *wire.RequestOptions) []byte {
+	t.Helper()
+	if binary {
+		return wire.AppendScheduleRequest(nil, in, nil, opts)
+	}
+	body, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(t, in), Options: opts})
 	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// walked is a body walked by its codec's frame — what the byte hit and the
+// full path behind it read of it, whichever codec walked it.
+type walked struct {
+	frame     wire.Frame      // the binary walk
+	json      *wire.JSONFrame // the JSON walk, released by release
+	opts      *wire.FrameOptions
+	portfolio []string
+	prefix    fphash.Hash
+	m         uint64
+	n         int
+	graph     bool
+	wide      bool
+}
+
+// walk walks a body in its codec; ok false for a body no walk takes.
+func walk(binary bool, body []byte) (w *walked, ok bool) {
+	w = new(walked)
+	if binary {
+		f, err := wire.ReadFrame(body)
+		if err != nil {
+			return nil, false
+		}
+		w.frame = f
+		w.opts, w.portfolio, w.prefix = &w.frame.FrameOptions, f.PortfolioNames(), f.Prefix
+		w.m, w.n, w.graph, w.wide = f.M, f.N, f.Graph, f.Wide
+		return w, true
+	}
+	f, ok := wire.ReadJSONFrame(body)
+	if !ok {
 		return nil, false
 	}
-	o, _, _, errInfo := s.frameOptions(&f)
+	w.json = f
+	w.opts, w.portfolio, w.prefix = &f.FrameOptions, f.PortfolioNames(), f.Prefix
+	w.m, w.n, w.graph, w.wide = uint64(f.M), f.N, f.Graph, f.Wide
+	return w, true
+}
+
+func (w *walked) release() {
+	if w.json != nil {
+		w.json.Release()
+	}
+}
+
+// byteHitOf runs the byte hit alone on a body, and slowPathOf its codec's
+// path without it — the walk's options, the decode from the walk, the
+// shared tail; both return what the request would be answered with.
+func byteHitOf(s *Server, binary bool, body []byte) ([]byte, bool) {
+	w, ok := walk(binary, body)
+	if !ok {
+		return nil, false
+	}
+	defer w.release()
+	o, _, _, errInfo := s.frameOptions(w.opts, w.portfolio)
 	if errInfo != nil {
 		return nil, false
 	}
-	rc := reqCtx{codec: "binary", start: time.Now()}
-	return s.byteHit(&rc, &f, o, nil)
+	rc := reqCtx{codec: codecLabel(binary), start: time.Now()}
+	if binary {
+		return s.binaryHit(&rc, &w.frame, o, nil)
+	}
+	return s.jsonHit(&rc, w.json, o, nil)
 }
 
-func slowPathOf(s *Server, frame []byte) (int, []byte) {
-	f, err := wire.ReadFrame(frame)
-	if err != nil {
+func slowPathOf(s *Server, binary bool, body []byte) (int, []byte) {
+	w, ok := walk(binary, body)
+	if !ok {
 		return 0, nil
 	}
-	o, timeout, lineage, errInfo := s.frameOptions(&f)
+	defer w.release()
+	o, timeout, lineage, errInfo := s.frameOptions(w.opts, w.portfolio)
 	if errInfo != nil {
-		return http.StatusBadRequest, wire.AppendRefusal(nil, true, errInfo)
+		return http.StatusBadRequest, wire.AppendRefusal(nil, binary, errInfo)
 	}
-	in, graph, err := f.Decode()
+	decode := w.frame.Decode
+	if !binary {
+		decode = w.json.Decode
+	}
+	in, graph, err := decode()
 	if err != nil {
-		return http.StatusBadRequest, wire.AppendRefusal(nil, true, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
+		return http.StatusBadRequest, wire.AppendRefusal(nil, binary, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
 	}
-	rc := reqCtx{codec: "binary", start: time.Now()}
-	out, status, errInfo := s.solveAndEncode(&rc, in, graph, o, timeout, lineage, &f.Prefix, true, nil)
+	rc := reqCtx{codec: codecLabel(binary), start: time.Now()}
+	out, status, errInfo := s.solveAndEncode(&rc, in, graph, o, timeout, lineage, &w.prefix, binary, nil)
 	if errInfo != nil {
-		return status, wire.AppendRefusal(nil, true, errInfo)
+		return status, wire.AppendRefusal(nil, binary, errInfo)
 	}
 	return status, out
 }
 
-// eligible reports whether byteHit must answer a repeat of the frame once
-// its entry carries bytes: a frame it walks, without a graph or a row wider
-// than m, whose options name no portfolio and no lineage.
-func eligible(frame []byte) bool {
-	f, err := wire.ReadFrame(frame)
-	return err == nil && !f.Graph && !f.Wide && f.Portfolio == 0 && len(f.Lineage) == 0
+func codecLabel(binary bool) string {
+	if binary {
+		return "binary"
+	}
+	return "json"
 }
 
-// FuzzHitBytesMatchSlowPath holds the shard's byte hit to the full binary
-// path. Invariants, for any frame: on a fresh server byteHit declines; once
-// the frame has been answered twice — a miss, then the verified hit that
-// attaches the entry's bytes — byteHit either declines or writes exactly the
-// bytes the full path writes for the same hit, and it does not decline a
-// frame the fast path covers. Then a second workload forced onto the
-// frame's key (forge: same m, n and fingerprint state) takes the memo slot
-// over and carries bytes of its own: the frame must not be answered from
-// them, and the full path must answer it with the bytes of its own miss.
-// Seeded with every golden instance under both golden variants and with
-// FuzzRouteKeyMatchesDecode's v1 and v2 frames.
+// eligible reports whether the byte hit must answer a repeat of the body
+// once its entry carries bytes: a body its codec walks, without a graph or
+// a row wider than m, whose options name no portfolio, no lineage and no
+// trace.
+func eligible(binary bool, body []byte) bool {
+	w, ok := walk(binary, body)
+	if !ok {
+		return false
+	}
+	defer w.release()
+	return !w.graph && !w.wide && w.opts.Portfolio == 0 && len(w.opts.Lineage) == 0 && !w.opts.Trace
+}
+
+// FuzzHitBytesMatchSlowPath holds the shard's byte hit to the full path of
+// either codec. Invariants, for any binary frame or JSON body: on a fresh
+// server the byte hit declines; once the body has been answered twice — a
+// miss, then the verified hit that attaches the entry's bytes in its codec —
+// the byte hit either declines or writes exactly the bytes the full path
+// writes for the same hit, and it does not decline a body the fast path
+// covers. Then a second workload forced onto the body's key (forge: same m,
+// n and fingerprint state) takes the memo slot over and carries bytes of
+// its own: the body must not be answered from them, and the full path must
+// answer it with the bytes of its own miss. Seeded with every golden
+// instance under both golden variants in both codecs, with
+// FuzzRouteKeyMatchesDecode's v1 and v2 frames, and with JSON bodies of a
+// name encoding/json escapes, a trace and a graph.
 func FuzzHitBytesMatchSlowPath(f *testing.F) {
 	for _, gen := range instance.Families() {
 		for _, n := range []int{12, 40} {
 			for _, m := range []int{8, 64} {
 				for seed := int64(1); seed <= 2; seed++ {
 					in := gen(seed, n, m)
-					f.Add(wire.AppendScheduleRequest(nil, in, nil, nil))
-					f.Add(wire.AppendScheduleRequest(nil, in, nil, &wire.RequestOptions{Compact: true, Solver: "mrt"}))
+					for _, opts := range []*wire.RequestOptions{nil, {Compact: true, Solver: "mrt"}} {
+						f.Add(true, wire.AppendScheduleRequest(nil, in, nil, opts))
+						body, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(f, in), Options: opts})
+						if err != nil {
+							f.Fatal(err)
+						}
+						f.Add(false, body)
+					}
 				}
 			}
 		}
 	}
 	mixed := instance.Mixed(5, 6, 4)
 	wide := &instance.Instance{Name: "wide", M: 2, Tasks: instance.Mixed(3, 5, 8).Tasks}
-	f.Add(wire.AppendScheduleRequest(nil, mixed, nil, nil))
-	f.Add(wire.AppendScheduleRequest(nil, mixed, precedence.ChainEdges(mixed.N()), &wire.RequestOptions{Solver: "dag", Eps: 0.01}))
-	f.Add(wire.AppendScheduleRequest(nil, wide, nil, &wire.RequestOptions{Lineage: "chain-7", Portfolio: []string{"mrt", "lpt"}, Compact: true}))
-	f.Add(wire.AppendScheduleRequest(nil, mixed, [][]int{}, nil))
-	f.Add(wire.AppendScheduleRequest(nil, mixed, nil, &wire.RequestOptions{Solver: "seq-lpt", Parallelism: 3, TimeoutMS: 5000}))
+	f.Add(true, wire.AppendScheduleRequest(nil, mixed, nil, nil))
+	f.Add(true, wire.AppendScheduleRequest(nil, mixed, precedence.ChainEdges(mixed.N()), &wire.RequestOptions{Solver: "dag", Eps: 0.01}))
+	f.Add(true, wire.AppendScheduleRequest(nil, wide, nil, &wire.RequestOptions{Lineage: "chain-7", Portfolio: []string{"mrt", "lpt"}, Compact: true}))
+	f.Add(true, wire.AppendScheduleRequest(nil, mixed, [][]int{}, nil))
+	f.Add(true, wire.AppendScheduleRequest(nil, mixed, nil, &wire.RequestOptions{Solver: "seq-lpt", Parallelism: 3, TimeoutMS: 5000}))
+	for _, c := range jsonHitBodies(f) {
+		f.Add(false, c.body)
+	}
 
-	f.Fuzz(func(t *testing.T, frame []byte) {
+	f.Fuzz(func(t *testing.T, binary bool, body []byte) {
 		// The golden grid's sizes at most, and the exhaustive solver on tiny
 		// instances only: the property is the bytes, not throughput.
-		if w, err := wire.ReadFrame(frame); err == nil && (w.M > 64 || w.N > 40 || w.N > 6 && bytes.Contains(frame, []byte("exact"))) {
-			return
+		if w, ok := walk(binary, body); ok {
+			w.release()
+			if w.m > 64 || w.n > 40 || w.n > 6 && bytes.Contains(body, []byte("exact")) {
+				return
+			}
 		}
 		s := New(Config{Workers: 1})
-		if _, ok := byteHitOf(s, frame); ok {
-			t.Fatal("byteHit answered on an empty memo")
+		if _, ok := byteHitOf(s, binary, body); ok {
+			t.Fatal("the byte hit answered on an empty memo")
 		}
-		missStatus, miss := serveBinary(s, frame)
-		hitStatus, hit := serveBinary(s, frame)
-		fast, ok := byteHitOf(s, frame)
+		missStatus, miss := serveBody(s, binary, body)
+		hitStatus, hit := serveBody(s, binary, body)
+		fast, ok := byteHitOf(s, binary, body)
 		if ok {
 			if hitStatus != http.StatusOK || !bytes.Equal(fast, hit) {
-				t.Fatalf("byte hit differs from the verified hit (HTTP %d):\n%x\n%x", hitStatus, fast, hit)
+				t.Fatalf("byte hit differs from the verified hit (HTTP %d):\n%q\n%q", hitStatus, fast, hit)
 			}
-			if _, slow := slowPathOf(s, frame); !bytes.Equal(fast, slow) {
-				t.Fatalf("byte hit differs from the full path:\n%x\n%x", fast, slow)
+			if _, slow := slowPathOf(s, binary, body); !bytes.Equal(fast, slow) {
+				t.Fatalf("byte hit differs from the full path:\n%q\n%q", fast, slow)
 			}
-		} else if hitStatus == http.StatusOK && eligible(frame) {
-			t.Fatal("byteHit declined a repeat it covers")
+		} else if hitStatus == http.StatusOK && eligible(binary, body) {
+			t.Fatal("the byte hit declined a repeat it covers")
 		}
-		if missStatus != http.StatusOK || !eligible(frame) {
+		if missStatus != http.StatusOK || !eligible(binary, body) {
 			return
 		}
-		in, _, ro, err := wire.DecodeScheduleRequest(frame)
-		if err != nil {
-			t.Fatalf("answered 200 but does not decode: %v", err)
+		var in *instance.Instance
+		var ro *wire.RequestOptions
+		if binary {
+			var err error
+			if in, _, ro, err = wire.DecodeScheduleRequest(body); err != nil {
+				t.Fatalf("answered 200 but does not decode: %v", err)
+			}
+		} else {
+			req, _, err := wire.DecodeJSONScheduleRequest(body)
+			if err != nil || req.InstanceErr != nil {
+				t.Fatalf("answered 200 but does not decode: %v, %v", err, req.InstanceErr)
+			}
+			in, ro = req.Instance, req.Options
 		}
 		b := forge(in)
 		if b == nil {
 			return
 		}
-		forged := wire.AppendScheduleRequest(nil, b, nil, ro)
-		fa, _ := wire.ReadFrame(frame)
-		fb, _ := wire.ReadFrame(forged)
-		if fa.Prefix != fb.Prefix {
-			t.Fatal("the forged frame is not on the frame's key")
+		forged := encodeBody(t, binary, b, ro)
+		wa, _ := walk(binary, body)
+		if wb, ok := walk(binary, forged); ok {
+			if wa.prefix != wb.prefix {
+				t.Fatal("the forged body is not on the body's key")
+			}
+			wb.release()
 		}
+		wa.release()
 		s = New(Config{Workers: 1})
-		serveBinary(s, forged)
-		serveBinary(s, forged)
-		if _, ok := byteHitOf(s, frame); ok {
-			t.Fatal("byteHit answered from the forged workload's entry")
+		serveBody(s, binary, forged)
+		serveBody(s, binary, forged)
+		if _, ok := byteHitOf(s, binary, body); ok {
+			t.Fatal("the byte hit answered from the forged workload's entry")
 		}
-		if status, own := serveBinary(s, frame); status != missStatus || !bytes.Equal(own, miss) {
-			t.Fatalf("after the forgery: HTTP %d, bytes\n%x\nwant its own miss\n%x", status, own, miss)
+		if status, own := serveBody(s, binary, body); status != missStatus || !bytes.Equal(own, miss) {
+			t.Fatalf("after the forgery: HTTP %d, bytes\n%q\nwant its own miss\n%q", status, own, miss)
 		}
 	})
+}
+
+// jsonHitBodies are JSON bodies at the edges of the JSON byte hit, in the
+// scanner's subset: a name with every character encoding/json escapes for
+// HTML, the same workload traced, and the same workload with a graph.
+func jsonHitBodies(tb testing.TB) []struct {
+	name string
+	body []byte
+} {
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, mustRaw(tb, instance.Mixed(6, 8, 4))); err != nil {
+		tb.Fatal(err)
+	}
+	raw := compact.String()
+	i := strings.Index(raw, `"name":"`) + len(`"name":"`)
+	escaped := raw[:i] + `a<b>&c` + raw[i:]
+	chain := `[[1],[2],[3],[4],[5],[6],[7],[]]`
+	return []struct {
+		name string
+		body []byte
+	}{
+		{"escaped name", []byte(`{"instance":` + escaped + `}`)},
+		{"trace", []byte(`{"instance":` + raw + `,"options":{"trace":true}}`)},
+		{"graph", []byte(`{"instance":` + raw + `,"graph":` + chain + `,"options":{"solver":"dag"}}`)},
+	}
+}
+
+// A JSON repeat is a byte hit exactly where the byte hit covers it: a name
+// with '<', '>' and '&' gets the full path's bytes, escaped as encoding/json
+// escapes them; a traced request and one with a graph always decline, and
+// get the full path's answer.
+func TestJSONByteHitEdges(t *testing.T) {
+	for _, c := range jsonHitBodies(t) {
+		name, body := c.name, c.body
+		if w, ok := walk(false, body); !ok {
+			t.Fatalf("%s: the body is not the scanner's", name)
+		} else {
+			w.release()
+		}
+		s := New(Config{Workers: 1})
+		serveBody(s, false, body)
+		status, hit := serveBody(s, false, body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", name, status, hit)
+		}
+		fast, ok := byteHitOf(s, false, body)
+		if covered := name == "escaped name"; ok != covered {
+			t.Fatalf("%s: byte hit answered %v, want %v", name, ok, covered)
+		}
+		if !ok {
+			if status, _ := serveBody(s, false, body); status != http.StatusOK || s.byteHits.Value() != 0 {
+				t.Fatalf("%s: HTTP %d, %d byte hits", name, status, s.byteHits.Value())
+			}
+			continue
+		}
+		if !bytes.Equal(fast, hit) {
+			t.Fatalf("%s: byte hit\n%s\nverified hit\n%s", name, fast, hit)
+		}
+		if _, slow := slowPathOf(s, false, body); !bytes.Equal(fast, slow) {
+			t.Fatalf("%s: byte hit\n%s\nfull path\n%s", name, fast, slow)
+		}
+		if !bytes.HasPrefix(fast, []byte(`{"name":"a\u003cb\u003e\u0026c`)) {
+			t.Fatalf("%s: the name is not escaped as encoding/json escapes it: %s", name, fast)
+		}
+	}
 }
 
 // The byte hit is visible: a repeat binary hit counts in
@@ -315,44 +493,46 @@ func TestByteHitCounted(t *testing.T) {
 	}
 }
 
-// Concurrent repeats of one frame race the first verified hit that
-// attaches the entry's bytes against the byte hits that read them: every
-// answer after the miss is the same bytes (the race detector runs this in
-// CI).
+// Concurrent repeats of one body race the first verified hit that
+// attaches the entry's bytes in its codec against the byte hits that read
+// them: every answer after the miss is the same bytes, over both codecs
+// (the race detector runs this in CI).
 func TestByteHitConcurrent(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 64})
-	frame := wire.AppendScheduleRequest(nil, instance.Mixed(11, 16, 8), nil, nil)
-	if status, _ := serveBinary(s, frame); status != http.StatusOK {
-		t.Fatalf("HTTP %d", status)
-	}
-	const callers, each = 4, 25
-	outs := make([][][]byte, callers)
-	done := make(chan struct{})
-	for c := range outs {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for range each {
-				status, out := serveBinary(s, frame)
-				if status != http.StatusOK {
-					t.Errorf("HTTP %d", status)
-					return
+	for _, binary := range []bool{true, false} {
+		s := New(Config{Workers: 2, QueueDepth: 64})
+		body := encodeBody(t, binary, instance.Mixed(11, 16, 8), nil)
+		if status, _ := serveBody(s, binary, body); status != http.StatusOK {
+			t.Fatalf("HTTP %d", status)
+		}
+		const callers, each = 4, 25
+		outs := make([][][]byte, callers)
+		done := make(chan struct{})
+		for c := range outs {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				for range each {
+					status, out := serveBody(s, binary, body)
+					if status != http.StatusOK {
+						t.Errorf("HTTP %d", status)
+						return
+					}
+					outs[c] = append(outs[c], out)
 				}
-				outs[c] = append(outs[c], out)
-			}
-		}()
-	}
-	for range outs {
-		<-done
-	}
-	want := outs[0][0]
-	for c := range outs {
-		for i, out := range outs[c] {
-			if !bytes.Equal(out, want) {
-				t.Fatalf("caller %d, request %d: bytes differ from the first hit's", c, i)
+			}()
+		}
+		for range outs {
+			<-done
+		}
+		want := outs[0][0]
+		for c := range outs {
+			for i, out := range outs[c] {
+				if !bytes.Equal(out, want) {
+					t.Fatalf("%s: caller %d, request %d: bytes differ from the first hit's", codecLabel(binary), c, i)
+				}
 			}
 		}
-	}
-	if s.byteHits.Value() == 0 {
-		t.Fatal("no repeat was a byte hit")
+		if s.byteHits.Value() == 0 {
+			t.Fatalf("%s: no repeat was a byte hit", codecLabel(binary))
+		}
 	}
 }

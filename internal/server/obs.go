@@ -200,7 +200,7 @@ func (s *Server) registerMetrics() {
 	s.verifyFail = m.Counter(metricVerifyFail, "Responses withheld because verification rejected the plan.")
 	s.binaryReqs = m.Counter(metricBinary, "/v1/schedule requests over the binary codec.")
 	s.graphReqs = m.Counter(metricGraph, "/v1/schedule requests that carried a precedence graph, valid or not.")
-	s.byteHits = m.Counter(metricByteHits, "Binary memo hits answered from the entry's verified bytes, without a decode.")
+	s.byteHits = m.Counter(metricByteHits, "Memo hits, binary or JSON, answered from the entry's verified bytes, without a decode.")
 	m.CounterFunc(metricCollisions, "Memo and compiled-cache probes that found an entry of other words under their key, answered as misses.",
 		func() float64 { return float64(s.eng.Stats().Collisions) })
 	const jsonHelp = "JSON requests and batch items decoded, by path: the request scanner, or encoding/json for a body outside its subset."

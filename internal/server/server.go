@@ -545,11 +545,39 @@ func (s *Server) admitAndRun(rc *reqCtx, binary bool, body []byte, bodyErr error
 // scheduleJSON is /v1/schedule over the JSON codec. Errors come in the
 // order both codecs keep (docs/SERVICE.md, "Error precedence"): an
 // undecodable body, then the options, then the instance — its first invalid
-// task, then its shape; which is why the decode holds its instance verdict —
-// then the graph in solveAndEncode.
+// task, then its shape — then the graph in solveAndEncode.
+//
+// A body in the scanner's subset is walked once (wire.ReadJSONFrame) and
+// takes the binary path's shape: the frame's options, a byte hit from the
+// walk alone, else the instance decoded from the frame, whose workload
+// prefix keys the engine's caches. Any other body is encoding/json's
+// (scheduleUnmarshalled).
 func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
-	req, path, err := wire.DecodeJSONScheduleRequest(body)
-	s.jsonDecode[path].Inc()
+	f, ok := wire.ReadJSONFrame(body)
+	if !ok {
+		return s.scheduleUnmarshalled(rc, body, dst)
+	}
+	defer f.Release()
+	s.jsonDecode[wire.PathScan].Inc()
+	o, timeout, lineage, errInfo := s.frameOptions(&f.FrameOptions, f.PortfolioNames())
+	if errInfo != nil {
+		return nil, http.StatusBadRequest, errInfo
+	}
+	if out, ok := s.jsonHit(rc, f, o, dst); ok {
+		return out, http.StatusOK, nil
+	}
+	in, graph, err := f.Decode()
+	if err != nil {
+		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
+	}
+	return s.solveAndEncode(rc, in, graph, o, timeout, lineage, &f.Prefix, false, dst)
+}
+
+// scheduleUnmarshalled is scheduleJSON for a body outside the scanner's
+// subset, decoded by encoding/json, in the same error order.
+func (s *Server) scheduleUnmarshalled(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
+	s.jsonDecode[wire.PathFallback].Inc()
+	req, err := wire.UnmarshalScheduleRequest(body)
 	if err != nil {
 		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
@@ -582,11 +610,11 @@ func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wir
 	if err != nil {
 		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
-	o, timeout, lineage, errInfo := s.frameOptions(&f)
+	o, timeout, lineage, errInfo := s.frameOptions(&f.FrameOptions, f.PortfolioNames())
 	if errInfo != nil {
 		return nil, http.StatusBadRequest, errInfo
 	}
-	if out, ok := s.byteHit(rc, &f, o, dst); ok {
+	if out, ok := s.binaryHit(rc, &f, o, dst); ok {
 		return out, http.StatusOK, nil
 	}
 	in, graph, err := f.Decode()
@@ -596,34 +624,61 @@ func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wir
 	return s.solveAndEncode(rc, in, graph, o, timeout, lineage, &f.Prefix, true, dst)
 }
 
-// byteHit answers a binary request from the bytes of a memo entry: the
-// header, the request's own name, and the encoded answer the entry carries
-// since its first verified binary hit. The engine hands those bytes out
-// only after comparing every word of the frame's workload and options with
-// the entry's, so they are the bytes the full path would write: that path
-// would decode the same words, find the same entry, verify the same plan
-// against the same rows and encode the same answer.
+// binaryHit answers a binary frame by byteHit: the header and the
+// request's own name, then the entry's bytes.
+func (s *Server) binaryHit(rc *reqCtx, f *wire.Frame, o engine.Options, dst []byte) ([]byte, bool) {
+	if !hitCovers(f.Graph, f.Wide, &f.FrameOptions) || f.M > math.MaxInt {
+		return nil, false
+	}
+	return s.byteHit(rc, engine.EncodingBinary, f.Prefix, int(f.M), f.N, f.SameWorkload, o, wire.AppendResponseHead(dst, f.Name))
+}
+
+// jsonHit answers a walked JSON body by byteHit: `{"name":` and the
+// request's own name, escaped as encoding/json escapes it, then the entry's
+// bytes.
+func (s *Server) jsonHit(rc *reqCtx, f *wire.JSONFrame, o engine.Options, dst []byte) ([]byte, bool) {
+	if !hitCovers(f.Graph, f.Wide, &f.FrameOptions) {
+		return nil, false
+	}
+	return s.byteHit(rc, engine.EncodingJSON, f.Prefix, f.M, f.N, f.SameWorkload, o, wire.AppendJSONResponseHead(dst, f.Name))
+}
+
+// hitCovers reports whether a byte hit may answer a walked request: no
+// graph (the full path also checks the edges), no row wider than m (the
+// decoder validates the words truncation drops), and options naming no
+// portfolio, no lineage and no trace, which the answer would carry.
+func hitCovers(graph, wide bool, fo *wire.FrameOptions) bool {
+	return !graph && !wide && fo.Portfolio == 0 && len(fo.Lineage) == 0 && !fo.Trace
+}
+
+// byteHit answers a walked request from the bytes of a memo entry: head —
+// dst with the response's head, which carries the request's own name —
+// then the encoded answer the entry carries in encoding enc since its first
+// verified hit in that codec. The engine hands those bytes out only after
+// comparing every word of the walked workload (prefix, m, n and the rows
+// same compares) and of the options with the entry's, so they are the bytes
+// the full path would write: that path would decode the same words, find
+// the same entry, verify the same plan against the same rows and encode the
+// same answer.
 //
 // It declines — and the full path runs as if it had never been called —
-// for a frame with a graph (the full path also checks the edges), a row
-// wider than m (the decoder validates the words truncation drops), options
-// naming a portfolio or a lineage, and any frame without a matching entry
-// that carries bytes; and while the verification tests' corruption hook is
-// set, since every answer must then pass through it. The solve slot is held
-// across the probe and the stage histograms are observed, as for any hit:
-// the verify stage reads 0.
-func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, o engine.Options, dst []byte) ([]byte, bool) {
-	if f.Graph || f.Wide || f.M > math.MaxInt || f.Portfolio > 0 || len(f.Lineage) > 0 || s.corrupt != nil {
+// for any request without a matching entry that carries bytes, and while
+// the verification tests' corruption hook is set, since every answer must
+// then pass through it; its callers decline what hitCovers does not cover.
+// The solve slot is held across the probe and the stage histograms are
+// observed, as for any hit: the verify stage reads 0.
+func (s *Server) byteHit(rc *reqCtx, enc engine.Encoding, prefix fphash.Hash, m, n int, same func(off []int, times []float64) bool, o engine.Options, head []byte) ([]byte, bool) {
+	if s.corrupt != nil {
 		return nil, false
 	}
 	var st stageNS
 	rc.lap()
 	s.slots <- struct{}{}
 	st.queue = rc.lap()
-	enc := s.eng.MemoBytes(f.Prefix, int(f.M), f.N, o, f.SameWorkload)
+	tail := s.eng.MemoBytes(enc, prefix, m, n, o, same)
 	st.solve = rc.lap()
 	<-s.slots
-	if enc == nil {
+	if tail == nil {
 		return nil, false
 	}
 	s.byteHits.Inc()
@@ -631,37 +686,39 @@ func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, o engine.Options, dst []byte
 	set := s.stages.Get(stageKey{solver: rc.solver, codec: rc.codec})
 	set.observe(st)
 	rc.st = st
-	out := append(wire.AppendResponseHead(dst, f.Name), enc...)
+	out := append(head, tail...)
 	set.encode.Observe(rc.lap() / 1e3)
 	return out, true
 }
 
-// frameOptions resolves a frame's options — for the byte hit and the full
-// path alike — as resolveOptions resolves the decoded ones, with the same
-// typed error, and returns the lineage key. A known solver name is the
+// frameOptions resolves a walked request's options — for the byte hit and
+// the full path alike, on either codec — as resolveOptions resolves the
+// decoded ones, with the same typed error, and returns the lineage key.
+// portfolio is the frame's PortfolioNames. A known solver name is the
 // registry's own string, so only a portfolio, a lineage key or an error
 // allocates.
-func (s *Server) frameOptions(f *wire.Frame) (o engine.Options, timeout time.Duration, lineage string, errInfo *wire.ErrorInfo) {
-	if !f.Options {
+func (s *Server) frameOptions(fo *wire.FrameOptions, portfolio []string) (o engine.Options, timeout time.Duration, lineage string, errInfo *wire.ErrorInfo) {
+	if !fo.Options {
 		o, timeout, errInfo = s.resolveOptions(nil)
 		return o, timeout, "", errInfo
 	}
 	ro := wire.RequestOptions{
-		Portfolio: f.PortfolioNames(), Eps: f.Eps, Compact: f.Compact,
-		Parallelism: int(f.Parallelism), TimeoutMS: f.TimeoutMS, Lineage: string(f.Lineage),
+		Portfolio: portfolio, Eps: fo.Eps, Compact: fo.Compact, Parallelism: int(fo.Parallelism),
+		TimeoutMS: fo.TimeoutMS, Lineage: string(fo.Lineage), Trace: fo.Trace,
 	}
 	var ok bool
-	if ro.Solver, ok = solver.Canonical(f.Solver); !ok {
-		ro.Solver = string(f.Solver) // resolveOptions names it in its refusal
+	if ro.Solver, ok = solver.Canonical(fo.Solver); !ok {
+		ro.Solver = string(fo.Solver) // resolveOptions names it in its refusal
 	}
 	o, timeout, errInfo = s.resolveOptions(&ro)
 	return o, timeout, ro.Lineage, errInfo
 }
 
 // solveAndEncode is the codec-independent tail of /v1/schedule: the graph
-// gate, the verified solve, and the response appended to dst. On the binary
-// codec, the first verified hit of a graphless memo entry attaches the
-// encoded answer — the response minus its head — to the entry, for byteHit.
+// gate, the verified solve, and the response appended to dst. The first
+// verified hit of a graphless memo entry in each codec attaches the encoded
+// answer — the response minus its head — to the entry, for byteHit; a
+// traced answer, which carries the trace, attaches nothing.
 func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int, o engine.Options, timeout time.Duration, lineage string, prefix *fphash.Hash, binary bool, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	if graph != nil {
 		// The graph is validated here — before the engine is touched — so a
@@ -681,14 +738,18 @@ func (s *Server) solveAndEncode(rc *reqCtx, in *instance.Instance, graph [][]int
 		return nil, status, errInfo
 	}
 	var out []byte
-	var err error
+	enc, tail := engine.EncodingJSON, wire.JSONResponseTail
 	if binary {
+		enc, tail = engine.EncodingBinary, wire.ResponseTail
 		out = wire.AppendScheduleResponse(dst, &resp)
-		if rc.memo != nil && o.Edges == nil && rc.memo.Encoded() == nil {
-			rc.memo.SetEncoded(bytes.Clone(wire.ResponseTail(out[len(dst):])))
+	} else {
+		var err error
+		if out, err = wire.AppendJSON(dst, resp); err != nil {
+			return nil, http.StatusInternalServerError, encodeError(err)
 		}
-	} else if out, err = wire.AppendJSON(dst, resp); err != nil {
-		return nil, http.StatusInternalServerError, encodeError(err)
+	}
+	if rc.memo != nil && o.Edges == nil && !o.Trace && rc.memo.Encoded(enc) == nil {
+		rc.memo.SetEncoded(enc, bytes.Clone(tail(out[len(dst):])))
 	}
 	rc.set.encode.Observe(rc.lap() / 1e3)
 	return out, http.StatusOK, nil

@@ -50,11 +50,11 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, out.Bytes()
 }
 
-func mustRaw(t *testing.T, in *instance.Instance) json.RawMessage {
-	t.Helper()
+func mustRaw(tb testing.TB, in *instance.Instance) json.RawMessage {
+	tb.Helper()
 	raw, err := EncodeInstance(in)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return raw
 }

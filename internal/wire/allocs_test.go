@@ -30,16 +30,17 @@ func TestAllocBudgetBufferPool(t *testing.T) {
 	}
 }
 
-// Scanning the benchmark's 24×16 JSON body (8.1 KB) allocates what the
-// decoded instance keeps and nothing else: one string for every name, the
-// task slice, one slab for the time tables — sized by the counting walk, so
-// 3 KB for 384 floats rather than a bound from the body length — and the
-// instance. Reads 4 allocations and 4.3 KB; encoding/json's decode of the
+// Decoding the benchmark's 24×16 JSON body (8.1 KB) through the scanner
+// allocates what the decoded instance keeps and nothing else: one string
+// for every name, the task slice, one slab for the time tables — exact-size
+// copies of the walk's pooled scratch, so 3 KB for 384 floats — and the
+// instance. The walk itself allocates nothing once its pool is warm. Reads
+// 4 allocations and 4288 B, the byte budget; encoding/json's decode of the
 // same body reads 214 and 85 KB. The second row writes every time with 20
 // significant digits, so each float takes the strconv.ParseFloat fallback:
 // that costs no allocation either.
 func TestAllocBudgetJSONScan(t *testing.T) {
-	const budget, byteBudget = 4, 16 << 10
+	const budget, byteBudget = 4, 4288
 	in := instance.Mixed(9, 24, 16)
 	for _, row := range []struct {
 		name string
@@ -48,10 +49,17 @@ func TestAllocBudgetJSONScan(t *testing.T) {
 		{"shortest floats", []byte(jsonBody(t, in, nil, nil))},
 		{"20-digit floats", longDigitsBody(t, in)},
 	} {
+		scanned := func() bool {
+			_, path, err := DecodeJSONScheduleRequest(row.body)
+			return err == nil && path == PathScan
+		}
+		for range warmUp {
+			scanned()
+		}
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, ok := scanScheduleRequest(row.body); !ok {
+				if !scanned() {
 					b.Fatal("not scanned")
 				}
 			}
@@ -66,6 +74,31 @@ func TestAllocBudgetJSONScan(t *testing.T) {
 		}
 	}
 }
+
+// The walk alone — ReadJSONFrame, the fold of the route key and Release,
+// what the router runs on a JSON schedule body — allocates nothing once
+// the frame pool is warm, as RouteKey allocates nothing for a binary frame.
+func TestAllocBudgetJSONWalk(t *testing.T) {
+	body := []byte(jsonBody(t, instance.Mixed(9, 24, 16), nil, nil))
+	walk := func() {
+		f, ok := ReadJSONFrame(body)
+		if !ok {
+			t.Fatal("not scanned")
+		}
+		f.Release()
+	}
+	for range warmUp {
+		walk()
+	}
+	if got := testing.AllocsPerRun(200, walk); got > 0 {
+		t.Errorf("JSON walk: %.1f allocs per run, budget 0", got)
+	}
+}
+
+// warmUp runs a measured function before its budget is read: a process's
+// first allocations can be small enough for the runtime's tiny allocator,
+// whose count lags (obs.TestAllocBudgetRequestID).
+const warmUp = 100
 
 // longDigitsBody is in's request body with every time written in 20
 // significant digits, the last non-zero: the 17 that round-trip the float,

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"math/bits"
@@ -20,6 +21,14 @@ import (
 // halfway case, a subnormal, an overflow), goes to strconv.ParseFloat itself,
 // which is therefore still what refuses a literal: ok is false exactly when b
 // does not start with a number or strconv reports an error (1e999).
+//
+// The significant digits are read eight a step, as the same paper reads
+// them: from the first significant digit, while eight more bytes are digits
+// (eightDigits) and the step keeps at most 19 digits, the run is converted
+// by eightDigitsValue; whatever is left — a shorter run, the digits past the
+// 19th that only decide truncation, the leading zeros after a point — goes
+// a digit at a time. The steps move no digit across the 19-digit line, so
+// the mantissa, the count and the truncation flag are the one-digit loop's.
 // FuzzParseFloatMatchesStrconv holds the two together.
 func parseFloat(b []byte) (f float64, n int, ok bool) {
 	i := 0
@@ -38,6 +47,7 @@ func parseFloat(b []byte) (f float64, n int, ok bool) {
 	case b[i] == '0':
 		i++
 	case '1' <= b[i] && b[i] <= '9':
+		i, man, nd, ndMant = eightDigitSteps(b, i, man, nd, ndMant)
 		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
 			nd++
 			if ndMant < maxMantDigits {
@@ -54,6 +64,12 @@ func parseFloat(b []byte) (f float64, n int, ok bool) {
 	if i < len(b) && b[i] == '.' {
 		i++
 		lo := i
+		if nd == 0 {
+			for ; i < len(b) && b[i] == '0'; i++ { // zeros before the first significant digit
+				dp--
+			}
+		}
+		i, man, nd, ndMant = eightDigitSteps(b, i, man, nd, ndMant)
 		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
 			if b[i] == '0' && nd == 0 { // a zero before the first significant digit
 				dp--
@@ -109,6 +125,41 @@ func parseFloat(b []byte) (f float64, n int, ok bool) {
 
 // maxMantDigits is strconv's: 10^19 fits in a uint64.
 const maxMantDigits = 19
+
+// eightDigitSteps reads the significant digits from b[i] into man eight a
+// step, while eight more are digits and the mantissa stays within
+// maxMantDigits, and returns where it stopped with the counts moved on. b[i]
+// is a significant digit or no digit at all.
+func eightDigitSteps(b []byte, i int, man uint64, nd, ndMant int) (int, uint64, int, int) {
+	for ndMant+8 <= maxMantDigits && i+8 <= len(b) {
+		v := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(v) {
+			break
+		}
+		man = man*1e8 + eightDigitsValue(v)
+		nd, ndMant, i = nd+8, ndMant+8, i+8
+	}
+	return i, man, nd, ndMant
+}
+
+// eightDigits reports whether the eight bytes of v, loaded little-endian,
+// are all ASCII digits: a byte c passes only if both c and c+6 have the high
+// nibble 3. A byte ≥ 0xFA carries into its neighbour but fails itself.
+func eightDigits(v uint64) bool {
+	return v&(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0 == 0x3030303030303030
+}
+
+// eightDigitsValue is the value of eight ASCII digits loaded little-endian
+// (the first digit in the low byte), in three multiplications: pairs of
+// digits, then pairs of pairs, then the two halves (Lemire 2021).
+func eightDigitsValue(v uint64) uint64 {
+	const mask = 0x000000FF000000FF
+	const mul1 = 100 + 1000000<<32
+	const mul2 = 1 + 10000<<32
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return (v&mask*mul1 + v>>16&mask*mul2) >> 32
+}
 
 // exactPow10 holds the powers of ten a float64 represents exactly.
 var exactPow10 = [...]float64{

@@ -20,11 +20,13 @@ import (
 // significant digits (past the 19 the converter keeps, so the strconv
 // fallback runs too), 'f' to 30 decimals (long zero runs on both sides of
 // the point) — each followed by one of the bytes that may end a number in a
-// body, so the end offset is held as well as the bits. The 'e' and 'f'
-// literals are rounded from each value's exact decimal expansion
+// body, none included, so the end offset is held as well as the bits. The
+// 'e' and 'f' literals are rounded from each value's exact decimal expansion
 // (appendFixed), which strconv.AppendFloat matches on the first patterns.
+// The first patterns' digits also take the shapes the eight-digit step
+// meets at its edges (digitShapes).
 func TestParseFloatMatchesStrconv(t *testing.T) {
-	const patterns, formatChecked = 100_000, 500
+	const patterns, formatChecked, shaped = 100_000, 500, 10_000
 	rng := rand.New(rand.NewSource(1))
 	tails := []string{"", ",", "]", "}", " ", "\n", "."}
 	var buf, lit []byte
@@ -38,6 +40,11 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		v := math.Float64frombits(rng.Uint64())
 		check(strconv.AppendFloat(lit[:0], v, 'g', -1, 64))
 		digits, dp := exactDecimal(v)
+		if i < shaped {
+			for _, shape := range digitShapes(digits) {
+				check(shape)
+			}
+		}
 		for _, c := range []struct {
 			fmt     byte
 			maxPrec int
@@ -53,6 +60,31 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 			}
 		}
 	}
+}
+
+// digitShapes are literals of the first 1 to 24 of digits, in the shapes
+// that put the eight-digit step at its edges: an integer run (an eight-digit
+// run that ends the literal, or a comma tail's "12345678,"; a run that
+// straddles the 19th significant digit; 20 digits and up, the truncation
+// path), the same digits behind nine zeros after a point, and a mantissa
+// with an exponent inside the step's window ("1.2345678e5"). And a negative
+// zero with eight zeros after its point.
+func digitShapes(digits []byte) [][]byte {
+	shapes := [][]byte{[]byte("-0.00000000")}
+	if len(digits) == 0 {
+		return shapes
+	}
+	for len(digits) < 24 {
+		digits = append(digits, digits...)
+	}
+	for k := 1; k <= 24; k++ {
+		run := digits[:k]
+		shapes = append(shapes,
+			run,
+			append([]byte("0.000000000"), run...),
+			append(append(append([]byte{run[0], '.'}, run[1:]...), 'e'), '5'))
+	}
+	return shapes
 }
 
 // exactDecimal is |v|'s exact decimal expansion, 0.digits × 10^dp, without

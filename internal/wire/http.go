@@ -72,6 +72,42 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 	return w.b, err
 }
 
+// AppendJSONResponseHead opens a JSON success response: what AppendJSON
+// writes for a ScheduleResponse up to the end of its first value, the name
+// as a JSON string. name must be printable ASCII, the names the
+// request scanner reads; of those, encoding/json escapes '"' and '\' with a
+// backslash and '<', '>' and '&' as \u00XX. Written in front of a
+// JSONResponseTail of the same answer, it makes AppendJSON's bytes.
+func AppendJSONResponseHead(b, name []byte) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, `{"name":"`...)
+	for _, c := range name {
+		switch c {
+		case '"', '\\':
+			b = append(b, '\\', c)
+		case '<', '>', '&':
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
+}
+
+// JSONResponseTail returns what follows the name in a JSON success response
+// AppendJSON wrote: every byte the answer decides and the request's name
+// does not, the closing newline included.
+func JSONResponseTail(msg []byte) []byte {
+	i := len(`{"name":"`)
+	for msg[i] != '"' {
+		if msg[i] == '\\' {
+			i++
+		}
+		i++
+	}
+	return msg[i+1:]
+}
+
 // AppendRefusal appends a typed error body in the request's codec: a binary
 // KindError message, or the JSON ErrorBody.
 func AppendRefusal(dst []byte, binary bool, info *ErrorInfo) []byte {

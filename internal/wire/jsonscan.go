@@ -2,33 +2,42 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 
+	"malsched/internal/fphash"
 	"malsched/internal/instance"
 	"malsched/internal/task"
 )
 
 // The JSON codec decodes in two tiers. A hand-written scanner reads the
 // canonical subset of the request schema — what every encoder in this module
-// and any plain JSON library emits for it — straight into the slabs the
-// binary decoder builds: exact lower-case keys, each at most once, in any
-// order; strings of unescaped printable ASCII; numbers in the strict JSON
-// grammar, integers where the schema has integers; null only for a successor
-// list, which decodes to a nil list. Anything else (unknown, duplicate or
-// case-folded key, an escape or a non-ASCII byte, a null anywhere else, a
-// number strconv refuses, a syntax error, bytes after the value) is not the
-// scanner's: it reports so without a verdict and encoding/json decodes the
-// body as it always has, so every exotic input keeps its answer and its
-// error text. The two paths agree by bits on everything the scanner accepts
+// and any plain JSON library emits for it — in one walk (ReadJSONFrame):
+// exact lower-case keys, each at most once, in any order; strings of
+// unescaped printable ASCII; numbers in the strict JSON grammar, integers
+// where the schema has integers; null only for a successor list, which
+// decodes to a nil list. Anything else (unknown, duplicate or case-folded
+// key, an escape or a non-ASCII byte, a null anywhere else, a number strconv
+// refuses, a syntax error, bytes after the value) is not the scanner's: it
+// reports so without a verdict and encoding/json decodes the body as it
+// always has, so every exotic input keeps its answer and its error text. The
+// two paths agree by bits on everything the scanner accepts
 // (FuzzJSONScanMatchesEncodingJSON), and both build the instance through the
-// validating constructors of the binary decoder. A float is read once: the
-// filling walk converts each literal in the pass that checks it (parseFloat,
-// strconv's own exact steps), and strconv.ParseFloat, which still decides
-// every refusal, runs only on a literal with a non-zero digit past its 19th
-// significant one or one that Eisel–Lemire declines.
+// validating constructors of the binary decoder.
+//
+// The walk fills pooled scratch — windows of the names, one slab of times
+// with row offsets, m, the options and the graph — and converts each float
+// in the pass that checks it (parseFloat: strconv's own exact steps, eight
+// digits a step). It validates nothing of the workload: like ReadFrame, it
+// folds the workload prefix and the route key from what it read, so the
+// router keys a body without building an instance and the shard probes its
+// memo with the same words. JSONFrame.Decode then builds the instance by
+// exact-size copies and validates it, in instance.ReadJSON's order.
 
 // JSONRequest is a decoded JSON /v1/schedule body. A body that decodes but
 // carries an invalid instance has Instance nil and the reason in
@@ -69,10 +78,12 @@ var ErrTrailingData = errors.New("trailing data after request body")
 // which. err means the body itself is undecodable; an invalid instance is
 // req.InstanceErr. body is never retained.
 func DecodeJSONScheduleRequest(body []byte) (req JSONRequest, path DecodePath, err error) {
-	if req, ok := scanScheduleRequest(body); ok {
+	if f, ok := ReadJSONFrame(body); ok {
+		req = f.request()
+		f.Release()
 		return req, PathScan, nil
 	}
-	req, err = unmarshalScheduleRequest(body)
+	req, err = UnmarshalScheduleRequest(body)
 	return req, PathFallback, err
 }
 
@@ -80,7 +91,9 @@ func DecodeJSONScheduleRequest(body []byte) (req JSONRequest, path DecodePath, e
 // ({"name","m","tasks":[{"name","times"}]}), fully validated, by the same
 // two paths as DecodeJSONScheduleRequest. raw is never retained.
 func DecodeJSONInstance(raw []byte) (in *instance.Instance, path DecodePath, err error) {
-	if in, ok, err := scanInstance(raw); ok {
+	if f, ok := readJSONFrame(raw, true); ok {
+		in, _, err = f.Decode()
+		f.Release()
 		return in, PathScan, err
 	}
 	in, err = instance.ReadJSON(bytes.NewReader(raw))
@@ -118,9 +131,9 @@ func UnmarshalBody(body []byte, dst any) error {
 	return nil
 }
 
-// unmarshalScheduleRequest is the encoding/json path of
-// DecodeJSONScheduleRequest.
-func unmarshalScheduleRequest(body []byte) (JSONRequest, error) {
+// UnmarshalScheduleRequest is the encoding/json path of
+// DecodeJSONScheduleRequest, for a body ReadJSONFrame does not take.
+func UnmarshalScheduleRequest(body []byte) (JSONRequest, error) {
 	var env ScheduleRequest
 	if err := UnmarshalBody(body, &env); err != nil {
 		return JSONRequest{}, err
@@ -130,88 +143,235 @@ func unmarshalScheduleRequest(body []byte) (JSONRequest, error) {
 	return req, nil
 }
 
-// scanScheduleRequest is the scanner path; ok false means the body is not
-// in the scanner's subset and nothing else.
-func scanScheduleRequest(body []byte) (req JSONRequest, ok bool) {
-	s := scanner{b: body}
-	if !s.walks(false) {
-		return JSONRequest{}, false
+// JSONFrame is a JSON /v1/schedule body walked once by ReadJSONFrame, the
+// JSON twin of Frame: the workload's words in pooled scratch, its prefix
+// folded from them, and windows of the body for every string. It builds no
+// instance and validates none; Decode builds one from the words the walk
+// read. A frame holds its body until Release, which hands the scratch back
+// to the pool: neither may be used after.
+type JSONFrame struct {
+	scanner
+
+	// Name is the instance name, a window of the body.
+	Name []byte
+	// M and N are the machine size and the task count the body states.
+	M, N int
+	// Prefix is the workload-only fingerprint state, folded exactly as
+	// ReadFrame folds it: m, n and every row truncated to m.
+	Prefix fphash.Hash
+	// Wide reports a row wider than M, whose last words are in no
+	// fingerprint.
+	Wide bool
+	// Graph reports a "graph" key; routeKey is Prefix with the graph folded
+	// in, as ReadFrame folds a graph section.
+	Graph    bool
+	routeKey uint64
+	FrameOptions
+
+	// Scratch, kept across walks by the pool. Row i is
+	// times[rows[i]:rows[i+1]] and task i's name names[i]; list i of the
+	// graph ends at lists[i].end in edges.
+	names     [][]byte
+	times     []float64
+	rows      []int
+	lists     []jsonList
+	edges     []int
+	portfolio [][]byte
+	// portfolioKey reports a "portfolio" key, which decodes non-nil even
+	// when empty, as in encoding/json.
+	portfolioKey bool
+}
+
+type jsonList struct {
+	end  int
+	null bool // a null list decodes nil, an empty one empty
+}
+
+var jsonFramePool = sync.Pool{New: func() any { return new(JSONFrame) }}
+
+// maxPooledWords drops a frame whose scratch grew past this many words
+// from the pool, so one giant body does not pin memory for the process
+// lifetime.
+const maxPooledWords = 1 << 16
+
+// ReadJSONFrame walks a JSON /v1/schedule body once and reports whether it
+// is in the scanner's subset. A false return is no verdict: the body goes to
+// UnmarshalScheduleRequest. A walked body states its workload and options,
+// but nothing about it is validated yet. The caller owns the frame until it
+// calls Release, and body must not change before then.
+func ReadJSONFrame(body []byte) (*JSONFrame, bool) {
+	return readJSONFrame(body, false)
+}
+
+// readJSONFrame walks a whole request, or a bare instance object.
+func readJSONFrame(body []byte, bareInstance bool) (*JSONFrame, bool) {
+	f := jsonFramePool.Get().(*JSONFrame)
+	f.b = body
+	f.rows = append(f.rows, 0)
+	if bareInstance {
+		f.walkInstance()
+	} else {
+		f.walkRequest()
 	}
-	req = JSONRequest{Graph: s.graph, Options: s.opts}
-	req.Instance, req.InstanceErr = s.built()
-	return req, true
-}
-
-// scanInstance is the scanner path of one instance object.
-func scanInstance(raw []byte) (in *instance.Instance, ok bool, err error) {
-	s := scanner{b: raw}
-	if !s.walks(true) {
-		return nil, false, nil
+	f.space()
+	if f.bad || f.off != len(body) {
+		f.Release()
+		return nil, false
 	}
-	in, err = s.built()
-	return in, true, err
+	f.fold()
+	return f, true
 }
 
-// scanner walks a body twice through the same code. The counting walk
-// (fill false) checks the grammar and sizes what the filling walk then
-// allocates once: one string for every name, one slab for every time table,
-// the task slice, the edge slab. A body outside the subset fails the
-// counting walk and costs no allocation; the filling walk can only fail on
-// a number strconv refuses. The first failure sticks and every later read
-// is a no-op, so the walks check once at the end.
-type scanner struct {
-	b    []byte
-	off  int
-	bad  bool
-	fill bool
-
-	// Sizes from the counting walk.
-	nameBytes, nTasks, nTimes, nLists, nEdges int
-
-	names strings.Builder
-	tasks []task.Task
-	slab  []float64
-	edges []int
-
-	name    string
-	m       int
-	taskErr error // first invalid task, held until the body has scanned
-	graph   [][]int
-	opts    *RequestOptions
+// Release hands the frame's scratch back to the pool, keeping nothing of
+// the body.
+func (f *JSONFrame) Release() {
+	clear(f.names)
+	clear(f.portfolio)
+	*f = JSONFrame{
+		names: f.names[:0], times: f.times[:0], rows: f.rows[:0],
+		lists: f.lists[:0], edges: f.edges[:0], portfolio: f.portfolio[:0],
+	}
+	if cap(f.times)+cap(f.edges)+cap(f.rows)+cap(f.names) <= maxPooledWords {
+		jsonFramePool.Put(f)
+	}
 }
 
-// walks runs the counting walk and then the filling walk over a whole
-// request, or over a bare instance object, and reports whether the body is
-// the scanner's.
-func (s *scanner) walks(bareInstance bool) bool {
-	if !s.walk(bareInstance) {
+// fold computes the workload prefix and the route key from the walked words.
+func (f *JSONFrame) fold() {
+	f.N = len(f.rows) - 1
+	h := fphash.New()
+	h.Word(uint64(f.M))
+	h.Word(uint64(f.N))
+	for i := range f.N {
+		row := f.times[f.rows[i]:f.rows[i+1]]
+		if f.M > 0 && len(row) > f.M {
+			row, f.Wide = row[:f.M], true
+		}
+		h.Word(uint64(len(row)))
+		for _, t := range row {
+			h.Word(math.Float64bits(t))
+		}
+	}
+	f.Prefix = h
+	if f.Graph {
+		h.String("edges")
+		h.Word(uint64(len(f.lists)))
+		lo := 0
+		for _, l := range f.lists {
+			h.Word(uint64(l.end - lo))
+			for _, j := range f.edges[lo:l.end] {
+				h.Word(uint64(j))
+			}
+			lo = l.end
+		}
+	}
+	f.routeKey = h.Sum()
+}
+
+// RouteKey is the routing tier's key of the frame: the workload-only
+// fingerprint with the graph folded in, wire.RouteKey's value for the same
+// workload as a binary frame, valid or not.
+func (f *JSONFrame) RouteKey() uint64 { return f.routeKey }
+
+// Decode builds the frame's instance and graph by exact-size copies — one
+// string for every name, the task slice, one slab for the time tables, the
+// instance — and validates the instance in instance.ReadJSON's order: the
+// first invalid task, then the shape. The graph is built whatever the
+// instance's verdict, nil without a "graph" key; like the binary decoder it
+// is shape only. Nothing returned shares memory with the frame or the body.
+func (f *JSONFrame) Decode() (*instance.Instance, [][]int, error) {
+	graph := f.graph()
+	total := len(f.Name)
+	for _, name := range f.names {
+		total += len(name)
+	}
+	var names strings.Builder
+	names.Grow(total)
+	names.Write(f.Name)
+	name := names.String()
+	slab := make([]float64, len(f.times))
+	copy(slab, f.times)
+	tasks := make([]task.Task, 0, f.N)
+	for i := range f.N {
+		lo := names.Len()
+		names.Write(f.names[i])
+		t, err := task.NewOwned(names.String()[lo:], slab[f.rows[i]:f.rows[i+1]:f.rows[i+1]])
+		if err != nil {
+			return nil, graph, fmt.Errorf("instance: task %d: %w", i, err)
+		}
+		tasks = append(tasks, t)
+	}
+	in, err := instance.NewOwned(name, f.M, tasks)
+	return in, graph, err
+}
+
+// graph copies the successor lists out into one edge slab.
+func (f *JSONFrame) graph() [][]int {
+	if !f.Graph {
+		return nil
+	}
+	graph := make([][]int, len(f.lists))
+	edges := make([]int, len(f.edges))
+	copy(edges, f.edges)
+	lo := 0
+	for i, l := range f.lists {
+		if !l.null {
+			graph[i] = edges[lo:l.end:l.end]
+		}
+		lo = l.end
+	}
+	return graph
+}
+
+// PortfolioNames copies the names of the frame's portfolio out of it; nil
+// without a portfolio.
+func (f *JSONFrame) PortfolioNames() []string {
+	if !f.portfolioKey {
+		return nil
+	}
+	names := make([]string, len(f.portfolio))
+	for i, name := range f.portfolio {
+		names[i] = string(name)
+	}
+	return names
+}
+
+// SameWorkload reports whether the frame's rows are exactly the rows off
+// and times describe — row i is times[off[i]:off[i+1]], the layout of
+// instance.Compiled — width for width and bit for bit, as Frame's does.
+func (f *JSONFrame) SameWorkload(off []int, times []float64) bool {
+	if len(off) != f.N+1 {
 		return false
 	}
-	s.fill, s.off = true, 0
-	s.names.Grow(s.nameBytes)
-	s.tasks = make([]task.Task, 0, s.nTasks)
-	s.slab = make([]float64, 0, s.nTimes)
-	return s.walk(bareInstance)
+	for i := range f.N {
+		row := f.times[f.rows[i]:f.rows[i+1]]
+		want := times[off[i]:off[i+1]]
+		if len(row) != len(want) {
+			return false
+		}
+		for p, t := range want {
+			if math.Float64bits(row[p]) != math.Float64bits(t) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
-// walk is one walk: the value, then nothing but whitespace to the end.
-func (s *scanner) walk(bareInstance bool) bool {
-	if bareInstance {
-		s.instance()
-	} else {
-		s.request()
-	}
-	s.space()
-	return !s.bad && s.off == len(s.b)
+// request is the decoded request of DecodeJSONScheduleRequest.
+func (f *JSONFrame) request() JSONRequest {
+	req := JSONRequest{Options: f.FrameOptions.request(f.PortfolioNames())}
+	req.Instance, req.Graph, req.InstanceErr = f.Decode()
+	return req
 }
 
-// built is the instance of a walked body, validated in the order
-// instance.ReadJSON validates: the first bad task, then the shape.
-func (s *scanner) built() (*instance.Instance, error) {
-	if s.taskErr != nil {
-		return nil, s.taskErr
-	}
-	return instance.NewOwned(s.name, s.m, s.tasks)
+// scanner holds the grammar of the JSON subset: one walk over b, the first
+// failure sticky and every later read a no-op, so a walk checks once at the
+// end.
+type scanner struct {
+	b   []byte
+	off int
+	bad bool
 }
 
 func (s *scanner) space() {
@@ -296,28 +456,12 @@ func (s *scanner) once(seen *uint, bit uint) {
 	*seen |= bit
 }
 
-// text reads a string the decoded request keeps on its own.
-func (s *scanner) text() string {
-	v := s.str()
-	if !s.fill {
-		return ""
-	}
-	return string(v)
-}
-
-// label reads an instance or task name into the one string all names share.
-func (s *scanner) label() string {
-	v := s.str()
-	if !s.fill {
-		s.nameBytes += len(v)
-		return ""
-	}
-	lo := s.names.Len()
-	s.names.Write(v)
-	return s.names.String()[lo:]
-}
-
+// digits steps over a run of decimal digits from b[i], eight a step while
+// eight are left (eightDigits), and returns where the run ends.
 func digits(b []byte, i int) int {
+	for i+8 <= len(b) && eightDigits(binary.LittleEndian.Uint64(b[i:])) {
+		i += 8
+	}
 	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
@@ -373,15 +517,10 @@ func (s *scanner) number() (lit []byte, integer bool) {
 	return b[lo:i], integer
 }
 
-// float reads a number as encoding/json does, to strconv.ParseFloat's bits.
-// The counting walk only checks the literal; the filling walk converts it in
-// the pass that reads it (parseFloat), and a literal strconv refuses (a range
-// error) hands the body over.
+// float reads a number as encoding/json does, to strconv.ParseFloat's bits,
+// converting it in the pass that checks it (parseFloat). A literal strconv
+// refuses (a range error) hands the body over.
 func (s *scanner) float() float64 {
-	if !s.fill {
-		s.number()
-		return 0
-	}
 	s.space()
 	if s.bad {
 		return 0
@@ -451,181 +590,136 @@ func (s *scanner) boolean() bool {
 	return false
 }
 
-// request walks {"instance":…,"graph":…,"options":…}.
-func (s *scanner) request() {
-	s.expect('{')
+// walkRequest walks {"instance":…,"graph":…,"options":…}.
+func (f *JSONFrame) walkRequest() {
+	f.expect('{')
 	var seen uint
-	for i := 0; s.more(i, '}'); i++ {
-		switch string(s.key()) {
+	for i := 0; f.more(i, '}'); i++ {
+		switch string(f.key()) {
 		case "instance":
-			s.once(&seen, 1)
-			s.instance()
+			f.once(&seen, 1)
+			f.walkInstance()
 		case "graph":
-			s.once(&seen, 2)
-			s.graphLists()
+			f.once(&seen, 2)
+			f.walkGraph()
 		case "options":
-			s.once(&seen, 4)
-			s.options()
+			f.once(&seen, 4)
+			f.walkOptions()
 		default:
-			s.bad = true
+			f.bad = true
 		}
 	}
 	if seen&1 == 0 {
-		s.bad = true // no instance to build: encoding/json words that answer
+		f.bad = true // no instance to build: encoding/json words that answer
 	}
 }
 
-// instance walks {"name":…,"m":…,"tasks":[…]}; an absent key is its zero
-// value, as in encoding/json.
-func (s *scanner) instance() {
-	s.expect('{')
+// walkInstance walks {"name":…,"m":…,"tasks":[…]}; an absent key is its
+// zero value, as in encoding/json.
+func (f *JSONFrame) walkInstance() {
+	f.expect('{')
 	var seen uint
-	for i := 0; s.more(i, '}'); i++ {
-		switch string(s.key()) {
+	for i := 0; f.more(i, '}'); i++ {
+		switch string(f.key()) {
 		case "name":
-			s.once(&seen, 1)
-			s.name = s.label()
+			f.once(&seen, 1)
+			f.Name = f.str()
 		case "m":
-			s.once(&seen, 2)
-			s.m = s.integer()
+			f.once(&seen, 2)
+			f.M = f.integer()
 		case "tasks":
-			s.once(&seen, 4)
-			s.expect('[')
-			for j := 0; s.more(j, ']'); j++ {
-				s.task(j)
+			f.once(&seen, 4)
+			f.expect('[')
+			for j := 0; f.more(j, ']'); j++ {
+				f.walkTask()
 			}
 		default:
-			s.bad = true
+			f.bad = true
 		}
 	}
 }
 
-// task walks {"name":…,"times":[…]} and validates it through
-// task.NewOwned. The first invalid task is remembered, not returned: the
-// rest of the body still decides whether the scanner answers at all.
-func (s *scanner) task(i int) {
-	s.expect('{')
+// walkTask walks {"name":…,"times":[…]} into a name window and a row of
+// the slab.
+func (f *JSONFrame) walkTask() {
+	f.expect('{')
 	var seen uint
-	var name string
-	var times []float64
-	for j := 0; s.more(j, '}'); j++ {
-		switch string(s.key()) {
+	var name []byte
+	for j := 0; f.more(j, '}'); j++ {
+		switch string(f.key()) {
 		case "name":
-			s.once(&seen, 1)
-			name = s.label()
+			f.once(&seen, 1)
+			name = f.str()
 		case "times":
-			s.once(&seen, 2)
-			times = s.times()
-		default:
-			s.bad = true
-		}
-	}
-	if !s.fill {
-		s.nTasks++
-		return
-	}
-	if s.bad || s.taskErr != nil {
-		return
-	}
-	t, err := task.NewOwned(name, times)
-	if err != nil {
-		s.taskErr = fmt.Errorf("instance: task %d: %w", i, err)
-		return
-	}
-	s.tasks = append(s.tasks, t)
-}
-
-// times walks one time table into a capacity-capped window of the slab.
-func (s *scanner) times() []float64 {
-	s.expect('[')
-	lo := len(s.slab)
-	for i := 0; s.more(i, ']'); i++ {
-		v := s.float()
-		if s.fill {
-			s.slab = append(s.slab, v)
-		} else {
-			s.nTimes++
-		}
-	}
-	return s.slab[lo:len(s.slab):len(s.slab)]
-}
-
-// graphLists walks the successor lists [[…],…] into windows of one slab.
-// A null list is nil, as encoding/json decodes it (a Go client marshals a
-// nil list so: every leaf of a chain or an out-tree); an empty one is an
-// empty window.
-func (s *scanner) graphLists() {
-	s.expect('[')
-	if s.fill {
-		s.graph = make([][]int, 0, s.nLists)
-		s.edges = make([]int, 0, s.nEdges)
-	}
-	for i := 0; s.more(i, ']'); i++ {
-		var list []int
-		if !s.null() {
-			s.expect('[')
-			lo := len(s.edges)
-			for j := 0; s.more(j, ']'); j++ {
-				v := s.integer()
-				if s.fill {
-					s.edges = append(s.edges, v)
-				} else {
-					s.nEdges++
-				}
+			f.once(&seen, 2)
+			f.expect('[')
+			for i := 0; f.more(i, ']'); i++ {
+				f.times = append(f.times, f.float())
 			}
-			list = s.edges[lo:len(s.edges):len(s.edges)]
+		default:
+			f.bad = true
 		}
-		if s.fill {
-			s.graph = append(s.graph, list)
-		} else {
-			s.nLists++
+	}
+	f.names = append(f.names, name)
+	f.rows = append(f.rows, len(f.times))
+}
+
+// walkGraph walks the successor lists [[…],…] into the edge slab. A null
+// list decodes nil, as encoding/json decodes it (a Go client marshals a nil
+// list so: every leaf of a chain or an out-tree); an empty one empty.
+func (f *JSONFrame) walkGraph() {
+	f.Graph = true
+	f.expect('[')
+	for i := 0; f.more(i, ']'); i++ {
+		null := f.null()
+		if !null {
+			f.expect('[')
+			for j := 0; f.more(j, ']'); j++ {
+				f.edges = append(f.edges, f.integer())
+			}
 		}
+		f.lists = append(f.lists, jsonList{end: len(f.edges), null: null})
 	}
 }
 
-// options walks the RequestOptions object.
-func (s *scanner) options() {
-	s.expect('{')
+// walkOptions walks the RequestOptions object.
+func (f *JSONFrame) walkOptions() {
+	f.Options = true
+	f.expect('{')
 	var seen uint
-	var o RequestOptions
-	for i := 0; s.more(i, '}'); i++ {
-		switch string(s.key()) {
+	for i := 0; f.more(i, '}'); i++ {
+		switch string(f.key()) {
 		case "solver":
-			s.once(&seen, 1<<0)
-			o.Solver = s.text()
+			f.once(&seen, 1<<0)
+			f.Solver = f.str()
 		case "portfolio":
-			s.once(&seen, 1<<1)
-			s.expect('[')
-			o.Portfolio = []string{}
-			for j := 0; s.more(j, ']'); j++ {
-				if name := s.text(); s.fill {
-					o.Portfolio = append(o.Portfolio, name)
-				}
+			f.once(&seen, 1<<1)
+			f.portfolioKey = true
+			f.expect('[')
+			for j := 0; f.more(j, ']'); j++ {
+				f.portfolio = append(f.portfolio, f.str())
 			}
+			f.Portfolio = len(f.portfolio)
 		case "eps":
-			s.once(&seen, 1<<2)
-			o.Eps = s.float()
+			f.once(&seen, 1<<2)
+			f.Eps = f.float()
 		case "compact":
-			s.once(&seen, 1<<3)
-			o.Compact = s.boolean()
+			f.once(&seen, 1<<3)
+			f.Compact = f.boolean()
 		case "parallelism":
-			s.once(&seen, 1<<4)
-			o.Parallelism = s.integer()
+			f.once(&seen, 1<<4)
+			f.Parallelism = int64(f.integer())
 		case "timeout_ms":
-			s.once(&seen, 1<<5)
-			o.TimeoutMS = int64(s.integer())
+			f.once(&seen, 1<<5)
+			f.TimeoutMS = int64(f.integer())
 		case "lineage":
-			s.once(&seen, 1<<6)
-			o.Lineage = s.text()
+			f.once(&seen, 1<<6)
+			f.Lineage = f.str()
 		case "trace":
-			s.once(&seen, 1<<7)
-			o.Trace = s.boolean()
+			f.once(&seen, 1<<7)
+			f.Trace = f.boolean()
 		default:
-			s.bad = true
+			f.bad = true
 		}
-	}
-	if s.fill {
-		kept := o // the counting walk's o stays on the stack
-		s.opts = &kept
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -83,7 +84,19 @@ func jsonSeeds(tb testing.TB) []jsonSeed {
 		{"trailing-brace", inst(`"m":2,`+tasks) + "}", false},
 		{"trailing-comma", inst(`"m":2,` + tasks + `,`), false},
 		{"empty", "", false},
+		{"cut-in-digit-run", `{"instance":{"name":"x","m":2,"tasks":[{"name":"a","times":[2.7182818284`, false},
 	}
+}
+
+// scanScheduleRequest is the scanner's path alone: ok false means the body
+// is not the scanner's.
+func scanScheduleRequest(body []byte) (req JSONRequest, ok bool) {
+	f, ok := ReadJSONFrame(body)
+	if !ok {
+		return JSONRequest{}, false
+	}
+	defer f.Release()
+	return f.request(), true
 }
 
 // sameInstance compares two decoded instances by bits.
@@ -121,7 +134,7 @@ func checkScanMatches(t *testing.T, body []byte) bool {
 	if !ok {
 		return false
 	}
-	want, err := unmarshalScheduleRequest(body)
+	want, err := UnmarshalScheduleRequest(body)
 	if err != nil {
 		t.Fatalf("the scanner accepts a body encoding/json refuses: %v", err)
 	}
@@ -151,40 +164,97 @@ func checkScanMatches(t *testing.T, body []byte) bool {
 	return true
 }
 
-// checkRouteKey: a body either path decodes to a valid instance keys like
-// engine.WorkloadFingerprintDAG of the other path's decode and like the
-// binary frame of the same workload, lineage included.
+// checkRouteKey: the walk's key of any body the scanner accepts, its
+// instance valid or not, is the key of the same words sent as a binary
+// frame (binaryTwin), lineage included; and a body either path decodes to a
+// valid instance keys like engine.WorkloadFingerprintDAG of either path's
+// decode.
 func checkRouteKey(t *testing.T, body []byte) {
 	t.Helper()
-	req, _, err := DecodeJSONScheduleRequest(body)
+	var walked uint64
+	if f, ok := ReadJSONFrame(body); ok {
+		walked = f.RouteKey()
+		lineage, frame := string(f.Lineage), binaryTwin(f)
+		f.Release()
+		binKey, binLineage, err := RouteKey(frame)
+		if err != nil {
+			t.Fatalf("binary twin of a walked body: %v", err)
+		}
+		if binKey != walked {
+			t.Fatalf("JSON key %#x, binary key %#x", walked, binKey)
+		}
+		if binLineage != lineage {
+			t.Fatalf("binary lineage %q, JSON %q", binLineage, lineage)
+		}
+	}
+	req, path, err := DecodeJSONScheduleRequest(body)
 	if err != nil || req.InstanceErr != nil {
 		return
 	}
 	key := engine.WorkloadFingerprintDAG(req.Instance, req.Graph)
-	ref, err := unmarshalScheduleRequest(body)
+	ref, err := UnmarshalScheduleRequest(body)
 	if err != nil || ref.InstanceErr != nil {
 		t.Fatalf("accepted body fails the encoding/json path: %v / %v", err, ref.InstanceErr)
 	}
 	if want := engine.WorkloadFingerprintDAG(ref.Instance, ref.Graph); key != want {
 		t.Fatalf("key %#x, encoding/json path %#x", key, want)
 	}
-	for _, list := range req.Graph {
-		for _, j := range list {
-			if j < 0 {
-				return // the binary frame has no negative index; ValidateEdges refuses the request anyway
-			}
+	if path == PathScan && walked != key {
+		t.Fatalf("walked key %#x, decoded fingerprint %#x", walked, key)
+	}
+}
+
+// binaryTwin is the binary frame of a walked JSON body: the same words —
+// name, m, every task's name and row, the graph, the options — whether or
+// not they make a valid instance. A negative m or edge travels as its
+// two's-complement uvarint, which both walks fold as the same word.
+func binaryTwin(f *JSONFrame) []byte {
+	version := byte(1)
+	if f.Graph {
+		version = 2
+	}
+	b := appendHeader(nil, version, KindScheduleRequest)
+	b = appendString(b, f.Name)
+	b = binary.AppendUvarint(b, uint64(f.M))
+	b = binary.AppendUvarint(b, uint64(f.N))
+	for i := range f.N {
+		b = appendString(b, f.names[i])
+		row := f.times[f.rows[i]:f.rows[i+1]]
+		b = binary.AppendUvarint(b, uint64(len(row)))
+		for _, v := range row {
+			b = appendF64(b, v)
 		}
 	}
-	binKey, lineage, err := RouteKey(AppendScheduleRequest(nil, req.Instance, req.Graph, req.Options))
-	if err != nil {
-		t.Fatalf("binary frame of an accepted workload: %v", err)
+	if f.Graph {
+		b = append(b, 1)
+		b = binary.AppendUvarint(b, uint64(len(f.lists)))
+		lo := 0
+		for _, l := range f.lists {
+			b = binary.AppendUvarint(b, uint64(l.end-lo))
+			for _, j := range f.edges[lo:l.end] {
+				b = binary.AppendUvarint(b, uint64(j))
+			}
+			lo = l.end
+		}
 	}
-	if binKey != key {
-		t.Fatalf("JSON key %#x, binary key %#x", key, binKey)
+	if !f.Options {
+		return append(b, 0)
 	}
-	if want := lineageOf(req.Options); lineage != want {
-		t.Fatalf("binary lineage %q, JSON %q", lineage, want)
+	b = append(b, 1)
+	b = appendString(b, f.Solver)
+	b = binary.AppendUvarint(b, uint64(len(f.portfolio)))
+	for _, name := range f.portfolio {
+		b = appendString(b, name)
 	}
+	b = appendF64(b, f.Eps)
+	var flags byte
+	if f.Compact {
+		flags = 1
+	}
+	b = append(b, flags)
+	b = binary.AppendVarint(b, f.Parallelism)
+	b = binary.AppendVarint(b, f.TimeoutMS)
+	return appendString(b, f.Lineage)
 }
 
 func lineageOf(o *RequestOptions) string {
@@ -245,10 +315,22 @@ func TestUnmarshalBodyTrailingData(t *testing.T) {
 }
 
 // TestScanNeverRetainsBody: request bodies live in pooled buffers, so a
-// decoded request must own every byte it keeps.
+// decoded request must own every byte it keeps, and a released frame, which
+// goes back to its own pool, must keep no window of the body it walked.
 func TestScanNeverRetainsBody(t *testing.T) {
 	for _, seed := range jsonSeeds(t) {
 		body := []byte(seed.body)
+		if f, ok := ReadJSONFrame(body); ok {
+			f.Release()
+			if f.b != nil || f.Name != nil || f.Solver != nil || f.Lineage != nil {
+				t.Errorf("%s: a released frame keeps a window of the body", seed.name)
+			}
+			for _, w := range append(f.names[:cap(f.names)], f.portfolio[:cap(f.portfolio)]...) {
+				if w != nil {
+					t.Errorf("%s: a released frame's scratch keeps a window of the body", seed.name)
+				}
+			}
+		}
 		req, ok := scanScheduleRequest(body)
 		if !ok || req.InstanceErr != nil {
 			continue
@@ -273,10 +355,11 @@ func FuzzJSONScanMatchesEncodingJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkScanMatches(t, body) })
 }
 
-// FuzzRouteKeyJSONMatchesDecode: the routing key of any accepted JSON body
-// is the fingerprint of the decoded request on either path and the key of
-// the same workload's binary frame, so the two codecs and the two tiers
-// never disagree about where a workload lives.
+// FuzzRouteKeyJSONMatchesDecode: the routing key of any body the scanner
+// walks is the key of the same words as a binary frame, invalid instances
+// included, and the key of a body that decodes to a valid instance is the
+// fingerprint of the decoded request on either path, so the two codecs and
+// the two tiers never disagree about where a workload lives.
 func FuzzRouteKeyJSONMatchesDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkRouteKey(t, body) })
 }
@@ -317,7 +400,7 @@ func BenchmarkDecodeJSONRequestFallback(b *testing.B) {
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
-		if _, err := unmarshalScheduleRequest(bodies[i%len(bodies)]); err != nil {
+		if _, err := UnmarshalScheduleRequest(bodies[i%len(bodies)]); err != nil {
 			b.Fatal(err)
 		}
 		i++

@@ -636,14 +636,7 @@ func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOp
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var opts *RequestOptions
-	if f.Options {
-		opts = &RequestOptions{
-			Solver: string(f.Solver), Portfolio: f.PortfolioNames(), Eps: f.Eps, Compact: f.Compact,
-			Parallelism: int(f.Parallelism), TimeoutMS: f.TimeoutMS, Lineage: string(f.Lineage),
-		}
-	}
-	return in, graph, opts, nil
+	return in, graph, f.request(f.PortfolioNames()), nil
 }
 
 // DecodeScheduleResponse decodes a binary success response. Empty
@@ -724,6 +717,12 @@ type Frame struct {
 	// set); routeKey is Prefix with the graph folded in, RouteKey's value.
 	Graph    bool
 	routeKey uint64
+	FrameOptions
+}
+
+// FrameOptions are the options of a walked request, Frame's or
+// JSONFrame's, as the walk read them: strings are windows of the body.
+type FrameOptions struct {
 	// Options reports an options block; the fields after it are its
 	// values, zero without one. Portfolio counts the portfolio's names.
 	Options     bool
@@ -734,6 +733,20 @@ type Frame struct {
 	Parallelism int64
 	TimeoutMS   int64
 	Lineage     []byte
+	// Trace is JSON only: the binary layout does not carry it.
+	Trace bool
+}
+
+// request copies the options out of the body: nil without an options
+// block, as for a request without an "options" key.
+func (o *FrameOptions) request(portfolio []string) *RequestOptions {
+	if !o.Options {
+		return nil
+	}
+	return &RequestOptions{
+		Solver: string(o.Solver), Portfolio: portfolio, Eps: o.Eps, Compact: o.Compact,
+		Parallelism: int(o.Parallelism), TimeoutMS: o.TimeoutMS, Lineage: string(o.Lineage), Trace: o.Trace,
+	}
 }
 
 // ReadFrame walks a binary /v1/schedule request and checks its framing:
@@ -930,8 +943,13 @@ func RouteKey(data []byte) (key uint64, lineage string, err error) {
 	if err != nil {
 		return 0, "", err
 	}
-	return f.routeKey, string(f.Lineage), nil
+	return f.RouteKey(), string(f.Lineage), nil
 }
+
+// RouteKey is the routing tier's key of the walked frame, RouteKey's value:
+// a caller that keys from the frame itself reads the lineage key as the
+// window f.Lineage, without copying it out.
+func (f *Frame) RouteKey() uint64 { return f.routeKey }
 
 // DecodeError decodes a binary error body.
 func DecodeError(data []byte) (*ErrorBody, error) {
