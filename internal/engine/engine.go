@@ -272,7 +272,7 @@ func (e *Engine) ScheduleWith(in *instance.Instance, o Options, timeout time.Dur
 
 // ScheduleFolded is the service's one solve: ScheduleWith, or ScheduleWarm
 // without precompiled tables on a non-nil ws, under a workload prefix the
-// caller may already have folded, as the binary codec's frame walk does
+// caller may already have folded, as both codecs' frame walks do
 // (wire.Frame.Prefix). A non-nil prefix must fold M, N and every row as
 // WorkloadFingerprintDAG folds an instance without edges; nil has the
 // engine hash the workload. Both caches key off the prefix, so the profiles

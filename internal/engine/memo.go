@@ -199,8 +199,8 @@ func (en *MemoEntry) SetEncoded(enc Encoding, b []byte) {
 }
 
 // MemoBytes is the memo probe of a caller that walked its own encoding of
-// a request instead of building the instance — a binary or a JSON frame,
-// say (wire.Frame, wire.JSONFrame). prefix is the workload's fingerprint
+// a request instead of building the instance — a request frame of either
+// codec, say (wire.Frame). prefix is the workload's fingerprint
 // state as instanceHash folds it, m and n the machine size and task count,
 // o the resolved options, and same compares the caller's rows with an
 // entry's (in instance.Compiled.Rows's layout). It returns the bytes

@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"malsched/internal/instance"
@@ -61,7 +63,7 @@ func TestAllocBudgetRoutedHit(t *testing.T) {
 	}
 }
 
-// allocsAfterWarmUp is testing.AllocsPerRun(200, f) after 100 runs of f: a
+// allocsAfterWarmUp is allocsPerRun(200, f) after 100 runs of f: a
 // process's first allocations can be small enough for the runtime's tiny
 // allocator, whose count lags, so a budget read on a fresh process can hide
 // one (obs.TestAllocBudgetRequestID starts far along the request-ID
@@ -70,7 +72,27 @@ func allocsAfterWarmUp(f func()) float64 {
 	for range warmUpRuns {
 		f()
 	}
-	return testing.AllocsPerRun(200, f)
+	return allocsPerRun(200, f)
+}
+
+// allocsPerRun is testing.AllocsPerRun(runs, f) — one call to warm, then
+// the average over runs calls on one P — with the collector off across the
+// calls. A GC cycle inside the count would add its own runtime work (the
+// pools it empties are refilled by allocating), which grows with the
+// cycles a run sees, so under a small GOGC a budget would fail on code that
+// allocates what it always did.
+func allocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 const warmUpRuns = 100
@@ -242,7 +264,7 @@ func TestAllocBinaryBelowJSON(t *testing.T) {
 // stopped building the breakpoint axis, 105 before the byte-level seam.
 func TestAllocBudgetRoutedMiss(t *testing.T) {
 	const n, m, runs, budget = 24, 16, 200, 25
-	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
+	frames := make([][]byte, runs+2) // allocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
 	}
@@ -262,7 +284,7 @@ func TestAllocBudgetRoutedMiss(t *testing.T) {
 		}
 	}
 	serve() // warm pools and the worker's Scratch
-	if got := testing.AllocsPerRun(runs, serve); got > budget {
+	if got := allocsPerRun(runs, serve); got > budget {
 		t.Errorf("routed memo miss: %.1f allocs per run, budget %d", got, budget)
 	} else {
 		t.Logf("routed memo miss: %.1f allocs per run (budget %d)", got, budget)
@@ -280,7 +302,7 @@ func TestAllocBudgetRoutedMiss(t *testing.T) {
 // of the frame to hash it.
 func TestAllocBudgetRoutedLineageMiss(t *testing.T) {
 	const chains, runs, budget = 50, 200, 19
-	frames := make([][]byte, warmUpRuns+runs+1) // AllocsPerRun adds a warm-up call to ours
+	frames := make([][]byte, warmUpRuns+runs+1) // allocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		in := instance.Mixed(int64(5000+i%chains), 24, 16)
 		in.Tasks = in.Tasks[:24-i/chains]

@@ -24,10 +24,10 @@
 //     shard when its home queue has backed up.
 //
 // The router keys a request and forwards it; it never judges one. Binary
-// requests are peeked with wire.ReadFrame (the zero-allocation walk behind
-// wire.RouteKey, a fingerprint straight off the wire), JSON schedule
-// requests with its JSON twin (wire.ReadJSONFrame, one pooled walk), and
-// any other JSON body goes through the shards' own decoder (wire). A body
+// requests and JSON schedule requests are walked into one pooled frame
+// (wire.ReadFrame, the walk behind wire.RouteKey, and wire.ReadJSONFrame):
+// a fingerprint straight off the wire, no allocation. Any other JSON body
+// goes through the shards' own encoding/json decoder (wire). A body
 // it cannot key routes by a hash of its bytes, and the shard alone answers
 // for a request's content: its refusal, like every response, passes
 // through byte-for-byte, a shedding shard's Retry-After included. The
@@ -387,41 +387,45 @@ func (r *Router) Stats() Stats {
 // routeKey computes (key, pinned) for a request body: the lineage hash
 // when a lineage key is present (pinned), the workload fingerprint
 // otherwise. Batch requests route by their first instance — a batch is
-// one admission unit on the shard side too. A binary body is keyed by its
-// walk (wire.ReadFrame, wire.RouteKey's), and so is a JSON schedule body
-// in the scanner's subset (wire.ReadJSONFrame): neither builds an
-// instance, neither copies the lineage key out, and both key an invalid
-// instance by its words, as the walk keys before anything validates. Other
-// JSON bodies decode through the shards' own decoder. A body it cannot key
-// — a frame the walk refuses, an undecodable JSON body, an invalid decoded
-// instance, an empty batch — routes by a hash of its own bytes: the shard
-// it lands on answers for it.
+// one admission unit on the shard side too. A binary body and a JSON
+// schedule body in the scanner's subset are keyed by their walk
+// (wire.ReadFrame, wire.ReadJSONFrame): it builds no instance, copies no
+// lineage key out, and keys an invalid instance by its words, as the walk
+// keys before anything validates. Other JSON bodies decode through the
+// shards' own encoding/json path. A body it cannot key — a frame the walk
+// refuses, an undecodable JSON body, an invalid decoded instance, an empty
+// batch — routes by a hash of its own bytes: the shard it lands on answers
+// for it.
 func (r *Router) routeKey(path string, binary bool, body []byte) (key uint64, pinned bool) {
+	var f *wire.Frame
 	if binary {
 		r.binaryReqs.Inc()
-		f, err := wire.ReadFrame(body)
-		switch {
-		case err != nil:
+		var err error
+		if f, err = wire.ReadFrame(body); err != nil {
 			return hashString(body), false
-		case len(f.Lineage) > 0:
-			return hashString(f.Lineage), true
 		}
-		return f.RouteKey(), false
-	}
-	decode := wire.DecodeJSONBatchHead
-	if path == wire.PathSchedule {
-		if f, ok := wire.ReadJSONFrame(body); ok {
+	} else if path == wire.PathSchedule {
+		var ok bool
+		if f, ok = wire.ReadJSONFrame(body); ok {
 			r.jsonDecode[wire.PathScan].Inc()
-			key, pinned = f.RouteKey(), len(f.Lineage) > 0
-			if pinned {
-				key = hashString(f.Lineage)
-			}
-			f.Release()
-			return key, pinned
 		}
-		decode = wire.DecodeJSONScheduleRequest // the walk again, then encoding/json
 	}
-	req, decodePath, err := decode(body)
+	if f != nil {
+		key, pinned = f.RouteKey(), len(f.Lineage) > 0
+		if pinned {
+			key = hashString(f.Lineage)
+		}
+		f.Release()
+		return key, pinned
+	}
+	var req wire.JSONRequest
+	var err error
+	decodePath := wire.PathFallback
+	if path == wire.PathSchedule {
+		req, err = wire.UnmarshalScheduleRequest(body)
+	} else {
+		req, decodePath, err = wire.DecodeJSONBatchHead(body)
+	}
 	r.jsonDecode[decodePath].Inc()
 	switch {
 	case err == nil && req.Options != nil && req.Options.Lineage != "":

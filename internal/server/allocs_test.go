@@ -10,6 +10,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"malsched/internal/engine"
@@ -111,7 +113,7 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
-// allocsAfterWarmUp is testing.AllocsPerRun(200, f) after f has run warmUp
+// allocsAfterWarmUp is allocsPerRun(200, f) after f has run warmUp
 // times: a process's first allocations can be small enough for the
 // runtime's tiny allocator, whose count lags, so a budget read on a fresh
 // process can hide one (obs.TestAllocBudgetRequestID starts far along the
@@ -120,7 +122,27 @@ func allocsAfterWarmUp(f func()) float64 {
 	for range warmUp {
 		f()
 	}
-	return testing.AllocsPerRun(200, f)
+	return allocsPerRun(200, f)
+}
+
+// allocsPerRun is testing.AllocsPerRun(runs, f) — one call to warm, then
+// the average over runs calls on one P — with the collector off across the
+// calls. A GC cycle inside the count would add its own runtime work (the
+// pools it empties are refilled by allocating), which grows with the
+// cycles a run sees, so under a small GOGC a budget would fail on code that
+// allocates what it always did.
+func allocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 const warmUp = 100
@@ -134,7 +156,7 @@ const warmUp = 100
 // TestAllocBudgets).
 func TestAllocBudgetFirstHit(t *testing.T) {
 	const n, m, runs, budget = 24, 16, 200, 8
-	frames := make([][]byte, warmUp+runs+1) // AllocsPerRun adds a warm-up call to ours
+	frames := make([][]byte, warmUp+runs+1) // allocsPerRun adds a warm-up call to ours
 	s := New(Config{Workers: 1})
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(2000+i), n, m), nil, nil)
@@ -176,7 +198,7 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 	// became one list instead of a map; 102 before the decode shared one
 	// string.
 	const n, m, runs, budget = 24, 16, 200, 46
-	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
+	frames := make([][]byte, runs+2) // allocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
 	}
@@ -193,7 +215,7 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 		}
 	}
 	serve() // warm pools and the worker's Scratch
-	if got := testing.AllocsPerRun(runs, serve); got > budget {
+	if got := allocsPerRun(runs, serve); got > budget {
 		t.Errorf("memo-miss ServeHTTP: %.1f allocs per run, budget %d", got, budget)
 	} else {
 		t.Logf("memo-miss ServeHTTP: %.1f allocs per run (budget %d)", got, budget)
@@ -224,7 +246,7 @@ func TestAllocBudgetDAGMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call to ours
+	frames := make([][]byte, runs+2) // allocsPerRun adds a warm-up call to ours
 	for i := range frames {
 		seed := int64(1000 + i)
 		graph := [][][]int{precedence.ChainEdges(n), outTree, precedence.RandomEdges(seed, n, 0.3)}[i%3]
@@ -244,7 +266,7 @@ func TestAllocBudgetDAGMiss(t *testing.T) {
 		}
 	}
 	serve() // warm pools and the worker's Scratch
-	if got := testing.AllocsPerRun(runs, serve); got > budget {
+	if got := allocsPerRun(runs, serve); got > budget {
 		t.Errorf("DAG memo-miss ServeHTTP: %.1f allocs per run, budget %d", got, budget)
 	} else {
 		t.Logf("DAG memo-miss ServeHTTP: %.1f allocs per run (budget %d)", got, budget)

@@ -178,89 +178,50 @@ func encodeBody(t *testing.T, binary bool, in *instance.Instance, opts *wire.Req
 	return body
 }
 
-// walked is a body walked by its codec's frame — what the byte hit and the
-// full path behind it read of it, whichever codec walked it.
-type walked struct {
-	frame     wire.Frame      // the binary walk
-	json      *wire.JSONFrame // the JSON walk, released by release
-	opts      *wire.FrameOptions
-	portfolio []string
-	prefix    fphash.Hash
-	m         uint64
-	n         int
-	graph     bool
-	wide      bool
-}
-
-// walk walks a body in its codec; ok false for a body no walk takes.
-func walk(binary bool, body []byte) (w *walked, ok bool) {
-	w = new(walked)
+// walk walks a body into the frame of its codec — what the byte hit and
+// the full path behind it read of it, whichever codec walked it; ok false
+// for a body no walk takes. The caller releases the frame.
+func walk(binary bool, body []byte) (*wire.Frame, bool) {
 	if binary {
 		f, err := wire.ReadFrame(body)
-		if err != nil {
-			return nil, false
-		}
-		w.frame = f
-		w.opts, w.portfolio, w.prefix = &w.frame.FrameOptions, f.PortfolioNames(), f.Prefix
-		w.m, w.n, w.graph, w.wide = f.M, f.N, f.Graph, f.Wide
-		return w, true
+		return f, err == nil
 	}
-	f, ok := wire.ReadJSONFrame(body)
-	if !ok {
-		return nil, false
-	}
-	w.json = f
-	w.opts, w.portfolio, w.prefix = &f.FrameOptions, f.PortfolioNames(), f.Prefix
-	w.m, w.n, w.graph, w.wide = uint64(f.M), f.N, f.Graph, f.Wide
-	return w, true
-}
-
-func (w *walked) release() {
-	if w.json != nil {
-		w.json.Release()
-	}
+	return wire.ReadJSONFrame(body)
 }
 
 // byteHitOf runs the byte hit alone on a body, and slowPathOf its codec's
 // path without it — the walk's options, the decode from the walk, the
 // shared tail; both return what the request would be answered with.
 func byteHitOf(s *Server, binary bool, body []byte) ([]byte, bool) {
-	w, ok := walk(binary, body)
+	f, ok := walk(binary, body)
 	if !ok {
 		return nil, false
 	}
-	defer w.release()
-	o, _, _, errInfo := s.frameOptions(w.opts, w.portfolio)
+	defer f.Release()
+	o, _, _, errInfo := s.frameOptions(f)
 	if errInfo != nil {
 		return nil, false
 	}
 	rc := reqCtx{codec: codecLabel(binary), start: time.Now()}
-	if binary {
-		return s.binaryHit(&rc, &w.frame, o, nil)
-	}
-	return s.jsonHit(&rc, w.json, o, nil)
+	return s.byteHit(&rc, f, binary, o, nil)
 }
 
 func slowPathOf(s *Server, binary bool, body []byte) (int, []byte) {
-	w, ok := walk(binary, body)
+	f, ok := walk(binary, body)
 	if !ok {
 		return 0, nil
 	}
-	defer w.release()
-	o, timeout, lineage, errInfo := s.frameOptions(w.opts, w.portfolio)
+	defer f.Release()
+	o, timeout, lineage, errInfo := s.frameOptions(f)
 	if errInfo != nil {
 		return http.StatusBadRequest, wire.AppendRefusal(nil, binary, errInfo)
 	}
-	decode := w.frame.Decode
-	if !binary {
-		decode = w.json.Decode
-	}
-	in, graph, err := decode()
+	in, graph, err := f.Decode()
 	if err != nil {
 		return http.StatusBadRequest, wire.AppendRefusal(nil, binary, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()})
 	}
 	rc := reqCtx{codec: codecLabel(binary), start: time.Now()}
-	out, status, errInfo := s.solveAndEncode(&rc, in, graph, o, timeout, lineage, &w.prefix, binary, nil)
+	out, status, errInfo := s.solveAndEncode(&rc, in, graph, o, timeout, lineage, &f.Prefix, binary, nil)
 	if errInfo != nil {
 		return status, wire.AppendRefusal(nil, binary, errInfo)
 	}
@@ -279,12 +240,12 @@ func codecLabel(binary bool) string {
 // a row wider than m, whose options name no portfolio, no lineage and no
 // trace.
 func eligible(binary bool, body []byte) bool {
-	w, ok := walk(binary, body)
+	f, ok := walk(binary, body)
 	if !ok {
 		return false
 	}
-	defer w.release()
-	return !w.graph && !w.wide && w.opts.Portfolio == 0 && len(w.opts.Lineage) == 0 && !w.opts.Trace
+	defer f.Release()
+	return !f.Graph && !f.Wide && f.Portfolio == 0 && len(f.Lineage) == 0 && !f.Trace
 }
 
 // FuzzHitBytesMatchSlowPath holds the shard's byte hit to the full path of
@@ -333,8 +294,9 @@ func FuzzHitBytesMatchSlowPath(f *testing.F) {
 		// The golden grid's sizes at most, and the exhaustive solver on tiny
 		// instances only: the property is the bytes, not throughput.
 		if w, ok := walk(binary, body); ok {
-			w.release()
-			if w.m > 64 || w.n > 40 || w.n > 6 && bytes.Contains(body, []byte("exact")) {
+			m, n := w.M, w.N
+			w.Release()
+			if m > 64 || n > 40 || n > 6 && bytes.Contains(body, []byte("exact")) {
 				return
 			}
 		}
@@ -366,7 +328,9 @@ func FuzzHitBytesMatchSlowPath(f *testing.F) {
 				t.Fatalf("answered 200 but does not decode: %v", err)
 			}
 		} else {
-			req, _, err := wire.DecodeJSONScheduleRequest(body)
+			// The walk took the body, and encoding/json decodes whatever it
+			// takes to the same request (wire.FuzzJSONScanMatchesEncodingJSON).
+			req, err := wire.UnmarshalScheduleRequest(body)
 			if err != nil || req.InstanceErr != nil {
 				t.Fatalf("answered 200 but does not decode: %v, %v", err, req.InstanceErr)
 			}
@@ -379,12 +343,12 @@ func FuzzHitBytesMatchSlowPath(f *testing.F) {
 		forged := encodeBody(t, binary, b, ro)
 		wa, _ := walk(binary, body)
 		if wb, ok := walk(binary, forged); ok {
-			if wa.prefix != wb.prefix {
+			if wa.Prefix != wb.Prefix {
 				t.Fatal("the forged body is not on the body's key")
 			}
-			wb.release()
+			wb.Release()
 		}
-		wa.release()
+		wa.Release()
 		s = New(Config{Workers: 1})
 		serveBody(s, binary, forged)
 		serveBody(s, binary, forged)
@@ -432,7 +396,7 @@ func TestJSONByteHitEdges(t *testing.T) {
 		if w, ok := walk(false, body); !ok {
 			t.Fatalf("%s: the body is not the scanner's", name)
 		} else {
-			w.release()
+			w.Release()
 		}
 		s := New(Config{Workers: 1})
 		serveBody(s, false, body)

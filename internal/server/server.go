@@ -542,35 +542,17 @@ func (s *Server) admitAndRun(rc *reqCtx, binary bool, body []byte, bodyErr error
 	}
 }
 
-// scheduleJSON is /v1/schedule over the JSON codec. Errors come in the
-// order both codecs keep (docs/SERVICE.md, "Error precedence"): an
-// undecodable body, then the options, then the instance — its first invalid
-// task, then its shape — then the graph in solveAndEncode.
-//
-// A body in the scanner's subset is walked once (wire.ReadJSONFrame) and
-// takes the binary path's shape: the frame's options, a byte hit from the
-// walk alone, else the instance decoded from the frame, whose workload
-// prefix keys the engine's caches. Any other body is encoding/json's
+// scheduleJSON is /v1/schedule over the JSON codec. A body in the
+// scanner's subset is walked once (wire.ReadJSONFrame) and takes the frame
+// tail both codecs share; any other body is encoding/json's
 // (scheduleUnmarshalled).
 func (s *Server) scheduleJSON(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	f, ok := wire.ReadJSONFrame(body)
 	if !ok {
 		return s.scheduleUnmarshalled(rc, body, dst)
 	}
-	defer f.Release()
 	s.jsonDecode[wire.PathScan].Inc()
-	o, timeout, lineage, errInfo := s.frameOptions(&f.FrameOptions, f.PortfolioNames())
-	if errInfo != nil {
-		return nil, http.StatusBadRequest, errInfo
-	}
-	if out, ok := s.jsonHit(rc, f, o, dst); ok {
-		return out, http.StatusOK, nil
-	}
-	in, graph, err := f.Decode()
-	if err != nil {
-		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
-	}
-	return s.solveAndEncode(rc, in, graph, o, timeout, lineage, &f.Prefix, false, dst)
+	return s.scheduleFrame(rc, f, false, dst)
 }
 
 // scheduleUnmarshalled is scheduleJSON for a body outside the scanner's
@@ -591,91 +573,81 @@ func (s *Server) scheduleUnmarshalled(rc *reqCtx, body, dst []byte) ([]byte, int
 	return s.solveAndEncode(rc, req.Instance, req.Graph, o, timeout, lineageOf(req.Options), nil, false, dst)
 }
 
-// scheduleBinary is /v1/schedule over the binary codec: the same
-// validation, solve and verify pipeline as the JSON path — solveAndEncode
-// is shared, so every binary response carries a plan that passed
-// verify.Plan — with the request decoded and the response encoded through
-// internal/wire, no reflection and no per-request encoder state. A wire/v2
-// request carries the precedence graph; v1 requests decode unchanged and
-// carry none.
-//
-// The frame is walked once (wire.ReadFrame), and errors come in the JSON
-// path's order: a frame the walk refuses is the undecodable body, then the
-// options (frameOptions), then the instance the frame decodes to, then the
-// graph. A repeat of a verified hit is answered from the walk alone
-// (byteHit); anything else is decoded from the walked frame, and the walk's
-// workload prefix keys the engine's caches so the profiles are hashed once.
+// scheduleBinary is /v1/schedule over the binary codec: a frame the walk
+// (wire.ReadFrame) refuses is the undecodable body, and any other takes the
+// frame tail both codecs share. A wire/v2 request carries the precedence
+// graph; v1 requests decode unchanged and carry none.
 func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	f, err := wire.ReadFrame(body)
 	if err != nil {
 		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadRequest, Message: err.Error()}
 	}
-	o, timeout, lineage, errInfo := s.frameOptions(&f.FrameOptions, f.PortfolioNames())
+	return s.scheduleFrame(rc, f, true, dst)
+}
+
+// scheduleFrame is /v1/schedule from a walked frame, whichever codec
+// walked it, and releases the frame. Errors come in the order both codecs
+// keep (docs/SERVICE.md, "Error precedence"): after the undecodable body,
+// the options (frameOptions), then the instance the frame decodes to — its
+// first invalid task, then its shape — then the graph in solveAndEncode. A
+// repeat of a verified hit is answered from the walk alone (byteHit);
+// anything else is decoded from the frame, and the frame's workload prefix
+// keys the engine's caches so the profiles are hashed once. Every answer
+// goes through solveAndEncode, so every plan passed verify.Plan.
+func (s *Server) scheduleFrame(rc *reqCtx, f *wire.Frame, binary bool, dst []byte) ([]byte, int, *wire.ErrorInfo) {
+	defer f.Release()
+	o, timeout, lineage, errInfo := s.frameOptions(f)
 	if errInfo != nil {
 		return nil, http.StatusBadRequest, errInfo
 	}
-	if out, ok := s.binaryHit(rc, &f, o, dst); ok {
+	if out, ok := s.byteHit(rc, f, binary, o, dst); ok {
 		return out, http.StatusOK, nil
 	}
 	in, graph, err := f.Decode()
 	if err != nil {
 		return nil, http.StatusBadRequest, &wire.ErrorInfo{Code: wire.CodeBadInstance, Message: err.Error()}
 	}
-	return s.solveAndEncode(rc, in, graph, o, timeout, lineage, &f.Prefix, true, dst)
-}
-
-// binaryHit answers a binary frame by byteHit: the header and the
-// request's own name, then the entry's bytes.
-func (s *Server) binaryHit(rc *reqCtx, f *wire.Frame, o engine.Options, dst []byte) ([]byte, bool) {
-	if !hitCovers(f.Graph, f.Wide, &f.FrameOptions) || f.M > math.MaxInt {
-		return nil, false
-	}
-	return s.byteHit(rc, engine.EncodingBinary, f.Prefix, int(f.M), f.N, f.SameWorkload, o, wire.AppendResponseHead(dst, f.Name))
-}
-
-// jsonHit answers a walked JSON body by byteHit: `{"name":` and the
-// request's own name, escaped as encoding/json escapes it, then the entry's
-// bytes.
-func (s *Server) jsonHit(rc *reqCtx, f *wire.JSONFrame, o engine.Options, dst []byte) ([]byte, bool) {
-	if !hitCovers(f.Graph, f.Wide, &f.FrameOptions) {
-		return nil, false
-	}
-	return s.byteHit(rc, engine.EncodingJSON, f.Prefix, f.M, f.N, f.SameWorkload, o, wire.AppendJSONResponseHead(dst, f.Name))
+	return s.solveAndEncode(rc, in, graph, o, timeout, lineage, &f.Prefix, binary, dst)
 }
 
 // hitCovers reports whether a byte hit may answer a walked request: no
 // graph (the full path also checks the edges), no row wider than m (the
-// decoder validates the words truncation drops), and options naming no
-// portfolio, no lineage and no trace, which the answer would carry.
-func hitCovers(graph, wide bool, fo *wire.FrameOptions) bool {
-	return !graph && !wide && fo.Portfolio == 0 && len(fo.Lineage) == 0 && !fo.Trace
+// decoder validates the words truncation drops), an m an int holds, and
+// options naming no portfolio, no lineage and no trace, which the answer
+// would carry.
+func hitCovers(f *wire.Frame) bool {
+	return !f.Graph && !f.Wide && f.M <= math.MaxInt && f.Portfolio == 0 && len(f.Lineage) == 0 && !f.Trace
 }
 
-// byteHit answers a walked request from the bytes of a memo entry: head —
-// dst with the response's head, which carries the request's own name —
-// then the encoded answer the entry carries in encoding enc since its first
-// verified hit in that codec. The engine hands those bytes out only after
-// comparing every word of the walked workload (prefix, m, n and the rows
-// same compares) and of the options with the entry's, so they are the bytes
-// the full path would write: that path would decode the same words, find
-// the same entry, verify the same plan against the same rows and encode the
-// same answer.
+// byteHit answers a walked request from the bytes of a memo entry: the
+// response's head, which carries the request's own name (escaped, in JSON,
+// as encoding/json escapes it), then the encoded answer the entry carries
+// in the request's codec since its first verified hit in that codec. The
+// engine hands those bytes out only after comparing every word of the
+// walked workload (prefix, m, n and the rows SameWorkload compares) and of
+// the options with the entry's, so they are the bytes the full path would
+// write: that path would decode the same words, find the same entry, verify
+// the same plan against the same rows and encode the same answer.
 //
 // It declines — and the full path runs as if it had never been called —
-// for any request without a matching entry that carries bytes, and while
-// the verification tests' corruption hook is set, since every answer must
-// then pass through it; its callers decline what hitCovers does not cover.
+// for a request hitCovers does not cover, for any request without a
+// matching entry that carries bytes, and while the verification tests'
+// corruption hook is set, since every answer must then pass through it.
 // The solve slot is held across the probe and the stage histograms are
 // observed, as for any hit: the verify stage reads 0.
-func (s *Server) byteHit(rc *reqCtx, enc engine.Encoding, prefix fphash.Hash, m, n int, same func(off []int, times []float64) bool, o engine.Options, head []byte) ([]byte, bool) {
-	if s.corrupt != nil {
+func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, binary bool, o engine.Options, dst []byte) ([]byte, bool) {
+	if s.corrupt != nil || !hitCovers(f) {
 		return nil, false
+	}
+	enc, head := engine.EncodingJSON, wire.AppendJSONResponseHead(dst, f.Name)
+	if binary {
+		enc, head = engine.EncodingBinary, wire.AppendResponseHead(dst, f.Name)
 	}
 	var st stageNS
 	rc.lap()
 	s.slots <- struct{}{}
 	st.queue = rc.lap()
-	tail := s.eng.MemoBytes(enc, prefix, m, n, o, same)
+	tail := s.eng.MemoBytes(enc, f.Prefix, int(f.M), f.N, o, f.SameWorkload)
 	st.solve = rc.lap()
 	<-s.slots
 	if tail == nil {
@@ -693,22 +665,21 @@ func (s *Server) byteHit(rc *reqCtx, enc engine.Encoding, prefix fphash.Hash, m,
 
 // frameOptions resolves a walked request's options — for the byte hit and
 // the full path alike, on either codec — as resolveOptions resolves the
-// decoded ones, with the same typed error, and returns the lineage key.
-// portfolio is the frame's PortfolioNames. A known solver name is the
-// registry's own string, so only a portfolio, a lineage key or an error
-// allocates.
-func (s *Server) frameOptions(fo *wire.FrameOptions, portfolio []string) (o engine.Options, timeout time.Duration, lineage string, errInfo *wire.ErrorInfo) {
-	if !fo.Options {
+// decoded ones, with the same typed error, and returns the lineage key. A
+// known solver name is the registry's own string, so only a portfolio, a
+// lineage key or an error allocates.
+func (s *Server) frameOptions(f *wire.Frame) (o engine.Options, timeout time.Duration, lineage string, errInfo *wire.ErrorInfo) {
+	if !f.Options {
 		o, timeout, errInfo = s.resolveOptions(nil)
 		return o, timeout, "", errInfo
 	}
 	ro := wire.RequestOptions{
-		Portfolio: portfolio, Eps: fo.Eps, Compact: fo.Compact, Parallelism: int(fo.Parallelism),
-		TimeoutMS: fo.TimeoutMS, Lineage: string(fo.Lineage), Trace: fo.Trace,
+		Portfolio: f.PortfolioNames(), Eps: f.Eps, Compact: f.Compact, Parallelism: int(f.Parallelism),
+		TimeoutMS: f.TimeoutMS, Lineage: string(f.Lineage), Trace: f.Trace,
 	}
 	var ok bool
-	if ro.Solver, ok = solver.Canonical(fo.Solver); !ok {
-		ro.Solver = string(fo.Solver) // resolveOptions names it in its refusal
+	if ro.Solver, ok = solver.Canonical(f.Solver); !ok {
+		ro.Solver = string(f.Solver) // resolveOptions names it in its refusal
 	}
 	o, timeout, errInfo = s.resolveOptions(&ro)
 	return o, timeout, ro.Lineage, errInfo

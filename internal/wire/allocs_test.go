@@ -8,6 +8,8 @@ package wire
 
 import (
 	"encoding/json"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -33,14 +35,14 @@ func TestAllocBudgetBufferPool(t *testing.T) {
 // Decoding the benchmark's 24×16 JSON body (8.1 KB) through the scanner
 // allocates what the decoded instance keeps and nothing else: one string
 // for every name, the task slice, one slab for the time tables — exact-size
-// copies of the walk's pooled scratch, so 3 KB for 384 floats — and the
-// instance. The walk itself allocates nothing once its pool is warm. Reads
-// 4 allocations and 4288 B, the byte budget; encoding/json's decode of the
-// same body reads 214 and 85 KB. The second row writes every time with 20
-// significant digits, so each float takes the strconv.ParseFloat fallback:
-// that costs no allocation either.
+// copies of the words in the walk's pooled frame, so 3 KB for 384 floats —
+// and the instance. The walk itself allocates nothing once its pool is
+// warm. Reads 4 allocations and 4288 B, the byte budget; encoding/json's
+// decode of the same body reads 214 and 85 KB. The second row writes every
+// time with 20 significant digits, so each float takes the
+// strconv.ParseFloat fallback: that costs no allocation either.
 func TestAllocBudgetJSONScan(t *testing.T) {
-	const budget, byteBudget = 4, 4288
+	const budget, byteBudget, runs = 4, 4288, 2000
 	in := instance.Mixed(9, 24, 16)
 	for _, row := range []struct {
 		name string
@@ -49,30 +51,50 @@ func TestAllocBudgetJSONScan(t *testing.T) {
 		{"shortest floats", []byte(jsonBody(t, in, nil, nil))},
 		{"20-digit floats", longDigitsBody(t, in)},
 	} {
-		scanned := func() bool {
-			_, path, err := DecodeJSONScheduleRequest(row.body)
-			return err == nil && path == PathScan
+		scanned := true
+		scan := func() {
+			req, ok := scanScheduleRequest(row.body)
+			scanned = scanned && ok && req.InstanceErr == nil
 		}
 		for range warmUp {
-			scanned()
+			scan()
 		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if !scanned() {
-					b.Fatal("not scanned")
-				}
-			}
-		})
-		if got := res.AllocsPerOp(); got > budget {
-			t.Errorf("JSON scan, %s: %d allocs per op, budget %d", row.name, got, budget)
+		allocs, bytes := gcFreeAllocs(runs, scan)
+		if !scanned {
+			t.Fatalf("JSON scan, %s: not scanned", row.name)
 		}
-		if got := res.AllocedBytesPerOp(); got > byteBudget {
-			t.Errorf("JSON scan, %s: %d B per op, budget %d", row.name, got, byteBudget)
+		if allocs > budget {
+			t.Errorf("JSON scan, %s: %d allocs per op, budget %d", row.name, allocs, budget)
+		}
+		if bytes > byteBudget {
+			t.Errorf("JSON scan, %s: %d B per op, budget %d", row.name, bytes, byteBudget)
 		} else {
-			t.Logf("JSON scan, %s: %d allocs, %d B per op (budgets %d, %d)", row.name, res.AllocsPerOp(), got, budget, byteBudget)
+			t.Logf("JSON scan, %s: %d allocs, %d B per op (budgets %d, %d)", row.name, allocs, bytes, budget, byteBudget)
 		}
 	}
+}
+
+// gcFreeAllocs reads f's allocations and bytes per call over a fixed count
+// of calls on one P with the collector off, as testing.AllocsPerRun counts
+// allocations on one P. An average over a benchmark's GC cycles would
+// carry each cycle's own runtime work — a sync.Pool re-making its per-P
+// arrays, a pooled frame the cycle dropped built again — and a goroutine
+// that moves to another P finds its pooled frame in the old P's private
+// slot and builds a new one; both grow with GOMAXPROCS and the first with
+// GOGC's pace, so the reading would depend on the machine. One call before
+// the window re-pins the pools the forced collection emptied.
+func gcFreeAllocs(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // The walk alone — ReadJSONFrame, the fold of the route key and Release,

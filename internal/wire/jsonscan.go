@@ -7,12 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
-	"sync"
 
-	"malsched/internal/fphash"
 	"malsched/internal/instance"
-	"malsched/internal/task"
 )
 
 // The JSON codec decodes in two tiers. A hand-written scanner reads the
@@ -30,14 +26,15 @@ import (
 // (FuzzJSONScanMatchesEncodingJSON), and both build the instance through the
 // validating constructors of the binary decoder.
 //
-// The walk fills pooled scratch — windows of the names, one slab of times
-// with row offsets, m, the options and the graph — and converts each float
-// in the pass that checks it (parseFloat: strconv's own exact steps, eight
-// digits a step). It validates nothing of the workload: like ReadFrame, it
-// folds the workload prefix and the route key from what it read, so the
-// router keys a body without building an instance and the shard probes its
-// memo with the same words. JSONFrame.Decode then builds the instance by
-// exact-size copies and validates it, in instance.ReadJSON's order.
+// The walk fills a pooled Frame, the layout ReadFrame fills from a binary
+// request — windows of the names, m, one slab of the times' words, the
+// options and the graph — and converts each float in the pass that checks
+// it (parseFloat: strconv's own exact steps, eight digits a step). It
+// validates nothing of the workload: the frame folds the workload prefix
+// and the route key from what it read, so the router keys a body without
+// building an instance and the shard probes its memo with the same words.
+// Frame.Decode then builds the instance and validates it, in
+// instance.ReadJSON's order.
 
 // JSONRequest is a decoded JSON /v1/schedule body. A body that decodes but
 // carries an invalid instance has Instance nil and the reason in
@@ -73,23 +70,10 @@ func (p DecodePath) String() string {
 // JSON value.
 var ErrTrailingData = errors.New("trailing data after request body")
 
-// DecodeJSONScheduleRequest decodes a JSON /v1/schedule body: the scanner
-// when the body is in its subset, encoding/json otherwise; path reports
-// which. err means the body itself is undecodable; an invalid instance is
-// req.InstanceErr. body is never retained.
-func DecodeJSONScheduleRequest(body []byte) (req JSONRequest, path DecodePath, err error) {
-	if f, ok := ReadJSONFrame(body); ok {
-		req = f.request()
-		f.Release()
-		return req, PathScan, nil
-	}
-	req, err = UnmarshalScheduleRequest(body)
-	return req, PathFallback, err
-}
-
 // DecodeJSONInstance decodes one instance object
-// ({"name","m","tasks":[{"name","times"}]}), fully validated, by the same
-// two paths as DecodeJSONScheduleRequest. raw is never retained.
+// ({"name","m","tasks":[{"name","times"}]}), fully validated: the
+// scanner's walk when the object is in its subset, encoding/json otherwise;
+// path reports which. raw is never retained.
 func DecodeJSONInstance(raw []byte) (in *instance.Instance, path DecodePath, err error) {
 	if f, ok := readJSONFrame(raw, true); ok {
 		in, _, err = f.Decode()
@@ -131,8 +115,9 @@ func UnmarshalBody(body []byte, dst any) error {
 	return nil
 }
 
-// UnmarshalScheduleRequest is the encoding/json path of
-// DecodeJSONScheduleRequest, for a body ReadJSONFrame does not take.
+// UnmarshalScheduleRequest decodes a JSON /v1/schedule body with
+// encoding/json: the path for a body ReadJSONFrame does not take. err means
+// the body itself is undecodable; an invalid instance is req.InstanceErr.
 func UnmarshalScheduleRequest(body []byte) (JSONRequest, error) {
 	var env ScheduleRequest
 	if err := UnmarshalBody(body, &env); err != nil {
@@ -143,226 +128,42 @@ func UnmarshalScheduleRequest(body []byte) (JSONRequest, error) {
 	return req, nil
 }
 
-// JSONFrame is a JSON /v1/schedule body walked once by ReadJSONFrame, the
-// JSON twin of Frame: the workload's words in pooled scratch, its prefix
-// folded from them, and windows of the body for every string. It builds no
-// instance and validates none; Decode builds one from the words the walk
-// read. A frame holds its body until Release, which hands the scratch back
-// to the pool: neither may be used after.
-type JSONFrame struct {
-	scanner
-
-	// Name is the instance name, a window of the body.
-	Name []byte
-	// M and N are the machine size and the task count the body states.
-	M, N int
-	// Prefix is the workload-only fingerprint state, folded exactly as
-	// ReadFrame folds it: m, n and every row truncated to m.
-	Prefix fphash.Hash
-	// Wide reports a row wider than M, whose last words are in no
-	// fingerprint.
-	Wide bool
-	// Graph reports a "graph" key; routeKey is Prefix with the graph folded
-	// in, as ReadFrame folds a graph section.
-	Graph    bool
-	routeKey uint64
-	FrameOptions
-
-	// Scratch, kept across walks by the pool. Row i is
-	// times[rows[i]:rows[i+1]] and task i's name names[i]; list i of the
-	// graph ends at lists[i].end in edges.
-	names     [][]byte
-	times     []float64
-	rows      []int
-	lists     []jsonList
-	edges     []int
-	portfolio [][]byte
-	// portfolioKey reports a "portfolio" key, which decodes non-nil even
-	// when empty, as in encoding/json.
-	portfolioKey bool
-}
-
-type jsonList struct {
-	end  int
-	null bool // a null list decodes nil, an empty one empty
-}
-
-var jsonFramePool = sync.Pool{New: func() any { return new(JSONFrame) }}
-
-// maxPooledWords drops a frame whose scratch grew past this many words
-// from the pool, so one giant body does not pin memory for the process
-// lifetime.
-const maxPooledWords = 1 << 16
-
-// ReadJSONFrame walks a JSON /v1/schedule body once and reports whether it
-// is in the scanner's subset. A false return is no verdict: the body goes to
-// UnmarshalScheduleRequest. A walked body states its workload and options,
-// but nothing about it is validated yet. The caller owns the frame until it
-// calls Release, and body must not change before then.
-func ReadJSONFrame(body []byte) (*JSONFrame, bool) {
+// ReadJSONFrame walks a JSON /v1/schedule body once into a Frame and
+// reports whether the body is in the scanner's subset. A false return is no
+// verdict: the body goes to UnmarshalScheduleRequest. A walked body states
+// its workload and options, but nothing about it is validated yet. The
+// caller owns the frame until it calls Release, and body must not change
+// before then.
+func ReadJSONFrame(body []byte) (*Frame, bool) {
 	return readJSONFrame(body, false)
 }
 
 // readJSONFrame walks a whole request, or a bare instance object.
-func readJSONFrame(body []byte, bareInstance bool) (*JSONFrame, bool) {
-	f := jsonFramePool.Get().(*JSONFrame)
-	f.b = body
-	f.rows = append(f.rows, 0)
+func readJSONFrame(body []byte, bareInstance bool) (*Frame, bool) {
+	w := jsonWalk{scanner{b: body}, framePool.Get().(*Frame)}
 	if bareInstance {
-		f.walkInstance()
+		w.walkInstance()
 	} else {
-		f.walkRequest()
+		w.walkRequest()
 	}
-	f.space()
-	if f.bad || f.off != len(body) {
-		f.Release()
+	w.space()
+	if w.bad || w.off != len(body) {
+		w.Release()
 		return nil, false
 	}
-	f.fold()
-	return f, true
+	w.words = w.slab
+	h := foldStart(w.M, len(w.tasks))
+	for _, t := range w.tasks {
+		w.foldRow(&h, t)
+	}
+	w.seal(h)
+	return w.Frame, true
 }
 
-// Release hands the frame's scratch back to the pool, keeping nothing of
-// the body.
-func (f *JSONFrame) Release() {
-	clear(f.names)
-	clear(f.portfolio)
-	*f = JSONFrame{
-		names: f.names[:0], times: f.times[:0], rows: f.rows[:0],
-		lists: f.lists[:0], edges: f.edges[:0], portfolio: f.portfolio[:0],
-	}
-	if cap(f.times)+cap(f.edges)+cap(f.rows)+cap(f.names) <= maxPooledWords {
-		jsonFramePool.Put(f)
-	}
-}
-
-// fold computes the workload prefix and the route key from the walked words.
-func (f *JSONFrame) fold() {
-	f.N = len(f.rows) - 1
-	h := fphash.New()
-	h.Word(uint64(f.M))
-	h.Word(uint64(f.N))
-	for i := range f.N {
-		row := f.times[f.rows[i]:f.rows[i+1]]
-		if f.M > 0 && len(row) > f.M {
-			row, f.Wide = row[:f.M], true
-		}
-		h.Word(uint64(len(row)))
-		for _, t := range row {
-			h.Word(math.Float64bits(t))
-		}
-	}
-	f.Prefix = h
-	if f.Graph {
-		h.String("edges")
-		h.Word(uint64(len(f.lists)))
-		lo := 0
-		for _, l := range f.lists {
-			h.Word(uint64(l.end - lo))
-			for _, j := range f.edges[lo:l.end] {
-				h.Word(uint64(j))
-			}
-			lo = l.end
-		}
-	}
-	f.routeKey = h.Sum()
-}
-
-// RouteKey is the routing tier's key of the frame: the workload-only
-// fingerprint with the graph folded in, wire.RouteKey's value for the same
-// workload as a binary frame, valid or not.
-func (f *JSONFrame) RouteKey() uint64 { return f.routeKey }
-
-// Decode builds the frame's instance and graph by exact-size copies — one
-// string for every name, the task slice, one slab for the time tables, the
-// instance — and validates the instance in instance.ReadJSON's order: the
-// first invalid task, then the shape. The graph is built whatever the
-// instance's verdict, nil without a "graph" key; like the binary decoder it
-// is shape only. Nothing returned shares memory with the frame or the body.
-func (f *JSONFrame) Decode() (*instance.Instance, [][]int, error) {
-	graph := f.graph()
-	total := len(f.Name)
-	for _, name := range f.names {
-		total += len(name)
-	}
-	var names strings.Builder
-	names.Grow(total)
-	names.Write(f.Name)
-	name := names.String()
-	slab := make([]float64, len(f.times))
-	copy(slab, f.times)
-	tasks := make([]task.Task, 0, f.N)
-	for i := range f.N {
-		lo := names.Len()
-		names.Write(f.names[i])
-		t, err := task.NewOwned(names.String()[lo:], slab[f.rows[i]:f.rows[i+1]:f.rows[i+1]])
-		if err != nil {
-			return nil, graph, fmt.Errorf("instance: task %d: %w", i, err)
-		}
-		tasks = append(tasks, t)
-	}
-	in, err := instance.NewOwned(name, f.M, tasks)
-	return in, graph, err
-}
-
-// graph copies the successor lists out into one edge slab.
-func (f *JSONFrame) graph() [][]int {
-	if !f.Graph {
-		return nil
-	}
-	graph := make([][]int, len(f.lists))
-	edges := make([]int, len(f.edges))
-	copy(edges, f.edges)
-	lo := 0
-	for i, l := range f.lists {
-		if !l.null {
-			graph[i] = edges[lo:l.end:l.end]
-		}
-		lo = l.end
-	}
-	return graph
-}
-
-// PortfolioNames copies the names of the frame's portfolio out of it; nil
-// without a portfolio.
-func (f *JSONFrame) PortfolioNames() []string {
-	if !f.portfolioKey {
-		return nil
-	}
-	names := make([]string, len(f.portfolio))
-	for i, name := range f.portfolio {
-		names[i] = string(name)
-	}
-	return names
-}
-
-// SameWorkload reports whether the frame's rows are exactly the rows off
-// and times describe — row i is times[off[i]:off[i+1]], the layout of
-// instance.Compiled — width for width and bit for bit, as Frame's does.
-func (f *JSONFrame) SameWorkload(off []int, times []float64) bool {
-	if len(off) != f.N+1 {
-		return false
-	}
-	for i := range f.N {
-		row := f.times[f.rows[i]:f.rows[i+1]]
-		want := times[off[i]:off[i+1]]
-		if len(row) != len(want) {
-			return false
-		}
-		for p, t := range want {
-			if math.Float64bits(row[p]) != math.Float64bits(t) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// request is the decoded request of DecodeJSONScheduleRequest.
-func (f *JSONFrame) request() JSONRequest {
-	req := JSONRequest{Options: f.FrameOptions.request(f.PortfolioNames())}
-	req.Instance, req.Graph, req.InstanceErr = f.Decode()
-	return req
+// jsonWalk is the JSON walk: the scanner over the body, filling a frame.
+type jsonWalk struct {
+	scanner
+	*Frame
 }
 
 // scanner holds the grammar of the JSON subset: one walk over b, the first
@@ -591,135 +392,135 @@ func (s *scanner) boolean() bool {
 }
 
 // walkRequest walks {"instance":…,"graph":…,"options":…}.
-func (f *JSONFrame) walkRequest() {
-	f.expect('{')
+func (w *jsonWalk) walkRequest() {
+	w.expect('{')
 	var seen uint
-	for i := 0; f.more(i, '}'); i++ {
-		switch string(f.key()) {
+	for i := 0; w.more(i, '}'); i++ {
+		switch string(w.key()) {
 		case "instance":
-			f.once(&seen, 1)
-			f.walkInstance()
+			w.once(&seen, 1)
+			w.walkInstance()
 		case "graph":
-			f.once(&seen, 2)
-			f.walkGraph()
+			w.once(&seen, 2)
+			w.walkGraph()
 		case "options":
-			f.once(&seen, 4)
-			f.walkOptions()
+			w.once(&seen, 4)
+			w.walkOptions()
 		default:
-			f.bad = true
+			w.bad = true
 		}
 	}
 	if seen&1 == 0 {
-		f.bad = true // no instance to build: encoding/json words that answer
+		w.bad = true // no instance to build: encoding/json words that answer
 	}
 }
 
 // walkInstance walks {"name":…,"m":…,"tasks":[…]}; an absent key is its
 // zero value, as in encoding/json.
-func (f *JSONFrame) walkInstance() {
-	f.expect('{')
+func (w *jsonWalk) walkInstance() {
+	w.expect('{')
 	var seen uint
-	for i := 0; f.more(i, '}'); i++ {
-		switch string(f.key()) {
+	for i := 0; w.more(i, '}'); i++ {
+		switch string(w.key()) {
 		case "name":
-			f.once(&seen, 1)
-			f.Name = f.str()
+			w.once(&seen, 1)
+			w.Name = w.str()
 		case "m":
-			f.once(&seen, 2)
-			f.M = f.integer()
+			w.once(&seen, 2)
+			w.M = uint64(w.integer())
 		case "tasks":
-			f.once(&seen, 4)
-			f.expect('[')
-			for j := 0; f.more(j, ']'); j++ {
-				f.walkTask()
+			w.once(&seen, 4)
+			w.expect('[')
+			for j := 0; w.more(j, ']'); j++ {
+				w.walkTask()
 			}
 		default:
-			f.bad = true
+			w.bad = true
 		}
 	}
 }
 
 // walkTask walks {"name":…,"times":[…]} into a name window and a row of
-// the slab.
-func (f *JSONFrame) walkTask() {
-	f.expect('{')
+// the slab, each time as its Float64bits, little-endian.
+func (w *jsonWalk) walkTask() {
+	w.expect('{')
 	var seen uint
-	var name []byte
-	for j := 0; f.more(j, '}'); j++ {
-		switch string(f.key()) {
+	t := taskWindow{lo: len(w.slab)}
+	for j := 0; w.more(j, '}'); j++ {
+		switch string(w.key()) {
 		case "name":
-			f.once(&seen, 1)
-			name = f.str()
+			w.once(&seen, 1)
+			t.name = w.str()
 		case "times":
-			f.once(&seen, 2)
-			f.expect('[')
-			for i := 0; f.more(i, ']'); i++ {
-				f.times = append(f.times, f.float())
+			w.once(&seen, 2)
+			w.expect('[')
+			for i := 0; w.more(i, ']'); i++ {
+				w.slab = binary.LittleEndian.AppendUint64(w.slab, math.Float64bits(w.float()))
 			}
 		default:
-			f.bad = true
+			w.bad = true
 		}
 	}
-	f.names = append(f.names, name)
-	f.rows = append(f.rows, len(f.times))
+	t.hi = len(w.slab)
+	w.tasks = append(w.tasks, t)
 }
 
 // walkGraph walks the successor lists [[…],…] into the edge slab. A null
 // list decodes nil, as encoding/json decodes it (a Go client marshals a nil
 // list so: every leaf of a chain or an out-tree); an empty one empty.
-func (f *JSONFrame) walkGraph() {
-	f.Graph = true
-	f.expect('[')
-	for i := 0; f.more(i, ']'); i++ {
-		null := f.null()
+func (w *jsonWalk) walkGraph() {
+	w.Graph = true
+	w.expect('[')
+	for i := 0; w.more(i, ']'); i++ {
+		null := w.null()
 		if !null {
-			f.expect('[')
-			for j := 0; f.more(j, ']'); j++ {
-				f.edges = append(f.edges, f.integer())
+			w.expect('[')
+			for j := 0; w.more(j, ']'); j++ {
+				w.edges = append(w.edges, w.integer())
 			}
 		}
-		f.lists = append(f.lists, jsonList{end: len(f.edges), null: null})
+		w.lists = append(w.lists, succList{end: len(w.edges), null: null})
 	}
 }
 
 // walkOptions walks the RequestOptions object.
-func (f *JSONFrame) walkOptions() {
-	f.Options = true
-	f.expect('{')
+func (w *jsonWalk) walkOptions() {
+	w.Options = true
+	w.expect('{')
 	var seen uint
-	for i := 0; f.more(i, '}'); i++ {
-		switch string(f.key()) {
+	for i := 0; w.more(i, '}'); i++ {
+		switch string(w.key()) {
 		case "solver":
-			f.once(&seen, 1<<0)
-			f.Solver = f.str()
+			w.once(&seen, 1<<0)
+			w.Solver = w.str()
 		case "portfolio":
-			f.once(&seen, 1<<1)
-			f.portfolioKey = true
-			f.expect('[')
-			for j := 0; f.more(j, ']'); j++ {
-				f.portfolio = append(f.portfolio, f.str())
+			w.once(&seen, 1<<1)
+			w.portfolioKey = true
+			w.expect('[')
+			for j := 0; w.more(j, ']'); j++ {
+				w.portfolio = append(w.portfolio, w.str())
 			}
-			f.Portfolio = len(f.portfolio)
+			w.Portfolio = len(w.portfolio)
 		case "eps":
-			f.once(&seen, 1<<2)
-			f.Eps = f.float()
+			w.once(&seen, 1<<2)
+			w.Eps = w.float()
 		case "compact":
-			f.once(&seen, 1<<3)
-			f.Compact = f.boolean()
+			w.once(&seen, 1<<3)
+			w.Compact = w.boolean()
 		case "parallelism":
-			f.once(&seen, 1<<4)
-			f.Parallelism = int64(f.integer())
+			w.once(&seen, 1<<4)
+			w.Parallelism = int64(w.integer())
 		case "timeout_ms":
-			f.once(&seen, 1<<5)
-			f.TimeoutMS = int64(f.integer())
+			w.once(&seen, 1<<5)
+			w.TimeoutMS = int64(w.integer())
 		case "lineage":
-			f.once(&seen, 1<<6)
-			f.Lineage = f.str()
+			w.once(&seen, 1<<6)
+			w.Lineage = w.str()
 		case "trace":
-			f.once(&seen, 1<<7)
-			f.Trace = f.boolean()
+			w.once(&seen, 1<<7)
+			w.Trace = w.boolean()
 		default:
-			f.bad = true
+			w.bad = true
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"malsched/internal/engine"
@@ -96,7 +97,9 @@ func scanScheduleRequest(body []byte) (req JSONRequest, ok bool) {
 		return JSONRequest{}, false
 	}
 	defer f.Release()
-	return f.request(), true
+	req.Options = f.request()
+	req.Instance, req.Graph, req.InstanceErr = f.Decode()
+	return req, true
 }
 
 // sameInstance compares two decoded instances by bits.
@@ -164,66 +167,120 @@ func checkScanMatches(t *testing.T, body []byte) bool {
 	return true
 }
 
-// checkRouteKey: the walk's key of any body the scanner accepts, its
-// instance valid or not, is the key of the same words sent as a binary
-// frame (binaryTwin), lineage included; and a body either path decodes to a
-// valid instance keys like engine.WorkloadFingerprintDAG of either path's
-// decode.
+// checkRouteKey: any body the scanner walks fills the layout its binary
+// twin's walk fills (sameFrame) — its key, valid instance or not, lineage
+// included, is the twin's — and a body either path decodes to a valid
+// instance keys like engine.WorkloadFingerprintDAG of either path's decode.
 func checkRouteKey(t *testing.T, body []byte) {
 	t.Helper()
 	var walked uint64
 	if f, ok := ReadJSONFrame(body); ok {
 		walked = f.RouteKey()
-		lineage, frame := string(f.Lineage), binaryTwin(f)
-		f.Release()
-		binKey, binLineage, err := RouteKey(frame)
+		frame := binaryTwin(f)
+		bin, err := ReadFrame(frame)
 		if err != nil {
 			t.Fatalf("binary twin of a walked body: %v", err)
 		}
-		if binKey != walked {
-			t.Fatalf("JSON key %#x, binary key %#x", walked, binKey)
-		}
-		if binLineage != lineage {
-			t.Fatalf("binary lineage %q, JSON %q", binLineage, lineage)
+		sameFrame(t, f, bin)
+		bin.Release()
+		f.Release()
+		if key, _, err := RouteKey(frame); err != nil || key != walked {
+			t.Fatalf("JSON key %#x, binary key %#x (%v)", walked, key, err)
 		}
 	}
-	req, path, err := DecodeJSONScheduleRequest(body)
-	if err != nil || req.InstanceErr != nil {
+	ref, err := UnmarshalScheduleRequest(body)
+	req, scanned := scanScheduleRequest(body)
+	if !scanned {
+		req = ref
+	}
+	if err != nil && !scanned || req.InstanceErr != nil {
 		return
 	}
 	key := engine.WorkloadFingerprintDAG(req.Instance, req.Graph)
-	ref, err := UnmarshalScheduleRequest(body)
 	if err != nil || ref.InstanceErr != nil {
 		t.Fatalf("accepted body fails the encoding/json path: %v / %v", err, ref.InstanceErr)
 	}
 	if want := engine.WorkloadFingerprintDAG(ref.Instance, ref.Graph); key != want {
 		t.Fatalf("key %#x, encoding/json path %#x", key, want)
 	}
-	if path == PathScan && walked != key {
+	if scanned && walked != key {
 		t.Fatalf("walked key %#x, decoded fingerprint %#x", walked, key)
 	}
+}
+
+// sameFrame: a walked JSON body and its binary twin fill one layout. They
+// agree on the name, m, n, Wide, Graph, every option the binary layout
+// carries (Trace is JSON only), the prefix and the route key; each one's
+// SameWorkload accepts the other's rows; and both decode to DeepEqual
+// instances and graphs, or fail with the same text. Two documented codec
+// details differ and are compared as such: a JSON [] successor list decodes
+// empty where the binary one decodes nil, and a JSON "portfolio":[] names
+// an empty portfolio where the binary one names none.
+func sameFrame(t *testing.T, j, b *Frame) {
+	t.Helper()
+	if !bytes.Equal(j.Name, b.Name) || j.M != b.M || j.N != b.N || j.Wide != b.Wide || j.Graph != b.Graph {
+		t.Fatalf("JSON frame %q m=%d n=%d wide=%v graph=%v, binary %q m=%d n=%d wide=%v graph=%v",
+			j.Name, j.M, j.N, j.Wide, j.Graph, b.Name, b.M, b.N, b.Wide, b.Graph)
+	}
+	if j.Options != b.Options || !bytes.Equal(j.Solver, b.Solver) || j.Portfolio != b.Portfolio ||
+		math.Float64bits(j.Eps) != math.Float64bits(b.Eps) || j.Compact != b.Compact ||
+		j.Parallelism != b.Parallelism || j.TimeoutMS != b.TimeoutMS || !bytes.Equal(j.Lineage, b.Lineage) {
+		t.Fatalf("options diverge: JSON frame %+v, binary %+v", j, b)
+	}
+	if j.Prefix != b.Prefix || j.RouteKey() != b.RouteKey() {
+		t.Fatalf("JSON prefix %#x key %#x, binary %#x key %#x", j.Prefix, j.RouteKey(), b.Prefix, b.RouteKey())
+	}
+	if !j.SameWorkload(rowsOf(b)) || !b.SameWorkload(rowsOf(j)) {
+		t.Fatal("the frames' rows differ")
+	}
+	if !slices.Equal(j.PortfolioNames(), b.PortfolioNames()) {
+		t.Fatalf("portfolio: JSON %q, binary %q", j.PortfolioNames(), b.PortfolioNames())
+	}
+	jin, jg, jerr := j.Decode()
+	bin, bg, berr := b.Decode()
+	if fmt.Sprint(jerr) != fmt.Sprint(berr) {
+		t.Fatalf("decode error: JSON %v, binary %v", jerr, berr)
+	}
+	for i, list := range jg {
+		if list != nil && len(list) == 0 {
+			jg[i] = nil
+		}
+	}
+	if !reflect.DeepEqual(jin, bin) || !reflect.DeepEqual(jg, bg) {
+		t.Fatalf("decode: JSON %+v %v, binary %+v %v", jin, jg, bin, bg)
+	}
+}
+
+// rowsOf lays a frame's rows out as instance.Compiled does: row i is
+// times[off[i]:off[i+1]].
+func rowsOf(f *Frame) (off []int, times []float64) {
+	off = []int{0}
+	for _, t := range f.tasks {
+		for row := f.words[t.lo:t.hi]; len(row) > 0; row = row[8:] {
+			times = append(times, math.Float64frombits(binary.LittleEndian.Uint64(row)))
+		}
+		off = append(off, len(times))
+	}
+	return off, times
 }
 
 // binaryTwin is the binary frame of a walked JSON body: the same words —
 // name, m, every task's name and row, the graph, the options — whether or
 // not they make a valid instance. A negative m or edge travels as its
 // two's-complement uvarint, which both walks fold as the same word.
-func binaryTwin(f *JSONFrame) []byte {
+func binaryTwin(f *Frame) []byte {
 	version := byte(1)
 	if f.Graph {
 		version = 2
 	}
 	b := appendHeader(nil, version, KindScheduleRequest)
 	b = appendString(b, f.Name)
-	b = binary.AppendUvarint(b, uint64(f.M))
+	b = binary.AppendUvarint(b, f.M)
 	b = binary.AppendUvarint(b, uint64(f.N))
-	for i := range f.N {
-		b = appendString(b, f.names[i])
-		row := f.times[f.rows[i]:f.rows[i+1]]
-		b = binary.AppendUvarint(b, uint64(len(row)))
-		for _, v := range row {
-			b = appendF64(b, v)
-		}
+	for _, t := range f.tasks {
+		b = appendString(b, t.name)
+		b = binary.AppendUvarint(b, uint64(t.hi-t.lo)/8)
+		b = append(b, f.words[t.lo:t.hi]...)
 	}
 	if f.Graph {
 		b = append(b, 1)
@@ -322,10 +379,15 @@ func TestScanNeverRetainsBody(t *testing.T) {
 		body := []byte(seed.body)
 		if f, ok := ReadJSONFrame(body); ok {
 			f.Release()
-			if f.b != nil || f.Name != nil || f.Solver != nil || f.Lineage != nil {
+			if f.words != nil || f.Name != nil || f.Solver != nil || f.Lineage != nil {
 				t.Errorf("%s: a released frame keeps a window of the body", seed.name)
 			}
-			for _, w := range append(f.names[:cap(f.names)], f.portfolio[:cap(f.portfolio)]...) {
+			for _, tw := range f.tasks[:cap(f.tasks)] {
+				if tw.name != nil {
+					t.Errorf("%s: a released frame's scratch keeps a window of the body", seed.name)
+				}
+			}
+			for _, w := range f.portfolio[:cap(f.portfolio)] {
 				if w != nil {
 					t.Errorf("%s: a released frame's scratch keeps a window of the body", seed.name)
 				}
@@ -380,14 +442,15 @@ func hotBodies(b *testing.B) (jsonBodies, frames [][]byte) {
 }
 
 // BenchmarkDecodeJSONScheduleRequest is the JSON decode both tiers run on
-// every JSON request, on the scanner's path.
+// every JSON request, on the scanner's path: the walk, then the build from
+// the walked frame.
 func BenchmarkDecodeJSONScheduleRequest(b *testing.B) {
 	bodies, _ := hotBodies(b)
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
-		if _, path, err := DecodeJSONScheduleRequest(bodies[i%len(bodies)]); err != nil || path != PathScan {
-			b.Fatal(path, err)
+		if req, ok := scanScheduleRequest(bodies[i%len(bodies)]); !ok || req.InstanceErr != nil {
+			b.Fatal(ok, req.InstanceErr)
 		}
 		i++
 	}
@@ -415,9 +478,11 @@ func BenchmarkReadFrame(b *testing.B) {
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
-		if _, err := ReadFrame(frames[i%len(frames)]); err != nil {
+		f, err := ReadFrame(frames[i%len(frames)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		f.Release()
 		i++
 	}
 }

@@ -40,13 +40,10 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 
-	"malsched/internal/fphash"
 	"malsched/internal/instance"
 	"malsched/internal/schedule"
-	"malsched/internal/task"
 )
 
 // ContentType is the negotiation key of the binary codec: a request whose
@@ -622,23 +619,6 @@ func (r *reader) header(kind byte) {
 	r.off = headerLen
 }
 
-// DecodeScheduleRequest decodes and validates a binary /v1/schedule
-// request: ReadFrame, then the frame's Decode and its options. The graph is
-// nil for version 1 and for a version ≥ 2 request without one, and opts nil
-// for a request without an options block, mirroring the JSON codec's absent
-// "graph" and "options" keys. It never retains data.
-func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOptions, error) {
-	f, err := ReadFrame(data)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	in, graph, err := f.Decode()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return in, graph, f.request(f.PortfolioNames()), nil
-}
-
 // DecodeScheduleResponse decodes a binary success response. Empty
 // placement lists decode non-nil and empty proc sets decode nil, matching
 // what encoding/json produces for the equivalent JSON body — so a binary
@@ -686,270 +666,6 @@ func DecodeScheduleResponse(data []byte) (*ScheduleResponse, error) {
 	}
 	return resp, nil
 }
-
-// Frame is a binary /v1/schedule request walked in place by ReadFrame, the
-// one parser of the request's framing: the workload words folded into a
-// fingerprint on the way, and windows onto everything else. It allocates
-// nothing and builds no instance. RouteKey is a walk, and so is the shard's
-// probe of its memo for a repeat request; Decode and PortfolioNames build
-// from the bytes the walk has proved.
-type Frame struct {
-	data      []byte
-	tasks     int // offset of the first task record
-	nameBytes int // total length of the task names
-	nTimes    int // total length of the time tables
-	portfolio int // offset of the first portfolio name
-	// Name is the instance name, a window of the frame.
-	Name []byte
-	// M and N are the machine size and the task count the frame states.
-	M uint64
-	N int
-	// Prefix is the workload-only fingerprint state: m, n and every row
-	// truncated to m, in the order and through the kernel that the engine
-	// folds a decoded instance (engine.WorkloadFingerprintDAG without
-	// edges), so the decoded request hashes to the same state.
-	Prefix fphash.Hash
-	// Wide reports a row wider than M: the decoder validates such a row in
-	// full, then truncates it, so the row's last words are in no
-	// fingerprint.
-	Wide bool
-	// Graph reports a precedence graph section (version 2, presence byte
-	// set); routeKey is Prefix with the graph folded in, RouteKey's value.
-	Graph    bool
-	routeKey uint64
-	FrameOptions
-}
-
-// FrameOptions are the options of a walked request, Frame's or
-// JSONFrame's, as the walk read them: strings are windows of the body.
-type FrameOptions struct {
-	// Options reports an options block; the fields after it are its
-	// values, zero without one. Portfolio counts the portfolio's names.
-	Options     bool
-	Solver      []byte
-	Portfolio   int
-	Eps         float64
-	Compact     bool
-	Parallelism int64
-	TimeoutMS   int64
-	Lineage     []byte
-	// Trace is JSON only: the binary layout does not carry it.
-	Trace bool
-}
-
-// request copies the options out of the body: nil without an options
-// block, as for a request without an "options" key.
-func (o *FrameOptions) request(portfolio []string) *RequestOptions {
-	if !o.Options {
-		return nil
-	}
-	return &RequestOptions{
-		Solver: string(o.Solver), Portfolio: portfolio, Eps: o.Eps, Compact: o.Compact,
-		Parallelism: int(o.Parallelism), TimeoutMS: o.TimeoutMS, Lineage: string(o.Lineage), Trace: o.Trace,
-	}
-}
-
-// ReadFrame walks a binary /v1/schedule request and checks its framing:
-// header, truncation, oversized length prefixes, trailing bytes. Everything
-// else — the profiles, m and n, which Decode's constructors check, the
-// options, and the graph's meaning — it leaves to its callers.
-func ReadFrame(data []byte) (Frame, error) {
-	f := Frame{data: data}
-	r := &reader{b: data}
-	r.header(KindScheduleRequest)
-	f.Name = r.view()
-	f.M = r.uvarint()
-	f.N = r.count(2) // a task is at least a name prefix + a count
-	f.tasks = r.off
-	h := fphash.New()
-	h.Word(f.M)
-	h.Word(uint64(f.N))
-	for i := 0; i < f.N && r.err == nil; i++ {
-		f.nameBytes += len(r.view())
-		nTimes := r.count(8)
-		f.nTimes += nTimes
-		width := nTimes
-		if f.M > 0 && uint64(width) > f.M {
-			width, f.Wide = int(f.M), true
-		}
-		h.Word(uint64(width))
-		// count(8) has checked that the whole row is present. The wire
-		// already stores Float64bits little-endian, which is exactly what
-		// the fingerprint hashes.
-		row := r.take(8 * nTimes)
-		for range width {
-			h.Word(binary.LittleEndian.Uint64(row))
-			row = row[8:]
-		}
-	}
-	f.Prefix = h
-	if r.ver >= 2 && r.u8() != 0 {
-		// Fold the graph section exactly as engine.WorkloadFingerprintDAG
-		// hashes a present graph: the "edges" marker, the list count, then
-		// each list's length and indices.
-		f.Graph = true
-		nLists := r.count(1)
-		h.String("edges")
-		h.Word(uint64(nLists))
-		for i := 0; i < nLists && r.err == nil; i++ {
-			nEdges := r.count(1)
-			h.Word(uint64(nEdges))
-			for j := 0; j < nEdges && r.err == nil; j++ {
-				h.Word(r.uvarint())
-			}
-		}
-	}
-	f.routeKey = h.Sum()
-	if r.u8() != 0 {
-		f.Options = true
-		f.Solver = r.view()
-		f.Portfolio = r.count(1)
-		f.portfolio = r.off
-		for i := 0; i < f.Portfolio && r.err == nil; i++ {
-			r.skipStr()
-		}
-		f.Eps = r.f64()
-		f.Compact = r.u8()&1 != 0
-		f.Parallelism = r.varint()
-		f.TimeoutMS = r.varint()
-		f.Lineage = r.view()
-	}
-	if err := r.done(); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
-}
-
-// Decode builds the frame's instance and graph through the same task and
-// instance validation as the JSON codec (task.NewOwned and
-// instance.NewOwned are task.New and instance.New minus the copies), so both
-// codecs admit exactly the same workloads and reject invalid ones — the
-// first invalid task, then the instance's shape — with the same typed
-// errors. ReadFrame has proved the framing, so Decode reads the bytes
-// without checking them again. Every name is a window of one string and
-// every time table of one slab, every successor list of one edge slab; the
-// result shares no memory with the frame. The graph is the request's
-// successor lists, nil without a graph section. Like the JSON path it is
-// shape only: edge bounds and acyclicity stay with the caller
-// (precedence.ValidateEdges), so both codecs reject a bad graph alike.
-func (f *Frame) Decode() (*instance.Instance, [][]int, error) {
-	r := &reader{b: f.data, off: f.tasks}
-	var names strings.Builder
-	names.Grow(len(f.Name) + f.nameBytes)
-	names.Write(f.Name)
-	name := names.String()
-	tasks := make([]task.Task, 0, f.N)
-	slab := make([]float64, 0, f.nTimes) // each task owns a capacity-capped window
-	for i := range f.N {
-		nameLo := names.Len()
-		names.Write(r.take(int(r.uvarint())))
-		lo := len(slab)
-		slab = slab[:lo+int(r.uvarint())]
-		times := slab[lo:len(slab):len(slab)]
-		row := r.take(8 * len(times))
-		for p := range times {
-			times[p] = math.Float64frombits(binary.LittleEndian.Uint64(row))
-			row = row[8:]
-		}
-		t, err := task.NewOwned(names.String()[nameLo:], times)
-		if err != nil {
-			return nil, nil, fmt.Errorf("instance: task %d: %w", i, err)
-		}
-		tasks = append(tasks, t)
-	}
-	in, err := instance.NewOwned(name, int(f.M), tasks)
-	if err != nil || !f.Graph {
-		return in, nil, err
-	}
-	r.off++ // the graph's presence byte
-	graph := make([][]int, r.uvarint())
-	// An edge takes at least one wire byte, so the bytes left bound them all.
-	edges := make([]int, 0, len(r.b)-r.off)
-	for i := range graph {
-		// Empty lists decode nil, matching what the precedence constructors
-		// produce and keeping DeepEqual round-trips exact.
-		if nEdges := int(r.uvarint()); nEdges > 0 {
-			lo := len(edges)
-			edges = edges[:lo+nEdges]
-			list := edges[lo:len(edges):len(edges)]
-			for j := range list {
-				list[j] = int(r.uvarint())
-			}
-			graph[i] = list
-		}
-	}
-	return in, graph, nil
-}
-
-// PortfolioNames copies the names of the frame's portfolio out of it; nil
-// without a portfolio.
-func (f *Frame) PortfolioNames() []string {
-	if f.Portfolio == 0 {
-		return nil
-	}
-	names := make([]string, f.Portfolio)
-	r := &reader{b: f.data, off: f.portfolio}
-	for i := range names {
-		names[i] = string(r.take(int(r.uvarint())))
-	}
-	return names
-}
-
-// SameWorkload reports whether the frame's rows are exactly the rows off
-// and times describe — row i is times[off[i]:off[i+1]], the layout of
-// instance.Compiled — width for width and bit for bit. Names are not
-// compared, and neither are m and n, which a cache key already holds.
-func (f *Frame) SameWorkload(off []int, times []float64) bool {
-	if len(off) != f.N+1 {
-		return false
-	}
-	r := &reader{b: f.data, off: f.tasks}
-	for i := range f.N {
-		r.skipStr()
-		row := times[off[i]:off[i+1]]
-		if r.uvarint() != uint64(len(row)) {
-			return false
-		}
-		// The walk proved the framing, so the row's bytes are there.
-		b := r.take(8 * len(row))
-		for _, t := range row {
-			if binary.LittleEndian.Uint64(b) != math.Float64bits(t) {
-				return false
-			}
-			b = b[8:]
-		}
-	}
-	return true
-}
-
-// RouteKey extracts the routing tier's consistent-hash key from a binary
-// /v1/schedule request without building the instance: the workload-only
-// fingerprint (internal/fphash over machine size, task count and every
-// task's truncated time table, with a version ≥ 2 request's precedence
-// graph folded in — the same words through the same kernel as
-// engine.WorkloadFingerprintDAG folds from the decoded request, pinned by
-// an equivalence test in internal/router and the differential fuzz target,
-// so a DAG never routes as its independent projection)
-// plus the lineage key, which overrides fingerprint routing when set.
-// It is ReadFrame: the router peeks, it never decodes.
-//
-// Truncation mirrors instance.New: profiles wider than m hash only their
-// first m entries, because that is what the backend will decode. Routing
-// from a mismatched key would cost locality, never correctness — every
-// shard answers every workload identically — but the equivalence test
-// keeps this walk and the engine's hash in lockstep anyway.
-func RouteKey(data []byte) (key uint64, lineage string, err error) {
-	f, err := ReadFrame(data)
-	if err != nil {
-		return 0, "", err
-	}
-	return f.RouteKey(), string(f.Lineage), nil
-}
-
-// RouteKey is the routing tier's key of the walked frame, RouteKey's value:
-// a caller that keys from the frame itself reads the lineage key as the
-// window f.Lineage, without copying it out.
-func (f *Frame) RouteKey() uint64 { return f.routeKey }
 
 // DecodeError decodes a binary error body.
 func DecodeError(data []byte) (*ErrorBody, error) {
