@@ -33,6 +33,8 @@ var testOnlyAllowed = map[string]string{
 	// The exact oracle's makespan form: the exact, solver and analysis
 	// tests hold optimal makespans against it.
 	"internal/exact.Solve": "test oracle",
+	// The one allocation meter: every package's allocation gates call it.
+	"internal/alloctest.Hold": "shared test helper",
 }
 
 // goFile is one parsed non-test source file of the module.
@@ -339,6 +341,80 @@ func TestCIRunsOnlyGoCommands(t *testing.T) {
 		if ciProgram.MatchString(line) {
 			t.Errorf("ci.yml:%d runs a program of its own: %s", i+1, strings.TrimSpace(line))
 		}
+	}
+}
+
+// allocMeters are the calls that read the allocator or pace the collector
+// for a reading.
+var allocMeters = map[string]bool{
+	"testing.AllocsPerRun":       true,
+	"runtime.ReadMemStats":       true,
+	"runtime/debug.SetGCPercent": true,
+}
+
+// TestOneAllocationMeter fails when a test outside internal/alloctest and
+// bench/ reads allocations itself instead of through alloctest.Hold, or
+// when a function not named TestAlloc* calls Hold: a second meter would
+// read the same subject differently, and CI's -run '^TestAlloc' step must
+// select every gate.
+func TestOneAllocationMeter(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == "bench" || filepath.ToSlash(p) == "internal/alloctest" || (p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), "."))) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			ip, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			if imp.Name != nil {
+				imports[imp.Name.Name] = ip
+			} else {
+				imports[path.Base(ip)] = ip
+			}
+		}
+		for _, decl := range f.Decls {
+			caller := "a package-level declaration"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				caller = fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok || imports[id.Name] == "" {
+					return true
+				}
+				switch call := imports[id.Name] + "." + sel.Sel.Name; {
+				case allocMeters[call]:
+					t.Errorf("%s: %s meters allocations itself; measure through alloctest.Hold", fset.Position(sel.Pos()), call)
+				case call == modulePath+"/internal/alloctest.Hold" && !strings.HasPrefix(caller, "TestAlloc"):
+					t.Errorf("%s: %s calls alloctest.Hold; only a TestAlloc* test may", fset.Position(sel.Pos()), caller)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,8 +7,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"malsched/internal/alloctest"
 	"malsched/internal/instance"
 	"malsched/internal/lowerbound"
 	"malsched/internal/task"
@@ -19,7 +21,7 @@ import (
 // first; an accepted one, through the Prober seam, allocates the Schedule
 // its caller then owns and that schedule's placements (dualStep itself
 // allocates nothing either way: its winner stays in the Scratch).
-func TestProbeAllocBudgets(t *testing.T) {
+func TestAllocProbe(t *testing.T) {
 	const n, m = 24, 16 // the benchmark's serve-cold shape
 	p := DefaultParams()
 	mixed := instance.Mixed(9, n, m)
@@ -40,7 +42,7 @@ func TestProbeAllocBudgets(t *testing.T) {
 		in     *instance.Instance
 		lambda float64
 		reject RejectReason
-		budget float64
+		budget uint64
 	}{
 		{"rejected at the area test", mixed, lb * 1.02, RejectArea, 0},
 		{"rejected after every construction", crowded, 1, RejectKnapsack, 0},
@@ -53,24 +55,17 @@ func TestProbeAllocBudgets(t *testing.T) {
 				t.Fatalf("%s: probe ended %q, want %q", tc.name, r.Reject, tc.reject)
 			}
 		}
-		run() // grow the Scratch, fill the segment
-		if got := testing.AllocsPerRun(200, run); got > tc.budget {
-			t.Errorf("probe %s: %.1f allocs per run, budget %.0f", tc.name, got, tc.budget)
-		} else {
-			t.Logf("probe %s: %.1f allocs per run (budget %.0f)", tc.name, got, tc.budget)
-		}
+		alloctest.Hold(t, "probe "+tc.name, tc.budget, run)
 	}
 }
 
 // A whole search on a warmed Scratch with caller-supplied tables allocates
-// a constant, whatever it accepted on the way: the search state, and the
-// one Schedule it returns with that schedule's placements. The probes hand
-// their winners back inside the Scratch, the incumbent is kept there, and
-// the copy-out happens once, after the last probe — the search no longer
-// has to know which accepted probe it will keep before it consumed them.
-// Reads 3.
-func TestApproximateAllocBudget(t *testing.T) {
-	const budget = 4
+// a constant, whatever it accepted on the way: the one Schedule it returns
+// and that schedule's placements. The probes hand their winners back
+// inside the Scratch, the incumbent is kept there, and the copy-out happens
+// once, after the last probe — the search no longer has to know which
+// accepted probe it will keep before it consumed them.
+func TestAllocApproximate(t *testing.T) {
 	in := instance.Mixed(9, 24, 16)
 	c := instance.Compile(in)
 	sc := NewScratch()
@@ -79,23 +74,18 @@ func TestApproximateAllocBudget(t *testing.T) {
 	if accepted < 2 {
 		t.Fatalf("%d accepted probes of %d: the budget would not show a per-probe copy", accepted, probes)
 	}
-	got := testing.AllocsPerRun(100, func() { // its warm-up run grows the Scratch
+	alloctest.Hold(t, fmt.Sprintf("Approximate, %d accepted probes of %d", accepted, probes), 2, func() {
 		if _, err := Approximate(in, Options{Compiled: c, Scratch: sc}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > budget {
-		t.Errorf("Approximate: %.1f allocs per search, budget %d (%d accepted probes of %d)", got, budget, accepted, probes)
-	} else {
-		t.Logf("Approximate: %.1f allocs per search (budget %d, %d accepted probes of %d)", got, budget, accepted, probes)
-	}
 }
 
 // A search that fails has allocated no schedule: consuming an accepted
 // probe — dualStep's winner, merged into the Scratch-held incumbent — is
 // free, so everything up to an interrupt or ErrNoSchedule is, and what an
-// interrupted search does allocate is its state and its error.
-func TestFailedSearchAllocatesNoSchedule(t *testing.T) {
+// interrupted search does allocate is its error.
+func TestAllocFailedSearch(t *testing.T) {
 	in := instance.Mixed(9, 24, 16)
 	c := instance.Compile(in)
 	sc := NewScratch()
@@ -110,25 +100,44 @@ func TestFailedSearchAllocatesNoSchedule(t *testing.T) {
 			s.merge(lb*f, r, false)
 		}
 	}
-	consume() // grow the Scratch, fill the segments
-	if got := testing.AllocsPerRun(100, consume); got != 0 {
-		t.Errorf("consuming four accepted probes: %.1f allocs, want 0", got)
-	}
+	alloctest.Hold(t, "consuming four accepted probes", 0, consume)
 	if s.best != &sc.best {
 		t.Fatal("the incumbent of a default sequential search is not the Scratch's")
 	}
 
 	closed := make(chan struct{})
 	close(closed)
-	got := testing.AllocsPerRun(100, func() {
+	// fmt.Errorf's boxed instance name, message and wrapping error.
+	alloctest.Hold(t, "interrupted Approximate", 3, func() {
 		if res, err := Approximate(in, Options{Compiled: c, Scratch: sc, Interrupt: closed}); !errors.Is(err, ErrInterrupted) || res.Schedule != nil {
 			t.Fatalf("interrupted search returned %+v, %v", res, err)
 		}
 	})
-	// The search state, and fmt.Errorf's wrapped error with its message.
-	if got > 5 {
-		t.Errorf("interrupted Approximate: %.1f allocs, budget 5", got)
-	} else {
-		t.Logf("interrupted Approximate: %.1f allocs (budget 5)", got)
+}
+
+// The malleable list keeps its grown sequential-tail buffer on every path:
+// a build that appended to it and then met parallel tasks wider than the
+// machine used to return before storing the slice back, so the next build
+// grew it again.
+func TestAllocMalleableListOverflow(t *testing.T) {
+	const n, m = 24, 16
+	c := instance.Compile(instance.Mixed(9, n, m))
+	order := c.SeqOrder()
+	// Sequential allotments first in the list order, then parallel ones
+	// that cannot fit side by side.
+	alloc := make([]int, n)
+	for k, i := range order {
+		alloc[i] = 1
+		if k >= n/2 {
+			alloc[i] = m/2 + 1
+		}
 	}
+	sc := NewScratch()
+	if d := buildMalleableList(c, alloc, sc); d.built() {
+		t.Fatal("parallel tasks wider than the machine were placed")
+	}
+	if cap(sc.seq) < n/2 {
+		t.Fatalf("sequential-tail buffer of capacity %d after a build that appended %d tasks", cap(sc.seq), n/2)
+	}
+	alloctest.Hold(t, "overflowing build", 0, func() { buildMalleableList(c, alloc, sc) })
 }

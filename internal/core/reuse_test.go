@@ -418,32 +418,3 @@ func TestSearchBuildsFewerListsThanItAccepts(t *testing.T) {
 		t.Fatalf("%d canonical pairs and %d malleable lists built for %d accepted probes: nothing was reused", cbuilds, mbuilds, accepted)
 	}
 }
-
-// The malleable list keeps its grown sequential-tail buffer on every path:
-// a build that appended to it and then met parallel tasks wider than the
-// machine used to return before storing the slice back, so the next build
-// grew it again.
-func TestMalleableListOverflowKeepsSeqBuffer(t *testing.T) {
-	const n, m = 24, 16
-	c := instance.Compile(instance.Mixed(9, n, m))
-	order := c.SeqOrder()
-	// Sequential allotments first in the list order, then parallel ones
-	// that cannot fit side by side.
-	alloc := make([]int, n)
-	for k, i := range order {
-		alloc[i] = 1
-		if k >= n/2 {
-			alloc[i] = m/2 + 1
-		}
-	}
-	sc := NewScratch()
-	if d := buildMalleableList(c, alloc, sc); d.built() {
-		t.Fatal("parallel tasks wider than the machine were placed")
-	}
-	if cap(sc.seq) < n/2 {
-		t.Fatalf("sequential-tail buffer of capacity %d after a build that appended %d tasks", cap(sc.seq), n/2)
-	}
-	if got := testing.AllocsPerRun(50, func() { buildMalleableList(c, alloc, sc) }); got != 0 {
-		t.Fatalf("second overflowing build: %.1f allocs, want 0", got)
-	}
-}

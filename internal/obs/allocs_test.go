@@ -5,19 +5,19 @@
 
 package obs
 
-import "testing"
+import (
+	"testing"
+
+	"malsched/internal/alloctest"
+)
 
 var idSink string
 
 // A request ID is one string, however long its sequence number. The run
 // starts far along the sequence: a short number's bytes are small enough
-// for the runtime's tiny allocator, whose count can lag, so a budget
-// measured on the first IDs of a process can hide an allocation. Reads 1;
-// 2 when the number was formatted into a string of its own and then
-// concatenated.
+// for the runtime's tiny allocator, whose count can lag, so a reading taken
+// on the first IDs of a process can hide an allocation.
 func TestAllocBudgetRequestID(t *testing.T) {
 	reqSeq.Add(1 << 40) // forward only: IDs stay unique in this process
-	if got := testing.AllocsPerRun(1000, func() { idSink = NewRequestID() }); got > 1 {
-		t.Errorf("NewRequestID: %.1f allocs per run, budget 1", got)
-	}
+	alloctest.Hold(t, "NewRequestID", 1, func() { idSink = NewRequestID() })
 }

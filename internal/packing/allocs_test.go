@@ -2,11 +2,15 @@
 
 package packing
 
-import "testing"
+import (
+	"testing"
+
+	"malsched/internal/alloctest"
+)
 
 // The in-place First Fit on a Result that has packed the same number of
 // items before allocates nothing (core packs twice per probe).
-func TestFirstFitInPlaceAllocs(t *testing.T) {
+func TestAllocFirstFitInPlace(t *testing.T) {
 	sizes := []float64{0.4, 0.3, 0.5, 0.2, 0.45, 0.1, 0.35, 0.25}
 	var r Result
 	run := func() {
@@ -14,8 +18,5 @@ func TestFirstFitInPlaceAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run()
-	if got := testing.AllocsPerRun(200, run); got != 0 {
-		t.Fatalf("in-place FirstFit: %.1f allocs per run, want 0", got)
-	}
+	alloctest.Hold(t, "in-place FirstFit", 0, run)
 }

@@ -10,10 +10,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"malsched/internal/alloctest"
 	"malsched/internal/engine"
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
@@ -44,67 +43,46 @@ func TestAllocBudgets(t *testing.T) {
 	}
 	var dst []byte // the seam's response buffer, reused like a pooled one
 
-	for _, c := range []struct {
-		name   string
-		budget float64
-		run    func()
-	}{
-		{"wire.RouteKey", 0, func() {
-			if _, _, err := wire.RouteKey(frame); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"verify.Plan", 0, func() {
-			if err := verify.Plan(in, cert, false); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"verify.Plan contiguous", 0, func() {
-			if err := verify.Plan(in, cert, true); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		// The names' one string, the task slice, the slab, the instance:
-		// constant in n. Reads 4; 29 (one string per name, the task slice
-		// twice) before the names shared a string.
-		{"wire.DecodeScheduleRequest", 4, func() {
-			if _, _, _, err := wire.DecodeScheduleRequest(frame); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		// A whole binary memo hit through the shard's handler, test
-		// request and recorder included: a byte hit, so nothing of the
-		// shard's but the minted request ID. Reads 26 (32 while every hit
-		// decoded the frame and copied the memo's plan, 33 while the
-		// constant Content-Type was built per response, 37 with the
-		// outcome, the response and a copy of the plan on the heap, 65 with
-		// per-name strings and a status-capturing writer around the
-		// handler).
-		{"memo-hit ServeHTTP", 26, func() {
-			if code := serve(); code != http.StatusOK {
-				t.Fatalf("HTTP %d", code)
-			}
-		}},
-		// The same hit through the byte-level entry the routing tier calls:
-		// the shard's own share, nothing of HTTP. Reads 0: the frame's walk,
-		// the memo probe and the word-for-word compare allocate nothing, and
-		// the response is the head and the entry's bytes appended to dst. 6
-		// while every hit decoded the frame (4) and took the memo's copy of
-		// the solution (2), 9 while the outcome, the response and a copy of
-		// every placement took one allocation each.
-		{"memo-hit Serve", 0, func() {
-			status, _, out, _, _ := s.Serve(context.Background(), "/v1/schedule", wire.ContentType, frame, "alloc-test", dst[:0])
-			if dst = out; status != http.StatusOK {
-				t.Fatalf("status %d", status)
-			}
-		}},
-	} {
-		if got := allocsAfterWarmUp(c.run); got > c.budget {
-			t.Errorf("%s: %.1f allocs per run, budget %.0f", c.name, got, c.budget)
-		} else {
-			t.Logf("%s: %.1f allocs per run (budget %.0f)", c.name, got, c.budget)
+	alloctest.Hold(t, "wire.RouteKey", 0, func() {
+		if _, _, err := wire.RouteKey(frame); err != nil {
+			t.Fatal(err)
 		}
-	}
+	})
+	alloctest.Hold(t, "verify.Plan", 0, func() {
+		if err := verify.Plan(in, cert, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	alloctest.Hold(t, "verify.Plan contiguous", 0, func() {
+		if err := verify.Plan(in, cert, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The names' one string, the task slice, the slab, the instance:
+	// constant in n.
+	alloctest.Hold(t, "wire.DecodeScheduleRequest", 4, func() {
+		if _, _, _, err := wire.DecodeScheduleRequest(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A whole binary memo hit through the shard's handler, test request
+	// and recorder included: a byte hit, so nothing of the shard's but the
+	// minted request ID.
+	alloctest.Hold(t, "memo-hit ServeHTTP", 26, func() {
+		if code := serve(); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+	})
+	// The same hit through the byte-level entry the routing tier calls:
+	// the shard's own share, nothing of HTTP. The frame's walk, the memo
+	// probe and the word-for-word compare allocate nothing, and the
+	// response is the head and the entry's bytes appended to dst.
+	alloctest.Hold(t, "memo-hit Serve", 0, func() {
+		status, _, out, _, _ := s.Serve(context.Background(), "/v1/schedule", wire.ContentType, frame, "alloc-test", dst[:0])
+		if dst = out; status != http.StatusOK {
+			t.Fatalf("status %d", status)
+		}
+	})
 	if st := s.Stats().Shards[0]; st.MemoMisses != 1 || st.CompileMisses != 1 {
 		t.Fatalf("the timed requests were not memo hits: %+v", st)
 	}
@@ -113,50 +91,16 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
-// allocsAfterWarmUp is allocsPerRun(200, f) after f has run warmUp
-// times: a process's first allocations can be small enough for the
-// runtime's tiny allocator, whose count lags, so a budget read on a fresh
-// process can hide one (obs.TestAllocBudgetRequestID starts far along the
-// request-ID sequence for the same reason).
-func allocsAfterWarmUp(f func()) float64 {
-	for range warmUp {
-		f()
-	}
-	return allocsPerRun(200, f)
-}
-
-// allocsPerRun is testing.AllocsPerRun(runs, f) — one call to warm, then
-// the average over runs calls on one P — with the collector off across the
-// calls. A GC cycle inside the count would add its own runtime work (the
-// pools it empties are refilled by allocating), which grows with the
-// cycles a run sees, so under a small GOGC a budget would fail on code that
-// allocates what it always did.
-func allocsPerRun(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
-}
-
-const warmUp = 100
-
 // A memo entry's first verified binary hit takes the full path — decode,
 // the engine's identity check and copy of the plan, verify, encode — and
 // attaches the encoded answer to the entry, through the byte-level entry:
-// every run the first hit of a 24×16 entry filled beforehand. Reads 8: the
+// every call the first hit of a 24×16 entry filled beforehand. 8: the
 // decode 4, the memo's copy of the solution 2, the encoded answer and its
 // box in the entry 2. The entry's every later hit is a byte hit (0, in
 // TestAllocBudgets).
 func TestAllocBudgetFirstHit(t *testing.T) {
-	const n, m, runs, budget = 24, 16, 200, 8
-	frames := make([][]byte, warmUp+runs+1) // allocsPerRun adds a warm-up call to ours
+	const n, m = 24, 16
+	frames := make([][]byte, alloctest.Calls)
 	s := New(Config{Workers: 1})
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(2000+i), n, m), nil, nil)
@@ -173,32 +117,20 @@ func TestAllocBudgetFirstHit(t *testing.T) {
 			t.Fatalf("status %d", status)
 		}
 	}
-	if got := allocsAfterWarmUp(hit); got > budget {
-		t.Errorf("first memo hit: %.1f allocs per run, budget %d", got, budget)
-	} else {
-		t.Logf("first memo hit: %.1f allocs per run (budget %d)", got, budget)
-	}
+	alloctest.Hold(t, "first memo hit", 8, hit)
 	if st := s.Stats().Shards[0]; st.MemoMisses != uint64(len(frames)) || st.MemoHits != uint64(len(frames)) || s.byteHits.Value() != 0 {
 		t.Fatalf("the timed requests were not all first hits: %+v, %d byte hits", st, s.byteHits.Value())
 	}
 }
 
 // A whole binary memo miss through the shard's handler: decode, compile,
-// the λ-search, verify, encode — every run a fresh 24×16 instance, test
+// the λ-search, verify, encode — every call a fresh 24×16 instance, test
 // request and recorder included. The search's share is what
-// core.TestApproximateAllocBudget bounds (its state and the one schedule it
+// core.TestAllocApproximate holds (its state and the one schedule it
 // returns); the rest is the instance and its compiled tables.
 func TestAllocBudgetMemoMiss(t *testing.T) {
-	// Reads 46: 47 while the constant Content-Type was built per response;
-	// 51 before the outcome, the response and a copy of the plan left the
-	// heap; 58 before the cold search's one λ-index; 68 before the
-	// search stopped copying out every accepted
-	// probe's schedule; 74 before Compile stopped building the breakpoint
-	// axis (three allocations for seven) and a new instance's segment ranges
-	// became one list instead of a map; 102 before the decode shared one
-	// string.
-	const n, m, runs, budget = 24, 16, 200, 46
-	frames := make([][]byte, runs+2) // allocsPerRun adds a warm-up call to ours
+	const n, m = 24, 16
+	frames := make([][]byte, alloctest.Calls)
 	for i := range frames {
 		frames[i] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+i), n, m), nil, nil)
 	}
@@ -214,13 +146,8 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 			t.Fatalf("HTTP %d", rec.Code)
 		}
 	}
-	serve() // warm pools and the worker's Scratch
-	if got := allocsPerRun(runs, serve); got > budget {
-		t.Errorf("memo-miss ServeHTTP: %.1f allocs per run, budget %d", got, budget)
-	} else {
-		t.Logf("memo-miss ServeHTTP: %.1f allocs per run (budget %d)", got, budget)
-	}
-	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != runs+2 {
+	alloctest.Hold(t, "memo-miss ServeHTTP", 39, serve)
+	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != alloctest.Calls {
 		t.Fatalf("the timed requests were not all memo misses: %+v", st)
 	}
 }
@@ -228,25 +155,16 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 // A whole binary DAG memo miss through the shard's handler: a wire/v2 graph
 // frame, solver "dag" — decode, five edge validations (handler, engine,
 // NewGraph, verify.Precedence in the solver and again in the handler),
-// compile, the precedence solve, both verifies, encode — every run a fresh
-// 16×8 instance, the benchmark's serve-dag shapes in turn. The solve's own
-// share is what precedence.TestSolveAllocBudget bounds (9). Reads 57: 59
-// while the options were decoded into a struct and a solver name of their
-// own, 60 while the constant Content-Type was built per response, 64 with
-// the outcome, the response and a copy of the plan on the heap, 318
-// before candidates were scored on processor counts and the segment
-// cache's entries recycled, 124 before the decode shared one string, 104
-// before Compile stopped building the breakpoint axis, 100 before the
-// successor lists decoded into one slab, 89 while the memo's copy took one
-// allocation per processor set and the edge gates and verify.Precedence
-// allocated their buffers per call.
+// compile, the precedence solve, both verifies, encode — every call a
+// fresh 16×8 instance, the benchmark's serve-dag shapes in turn. The
+// solve's own share is what precedence.TestAllocSolve holds (9).
 func TestAllocBudgetDAGMiss(t *testing.T) {
-	const n, m, runs, budget = 16, 8, 200, 57
+	const n, m = 16, 8
 	outTree, err := precedence.OutTreeEdges(n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := make([][]byte, runs+2) // allocsPerRun adds a warm-up call to ours
+	frames := make([][]byte, alloctest.Calls)
 	for i := range frames {
 		seed := int64(1000 + i)
 		graph := [][][]int{precedence.ChainEdges(n), outTree, precedence.RandomEdges(seed, n, 0.3)}[i%3]
@@ -265,13 +183,8 @@ func TestAllocBudgetDAGMiss(t *testing.T) {
 			t.Fatalf("HTTP %d", rec.Code)
 		}
 	}
-	serve() // warm pools and the worker's Scratch
-	if got := allocsPerRun(runs, serve); got > budget {
-		t.Errorf("DAG memo-miss ServeHTTP: %.1f allocs per run, budget %d", got, budget)
-	} else {
-		t.Logf("DAG memo-miss ServeHTTP: %.1f allocs per run (budget %d)", got, budget)
-	}
-	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != runs+2 {
+	alloctest.Hold(t, "DAG memo-miss ServeHTTP", 50, serve)
+	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != alloctest.Calls {
 		t.Fatalf("the timed requests were not all memo misses: %+v", st)
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -248,37 +251,49 @@ func eligible(binary bool, body []byte) bool {
 	return !f.Graph && !f.Wide && f.Portfolio == 0 && len(f.Lineage) == 0 && !f.Trace
 }
 
-// FuzzHitBytesMatchSlowPath holds the shard's byte hit to the full path of
-// either codec. Invariants, for any binary frame or JSON body: on a fresh
-// server the byte hit declines; once the body has been answered twice — a
-// miss, then the verified hit that attaches the entry's bytes in its codec —
-// the byte hit either declines or writes exactly the bytes the full path
-// writes for the same hit, and it does not decline a body the fast path
-// covers. Then a second workload forced onto the body's key (forge: same m,
-// n and fingerprint state) takes the memo slot over and carries bytes of
-// its own: the body must not be answered from them, and the full path must
-// answer it with the bytes of its own miss. Seeded with every golden
-// instance under both golden variants in both codecs, with
-// FuzzRouteKeyMatchesDecode's v1 and v2 frames, and with JSON bodies of a
-// name encoding/json escapes, a trace and a graph.
-func FuzzHitBytesMatchSlowPath(f *testing.F) {
-	for _, gen := range instance.Families() {
-		for _, n := range []int{12, 40} {
-			for _, m := range []int{8, 64} {
-				for seed := int64(1); seed <= 2; seed++ {
-					in := gen(seed, n, m)
-					for _, opts := range []*wire.RequestOptions{nil, {Compact: true, Solver: "mrt"}} {
-						f.Add(true, wire.AppendScheduleRequest(nil, in, nil, opts))
-						body, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(f, in), Options: opts})
-						if err != nil {
-							f.Fatal(err)
-						}
-						f.Add(false, body)
+// hitBytesGrid calls yield with a request of every generator family at
+// each n×m size, seeds 1 and 2, under the default options and a compact mrt
+// request, in both codecs.
+func hitBytesGrid(tb testing.TB, sizes [][2]int, yield func(name string, binary bool, body []byte)) {
+	families := instance.Families()
+	for _, family := range slices.Sorted(maps.Keys(families)) {
+		for _, size := range sizes {
+			for seed := int64(1); seed <= 2; seed++ {
+				in := families[family](seed, size[0], size[1])
+				for _, opts := range []*wire.RequestOptions{nil, {Compact: true, Solver: "mrt"}} {
+					name := fmt.Sprintf("%s/%dx%d/seed%d/options=%t", family, size[0], size[1], seed, opts != nil)
+					yield(name+"/binary", true, wire.AppendScheduleRequest(nil, in, nil, opts))
+					body, err := json.Marshal(wire.ScheduleRequest{Instance: mustRaw(tb, in), Options: opts})
+					if err != nil {
+						tb.Fatal(err)
 					}
+					yield(name+"/json", false, body)
 				}
 			}
 		}
 	}
+}
+
+// Every golden family at the golden grid's sizes (n 12 and 40, m 8 and 64)
+// holds FuzzHitBytesMatchSlowPath's invariants, under both option sets and
+// in both codecs.
+func TestHitBytesMatchSlowPathGrid(t *testing.T) {
+	hitBytesGrid(t, [][2]int{{12, 8}, {12, 64}, {40, 8}, {40, 64}}, func(name string, binary bool, body []byte) {
+		t.Run(name, func(t *testing.T) { checkHitBytes(t, binary, body) })
+	})
+}
+
+// FuzzHitBytesMatchSlowPath holds the shard's byte hit to the full path of
+// either codec (checkHitBytes). Seeded with the grid of
+// TestHitBytesMatchSlowPathGrid at sizes of 4 and 6 tasks on 2 and 4
+// processors, whose requests solve in microseconds, so the coverage pass
+// ends at once and the mutator works from every family, option set and
+// codec; with FuzzRouteKeyMatchesDecode's v1 and v2 frames; and with JSON
+// bodies of a name encoding/json escapes, a trace and a graph.
+func FuzzHitBytesMatchSlowPath(f *testing.F) {
+	hitBytesGrid(f, [][2]int{{4, 2}, {4, 4}, {6, 2}, {6, 4}}, func(_ string, binary bool, body []byte) {
+		f.Add(binary, body)
+	})
 	mixed := instance.Mixed(5, 6, 4)
 	wide := &instance.Instance{Name: "wide", M: 2, Tasks: instance.Mixed(3, 5, 8).Tasks}
 	f.Add(true, wire.AppendScheduleRequest(nil, mixed, nil, nil))
@@ -289,76 +304,87 @@ func FuzzHitBytesMatchSlowPath(f *testing.F) {
 	for _, c := range jsonHitBodies(f) {
 		f.Add(false, c.body)
 	}
+	f.Fuzz(checkHitBytes)
+}
 
-	f.Fuzz(func(t *testing.T, binary bool, body []byte) {
-		// The golden grid's sizes at most, and the exhaustive solver on tiny
-		// instances only: the property is the bytes, not throughput.
-		if w, ok := walk(binary, body); ok {
-			m, n := w.M, w.N
-			w.Release()
-			if m > 64 || n > 40 || n > 6 && bytes.Contains(body, []byte("exact")) {
-				return
-			}
-		}
-		s := New(Config{Workers: 1})
-		if _, ok := byteHitOf(s, binary, body); ok {
-			t.Fatal("the byte hit answered on an empty memo")
-		}
-		missStatus, miss := serveBody(s, binary, body)
-		hitStatus, hit := serveBody(s, binary, body)
-		fast, ok := byteHitOf(s, binary, body)
-		if ok {
-			if hitStatus != http.StatusOK || !bytes.Equal(fast, hit) {
-				t.Fatalf("byte hit differs from the verified hit (HTTP %d):\n%q\n%q", hitStatus, fast, hit)
-			}
-			if _, slow := slowPathOf(s, binary, body); !bytes.Equal(fast, slow) {
-				t.Fatalf("byte hit differs from the full path:\n%q\n%q", fast, slow)
-			}
-		} else if hitStatus == http.StatusOK && eligible(binary, body) {
-			t.Fatal("the byte hit declined a repeat it covers")
-		}
-		if missStatus != http.StatusOK || !eligible(binary, body) {
+// checkHitBytes holds the shard's byte hit to the full path for one binary
+// frame or JSON body. On a fresh server the byte hit declines; once the
+// body has been answered twice — a miss, then the verified hit that
+// attaches the entry's bytes in its codec — the byte hit either declines or
+// writes exactly the bytes the full path writes for the same hit, and it
+// does not decline a body the fast path covers. Then a second workload
+// forced onto the body's key (forge: same m, n and fingerprint state) takes
+// the memo slot over and carries bytes of its own: the body must not be
+// answered from them, and the full path must answer it with the bytes of
+// its own miss.
+func checkHitBytes(t *testing.T, binary bool, body []byte) {
+	// The golden grid's sizes at most, and the exhaustive solver on tiny
+	// instances only: the property is the bytes, not throughput.
+	if w, ok := walk(binary, body); ok {
+		m, n := w.M, w.N
+		w.Release()
+		if m > 64 || n > 40 || n > 6 && bytes.Contains(body, []byte("exact")) {
 			return
 		}
-		var in *instance.Instance
-		var ro *wire.RequestOptions
-		if binary {
-			var err error
-			if in, _, ro, err = wire.DecodeScheduleRequest(body); err != nil {
-				t.Fatalf("answered 200 but does not decode: %v", err)
-			}
-		} else {
-			// The walk took the body, and encoding/json decodes whatever it
-			// takes to the same request (wire.FuzzJSONScanMatchesEncodingJSON).
-			req, err := wire.UnmarshalScheduleRequest(body)
-			if err != nil || req.InstanceErr != nil {
-				t.Fatalf("answered 200 but does not decode: %v, %v", err, req.InstanceErr)
-			}
-			in, ro = req.Instance, req.Options
+	}
+	s := New(Config{Workers: 1})
+	if _, ok := byteHitOf(s, binary, body); ok {
+		t.Fatal("the byte hit answered on an empty memo")
+	}
+	missStatus, miss := serveBody(s, binary, body)
+	hitStatus, hit := serveBody(s, binary, body)
+	fast, ok := byteHitOf(s, binary, body)
+	if ok {
+		if hitStatus != http.StatusOK || !bytes.Equal(fast, hit) {
+			t.Fatalf("byte hit differs from the verified hit (HTTP %d):\n%q\n%q", hitStatus, fast, hit)
 		}
-		b := forge(in)
-		if b == nil {
-			return
+		if _, slow := slowPathOf(s, binary, body); !bytes.Equal(fast, slow) {
+			t.Fatalf("byte hit differs from the full path:\n%q\n%q", fast, slow)
 		}
-		forged := encodeBody(t, binary, b, ro)
-		wa, _ := walk(binary, body)
-		if wb, ok := walk(binary, forged); ok {
-			if wa.Prefix != wb.Prefix {
-				t.Fatal("the forged body is not on the body's key")
-			}
-			wb.Release()
+	} else if hitStatus == http.StatusOK && eligible(binary, body) {
+		t.Fatal("the byte hit declined a repeat it covers")
+	}
+	if missStatus != http.StatusOK || !eligible(binary, body) {
+		return
+	}
+	var in *instance.Instance
+	var ro *wire.RequestOptions
+	if binary {
+		var err error
+		if in, _, ro, err = wire.DecodeScheduleRequest(body); err != nil {
+			t.Fatalf("answered 200 but does not decode: %v", err)
 		}
-		wa.Release()
-		s = New(Config{Workers: 1})
-		serveBody(s, binary, forged)
-		serveBody(s, binary, forged)
-		if _, ok := byteHitOf(s, binary, body); ok {
-			t.Fatal("the byte hit answered from the forged workload's entry")
+	} else {
+		// The walk took the body, and encoding/json decodes whatever it
+		// takes to the same request (wire.FuzzJSONScanMatchesEncodingJSON).
+		req, err := wire.UnmarshalScheduleRequest(body)
+		if err != nil || req.InstanceErr != nil {
+			t.Fatalf("answered 200 but does not decode: %v, %v", err, req.InstanceErr)
 		}
-		if status, own := serveBody(s, binary, body); status != missStatus || !bytes.Equal(own, miss) {
-			t.Fatalf("after the forgery: HTTP %d, bytes\n%q\nwant its own miss\n%q", status, own, miss)
+		in, ro = req.Instance, req.Options
+	}
+	b := forge(in)
+	if b == nil {
+		return
+	}
+	forged := encodeBody(t, binary, b, ro)
+	wa, _ := walk(binary, body)
+	if wb, ok := walk(binary, forged); ok {
+		if wa.Prefix != wb.Prefix {
+			t.Fatal("the forged body is not on the body's key")
 		}
-	})
+		wb.Release()
+	}
+	wa.Release()
+	s = New(Config{Workers: 1})
+	serveBody(s, binary, forged)
+	serveBody(s, binary, forged)
+	if _, ok := byteHitOf(s, binary, body); ok {
+		t.Fatal("the byte hit answered from the forged workload's entry")
+	}
+	if status, own := serveBody(s, binary, body); status != missStatus || !bytes.Equal(own, miss) {
+		t.Fatalf("after the forgery: HTTP %d, bytes\n%q\nwant its own miss\n%q", status, own, miss)
+	}
 }
 
 // jsonHitBodies are JSON bodies at the edges of the JSON byte hit, in the

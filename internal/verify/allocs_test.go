@@ -9,6 +9,7 @@ package verify
 import (
 	"testing"
 
+	"malsched/internal/alloctest"
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
 )
@@ -30,20 +31,14 @@ func TestAllocBudgetPrecedence(t *testing.T) {
 	}
 	plan := r.Schedule
 	cert := Certified{Plan: plan, Makespan: plan.Makespan(in), LowerBound: g.LowerBound()}
-	for _, tc := range []struct {
-		name string
-		run  func() error
-	}{
-		{"verify.Precedence", func() error { return Precedence(in, edges, plan) }},
-		{"verify.Plan", func() error { return Plan(in, cert, false) }},
-	} {
-		if err := tc.run(); err != nil { // and warm the pools
-			t.Fatalf("%s: %v", tc.name, err)
+	alloctest.Hold(t, "verify.Precedence", 0, func() {
+		if err := Precedence(in, edges, plan); err != nil {
+			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(100, func() { _ = tc.run() }); got > 0 {
-			t.Errorf("%s: %.1f allocs per run, budget 0", tc.name, got)
-		} else {
-			t.Logf("%s: %.1f allocs per run (budget 0)", tc.name, got)
+	})
+	alloctest.Hold(t, "verify.Plan", 0, func() {
+		if err := Plan(in, cert, false); err != nil {
+			t.Fatal(err)
 		}
-	}
+	})
 }

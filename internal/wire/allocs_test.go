@@ -1,19 +1,18 @@
 //go:build !race
 
-// Allocation budgets of the buffer pool. The race detector instruments
-// allocations (and sync.Pool drops items at random under it), so the file
-// is excluded under -race.
+// Allocation budgets of the codecs and the buffer pool. The race detector
+// instruments allocations (and sync.Pool drops items at random under it),
+// so the file is excluded under -race.
 
 package wire
 
 import (
 	"encoding/json"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 
+	"malsched/internal/alloctest"
 	"malsched/internal/instance"
 )
 
@@ -26,10 +25,7 @@ func TestAllocBudgetBufferPool(t *testing.T) {
 		b = append(b, "payload"...)
 		PutBuffer(b)
 	}
-	pair() // warm both pools
-	if got := testing.AllocsPerRun(1000, pair); got > 0 {
-		t.Errorf("GetBuffer/PutBuffer pair: %.1f allocs per run, budget 0", got)
-	}
+	alloctest.Hold(t, "GetBuffer/PutBuffer pair", 0, pair)
 }
 
 // Decoding the benchmark's 24×16 JSON body (8.1 KB) through the scanner
@@ -37,12 +33,10 @@ func TestAllocBudgetBufferPool(t *testing.T) {
 // for every name, the task slice, one slab for the time tables — exact-size
 // copies of the words in the walk's pooled frame, so 3 KB for 384 floats —
 // and the instance. The walk itself allocates nothing once its pool is
-// warm. Reads 4 allocations and 4288 B, the byte budget; encoding/json's
-// decode of the same body reads 214 and 85 KB. The second row writes every
-// time with 20 significant digits, so each float takes the
-// strconv.ParseFloat fallback: that costs no allocation either.
+// warm. The second row writes every time with 20 significant digits, so
+// each float takes the strconv.ParseFloat fallback: that costs no
+// allocation either.
 func TestAllocBudgetJSONScan(t *testing.T) {
-	const budget, byteBudget, runs = 4, 4288, 2000
 	in := instance.Mixed(9, 24, 16)
 	for _, row := range []struct {
 		name string
@@ -51,50 +45,12 @@ func TestAllocBudgetJSONScan(t *testing.T) {
 		{"shortest floats", []byte(jsonBody(t, in, nil, nil))},
 		{"20-digit floats", longDigitsBody(t, in)},
 	} {
-		scanned := true
-		scan := func() {
-			req, ok := scanScheduleRequest(row.body)
-			scanned = scanned && ok && req.InstanceErr == nil
-		}
-		for range warmUp {
-			scan()
-		}
-		allocs, bytes := gcFreeAllocs(runs, scan)
-		if !scanned {
-			t.Fatalf("JSON scan, %s: not scanned", row.name)
-		}
-		if allocs > budget {
-			t.Errorf("JSON scan, %s: %d allocs per op, budget %d", row.name, allocs, budget)
-		}
-		if bytes > byteBudget {
-			t.Errorf("JSON scan, %s: %d B per op, budget %d", row.name, bytes, byteBudget)
-		} else {
-			t.Logf("JSON scan, %s: %d allocs, %d B per op (budgets %d, %d)", row.name, allocs, bytes, budget, byteBudget)
-		}
+		alloctest.Hold(t, "JSON scan, "+row.name, 4, func() {
+			if req, ok := scanScheduleRequest(row.body); !ok || req.InstanceErr != nil {
+				t.Fatalf("JSON scan, %s: not scanned", row.name)
+			}
+		}, 4288)
 	}
-}
-
-// gcFreeAllocs reads f's allocations and bytes per call over a fixed count
-// of calls on one P with the collector off, as testing.AllocsPerRun counts
-// allocations on one P. An average over a benchmark's GC cycles would
-// carry each cycle's own runtime work — a sync.Pool re-making its per-P
-// arrays, a pooled frame the cycle dropped built again — and a goroutine
-// that moves to another P finds its pooled frame in the old P's private
-// slot and builds a new one; both grow with GOMAXPROCS and the first with
-// GOGC's pace, so the reading would depend on the machine. One call before
-// the window re-pins the pools the forced collection emptied.
-func gcFreeAllocs(runs int, f func()) (allocs, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // The walk alone — ReadJSONFrame, the fold of the route key and Release,
@@ -109,18 +65,8 @@ func TestAllocBudgetJSONWalk(t *testing.T) {
 		}
 		f.Release()
 	}
-	for range warmUp {
-		walk()
-	}
-	if got := testing.AllocsPerRun(200, walk); got > 0 {
-		t.Errorf("JSON walk: %.1f allocs per run, budget 0", got)
-	}
+	alloctest.Hold(t, "JSON walk", 0, walk)
 }
-
-// warmUp runs a measured function before its budget is read: a process's
-// first allocations can be small enough for the runtime's tiny allocator,
-// whose count lags (obs.TestAllocBudgetRequestID).
-const warmUp = 100
 
 // longDigitsBody is in's request body with every time written in 20
 // significant digits, the last non-zero: the 17 that round-trip the float,
@@ -164,10 +110,9 @@ func longDigitsBody(t *testing.T, in *instance.Instance) []byte {
 
 // A version-2 frame's successor lists decode into one slab: the graph adds
 // its outer slice and the edge backing to the instance's four allocations
-// and the options' two, whatever the number of lists. Reads 8; 22 when
-// every non-empty list was an allocation of its own.
+// and the options' two, whatever the number of lists.
 func TestAllocBudgetGraphDecode(t *testing.T) {
-	const n, budget = 16, 8
+	const n = 16
 	graph := make([][]int, n)
 	for i := range graph {
 		for j := i + 1; j <= i+2 && j < n; j++ {
@@ -180,19 +125,14 @@ func TestAllocBudgetGraphDecode(t *testing.T) {
 			t.Fatalf("decoded %d lists, err %v", len(got), err)
 		}
 	}
-	if got := testing.AllocsPerRun(100, decode); got > budget {
-		t.Errorf("16-list v2 decode: %.1f allocs per run, budget %d", got, budget)
-	} else {
-		t.Logf("16-list v2 decode: %.1f allocs per run (budget %d)", got, budget)
-	}
+	alloctest.Hold(t, "16-list v2 decode", 8, decode)
 }
 
 // A response's processor sets decode into one slab, allocated at the first
 // non-empty set: sixteen list-scheduled placements cost the response, its
 // four strings, the placements and the slab, whatever the number of sets.
-// Reads 7; 23 when every set was an allocation of its own.
 func TestAllocBudgetResponseDecode(t *testing.T) {
-	const n, budget = 16, 7
+	const n = 16
 	resp := &ScheduleResponse{
 		Name: "dag", Makespan: 12.5, LowerBound: 10, Branch: "dag-list", Solver: "dag", Probes: 3,
 		Plan: PlanJSON{Algorithm: "dag-list", Placements: make([]PlacementJSON, n)},
@@ -206,9 +146,5 @@ func TestAllocBudgetResponseDecode(t *testing.T) {
 			t.Fatalf("decoded %+v, err %v", got, err)
 		}
 	}
-	if got := testing.AllocsPerRun(100, decode); got > budget {
-		t.Errorf("16-placement response decode: %.1f allocs per run, budget %d", got, budget)
-	} else {
-		t.Logf("16-placement response decode: %.1f allocs per run (budget %d)", got, budget)
-	}
+	alloctest.Hold(t, "16-placement response decode", 7, decode)
 }

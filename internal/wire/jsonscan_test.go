@@ -314,13 +314,6 @@ func binaryTwin(f *Frame) []byte {
 	return appendString(b, f.Lineage)
 }
 
-func lineageOf(o *RequestOptions) string {
-	if o == nil {
-		return ""
-	}
-	return o.Lineage
-}
-
 // TestJSONScanMatchesEncodingJSON runs the seed list through both oracles
 // and pins which path takes each seed, so the differential cannot pass by
 // falling back everywhere.
