@@ -49,3 +49,22 @@ func TestAllocBudgetDAGMemo(t *testing.T) {
 		}
 	})
 }
+
+// A put into a full cache reuses the node it evicts, so a miss at capacity
+// puts into the memo, compiled and warm caches without allocating: every
+// call here evicts, its key new to a cache filled to the default capacity.
+func TestAllocLRUPutAtCapacity(t *testing.T) {
+	l := newLRU[*MemoEntry](DefaultMemoCapacity)
+	next := 0
+	put := func() {
+		l.put(memoKey{hash: uint64(next) * 0x9e3779b97f4a7c15, m: 16, n: next}, nil)
+		next++
+	}
+	for range DefaultMemoCapacity {
+		put()
+	}
+	alloctest.Hold(t, "lru put at capacity", 0, put)
+	if l.len() != DefaultMemoCapacity {
+		t.Fatalf("%d entries, want %d", l.len(), DefaultMemoCapacity)
+	}
+}

@@ -40,23 +40,27 @@ func (l *lru[V]) get(k memoKey) (V, bool) {
 }
 
 // put inserts or refreshes a cached value, evicting the least recently
-// used entry when full.
+// used entry when full. A full cache reuses the evicted entry's node for
+// the new one, so a put at capacity allocates nothing: nodes never leave
+// the lru, and get hands out the value, not the node.
 func (l *lru[V]) put(k memoKey, v V) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n, ok := l.entries[k]; ok {
-		n.value = v
+	n, ok := l.entries[k]
+	switch {
+	case ok:
 		l.unlink(n)
-		l.pushFront(n)
-		return
+	case len(l.entries) >= l.capacity:
+		n = l.tail
+		l.unlink(n)
+		delete(l.entries, n.key)
+		n.key = k
+		l.entries[k] = n
+	default:
+		n = &lruNode[V]{key: k}
+		l.entries[k] = n
 	}
-	if len(l.entries) >= l.capacity {
-		evict := l.tail
-		l.unlink(evict)
-		delete(l.entries, evict.key)
-	}
-	n := &lruNode[V]{key: k, value: v}
-	l.entries[k] = n
+	n.value = v
 	l.pushFront(n)
 }
 

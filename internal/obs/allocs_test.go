@@ -13,11 +13,8 @@ import (
 
 var idSink string
 
-// A request ID is one string, however long its sequence number. The run
-// starts far along the sequence: a short number's bytes are small enough
-// for the runtime's tiny allocator, whose count can lag, so a reading taken
-// on the first IDs of a process can hide an allocation.
+// Request IDs are minted 64 at a time, one string and one block for all of
+// them, so a request's ID reads 0 (2/64).
 func TestAllocBudgetRequestID(t *testing.T) {
-	reqSeq.Add(1 << 40) // forward only: IDs stay unique in this process
-	alloctest.Hold(t, "NewRequestID", 1, func() { idSink = NewRequestID() })
+	alloctest.Hold(t, "NewRequestID", 0, func() { idSink = NewRequestID() })
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -142,17 +143,67 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// idPattern is the request ID's format.
+var idPattern = regexp.MustCompile(`^[0-9a-f]{8}-[0-9a-f]+$`)
+
+// Request IDs are unique and well formed across goroutines minting at once:
+// 8 × 1000 IDs cross many block boundaries, and the race detector sees the
+// blocks handed from the goroutine that minted them to the ones that claim
+// their IDs.
 func TestNewRequestID(t *testing.T) {
-	idPattern := regexp.MustCompile(`^[0-9a-f]{8}-[0-9a-f]+$`)
-	seen := make(map[string]bool)
-	for i := 0; i < 100; i++ {
-		id := NewRequestID()
-		if !idPattern.MatchString(id) {
-			t.Fatalf("malformed request ID %q", id)
+	const goroutines, each = 8, 1000
+	minted := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range minted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids := make([]string, each)
+			for i := range ids {
+				if i%2 == 0 {
+					ids[i] = NewRequestID()
+				} else {
+					ids[i] = SetRequestID(make(http.Header), "")
+				}
+			}
+			minted[g] = ids
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool, goroutines*each)
+	for _, ids := range minted {
+		for _, id := range ids {
+			if !idPattern.MatchString(id) {
+				t.Fatalf("malformed request ID %q", id)
+			}
+			if seen[id] {
+				t.Fatalf("duplicate request ID %q", id)
+			}
+			seen[id] = true
 		}
-		if seen[id] {
-			t.Fatalf("duplicate request ID %q", id)
-		}
-		seen[id] = true
+	}
+	if blocks := goroutines * each / idBlockSize; blocks < 100 {
+		t.Fatalf("the run crossed %d block boundaries", blocks)
+	}
+}
+
+// SetRequestID echoes the request's own ID, and otherwise mints one whose
+// header value has capacity 1: appending to it copies, so no caller can
+// write into the block other requests' IDs come from.
+func TestSetRequestID(t *testing.T) {
+	h := make(http.Header)
+	if id := SetRequestID(h, "client-7"); id != "client-7" || h.Get(RequestIDHeader) != "client-7" {
+		t.Fatalf("echoed %q, header %q", id, h.Get(RequestIDHeader))
+	}
+	h = make(http.Header)
+	id := SetRequestID(h, "")
+	v := h[RequestIDHeader]
+	if len(v) != 1 || cap(v) != 1 || v[0] != id {
+		t.Fatalf("minted header value %q (cap %d) for ID %q", v, cap(v), id)
+	}
+	grown := append(v, "extra")
+	grown[0] = "overwritten"
+	if next := NewRequestID(); v[0] != id || !idPattern.MatchString(next) {
+		t.Fatalf("an append reached the block: %q, next ID %q", v[0], next)
 	}
 }

@@ -80,6 +80,42 @@ func BenchmarkRoutedJSONHit(b *testing.B) {
 	})
 }
 
+// BenchmarkRoutedMiss is the serving envelope of a memo miss into a full
+// memo, the serve-cold shape: distinct 24×16 frames cycled in order through
+// the router to an in-process shard whose memo holds a quarter of them, so
+// every request decodes, compiles, searches, verifies and encodes, and
+// every put evicts. allocs/op is the hop's, the shard's and the solve's.
+func BenchmarkRoutedMiss(b *testing.B) {
+	const capacity, n, m = 64, 24, 16
+	frames := make([][]byte, 4*capacity)
+	for k := range frames {
+		frames[k] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+k), n, m), nil, nil)
+	}
+	shard := server.New(server.Config{Workers: 1, MemoCapacity: capacity})
+	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	c := newReusedCall(b, wire.ContentType)
+	for _, frame := range frames { // fills the memo past its capacity
+		if code := c.do(rt.Handler(), frame); code != http.StatusOK {
+			b.Fatalf("HTTP %d", code)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := c.do(rt.Handler(), frames[i%len(frames)]); code != http.StatusOK {
+			b.Fatalf("HTTP %d", code)
+		}
+	}
+	b.StopTimer()
+	if st := shard.Stats().Shards[0]; st.MemoHits != 0 {
+		b.Fatalf("%d memo hits among distinct frames cycled past the memo's capacity", st.MemoHits)
+	}
+}
+
 func benchRoutedHit(b *testing.B, contentType string, encode func(*instance.Instance) []byte) {
 	const pool, n, m = 64, 24, 16
 	bodies := make([][]byte, pool)

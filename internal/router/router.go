@@ -454,11 +454,7 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, path string)
 	// The request ID is minted here at the edge (or taken from the client),
 	// echoed on the response and forwarded to the serving shard, which logs
 	// and echoes the same ID — one identifier joins both tiers' views.
-	reqID := req.Header.Get(obs.RequestIDHeader)
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set(obs.RequestIDHeader, reqID)
+	reqID := obs.SetRequestID(w.Header(), req.Header.Get(obs.RequestIDHeader))
 	// refuse answers a request no shard answered — res carries its status,
 	// Retry-After and, for a failed forward, the shard it was sent to — as a
 	// shard words a refusal.

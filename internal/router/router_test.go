@@ -868,3 +868,45 @@ func TestRouterDrain(t *testing.T) {
 		t.Fatalf("draining error: %+v, %v", eb, err)
 	}
 }
+
+// Both tiers cap a request body at MaxBodyBytes: a body of exactly the cap
+// is read whole and answered, and one byte more is the cap's refusal,
+// whether the request declares its length or not (-1).
+func TestBodyCapEdge(t *testing.T) {
+	frame := wire.AppendScheduleRequest(nil, instance.Mixed(9, 6, 4), nil, nil)
+	limit := int64(len(frame))
+	shard := server.New(server.Config{Workers: 1, MaxBodyBytes: limit})
+	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}, MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	refusal := fmt.Sprintf("request body exceeds the %d-byte cap", limit)
+	over := append(frame[:len(frame):len(frame)], 0)
+	for _, tier := range []struct {
+		name string
+		h    http.Handler
+	}{{"shard", shard.Handler()}, {"router", rt.Handler()}} {
+		for _, declared := range []bool{true, false} {
+			for _, body := range [][]byte{frame, over} {
+				req := httptest.NewRequest(http.MethodPost, wire.PathSchedule, bytes.NewReader(body))
+				req.Header.Set("Content-Type", wire.ContentType)
+				if !declared {
+					req.ContentLength = -1
+				}
+				rec := httptest.NewRecorder()
+				tier.h.ServeHTTP(rec, req)
+				if len(body) == len(frame) {
+					if rec.Code != http.StatusOK {
+						t.Errorf("%s, declared %v: a body of exactly the cap got HTTP %d", tier.name, declared, rec.Code)
+					}
+					continue
+				}
+				e, err := wire.DecodeError(rec.Body.Bytes())
+				if rec.Code != http.StatusBadRequest || err != nil || e.Error.Message != refusal {
+					t.Errorf("%s, declared %v: a body one past the cap got HTTP %d, %+v (%v)", tier.name, declared, rec.Code, e, err)
+				}
+			}
+		}
+	}
+}

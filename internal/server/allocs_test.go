@@ -66,9 +66,10 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	})
 	// A whole binary memo hit through the shard's handler, test request
-	// and recorder included: a byte hit, so nothing of the shard's but the
-	// minted request ID.
-	alloctest.Hold(t, "memo-hit ServeHTTP", 26, func() {
+	// and recorder included: a byte hit, and the minted request ID, the
+	// Content-Length value and the body cap allocate nothing, so all of it
+	// is the test's.
+	alloctest.Hold(t, "memo-hit ServeHTTP", 21, func() {
 		if code := serve(); code != http.StatusOK {
 			t.Fatalf("HTTP %d", code)
 		}
@@ -146,7 +147,7 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 			t.Fatalf("HTTP %d", rec.Code)
 		}
 	}
-	alloctest.Hold(t, "memo-miss ServeHTTP", 39, serve)
+	alloctest.Hold(t, "memo-miss ServeHTTP", 34, serve)
 	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != alloctest.Calls {
 		t.Fatalf("the timed requests were not all memo misses: %+v", st)
 	}
@@ -183,7 +184,7 @@ func TestAllocBudgetDAGMiss(t *testing.T) {
 			t.Fatalf("HTTP %d", rec.Code)
 		}
 	}
-	alloctest.Hold(t, "DAG memo-miss ServeHTTP", 50, serve)
+	alloctest.Hold(t, "DAG memo-miss ServeHTTP", 45, serve)
 	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != alloctest.Calls {
 		t.Fatalf("the timed requests were not all memo misses: %+v", st)
 	}

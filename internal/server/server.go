@@ -478,11 +478,7 @@ func (s *Server) Serve(_ context.Context, path, contentType string, body []byte,
 // (wire.ReadBody), run the request path, write what it returned.
 func (s *Server) handleHTTP(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(obs.RequestIDHeader)
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set(obs.RequestIDHeader, id)
+		id := obs.SetRequestID(w.Header(), r.Header.Get(obs.RequestIDHeader))
 		body, readErr := wire.ReadBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
 		status, respType, out, retryAfter := s.serve(path, r.Header.Get("Content-Type"), body, readErr, id, wire.GetBuffer())
 		wire.WriteResponse(w, status, respType, out, retryAfter)
@@ -634,14 +630,16 @@ func hitCovers(f *wire.Frame) bool {
 // matching entry that carries bytes, and while the verification tests'
 // corruption hook is set, since every answer must then pass through it.
 // The solve slot is held across the probe and the stage histograms are
-// observed, as for any hit: the verify stage reads 0.
+// observed, as for any hit: the verify stage reads 0. The head is written
+// only once the probe has found the bytes, so a declined request leaves dst
+// as it was, and the encode stage times the head and the bytes together.
 func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, binary bool, o engine.Options, dst []byte) ([]byte, bool) {
 	if s.corrupt != nil || !hitCovers(f) {
 		return nil, false
 	}
-	enc, head := engine.EncodingJSON, wire.AppendJSONResponseHead(dst, f.Name)
+	enc, appendHead := engine.EncodingJSON, wire.AppendJSONResponseHead
 	if binary {
-		enc, head = engine.EncodingBinary, wire.AppendResponseHead(dst, f.Name)
+		enc, appendHead = engine.EncodingBinary, wire.AppendResponseHead[[]byte]
 	}
 	var st stageNS
 	rc.lap()
@@ -658,7 +656,7 @@ func (s *Server) byteHit(rc *reqCtx, f *wire.Frame, binary bool, o engine.Option
 	set := s.stages.Get(stageKey{solver: rc.solver, codec: rc.codec})
 	set.observe(st)
 	rc.st = st
-	out := append(head, tail...)
+	out := append(appendHead(dst, f.Name), tail...)
 	set.encode.Observe(rc.lap() / 1e3)
 	return out, true
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // What both serving tiers decide about a request's HTTP envelope — its
@@ -38,9 +39,11 @@ func IsBinary(path, contentType string) bool {
 // ReadBody reads a request body into a pooled buffer, at most one byte past
 // limit so that BodyError can tell an oversized body from a full one.
 // declared is the request's Content-Length (negative when unknown). The
-// buffer comes back on error too; the caller puts it back.
+// buffer comes back on error too; the caller puts it back. The cap is
+// counted here rather than by an io.LimitReader, which would escape to the
+// heap: one allocation per request on either tier.
 func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
-	return ReadAll(GetBuffer(), io.LimitReader(r, limit+1), min(declared, limit+1))
+	return readAll(GetBuffer(), r, min(declared, limit+1), limit+1)
 }
 
 // BodyError is the refusal of a body ReadBody returned — its read error, or
@@ -123,6 +126,32 @@ func AppendRefusal(dst []byte, binary bool, info *ErrorInfo) []byte {
 // header map allocates nothing.
 var hdrJSONType, hdrBinaryType = []string{JSONContentType}, []string{ContentType}
 
+// cachedLengths bounds the body lengths whose Content-Length value is
+// built once. It covers every refusal and, in either codec, the answer to
+// an instance of 64 tasks (a 64×32 JSON answer is ≈ 3.7 KB); a longer body
+// formats its length as it is written.
+const cachedLengths = 1 << 13
+
+// contentLengths holds the Content-Length value of each body length below
+// cachedLengths, built on its first use and never changed after.
+var contentLengths [cachedLengths]atomic.Pointer[[1]string]
+
+// contentLength returns the Content-Length header value of an n-byte body.
+// Below cachedLengths it is the table's, so assigning it into a header map
+// allocates nothing; its capacity is 1, so an append to it copies rather
+// than writing into the table.
+func contentLength(n int) []string {
+	if n >= cachedLengths {
+		return []string{strconv.Itoa(n)}
+	}
+	v := contentLengths[n].Load()
+	if v == nil {
+		contentLengths[n].CompareAndSwap(nil, &[1]string{strconv.Itoa(n)})
+		v = contentLengths[n].Load()
+	}
+	return v[:]
+}
+
 // WriteResponse writes one response with an exact Content-Length: either
 // codec's Content-Type, any other passed through (none when empty), and
 // Retry-After when set.
@@ -140,7 +169,7 @@ func WriteResponse(w http.ResponseWriter, status int, contentType string, body [
 	if retryAfter != "" {
 		h.Set("Retry-After", retryAfter)
 	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Length"] = contentLength(len(body))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

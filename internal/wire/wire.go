@@ -323,14 +323,24 @@ func PutBuffer(b []byte) {
 // append's growth series. It is io.ReadAll over a caller-owned, typically
 // pooled, buffer.
 func ReadAll(b []byte, r io.Reader, sizeHint int64) ([]byte, error) {
+	return readAll(b, r, sizeHint, math.MaxInt64)
+}
+
+// readAll is ReadAll that stops once b holds most bytes, and never asks r
+// for a byte past them.
+func readAll(b []byte, r io.Reader, sizeHint, most int64) ([]byte, error) {
 	if sizeHint > 0 {
 		b = slices.Grow(b, int(sizeHint)+1)
 	}
-	for {
+	for int64(len(b)) < most {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		n, err := r.Read(b[len(b):cap(b)])
+		room := b[len(b):cap(b)]
+		if left := most - int64(len(b)); int64(len(room)) > left {
+			room = room[:left]
+		}
+		n, err := r.Read(room)
 		b = b[:len(b)+n]
 		if err == io.EOF {
 			return b, nil
@@ -339,6 +349,7 @@ func ReadAll(b []byte, r io.Reader, sizeHint int64) ([]byte, error) {
 			return b, err
 		}
 	}
+	return b, nil
 }
 
 // appendHeader opens a message at an explicit version.
