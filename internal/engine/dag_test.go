@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
@@ -246,5 +247,24 @@ func TestEngineRejectsHostileEdgesTyped(t *testing.T) {
 	}
 	if st := e.Stats(); st.Panics != 0 {
 		t.Fatalf("hostile edges caused %d recovered panics", st.Panics)
+	}
+}
+
+// Config.Timeout bounds a DAG solve too: the dag solver polls the deadline,
+// so a 1000-task out-tree whose climb runs for seconds times out like any
+// other instance.
+func TestTimeoutBoundsDAGSolve(t *testing.T) {
+	in := instance.Mixed(1, 1000, 64)
+	edges, err := precedence.OutTreeEdges(in.N(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 1, Timeout: time.Millisecond, MemoCapacity: -1})
+	out := e.ScheduleWith(in, Options{Solver: solver.DAGSolverName, Edges: edges}, time.Millisecond)
+	if !errors.Is(out.Err, ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", out.Err)
+	}
+	if st := e.Stats(); st.Timeouts != 1 {
+		t.Fatalf("timeout not counted: %+v", st)
 	}
 }

@@ -33,9 +33,10 @@ type Config struct {
 	// Timeout bounds the wall-clock time spent on one instance; 0 means
 	// no limit. A timed-out instance fails alone with an error wrapping
 	// ErrTimeout (the rest of its batch is unaffected) and does not
-	// poison its worker (the dual search polls the deadline between its
-	// units of work, so no goroutine outlives its job; the overshoot is
-	// one construction, not one search).
+	// poison its worker: every searching solver polls the deadline between
+	// its units of work — the dual search between constructions, the DAG
+	// solvers before every evaluation and list simulation — so no goroutine
+	// outlives its job, and the overshoot is one unit, not one search.
 	Timeout time.Duration
 	// Schedule is the scheduling configuration applied to every instance
 	// (same semantics as the Options passed to Solve and

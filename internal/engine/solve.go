@@ -57,7 +57,9 @@ type Options struct {
 	// scheduling the independent-task projection. Build standard shapes
 	// with malsched.ChainEdges/OutTreeEdges, validate untrusted ones with
 	// malsched.ValidateEdges, and check results with
-	// malsched.VerifyPrecedence.
+	// malsched.VerifyPrecedence. No reference to the lists outlives the
+	// call (the memo keeps its own flattened copy), so a caller may reuse
+	// their memory once it returns.
 	Edges [][]int
 }
 

@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"iter"
 	"slices"
 	"sort"
 )
@@ -170,8 +171,29 @@ func (s *Segments[V]) Reserve(n int) {
 // Drop evicts the entries of c under every tag — of every instance when c
 // is nil — for reuse.
 func (s *Segments[V]) Drop(c *Compiled) {
+	s.drop(func(key segKey) bool { return c == nil || key.c == c })
+}
+
+// DropTag evicts the entries under tag, of every instance, for reuse.
+func (s *Segments[V]) DropTag(tag uint64) {
+	s.drop(func(key segKey) bool { return key.tag == tag })
+}
+
+// Tags yields the tag of every (tables, tag) pair the index holds, once
+// per pair.
+func (s *Segments[V]) Tags() iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		for key := range s.lists {
+			if !yield(key.tag) {
+				return
+			}
+		}
+	}
+}
+
+func (s *Segments[V]) drop(match func(segKey) bool) {
 	for key, l := range s.lists {
-		if c != nil && key.c != c {
+		if !match(key) {
 			continue
 		}
 		s.freeEntries = append(s.freeEntries, l.entries...)

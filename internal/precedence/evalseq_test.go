@@ -116,7 +116,7 @@ func runEvalSequence(t *testing.T, data []byte) {
 	graphs := [2]*Graph{shapes[seed%3], shapes[(seed+1)%3]}
 	tables := [2]*instance.Compiled{instance.Compile(in), instance.Compile(in)}
 	cs := core.NewScratch()
-	sc := auxScratch(cs)
+	sc := ScratchOf(cs)
 	ref := flatRef{}
 
 	evaluate := func(step int, g *Graph, c *instance.Compiled, lambda float64) {

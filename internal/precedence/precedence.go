@@ -32,26 +32,36 @@ import (
 
 // Graph is a DAG of malleable tasks over an instance: succ[i] lists the
 // tasks that may start only after task i completes. The fields are
-// unexported on purpose — every Graph in existence went through NewGraph,
-// so the scheduling entry points never see a cyclic or shape-mismatched
-// graph and cannot panic on one. Construct with NewGraph, over successor
-// lists from ChainEdges, OutTreeEdges, RandomEdges or the caller.
+// unexported on purpose — every Graph in existence went through build, by
+// NewGraph or Scratch.Graph, so the scheduling entry points never see a
+// cyclic or shape-mismatched graph and cannot panic on one. Construct with
+// NewGraph, over successor lists from ChainEdges, OutTreeEdges, RandomEdges
+// or the caller.
 //
-// NewGraph derives once what every solve on the graph needs: the
-// topological order and predecessor counts (previously recomputed per
-// candidate allotment), the deduplicated sorted candidate-deadline arrays
-// the crossover search bisects, and the FNV-1a edge hash that keys the
-// λ-segment cache (two DAGs over the same instance share one compiled
-// table but must never share critical paths).
+// build derives once what every solve on the graph needs: the topological
+// order and predecessor counts, the deduplicated sorted candidate-deadline
+// arrays the crossover search bisects, the certified lower bound, and the
+// fphash edge hash that keys the λ-segment cache (two DAGs over the same
+// instance share one compiled table but must never share critical paths).
+// A Graph is read-only once built, so solves on many scratches may share
+// it.
 type Graph struct {
 	in   *instance.Instance
 	succ [][]int
 
 	topo     []int     // topological order (Kahn's; deterministic)
 	preds    []int     // predecessor count per task
-	edgeHash uint64    // FNV-1a over the successor lists
+	edgeHash uint64    // fphash over the successor lists
+	lower    float64   // LowerBound's value
 	cands    []float64 // dedup-sorted candidate deadlines (every profile time)
 	grid     []float64 // dedup-sorted λ grid (min and sequential time per task)
+
+	// ints and floats back every slice above but succ: preds, Kahn's
+	// in-degrees, topo and the candidate runs' ends; the candidate axis,
+	// its merge's second buffer and the grid. A graph built on a Scratch
+	// keeps them from one build to the next.
+	ints   []int
+	floats []float64
 }
 
 // Validation errors.
@@ -159,59 +169,145 @@ func copyEdges(succ [][]int) [][]int {
 // NewGraph validates the DAG (shape, edge bounds, acyclicity), captures a
 // private copy of the edges and precomputes the per-graph solve state:
 // topological order, predecessor counts, the deduplicated candidate-
-// deadline arrays and the edge hash.
+// deadline arrays, the lower bound and the edge hash. Scratch.Graph builds
+// the same graph without the copies.
 func NewGraph(in *instance.Instance, succ [][]int) (*Graph, error) {
-	n := in.N()
-	if err := checkEndpoints(n, succ); err != nil {
+	g := &Graph{}
+	if err := g.build(in, copyEdges(succ)); err != nil {
 		return nil, err
 	}
-	// One block for the three per-node int arrays: the predecessor counts
-	// the solves read, the copy of them Kahn's algorithm consumes, and the
-	// order it emits.
-	buf := make([]int, 3*n)
-	g := &Graph{in: in, succ: copyEdges(succ), preds: buf[:n:n], topo: buf[2*n:]}
+	return g, nil
+}
+
+// build validates succ over in and derives into g everything a solve reads,
+// in g's own ints and floats blocks, which it grows only when they are too
+// small. g keeps succ itself. On an error g holds no reference to in or
+// succ.
+func (g *Graph) build(in *instance.Instance, succ [][]int) error {
+	n := in.N()
+	if err := checkEndpoints(n, succ); err != nil {
+		return err
+	}
+	ints := intsBuf(&g.ints, 4*n)
+	preds, indeg, topo, ends := ints[:n:n], ints[n:2*n], ints[2*n:3*n:3*n], ints[3*n:]
+	clear(preds)
 	h := fphash.New()
-	h.Word(uint64(len(g.succ)))
-	for _, ss := range g.succ {
+	h.Word(uint64(len(succ)))
+	for _, ss := range succ {
 		h.Word(uint64(len(ss)))
 		for _, j := range ss {
-			g.preds[j]++
+			preds[j]++
 			h.Word(uint64(j))
 		}
 	}
-	g.edgeHash = h.Sum()
-	indeg := buf[n : 2*n]
-	copy(indeg, g.preds)
-	if !kahn(g.succ, indeg, g.topo) {
-		return nil, ErrCycle
+	copy(indeg, preds)
+	if !kahn(succ, indeg, topo) {
+		return ErrCycle
 	}
+	g.in, g.succ, g.preds, g.topo, g.edgeHash = in, succ, preds, topo, h.Sum()
 
 	// Candidate deadlines: every distinct profile time, sorted. Duplicate
 	// times are collapsed once here instead of inflating every binary
 	// search and λ-subsample downstream; the searches' answers depend only
 	// on the distinct values, so dedup never changes the selected
-	// crossover deadline. Read through Task.Time into one exactly-sized
-	// slice — Task.Times would copy every profile first.
+	// crossover deadline.
 	total := 0
 	for _, t := range in.Tasks {
 		total += t.MaxProcs()
 	}
-	cands := make([]float64, 0, total)
-	for _, t := range in.Tasks {
-		for p := 1; p <= t.MaxProcs(); p++ {
-			cands = append(cands, t.Time(p))
-		}
-	}
-	sort.Float64s(cands)
-	g.cands = dedupSorted(cands)
+	half := max(total, n) // the second half is also the lower bound's walk
+	floats := floatsBuf(&g.floats, 2*half+2*n)
+	cands, spare := candidates(in, floats[:half], floats[half:2*half], ends)
+	g.cands = cands
 
-	grid := make([]float64, 0, 2*n)
-	for _, t := range in.Tasks {
-		grid = append(grid, t.MinTime(), t.SeqTime())
+	grid := floats[2*half:]
+	for i, t := range in.Tasks {
+		grid[2*i], grid[2*i+1] = t.MinTime(), t.SeqTime()
 	}
 	sort.Float64s(grid)
 	g.grid = dedupSorted(grid)
-	return g, nil
+
+	// The certified bound max(Σ w_i(1)/m, critical path at full-machine
+	// allotments): any schedule performs at least the minimal work, and no
+	// chain can beat its fastest execution. One buffer is both the times
+	// and the tails of the critical-path walk: it reads times[i] once, just
+	// before it writes tail[i], and otherwise only reads successors' tails,
+	// which are final by then.
+	walk := spare[:n]
+	for i, t := range in.Tasks {
+		walk[i] = t.MinTime()
+	}
+	g.lower = math.Max(in.MinTotalWork()/float64(in.M), g.criticalPathInto(walk, walk))
+	return nil
+}
+
+// candidates writes every distinct profile time of in into a or b, both at
+// least as long as the instance's profiles together, and returns the
+// ascending axis and the buffer that does not hold it. Each row, read from
+// its widest allotment down, is a run that ascends, and neighbouring runs
+// merge pairwise into one, so the axis costs no sort. Rows are only
+// Eps-monotone (task.Eps): a run that does not ascend sends every time to
+// the sort instead. Times are positive and finite, so both ways give the
+// same floats bit for bit. ends holds a run end per task.
+func candidates(in *instance.Instance, a, b []float64, ends []int) (axis, free []float64) {
+	w, sorted := 0, true
+	for i, t := range in.Tasks {
+		prev, start := 0.0, w
+		for p := t.MaxProcs(); p >= 1; p-- {
+			v := t.Time(p)
+			switch {
+			case v > prev:
+			case v == prev && w > start:
+				continue // a repeat within the row
+			default:
+				sorted = false // NaN, a non-positive time, or a rise
+			}
+			a[w], prev = v, v
+			w++
+		}
+		ends[i] = w
+	}
+	if !sorted {
+		s := a[:w]
+		sort.Float64s(s)
+		return dedupSorted(s), b
+	}
+	for runs := len(in.Tasks); runs > 1; runs = (runs + 1) / 2 {
+		lo, out := 0, 0
+		for r := 0; r < runs; r += 2 {
+			mid, hi := ends[r], ends[r]
+			if r+1 < runs {
+				hi = ends[r+1]
+			}
+			out += mergeUnion(b[out:], a[lo:mid], a[mid:hi])
+			ends[r/2], lo = out, hi
+		}
+		a, b, w = b, a, out
+	}
+	return a[:w], b
+}
+
+// mergeUnion writes the ascending union of the ascending runs x and y into
+// dst, a value both hold once, and returns its length.
+func mergeUnion(dst, x, y []float64) int {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		switch {
+		case x[i] < y[j]:
+			dst[k] = x[i]
+			i++
+		case y[j] < x[i]:
+			dst[k] = y[j]
+			j++
+		default:
+			dst[k] = x[i]
+			i++
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], x[i:])
+	return k + copy(dst[k:], y[j:])
 }
 
 // dedupSorted collapses adjacent duplicates of a sorted slice in place.
@@ -294,16 +390,5 @@ func (g *Graph) criticalPathInto(times, tail []float64) float64 {
 }
 
 // LowerBound returns the certified bound max(Σ w_i(1)/m, critical path at
-// full-machine allotments): any schedule performs at least the minimal
-// work, and no chain can beat its fastest execution.
-func (g *Graph) LowerBound() float64 {
-	// One buffer is both the times and the tails of the critical-path walk:
-	// it reads times[i] once, just before it writes tail[i], and otherwise
-	// only reads successors' tails, which are final by then.
-	buf := make([]float64, g.in.N())
-	for i, t := range g.in.Tasks {
-		buf[i] = t.MinTime()
-	}
-	cp := g.criticalPathInto(buf, buf)
-	return math.Max(g.in.MinTotalWork()/float64(g.in.M), cp)
-}
+// full-machine allotments), derived when the graph was built.
+func (g *Graph) LowerBound() float64 { return g.lower }

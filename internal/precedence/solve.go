@@ -12,6 +12,7 @@ package precedence
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -49,6 +50,11 @@ type Options struct {
 	// never correctness; the result is bit-identical to a cold solve. On
 	// success the seed is updated in place for the lineage's next solve.
 	Warm *core.WarmStart
+	// Interrupt, when non-nil, aborts the solve with core.ErrInterrupted
+	// once it fires: the crossover search polls it before every
+	// evaluation, the candidate portfolio before every score and the climb
+	// between its visits, so the overshoot is one list simulation.
+	Interrupt <-chan struct{}
 }
 
 // Result is the outcome of one DAG solve.
@@ -74,10 +80,9 @@ type Result struct {
 // dagEntry is one candidate evaluation: an index entry tagged with the
 // graph's edge hash, so two graphs over one *instance.Compiled do not share
 // a critical path, holding the times and CP; the area Σw(γ)/m is its Work
-// over m. The tag is the hash alone: unlike the engine's caches, which
-// compare every word before they answer, this one still trusts 64 bits,
-// so a graph crafted onto another's edge hash over the same tables on the
-// same scratch would read the other's critical path.
+// over m. The hash does not answer alone: a solve first proves that the
+// tag's entries were derived for its own edges (Scratch.claim), as the
+// engine's caches compare every word before they answer.
 type dagEntry = instance.Segment[dagTables]
 
 type dagTables struct {
@@ -86,12 +91,23 @@ type dagTables struct {
 }
 
 // Scratch is the reusable working memory of the DAG solve path: the
-// λ-range index of candidate evaluations plus the buffers of the
+// graph it builds (Graph), the λ-range index of candidate evaluations with
+// the edges each tag's entries were derived for, and the buffers of the
 // critical-path and list-scheduling inner loops. Not safe for concurrent
 // use — it rides a per-worker core.Scratch via the aux slot (see
-// Options.Scratch).
+// Options.Scratch and ScratchOf).
 type Scratch struct {
+	graph Graph
+
 	seg instance.Segments[dagTables]
+	// owners maps each edge hash that may tag entries of seg to the edges
+	// they were derived for, flattened as the engine's memo flattens them
+	// (the list count, then each list's length and endpoints). Every tag
+	// seg holds has its owner; an owner whose tag seg no longer holds is
+	// stale, and claim prunes it, its words going to freeWords.
+	owners    map[uint64]owner
+	freeWords [][]int
+	pruned    uint64 // the last prune's mark
 
 	times   []float64
 	evtail  []float64
@@ -113,16 +129,115 @@ type Scratch struct {
 	planProcs []int
 }
 
+// owner is the flattened edges a tag's entries were derived for, and the
+// last prune that found the tag in the index.
+type owner struct {
+	words []int
+	mark  uint64
+}
+
 // DropCompiled forgets every evaluation derived from c, under every graph:
 // the core.AuxCache contract, which core.Scratch.DropCompiled forwards.
 func (sc *Scratch) DropCompiled(c *instance.Compiled) { sc.seg.Drop(c) }
 
-// auxScratch resolves the precedence working memory attached to a core
+// maxGraphWords caps the graph buffers a Scratch keeps past Release, so
+// one giant DAG does not pin its memory in a pooled scratch.
+const maxGraphWords = 1 << 16
+
+// Graph validates succ over in, as NewGraph does, and builds the graph into
+// the scratch's memory: nothing is allocated once the scratch has grown to
+// the size, and the successor lists are borrowed, not copied. The caller
+// keeps succ unchanged while the graph is in use. The graph is valid until
+// the next Graph or Release on the scratch; solve it on any scratch.
+func (sc *Scratch) Graph(in *instance.Instance, succ [][]int) (*Graph, error) {
+	if err := sc.graph.build(in, succ); err != nil {
+		return nil, err
+	}
+	return &sc.graph, nil
+}
+
+// Release ends the graph Graph built: the scratch drops its references to
+// the graph's instance and successor lists, and the graph buffers past
+// maxGraphWords.
+func (sc *Scratch) Release() {
+	g := &sc.graph
+	*g = Graph{ints: g.ints[:0], floats: g.floats[:0]}
+	if cap(g.ints)+cap(g.floats) > maxGraphWords {
+		*g = Graph{}
+	}
+}
+
+// claim makes g's edges the owner of its edge hash's entries before a
+// solve reads them: one word-for-word comparison per solve, not per
+// lookup. The entries of another graph under the same hash are dropped
+// first, so two graphs never share a critical path, however their hashes
+// were made to meet; a graph solved again keeps the entries it left.
+func (sc *Scratch) claim(g *Graph) {
+	own, ok := sc.owners[g.edgeHash]
+	if ok && sameEdges(own.words, g.succ) {
+		return
+	}
+	if ok {
+		sc.seg.DropTag(g.edgeHash)
+	} else {
+		if sc.owners == nil {
+			sc.owners = make(map[uint64]owner)
+		}
+		if len(sc.owners) >= 2*sc.seg.Stats().Lists+16 {
+			sc.prune()
+		}
+		if f := len(sc.freeWords); f > 0 {
+			own.words, sc.freeWords = sc.freeWords[f-1], sc.freeWords[:f-1]
+		}
+	}
+	words := append(own.words[:0], len(g.succ))
+	for _, ss := range g.succ {
+		words = append(words, len(ss))
+		words = append(words, ss...)
+	}
+	sc.owners[g.edgeHash] = owner{words: words}
+}
+
+// prune forgets the owners of tags the index no longer holds, so owners
+// stays within a constant factor of the index's lists.
+func (sc *Scratch) prune() {
+	sc.pruned++
+	for tag := range sc.seg.Tags() {
+		if own, ok := sc.owners[tag]; ok {
+			own.mark = sc.pruned
+			sc.owners[tag] = own
+		}
+	}
+	for tag, own := range sc.owners {
+		if own.mark != sc.pruned {
+			sc.freeWords = append(sc.freeWords, own.words[:0])
+			delete(sc.owners, tag)
+		}
+	}
+}
+
+// sameEdges compares flattened edges (see Scratch.owners) with successor
+// lists.
+func sameEdges(words []int, succ [][]int) bool {
+	if len(words) == 0 || words[0] != len(succ) {
+		return false
+	}
+	words = words[1:]
+	for _, ss := range succ {
+		if len(words) <= len(ss) || words[0] != len(ss) || !slices.Equal(words[1:1+len(ss)], ss) {
+			return false
+		}
+		words = words[1+len(ss):]
+	}
+	return len(words) == 0
+}
+
+// ScratchOf resolves the precedence working memory attached to a core
 // Scratch, creating and attaching it on first use; nil gets a private
 // one. The engine pools one core.Scratch per worker and pins one per warm
 // lineage, so the DAG buffers and segment cache inherit exactly that
 // reuse with no engine changes.
-func auxScratch(cs *core.Scratch) *Scratch {
+func ScratchOf(cs *core.Scratch) *Scratch {
 	if cs == nil {
 		return &Scratch{}
 	}
@@ -161,18 +276,39 @@ type evalCtx struct {
 	probes int
 	hits   int
 
+	interrupt <-chan struct{}
+	stopped   bool // interrupt fired; latched by interrupted
+
 	// private marks c as compiled by this solve itself; release then
 	// drops it from the scratch, since no later solve can look it up.
 	private bool
 }
 
 func (g *Graph) evalContext(o Options) evalCtx {
-	e := evalCtx{g: g, c: o.Compiled, sc: auxScratch(o.Scratch)}
+	e := evalCtx{g: g, c: o.Compiled, sc: ScratchOf(o.Scratch), interrupt: o.Interrupt}
 	if e.c == nil {
 		e.c = instance.Compile(g.in)
 		e.private = true
 	}
+	e.sc.claim(g)
 	return e
+}
+
+// interrupted polls the solve's interrupt and latches a fired one.
+func (e *evalCtx) interrupted() bool {
+	if !e.stopped && e.interrupt != nil {
+		select {
+		case <-e.interrupt:
+			e.stopped = true
+		default:
+		}
+	}
+	return e.stopped
+}
+
+// errInterrupted is the error of a solve its interrupt ended.
+func (e *evalCtx) errInterrupted() error {
+	return fmt.Errorf("%w (instance %q)", core.ErrInterrupted, e.g.in.Name)
 }
 
 // release ends the solve: privately compiled tables leave the (possibly
@@ -229,7 +365,9 @@ func searchSeeded(n, seed int, pred func(int) bool) int {
 // feasibility once reached, grows CP and shrinks the area — which is what
 // lets a warm seed bracket each boundary (searchSeeded) and the binary
 // searches find them at all. Returns the winning allotment (caller-owned
-// copy) and its L value, or nil when no deadline is feasible.
+// copy) and its L value, or nil when no deadline is feasible or the
+// interrupt fired: every predicate polls it first and answers true
+// without an evaluation once it has, which ends the search.
 func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 	g := e.g
 	cands := g.cands
@@ -243,13 +381,19 @@ func (e *evalCtx) selectAllotment(warm *core.WarmStart) ([]int, float64) {
 		}
 	}
 	from := searchSeeded(len(cands), seedFrom, func(k int) bool {
-		return e.eval(cands[k]).OK
+		return e.interrupted() || e.eval(cands[k]).OK
 	})
 	rest := cands[from:]
 	cross := searchSeeded(len(rest), seedCross-from, func(k int) bool {
+		if e.interrupted() {
+			return true
+		}
 		ent := e.eval(rest[k])
 		return ent.OK && ent.Val.cp >= e.area(ent)
 	})
+	if e.stopped {
+		return nil, math.Inf(1)
+	}
 	var alloc []int
 	bestL := math.Inf(1)
 	for _, k := range []int{cross - 1, cross, cross + 1} {
@@ -283,6 +427,9 @@ func (g *Graph) SolveCrossover(o Options) (Result, error) {
 	defer e.release()
 	alloc, _ := e.selectAllotment(o.Warm)
 	r := Result{Probes: e.probes, CacheHits: e.hits}
+	if e.stopped {
+		return r, e.errInterrupted()
+	}
 	if alloc == nil {
 		return r, errors.New("precedence: no feasible canonical allotment")
 	}
@@ -315,10 +462,15 @@ func (g *Graph) Solve(o Options) (Result, error) {
 	best, mk := e.portfolio(o.Warm)
 	// Only the portfolio evaluates deadlines: the counts are final here.
 	r := Result{Probes: e.probes, CacheHits: e.hits}
+	if e.stopped {
+		return r, e.errInterrupted()
+	}
 	if best == nil {
 		return r, errors.New("precedence: no feasible allotment")
 	}
-	e.climb(best, mk, e.score)
+	if e.climb(best, mk, e.score); e.stopped {
+		return r, e.errInterrupted()
+	}
 	s, err := e.listSchedule(best)
 	if err != nil {
 		return r, err
@@ -338,6 +490,9 @@ func (e *evalCtx) portfolio(warm *core.WarmStart) ([]int, float64) {
 	best := intsBuf(&sc.best, n)
 	bestMk := math.Inf(1)
 	try := func(alloc []int) {
+		if e.interrupted() {
+			return
+		}
 		if mk, ok := e.score(alloc, bestMk); ok {
 			copy(best, alloc)
 			bestMk = mk
@@ -346,8 +501,11 @@ func (e *evalCtx) portfolio(warm *core.WarmStart) ([]int, float64) {
 	// Two grid samples inside one λ-segment are the same cached entry, and
 	// a repeated allotment can only tie the incumbent: score it once.
 	tried := sc.tried[:0]
-	trySeg := func(ent *dagEntry) {
-		if ent.OK && !slices.Contains(tried, ent.Sum) {
+	trySeg := func(lambda float64) {
+		if e.interrupted() {
+			return
+		}
+		if ent := e.eval(lambda); ent.OK && !slices.Contains(tried, ent.Sum) {
 			tried = append(tried, ent.Sum)
 			try(ent.Gamma)
 		}
@@ -356,9 +514,9 @@ func (e *evalCtx) portfolio(warm *core.WarmStart) ([]int, float64) {
 	grid := g.grid
 	step := len(grid)/16 + 1
 	for k := 0; k < len(grid); k += step {
-		trySeg(e.eval(grid[k]))
+		trySeg(grid[k])
 	}
-	trySeg(e.eval(grid[len(grid)-1]))
+	trySeg(grid[len(grid)-1])
 	sc.tried = tried[:0]
 	if alloc, _ := e.selectAllotment(warm); alloc != nil {
 		try(alloc)
@@ -395,13 +553,14 @@ func (e *evalCtx) portfolio(warm *core.WarmStart) ([]int, float64) {
 // pass without an accept, every task has been tried against exactly the
 // current allotment and incumbent, so every remaining visit of the three
 // passes would repeat a rejection: the climb stops there. score is a
-// parameter so tests can count and cross-check the questions asked.
+// parameter so tests can count and cross-check the questions asked. The
+// interrupt is polled before every visit: a fired one ends the climb.
 func (e *evalCtx) climb(alloc []int, mk float64, score func([]int, float64) (float64, bool)) {
 	n := len(alloc)
 	var held [4]int // the last accepting visit's rejections, of task heldFor
 	nh, heldFor := 0, -1
 	quiet := 0 // consecutive visits without an accept
-	for visit := 0; visit < 3*n && quiet < n; visit++ {
+	for visit := 0; visit < 3*n && quiet < n && !e.interrupted(); visit++ {
 		i := visit % n
 		cur, maxP := alloc[i], e.c.MaxProcs(i)
 		var rejected [4]int

@@ -211,7 +211,7 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 			if _, err := run(Options{Scratch: cs}); err != nil {
 				t.Fatal(err)
 			}
-			if n := auxScratch(cs).seg.Stats().Entries; n != 0 {
+			if n := ScratchOf(cs).seg.Stats().Entries; n != 0 {
 				t.Fatalf("%d segment entries of private tables left in the scratch", n)
 			}
 		}
@@ -220,7 +220,7 @@ func TestPrivateTablesLeaveScratch(t *testing.T) {
 	if _, err := testGraphs(t, in, 3)[0].Solve(Options{Compiled: c, Scratch: cs}); err != nil {
 		t.Fatal(err)
 	}
-	if auxScratch(cs).seg.Stats().Entries == 0 {
+	if ScratchOf(cs).seg.Stats().Entries == 0 {
 		t.Fatal("caller-supplied tables were evicted from the caller's scratch")
 	}
 }

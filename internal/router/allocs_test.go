@@ -123,11 +123,11 @@ func TestAllocBudgetJSONRouteKey(t *testing.T) {
 // hit through one router and one in-process shard, and each codec's cell
 // holds its reading. Edge-free repeats are byte hits on both codecs, 0 each:
 // the hop's. The dag solver's chain and out-tree graphs take the full path
-// on both, where the binary frame still costs less than the JSON body: 9
-// against 11. A Go client marshals every leaf's nil successor list as null,
+// on both, where the binary frame still costs less than the JSON body: 7
+// against 9. A Go client marshals every leaf's nil successor list as null,
 // so the JSON DAG bodies here are what such a client sends; none may fall
 // back to encoding/json, which cost 252–440 allocations per DAG hit on this
-// grid where the scanner costs 11.
+// grid where the scanner costs 9.
 func TestAllocBinaryBelowJSON(t *testing.T) {
 	shard := server.New(server.Config{Workers: 1})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
@@ -136,7 +136,7 @@ func TestAllocBinaryBelowJSON(t *testing.T) {
 	}
 	defer rt.Close()
 	bin, js := newReusedCall(t, wire.ContentType), newReusedCall(t, "application/json")
-	budgets := map[string]struct{ binary, json uint64 }{"none": {0, 0}, "chain": {9, 11}, "out-tree": {9, 11}}
+	budgets := map[string]struct{ binary, json uint64 }{"none": {0, 0}, "chain": {7, 9}, "out-tree": {7, 9}}
 	for _, shape := range []string{"none", "chain", "out-tree"} {
 		for _, size := range [][2]int{{10, 8}, {20, 12}} {
 			n, m := size[0], size[1]

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"malsched/internal/instance"
+	"malsched/internal/precedence"
 	"malsched/internal/server"
 	"malsched/internal/wire"
 )
@@ -91,6 +92,12 @@ func BenchmarkRoutedMiss(b *testing.B) {
 	for k := range frames {
 		frames[k] = wire.AppendScheduleRequest(nil, instance.Mixed(int64(1000+k), n, m), nil, nil)
 	}
+	benchRoutedMiss(b, capacity, frames)
+}
+
+// benchRoutedMiss cycles distinct frames, four times the memo's capacity,
+// through the router to an in-process shard.
+func benchRoutedMiss(b *testing.B, capacity int, frames [][]byte) {
 	shard := server.New(server.Config{Workers: 1, MemoCapacity: capacity})
 	rt, err := New(Config{Backends: []Backend{{Name: "s0", Handler: shard.Handler()}}})
 	if err != nil {
@@ -114,6 +121,28 @@ func BenchmarkRoutedMiss(b *testing.B) {
 	if st := shard.Stats().Shards[0]; st.MemoHits != 0 {
 		b.Fatalf("%d memo hits among distinct frames cycled past the memo's capacity", st.MemoHits)
 	}
+}
+
+// BenchmarkRoutedDAGMiss is BenchmarkRoutedMiss for the serve-dag shape:
+// distinct 16×8 wire/v2 frames with chain, out-tree and random graphs in
+// turn, solver "dag", cycled past a 64-entry memo, so every request decodes
+// its graph, validates it, builds it on the worker's scratch, solves,
+// verifies precedence and encodes. allocs/op is the hop's, the shard's and
+// the DAG solve's.
+func BenchmarkRoutedDAGMiss(b *testing.B) {
+	const capacity, n, m = 64, 16, 8
+	outTree, err := precedence.OutTreeEdges(n, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := make([][]byte, 4*capacity)
+	for k := range frames {
+		seed := int64(1000 + k)
+		graph := [][][]int{precedence.ChainEdges(n), outTree, precedence.RandomEdges(seed, n, 0.3)}[k%3]
+		frames[k] = wire.AppendScheduleRequest(nil, instance.Mixed(seed, n, m), graph,
+			&wire.RequestOptions{Solver: "dag"})
+	}
+	benchRoutedMiss(b, capacity, frames)
 }
 
 func benchRoutedHit(b *testing.B, contentType string, encode func(*instance.Instance) []byte) {

@@ -154,11 +154,12 @@ func TestAllocBudgetMemoMiss(t *testing.T) {
 }
 
 // A whole binary DAG memo miss through the shard's handler: a wire/v2 graph
-// frame, solver "dag" — decode, five edge validations (handler, engine,
-// NewGraph, verify.Precedence in the solver and again in the handler),
-// compile, the precedence solve, both verifies, encode — every call a
-// fresh 16×8 instance, the benchmark's serve-dag shapes in turn. The
-// solve's own share is what precedence.TestAllocSolve holds (9).
+// frame, solver "dag" — decode (the successor lists are windows of the
+// frame), five edge validations (handler, engine, the graph built on the
+// worker's scratch, verify.Precedence in the solver and again in the
+// handler), compile, the precedence solve, both verifies, encode — every
+// call a fresh 16×8 instance, the benchmark's serve-dag shapes in turn. The
+// solve's own share is what precedence.TestAllocSolve holds (3).
 func TestAllocBudgetDAGMiss(t *testing.T) {
 	const n, m = 16, 8
 	outTree, err := precedence.OutTreeEdges(n, 2)
@@ -184,7 +185,7 @@ func TestAllocBudgetDAGMiss(t *testing.T) {
 			t.Fatalf("HTTP %d", rec.Code)
 		}
 	}
-	alloctest.Hold(t, "DAG memo-miss ServeHTTP", 45, serve)
+	alloctest.Hold(t, "DAG memo-miss ServeHTTP", 36, serve)
 	if st := s.Stats().Shards[0]; st.MemoHits != 0 || st.MemoMisses != alloctest.Calls {
 		t.Fatalf("the timed requests were not all memo misses: %+v", st)
 	}

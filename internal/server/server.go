@@ -589,7 +589,9 @@ func (s *Server) scheduleBinary(rc *reqCtx, body, dst []byte) ([]byte, int, *wir
 // repeat of a verified hit is answered from the walk alone (byteHit);
 // anything else is decoded from the frame, and the frame's workload prefix
 // keys the engine's caches so the profiles are hashed once. Every answer
-// goes through solveAndEncode, so every plan passed verify.Plan.
+// goes through solveAndEncode, so every plan passed verify.Plan. The frame
+// is released only once the response is encoded: the decoded graph's
+// successor lists are windows of it.
 func (s *Server) scheduleFrame(rc *reqCtx, f *wire.Frame, binary bool, dst []byte) ([]byte, int, *wire.ErrorInfo) {
 	defer f.Release()
 	o, timeout, lineage, errInfo := s.frameOptions(f)

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 
+	"malsched/internal/core"
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
 	"malsched/internal/verify"
@@ -47,14 +48,23 @@ func (d dagSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 	if succ == nil {
 		succ = make([][]int, in.N())
 	}
-	g, err := precedence.NewGraph(in, succ)
+	cs := o.Scratch
+	if cs == nil {
+		cs = core.NewScratch()
+	}
+	// The graph is built on the worker's scratch and borrows succ: both
+	// live as long as the solve, and Release lets go of them.
+	ps := precedence.ScratchOf(cs)
+	g, err := ps.Graph(in, succ)
 	if err != nil {
 		return Solution{}, err
 	}
+	defer ps.Release()
 	po := precedence.Options{
-		Compiled: o.Compiled,
-		Scratch:  o.Scratch,
-		Warm:     o.WarmStart,
+		Compiled:  o.Compiled,
+		Scratch:   cs,
+		Warm:      o.WarmStart,
+		Interrupt: o.Interrupt,
 	}
 	var r precedence.Result
 	if d.refine {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"malsched/internal/core"
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
 	"malsched/internal/task"
@@ -128,6 +129,26 @@ func TestDAGSolversDifferentialTiny(t *testing.T) {
 		}
 		if a.LowerBound != b.LowerBound {
 			t.Fatalf("iter %d: certified LBs disagree: %v vs %v", iter, a.LowerBound, b.LowerBound)
+		}
+	}
+}
+
+// Both DAG solvers obey Options.Interrupt: fired before the solve, a
+// 1000-task out-tree returns core.ErrInterrupted without a schedule instead
+// of running its whole climb.
+func TestDAGSolverObeysInterrupt(t *testing.T) {
+	in := instance.Mixed(1, 1000, 64)
+	edges, err := precedence.OutTreeEdges(in.N(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := make(chan struct{})
+	close(fired)
+	for _, name := range []string{DAGSolverName, DAGCrossoverSolverName} {
+		s, _ := Lookup(name)
+		sol, err := s.Solve(in, Options{Edges: edges, Scratch: core.NewScratch(), Interrupt: fired})
+		if !errors.Is(err, core.ErrInterrupted) || sol.Plan != nil {
+			t.Fatalf("%s under a fired interrupt: %v", name, err)
 		}
 	}
 }

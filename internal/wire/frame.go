@@ -61,11 +61,12 @@ type Frame struct {
 	// words holds the rows: task i's row is words[tasks[i].lo:tasks[i].hi].
 	words []byte
 	// Scratch, kept across walks by the pool: the tasks, the graph's lists
-	// (list i ends at lists[i].end in edges), the portfolio's names and the
-	// JSON walk's words.
+	// (list i ends at lists[i].end in edges) and the successor lists Decode
+	// lays over edges, the portfolio's names and the JSON walk's words.
 	tasks     []taskWindow
 	lists     []succList
 	edges     []int
+	succ      [][]int
 	portfolio [][]byte
 	slab      []byte
 	// portfolioKey reports a portfolio that decodes non-nil: a binary one
@@ -101,10 +102,10 @@ func (f *Frame) Release() {
 	clear(f.tasks)
 	clear(f.portfolio)
 	*f = Frame{
-		tasks: f.tasks[:0], lists: f.lists[:0], edges: f.edges[:0],
+		tasks: f.tasks[:0], lists: f.lists[:0], edges: f.edges[:0], succ: f.succ[:0],
 		portfolio: f.portfolio[:0], slab: f.slab[:0],
 	}
-	if cap(f.slab)/8+cap(f.tasks)+cap(f.lists)+cap(f.edges) <= maxPooledWords {
+	if cap(f.slab)/8+cap(f.tasks)+cap(f.lists)+cap(f.edges)+3*cap(f.succ) <= maxPooledWords {
 		framePool.Put(f)
 	}
 }
@@ -226,11 +227,13 @@ func (f *Frame) RouteKey() uint64 { return f.routeKey }
 // task.New and instance.New minus the copies), so both admit exactly the
 // same workloads and reject invalid ones — the first invalid task, then the
 // instance's shape — with the same typed errors. Every name is a window of
-// one string, every time table of one slab and every successor list of one
-// edge slab; nothing returned shares memory with the frame or the body. The
-// graph is built whatever the instance's verdict, nil without one; it is
-// shape only: edge bounds and acyclicity stay with the caller
-// (precedence.ValidateEdges), so both codecs reject a bad graph alike.
+// one string and every time table of one slab; the instance shares no
+// memory with the frame or the body. The successor lists are the frame's
+// own: windows of its edges, valid until Release (DecodeScheduleRequest
+// copies them out). The graph is built whatever the instance's verdict, nil
+// without one; it is shape only: edge bounds and acyclicity stay with the
+// caller (precedence.ValidateEdges), so both codecs reject a bad graph
+// alike.
 func (f *Frame) Decode() (*instance.Instance, [][]int, error) {
 	graph := f.graph()
 	size, words := len(f.Name), 0
@@ -260,22 +263,47 @@ func (f *Frame) Decode() (*instance.Instance, [][]int, error) {
 	return in, graph, err
 }
 
-// graph copies the successor lists out into one edge slab.
+// graph lays the successor lists over the frame's edges, each capped at
+// its own length so an append through one cannot reach its neighbour.
 func (f *Frame) graph() [][]int {
 	if !f.Graph {
 		return nil
 	}
-	graph := make([][]int, len(f.lists))
-	edges := make([]int, len(f.edges))
-	copy(edges, f.edges)
+	if f.succ == nil || cap(f.succ) < len(f.lists) {
+		f.succ = make([][]int, len(f.lists))
+	}
+	graph := f.succ[:len(f.lists)]
 	lo := 0
 	for i, l := range f.lists {
+		graph[i] = nil
 		if !l.null {
-			graph[i] = edges[lo:l.end:l.end]
+			graph[i] = f.edges[lo:l.end:l.end]
 		}
 		lo = l.end
 	}
 	return graph
+}
+
+// copyGraph copies successor lists out into one edge slab; nil stays nil,
+// and so does every nil list.
+func copyGraph(graph [][]int) [][]int {
+	if graph == nil {
+		return nil
+	}
+	total := 0
+	for _, ss := range graph {
+		total += len(ss)
+	}
+	out := make([][]int, len(graph))
+	edges := make([]int, 0, total)
+	for i, ss := range graph {
+		if ss != nil {
+			lo := len(edges)
+			edges = append(edges, ss...)
+			out[i] = edges[lo:len(edges):len(edges)]
+		}
+	}
+	return out
 }
 
 // PortfolioNames copies the names of the frame's portfolio out of it; nil
@@ -343,7 +371,7 @@ func DecodeScheduleRequest(data []byte) (*instance.Instance, [][]int, *RequestOp
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return in, graph, f.request(), nil
+	return in, copyGraph(graph), f.request(), nil
 }
 
 // RouteKey extracts the routing tier's consistent-hash key from a binary

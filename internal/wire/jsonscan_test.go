@@ -99,6 +99,7 @@ func scanScheduleRequest(body []byte) (req JSONRequest, ok bool) {
 	defer f.Release()
 	req.Options = f.request()
 	req.Instance, req.Graph, req.InstanceErr = f.Decode()
+	req.Graph = copyGraph(req.Graph) // the frame's lists die with it
 	return req, true
 }
 
