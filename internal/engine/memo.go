@@ -6,6 +6,7 @@ import (
 
 	"malsched/internal/fphash"
 	"malsched/internal/instance"
+	"malsched/internal/precedence"
 	"malsched/internal/schedule"
 )
 
@@ -36,8 +37,9 @@ type MemoEntry struct {
 	compact   bool
 	solver    string   // resolved; unused when portfolio is set
 	portfolio []string // nil unless the options named one
-	// edges is the graph flattened as hashEdges folds it — the list
-	// count, then each list's length and indices — and nil for no graph.
+	// edges is the graph in precedence.AppendFlatEdges' layout — the
+	// list count, then each list's length and indices, as hashEdges folds
+	// it — and nil for no graph.
 	edges []int
 
 	encoded [numEncodings]atomic.Pointer[[]byte]
@@ -89,12 +91,7 @@ func newEntry(in *instance.Instance, o Options, sol Solution, off []int, times [
 		words = make([]int, nEdges+nOff)
 	}
 	if o.Edges != nil {
-		en.edges = words[:0:nEdges]
-		en.edges = append(en.edges, len(o.Edges))
-		for _, ss := range o.Edges {
-			en.edges = append(en.edges, len(ss))
-			en.edges = append(en.edges, ss...)
-		}
+		en.edges = precedence.AppendFlatEdges(words[:0:nEdges], o.Edges)
 	}
 	if off == nil {
 		en.off = words[nEdges:]
@@ -139,30 +136,7 @@ func (en *MemoEntry) sameOptions(o Options) bool {
 	} else if en.solver != o.solverName() {
 		return false
 	}
-	return sameEdges(en.edges, o.Edges)
-}
-
-// sameEdges compares a flattened graph with successor lists.
-func sameEdges(flat []int, edges [][]int) bool {
-	if edges == nil || flat == nil {
-		return edges == nil && flat == nil
-	}
-	if flat[0] != len(edges) {
-		return false
-	}
-	flat = flat[1:]
-	for _, ss := range edges {
-		if len(flat) <= len(ss) || flat[0] != len(ss) {
-			return false
-		}
-		for j, v := range ss {
-			if flat[1+j] != v {
-				return false
-			}
-		}
-		flat = flat[1+len(ss):]
-	}
-	return len(flat) == 0
+	return precedence.SameFlatEdges(en.edges, o.Edges)
 }
 
 // sameRows reports whether in's rows are exactly off/times (the layout of

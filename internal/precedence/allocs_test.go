@@ -75,8 +75,8 @@ func TestAllocGraph(t *testing.T) {
 		}
 	})
 	// The Graph, the successor lists' outer slice and their shared backing,
-	// one block for preds/indegree/topological order/run ends, one for the
-	// candidate deadlines, their merge buffer and the λ grid.
+	// one block for preds/indegree/topological order, one for the candidate
+	// deadlines, the λ grid and the lower bound's walk.
 	alloctest.Hold(t, "NewGraph", 5, func() {
 		if _, err := NewGraph(in, edges); err != nil {
 			t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -57,9 +58,9 @@ type Graph struct {
 	grid     []float64 // dedup-sorted λ grid (min and sequential time per task)
 
 	// ints and floats back every slice above but succ: preds, Kahn's
-	// in-degrees, topo and the candidate runs' ends; the candidate axis,
-	// its merge's second buffer and the grid. A graph built on a Scratch
-	// keeps them from one build to the next.
+	// in-degrees and topo; the candidate axis, the grid and the lower
+	// bound's walk. A graph built on a Scratch keeps them from one build
+	// to the next.
 	ints   []int
 	floats []float64
 }
@@ -166,6 +167,36 @@ func copyEdges(succ [][]int) [][]int {
 	return out
 }
 
+// AppendFlatEdges appends succ to dst in the flat layout every exact edge
+// comparison reads: the list count, then each list's length and endpoints.
+func AppendFlatEdges(dst []int, succ [][]int) []int {
+	dst = append(dst, len(succ))
+	for _, ss := range succ {
+		dst = append(dst, len(ss))
+		dst = append(dst, ss...)
+	}
+	return dst
+}
+
+// SameFlatEdges reports whether flat is succ in AppendFlatEdges' layout. A
+// nil flat stands for no graph and equals only nil lists.
+func SameFlatEdges(flat []int, succ [][]int) bool {
+	if flat == nil || succ == nil {
+		return flat == nil && succ == nil
+	}
+	if flat[0] != len(succ) {
+		return false
+	}
+	flat = flat[1:]
+	for _, ss := range succ {
+		if len(flat) <= len(ss) || flat[0] != len(ss) || !slices.Equal(flat[1:1+len(ss)], ss) {
+			return false
+		}
+		flat = flat[1+len(ss):]
+	}
+	return len(flat) == 0
+}
+
 // NewGraph validates the DAG (shape, edge bounds, acyclicity), captures a
 // private copy of the edges and precomputes the per-graph solve state:
 // topological order, predecessor counts, the deduplicated candidate-
@@ -188,8 +219,11 @@ func (g *Graph) build(in *instance.Instance, succ [][]int) error {
 	if err := checkEndpoints(n, succ); err != nil {
 		return err
 	}
-	ints := intsBuf(&g.ints, 4*n)
-	preds, indeg, topo, ends := ints[:n:n], ints[n:2*n], ints[2*n:3*n:3*n], ints[3*n:]
+	// One block for the three per-node int arrays: the predecessor counts
+	// the solves read, the copy of them Kahn's algorithm consumes, and the
+	// order it emits.
+	ints := intsBuf(&g.ints, 3*n)
+	preds, indeg, topo := ints[:n:n], ints[n:2*n], ints[2*n:]
 	clear(preds)
 	h := fphash.New()
 	h.Word(uint64(len(succ)))
@@ -210,17 +244,25 @@ func (g *Graph) build(in *instance.Instance, succ [][]int) error {
 	// times are collapsed once here instead of inflating every binary
 	// search and λ-subsample downstream; the searches' answers depend only
 	// on the distinct values, so dedup never changes the selected
-	// crossover deadline.
+	// crossover deadline. Read through Task.Time — Task.Times would copy
+	// every profile first. One float block holds the axis, the grid and
+	// the lower bound's walk.
 	total := 0
 	for _, t := range in.Tasks {
 		total += t.MaxProcs()
 	}
-	half := max(total, n) // the second half is also the lower bound's walk
-	floats := floatsBuf(&g.floats, 2*half+2*n)
-	cands, spare := candidates(in, floats[:half], floats[half:2*half], ends)
-	g.cands = cands
+	floats := floatsBuf(&g.floats, total+3*n)
+	cands, grid, walk := floats[:total], floats[total:total+2*n], floats[total+2*n:]
+	k := 0
+	for _, t := range in.Tasks {
+		for p := 1; p <= t.MaxProcs(); p++ {
+			cands[k] = t.Time(p)
+			k++
+		}
+	}
+	sort.Float64s(cands)
+	g.cands = dedupSorted(cands)
 
-	grid := floats[2*half:]
 	for i, t := range in.Tasks {
 		grid[2*i], grid[2*i+1] = t.MinTime(), t.SeqTime()
 	}
@@ -233,81 +275,11 @@ func (g *Graph) build(in *instance.Instance, succ [][]int) error {
 	// and the tails of the critical-path walk: it reads times[i] once, just
 	// before it writes tail[i], and otherwise only reads successors' tails,
 	// which are final by then.
-	walk := spare[:n]
 	for i, t := range in.Tasks {
 		walk[i] = t.MinTime()
 	}
 	g.lower = math.Max(in.MinTotalWork()/float64(in.M), g.criticalPathInto(walk, walk))
 	return nil
-}
-
-// candidates writes every distinct profile time of in into a or b, both at
-// least as long as the instance's profiles together, and returns the
-// ascending axis and the buffer that does not hold it. Each row, read from
-// its widest allotment down, is a run that ascends, and neighbouring runs
-// merge pairwise into one, so the axis costs no sort. Rows are only
-// Eps-monotone (task.Eps): a run that does not ascend sends every time to
-// the sort instead. Times are positive and finite, so both ways give the
-// same floats bit for bit. ends holds a run end per task.
-func candidates(in *instance.Instance, a, b []float64, ends []int) (axis, free []float64) {
-	w, sorted := 0, true
-	for i, t := range in.Tasks {
-		prev, start := 0.0, w
-		for p := t.MaxProcs(); p >= 1; p-- {
-			v := t.Time(p)
-			switch {
-			case v > prev:
-			case v == prev && w > start:
-				continue // a repeat within the row
-			default:
-				sorted = false // NaN, a non-positive time, or a rise
-			}
-			a[w], prev = v, v
-			w++
-		}
-		ends[i] = w
-	}
-	if !sorted {
-		s := a[:w]
-		sort.Float64s(s)
-		return dedupSorted(s), b
-	}
-	for runs := len(in.Tasks); runs > 1; runs = (runs + 1) / 2 {
-		lo, out := 0, 0
-		for r := 0; r < runs; r += 2 {
-			mid, hi := ends[r], ends[r]
-			if r+1 < runs {
-				hi = ends[r+1]
-			}
-			out += mergeUnion(b[out:], a[lo:mid], a[mid:hi])
-			ends[r/2], lo = out, hi
-		}
-		a, b, w = b, a, out
-	}
-	return a[:w], b
-}
-
-// mergeUnion writes the ascending union of the ascending runs x and y into
-// dst, a value both hold once, and returns its length.
-func mergeUnion(dst, x, y []float64) int {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		switch {
-		case x[i] < y[j]:
-			dst[k] = x[i]
-			i++
-		case y[j] < x[i]:
-			dst[k] = y[j]
-			j++
-		default:
-			dst[k] = x[i]
-			i++
-			j++
-		}
-		k++
-	}
-	k += copy(dst[k:], x[i:])
-	return k + copy(dst[k:], y[j:])
 }
 
 // dedupSorted collapses adjacent duplicates of a sorted slice in place.

@@ -18,8 +18,8 @@ import (
 // scratchInstance draws n tasks on m processors with t(p) = w/p^α, w from a
 // small set so rows share times. A rise row lifts its last time a quarter
 // of task.Eps above the one before — a profile the validator admits but
-// whose reversed row does not ascend — and a flat row repeats its last
-// time, so the row carries a duplicate.
+// whose row is not monotone — and a flat row repeats its last time, so the
+// row carries a duplicate.
 func scratchInstance(rng *rand.Rand, n, m int, rise bool) *instance.Instance {
 	tasks := make([]task.Task, n)
 	for i := range tasks {
@@ -126,9 +126,8 @@ func sameResult(got, want Result, gotErr, wantErr error) error {
 // shrinking size, some over the previous instance's tables: each graph and
 // each answer must equal what NewGraph and a fresh scratch give, float for
 // float, so no buffer tail or cache entry of an earlier graph leaks into a
-// later one. The candidate axis is also held to sort and dedup, whose
-// answer the merge must reproduce on monotone rows and hand back to on a
-// rise.
+// later one. The candidate axis is also held to a fresh sort and dedup of
+// every profile time.
 func FuzzGraphOnScratchMatchesNewGraph(f *testing.F) {
 	f.Add(int64(1), uint8(6), true)
 	f.Add(int64(2), uint8(9), false)
@@ -178,29 +177,6 @@ func FuzzGraphOnScratchMatchesNewGraph(f *testing.F) {
 			ps.Release()
 		}
 	})
-}
-
-// A row whose time rises by less than task.Eps is admitted, and the axis it
-// joins is still sort's: the merge hands every time to the sort instead.
-func TestCandidatesFallBackOnARise(t *testing.T) {
-	rows := [][]float64{
-		{4, 3, 2.5, 2.5 * (1 + task.Eps/2), 2.2},
-		{4, 2.5, 1.8, 1.5},
-		{3},
-	}
-	tasks := make([]task.Task, len(rows))
-	for i, r := range rows {
-		tasks[i] = task.MustNew(fmt.Sprintf("t%d", i), r)
-	}
-	in := instance.MustNew("rise", 5, tasks)
-	g, err := NewGraph(in, make([][]int, in.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.5, 1.8, 2.2, 2.5, 2.5 * (1 + task.Eps/2), 3, 4}
-	if !sameBits(g.cands, want) || !sameBits(g.cands, sortedCands(in)) {
-		t.Fatalf("cands %v, want %v", g.cands, want)
-	}
 }
 
 // Release lets go of the request: no reference to its instance or edges

@@ -101,8 +101,7 @@ type Scratch struct {
 
 	seg instance.Segments[dagTables]
 	// owners maps each edge hash that may tag entries of seg to the edges
-	// they were derived for, flattened as the engine's memo flattens them
-	// (the list count, then each list's length and endpoints). Every tag
+	// they were derived for, flattened by AppendFlatEdges. Every tag
 	// seg holds has its owner; an owner whose tag seg no longer holds is
 	// stale, and claim prunes it, its words going to freeWords.
 	owners    map[uint64]owner
@@ -174,7 +173,7 @@ func (sc *Scratch) Release() {
 // were made to meet; a graph solved again keeps the entries it left.
 func (sc *Scratch) claim(g *Graph) {
 	own, ok := sc.owners[g.edgeHash]
-	if ok && sameEdges(own.words, g.succ) {
+	if ok && SameFlatEdges(own.words, g.succ) {
 		return
 	}
 	if ok {
@@ -190,12 +189,7 @@ func (sc *Scratch) claim(g *Graph) {
 			own.words, sc.freeWords = sc.freeWords[f-1], sc.freeWords[:f-1]
 		}
 	}
-	words := append(own.words[:0], len(g.succ))
-	for _, ss := range g.succ {
-		words = append(words, len(ss))
-		words = append(words, ss...)
-	}
-	sc.owners[g.edgeHash] = owner{words: words}
+	sc.owners[g.edgeHash] = owner{words: AppendFlatEdges(own.words[:0], g.succ)}
 }
 
 // prune forgets the owners of tags the index no longer holds, so owners
@@ -214,22 +208,6 @@ func (sc *Scratch) prune() {
 			delete(sc.owners, tag)
 		}
 	}
-}
-
-// sameEdges compares flattened edges (see Scratch.owners) with successor
-// lists.
-func sameEdges(words []int, succ [][]int) bool {
-	if len(words) == 0 || words[0] != len(succ) {
-		return false
-	}
-	words = words[1:]
-	for _, ss := range succ {
-		if len(words) <= len(ss) || words[0] != len(ss) || !slices.Equal(words[1:1+len(ss)], ss) {
-			return false
-		}
-		words = words[1+len(ss):]
-	}
-	return len(words) == 0
 }
 
 // ScratchOf resolves the precedence working memory attached to a core

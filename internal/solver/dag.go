@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 
-	"malsched/internal/core"
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
 	"malsched/internal/verify"
@@ -48,13 +47,9 @@ func (d dagSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 	if succ == nil {
 		succ = make([][]int, in.N())
 	}
-	cs := o.Scratch
-	if cs == nil {
-		cs = core.NewScratch()
-	}
 	// The graph is built on the worker's scratch and borrows succ: both
 	// live as long as the solve, and Release lets go of them.
-	ps := precedence.ScratchOf(cs)
+	ps := precedence.ScratchOf(o.Scratch)
 	g, err := ps.Graph(in, succ)
 	if err != nil {
 		return Solution{}, err
@@ -62,7 +57,7 @@ func (d dagSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 	defer ps.Release()
 	po := precedence.Options{
 		Compiled:  o.Compiled,
-		Scratch:   cs,
+		Scratch:   o.Scratch,
 		Warm:      o.WarmStart,
 		Interrupt: o.Interrupt,
 	}
